@@ -4,16 +4,27 @@
 //! run twice to prove bit-identical determinism at scale, reporting
 //! sim-events/sec, peak RSS, wall-clock, and CloudSort-style $/TB into
 //! `results/cloudsort_xl.json`.
+//!
+//! `--quick` runs the 400-partition smoke pair plus one 800-partition
+//! mid run and gates the throughput floor and the 400 → 800 scaling
+//! ratio.
 
 use exo_bench::runs::{peak_rss_bytes, variant_name};
-use exo_bench::xl::{run_xl, xl_params, XlStats, XL_EVENTS_PER_SEC_FLOOR, XL_NODES};
+use exo_bench::xl::{
+    run_xl, xl_params, XlStats, XL_EVENTS_PER_SEC_FLOOR, XL_FULL_PARTITIONS, XL_MID_PARTITIONS,
+    XL_NODES, XL_SCALING_MIN_RATIO, XL_SMOKE_PARTITIONS,
+};
 use exo_bench::{quick_mode, sort_result_json, write_results, Table};
 use exo_rt::trace::Json;
 use exo_sort::{usd_per_tb, D3_2XLARGE};
 
 fn main() {
     let smoke = quick_mode();
-    let p = xl_params(smoke);
+    let p = xl_params(if smoke {
+        XL_SMOKE_PARTITIONS
+    } else {
+        XL_FULL_PARTITIONS
+    });
     println!(
         "# cloudsort_xl — {:.1} TB sort, {XL_NODES}× {} ({} partitions, {})",
         p.data_bytes as f64 / 1e12,
@@ -29,28 +40,47 @@ fn main() {
         eprintln!("FAIL: cloudsort_xl reruns differ on: {}", diffs.join(", "));
         std::process::exit(1);
     }
-    // Engine-throughput floor, asserted on the smoke geometry (the one
-    // CI runs): a regression back toward pre-refactor dispatch rates
-    // fails loudly. The better of the two runs is judged so one cold
-    // cache or CI neighbour doesn't flake the gate.
-    if smoke {
-        let best = a.events_per_sec().max(b.events_per_sec());
-        if best < XL_EVENTS_PER_SEC_FLOOR {
-            eprintln!(
-                "FAIL: cloudsort_xl smoke engine throughput {best:.0} events/s \
-                 below floor {XL_EVENTS_PER_SEC_FLOOR:.0}"
-            );
-            std::process::exit(1);
-        }
-    }
-
-    report(p.data_bytes, &a, &b, smoke);
+    // Taken before the mid run, so it stays the pair's own peak.
+    let rss = peak_rss_bytes();
+    let mid = smoke.then(|| smoke_gates(&a, &b));
+    report(p.data_bytes, &a, &b, rss, smoke, mid.as_ref());
 }
 
-fn report(data: u64, a: &XlStats, b: &XlStats, smoke: bool) {
+/// Engine-throughput gates on the smoke pair (the geometry CI runs):
+/// a regression back toward pre-refactor dispatch rates, or a
+/// per-event cost that grows with the partition count (the cliff the
+/// full geometry once hit), fails loudly. The better of the pair is
+/// judged so one cold cache or CI neighbour doesn't flake the gate.
+/// Returns the mid run.
+fn smoke_gates(a: &XlStats, b: &XlStats) -> XlStats {
+    let best = a.events_per_sec().max(b.events_per_sec());
+    if best < XL_EVENTS_PER_SEC_FLOOR {
+        eprintln!(
+            "FAIL: cloudsort_xl smoke engine throughput {best:.0} events/s \
+             below floor {XL_EVENTS_PER_SEC_FLOOR:.0}"
+        );
+        std::process::exit(1);
+    }
+    let mid = run_xl(xl_params(XL_MID_PARTITIONS));
+    let ratio = mid.events_per_sec() / best;
+    println!(
+        "scaling {XL_SMOKE_PARTITIONS} → {XL_MID_PARTITIONS} partitions: \
+         {best:.0} → {:.0} events/s (ratio {ratio:.2}, min {XL_SCALING_MIN_RATIO})",
+        mid.events_per_sec(),
+    );
+    if ratio < XL_SCALING_MIN_RATIO {
+        eprintln!(
+            "FAIL: cloudsort_xl events/s at {XL_MID_PARTITIONS} partitions is \
+             {ratio:.2}x the {XL_SMOKE_PARTITIONS}-partition rate (min {XL_SCALING_MIN_RATIO})"
+        );
+        std::process::exit(1);
+    }
+    mid
+}
+
+fn report(data: u64, a: &XlStats, b: &XlStats, rss: u64, smoke: bool, mid: Option<&XlStats>) {
     let jct = a.result.jct;
     let cost = usd_per_tb(D3_2XLARGE, XL_NODES, jct, data);
-    let rss = peak_rss_bytes();
 
     let mut t = Table::new(&["metric", "value"]);
     t.row(vec!["JCT (s)".into(), format!("{:.1}", jct.as_secs_f64())]);
@@ -78,20 +108,29 @@ fn report(data: u64, a: &XlStats, b: &XlStats, smoke: bool) {
         jct.as_secs_f64()
     });
 
-    write_results(
-        "cloudsort_xl",
-        Json::obj()
-            .set("case", "cloudsort_xl")
-            .set("smoke", if smoke { 1u64 } else { 0u64 })
-            .set("nodes", XL_NODES as u64)
-            .set("data_bytes", data)
-            .set("usd_per_tb", cost)
-            .set("sim_events", a.events)
-            .set("wall_s", a.wall_s)
-            .set("sim_events_per_sec", a.events_per_sec())
-            .set("rerun_wall_s", b.wall_s)
-            .set("rerun_bit_identical", 1u64)
-            .set("peak_rss_bytes", rss)
-            .set("run", sort_result_json(&a.result)),
-    );
+    let mut out = Json::obj()
+        .set("case", "cloudsort_xl")
+        .set("smoke", if smoke { 1u64 } else { 0u64 })
+        .set("nodes", XL_NODES as u64)
+        .set("data_bytes", data)
+        .set("usd_per_tb", cost)
+        .set("sim_events", a.events)
+        .set("wall_s", a.wall_s)
+        .set("sim_events_per_sec", a.events_per_sec())
+        .set("rerun_wall_s", b.wall_s)
+        .set("rerun_bit_identical", 1u64)
+        .set("peak_rss_bytes", rss)
+        .set("run", sort_result_json(&a.result));
+    if let Some(m) = mid {
+        out = out.set(
+            "mid",
+            Json::obj()
+                .set("partitions", XL_MID_PARTITIONS as u64)
+                .set("sim_events", m.events)
+                .set("wall_s", m.wall_s)
+                .set("sim_events_per_sec", m.events_per_sec())
+                .set("peak_rss_bytes", peak_rss_bytes()),
+        );
+    }
+    write_results("cloudsort_xl", out);
 }

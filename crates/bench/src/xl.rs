@@ -30,21 +30,35 @@ pub const XL_DATA_BYTES: u64 = 100_000_000_000_000;
 /// ~45% headroom below the measured rate for slow CI machines.
 pub const XL_EVENTS_PER_SEC_FLOOR: f64 = 100_000.0;
 
-/// The xl sort parameters. `smoke` shrinks the partition count (same
-/// 100-node cluster, same data:store ratio per partition) so the case
-/// fits in the bench gate's time budget; the full geometry is what
-/// `results/cloudsort_xl.json` records.
-pub fn xl_params(smoke: bool) -> EsSortParams {
+/// Minimum ratio of events/s at [`XL_MID_PARTITIONS`] to events/s at
+/// [`XL_SMOKE_PARTITIONS`], asserted by the smoke run: 2x partitions is
+/// ~3.3x events, so near-linear per-event cost keeps the ratio near 1.
+/// With each reducer rescanning its whole argument list on every
+/// landing (O(maps × reducers²) per run) it measured 0.37 (274 k vs
+/// 100 k events/s on a 2-vCPU host); with the arrival countdown,
+/// 0.92–1.18 over three runs (e.g. 493 k vs 454 k on the same host).
+pub const XL_SCALING_MIN_RATIO: f64 = 0.6;
+
+/// Partition counts: the smoke pair CI runs, the mid run the scaling
+/// ratio is judged on, and the full CloudSort-proportioned geometry.
+pub const XL_SMOKE_PARTITIONS: usize = 400;
+pub const XL_MID_PARTITIONS: usize = 800;
+pub const XL_FULL_PARTITIONS: usize = 3200;
+
+/// The xl sort parameters at `partitions` partitions: the same 100-node
+/// cluster and the same data:store ratio per partition at every size,
+/// so smaller geometries fit the bench gate's time budget; the full
+/// geometry is what `results/cloudsort_xl.json` records.
+pub fn xl_params(partitions: usize) -> EsSortParams {
     // Full: 3200 partitions → ~10 M shuffle-block transfers across the
     // all-to-all; smoke: 400 partitions → 160 k blocks, a few seconds.
     // The Simple (unfused, all-to-all) variant maximises engine-table
     // and event-queue churn per simulated second, which is exactly what
     // this case exists to stress.
-    let partitions = if smoke { 400 } else { 3200 };
     // Scale the dataset with the partition count so per-partition bytes
     // (and the data:store ratio driving the out-of-core spill behaviour)
     // stay at the record run's proportions.
-    let data_bytes = XL_DATA_BYTES / 3200 * partitions as u64;
+    let data_bytes = XL_DATA_BYTES / XL_FULL_PARTITIONS as u64 * partitions as u64;
     EsSortParams {
         node: NodeSpec::d3_2xlarge(),
         nodes: XL_NODES,

@@ -268,10 +268,16 @@ enum TaskState {
 struct TaskEntry {
     spec: TaskSpec,
     /// Unique object args (deduplicated once at submit, `spec.args`
-    /// order). `try_schedule` re-runs every time an arg lands, so for a
-    /// p-ary reducer recomputing this from `spec` is O(p²) hashing per
-    /// task — cache it instead.
+    /// order), cached so the arg scan and placement never re-hash `spec`.
     obj_args: Vec<ObjectId>,
+    /// Arrival countdown while `WaitingArgs`: the object args found
+    /// unavailable (and registered on) by the last full scan, minus the
+    /// first-copy landings since. A landing that leaves it above zero
+    /// skips the rescan, so a p-ary fan-in costs O(p), not O(p²).
+    /// 0 (outside `WaitingArgs`, after a scan that found every arg, and
+    /// after `kill_node` — the only way a landed arg can become
+    /// unavailable again) makes the next landing rescan.
+    args_missing: u32,
     outputs: Vec<ObjectId>,
     state: TaskState,
     attempt: u32,
@@ -747,6 +753,7 @@ impl Runtime {
         let entry = TaskEntry {
             pending_outputs: (0..spec.opts.num_returns).map(|_| None).collect(),
             obj_args: unique_args.clone(),
+            args_missing: 0,
             spec,
             outputs: outputs.clone(),
             state: TaskState::WaitingArgs,
@@ -785,35 +792,66 @@ impl Runtime {
             self.try_schedule(ctx, task);
             return;
         }
-        let entry = self.task(task);
-        if entry.state != TaskState::WaitingArgs {
-            return;
-        }
-        // Args-availability half of `try_schedule`: tasks with missing
-        // args register interest and re-enter here once produced.
-        let mut missing = Vec::new();
-        for &a in &entry.obj_args {
-            let avail = self
-                .objects
-                .get(a.0)
-                .map(|o| o.available())
-                .unwrap_or(false);
-            if !avail {
-                missing.push(a);
-            }
-        }
-        if !missing.is_empty() {
-            for a in missing {
-                self.ensure_available(ctx, a);
-                let o = self.ensure_obj_entry(a);
-                if !o.waiting_tasks.contains(&task) {
-                    o.waiting_tasks.push(task);
-                }
-            }
+        if self.task(task).state != TaskState::WaitingArgs || !self.scan_args(ctx, task) {
             return;
         }
         self.jobs.push_ready(task);
         self.schedule_dispatch(ctx);
+    }
+
+    fn obj_available(&self, obj: ObjectId) -> bool {
+        self.objects.get(obj.0).is_some_and(ObjEntry::available)
+    }
+
+    /// Full argument scan of a `WaitingArgs` task. Returns true when every
+    /// object arg is available; otherwise registers the task as a waiter
+    /// on each missing arg (kicking lineage reconstruction where needed)
+    /// and arms its arrival countdown.
+    fn scan_args(&mut self, ctx: &mut Ctx<'_, RtEvent>, task: TaskId) -> bool {
+        // Disarmed while scanning: landings nested inside the registration
+        // loop (reconstruction can seal synchronously) must rescan too.
+        self.task_mut(task).args_missing = 0;
+        let missing: Vec<ObjectId> = self
+            .task(task)
+            .obj_args
+            .iter()
+            .copied()
+            .filter(|&a| !self.obj_available(a))
+            .collect();
+        if missing.is_empty() {
+            return true;
+        }
+        for &a in &missing {
+            self.ensure_available(ctx, a);
+            let o = self.ensure_obj_entry(a);
+            if !o.waiting_tasks.contains(&task) {
+                o.waiting_tasks.push(task);
+            }
+        }
+        // Count only args still missing: one that landed mid-loop poked
+        // (or never needed) this task already. Args available at the
+        // start cannot have been lost — kills are events, not nested.
+        let still = missing.iter().filter(|&&a| !self.obj_available(a)).count() as u32;
+        let entry = self.task_mut(task);
+        if entry.state == TaskState::WaitingArgs {
+            entry.args_missing = still;
+        }
+        false
+    }
+
+    /// Debug-build cross-check: a task's arrival countdown must always
+    /// equal the full rescan it lets `on_object_available` skip.
+    fn debug_check_args_missing(&self, task: TaskId) {
+        let entry = self.task(task);
+        debug_assert_eq!(
+            entry.args_missing,
+            entry
+                .obj_args
+                .iter()
+                .filter(|&&a| !self.obj_available(a))
+                .count() as u32,
+            "arrival countdown of {task:?} diverged from its args"
+        );
     }
 
     /// Arm a deduplicated `DispatchPass` at the current instant.
@@ -876,60 +914,40 @@ impl Runtime {
 
     /// Try to move a task from WaitingArgs to a node queue.
     fn try_schedule(&mut self, ctx: &mut Ctx<'_, RtEvent>, task: TaskId) {
-        let entry = self.task(task);
-        if entry.state != TaskState::WaitingArgs {
+        if self.task(task).state != TaskState::WaitingArgs || !self.scan_args(ctx, task) {
             return;
         }
-        let mut missing = Vec::new();
-        for &a in &entry.obj_args {
-            let avail = self
-                .objects
-                .get(a.0)
-                .map(|o| o.available())
-                .unwrap_or(false);
-            if !avail {
-                missing.push(a);
-            }
-        }
-        if !missing.is_empty() {
-            for a in missing {
-                self.ensure_available(ctx, a);
-                let o = self.ensure_obj_entry(a);
-                if !o.waiting_tasks.contains(&task) {
-                    o.waiting_tasks.push(task);
+        // Place: one pass over the args sums each one's bytes into every
+        // node holding a copy (the per-node locality the policy scores).
+        let args = self.task(task).obj_args.clone();
+        let mut local = vec![0u64; self.nodes.len()];
+        let mut total_arg_bytes = 0u64;
+        for a in &args {
+            if let Some(o) = self.objects.get(a.0) {
+                total_arg_bytes += o.logical;
+                for c in &o.copies {
+                    local[c.0] += o.logical;
                 }
             }
-            return;
         }
-        // Place. Cloned here (not above) so the hot all-args-missing
-        // re-checks never allocate.
-        let args = self.task(task).obj_args.clone();
         let now = ctx.now();
         let snapshots: Vec<NodeSnapshot> = self
             .nodes
             .iter()
-            .map(|n| NodeSnapshot {
+            .zip(local)
+            .map(|(n, local_arg_bytes)| NodeSnapshot {
                 id: n.id,
                 alive: n.alive,
                 load: n.load(),
                 cpus: self.cfg.cluster.node(n.id.0).cpus,
                 slots_free: n.slots_free,
-                local_arg_bytes: args
-                    .iter()
-                    .filter_map(|a| {
-                        let o = self.objects.get(a.0)?;
-                        o.has_copy(n.id).then_some(o.logical)
-                    })
-                    .sum(),
+                local_arg_bytes,
                 caps: self.cfg.cluster.node(n.id.0).caps(),
                 disk_backlog_us: n.disk.queue_delay(now).as_micros(),
                 nic_tx_backlog_us: n.nic_tx.queue_delay(now).as_micros(),
             })
             .collect();
-        let total_arg_bytes: u64 = args
-            .iter()
-            .filter_map(|a| self.objects.get(a.0).map(|o| o.logical))
-            .sum();
+        let entry = self.task(task);
         let strategy = entry.spec.opts.strategy;
         let shape = entry.spec.opts.shape;
         let policy = Arc::clone(&self.cfg.placement);
@@ -1228,12 +1246,7 @@ impl Runtime {
         if in_flight {
             return; // a fetch is already on its way
         }
-        let available = self
-            .objects
-            .get(obj.0)
-            .map(|o| o.available())
-            .unwrap_or(false);
-        if !available {
+        if !self.obj_available(obj) {
             self.ensure_available(ctx, obj);
             let o = self.ensure_obj_entry(obj);
             if !o.waiting_tasks.contains(&task) {
@@ -1593,21 +1606,35 @@ impl Runtime {
 
     /// Object now has a copy on `node`: wake waiters and dependents.
     fn on_object_available(&mut self, ctx: &mut Ctx<'_, RtEvent>, obj: ObjectId, node: NodeId) {
-        let (waiting_tasks, waiting_waiters) = {
+        let (waiting_tasks, waiting_waiters, first_copy) = {
             // audit:allow(P01): a copy only lands on behalf of a consumer
             // holding a reference (task_refs, driver_refs, or a registered
             // waiter), and referenced entries are never GC'd.
             let o = self.objects.get_mut(obj.0).expect("referenced entry");
+            let first_copy = !o.available();
             o.add_copy(node);
             (
                 std::mem::take(&mut o.waiting_tasks),
                 std::mem::take(&mut o.waiting_waiters),
+                first_copy,
             )
         };
         for t in waiting_tasks {
-            match self.tasks.get(t.0).map(|e| e.state) {
-                Some(TaskState::WaitingArgs) => self.enqueue_ready(ctx, t),
-                Some(TaskState::Queued) | Some(TaskState::Running) => {
+            match self
+                .tasks
+                .get_mut(t.0)
+                .map(|e| (e.state, &mut e.args_missing))
+            {
+                // Not the task's last missing arg: the rescan would find
+                // the rest still missing and already registered — skip it.
+                // Only a first copy counts; a later one is a stale
+                // registration the countdown never included.
+                Some((TaskState::WaitingArgs, n)) if first_copy && *n > 1 => {
+                    *n -= 1;
+                    self.debug_check_args_missing(t);
+                }
+                Some((TaskState::WaitingArgs, _)) => self.enqueue_ready(ctx, t),
+                Some((TaskState::Queued | TaskState::Running, _)) => {
                     // Staging was blocked on availability: retry.
                     self.stage_arg(ctx, t, obj);
                 }
@@ -1964,12 +1991,7 @@ impl Runtime {
                     }
                     return;
                 }
-                let all = objs.iter().all(|o| {
-                    self.objects
-                        .get(o.0)
-                        .map(|e| e.available())
-                        .unwrap_or(false)
-                });
+                let all = objs.iter().all(|o| self.obj_available(*o));
                 if all {
                     let Some(Waiter::Get { objs, reply }) = self.waiters.remove(wid) else {
                         return;
@@ -1999,15 +2021,7 @@ impl Runtime {
             Waiter::Wait {
                 objs, num_ready, ..
             } => {
-                let ready = objs
-                    .iter()
-                    .filter(|o| {
-                        self.objects
-                            .get(o.0)
-                            .map(|e| e.available())
-                            .unwrap_or(false)
-                    })
-                    .count();
+                let ready = objs.iter().filter(|&&o| self.obj_available(o)).count();
                 if ready >= *num_ready {
                     self.finish_wait(ctx, wid);
                 }
@@ -2022,12 +2036,7 @@ impl Runtime {
         let mut ready = Vec::new();
         let mut pending = Vec::new();
         for (i, o) in objs.iter().enumerate() {
-            if self
-                .objects
-                .get(o.0)
-                .map(|e| e.available())
-                .unwrap_or(false)
-            {
+            if self.obj_available(*o) {
                 ready.push(i);
             } else {
                 pending.push(i);
@@ -2085,6 +2094,12 @@ impl Runtime {
             {
                 lost_with_interest.push(ObjectId(id));
             }
+        }
+        // A landed arg may just have lost its last copy, which no arrival
+        // countdown accounts for: every waiting task rescans on its next
+        // landing (the requeued tasks below rescan right away).
+        for (_, e) in self.tasks.iter_mut() {
+            e.args_missing = 0;
         }
         // The rebuilt store starts without owner quotas; re-apply them.
         self.apply_store_quotas();
@@ -2358,30 +2373,14 @@ impl Runtime {
         for (wid, w) in self.waiters.iter() {
             match w {
                 Waiter::Get { objs, .. } => {
-                    let missing: Vec<_> = objs
-                        .iter()
-                        .filter(|o| {
-                            !self
-                                .objects
-                                .get(o.0)
-                                .map(|e| e.available())
-                                .unwrap_or(false)
-                        })
-                        .collect();
+                    let missing: Vec<_> =
+                        objs.iter().filter(|&&o| !self.obj_available(o)).collect();
                     lines.push(format!("pending get (waiter {wid}): missing {missing:?}"));
                 }
                 Waiter::Wait {
                     objs, num_ready, ..
                 } => {
-                    let ready = objs
-                        .iter()
-                        .filter(|o| {
-                            self.objects
-                                .get(o.0)
-                                .map(|e| e.available())
-                                .unwrap_or(false)
-                        })
-                        .count();
+                    let ready = objs.iter().filter(|&&o| self.obj_available(o)).count();
                     lines.push(format!(
                         "pending wait (waiter {wid}): {ready}/{num_ready} of {} ready",
                         objs.len()

@@ -308,6 +308,59 @@ fn node_failure_recovers_via_lineage() {
 }
 
 #[test]
+fn fan_in_survives_losing_a_landed_arg_mid_wait() {
+    // A 4-ary fan-in over producers on nodes 0–2. Node 1 dies after its
+    // arg landed but while two slow args are still missing, so the
+    // consumer's arrival countdown is invalidated mid-wait: the lost arg
+    // is rebuilt from lineage, its re-landing and the slow landings
+    // count down from a fresh scan (cross-checked in debug builds), and
+    // the consumer still runs exactly once, on the right bytes.
+    let run_once = || {
+        exo_rt::run(small_cluster(4), |rt| {
+            let producer = |v: u8, node: usize, secs: u64| {
+                rt.task(const_task(vec![v]))
+                    .on_node(exo_rt::NodeId(node))
+                    .cpu(CpuCost::fixed(SimDuration::from_secs(secs)))
+                    .submit_one()
+            };
+            let args = [
+                producer(1, 0, 1),
+                producer(2, 1, 8),
+                producer(3, 2, 10),
+                producer(4, 2, 20),
+            ];
+            let merged = rt
+                .task(|ctx: TaskCtx| {
+                    let v: Vec<u8> = ctx.args.iter().map(|p| p.data[0]).collect();
+                    vec![Payload::inline(Bytes::from(v))]
+                })
+                .args(&args)
+                .submit_one();
+            rt.kill_node(
+                exo_rt::NodeId(1),
+                SimTime::ZERO + SimDuration::from_secs(9),
+                Some(SimDuration::from_secs(1)),
+            );
+            rt.get_one(&merged).unwrap().data.to_vec()
+        })
+    };
+    let (report, out) = run_once();
+    assert_eq!(out, vec![1, 2, 3, 4]);
+    assert_eq!(report.metrics.node_failures, 1);
+    assert_eq!(
+        report.metrics.tasks_reexecuted, 1,
+        "only the lost arg's producer re-runs"
+    );
+    let (rerun, rerun_out) = run_once();
+    assert_eq!(rerun_out, out);
+    assert_eq!(rerun.end_time, report.end_time);
+    assert_eq!(
+        format!("{:?}", rerun.metrics),
+        format!("{:?}", report.metrics)
+    );
+}
+
+#[test]
 fn get_after_failure_reconstructs_directly() {
     let (_report, v) = exo_rt::run(small_cluster(3), |rt| {
         let a = rt

@@ -18,6 +18,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> benchmark unit tests (separate package under benchmark/)"
+cargo test -q --manifest-path benchmark/Cargo.toml
+
 echo "==> bench_gate (perf-regression gate vs bench/baseline.json)"
 ./scripts/bench_gate.sh
 
@@ -43,7 +46,7 @@ cargo run --release -p exo-bench --bin fig4c -- --quick --live results/fig4c.liv
 cargo run --release -p exo-bench --bin live_check -- \
     results/fig4c.live.jsonl results/fig4c.json
 
-echo "==> cloudsort_xl smoke (engine-core throughput case, rerun bit-identity)"
+echo "==> cloudsort_xl smoke (throughput floor, rerun bit-identity, 400 → 800 partition scaling)"
 cargo run --release -p exo-bench --bin cloudsort_xl -- --quick
 
 echo "==> incident gate (bench_gate --incidents-diff vs bench/incidents.json)"
