@@ -6,13 +6,14 @@
 //! `results/cloudsort_xl.json`.
 //!
 //! `--quick` runs the 400-partition smoke pair plus one 800-partition
-//! mid run and gates the throughput floor and the 400 → 800 scaling
-//! ratio.
+//! mid run and gates the throughput floor, the 400 → 800 scaling ratio
+//! and the mid run's peak RSS.
 
 use exo_bench::runs::{peak_rss_bytes, variant_name};
 use exo_bench::xl::{
-    run_xl, xl_params, XlStats, XL_EVENTS_PER_SEC_FLOOR, XL_FULL_PARTITIONS, XL_MID_PARTITIONS,
-    XL_NODES, XL_SCALING_MIN_RATIO, XL_SMOKE_PARTITIONS,
+    run_xl, tables_json, xl_params, XlStats, XL_EVENTS_PER_SEC_FLOOR, XL_FULL_PARTITIONS,
+    XL_MID_PARTITIONS, XL_MID_RSS_CEILING_BYTES, XL_NODES, XL_SCALING_MIN_RATIO,
+    XL_SMOKE_PARTITIONS,
 };
 use exo_bench::{quick_mode, sort_result_json, write_results, Table};
 use exo_rt::trace::Json;
@@ -46,13 +47,13 @@ fn main() {
     report(p.data_bytes, &a, &b, rss, smoke, mid.as_ref());
 }
 
-/// Engine-throughput gates on the smoke pair (the geometry CI runs):
-/// a regression back toward pre-refactor dispatch rates, or a
-/// per-event cost that grows with the partition count (the cliff the
-/// full geometry once hit), fails loudly. The better of the pair is
-/// judged so one cold cache or CI neighbour doesn't flake the gate.
-/// Returns the mid run.
-fn smoke_gates(a: &XlStats, b: &XlStats) -> XlStats {
+/// Engine gates on the smoke pair (the geometry CI runs): a regression
+/// back toward pre-refactor dispatch rates, a per-event cost that grows
+/// with the partition count (the cliff the full geometry once hit), or
+/// a per-object footprint regrowing at the mid size fails loudly. The
+/// better of the pair is judged so one cold cache or CI neighbour
+/// doesn't flake the gate. Returns the mid run and its peak RSS.
+fn smoke_gates(a: &XlStats, b: &XlStats) -> (XlStats, u64) {
     let best = a.events_per_sec().max(b.events_per_sec());
     if best < XL_EVENTS_PER_SEC_FLOOR {
         eprintln!(
@@ -75,10 +76,32 @@ fn smoke_gates(a: &XlStats, b: &XlStats) -> XlStats {
         );
         std::process::exit(1);
     }
-    mid
+    // The mid run is the largest in the process, so the process peak
+    // is its peak.
+    let rss = peak_rss_bytes();
+    println!(
+        "peak RSS at {XL_MID_PARTITIONS} partitions: {:.0} MB (ceiling {:.0} MB)",
+        rss as f64 / 1e6,
+        XL_MID_RSS_CEILING_BYTES as f64 / 1e6,
+    );
+    if rss > XL_MID_RSS_CEILING_BYTES {
+        eprintln!(
+            "FAIL: cloudsort_xl peak RSS at {XL_MID_PARTITIONS} partitions is {rss} bytes \
+             (ceiling {XL_MID_RSS_CEILING_BYTES})"
+        );
+        std::process::exit(1);
+    }
+    (mid, rss)
 }
 
-fn report(data: u64, a: &XlStats, b: &XlStats, rss: u64, smoke: bool, mid: Option<&XlStats>) {
+fn report(
+    data: u64,
+    a: &XlStats,
+    b: &XlStats,
+    rss: u64,
+    smoke: bool,
+    mid: Option<&(XlStats, u64)>,
+) {
     let jct = a.result.jct;
     let cost = usd_per_tb(D3_2XLARGE, XL_NODES, jct, data);
 
@@ -120,8 +143,9 @@ fn report(data: u64, a: &XlStats, b: &XlStats, rss: u64, smoke: bool, mid: Optio
         .set("rerun_wall_s", b.wall_s)
         .set("rerun_bit_identical", 1u64)
         .set("peak_rss_bytes", rss)
+        .set("tables", tables_json(&a.result.tables))
         .set("run", sort_result_json(&a.result));
-    if let Some(m) = mid {
+    if let Some((m, mid_rss)) = mid {
         out = out.set(
             "mid",
             Json::obj()
@@ -129,7 +153,8 @@ fn report(data: u64, a: &XlStats, b: &XlStats, rss: u64, smoke: bool, mid: Optio
                 .set("sim_events", m.events)
                 .set("wall_s", m.wall_s)
                 .set("sim_events_per_sec", m.events_per_sec())
-                .set("peak_rss_bytes", peak_rss_bytes()),
+                .set("peak_rss_bytes", *mid_rss)
+                .set("tables", tables_json(&m.result.tables)),
         );
     }
     write_results("cloudsort_xl", out);

@@ -113,6 +113,8 @@ pub struct SortRunResult {
     pub disk_write: u64,
     /// Lineage re-executions (failure runs).
     pub reexecuted: u64,
+    /// Engine table footprints at shutdown.
+    pub tables: exo_rt::EngineTables,
 }
 
 /// Execute a sort under the given parameters and return its metrics.
@@ -197,6 +199,7 @@ fn run_es_sort_inner(
             disk_read: report.metrics.disk_read_bytes,
             disk_write: report.metrics.disk_write_bytes,
             reexecuted: report.metrics.tasks_reexecuted,
+            tables: report.tables,
         },
         report.incidents,
     )

@@ -10,8 +10,10 @@
 
 use std::time::Instant;
 
+use exo_rt::trace::Json;
+use exo_rt::EngineTables;
 use exo_shuffle::ShuffleVariant;
-use exo_sim::NodeSpec;
+use exo_sim::{NodeSpec, TableFootprint};
 
 use crate::runs::{default_scale, run_es_sort, EsSortParams, SortRunResult};
 
@@ -38,6 +40,15 @@ pub const XL_EVENTS_PER_SEC_FLOOR: f64 = 100_000.0;
 /// 100 k events/s on a 2-vCPU host); with the arrival countdown,
 /// 0.92–1.18 over three runs (e.g. 493 k vs 454 k on the same host).
 pub const XL_SCALING_MIN_RATIO: f64 = 0.6;
+
+/// Peak-RSS ceiling for the `--quick` mid run at [`XL_MID_PARTITIONS`]
+/// (process VmHWM, which the mid run sets). With 168-byte directory
+/// entries, four per-object vectors and task buffers kept at their
+/// grown size it measured 691 MB; with the 96-byte entry, one wait list
+/// and freed task buffers, 512 and 521 MB over two runs (same 2-vCPU
+/// host). The ceiling sits 15% above the higher, so the old layout
+/// fails it.
+pub const XL_MID_RSS_CEILING_BYTES: u64 = 600_000_000;
 
 /// Partition counts: the smoke pair CI runs, the mid run the scaling
 /// ratio is judged on, and the full CloudSort-proportioned geometry.
@@ -129,4 +140,23 @@ pub fn rerun_diffs(a: &SortRunResult, b: &SortRunResult) -> Vec<&'static str> {
         diffs.push("reexecuted");
     }
     diffs
+}
+
+/// The engine's table footprints as the `"tables"` object of the
+/// results JSON: `{live, capacity, bytes}` per table.
+pub fn tables_json(t: &EngineTables) -> Json {
+    let table = |f: TableFootprint| {
+        Json::obj()
+            .set("live", f.live as u64)
+            .set("capacity", f.capacity as u64)
+            .set("bytes", f.bytes as u64)
+    };
+    Json::obj()
+        .set("objects", table(t.objects))
+        .set("lineage", table(t.lineage))
+        .set("tasks", table(t.tasks))
+        .set("store_slots", table(t.store_slots))
+        .set("queue_hot", table(t.queue.hot))
+        .set("queue_ring", table(t.queue.ring))
+        .set("queue_far", table(t.queue.far))
 }

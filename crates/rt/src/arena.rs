@@ -20,6 +20,8 @@
 //!   object entries / lineage / waiters, which are GC'd and (for
 //!   objects) sometimes re-created.
 
+use exo_sim::TableFootprint;
+
 use crate::ids::JOB_SEQ_BITS;
 
 const SEQ_MASK: u64 = (1u64 << JOB_SEQ_BITS) - 1;
@@ -93,6 +95,11 @@ impl<T> DenseArena<T> {
                 .enumerate()
                 .map(move |(seq, v)| (join(job, seq), v))
         })
+    }
+
+    /// Live entries and allocated slots, per-job vectors included.
+    pub fn footprint(&self) -> TableFootprint {
+        footprint(self.len, &self.jobs)
     }
 
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut T)> {
@@ -203,6 +210,12 @@ impl<T> SlotArena<T> {
         })
     }
 
+    /// Live entries and allocated slots (vacant ones included), per-job
+    /// vectors included. Slots are never released, so this is the peak.
+    pub fn footprint(&self) -> TableFootprint {
+        footprint(self.len, &self.jobs)
+    }
+
     /// Live raw ids belonging to `job`, ascending.
     pub fn job_keys(&self, job: u32) -> Vec<u64> {
         match self.jobs.get(job as usize) {
@@ -214,6 +227,13 @@ impl<T> SlotArena<T> {
                 .collect(),
         }
     }
+}
+
+fn footprint<S>(live: usize, jobs: &[Vec<S>]) -> TableFootprint {
+    let slots = jobs.iter().map(Vec::capacity).sum();
+    let mut f = TableFootprint::of::<S>(live, slots);
+    f.bytes += std::mem::size_of_val(jobs);
+    f
 }
 
 #[cfg(test)]
@@ -266,6 +286,22 @@ mod tests {
         assert_eq!(keys, vec![raw(0, 1), raw(0, 3)]);
         assert_eq!(a.job_keys(0), vec![raw(0, 1), raw(0, 3)]);
         assert_eq!(a.job_keys(7), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn slot_footprint_counts_vacant_slots_up_to_the_highest_seq() {
+        let mut a = SlotArena::new();
+        a.insert(raw(0, 9), 1u64);
+        a.insert(raw(0, 2), 2u64);
+        a.remove(raw(0, 9));
+        let f = a.footprint();
+        assert_eq!(f.live, 1);
+        assert!(f.capacity >= 10, "slots 0..=9 stay allocated");
+        assert_eq!(
+            f.bytes,
+            f.capacity * std::mem::size_of::<Option<u64>>()
+                + std::mem::size_of::<Vec<Option<u64>>>()
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@ use exo_sim::{SimDuration, SimTime};
 use crate::command::{RtCommand, RtError};
 use crate::ids::{JobId, NodeId, ObjectId};
 use crate::jobs::JobParams;
-use crate::metrics::RtMetrics;
+use crate::metrics::{EngineTables, RtMetrics};
 use crate::object::{ObjectRef, Payload};
 use crate::runtime::{validate_config, RtConfig, Runtime};
 use crate::task::{
@@ -44,6 +44,9 @@ pub struct RunReport {
     /// Detected incidents, every one closed by `end_time`. `None`
     /// unless [`RtConfig::watch`] was set.
     pub incidents: Option<exo_watch::WatchReport>,
+    /// Live entries and capacity of the engine's largest tables at
+    /// shutdown (footprint accounting; never feeds the simulation).
+    pub tables: EngineTables,
 }
 
 /// Assemble the final report once the engine has shut down. Snapshot
@@ -53,6 +56,7 @@ pub struct RunReport {
 /// sink, so it must run before the trace stream is drained.
 fn finish_report(runtime: Runtime, end: SimTime) -> RunReport {
     let metrics = runtime.final_metrics();
+    let tables = runtime.tables();
     let incidents = runtime.take_watch(end);
     let trace = runtime.take_trace();
     let live = runtime.take_live(end);
@@ -63,6 +67,7 @@ fn finish_report(runtime: Runtime, end: SimTime) -> RunReport {
         trace,
         live,
         incidents,
+        tables,
     }
 }
 
@@ -525,9 +530,13 @@ impl TaskBuilder {
 
     /// Submit; returns one `ObjectRef` per declared return. Non-blocking.
     pub fn submit(self) -> Vec<ObjectRef> {
+        // The spec lives as long as the task's lineage (the whole run):
+        // drop the push-growth slack.
+        let mut args = self.args;
+        args.shrink_to_fit();
         let spec = TaskSpec {
             func: self.func,
-            args: self.args,
+            args,
             opts: self.opts,
         };
         self.rt.submit_spec(spec)

@@ -46,6 +46,7 @@
 
 pub mod arena;
 mod command;
+mod directory;
 mod driver;
 mod ids;
 mod jobs;
@@ -61,7 +62,7 @@ pub use driver::{
 };
 pub use ids::{JobId, NodeId, ObjectId, TaskId, TenantId};
 pub use jobs::{JobParams, TenantQuota};
-pub use metrics::RtMetrics;
+pub use metrics::{EngineTables, RtMetrics};
 pub use object::{ObjectRef, Payload};
 pub use runtime::RtConfig;
 pub use scheduler::{

@@ -6,7 +6,7 @@
 //! metrics are merged in separately. [`RtMetrics::from_counters`] is the
 //! one conversion point.
 
-use exo_sim::SimTime;
+use exo_sim::{QueueFootprint, SimTime, TableFootprint};
 use exo_store::StoreMetrics;
 use exo_trace::TraceCounters;
 
@@ -17,6 +17,24 @@ pub struct ProgressSample {
     pub at: SimTime,
     /// The task's label (e.g. `"map"`, `"reduce"`).
     pub label: &'static str,
+}
+
+/// Live entries and allocated capacity of the engine's largest tables,
+/// read once at shutdown. Only the event queue's ring buckets and the
+/// stores of killed nodes (rebuilt empty) give capacity back during a
+/// run, so the other figures are the run's peaks.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EngineTables {
+    /// Object directory.
+    pub objects: TableFootprint,
+    /// Object → producer lineage.
+    pub lineage: TableFootprint,
+    /// Task table.
+    pub tasks: TableFootprint,
+    /// Object-store slot tables, summed over nodes.
+    pub store_slots: TableFootprint,
+    /// Event-queue tiers.
+    pub queue: QueueFootprint,
 }
 
 /// Aggregated counters across all nodes.

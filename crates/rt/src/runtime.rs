@@ -9,10 +9,11 @@
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use exo_live::{LiveConfig, LiveHandle};
 use exo_sim::engine::{Ctx, Reply};
-use exo_sim::{ClusterSpec, IoKind, Resource, SimDuration, SimTime, Simulation};
+use exo_sim::{
+    ClusterSpec, IoKind, QueueFootprint, Resource, SimDuration, SimTime, Simulation, TableFootprint,
+};
 use exo_store::{AllocDecision, NodeStore, RestoreDecision, SpillBatch, StoreConfig};
 use exo_trace::{
     DepEvent, DepKind, EventKind, FailureEvent, FailureKind, FetchWaitEvent, IoDir, IoEvent,
@@ -23,9 +24,10 @@ use exo_watch::{WatchConfig, WatchHandle};
 
 use crate::arena::{DenseArena, SlotArena};
 use crate::command::{RtCommand, RtError};
+use crate::directory::{FetchState, ObjEntry};
 use crate::ids::{job_of, JobId, NodeId, ObjectId, TaskId, TenantId, JOB_SEQ_BITS};
 use crate::jobs::{Admission, JobManager, TenantQuota};
-use crate::metrics::{ProgressSample, RtMetrics};
+use crate::metrics::{EngineTables, ProgressSample, RtMetrics};
 use crate::object::Payload;
 use crate::scheduler::{place, LoadBalance, NodeSnapshot, PlacementPolicy};
 use crate::task::{task_seed, ArgSpec, TaskCtx, TaskSpec};
@@ -224,14 +226,6 @@ pub enum RtEvent {
     DispatchPass,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum FetchState {
-    /// Waiting for local memory.
-    AllocPending,
-    /// Bytes in flight from `src`.
-    Transferring { src: NodeId, src_epoch: u32 },
-}
-
 struct Node {
     id: NodeId,
     alive: bool,
@@ -294,7 +288,9 @@ struct TaskEntry {
     staging_started: bool,
     /// Slot already held while staging (prefetch-off mode).
     slot_held: bool,
-    /// Closure outputs, parked here until sealed into the store.
+    /// Closure outputs of the current attempt, parked here until sealed
+    /// into the store. Empty before compute and after the last seal, so
+    /// a finished task holds no buffer for its returns.
     pending_outputs: Vec<Option<Payload>>,
     outputs_pending: usize,
     cpu_done: bool,
@@ -317,90 +313,6 @@ impl TaskEntry {
         // audit:allow(P01): placement precedes every execution phase —
         // see the doc comment above.
         self.node.expect("execution phases run after placement")
-    }
-}
-
-#[derive(Default)]
-struct ObjEntry {
-    logical: u64,
-    payload: Option<Bytes>,
-    /// Nodes whose store currently holds the object (any residency).
-    /// Kept sorted ascending so every iteration site sees the same
-    /// order the old `BTreeSet` produced.
-    copies: Vec<NodeId>,
-    driver_refs: u32,
-    /// In-flight consumer tasks.
-    task_refs: u32,
-    /// Tasks to poke when the object becomes available anywhere.
-    waiting_tasks: Vec<TaskId>,
-    /// Waiters (get/wait) watching this object.
-    waiting_waiters: Vec<u64>,
-    /// In-flight inbound fetches, keyed by destination node (dedup +
-    /// failure invalidation). Rides the object entry instead of a
-    /// per-node map: nearly always empty or one entry.
-    fetching: Vec<(NodeId, FetchState)>,
-    /// Local tasks waiting for this object to become memory-resident,
-    /// as `(node, task)` in registration order (preserves the per-node
-    /// FIFO drain order of the old per-node map).
-    arg_waiters: Vec<(NodeId, TaskId)>,
-}
-
-impl ObjEntry {
-    fn available(&self) -> bool {
-        !self.copies.is_empty()
-    }
-
-    fn has_copy(&self, node: NodeId) -> bool {
-        self.copies.binary_search(&node).is_ok()
-    }
-
-    fn add_copy(&mut self, node: NodeId) {
-        if let Err(i) = self.copies.binary_search(&node) {
-            self.copies.insert(i, node);
-        }
-    }
-
-    fn del_copy(&mut self, node: NodeId) -> bool {
-        match self.copies.binary_search(&node) {
-            Ok(i) => {
-                self.copies.remove(i);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    fn fetch_state(&self, node: NodeId) -> Option<FetchState> {
-        self.fetching
-            .iter()
-            .find(|(n, _)| *n == node)
-            .map(|&(_, s)| s)
-    }
-
-    fn set_fetch_state(&mut self, node: NodeId, st: FetchState) {
-        match self.fetching.iter_mut().find(|(n, _)| *n == node) {
-            Some(slot) => slot.1 = st,
-            None => self.fetching.push((node, st)),
-        }
-    }
-
-    fn clear_fetch_state(&mut self, node: NodeId) {
-        self.fetching.retain(|(n, _)| *n != node);
-    }
-
-    /// Remove and return `node`'s registered arg waiters, preserving
-    /// registration (FIFO) order.
-    fn take_arg_waiters(&mut self, node: NodeId) -> Vec<TaskId> {
-        let mut woken = Vec::new();
-        self.arg_waiters.retain(|&(n, t)| {
-            if n == node {
-                woken.push(t);
-                false
-            } else {
-                true
-            }
-        });
-        woken
     }
 }
 
@@ -462,6 +374,8 @@ pub struct Runtime {
     /// Parked `AwaitJob` replies, indexed by job id and resolved when
     /// the job finishes.
     job_waiters: Vec<Vec<Reply<()>>>,
+    /// The event queue's footprint, handed over at engine shutdown.
+    queue_footprint: QueueFootprint,
 }
 
 impl Runtime {
@@ -550,6 +464,7 @@ impl Runtime {
             watch_scheduled: false,
             dispatch_scheduled: false,
             job_waiters: Vec::new(),
+            queue_footprint: QueueFootprint::default(),
         };
         rt.apply_store_quotas();
         rt
@@ -741,17 +656,11 @@ impl Runtime {
             .collect();
         for (idx, &o) in outputs.iter().enumerate() {
             self.lineage.insert(o.0, (task, idx));
-            self.objects.insert(
-                o.0,
-                ObjEntry {
-                    driver_refs: 1,
-                    ..ObjEntry::default()
-                },
-            );
+            self.objects.insert(o.0, ObjEntry::output());
         }
         let unique_args = spec.object_args();
         let entry = TaskEntry {
-            pending_outputs: (0..spec.opts.num_returns).map(|_| None).collect(),
+            pending_outputs: Vec::new(),
             obj_args: unique_args.clone(),
             args_missing: 0,
             spec,
@@ -823,10 +732,7 @@ impl Runtime {
         }
         for &a in &missing {
             self.ensure_available(ctx, a);
-            let o = self.ensure_obj_entry(a);
-            if !o.waiting_tasks.contains(&task) {
-                o.waiting_tasks.push(task);
-            }
+            self.ensure_obj_entry(a).add_waiting_task(task);
         }
         // Count only args still missing: one that landed mid-loop poked
         // (or never needed) this task already. Args available at the
@@ -925,7 +831,7 @@ impl Runtime {
         for a in &args {
             if let Some(o) = self.objects.get(a.0) {
                 total_arg_bytes += o.logical;
-                for c in &o.copies {
+                for c in o.copies.iter() {
                     local[c.0] += o.logical;
                 }
             }
@@ -975,9 +881,7 @@ impl Runtime {
         entry.cpu_done = false;
         entry.output_written = false;
         entry.outputs_pending = 0;
-        for po in &mut entry.pending_outputs {
-            *po = None;
-        }
+        entry.pending_outputs = Vec::new();
         let retry = std::mem::take(&mut entry.retry_pending);
         let (label, attempt) = (entry.spec.opts.label, entry.attempt);
         // Record the capacity the scheduler saw on the chosen node, so the
@@ -1193,7 +1097,7 @@ impl Runtime {
         if self.nodes[node.0].store.contains(obj.0) {
             // Spilled locally: restore. (The task holds a consumer ref on
             // the entry, so it cannot be GC'd while registered here.)
-            self.ensure_obj_entry(obj).arg_waiters.push((node, task));
+            self.ensure_obj_entry(obj).add_arg_waiter(node, task);
             let decision = self.nodes[node.0]
                 .store
                 .request_restore(obj.0, AllocTag::Restore { obj });
@@ -1201,8 +1105,7 @@ impl Runtime {
                 RestoreDecision::InMemory => {
                     // Raced with another path; redo as memory-resident.
                     if let Some(o) = self.objects.get_mut(obj.0) {
-                        o.arg_waiters
-                            .retain(|&(n2, t2)| !(n2 == node && t2 == task));
+                        o.remove_arg_waiter(node, task);
                     }
                     self.nodes[node.0].store.pin(obj.0);
                     let e = self.task_mut(task);
@@ -1237,7 +1140,7 @@ impl Runtime {
             return;
         }
         // Remote or missing: register interest, then fetch if possible.
-        self.ensure_obj_entry(obj).arg_waiters.push((node, task));
+        self.ensure_obj_entry(obj).add_arg_waiter(node, task);
         self.emit_fetch_wait(task, obj, node, true);
         let in_flight = self
             .objects
@@ -1248,10 +1151,7 @@ impl Runtime {
         }
         if !self.obj_available(obj) {
             self.ensure_available(ctx, obj);
-            let o = self.ensure_obj_entry(obj);
-            if !o.waiting_tasks.contains(&task) {
-                o.waiting_tasks.push(task);
-            }
+            self.ensure_obj_entry(obj).add_waiting_task(task);
             return;
         }
         self.begin_fetch(ctx, node, obj);
@@ -1309,7 +1209,7 @@ impl Runtime {
         // Prefer a source with a memory-resident copy.
         let mut src_mem = None;
         let mut src_disk = None;
-        for &c in &o.copies {
+        for c in o.copies.iter() {
             if c == dst || !self.nodes[c.0].alive {
                 continue;
             }
@@ -1353,7 +1253,7 @@ impl Runtime {
         let src_epoch = self.nodes[src.0].epoch;
         let epoch = self.nodes[dst.0].epoch;
         self.ensure_obj_entry(obj)
-            .set_fetch_state(dst, FetchState::Transferring { src, src_epoch });
+            .set_fetch_state(dst, FetchState::transferring(src, src_epoch));
         ctx.schedule_at(
             rx_end,
             RtEvent::FetchDone {
@@ -1372,11 +1272,7 @@ impl Runtime {
         let woken: Vec<TaskId> = match self.objects.get_mut(obj.0) {
             Some(o) => {
                 o.clear_fetch_state(dst);
-                o.arg_waiters
-                    .iter()
-                    .filter(|&&(n, _)| n == dst)
-                    .map(|&(_, t)| t)
-                    .collect()
+                o.arg_waiters(dst)
             }
             None => Vec::new(),
         };
@@ -1388,9 +1284,7 @@ impl Runtime {
         self.ensure_available(ctx, obj);
         if let Some(o) = self.objects.get_mut(obj.0) {
             for t in woken {
-                if !o.waiting_tasks.contains(&t) {
-                    o.waiting_tasks.push(t);
-                }
+                o.add_waiting_task(t);
             }
         }
         self.pump_store(ctx, dst);
@@ -1573,6 +1467,9 @@ impl Runtime {
         // dead attempt clears `pending_outputs` before any re-run.
         let payload = entry.pending_outputs[idx].take().expect("output pending");
         entry.outputs_pending -= 1;
+        if entry.outputs_pending == 0 {
+            entry.pending_outputs = Vec::new();
+        }
         let reconstructing = entry.reconstructing;
         let store = &mut self.nodes[node.0].store;
         if store.contains(obj.0) && !store.sealed(obj.0) {
@@ -1606,20 +1503,16 @@ impl Runtime {
 
     /// Object now has a copy on `node`: wake waiters and dependents.
     fn on_object_available(&mut self, ctx: &mut Ctx<'_, RtEvent>, obj: ObjectId, node: NodeId) {
-        let (waiting_tasks, waiting_waiters, first_copy) = {
+        let (woken, first_copy) = {
             // audit:allow(P01): a copy only lands on behalf of a consumer
             // holding a reference (task_refs, driver_refs, or a registered
             // waiter), and referenced entries are never GC'd.
             let o = self.objects.get_mut(obj.0).expect("referenced entry");
             let first_copy = !o.available();
-            o.add_copy(node);
-            (
-                std::mem::take(&mut o.waiting_tasks),
-                std::mem::take(&mut o.waiting_waiters),
-                first_copy,
-            )
+            o.copies.insert(node);
+            (o.take_woken(), first_copy)
         };
-        for t in waiting_tasks {
+        for t in woken.tasks {
             match self
                 .tasks
                 .get_mut(t.0)
@@ -1641,7 +1534,7 @@ impl Runtime {
                 _ => {}
             }
         }
-        for w in waiting_waiters {
+        for w in woken.waiters {
             self.check_waiter(ctx, w);
         }
         // Local tasks waiting for this object in memory can pin now.
@@ -1756,14 +1649,10 @@ impl Runtime {
         let Some(o) = self.objects.get(obj.0) else {
             return;
         };
-        if o.driver_refs > 0
-            || o.task_refs > 0
-            || !o.waiting_tasks.is_empty()
-            || !o.waiting_waiters.is_empty()
-        {
+        if o.driver_refs > 0 || o.task_refs > 0 || o.watched() {
             return;
         }
-        let copies: Vec<NodeId> = o.copies.clone();
+        let copies = o.copies.to_vec();
         for c in copies {
             self.nodes[c.0].store.forget(obj.0);
         }
@@ -1845,7 +1734,7 @@ impl Runtime {
                         let logical = self
                             .tasks
                             .get(task.0)
-                            .and_then(|e| e.pending_outputs[idx].as_ref().map(|p| p.logical))
+                            .and_then(|e| e.pending_outputs.get(idx)?.as_ref().map(|p| p.logical))
                             .unwrap_or(0);
                         let end =
                             self.nodes[node.0]
@@ -2011,7 +1900,7 @@ impl Runtime {
                         .collect();
                     for o in objs {
                         if let Some(e) = self.objects.get_mut(o.0) {
-                            e.waiting_waiters.retain(|x| *x != wid);
+                            e.remove_waiter(wid);
                         }
                         self.maybe_gc(o);
                     }
@@ -2044,7 +1933,7 @@ impl Runtime {
         }
         for o in objs {
             if let Some(e) = self.objects.get_mut(o.0) {
-                e.waiting_waiters.retain(|x| *x != wid);
+                e.remove_waiter(wid);
             }
             self.maybe_gc(o);
         }
@@ -2086,12 +1975,8 @@ impl Runtime {
         // out sorted by construction.
         let mut lost_with_interest = Vec::new();
         for (id, o) in self.objects.iter_mut() {
-            o.clear_fetch_state(node);
-            o.arg_waiters.retain(|&(n2, _)| n2 != node);
-            if o.del_copy(node)
-                && o.copies.is_empty()
-                && (!o.waiting_tasks.is_empty() || !o.waiting_waiters.is_empty() || o.task_refs > 0)
-            {
+            o.forget_node(node);
+            if o.copies.remove(node) && o.copies.is_empty() && (o.watched() || o.task_refs > 0) {
                 lost_with_interest.push(ObjectId(id));
             }
         }
@@ -2119,9 +2004,7 @@ impl Runtime {
             e.pinned.clear();
             e.slot_held = false;
             e.staging_started = false;
-            for po in &mut e.pending_outputs {
-                *po = None;
-            }
+            e.pending_outputs = Vec::new();
             e.outputs_pending = 0;
             e.cpu_done = false;
             e.output_written = false;
@@ -2184,9 +2067,7 @@ impl Runtime {
             e.unstaged.clear();
             e.slot_held = false;
             e.staging_started = false;
-            for po in &mut e.pending_outputs {
-                *po = None;
-            }
+            e.pending_outputs = Vec::new();
             e.outputs_pending = 0;
             e.cpu_done = false;
             e.output_written = false;
@@ -2196,7 +2077,7 @@ impl Runtime {
                     && !self
                         .objects
                         .get(o.0)
-                        .map(|e| e.has_copy(node))
+                        .map(|e| e.copies.contains(node))
                         .unwrap_or(false)
                 {
                     store.unpin(o.0);
@@ -2231,6 +2112,29 @@ impl Runtime {
     /// report reflects the whole run rather than the driver's last call.
     pub(crate) fn final_metrics(&self) -> RtMetrics {
         self.snapshot_metrics()
+    }
+
+    /// The engine's table footprints at shutdown; read once, after the
+    /// run, so it cannot feed back into simulation state.
+    pub(crate) fn tables(&self) -> EngineTables {
+        EngineTables {
+            objects: self.objects.footprint(),
+            lineage: self.lineage.footprint(),
+            tasks: self.tasks.footprint(),
+            store_slots: self
+                .nodes
+                .iter()
+                .map(|n| {
+                    let (capacity, bytes) = n.store.slot_capacity();
+                    TableFootprint {
+                        live: n.store.len(),
+                        capacity,
+                        bytes,
+                    }
+                })
+                .fold(TableFootprint::default(), TableFootprint::plus),
+            queue: self.queue_footprint,
+        }
     }
 
     fn snapshot_metrics(&self) -> RtMetrics {
@@ -2467,16 +2371,8 @@ impl Simulation for Runtime {
                 // Driver-put values live on node 0 (the head node) with no
                 // lineage; paper applications only put small config values.
                 let logical = value.logical;
-                self.objects.insert(
-                    id.0,
-                    ObjEntry {
-                        logical,
-                        payload: Some(value.data),
-                        copies: vec![NodeId(0)],
-                        driver_refs: 1,
-                        ..ObjEntry::default()
-                    },
-                );
+                self.objects
+                    .insert(id.0, ObjEntry::put(logical, value.data, NodeId(0)));
                 // Account for it in node 0's store so locality and memory
                 // pressure see it.
                 let n = &mut self.nodes[0];
@@ -2507,7 +2403,7 @@ impl Simulation for Runtime {
                     if !self.ensure_obj_entry(o).available() {
                         self.ensure_available(ctx, o);
                     }
-                    self.ensure_obj_entry(o).waiting_waiters.push(wid);
+                    self.ensure_obj_entry(o).add_waiter(wid);
                 }
                 self.waiters.insert(wid, Waiter::Get { objs, reply });
                 self.check_waiter(ctx, wid);
@@ -2525,7 +2421,7 @@ impl Simulation for Runtime {
                     if !self.ensure_obj_entry(o).available() {
                         self.ensure_available(ctx, o);
                     }
-                    self.ensure_obj_entry(o).waiting_waiters.push(wid);
+                    self.ensure_obj_entry(o).add_waiter(wid);
                 }
                 self.waiters.insert(
                     wid,
@@ -2621,6 +2517,10 @@ impl Simulation for Runtime {
         matches!(ev, RtEvent::OutputWriteDone { .. })
     }
 
+    fn on_shutdown(&mut self, queue: QueueFootprint) {
+        self.queue_footprint = queue;
+    }
+
     fn on_event(&mut self, ctx: &mut Ctx<'_, RtEvent>, ev: RtEvent) {
         self.sink.set_now(ctx.now().as_micros());
         if !matches!(
@@ -2708,12 +2608,7 @@ impl Simulation for Runtime {
                     return;
                 }
                 let state = self.objects.get(obj.0).and_then(|o| o.fetch_state(node));
-                let valid_state = matches!(
-                    state,
-                    Some(FetchState::Transferring { src: s, src_epoch: se })
-                        if s == src && se == src_epoch
-                );
-                if !valid_state {
+                if state != Some(FetchState::transferring(src, src_epoch)) {
                     return;
                 }
                 if self.nodes[src.0].epoch != src_epoch {

@@ -361,6 +361,71 @@ fn fan_in_survives_losing_a_landed_arg_mid_wait() {
 }
 
 #[test]
+fn one_object_watched_every_way_survives_a_killed_fetch_destination() {
+    // One slow 1 GB object X on node 0 gathers every kind of interest at
+    // once: five consumers pinned to nodes 1–5 wait for it, a `wait`
+    // with a deadline times out on it, and a `get` blocks on it. When X
+    // lands, each consumer stages it through its own inbound fetch,
+    // serialised on node 0's NIC. Node 3 dies with its fetch in flight:
+    // its fetch and staging registration go, its consumer re-places,
+    // and nothing is lost, so no lineage re-run. X ends with copies on
+    // five or more nodes, past the inline copy slots.
+    let run_once = || {
+        exo_rt::run(small_cluster(7), |rt| {
+            let x = rt
+                .task(|_ctx| vec![Payload::scaled(Bytes::from_static(&[40]), 1_000_000_000)])
+                .on_node(exo_rt::NodeId(0))
+                .cpu(CpuCost::fixed(SimDuration::from_secs(10)))
+                .submit_one();
+            let consumers: Vec<_> = (1..=5u8)
+                .map(|i| {
+                    rt.task(move |ctx: TaskCtx| {
+                        vec![Payload::inline(Bytes::from(vec![ctx.args[0].data[0] + i]))]
+                    })
+                    .arg(&x)
+                    .on_node(exo_rt::NodeId(i as usize))
+                    .submit_one()
+                })
+                .collect();
+            let timed_out = rt.wait(std::slice::from_ref(&x), 1, Some(SimDuration::from_secs(2)));
+            let got = rt.get_one(&x).unwrap().data.to_vec();
+            let landed = rt.now();
+            rt.kill_node(exo_rt::NodeId(3), landed + SimDuration::from_secs(1), None);
+            let outs: Vec<u8> = rt
+                .get(&consumers)
+                .unwrap()
+                .iter()
+                .map(|p| p.data[0])
+                .collect();
+            (timed_out, got, landed, outs, rt.locations(&x))
+        })
+    };
+    let (report, (timed_out, got, landed, outs, copies)) = run_once();
+    assert_eq!(timed_out, (vec![], vec![0]), "the deadline fires first");
+    assert_eq!(got, [40]);
+    assert!(landed.as_secs_f64() >= 10.0);
+    assert_eq!(outs, [41, 42, 43, 44, 45]);
+    assert!(copies.len() >= 5, "copies: {copies:?}");
+    assert!(!copies.contains(&exo_rt::NodeId(3)));
+    // Node 3's fetch had started (five transfers began, one per pinned
+    // consumer) and its re-placed consumer found a local copy.
+    assert_eq!(report.metrics.net_ops, 5);
+    assert_eq!(report.metrics.node_failures, 1);
+    assert_eq!(
+        report.metrics.tasks_reexecuted, 0,
+        "a dead fetch destination loses no object"
+    );
+    let (rerun, rerun_out) = run_once();
+    assert_eq!(rerun_out.3, outs);
+    assert_eq!(rerun_out.4, copies);
+    assert_eq!(rerun.end_time, report.end_time);
+    assert_eq!(
+        format!("{:?}", rerun.metrics),
+        format!("{:?}", report.metrics)
+    );
+}
+
+#[test]
 fn get_after_failure_reconstructs_directly() {
     let (_report, v) = exo_rt::run(small_cluster(3), |rt| {
         let a = rt

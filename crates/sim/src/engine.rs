@@ -23,7 +23,7 @@
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
-use crate::queue::EventQueue;
+use crate::queue::{EventQueue, QueueFootprint};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier for an attached driver thread.
@@ -93,6 +93,11 @@ pub trait Simulation: Sized {
     fn drains_on_shutdown(&self, _ev: &Self::Event) -> bool {
         false
     }
+
+    /// Called once after the shutdown drain, with the event queue's
+    /// footprint, before the engine returns the simulation. The default
+    /// ignores it.
+    fn on_shutdown(&mut self, _queue: QueueFootprint) {}
 }
 
 /// Handler context: the current time plus scheduling and reply capabilities.
@@ -348,6 +353,7 @@ impl<S: Simulation> Engine<S> {
                 // but that tail is bookkeeping, not program runtime.
                 let end = self.now;
                 self.drain_shutdown_events();
+                self.sim.on_shutdown(self.queue.footprint());
                 self.flush_dispatch_total();
                 return Ok((self.sim, end));
             }
@@ -406,6 +412,7 @@ impl<S: Simulation> Engine<S> {
                 }
             }
         }
+        self.sim.on_shutdown(self.queue.footprint());
         self.flush_dispatch_total();
         Ok((self.sim, self.now))
     }

@@ -39,7 +39,7 @@ pub mod time;
 
 pub use device::{ClusterSpec, DeviceCaps, DiskSpec, NicSpec, NodeCaps, NodeSpec};
 pub use engine::{dispatch_total, Ctx, DriverConn, Engine, Reply, Simulation};
-pub use queue::EventQueue;
+pub use queue::{EventQueue, QueueFootprint, TableFootprint};
 pub use resource::{IoKind, Resource};
 pub use rng::SplitMix64;
 pub use time::{SimDuration, SimTime};

@@ -87,6 +87,47 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// Live entries and allocated capacity of one in-memory table, for
+/// footprint accounting.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TableFootprint {
+    /// Entries held.
+    pub live: usize,
+    /// Entry slots allocated.
+    pub capacity: usize,
+    /// Bytes of those slots (inline entry size × capacity, plus any
+    /// bucket headers); heap blocks owned by the entries are not counted.
+    pub bytes: usize,
+}
+
+impl TableFootprint {
+    /// A table of `capacity` slots of `T`, `live` of them in use.
+    pub fn of<T>(live: usize, capacity: usize) -> Self {
+        TableFootprint {
+            live,
+            capacity,
+            bytes: capacity * std::mem::size_of::<T>(),
+        }
+    }
+
+    /// Sums two tables (e.g. the same table on several nodes).
+    pub fn plus(self, other: TableFootprint) -> Self {
+        TableFootprint {
+            live: self.live + other.live,
+            capacity: self.capacity + other.capacity,
+            bytes: self.bytes + other.bytes,
+        }
+    }
+}
+
+/// Footprint of an [`EventQueue`]'s three tiers.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct QueueFootprint {
+    pub hot: TableFootprint,
+    pub ring: TableFootprint,
+    pub far: TableFootprint,
+}
+
 /// A min-queue of timestamped events with stable FIFO tie-breaking,
 /// implemented as a hierarchical calendar queue (see module docs).
 pub struct EventQueue<E> {
@@ -243,6 +284,21 @@ impl<E> EventQueue<E> {
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Entries and allocated slots per tier. The hot and far heaps never
+    /// release capacity, so theirs is the peak; a ring bucket hands its
+    /// buffer to the hot heap when its window comes up, so the ring's
+    /// figure is what its buckets hold now.
+    pub fn footprint(&self) -> QueueFootprint {
+        let buckets = self.ring.iter().map(Vec::capacity).sum();
+        let mut ring = TableFootprint::of::<Entry<E>>(self.ring_len, buckets);
+        ring.bytes += self.ring.capacity() * std::mem::size_of::<Vec<Entry<E>>>();
+        QueueFootprint {
+            hot: TableFootprint::of::<Entry<E>>(self.hot.len(), self.hot.capacity()),
+            ring,
+            far: TableFootprint::of::<Entry<E>>(self.far.len(), self.far.capacity()),
+        }
     }
 }
 

@@ -60,6 +60,17 @@ impl<V> SeqMap<V> {
         self.live == 0
     }
 
+    /// Allocated cells (live, tombstoned and empty). The table never
+    /// shrinks, so this is its peak.
+    pub fn capacity(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Bytes of the cell array.
+    pub fn cell_bytes(&self) -> usize {
+        self.cells.len() * std::mem::size_of::<Cell<V>>()
+    }
+
     #[inline]
     fn slot_of(&self, key: u64) -> usize {
         debug_assert!(self.cells.len().is_power_of_two());

@@ -725,6 +725,12 @@ impl<T> NodeStore<T> {
         self.slots.is_empty()
     }
 
+    /// The slot table's allocated cells and their bytes (footprint
+    /// accounting; [`NodeStore::len`] is its live count).
+    pub fn slot_capacity(&self) -> (usize, usize) {
+        (self.slots.capacity(), self.slots.cell_bytes())
+    }
+
     /// Drive the allocation queue: grant head-of-line requests that now
     /// fit. High-priority strictly first; low priority only when the high
     /// queue is empty.
