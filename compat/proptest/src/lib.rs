@@ -244,7 +244,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Element-count specification for [`vec`]: an exact size or range.
+    /// Element-count specification for [`vec()`]: an exact size or range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
@@ -275,7 +275,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

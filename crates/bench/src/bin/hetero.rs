@@ -22,7 +22,7 @@ use std::sync::Arc;
 use exo_bench::obs::capacity_lines;
 use exo_bench::{quick_mode, write_results, Table};
 use exo_ml::{exoshuffle_training, DatasetSpec, TrainConfig};
-use exo_prof::profile;
+use exo_prof::{profile, Bound};
 use exo_rt::trace::{summarize, Json};
 use exo_rt::{PlacementPolicy, RtConfig, TraceConfig};
 use exo_shuffle::{run_shuffle, ShuffleVariant, ShuffleWindow};
@@ -45,7 +45,7 @@ struct PolicyRun {
     spilled: u64,
     net: u64,
     /// Per-node dominant bounds (from the profiled run only).
-    dominants: Vec<String>,
+    dominants: Vec<Bound>,
     /// Argument bytes a locality-optimal placement would have kept local.
     avoidable: u64,
 }
@@ -84,11 +84,7 @@ fn run_policy_sort(
         jct_s: jct.as_secs_f64(),
         spilled: report.metrics.store.spilled_bytes,
         net: report.metrics.net_bytes,
-        dominants: prof
-            .per_node_bounds
-            .iter()
-            .map(|p| p.dominant().name().to_string())
-            .collect(),
+        dominants: prof.per_node_bounds.iter().map(|p| p.dominant()).collect(),
         avoidable: prof.placement.avoidable_bytes,
     }
 }
@@ -175,7 +171,7 @@ fn hetero_compare() {
                 "lb_dominant_bounds",
                 lb.dominants
                     .iter()
-                    .map(|d| Json::from(d.as_str()))
+                    .map(|d| Json::from(d.name()))
                     .collect::<Vec<Json>>(),
             )
             .set("policies", runs)
@@ -188,7 +184,6 @@ fn hetero_compare() {
 fn hetero_sort() {
     let (d3, i3) = (2, 2);
     let cluster = ClusterSpec::mixed_hdd_ssd(d3, i3);
-    let caps = cluster.device_caps();
     let data: u64 = if quick_mode() {
         2_000_000_000
     } else {
@@ -206,6 +201,7 @@ fn hetero_sort() {
 
     let mut cfg = RtConfig::new(cluster);
     cfg.object_store_capacity = Some(store_capacity);
+    let caps = cfg.device_caps();
     exo_bench::obs::apply_policy(&mut cfg);
     cfg.trace = TraceConfig::on();
     let spec = SortSpec {

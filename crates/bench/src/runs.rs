@@ -150,16 +150,9 @@ fn run_es_sort_inner(
     p: EsSortParams,
     force_watch: Option<exo_rt::WatchConfig>,
 ) -> (SortRunResult, Option<exo_rt::watch::WatchReport>) {
-    let mut caps = cluster.device_caps();
-    if let Some(c) = p.store_capacity {
-        // The runtime override applies uniformly to every store.
-        for node in &mut caps.per_node {
-            node.store_bytes = c;
-        }
-    }
-
     let mut cfg = RtConfig::new(cluster);
     cfg.object_store_capacity = p.store_capacity;
+    let caps = cfg.device_caps();
     // `--policy` swaps the placement policy for the whole sweep.
     crate::obs::apply_policy(&mut cfg);
     // `--trace`/`--profile` instrument the first run of the sweep only.

@@ -1,20 +1,27 @@
-//! Rolling per-node / per-stage bound profiles over a sliding
-//! virtual-time window.
+//! The bound model — one [`Bound`] enum, one threshold table, one
+//! classification rule ([`classify`]), one dominant-bound rule
+//! ([`Bound::dominant`]) and one FIFO transmit replay ([`TxReplay`]) —
+//! and the rolling per-node / per-stage bound profiles built on it.
 //!
-//! The same classification exo-prof runs offline (utilisation against
-//! [`NodeCaps`], near-capacity threshold, alloc-stall detection), but
-//! computed incrementally over a ring of fixed-width buckets so it can
-//! be queried *mid-run* — the hook a future adaptive `PlacementPolicy`
-//! needs. Memory is O(nodes × buckets + stages × buckets), independent
-//! of event count.
+//! exo-prof's whole-run attribution and exo-watch's detectors use the
+//! same primitives, so the live view and the post-hoc report agree on
+//! what "bound" means.
+//!
+//! [`RollingBounds`] runs the classification incrementally over a ring
+//! of fixed-width buckets so it can be queried *mid-run* — the hook a
+//! future adaptive `PlacementPolicy` needs. Memory is
+//! O(nodes × buckets + stages × buckets), independent of event count.
 //!
 //! Transfers are emitted at submit time, and staging submits whole
-//! stages in bursts; like the offline attribution, a per-source FIFO
-//! transmit cursor replays when each transfer actually occupied the
-//! wire and the bytes are smeared over that service window. Credits
-//! that would land more than one window ahead of the newest bucket are
-//! clamped into the furthest allowed bucket (the ring holds two windows
-//! so future credits never collide with readable history).
+//! stages in bursts; a per-source FIFO transmit cursor replays when each
+//! transfer actually occupied the wire and the bytes are smeared over
+//! that service window. `cur`, the newest bucket any event's *emission
+//! time* landed in, is advanced only by [`RollingBounds::on_event`].
+//! Smeared credits that would land more than one window ahead of `cur`
+//! are clamped into the furthest allowed bucket (the ring holds two
+//! windows so future credits never collide with readable history), and
+//! never drag `cur` forward: current-time credits always land in the
+//! current bucket.
 
 use std::collections::HashMap;
 
@@ -23,40 +30,143 @@ use exo_sim::DeviceCaps;
 use exo_sim::NodeCaps;
 use exo_trace::{Event, EventKind, ObjectPhase, TaskPhase};
 
-/// What a window bucket was limited by (mirrors exo-prof's `Bound`).
+/// What a stretch of time was limited by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BoundKind {
+pub enum Bound {
+    /// CPU slots were the scarce resource.
     Cpu,
+    /// Disk bandwidth was the scarce resource.
     Disk,
+    /// Network bandwidth was the scarce resource.
     Net,
+    /// The object store was full and actively spilling/restoring:
+    /// progress gated on allocation, not raw device speed.
     AllocStall,
+    /// Nothing near capacity — scheduler gaps, dependency stalls, tail.
     Idle,
 }
 
-impl BoundKind {
+impl Bound {
     pub fn name(&self) -> &'static str {
         match self {
-            BoundKind::Cpu => "cpu",
-            BoundKind::Disk => "disk",
-            BoundKind::Net => "net",
-            BoundKind::AllocStall => "alloc-stall",
-            BoundKind::Idle => "idle",
+            Bound::Cpu => "cpu",
+            Bound::Disk => "disk",
+            Bound::Net => "net",
+            Bound::AllocStall => "alloc-stall",
+            Bound::Idle => "idle",
         }
     }
 
-    pub const ALL: [BoundKind; 5] = [
-        BoundKind::Disk,
-        BoundKind::Net,
-        BoundKind::Cpu,
-        BoundKind::AllocStall,
-        BoundKind::Idle,
+    pub const ALL: [Bound; 5] = [
+        Bound::Disk,
+        Bound::Net,
+        Bound::Cpu,
+        Bound::AllocStall,
+        Bound::Idle,
     ];
+
+    /// The dominant bound of a profile whose `fractions` are given in
+    /// [`Bound::ALL`] order: the largest non-idle share, or idle when no
+    /// non-idle share is positive.
+    pub fn dominant(fractions: [f64; 5]) -> Bound {
+        Bound::ALL
+            .into_iter()
+            .zip(fractions)
+            .filter(|(b, f)| *b != Bound::Idle && *f > 0.0)
+            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
+            .map(|(b, _)| b)
+            .unwrap_or(Bound::Idle)
+    }
 }
 
-/// Same thresholds as exo-prof's offline attribution, so the live view
-/// and the post-hoc report agree on what "bound" means.
+/// A utilisation at or above this is "near capacity".
 const BOUND_THRESHOLD: f64 = 0.4;
+/// Store occupancy at or above this, with spill traffic, is an
+/// allocation stall.
 const STORE_FULL_FRAC: f64 = 0.95;
+
+/// Classifies one stretch of time from its utilisations (against
+/// [`NodeCaps`]), store occupancy fraction and spill/restore/fallback
+/// count: a store at least `STORE_FULL_FRAC` full with spill traffic is
+/// an allocation stall; otherwise the highest utilisation at or above
+/// `BOUND_THRESHOLD` wins (an exact tie goes to the later of disk, net,
+/// cpu), and nothing near capacity is idle.
+pub fn classify(cpu: f64, disk: f64, net: f64, store_frac: f64, spill_ops: u64) -> Bound {
+    if store_frac >= STORE_FULL_FRAC && spill_ops > 0 {
+        return Bound::AllocStall;
+    }
+    [(Bound::Disk, disk), (Bound::Net, net), (Bound::Cpu, cpu)]
+        .into_iter()
+        .filter(|(_, u)| *u >= BOUND_THRESHOLD)
+        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
+        .map(|(b, _)| b)
+        .unwrap_or(Bound::Idle)
+}
+
+/// Span of the rolling window exo-live and exo-watch read (µs).
+pub const WINDOW_US: u64 = 2_000_000;
+/// Buckets per rolling window.
+pub const WINDOW_BUCKETS: usize = 20;
+
+/// Per-source FIFO transmit replay. Transfer events carry their
+/// *submit* time; replaying each source's transmit queue (transfers
+/// serve back-to-back at the NIC's bandwidth, the runtime's model)
+/// recovers when each transfer actually occupied the wire.
+#[derive(Debug, Clone)]
+pub struct TxReplay {
+    nic_bw: Vec<f64>,
+    /// Per-source time the wire next falls free (µs).
+    free_us: Vec<u64>,
+}
+
+/// One transfer's replayed service window `[start_us, end_us)`.
+#[derive(Debug, Clone, Copy)]
+pub struct Transmit {
+    pub start_us: u64,
+    pub end_us: u64,
+    pub bytes: u64,
+}
+
+impl TxReplay {
+    pub fn new(caps: &DeviceCaps) -> TxReplay {
+        TxReplay {
+            nic_bw: caps.per_node.iter().map(|n| n.nic_bw.max(1.0)).collect(),
+            free_us: vec![0; caps.nodes()],
+        }
+    }
+
+    /// Queues a transfer of `bytes` submitted at `at_us` behind the
+    /// source's earlier transfers. A source outside the capacity card
+    /// (or none) occupies the single microsecond `[at_us, at_us + 1)`.
+    pub fn transmit(&mut self, at_us: u64, src: Option<u32>, bytes: u64) -> Transmit {
+        let (start_us, end_us) = match src.filter(|s| (*s as usize) < self.free_us.len()) {
+            Some(s) => {
+                let s = s as usize;
+                let start = at_us.max(self.free_us[s]);
+                let end = start + ((bytes as f64 * 1e6 / self.nic_bw[s]).ceil() as u64).max(1);
+                self.free_us[s] = end;
+                (start, end)
+            }
+            None => (at_us, at_us + 1),
+        };
+        Transmit {
+            start_us,
+            end_us,
+            bytes,
+        }
+    }
+}
+
+impl Transmit {
+    /// The pro-rata share of the bytes served inside `[from_us, to_us)`.
+    pub fn share(&self, from_us: u64, to_us: u64) -> u64 {
+        let overlap = self
+            .end_us
+            .min(to_us)
+            .saturating_sub(self.start_us.max(from_us));
+        (self.bytes as u128 * overlap as u128 / (self.end_us - self.start_us) as u128) as u64
+    }
+}
 
 #[derive(Debug, Default, Clone, Copy)]
 struct Bucket {
@@ -68,6 +178,8 @@ struct Bucket {
     disk_bytes: u64,
     net_bytes: u64,
     spill_ops: u64,
+    /// Spilled plus fallback-allocated bytes (restores excluded).
+    spill_bytes: u64,
     store_peak: u64,
 }
 
@@ -75,9 +187,9 @@ struct Bucket {
 #[derive(Debug, Clone)]
 pub struct NodeWindow {
     pub node: u32,
-    pub dominant: BoundKind,
+    pub dominant: Bound,
     /// Fraction of window buckets classified as each of
-    /// [`BoundKind::ALL`], in that order; sums to 1.
+    /// [`Bound::ALL`], in that order; sums to 1.
     pub fractions: [f64; 5],
     /// Window means of the underlying utilisations.
     pub cpu_util: f64,
@@ -96,8 +208,8 @@ pub struct StageWindow {
     pub finished: u64,
 }
 
-/// Sliding-window bound profiler. Feed it events (it implements the
-/// sink's `Observer` through `LiveRecorder`), then call
+/// Sliding-window bound profiler. Feed it events (the sink's `Observer`
+/// reaches it through [`LiveHandle`](crate::LiveHandle)), then call
 /// [`RollingBounds::snapshot`] at any virtual time.
 #[derive(Debug)]
 pub struct RollingBounds {
@@ -110,8 +222,7 @@ pub struct RollingBounds {
     ring: Vec<Bucket>,
     /// Per-stage execution-time ring, same geometry as `ring`.
     stage_ring: HashMap<&'static str, Vec<StageBucket>>,
-    /// Per-source-node FIFO transmit cursor (µs).
-    tx_free: Vec<u64>,
+    tx: TxReplay,
     /// Carry-forward store level per node (occupancy persists between
     /// samples).
     store_level: Vec<u64>,
@@ -119,7 +230,9 @@ pub struct RollingBounds {
     cpu_level: Vec<f64>,
     /// Open task spans: task id → (started_us, label).
     open: HashMap<u64, (u64, &'static str)>,
-    /// Newest absolute bucket any *emission-time* event landed in.
+    /// Newest absolute bucket any event's *emission time* landed in.
+    /// Only [`RollingBounds::on_event`] advances it; smeared future
+    /// credits never do.
     cur: u64,
 }
 
@@ -141,7 +254,7 @@ impl RollingBounds {
             window,
             ring: vec![Bucket::default(); nodes * window * 2],
             stage_ring: HashMap::new(),
-            tx_free: vec![0; nodes],
+            tx: TxReplay::new(caps),
             store_level: vec![0; nodes],
             cpu_level: vec![0.0; nodes],
             open: HashMap::new(),
@@ -149,24 +262,28 @@ impl RollingBounds {
         }
     }
 
-    pub fn bucket_us(&self) -> u64 {
-        self.bucket_us
-    }
-
-    pub fn window_us(&self) -> u64 {
-        self.bucket_us * self.window as u64
-    }
-
     fn ring_len(&self) -> usize {
         self.window * 2
+    }
+
+    /// `node`'s slots for the window ending at `now_us`, oldest first;
+    /// `None` where the ring holds nothing for that bucket.
+    fn window_slots(&self, node: usize, now_us: u64) -> impl Iterator<Item = Option<&Bucket>> {
+        let now_b = now_us / self.bucket_us;
+        let len = self.ring_len();
+        (now_b.saturating_sub(self.window as u64 - 1)..=now_b).map(move |b| {
+            let slot = &self.ring[node * len + (b % len as u64) as usize];
+            (slot.epoch == b).then_some(slot)
+        })
     }
 
     /// Mutable access to the slot for absolute bucket `b` on `node`,
     /// retagging (and zeroing) the slot if it still holds an older
     /// bucket. `b` is clamped to the ring's writable range
-    /// `[cur − window + 1, cur + window]`.
+    /// `[cur − window + 1, cur + window]`. Never moves `cur`: only
+    /// [`RollingBounds::on_event`] does, so a FIFO-smeared credit far
+    /// ahead cannot push current-time credits out of the window.
     fn slot(&mut self, node: usize, b: u64) -> &mut Bucket {
-        self.cur = self.cur.max(b.min(self.cur + self.window as u64));
         let lo = self.cur.saturating_sub(self.window as u64 - 1);
         let hi = self.cur + self.window as u64;
         let b = b.clamp(lo, hi);
@@ -225,7 +342,11 @@ impl RollingBounds {
                 ObjectPhase::Spilled | ObjectPhase::Restored | ObjectPhase::Fallback
                     if (o.node as usize) < nodes =>
                 {
-                    self.slot(o.node as usize, b).spill_ops += 1;
+                    let slot = self.slot(o.node as usize, b);
+                    slot.spill_ops += 1;
+                    if o.phase != ObjectPhase::Restored {
+                        slot.spill_bytes += o.bytes;
+                    }
                 }
                 _ => {}
             },
@@ -258,22 +379,10 @@ impl RollingBounds {
     /// sender's wire, credited to both endpoints' buckets.
     fn on_transfer(&mut self, at_us: u64, dst: u32, src: Option<u32>, bytes: u64) {
         let nodes = self.caps.nodes();
-        let (start, end) = match src.filter(|s| (*s as usize) < nodes) {
-            Some(s) => {
-                let bw = self.caps.per_node[s as usize].nic_bw.max(1.0);
-                let start = at_us.max(self.tx_free[s as usize]);
-                let end = start + ((bytes as f64 * 1e6 / bw).ceil() as u64).max(1);
-                self.tx_free[s as usize] = end;
-                (start, end)
-            }
-            None => (at_us, at_us + 1),
-        };
-        let dur = end - start;
-        let (b0, b1) = (start / self.bucket_us, (end - 1) / self.bucket_us);
-        for b in b0..=b1 {
-            let s = (b * self.bucket_us).max(start);
-            let e = ((b + 1) * self.bucket_us).min(end);
-            let share = (bytes as u128 * (e - s) as u128 / dur as u128) as u64;
+        let tx = self.tx.transmit(at_us, src, bytes);
+        let w = self.bucket_us;
+        for b in tx.start_us / w..=(tx.end_us - 1) / w {
+            let share = tx.share(b * w, (b + 1) * w);
             if let Some(s) = src.filter(|s| (*s as usize) < nodes) {
                 self.slot(s as usize, b).net_bytes += share;
             }
@@ -305,9 +414,6 @@ impl RollingBounds {
     /// Queryable mid-run (this is the adaptive-placement hook) and at
     /// snapshot ticks.
     pub fn snapshot(&self, now_us: u64) -> Vec<NodeWindow> {
-        let now_b = now_us / self.bucket_us;
-        let lo = now_b.saturating_sub(self.window as u64 - 1);
-        let len = self.ring_len();
         let bucket_secs = self.bucket_us as f64 / 1e6;
         let mut out = Vec::with_capacity(self.caps.nodes());
         for (node, caps) in self.caps.per_node.iter().enumerate() {
@@ -317,51 +423,21 @@ impl RollingBounds {
             // Occupancy carries forward across unsampled buckets inside
             // the window, seeded from the node's last known level when
             // the window has no sample at all yet.
-            let mut cpu_carry = self.cpu_level[node];
-            let mut store_carry = self.store_level[node];
-            for b in lo..=now_b {
-                let slot = &self.ring[node * len + (b % len as u64) as usize];
-                let present = slot.epoch == b;
-                let cpu_util = if present && slot.samples > 0 {
-                    slot.cpu_busy / slot.cpu_total.max(1.0)
-                } else {
-                    cpu_carry
-                };
-                cpu_carry = cpu_util;
-                let store_used = if present && slot.samples > 0 {
-                    slot.store_peak
-                } else {
-                    store_carry
-                };
-                store_carry = store_used;
-                let (disk_bytes, net_bytes, spill_ops) = if present {
-                    (slot.disk_bytes, slot.net_bytes, slot.spill_ops)
-                } else {
-                    (0, 0, 0)
-                };
+            let mut cpu_util = self.cpu_level[node];
+            let mut store_used = self.store_level[node];
+            for slot in self.window_slots(node, now_us) {
+                if let Some(s) = slot.filter(|s| s.samples > 0) {
+                    cpu_util = s.cpu_busy / s.cpu_total.max(1.0);
+                    store_used = s.store_peak;
+                }
+                let (disk_bytes, net_bytes, spill_ops) =
+                    slot.map_or((0, 0, 0), |s| (s.disk_bytes, s.net_bytes, s.spill_ops));
                 let disk_util = disk_bytes as f64 / (caps.disk_seq_bw * bucket_secs).max(1.0);
                 let net_util = net_bytes as f64 / (caps.nic_bw * bucket_secs).max(1.0);
                 let store_frac = (store_used as f64 / caps.store_bytes.max(1) as f64).min(1.0);
 
-                let bound = if store_frac >= STORE_FULL_FRAC && spill_ops > 0 {
-                    BoundKind::AllocStall
-                } else {
-                    let scored = [
-                        (BoundKind::Disk, disk_util),
-                        (BoundKind::Net, net_util),
-                        (BoundKind::Cpu, cpu_util),
-                    ];
-                    scored
-                        .into_iter()
-                        .filter(|(_, u)| *u >= BOUND_THRESHOLD)
-                        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-                        .map(|(k, _)| k)
-                        .unwrap_or(BoundKind::Idle)
-                };
-                counts[BoundKind::ALL
-                    .iter()
-                    .position(|k| *k == bound)
-                    .expect("in ALL")] += 1;
+                let bound = classify(cpu_util, disk_util, net_util, store_frac, spill_ops);
+                counts[Bound::ALL.iter().position(|k| *k == bound).expect("in ALL")] += 1;
                 sums.0 += cpu_util;
                 sums.1 += disk_util;
                 sums.2 += net_util;
@@ -371,16 +447,9 @@ impl RollingBounds {
             let n = buckets.max(1) as f64;
             let fractions: [f64; 5] =
                 std::array::from_fn(|i| counts[i] as f64 / buckets.max(1) as f64);
-            let dominant = BoundKind::ALL
-                .into_iter()
-                .zip(fractions)
-                .filter(|(k, f)| *k != BoundKind::Idle && *f > 0.0)
-                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-                .map(|(k, _)| k)
-                .unwrap_or(BoundKind::Idle);
             out.push(NodeWindow {
                 node: node as u32,
-                dominant,
+                dominant: Bound::dominant(fractions),
                 fractions,
                 cpu_util: sums.0 / n,
                 disk_util: sums.1 / n,
@@ -389,6 +458,15 @@ impl RollingBounds {
             });
         }
         out
+    }
+
+    /// Spilled plus fallback-allocated bytes on `node` in the window
+    /// ending at `now_us`.
+    pub fn spill_bytes(&self, node: usize, now_us: u64) -> u64 {
+        self.window_slots(node, now_us)
+            .flatten()
+            .map(|s| s.spill_bytes)
+            .sum()
     }
 
     /// Per-stage compute share of the window ending at `now_us`, sorted
@@ -479,9 +557,9 @@ mod tests {
             r.on_event(&io(0, i * 100 + 5, 200_000));
         }
         let w = r.snapshot(995);
-        assert_eq!(w[0].dominant, BoundKind::Disk);
+        assert_eq!(w[0].dominant, Bound::Disk);
         assert!(w[0].disk_util > 1.0);
-        assert_eq!(w[1].dominant, BoundKind::Idle, "node 1 saw nothing");
+        assert_eq!(w[1].dominant, Bound::Idle, "node 1 saw nothing");
     }
 
     #[test]
@@ -490,11 +568,11 @@ mod tests {
         for i in 0..10u64 {
             r.on_event(&io(0, i * 100 + 5, 200_000));
         }
-        assert_eq!(r.snapshot(995)[0].dominant, BoundKind::Disk);
+        assert_eq!(r.snapshot(995)[0].dominant, Bound::Disk);
         // Two windows later with no traffic: all idle again.
         r.on_event(&sample(0, 3000, 0, 0));
         let w = r.snapshot(3000);
-        assert_eq!(w[0].dominant, BoundKind::Idle);
+        assert_eq!(w[0].dominant, Bound::Idle);
         assert!(w[0].disk_util < 1e-9);
     }
 
@@ -504,7 +582,7 @@ mod tests {
         r.on_event(&sample(0, 50, 8, 0));
         // No further samples; occupancy persists across the window.
         let w = r.snapshot(950);
-        assert_eq!(w[0].dominant, BoundKind::Cpu);
+        assert_eq!(w[0].dominant, Bound::Cpu);
         assert!(w[0].cpu_util > 0.9);
     }
 
@@ -523,7 +601,7 @@ mod tests {
             }),
         });
         let w = r.snapshot(99);
-        assert_eq!(w[0].dominant, BoundKind::AllocStall);
+        assert_eq!(w[0].dominant, Bound::AllocStall);
     }
 
     #[test]
@@ -542,7 +620,7 @@ mod tests {
         });
         let w = r.snapshot(499);
         for nw in &w {
-            assert_eq!(nw.dominant, BoundKind::Net, "node {}", nw.node);
+            assert_eq!(nw.dominant, Bound::Net, "node {}", nw.node);
             assert!(nw.net_util > 0.4);
         }
     }
@@ -572,6 +650,25 @@ mod tests {
         assert_eq!(stages[0].finished, 1);
         // A window later it has slid out.
         assert!(r.stage_snapshot(5000).is_empty());
+    }
+
+    #[test]
+    fn backlogged_transfer_does_not_push_current_credits_ahead() {
+        let mut r = rb();
+        // 5 MB on a 1 GB/s wire occupies 5 ms = five windows from t=0.
+        r.on_event(&Event {
+            at_us: 0,
+            kind: EventKind::Object(ObjectEvent {
+                object: 1,
+                phase: ObjectPhase::Transferred,
+                node: 1,
+                src: Some(0),
+                bytes: 5_000_000,
+            }),
+        });
+        r.on_event(&io(0, 105, 200_000));
+        let w = r.snapshot(199);
+        assert!(w[0].disk_util > 0.1, "current Io left the window: {w:?}");
     }
 
     #[test]

@@ -4,7 +4,12 @@
 //! crate watches the trace stream *as it happens* through the sink's
 //! [`Observer`] hook and keeps only fixed-size aggregates:
 //!
-//! - [`RollingBounds`] — sliding virtual-time window of per-node
+//! - [`bounds`] — the workspace's one bound model: [`Bound`],
+//!   [`classify`] and its threshold table, the dominant-bound rule and
+//!   the FIFO transmit replay [`TxReplay`]. exo-prof's whole-run
+//!   attribution and exo-watch's detectors use these primitives too.
+//! - [`RollingBounds`] — sliding virtual-time window ([`WINDOW_US`] in
+//!   [`WINDOW_BUCKETS`] buckets) of per-node
 //!   cpu/disk/net/alloc-stall/idle attribution against [`NodeCaps`],
 //!   queryable mid-run (the hook an adaptive placement policy needs).
 //! - [`LatencySketches`] — deterministic log-bucketed histograms
@@ -23,7 +28,10 @@ pub mod bounds;
 pub mod sketch;
 pub mod snapshot;
 
-pub use bounds::{BoundKind, NodeWindow, RollingBounds, StageWindow};
+pub use bounds::{
+    classify, Bound, NodeWindow, RollingBounds, StageWindow, Transmit, TxReplay, WINDOW_BUCKETS,
+    WINDOW_US,
+};
 pub use sketch::{BaselineSketch, LatencySketches, QuantileSketch, RELATIVE_ERROR};
 pub use snapshot::{
     counters_from_json, counters_to_json, MetricsSnapshot, SketchStat, StageStat, TenantStat,
@@ -42,10 +50,6 @@ use exo_trace::{Event, Json, Observer, TraceCounters};
 pub struct LiveConfig {
     /// Interval between `MetricsSnapshot` emissions (µs).
     pub snapshot_interval_us: u64,
-    /// Span of the rolling bound-profile window (µs).
-    pub window_us: u64,
-    /// Buckets per window; memory scales with this, resolution too.
-    pub window_buckets: usize,
     /// Print a one-line progress summary at each snapshot (stderr).
     pub progress: bool,
 }
@@ -54,8 +58,6 @@ impl Default for LiveConfig {
     fn default() -> LiveConfig {
         LiveConfig {
             snapshot_interval_us: 250_000,
-            window_us: 2_000_000,
-            window_buckets: 20,
             progress: false,
         }
     }
@@ -181,7 +183,7 @@ impl Observer for LiveObserver {
 impl LiveHandle {
     pub fn new(cfg: LiveConfig, caps: &DeviceCaps) -> LiveHandle {
         let rec = Recorder {
-            bounds: RollingBounds::new(caps, cfg.window_us, cfg.window_buckets),
+            bounds: RollingBounds::new(caps, WINDOW_US, WINDOW_BUCKETS),
             sketches: LatencySketches::default(),
             counters: TraceCounters::default(),
             last_counters: TraceCounters::default(),
@@ -248,7 +250,6 @@ impl LiveHandle {
         rec.take_snapshot(end_us);
         LiveSeries {
             interval_us: self.cfg.snapshot_interval_us,
-            window_us: self.cfg.window_us,
             snapshots: std::mem::take(&mut rec.snapshots),
         }
     }
@@ -258,7 +259,6 @@ impl LiveHandle {
 #[derive(Debug, Clone)]
 pub struct LiveSeries {
     pub interval_us: u64,
-    pub window_us: u64,
     pub snapshots: Vec<MetricsSnapshot>,
 }
 
@@ -308,7 +308,7 @@ impl LiveSeries {
         let mut doc = Json::obj()
             .set("snapshots", self.len())
             .set("interval_us", self.interval_us)
-            .set("window_us", self.window_us)
+            .set("window_us", WINDOW_US)
             .set("final_counters", counters_to_json(&self.final_counters()));
         if let Some(s) = last {
             doc = doc

@@ -9,7 +9,7 @@
 
 use exo_trace::{Json, TraceCounters};
 
-use crate::bounds::{BoundKind, NodeWindow};
+use crate::bounds::{Bound, NodeWindow};
 use crate::sketch::QuantileSketch;
 
 /// Fixed percentile summary of one sketch.
@@ -136,7 +136,7 @@ impl MetricsSnapshot {
                 let mut o = Json::obj()
                     .set("node", n.node)
                     .set("dominant", n.dominant.name());
-                for (k, f) in BoundKind::ALL.iter().zip(n.fractions) {
+                for (k, f) in Bound::ALL.iter().zip(n.fractions) {
                     o = o.set(k.name(), f);
                 }
                 o.set("cpu_util", n.cpu_util)

@@ -1,6 +1,7 @@
 //! Bottleneck attribution: slice the run into fixed-width intervals and
 //! classify each one by what the cluster was limited by, using the
-//! periodic [`ResourceSample`]s plus raw I/O / transfer / spill events.
+//! periodic [`ResourceSample`](exo_trace::ResourceSample)s plus raw
+//! I/O / transfer / spill events.
 //!
 //! The output is a *bound profile* — e.g. `disk 61% / net 22% / cpu 9% /
 //! alloc-stall 5% / idle 3%` — the first thing to read when deciding
@@ -12,41 +13,8 @@
 use exo_sim::DeviceCaps;
 use exo_trace::{Event, EventKind, ObjectPhase};
 
-/// What an interval of the run was limited by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Bound {
-    /// CPU slots were the scarce resource.
-    Cpu,
-    /// Disk bandwidth was the scarce resource.
-    Disk,
-    /// Network bandwidth was the scarce resource.
-    Net,
-    /// The object store was full and actively spilling/restoring:
-    /// progress gated on allocation, not raw device speed.
-    AllocStall,
-    /// Nothing near capacity — scheduler gaps, dependency stalls, tail.
-    Idle,
-}
-
-impl Bound {
-    pub fn name(&self) -> &'static str {
-        match self {
-            Bound::Cpu => "cpu",
-            Bound::Disk => "disk",
-            Bound::Net => "net",
-            Bound::AllocStall => "alloc-stall",
-            Bound::Idle => "idle",
-        }
-    }
-
-    pub const ALL: [Bound; 5] = [
-        Bound::Disk,
-        Bound::Net,
-        Bound::Cpu,
-        Bound::AllocStall,
-        Bound::Idle,
-    ];
-}
+pub use exo_live::Bound;
+use exo_live::{classify, Transmit, TxReplay};
 
 /// One classified slice of the run.
 #[derive(Debug, Clone, Copy)]
@@ -84,16 +52,7 @@ impl BoundProfile {
 
     /// The dominant bound, ignoring idle unless everything is idle.
     pub fn dominant(&self) -> Bound {
-        Bound::ALL
-            .into_iter()
-            .filter(|b| *b != Bound::Idle)
-            .max_by(|a, b| {
-                self.fraction(*a)
-                    .partial_cmp(&self.fraction(*b))
-                    .expect("fractions are finite")
-            })
-            .filter(|b| self.fraction(*b) > 0.0)
-            .unwrap_or(Bound::Idle)
+        Bound::dominant(Bound::ALL.map(|b| self.fraction(b)))
     }
 
     /// `disk 61% / net 22% / cpu 9% / alloc-stall 5% / idle 3%`, with
@@ -116,42 +75,24 @@ impl BoundProfile {
     }
 }
 
-/// A utilisation above this is "near capacity" for classification.
-const BOUND_THRESHOLD: f64 = 0.4;
-/// Store occupancy above this plus spill traffic means allocation stall.
-const STORE_FULL_FRAC: f64 = 0.95;
 /// Target number of slices; short runs get fewer (≥ 1 µs each).
 const TARGET_SLICES: u64 = 120;
 
-/// Classifies the run in `events` against the cluster-wide capacities in
-/// `caps` (per-node capacities summed).
-pub fn attribute(events: &[Event], caps: &DeviceCaps) -> BoundProfile {
-    AttributionPass::scan(events, caps).cluster(caps)
-}
-
-/// Per-node bound profiles, one per node in id order. Each node's slices
-/// are classified against *that node's* capacities, so on a mixed
-/// HDD+SSD cluster the same byte stream reads as disk-bound on the slow
-/// nodes and idle (or net-bound) on the fast ones. All profiles share
-/// the run's global end time and slice grid, so each node's fractions
-/// tile the makespan and sum to 1.
-pub fn attribute_per_node(events: &[Event], caps: &DeviceCaps) -> Vec<BoundProfile> {
-    let pass = AttributionPass::scan(events, caps);
-    (0..caps.nodes())
-        .map(|n| pass.node(caps, n as u32))
-        .collect()
-}
-
-/// The cluster profile and every per-node profile from **one** scan of
-/// the event stream — what `profile()` / report builders should call.
-/// Equivalent to `(attribute(..), attribute_per_node(..))` bit for bit,
-/// without the 1 + N re-scans.
+/// Classifies the run in `events`: the cluster profile (against the
+/// per-node capacities in `caps` summed) and one profile per node in id
+/// order, all from **one** scan of the event stream.
+///
+/// Each node's slices are classified against *that node's* capacities,
+/// so on a mixed HDD+SSD cluster the same byte stream reads as
+/// disk-bound on the slow nodes and idle (or net-bound) on the fast
+/// ones. All profiles share the run's global end time and slice grid,
+/// so each node's fractions tile the makespan and sum to 1.
 pub fn attribute_all(events: &[Event], caps: &DeviceCaps) -> (BoundProfile, Vec<BoundProfile>) {
     let pass = AttributionPass::scan(events, caps);
     let per_node = (0..caps.nodes())
-        .map(|n| pass.node(caps, n as u32))
+        .map(|n| pass.readout(caps, Some(n as u32)))
         .collect();
-    (pass.cluster(caps), per_node)
+    (pass.readout(caps, None), per_node)
 }
 
 /// Per-slice accumulation for one node (or, for `net_cluster`, the whole
@@ -169,9 +110,9 @@ struct Acc {
     spill_ops: u64,
 }
 
-/// The memoized single pass behind [`attribute`], [`attribute_per_node`]
-/// and [`attribute_all`]: one sweep over the events fills per-slice,
-/// per-node accumulators plus a cluster-wide transfer track; every view
+/// The memoized single pass behind [`attribute_all`]: one sweep over the
+/// events fills per-slice, per-node accumulators plus a cluster-wide
+/// transfer track; every view
 /// (whole cluster or a single node) is then a cheap readout over the
 /// accumulators. Previously each view re-scanned the full stream — the
 /// per-node report on an N-node cluster cost N + 1 passes.
@@ -228,40 +169,28 @@ impl AttributionPass {
         };
         let idx = |at_us: u64| (((at_us.min(end_us - 1)) / slice_us) as usize).min(slices - 1);
 
-        // Reconstructed per-node FIFO transmit cursor. Transfer events
-        // carry their *submit* time, and staging submits whole stages in
-        // bursts at a single instant — crediting the bytes to the submit
-        // slice would read as one absurd spike followed by silence.
-        // Replaying the source's transmit queue (transfers serve
-        // back-to-back at the NIC's bandwidth, exactly the runtime's
-        // model) recovers when each transfer actually occupied the wire,
-        // and the bytes are smeared over that service window.
-        let mut tx_free: Vec<u64> = vec![0; nodes];
+        // Staging submits whole stages' transfers in bursts at a single
+        // instant — crediting the bytes to the submit slice would read as
+        // one absurd spike followed by silence. The FIFO transmit replay
+        // recovers when each transfer actually occupied the wire, and
+        // the bytes are smeared over that service window.
+        let mut tx = TxReplay::new(caps);
         for ev in events {
             let i = idx(ev.at_us);
             match &ev.kind {
                 EventKind::Resource(r) => {
-                    let a = if (r.node as usize) < nodes {
+                    if (r.node as usize) < nodes {
                         let cell = &mut pass.store_peak[i * nodes + r.node as usize];
                         *cell = Some(cell.unwrap_or(0).max(r.store_used));
-                        &mut pass.per_node[i * nodes + r.node as usize]
-                    } else {
-                        &mut pass.slop[i]
-                    };
+                    }
+                    let a = pass.cell(i, r.node);
                     a.cpu_busy += r.cpu_slots_busy as f64;
                     a.cpu_total += r.cpu_slots_total.max(1) as f64;
                     a.samples += 1;
                 }
                 // Restore reads + output/spill writes all queue on the
                 // same disks; direction doesn't matter for saturation.
-                EventKind::Io(io) => {
-                    let a = if (io.node as usize) < nodes {
-                        &mut pass.per_node[i * nodes + io.node as usize]
-                    } else {
-                        &mut pass.slop[i]
-                    };
-                    a.disk_bytes += io.bytes;
-                }
+                EventKind::Io(io) => pass.cell(i, io.node).disk_bytes += io.bytes,
                 EventKind::Object(o) => match o.phase {
                     // A transfer occupies the receiver's rx direction and
                     // the sender's tx direction: credit the service
@@ -269,23 +198,10 @@ impl AttributionPass {
                     // single-node view sees its share of the wire) and
                     // once to the cluster track.
                     ObjectPhase::Transferred => {
-                        let window = o.src.filter(|s| (*s as usize) < nodes).map(|s| {
-                            let bw = caps.per_node[s as usize].nic_bw.max(1.0);
-                            let start = ev.at_us.max(tx_free[s as usize]);
-                            let end = start + ((o.bytes as f64 * 1e6 / bw).ceil() as u64).max(1);
-                            tx_free[s as usize] = end;
-                            (start, end)
-                        });
-                        let (start, end) = window.unwrap_or((ev.at_us, ev.at_us + 1));
-                        pass.spread(start, end, o.bytes, o.node, o.src);
+                        pass.spread(&tx.transmit(ev.at_us, o.src, o.bytes), o.node, o.src);
                     }
                     ObjectPhase::Spilled | ObjectPhase::Restored | ObjectPhase::Fallback => {
-                        let a = if (o.node as usize) < nodes {
-                            &mut pass.per_node[i * nodes + o.node as usize]
-                        } else {
-                            &mut pass.slop[i]
-                        };
-                        a.spill_ops += 1;
+                        pass.cell(i, o.node).spill_ops += 1;
                     }
                     _ => {}
                 },
@@ -304,20 +220,27 @@ impl AttributionPass {
         pass
     }
 
-    /// Adds a transfer's bytes to the slices overlapping `[start, end)`
-    /// µs, pro rata: once to the cluster track, once to each (distinct)
-    /// endpoint's per-node cell.
-    fn spread(&mut self, start: u64, end: u64, bytes: u64, dst: u32, src: Option<u32>) {
-        let dur = (end - start).max(1);
-        let last = end.min(self.end_us);
+    /// Slice `i`'s cell for `node`, or the slice's slop cell when the
+    /// node falls outside the capacity card.
+    fn cell(&mut self, i: usize, node: u32) -> &mut Acc {
+        if (node as usize) < self.nodes {
+            &mut self.per_node[i * self.nodes + node as usize]
+        } else {
+            &mut self.slop[i]
+        }
+    }
+
+    /// Adds a transfer's bytes to the slices its service window
+    /// overlaps, pro rata and truncated at the run's end: once to the
+    /// cluster track, once to each (distinct) endpoint's per-node cell.
+    fn spread(&mut self, tx: &Transmit, dst: u32, src: Option<u32>) {
         let idx = |at_us: u64| {
             (((at_us.min(self.end_us - 1)) / self.slice_us) as usize).min(self.slices - 1)
         };
-        let (i0, i1) = (idx(start), idx(last.saturating_sub(1)));
-        for i in i0..=i1 {
-            let s = (i as u64 * self.slice_us).max(start);
-            let e = ((i as u64 + 1) * self.slice_us).min(last);
-            let share = (bytes as u128 * (e.saturating_sub(s)) as u128 / dur as u128) as u64;
+        let last = tx.end_us.min(self.end_us);
+        for i in idx(tx.start_us)..=idx(last.saturating_sub(1)) {
+            let slice_end = ((i as u64 + 1) * self.slice_us).min(self.end_us);
+            let share = tx.share(i as u64 * self.slice_us, slice_end);
             self.net_cluster[i] += share;
             if (dst as usize) < self.nodes {
                 self.per_node[i * self.nodes + dst as usize].net_bytes += share;
@@ -330,16 +253,8 @@ impl AttributionPass {
         }
     }
 
-    /// The whole-cluster readout.
-    fn cluster(&self, caps: &DeviceCaps) -> BoundProfile {
-        self.readout(caps, None)
-    }
-
-    /// One node's readout, classified against that node's capacities.
-    fn node(&self, caps: &DeviceCaps, n: u32) -> BoundProfile {
-        self.readout(caps, Some(n))
-    }
-
+    /// The whole-cluster readout (`sel` = `None`) or one node's,
+    /// classified against that node's capacities.
     fn readout(&self, caps: &DeviceCaps, sel: Option<u32>) -> BoundProfile {
         if self.end_us == 0 {
             return BoundProfile::default();
@@ -420,28 +335,10 @@ impl AttributionPass {
             let disk_util = a.disk_bytes as f64 / disk_cap.max(1.0);
             let net_util = a.net_bytes as f64 / net_cap.max(1.0);
 
-            let bound = if store_frac >= STORE_FULL_FRAC && a.spill_ops > 0 {
-                Bound::AllocStall
-            } else {
-                // Highest utilisation wins if anything is near capacity;
-                // ties break toward disk (the paper's usual suspect).
-                let scored = [
-                    (Bound::Disk, disk_util),
-                    (Bound::Net, net_util),
-                    (Bound::Cpu, cpu_util),
-                ];
-                scored
-                    .into_iter()
-                    .filter(|(_, u)| *u >= BOUND_THRESHOLD)
-                    .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-                    .map(|(b, _)| b)
-                    .unwrap_or(Bound::Idle)
-            };
-
             profile.intervals.push(Interval {
                 start_us: i as u64 * self.slice_us,
                 end_us: ((i as u64 + 1) * self.slice_us).min(self.end_us),
-                bound,
+                bound: classify(cpu_util, disk_util, net_util, store_frac, a.spill_ops),
                 cpu_util,
                 disk_util,
                 net_util,
@@ -513,7 +410,7 @@ mod tests {
         // Events land every 10 µs against ~8 µs slices, so a few
         // slices stay empty (idle) — the profile is still disk-dominated.
         let events: Vec<Event> = (0..100).map(|i| io(i * 10 + 1, 40_000)).collect();
-        let p = attribute(&events, &caps());
+        let p = attribute_all(&events, &caps()).0;
         assert!(p.fraction(Bound::Disk) > 0.7, "{}", p.one_line());
         assert_eq!(p.dominant(), Bound::Disk);
     }
@@ -534,7 +431,7 @@ mod tests {
             }),
         });
         events.push(sample(1000, 1, 999_000));
-        let p = attribute(&events, &caps());
+        let p = attribute_all(&events, &caps()).0;
         assert!(p.fraction(Bound::AllocStall) > 0.0, "{}", p.one_line());
         // The slice containing the sample+spill (t=10..12) must stall.
         let stalled = p
@@ -565,14 +462,14 @@ mod tests {
             },
             sample(1000, 1, 999_000),
         ];
-        let p = attribute(&events, &caps());
+        let p = attribute_all(&events, &caps()).0;
         assert!(
             (p.fraction(Bound::AllocStall) - 0.0).abs() < 1e-9,
             "{}",
             p.one_line()
         );
         // The per-node view still sees node 0 stalled.
-        let per_node = attribute_per_node(&events, &caps());
+        let per_node = attribute_all(&events, &caps()).1;
         assert_eq!(per_node.len(), 2);
         assert!(
             per_node[0].fraction(Bound::AllocStall) > 0.0,
@@ -606,7 +503,7 @@ mod tests {
             events.push(io_on(0, i * 10 + 1, 10_000));
             events.push(io_on(1, i * 10 + 1, 10_000));
         }
-        let per_node = attribute_per_node(&events, &caps);
+        let per_node = attribute_all(&events, &caps).1;
         assert_eq!(per_node[0].dominant(), Bound::Disk, "slow node saturates");
         assert_eq!(per_node[1].dominant(), Bound::Idle, "fast node coasts");
         // Each node's fractions tile the shared makespan.
@@ -620,7 +517,7 @@ mod tests {
     #[test]
     fn idle_run_is_idle_and_fractions_sum_to_one() {
         let events = vec![sample(10, 0, 0), sample(1000, 0, 0)];
-        let p = attribute(&events, &caps());
+        let p = attribute_all(&events, &caps()).0;
         assert_eq!(p.dominant(), Bound::Idle);
         let sum: f64 = Bound::ALL.iter().map(|b| p.fraction(*b)).sum();
         assert!((sum - 1.0).abs() < 1e-9);
@@ -629,14 +526,14 @@ mod tests {
     #[test]
     fn busy_cpu_classifies_cpu_bound() {
         let events: Vec<Event> = (1..=20).map(|i| sample(i * 50, 8, 0)).collect();
-        let p = attribute(&events, &caps());
+        let p = attribute_all(&events, &caps()).0;
         assert_eq!(p.dominant(), Bound::Cpu, "{}", p.one_line());
         assert!(p.fraction(Bound::Cpu) > 0.5);
     }
 
     #[test]
     fn empty_stream_has_no_intervals() {
-        let p = attribute(&[], &caps());
+        let p = attribute_all(&[], &caps()).0;
         assert!(p.intervals.is_empty());
         assert_eq!(p.one_line(), "no data");
     }
@@ -661,16 +558,13 @@ mod tests {
         let nodes = caps.nodes();
         let mut store_peak: Vec<Option<u64>> = vec![None; slices * nodes];
         let idx = |at_us: u64| (((at_us.min(end_us - 1)) / slice_us) as usize).min(slices - 1);
-        let mut tx_free: Vec<u64> = vec![0; nodes];
-        let spread = |acc: &mut Vec<Acc>, start: u64, end: u64, bytes: u64| {
-            let dur = (end - start).max(1);
-            let last = end.min(end_us);
-            let (i0, i1) = (idx(start), idx(last.saturating_sub(1)));
+        let mut tx_replay = TxReplay::new(caps);
+        let spread = |acc: &mut Vec<Acc>, tx: Transmit| {
+            let last = tx.end_us.min(end_us);
+            let (i0, i1) = (idx(tx.start_us), idx(last.saturating_sub(1)));
             for (i, slot) in acc.iter_mut().enumerate().take(i1 + 1).skip(i0) {
-                let s = (i as u64 * slice_us).max(start);
-                let e = ((i as u64 + 1) * slice_us).min(last);
-                let share = (bytes as u128 * (e.saturating_sub(s)) as u128 / dur as u128) as u64;
-                slot.net_bytes += share;
+                slot.net_bytes +=
+                    tx.share(i as u64 * slice_us, ((i as u64 + 1) * slice_us).min(end_us));
             }
         };
         for ev in events {
@@ -689,16 +583,9 @@ mod tests {
                 EventKind::Io(io) if selected(io.node) => acc[i].disk_bytes += io.bytes,
                 EventKind::Object(o) => match o.phase {
                     ObjectPhase::Transferred => {
-                        let window = o.src.filter(|s| (*s as usize) < nodes).map(|s| {
-                            let bw = caps.per_node[s as usize].nic_bw.max(1.0);
-                            let start = ev.at_us.max(tx_free[s as usize]);
-                            let end = start + ((o.bytes as f64 * 1e6 / bw).ceil() as u64).max(1);
-                            tx_free[s as usize] = end;
-                            (start, end)
-                        });
+                        let tx = tx_replay.transmit(ev.at_us, o.src, o.bytes);
                         if selected(o.node) || o.src.is_some_and(selected) {
-                            let (start, end) = window.unwrap_or((ev.at_us, ev.at_us + 1));
-                            spread(&mut acc, start, end, o.bytes);
+                            spread(&mut acc, tx);
                         }
                     }
                     ObjectPhase::Spilled | ObjectPhase::Restored | ObjectPhase::Fallback
@@ -750,25 +637,10 @@ mod tests {
             let store_frac = (store_used as f64 / store_cap).min(1.0);
             let disk_util = a.disk_bytes as f64 / disk_cap.max(1.0);
             let net_util = a.net_bytes as f64 / net_cap.max(1.0);
-            let bound = if store_frac >= STORE_FULL_FRAC && a.spill_ops > 0 {
-                Bound::AllocStall
-            } else {
-                let scored = [
-                    (Bound::Disk, disk_util),
-                    (Bound::Net, net_util),
-                    (Bound::Cpu, cpu_util),
-                ];
-                scored
-                    .into_iter()
-                    .filter(|(_, u)| *u >= BOUND_THRESHOLD)
-                    .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-                    .map(|(b, _)| b)
-                    .unwrap_or(Bound::Idle)
-            };
             profile.intervals.push(Interval {
                 start_us: i as u64 * slice_us,
                 end_us: ((i as u64 + 1) * slice_us).min(end_us),
-                bound,
+                bound: classify(cpu_util, disk_util, net_util, store_frac, a.spill_ops),
                 cpu_util,
                 disk_util,
                 net_util,
@@ -894,8 +766,5 @@ mod tests {
                 "node {n} profile diverged from the per-selection oracle"
             );
         }
-        // And the public single-view entry points agree with the
-        // memoized pair.
-        assert!(profiles_identical(&cluster, &attribute(&events, &caps)));
     }
 }

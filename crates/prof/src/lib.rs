@@ -10,10 +10,14 @@
 //!    fetch-wait time. [`longest_paths`] sharpens this with a DP-exact
 //!    longest chain over all finished attempts plus slack-ranked
 //!    near-critical chains for what-if analysis.
-//! 2. **What was the run bound by?** [`attribute`] slices the run into
-//!    intervals and classifies each as cpu / disk / net / alloc-stall /
-//!    idle against the hardware capacities in [`exo_sim::DeviceCaps`],
-//!    yielding a bound profile like `disk 61% / net 22% / cpu 9%`.
+//! 2. **What was the run bound by?** [`attribute_all`] slices the run
+//!    into intervals and classifies each as cpu / disk / net /
+//!    alloc-stall / idle against the hardware capacities in
+//!    [`exo_sim::DeviceCaps`], for the cluster and for each node,
+//!    yielding a bound profile like `disk 61% / net 22% / cpu 9%`. The
+//!    bound model itself ([`Bound`], the thresholds, the classification
+//!    rule and the transmit replay) is exo-live's, shared with the live
+//!    window.
 //! 3. **Were there stragglers or skew?** [`stage_stats`] reports
 //!    p50/p99/max execution time and output-bytes skew per stage label.
 //! 4. **Did the scheduler place tasks well?** [`placement_quality`]
@@ -32,9 +36,7 @@ pub mod placement;
 pub mod report;
 pub mod stages;
 
-pub use attribution::{
-    attribute, attribute_all, attribute_per_node, Bound, BoundProfile, Interval,
-};
+pub use attribution::{attribute_all, Bound, BoundProfile, Interval};
 pub use critpath::{critical_path, longest_paths, CritPath, CritTask, NearPath, PathAnalysis};
 pub use jobs::{job_stats, JobStat};
 pub use placement::{placement_quality, PlacementQuality};

@@ -2,7 +2,7 @@
 //! whatever the stream looks like, the derived aggregates must stay
 //! internally consistent.
 
-use exo_prof::{attribute, attribute_per_node, critical_path, Bound};
+use exo_prof::{attribute_all, critical_path, Bound};
 use exo_sim::{DeviceCaps, NodeCaps};
 use exo_trace::{Event, EventKind, IoDir, IoEvent, ObjectEvent, ObjectPhase, ResourceSample};
 use proptest::prelude::*;
@@ -102,7 +102,7 @@ proptest! {
         nodes in 1usize..8,
     ) {
         let events = build(&raw);
-        let p = attribute(&events, &caps(nodes));
+        let p = attribute_all(&events, &caps(nodes)).0;
         let mut sum = 0.0;
         for b in Bound::ALL {
             let f = p.fraction(b);
@@ -133,8 +133,7 @@ proptest! {
         nodes in 1usize..8,
     ) {
         let events = build(&raw);
-        let cluster = attribute(&events, &mixed_caps(nodes));
-        let per_node = attribute_per_node(&events, &mixed_caps(nodes));
+        let (cluster, per_node) = attribute_all(&events, &mixed_caps(nodes));
         prop_assert_eq!(per_node.len(), nodes);
         for p in &per_node {
             prop_assert_eq!(p.end_us, cluster.end_us, "per-node makespan must match cluster");

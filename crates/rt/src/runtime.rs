@@ -12,7 +12,8 @@ use std::sync::Arc;
 use exo_live::{LiveConfig, LiveHandle};
 use exo_sim::engine::{Ctx, Reply};
 use exo_sim::{
-    ClusterSpec, IoKind, QueueFootprint, Resource, SimDuration, SimTime, Simulation, TableFootprint,
+    ClusterSpec, DeviceCaps, IoKind, QueueFootprint, Resource, SimDuration, SimTime, Simulation,
+    TableFootprint,
 };
 use exo_store::{AllocDecision, NodeStore, RestoreDecision, SpillBatch, StoreConfig};
 use exo_trace::{
@@ -113,6 +114,20 @@ impl RtConfig {
     pub fn with_placement(mut self, policy: Arc<dyn PlacementPolicy>) -> Self {
         self.placement = policy;
         self
+    }
+
+    /// The capacity card the runtime actually runs: the cluster's
+    /// nominal card with the `object_store_capacity` override applied
+    /// to every node. Observers and offline profiles classify against
+    /// this, so store occupancy is measured against the real store.
+    pub fn device_caps(&self) -> DeviceCaps {
+        let mut caps = self.cluster.device_caps();
+        if let Some(cap) = self.object_store_capacity {
+            for n in &mut caps.per_node {
+                n.store_bytes = cap;
+            }
+        }
+        caps
     }
 
     /// Mark node `i` as a straggler: its compute runs `factor`× slower.
@@ -384,22 +399,17 @@ impl Runtime {
         let sink = TraceSink::new(&cfg.trace);
         // Live observers must be registered before `sample_interval_us`
         // is read below: a registered observer is a sample consumer even
-        // with retention off.
+        // with retention off. Both observers classify against the
+        // *effective* capacity card, including the `object_store_capacity`
+        // override.
+        let caps = cfg.device_caps();
         let live = cfg.live.clone().map(|lc| {
-            let handle = LiveHandle::new(lc, &cfg.cluster.device_caps());
+            let handle = LiveHandle::new(lc, &caps);
             sink.register_observer(handle.observer());
             handle
         });
-        // Same for the incident detector — and its store-pressure
-        // thresholds must see the *effective* per-node store capacity,
-        // including the `object_store_capacity` override.
+        // Same for the incident detector.
         let watch = cfg.watch.clone().map(|wc| {
-            let mut caps = cfg.cluster.device_caps();
-            if let Some(cap) = cfg.object_store_capacity {
-                for n in &mut caps.per_node {
-                    n.store_bytes = cap;
-                }
-            }
             let handle = WatchHandle::new(wc, &caps);
             sink.register_observer(handle.observer());
             handle

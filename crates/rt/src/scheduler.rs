@@ -33,6 +33,7 @@
 
 use std::sync::Arc;
 
+use exo_live::Bound;
 use exo_sim::NodeCaps;
 use exo_trace::PlaceReason;
 
@@ -90,8 +91,9 @@ pub struct Placed {
 }
 
 /// A pluggable placement policy: decides the `Default`-strategy branch of
-/// [`place`]. Implementations must be deterministic functions of their
-/// inputs — the runtime replays byte-for-byte across runs.
+/// the scheduler's `place`. Implementations must be deterministic
+/// functions of their inputs — the runtime replays byte-for-byte across
+/// runs.
 pub trait PlacementPolicy: std::fmt::Debug + Send + Sync {
     /// Short stable name recorded in placement trace events.
     fn name(&self) -> &'static str;
@@ -196,7 +198,7 @@ fn alive_caps_identical(nodes: &[NodeSnapshot]) -> bool {
 }
 
 /// Picks the node with the lowest estimated completion cost for the
-/// task's declared resource shape ([`bound_cost_us`]): device capacities
+/// task's declared resource shape (`bound_cost_us`): device capacities
 /// *and* current device backlogs, including the transmit-NIC queues of
 /// the peers that must serve the task's argument bytes. Ties fall back
 /// to relative load, then id. On clusters where every alive node has
@@ -245,15 +247,15 @@ impl PlacementPolicy for BoundAware {
 /// nodes' capacity cards themselves.
 #[derive(Clone, Debug, Default)]
 pub struct Hybrid {
-    /// Per-node dominant-bound names (index = node id) from exo-prof's
-    /// `per_node_bounds`, e.g. `["disk", "disk", "cpu", "cpu"]`. Empty
-    /// means "no profile": fall back to comparing hardware capacities.
-    pub node_bounds: Vec<String>,
+    /// Per-node dominant bounds (index = node id) from exo-prof's
+    /// `per_node_bounds`, e.g. `[Disk, Disk, Cpu, Cpu]`. Empty means
+    /// "no profile": fall back to comparing hardware capacities.
+    pub node_bounds: Vec<Bound>,
 }
 
 impl Hybrid {
     /// A hybrid policy seeded with exo-prof per-node dominant bounds.
-    pub fn from_bounds(node_bounds: Vec<String>) -> Hybrid {
+    pub fn from_bounds(node_bounds: Vec<Bound>) -> Hybrid {
         Hybrid { node_bounds }
     }
 
@@ -615,11 +617,11 @@ mod tests {
         let nodes = mixed_nodes();
         let disk_task = TaskShape::new(0, 1_000_000_000, 0);
         // Divergent profile → bound-aware.
-        let h = Hybrid::from_bounds(vec!["disk".into(), "cpu".into()]);
+        let h = Hybrid::from_bounds(vec![Bound::Disk, Bound::Cpu]);
         let p = h.place_default(disk_task, 0, &nodes).unwrap();
         assert_eq!(p.reason, PlaceReason::BoundMatch);
         // Uniform profile → load balance even though caps differ.
-        let h = Hybrid::from_bounds(vec!["cpu".into(), "cpu".into()]);
+        let h = Hybrid::from_bounds(vec![Bound::Cpu, Bound::Cpu]);
         let p = h.place_default(disk_task, 0, &nodes).unwrap();
         assert_eq!(p.reason, PlaceReason::LeastLoaded);
         // No profile → fall back to comparing the caps themselves.

@@ -20,7 +20,7 @@
 //!
 //! Emission is **batched**: `emit` appends to a pending block and the
 //! counter fold, ring feed, retention copy and observer fan-out run
-//! once per [`BLOCK`]-sized block. Every reader (`counters`, `recent`,
+//! once per `BLOCK`-sized block. Every reader (`counters`, `recent`,
 //! `len`, `take_events`, `with_events`) settles the block first, so the
 //! batching is invisible downstream — the same events, counters and
 //! ring contents fall out, bit for bit.

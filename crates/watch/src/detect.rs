@@ -1,4 +1,4 @@
-//! The detector engine: one [`Recorder`] fed every trace event, holding
+//! The detector engine: one `Recorder` fed every trace event, holding
 //! fixed-memory rolling state and the incident table.
 //!
 //! Evaluation discipline: before an event at `t` is applied, every
@@ -10,9 +10,9 @@
 
 use std::collections::HashMap;
 
-use exo_live::{BaselineSketch, QuantileSketch, RollingBounds};
+use exo_live::{BaselineSketch, QuantileSketch, RollingBounds, WINDOW_BUCKETS, WINDOW_US};
 use exo_sim::DeviceCaps;
-use exo_trace::{Event, EventKind, IncidentEvent, IncidentKind, ObjectPhase, TaskPhase};
+use exo_trace::{Event, EventKind, IncidentEvent, IncidentKind, TaskPhase};
 
 use crate::Incident;
 use crate::WatchConfig;
@@ -58,59 +58,12 @@ struct Cascade {
     retries: u64,
 }
 
-/// Windowed per-node byte counter (spill pressure), same ring-tagging
-/// scheme as `RollingBounds` but bytes-only.
-#[derive(Debug)]
-struct ByteRing {
-    bucket_us: u64,
-    /// Buckets per readable window; the ring holds exactly this many
-    /// (spill events are emitted at completion time, never ahead).
-    window: usize,
-    /// `ring[node * window + (bucket % window)]` = (epoch, bytes).
-    ring: Vec<(u64, u64)>,
-}
-
-impl ByteRing {
-    fn new(nodes: usize, window_us: u64, window_buckets: usize) -> ByteRing {
-        let window = window_buckets.max(1);
-        ByteRing {
-            bucket_us: (window_us / window as u64).max(1),
-            window,
-            ring: vec![(0, 0); nodes * window],
-        }
-    }
-
-    fn add(&mut self, node: usize, at_us: u64, bytes: u64) {
-        let b = at_us / self.bucket_us;
-        let slot = &mut self.ring[node * self.window + (b % self.window as u64) as usize];
-        if slot.0 != b {
-            *slot = (b, 0);
-        }
-        slot.1 += bytes;
-    }
-
-    fn window_sum(&self, node: usize, now_us: u64) -> u64 {
-        let now_b = now_us / self.bucket_us;
-        let lo = now_b.saturating_sub(self.window as u64 - 1);
-        (lo..=now_b)
-            .map(|b| {
-                let slot = self.ring[node * self.window + (b % self.window as u64) as usize];
-                if slot.0 == b {
-                    slot.1
-                } else {
-                    0
-                }
-            })
-            .sum()
-    }
-}
-
 pub(crate) struct Recorder {
     cfg: WatchConfig,
     /// Per-node store capacity (spill-storm threshold base).
     store_bytes: Vec<u64>,
+    /// Busy fractions and windowed spill+fallback bytes.
     bounds: RollingBounds,
-    spill: ByteRing,
     queue: BaselineSketch,
     queue_next_rotate_us: u64,
     /// Run-so-far execution-time sketch per stage (straggler p50).
@@ -136,10 +89,9 @@ impl Recorder {
         Recorder {
             cfg: cfg.clone(),
             store_bytes: caps.per_node.iter().map(|n| n.store_bytes).collect(),
-            bounds: RollingBounds::new(caps, cfg.window_us, cfg.window_buckets),
-            spill: ByteRing::new(nodes, cfg.window_us, cfg.window_buckets),
+            bounds: RollingBounds::new(caps, WINDOW_US, WINDOW_BUCKETS),
             queue: BaselineSketch::new(),
-            queue_next_rotate_us: cfg.window_us,
+            queue_next_rotate_us: WINDOW_US,
             stage_exec: HashMap::new(),
             tasks: HashMap::new(),
             cascades: Vec::new(),
@@ -230,12 +182,6 @@ impl Recorder {
                     self.close(Key::Straggler(t.task), ev.at_us);
                 }
             },
-            EventKind::Object(o)
-                if matches!(o.phase, ObjectPhase::Spilled | ObjectPhase::Fallback)
-                    && (o.node as usize) < self.store_bytes.len() =>
-            {
-                self.spill.add(o.node as usize, ev.at_us, o.bytes);
-            }
             EventKind::Failure(f) => {
                 let direct = self.tasks.values().filter(|s| s.node == f.node).count() as u64;
                 self.cascades.push(Cascade {
@@ -250,9 +196,9 @@ impl Recorder {
                 // Admitted edge is the first one the runtime emits.
                 self.job_tenant.insert(j.job, j.tenant);
             }
-            // Non-spill object transitions, deps, fetch-waits, I/O and
-            // resource samples feed only the rolling bounds (handled
-            // above); incident edges are detector *output*, never input.
+            // Object transitions, deps, fetch-waits, I/O and resource
+            // samples feed only the rolling bounds (handled above);
+            // incident edges are detector *output*, never input.
             // Enumerated so a new variant is a compile error here.
             EventKind::Object(_)
             | EventKind::Dep(_)
@@ -384,7 +330,7 @@ impl Recorder {
     fn eval_spill(&mut self, t: u64) {
         for node in 0..self.store_bytes.len() {
             let threshold = self.cfg.spill_window_frac * self.store_bytes[node] as f64;
-            let bytes = self.spill.window_sum(node, t) as f64;
+            let bytes = self.bounds.spill_bytes(node, t) as f64;
             if threshold > 0.0 && bytes > threshold {
                 self.open_or_peak(
                     Key::Spill(node as u32),
@@ -433,7 +379,7 @@ impl Recorder {
         // judged becomes baseline.
         if t >= self.queue_next_rotate_us {
             self.queue.rotate();
-            self.queue_next_rotate_us = t + self.cfg.window_us;
+            self.queue_next_rotate_us = t + WINDOW_US;
         }
     }
 
@@ -584,7 +530,9 @@ impl Recorder {
 mod tests {
     use super::*;
     use exo_sim::NodeCaps;
-    use exo_trace::{FailureEvent, FailureKind, IoDir, IoEvent, ObjectEvent, TaskSpan};
+    use exo_trace::{
+        FailureEvent, FailureKind, IoDir, IoEvent, ObjectEvent, ObjectPhase, TaskSpan,
+    };
 
     fn caps(nodes: usize) -> DeviceCaps {
         DeviceCaps::uniform(
@@ -603,8 +551,6 @@ mod tests {
     fn cfg() -> WatchConfig {
         WatchConfig {
             eval_interval_us: 100_000,
-            window_us: 1_000_000,
-            window_buckets: 10,
             straggler_min_peers: 2,
             straggler_min_us: 100_000,
             hotspot_min_us: 300_000,
@@ -706,6 +652,40 @@ mod tests {
         assert_eq!(hot.len(), 1, "{incs:?}");
         assert_eq!(hot[0].node, Some(0));
         assert!(hot[0].t_close_us.is_some());
+    }
+
+    #[test]
+    fn disk_hotspot_fires_while_another_node_is_backlogged() {
+        let mut r = rec();
+        // Node 3 queues 1 GB on its 1e8 B/s wire at t=0: ten seconds of
+        // transmit, far more than one window ahead of the present.
+        r.observe(&Event {
+            at_us: 0,
+            kind: EventKind::Object(ObjectEvent {
+                object: 1,
+                phase: ObjectPhase::Transferred,
+                node: 2,
+                src: Some(3),
+                bytes: 1_000_000_000,
+            }),
+        });
+        for i in 0..25u64 {
+            r.observe(&Event {
+                at_us: i * 100_000,
+                kind: EventKind::Io(IoEvent {
+                    node: 0,
+                    dir: IoDir::Write,
+                    bytes: 20_000_000,
+                }),
+            });
+        }
+        r.finish(4_000_000);
+        let incs = r.incidents();
+        assert!(
+            incs.iter()
+                .any(|i| i.kind == IncidentKind::DiskHotspot && i.node == Some(0)),
+            "{incs:?}"
+        );
     }
 
     #[test]

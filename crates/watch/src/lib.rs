@@ -3,8 +3,9 @@
 //! A fixed-memory anomaly detector that plugs into the same
 //! [`Observer`] hook `exo-live` uses: it sees every trace event exactly
 //! once, in emission order, and keeps only rolling state (a
-//! [`RollingBounds`](exo_live::RollingBounds) ring, per-stage quantile
-//! sketches, a windowed spill-byte ring, and the open-task table). Five
+//! [`RollingBounds`](exo_live::RollingBounds) ring, which also carries
+//! the windowed spill bytes, per-stage quantile sketches, and the
+//! open-task table). Five
 //! streaming detectors turn that state into typed [`Incident`]s:
 //!
 //! - **stragglers** — a running task's elapsed execution exceeds
@@ -15,7 +16,8 @@
 //! - **spill storms** — windowed spill+fallback bytes on one node cross
 //!   a store-pressure threshold (a multiple of the node's store);
 //! - **queue-delay blowups** — the windowed queue-delay p99 drifts k×
-//!   above the run-so-far baseline ([`BaselineSketch`]);
+//!   above the run-so-far baseline
+//!   ([`BaselineSketch`](exo_live::BaselineSketch));
 //! - **reconstruction cascades** — lineage resubmits within a window
 //!   after a failure exceed the failure's direct-loss set.
 //!
@@ -45,21 +47,19 @@ use exo_trace::{Event, EventKind, IncidentEvent, IncidentKind, Json, Observer};
 
 use detect::Recorder;
 
-/// Detector thresholds and windowing. All times are virtual-time
-/// microseconds; defaults are tuned so the pinned healthy benchmark
-/// cases (including the deliberately out-of-core `sort_hdd_small`)
-/// fire **zero** incidents while the pinned fault case fires a small,
-/// stable set.
+/// Detector thresholds. All times are virtual-time microseconds;
+/// defaults are tuned so the pinned healthy benchmark cases (including
+/// the deliberately out-of-core `sort_hdd_small`) fire **zero**
+/// incidents while the pinned fault case fires a small, stable set.
+/// Every windowed detector reads exo-live's shared rolling window,
+/// [`WINDOW_US`](exo_live::WINDOW_US) in
+/// [`WINDOW_BUCKETS`](exo_live::WINDOW_BUCKETS) buckets.
 #[derive(Debug, Clone)]
 pub struct WatchConfig {
     /// Virtual-time interval between detector evaluations. Boundaries
     /// are crossed by event timestamps, so this does not change *what*
     /// the detectors see — only how often conditions are tested.
     pub eval_interval_us: u64,
-    /// Sliding-window span for bound profiles and spill rates.
-    pub window_us: u64,
-    /// Buckets per window (resolution of the rolling state).
-    pub window_buckets: usize,
     /// Straggler: elapsed execution must exceed this multiple of the
     /// stage's live p50.
     pub straggler_ratio: f64,
@@ -106,8 +106,6 @@ impl Default for WatchConfig {
     fn default() -> WatchConfig {
         WatchConfig {
             eval_interval_us: 100_000,
-            window_us: 2_000_000,
-            window_buckets: 20,
             straggler_ratio: 3.0,
             straggler_min_peers: 4,
             straggler_min_us: 500_000,

@@ -193,3 +193,33 @@ fn live_and_plain_runs_agree_on_metrics() {
     );
     assert!(plain.live.is_none());
 }
+
+#[test]
+fn live_store_frac_is_measured_against_the_store_override() {
+    // 64 MB over four 8 MB stores: the run spills, so the stores sit
+    // near full. Against the nominal i3 card's store the same bytes
+    // would read as a fraction of a percent.
+    let mut cfg = RtConfig::new(ClusterSpec::homogeneous(NodeSpec::i3_2xlarge(), 4));
+    cfg.object_store_capacity = Some(8 * 1000 * 1000);
+    cfg.live = Some(LiveConfig::default());
+    let spec = pinned_spec();
+    let (report, ()) = exoshuffle::rt::run(cfg, |rt: &RtHandle| {
+        let job = sort_job(spec);
+        let outs = run_shuffle(rt, &job, ShuffleVariant::Simple);
+        rt.wait_all(&outs);
+    });
+    assert!(
+        report.metrics.store.spilled_bytes > 0,
+        "the case must spill"
+    );
+    let peak = series(&report)
+        .snapshots
+        .iter()
+        .flat_map(|s| &s.nodes)
+        .map(|n| n.store_frac)
+        .fold(0.0, f64::max);
+    assert!(
+        (0.5..=1.0).contains(&peak),
+        "peak windowed store_frac {peak} is not measured against the 8 MB override"
+    );
+}
