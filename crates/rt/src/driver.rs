@@ -74,10 +74,10 @@ fn finish_report(runtime: Runtime, end: SimTime) -> RunReport {
 /// Build and run a driver program against a simulated cluster; returns the
 /// run report and the driver's result.
 ///
-/// Compatibility shim over the multi-job path: the driver runs as the
-/// runtime's sole job (job 0, default tenant), registered before the
-/// driver body and finished after it — bit-identical to the historical
-/// single-job runtime.
+/// The driver runs as the runtime's sole job (job 0, default tenant),
+/// registered before the driver body and finished after it. Its tasks
+/// go through the same job manager ready pool and fair-share dispatcher
+/// as [`run_service`] jobs.
 pub fn run<R: Send>(cfg: RtConfig, driver: impl FnOnce(&RtHandle) -> R + Send) -> (RunReport, R) {
     validate_config(&cfg);
     let runtime = Runtime::new(cfg);

@@ -16,8 +16,8 @@ pub const JOB_SEQ_BITS: u32 = 40;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
-/// A job admitted to the runtime. Job 0 is the implicit job created by
-/// the single-job `run` compatibility shim.
+/// A job admitted to the runtime. Job 0 is the one job `run` registers
+/// for its driver.
 #[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u32);
 

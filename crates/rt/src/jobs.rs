@@ -10,14 +10,6 @@
 //! same command sequence make bit-identical scheduling decisions. The
 //! coordinator protocol (connect each job's driver *before* spawning its
 //! thread) makes the `RegisterJob` order itself deterministic.
-//!
-//! ## Legacy bit-identity
-//!
-//! While only one job has ever been admitted, [`JobManager::service_mode`]
-//! stays `false` and the runtime keeps its original inline
-//! schedule-on-ready path, byte-for-byte identical to the single-job
-//! runtime. The flag flips (stickily) the first time a second job is
-//! admitted while another is still live.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -91,7 +83,7 @@ pub struct JobState {
     pub next_obj: u64,
     pub next_waiter: u64,
     /// Tasks whose arguments are all available, waiting for the
-    /// fair-share dispatcher to pick them (service mode only).
+    /// fair-share dispatcher to pick them.
     pub ready: BTreeSet<TaskId>,
     /// Virtual time (µs) at admission.
     pub admitted_at_us: u64,
@@ -166,11 +158,6 @@ pub struct JobManager {
     /// Global virtual clock: the pre-increment virtual service of the
     /// most recently picked tenant. Monotone non-decreasing.
     vtime: u64,
-    /// Sticky flag: false while the runtime has only ever seen one job
-    /// at a time (legacy inline scheduling, bit-identical to the
-    /// single-job runtime); flips true when a second concurrent job is
-    /// admitted.
-    service_mode: bool,
     /// Registrations parked by admission control, FIFO.
     pending_admission: VecDeque<(JobParams, Reply<JobId>)>,
     /// Jobs admitted and not yet finished.
@@ -192,17 +179,9 @@ impl JobManager {
             in_service: BTreeMap::new(),
             vservice: BTreeMap::new(),
             vtime: 0,
-            service_mode: false,
             pending_admission: VecDeque::new(),
             live_jobs: 0,
         }
-    }
-
-    /// True once two jobs have ever been live concurrently: the runtime
-    /// must route ready tasks through the fair-share pool instead of the
-    /// legacy inline path.
-    pub fn service_mode(&self) -> bool {
-        self.service_mode
     }
 
     /// Quota for a tenant (default when unconfigured).
@@ -214,14 +193,9 @@ impl JobManager {
         self.jobs.get(&job)
     }
 
-    pub fn job_mut(&mut self, job: JobId) -> Option<&mut JobState> {
-        self.jobs.get_mut(&job)
-    }
-
     /// State for `job`, creating a default entry if the runtime has never
     /// seen it (e.g. ids minted before any explicit registration). Does
-    /// *not* count as an admission: `live_jobs` and `service_mode` are
-    /// untouched, so the legacy single-job fast path stays bit-identical.
+    /// *not* count as an admission: `live_jobs` is untouched.
     pub fn ensure(&mut self, job: JobId) -> &mut JobState {
         self.next_job = self.next_job.max(job.0 + 1);
         self.jobs
@@ -245,9 +219,6 @@ impl JobManager {
         self.next_job += 1;
         self.jobs.insert(id, JobState::new(params, now_us));
         self.live_jobs += 1;
-        if self.live_jobs > 1 {
-            self.service_mode = true;
-        }
         id
     }
 
@@ -300,8 +271,14 @@ impl JobManager {
         self.pending_admission.len()
     }
 
-    /// A task entered service (scheduled onto a node queue).
+    /// A task entered service (scheduled onto a node queue). Only
+    /// [`JobManager::pick`] hands out tasks, so the tenant is always
+    /// below its cpu cap here.
     pub fn task_scheduled(&mut self, tenant: TenantId) {
+        debug_assert!(
+            self.tenant_has_slot(tenant),
+            "tenant {tenant:?} scheduled past its cpu_slots cap"
+        );
         *self.in_service.entry(tenant.0).or_insert(0) += 1;
     }
 
@@ -316,25 +293,16 @@ impl JobManager {
         self.in_service.get(&tenant.0).copied().unwrap_or(0)
     }
 
-    /// Park a ready task in its job's pool (service mode).
+    /// Park a ready task in its job's pool.
     pub fn push_ready(&mut self, task: TaskId) {
         if let Some(st) = self.jobs.get_mut(&task.job()) {
             st.ready.insert(task);
         }
     }
 
-    /// Remove a task from its job's ready pool (e.g. it was cancelled
-    /// or scheduled through another path). Returns true if present.
-    pub fn remove_ready(&mut self, task: TaskId) -> bool {
-        self.jobs
-            .get_mut(&task.job())
-            .map(|st| st.ready.remove(&task))
-            .unwrap_or(false)
-    }
-
-    /// Total ready tasks across all jobs.
-    pub fn ready_len(&self) -> usize {
-        self.jobs.values().map(|st| st.ready.len()).sum()
+    /// True when any job has a task parked in its ready pool.
+    pub fn has_ready(&self) -> bool {
+        self.jobs.values().any(|st| !st.ready.is_empty())
     }
 
     fn tenant_has_slot(&self, tenant: TenantId) -> bool {
@@ -440,28 +408,6 @@ mod tests {
             priority,
             label: "t",
         }
-    }
-
-    #[test]
-    fn single_job_keeps_legacy_mode() {
-        let mut m = mgr(&[]);
-        let j0 = m.admit(&params(0, false), 0);
-        assert!(!m.service_mode());
-        m.finish(j0);
-        let _j1 = m.admit(&params(0, false), 10);
-        // Sequential jobs never overlap: still legacy.
-        assert!(!m.service_mode());
-    }
-
-    #[test]
-    fn concurrent_jobs_flip_service_mode_stickily() {
-        let mut m = mgr(&[]);
-        let j0 = m.admit(&params(0, false), 0);
-        let j1 = m.admit(&params(1, false), 0);
-        assert!(m.service_mode());
-        m.finish(j0);
-        m.finish(j1);
-        assert!(m.service_mode(), "flag is sticky");
     }
 
     #[test]

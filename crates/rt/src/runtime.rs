@@ -235,8 +235,8 @@ pub enum RtEvent {
     /// boundaries; this tick only moves already-decided verdicts into
     /// the event stream, so its cadence cannot change what is detected.
     WatchTick,
-    /// Fair-share dispatch sweep (service mode only): drain the job
-    /// manager's ready pools onto node queues, one pick per free slot.
+    /// Fair-share dispatch sweep: drain the job manager's ready pools
+    /// onto node queues, one pick per free slot.
     /// Deduplicated — at most one pass is in the queue at a time.
     DispatchPass,
 }
@@ -359,8 +359,8 @@ pub struct Runtime {
     tasks: DenseArena<TaskEntry>,
     waiters: SlotArena<Waiter>,
     /// Per-job state, id minting, tenant quotas, fair-share picking and
-    /// admission control. While only one job has ever been live the
-    /// manager stays in legacy mode and scheduling is inline.
+    /// admission control. Every ready task waits in its job's pool here
+    /// until a `DispatchPass` picks it.
     jobs: JobManager,
     rr_cursor: usize,
     /// The trace sink: single source of truth for the scalar counters in
@@ -703,14 +703,9 @@ impl Runtime {
         outputs
     }
 
-    /// Route a schedulable task: inline `try_schedule` in legacy mode
-    /// (bit-identical to the single-job runtime), or park it in its
-    /// job's ready pool for the fair-share dispatcher in service mode.
+    /// Route a schedulable task: once its args are available, park it in
+    /// its job's ready pool for the fair-share dispatcher.
     fn enqueue_ready(&mut self, ctx: &mut Ctx<'_, RtEvent>, task: TaskId) {
-        if !self.jobs.service_mode() {
-            self.try_schedule(ctx, task);
-            return;
-        }
         if self.task(task).state != TaskState::WaitingArgs || !self.scan_args(ctx, task) {
             return;
         }
@@ -828,7 +823,9 @@ impl Runtime {
             .expect("task entries are never removed")
     }
 
-    /// Try to move a task from WaitingArgs to a node queue.
+    /// Try to move a task the dispatcher picked from WaitingArgs to a
+    /// node queue. Its args are rescanned: one may have lost its last
+    /// copy while the task sat in the ready pool.
     fn try_schedule(&mut self, ctx: &mut Ctx<'_, RtEvent>, task: TaskId) {
         if self.task(task).state != TaskState::WaitingArgs || !self.scan_args(ctx, task) {
             return;
@@ -875,7 +872,8 @@ impl Runtime {
             &snapshots,
             &mut self.rr_cursor,
         ) else {
-            return; // no node alive; retried when a node restarts
+            // Unreachable: `dispatch_pass` picks only while a node is alive.
+            return;
         };
         let node = placed.node;
         let tenant = self.tenant_of(task);
@@ -1643,7 +1641,7 @@ impl Runtime {
         }
         let tenant = self.tenant_of(task);
         self.jobs.task_unscheduled(tenant);
-        if self.jobs.service_mode() && self.jobs.ready_len() > 0 {
+        if self.jobs.has_ready() {
             // A slot (and possibly a tenant quota slot) just freed up.
             self.schedule_dispatch(ctx);
         }
@@ -1798,14 +1796,7 @@ impl Runtime {
         // Purge the failed job's parked ready tasks: the fair-share
         // dispatcher must never spend cluster slots on work whose job
         // can no longer finish.
-        let stale: Vec<TaskId> = self
-            .jobs
-            .job_mut(job)
-            .map(|st| st.ready.iter().copied().collect())
-            .unwrap_or_default();
-        for t in stale {
-            self.jobs.remove_ready(t);
-        }
+        st.ready.clear();
         // Resolve the failed job's pending waiters so its driver sees the
         // failure instead of hanging — other jobs' waiters are untouched
         // (one tenant's OOM must not fail another's get). The arena's
@@ -2107,7 +2098,7 @@ impl Runtime {
         let n = &mut self.nodes[node.0];
         n.alive = true;
         n.epoch += 1;
-        if self.jobs.service_mode() && self.jobs.ready_len() > 0 {
+        if self.jobs.has_ready() {
             // Fresh capacity: let the fair-share dispatcher use it.
             self.schedule_dispatch(ctx);
         }

@@ -426,6 +426,21 @@ fn one_object_watched_every_way_survives_a_killed_fetch_destination() {
 }
 
 #[test]
+fn task_ready_while_every_node_is_down_runs_after_restart() {
+    let (_report, v) = exo_rt::run(small_cluster(1), |rt| {
+        rt.kill_node(
+            exo_rt::NodeId(0),
+            rt.now() + SimDuration::from_secs(1),
+            Some(SimDuration::from_secs(10)),
+        );
+        rt.sleep(SimDuration::from_secs(2)); // the only node is down
+        let r = rt.task(const_task(vec![7])).submit_one();
+        rt.get_one(&r).unwrap().data[0]
+    });
+    assert_eq!(v, 7);
+}
+
+#[test]
 fn get_after_failure_reconstructs_directly() {
     let (_report, v) = exo_rt::run(small_cluster(3), |rt| {
         let a = rt

@@ -1,5 +1,5 @@
-//! End-to-end behaviour tests for service mode: one runtime, a stream
-//! of concurrent jobs from multiple tenants.
+//! End-to-end behaviour tests for `run_service`: one runtime, a stream
+//! of jobs from multiple tenants sharing the fair-share dispatcher.
 
 use bytes::Bytes;
 use exo_rt::{
@@ -124,6 +124,29 @@ fn three_tenants_share_one_runtime_without_isolation_violations() {
         .filter(|i| i.kind == exo_rt::trace::IncidentKind::IsolationViolation)
         .count();
     assert_eq!(violations, 0, "tenant cpu quota exceeded");
+}
+
+#[test]
+fn lone_job_respects_its_tenant_cpu_quota() {
+    // A job admitted while no other job is live must still wait on its
+    // tenant's cpu_slots cap: one slot serialises eight 1-s tasks.
+    let cfg = cluster(1).with_tenant(
+        TenantId(0),
+        TenantQuota {
+            weight: 1,
+            cpu_slots: Some(1),
+            store_bytes: None,
+        },
+    );
+    let (_report, res) = run_service(cfg, |svc| {
+        svc.submit_job(params(0), fanout_driver(8, 3)).join()
+    });
+    assert_eq!(res.result, 8 * 3);
+    assert!(
+        res.jct_us() >= 8_000_000,
+        "a 1-slot tenant ran eight 1-s tasks in {}us",
+        res.jct_us()
+    );
 }
 
 #[test]
