@@ -1,7 +1,9 @@
 //! Offline stand-in for the `bytes` crate, exposing the subset of its
 //! API this workspace uses. `Bytes` is a cheaply-cloneable, sliceable
-//! view over immutable shared storage (`Arc<[u8]>`); `BytesMut` is a
-//! growable buffer that freezes into `Bytes` without copying.
+//! view over immutable shared storage: the `Vec<u8>` it was built from,
+//! behind an `Arc`. `Bytes::from(Vec<u8>)` and `BytesMut::freeze` take
+//! that vector over without copying its bytes, and `slice`/`clone` share
+//! it; only `copy_from_slice` and `from_static` copy.
 //!
 //! Vendored because the build environment has no network access to
 //! crates.io; wired in via `[patch.crates-io]` in the workspace root.
@@ -15,7 +17,7 @@ use std::sync::Arc;
 /// Cheaply cloneable and sliceable chunk of contiguous memory.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -26,8 +28,9 @@ impl Bytes {
         Bytes::from_vec(Vec::new())
     }
 
-    /// Creates `Bytes` from a static slice (copies; the upstream crate's
-    /// zero-copy optimisation is irrelevant at the sizes used here).
+    /// Creates `Bytes` from a static slice. Unlike the upstream crate,
+    /// which borrows the static data, this copies it once into owned
+    /// storage; the slices passed here are a few bytes long.
     pub fn from_static(s: &'static [u8]) -> Bytes {
         Bytes::from_vec(s.to_vec())
     }
@@ -37,10 +40,15 @@ impl Bytes {
         Bytes::from_vec(s.to_vec())
     }
 
-    fn from_vec(v: Vec<u8>) -> Bytes {
+    /// Takes `v` over as the shared storage; its bytes are not copied.
+    /// Surplus capacity is released first (`shrink_to_fit`, which the
+    /// allocator does in place when it can), so shared storage never pins
+    /// bytes past the end.
+    fn from_vec(mut v: Vec<u8>) -> Bytes {
+        v.shrink_to_fit();
         let end = v.len();
         Bytes {
-            data: Arc::from(v),
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -304,6 +312,56 @@ mod tests {
         let b = m.freeze();
         assert_eq!(u32::from_le_bytes(b[0..4].try_into().unwrap()), 7);
         assert_eq!(&b[12..], b"xy");
+    }
+
+    #[test]
+    fn from_vec_and_freeze_keep_the_buffer() {
+        let v = vec![1u8, 2, 3, 4];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), ptr, "From<Vec<u8>> copied");
+        assert_eq!(&b[..], &[1, 2, 3, 4]);
+
+        let mut m = BytesMut::with_capacity(8);
+        m.extend_from_slice(b"abcdefgh");
+        let ptr = m.as_ptr();
+        let frozen = m.freeze();
+        assert_eq!(frozen.as_ptr(), ptr, "freeze copied");
+        assert_eq!(&frozen[..], b"abcdefgh");
+    }
+
+    #[test]
+    fn surplus_capacity_is_released() {
+        let mut v = Vec::with_capacity(4096);
+        v.extend_from_slice(b"xyz");
+        let b = Bytes::from(v);
+        assert_eq!(b.data.capacity(), 3);
+        assert_eq!(&b[..], b"xyz");
+    }
+
+    #[test]
+    fn slice_and_clone_share_storage() {
+        let b = Bytes::from(vec![0u8, 1, 2, 3, 4, 5]);
+        let s = b.slice(2..5);
+        assert_eq!(s.as_ptr(), b[2..].as_ptr());
+        assert!(Arc::ptr_eq(&s.data, &b.data));
+        let c = b.clone();
+        assert_eq!(c.as_ptr(), b.as_ptr());
+        assert_eq!(Arc::strong_count(&b.data), 3);
+    }
+
+    #[test]
+    fn copy_from_slice_copies_once() {
+        let src = [9u8; 32];
+        let b = Bytes::copy_from_slice(&src);
+        assert_ne!(b.as_ptr(), src.as_ptr());
+        assert_eq!(&b[..], &src[..]);
+        // The copy is the storage itself: exact size, not copied again.
+        assert_eq!(b.data.capacity(), src.len());
+        assert_eq!(b.as_ptr(), b.data.as_ptr());
+        let stat = Bytes::from_static(b"static");
+        assert_ne!(stat.as_ptr(), b"static".as_ptr());
+        assert_eq!(&stat[..], b"static");
     }
 
     #[test]

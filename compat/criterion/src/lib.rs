@@ -3,10 +3,12 @@
 //! `bench_function`, `bench_with_input`, `BenchmarkId`, `Throughput`,
 //! `Bencher::iter`, and the `criterion_group!`/`criterion_main!` macros.
 //!
-//! Measurement is deliberately simple: calibrate with one run, then
-//! time enough iterations to fill `measurement_time`, and report the
-//! mean wall-clock per iteration (plus throughput when configured).
-//! No statistics, plotting, or baseline storage.
+//! Measurement is deliberately simple: calibrate during warm-up, then
+//! time `sample_size` samples of equally many iterations that together
+//! fill `measurement_time`, and report the median wall-clock per
+//! iteration over the samples with their interquartile range (plus
+//! throughput at the median when configured). No outlier analysis,
+//! plotting, or baseline storage.
 //!
 //! Vendored because the build environment has no network access to
 //! crates.io; wired in via `[patch.crates-io]` in the workspace root.
@@ -177,31 +179,49 @@ pub struct Bencher {
     warm_up: Duration,
     measurement: Duration,
     sample_size: usize,
-    /// Mean wall-clock per iteration, filled in by `iter`.
-    mean: Option<Duration>,
+    /// Seconds per iteration of each sample, filled in by `iter`.
+    samples: Vec<f64>,
 }
 
 impl Bencher {
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        // Warm-up + calibration: run until the warm-up budget is spent.
+        // Warm-up + calibration: run until the warm-up budget is spent
+        // (at least once).
         let start = Instant::now();
         let mut calib_iters = 0u64;
-        while start.elapsed() < self.warm_up {
+        while calib_iters == 0 || start.elapsed() < self.warm_up {
             black_box(f());
             calib_iters += 1;
         }
         let per_iter = start.elapsed().as_secs_f64() / calib_iters as f64;
-        // Measurement: enough iterations to fill the budget, capped by
-        // sample_size on the low end so trivial closures still average.
+        // Measurement: `sample_size` samples whose iterations together
+        // fill the budget, at least one iteration per sample.
         let budget = self.measurement.as_secs_f64();
-        let iters =
-            ((budget / per_iter.max(1e-9)) as u64).clamp(self.sample_size as u64, 10_000_000);
-        let t = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        self.mean = Some(t.elapsed().div_f64(iters as f64));
+        let total = ((budget / per_iter.max(1e-9)) as u64).min(10_000_000);
+        let per_sample = (total / self.sample_size as u64).max(1);
+        self.samples = (0..self.sample_size)
+            .map(|_| {
+                let t = Instant::now();
+                for _ in 0..per_sample {
+                    black_box(f());
+                }
+                t.elapsed().as_secs_f64() / per_sample as f64
+            })
+            .collect();
     }
+}
+
+/// Median and interquartile range of per-iteration sample times, in
+/// seconds (linear interpolation between order statistics).
+fn median_iqr(samples: &[f64]) -> (f64, f64) {
+    let mut s = samples.to_vec();
+    s.sort_by(f64::total_cmp);
+    let q = |p: f64| {
+        let x = p * (s.len() - 1) as f64;
+        let (lo, hi) = (x.floor() as usize, x.ceil() as usize);
+        s[lo] + (s[hi] - s[lo]) * (x - lo as f64)
+    };
+    (q(0.5), q(0.75) - q(0.25))
 }
 
 fn run_one<F: FnMut(&mut Bencher)>(
@@ -216,26 +236,25 @@ fn run_one<F: FnMut(&mut Bencher)>(
         warm_up,
         measurement,
         sample_size,
-        mean: None,
+        samples: Vec::new(),
     };
     f(&mut b);
-    match b.mean {
-        Some(mean) => {
-            let extra = match throughput {
-                Some(Throughput::Bytes(n)) => {
-                    let mbps = n as f64 / mean.as_secs_f64() / 1e6;
-                    format!("  ({mbps:.1} MB/s)")
-                }
-                Some(Throughput::Elements(n)) => {
-                    let eps = n as f64 / mean.as_secs_f64();
-                    format!("  ({eps:.0} elem/s)")
-                }
-                None => String::new(),
-            };
-            println!("{id:<40} {:>12}{extra}", format_duration(mean));
-        }
-        None => println!("{id:<40} (no measurement: closure never called iter)"),
+    if b.samples.is_empty() {
+        println!("{id:<40} (no measurement: closure never called iter)");
+        return;
     }
+    let (median, iqr) = median_iqr(&b.samples);
+    let extra = match throughput {
+        Some(Throughput::Bytes(n)) => format!("  ({:.1} MB/s)", n as f64 / median / 1e6),
+        Some(Throughput::Elements(n)) => format!("  ({:.0} elem/s)", n as f64 / median),
+        None => String::new(),
+    };
+    println!(
+        "{id:<40} median {:>10}  IQR {:>10}  ({} samples){extra}",
+        format_duration(Duration::from_secs_f64(median)),
+        format_duration(Duration::from_secs_f64(iqr)),
+        b.samples.len(),
+    );
 }
 
 fn format_duration(d: Duration) -> String {
@@ -296,5 +315,25 @@ mod tests {
             b.iter(|| black_box(n * 2))
         });
         g.finish();
+    }
+
+    #[test]
+    fn iter_takes_one_sample_per_slot() {
+        let mut b = Bencher {
+            warm_up: Duration::ZERO,
+            measurement: Duration::from_millis(2),
+            sample_size: 7,
+            samples: Vec::new(),
+        };
+        b.iter(|| black_box(3u64 * 3));
+        assert_eq!(b.samples.len(), 7);
+        assert!(b.samples.iter().all(|&s| s >= 0.0));
+    }
+
+    #[test]
+    fn median_and_iqr_interpolate() {
+        assert_eq!(median_iqr(&[4.0, 1.0, 3.0, 2.0, 5.0]), (3.0, 2.0));
+        assert_eq!(median_iqr(&[2.0, 1.0]), (1.5, 0.5));
+        assert_eq!(median_iqr(&[7.0]), (7.0, 0.0));
     }
 }

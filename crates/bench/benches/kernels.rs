@@ -1,6 +1,7 @@
-//! Criterion microbenchmarks for the hot kernels: sort, merge,
-//! partitioning, record generation, framing, the event queue, the store
-//! allocation/spill path, and small end-to-end shuffles of every variant.
+//! Criterion microbenchmarks for the hot kernels: sort, merge, the
+//! spill_pushstar map/merge/reduce kernel calls, partitioning, record
+//! generation, framing, the event queue, the store allocation/spill
+//! path, and small end-to-end shuffles of every variant.
 
 use std::time::Duration;
 
@@ -8,7 +9,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use exo_rt::RtConfig;
 use exo_shuffle::{frame_blocks, key_sum_job, run_shuffle, unframe_blocks, ShuffleVariant};
 use exo_sim::{ClusterSpec, EventQueue, NodeSpec, SimTime};
-use exo_sort::{gen_records, kway_merge, sort_records, RangePartitioner};
+use exo_sort::{
+    gen_records, kway_merge, sort_into_partitions, sort_records, RangePartitioner, RECORD_SIZE,
+};
 use exo_store::{NodeStore, Priority, StoreConfig};
 
 fn bench_sort_kernel(c: &mut Criterion) {
@@ -40,6 +43,50 @@ fn bench_kway_merge(c: &mut Criterion) {
         let views: Vec<&[u8]> = blocks.iter().map(|v| &v[..]).collect();
         b.iter(|| kway_merge(&views));
     });
+}
+
+/// The kernel calls of one spill_pushstar map, merge and reduce: 2,500
+/// records per map cut into 1,600 partitions, 40-map rounds.
+fn bench_spill_pushstar_kernels(c: &mut Criterion) {
+    const RECORDS: usize = 2_500;
+    const PARTITIONS: usize = 1_600;
+    const ROUND: usize = 40;
+    let part = RangePartitioner::new(PARTITIONS);
+    let mut g = c.benchmark_group("spill_pushstar");
+
+    let recs = gen_records(5, 0, RECORDS);
+    g.throughput(Throughput::Bytes((RECORDS * RECORD_SIZE) as u64));
+    g.bench_function("map_2500_into_1600", |b| {
+        b.iter(|| sort_into_partitions(&recs, &part))
+    });
+
+    // One merge task's inputs for one partition: that partition's block
+    // from each of a round's maps (~1.6 records each).
+    let maps: Vec<Vec<Vec<u8>>> = (0..ROUND)
+        .map(|m| sort_into_partitions(&gen_records(5, m, RECORDS), &part))
+        .collect();
+    let column: Vec<&[u8]> = maps
+        .iter()
+        .map(|blocks| &blocks[PARTITIONS / 2][..])
+        .collect();
+    let bytes: usize = column.iter().map(|b| b.len()).sum();
+    g.throughput(Throughput::Bytes(bytes as u64));
+    g.bench_function("merge_40_blocks_of_1.6", |b| b.iter(|| kway_merge(&column)));
+
+    // One reducer's inputs: a sorted block per round, 2,500 records in all.
+    let rounds: Vec<Vec<u8>> = (0..ROUND)
+        .map(|i| {
+            let mut r = gen_records(6, i, RECORDS / ROUND + usize::from(i < RECORDS % ROUND));
+            sort_records(&mut r);
+            r
+        })
+        .collect();
+    let views: Vec<&[u8]> = rounds.iter().map(|v| &v[..]).collect();
+    g.throughput(Throughput::Bytes((RECORDS * RECORD_SIZE) as u64));
+    g.bench_function("reduce_40_blocks_of_2500", |b| {
+        b.iter(|| kway_merge(&views))
+    });
+    g.finish();
 }
 
 fn bench_partitioner(c: &mut Criterion) {
@@ -144,6 +191,7 @@ criterion_group! {
     targets =
     bench_sort_kernel,
     bench_kway_merge,
+    bench_spill_pushstar_kernels,
     bench_partitioner,
     bench_gen_records,
     bench_framing,

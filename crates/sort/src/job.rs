@@ -5,7 +5,7 @@ use std::sync::Arc;
 use exo_rt::{CpuCost, Payload};
 use exo_shuffle::{CombineFn, MapFn, ReduceFn, ShuffleJob};
 
-use crate::kernel::{kway_merge, sort_records};
+use crate::kernel::{kway_merge, sort_into_partitions};
 use crate::partition::RangePartitioner;
 use crate::record::{gen_records, RECORD_SIZE};
 
@@ -47,8 +47,8 @@ impl SortSpec {
 /// Build the sort as a [`ShuffleJob`] runnable under any variant.
 ///
 /// - **map**: generates its partition's records (the simulation charges a
-///   sequential disk read of the partition), range-partitions them by key
-///   and sorts each block.
+///   sequential disk read of the partition), sorts them once and cuts the
+///   sorted run into one block per range partition.
 /// - **combine**: k-way merge of sorted same-partition blocks.
 /// - **reduce**: final k-way merge (the simulation charges the output
 ///   write).
@@ -62,14 +62,9 @@ pub fn sort_job(spec: SortSpec) -> ShuffleJob {
     let map: MapFn = Arc::new(move |m, r_total, _rng| {
         debug_assert_eq!(r_total, partitioner.partitions());
         let records = gen_records(seed, m, n_real);
-        let mut blocks: Vec<Vec<u8>> = vec![Vec::new(); r_total];
-        for rec in records.chunks_exact(RECORD_SIZE) {
-            blocks[partitioner.partition_of(&rec[..10])].extend_from_slice(rec);
-        }
-        blocks
+        sort_into_partitions(&records, &partitioner)
             .into_iter()
-            .map(|mut b| {
-                sort_records(&mut b);
+            .map(|b| {
                 let logical = b.len() as u64 * scale;
                 Payload::scaled(b, logical)
             })
@@ -137,5 +132,46 @@ mod tests {
         let logical: u64 = blocks.iter().map(|b| b.logical).sum();
         assert_eq!(real, s.real_records_per_map() as u64 * RECORD_SIZE as u64);
         assert_eq!(logical, real * 5);
+    }
+
+    /// The map's blocks equal the scatter-then-sort reference: records
+    /// scattered by `partition_of` in input order, each block then
+    /// stable-sorted by key.
+    #[test]
+    fn map_blocks_equal_scatter_then_stable_sort() {
+        // (records per map, partitions): spill_pushstar, xl_simple and
+        // ft_simple geometry.
+        for (n, r) in [(2_500usize, 1_600usize), (833, 600), (1_250, 400)] {
+            for seed in [2026, 7] {
+                let spec = SortSpec {
+                    data_bytes: (n * RECORD_SIZE * 3) as u64,
+                    num_maps: 3,
+                    num_reduces: r,
+                    scale: 1,
+                    seed,
+                };
+                assert_eq!(spec.real_records_per_map(), n);
+                let job = sort_job(spec);
+                let part = RangePartitioner::new(r);
+                for m in 0..spec.num_maps {
+                    let recs = gen_records(seed, m, n);
+                    let mut reference: Vec<Vec<&[u8]>> = vec![Vec::new(); r];
+                    for rec in recs.chunks_exact(RECORD_SIZE) {
+                        reference[part.partition_of(&rec[..10])].push(rec);
+                    }
+                    let mut rng = exo_sim::SplitMix64::new(0);
+                    let blocks = (job.map)(m, r, &mut rng);
+                    assert_eq!(blocks.len(), r);
+                    for (p, (block, mut want)) in blocks.iter().zip(reference).enumerate() {
+                        want.sort_by(|a, b| a[..10].cmp(&b[..10]));
+                        assert_eq!(
+                            block.data[..],
+                            want.concat()[..],
+                            "seed {seed}, {n} records → {r} partitions: map {m} block {p}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,66 +1,104 @@
-//! Sort kernels: block sort and k-way merge of sorted blocks.
+//! Sort kernels: block sort, map-side sort-and-cut, and k-way merge of
+//! sorted blocks.
+//!
+//! All three are one mechanism. Each record contributes one fixed-size
+//! sort key — its key's 8-byte prefix and 2-byte suffix, plus its
+//! position — to a single array that is sorted once; the output is then
+//! gathered from the sorted array in one pass, copying every record
+//! exactly once into an exact-capacity buffer. The position breaks ties,
+//! so every kernel orders equal keys by input position: each is a stable
+//! sort by key.
 
-use crate::record::RECORD_SIZE;
+use crate::partition::RangePartitioner;
+use crate::record::{KEY_SIZE, RECORD_SIZE};
 
-/// Sort a buffer of records in place by their 10-byte keys (unstable —
-/// gensort keys are effectively unique).
-pub fn sort_records(records: &mut Vec<u8>) {
-    assert_eq!(records.len() % RECORD_SIZE, 0, "whole records only");
-    let n = records.len() / RECORD_SIZE;
-    let mut index: Vec<usize> = (0..n).collect();
-    index.sort_unstable_by(|&a, &b| {
-        records[a * RECORD_SIZE..a * RECORD_SIZE + 10]
-            .cmp(&records[b * RECORD_SIZE..b * RECORD_SIZE + 10])
-    });
-    let mut out = vec![0u8; records.len()];
-    for (dst, &src) in index.iter().enumerate() {
-        out[dst * RECORD_SIZE..(dst + 1) * RECORD_SIZE]
-            .copy_from_slice(&records[src * RECORD_SIZE..(src + 1) * RECORD_SIZE]);
-    }
-    *records = out;
+/// `(key prefix, key suffix, record position)`: the key's first 8 and
+/// last 2 bytes read big endian, so tuple order is key order, then input
+/// order.
+type SortKey = (u64, u16, u32);
+
+/// Sort keys of `records` (each `RECORD_SIZE` bytes), in sorted order.
+fn sorted_keys<'a>(records: impl Iterator<Item = &'a [u8]>) -> Vec<SortKey> {
+    let mut keys: Vec<SortKey> = records
+        .enumerate()
+        .map(|(i, rec)| {
+            let prefix = u64::from_be_bytes(rec[..8].try_into().expect("8-byte prefix"));
+            let suffix = u16::from_be_bytes(rec[8..KEY_SIZE].try_into().expect("2-byte suffix"));
+            let pos = u32::try_from(i).expect("fewer than 2^32 records per kernel call");
+            (prefix, suffix, pos)
+        })
+        .collect();
+    keys.sort_unstable();
+    keys
 }
 
-/// Merge already-sorted record buffers into one sorted buffer.
-pub fn kway_merge(blocks: &[&[u8]]) -> Vec<u8> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    for b in blocks {
-        assert_eq!(b.len() % RECORD_SIZE, 0, "whole records only");
-    }
-    let total: usize = blocks.iter().map(|b| b.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    // Heap of (key, block, offset); keys are owned 10-byte arrays to keep
-    // the heap simple.
-    let mut heap: BinaryHeap<Reverse<([u8; 10], usize, usize)>> = BinaryHeap::new();
-    for (bi, b) in blocks.iter().enumerate() {
-        if !b.is_empty() {
-            let mut k = [0u8; 10];
-            k.copy_from_slice(&b[..10]);
-            heap.push(Reverse((k, bi, 0)));
-        }
-    }
-    while let Some(Reverse((_, bi, off))) = heap.pop() {
-        let b = blocks[bi];
-        out.extend_from_slice(&b[off..off + RECORD_SIZE]);
-        let next = off + RECORD_SIZE;
-        if next < b.len() {
-            let mut k = [0u8; 10];
-            k.copy_from_slice(&b[next..next + 10]);
-            heap.push(Reverse((k, bi, next)));
-        }
+/// Copy the records named by `keys`, in order, into one exact-capacity
+/// buffer; `record(i)` returns the record at position `i`.
+fn gather<'a>(keys: &[SortKey], record: impl Fn(usize) -> &'a [u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(keys.len() * RECORD_SIZE);
+    for &(_, _, pos) in keys {
+        out.extend_from_slice(record(pos as usize));
     }
     out
 }
 
+fn record_at(records: &[u8], i: usize) -> &[u8] {
+    &records[i * RECORD_SIZE..(i + 1) * RECORD_SIZE]
+}
+
+/// Sort a buffer of records by their 10-byte keys; equal keys keep their
+/// input order.
+pub fn sort_records(records: &mut Vec<u8>) {
+    assert_eq!(records.len() % RECORD_SIZE, 0, "whole records only");
+    let keys = sorted_keys(records.chunks_exact(RECORD_SIZE));
+    *records = gather(&keys, |i| record_at(records, i));
+}
+
+/// Range-partition a map's records and sort each partition: one sort of
+/// the whole map, cut at the partitioner's boundaries. Returns one
+/// exact-capacity block per partition (empty ones included), each equal
+/// to a stable sort by key of that partition's records.
+pub fn sort_into_partitions(records: &[u8], partitioner: &RangePartitioner) -> Vec<Vec<u8>> {
+    assert_eq!(records.len() % RECORD_SIZE, 0, "whole records only");
+    let keys = sorted_keys(records.chunks_exact(RECORD_SIZE));
+    // The partitioner is monotone in the prefix, so each partition is
+    // one contiguous run of the sorted keys.
+    let mut blocks = Vec::with_capacity(partitioner.partitions());
+    let mut lo = 0;
+    for p in 0..partitioner.partitions() {
+        let mut hi = lo;
+        while hi < keys.len() && partitioner.partition_of_prefix(keys[hi].0) == p {
+            hi += 1;
+        }
+        blocks.push(gather(&keys[lo..hi], |i| record_at(records, i)));
+        lo = hi;
+    }
+    debug_assert_eq!(lo, keys.len());
+    blocks
+}
+
+/// Merge already-sorted record buffers into one sorted buffer. Equal
+/// keys come out in `(block, offset)` order.
+pub fn kway_merge(blocks: &[&[u8]]) -> Vec<u8> {
+    for b in blocks {
+        assert_eq!(b.len() % RECORD_SIZE, 0, "whole records only");
+    }
+    // A key's position indexes the blocks' concatenation, so ordering by
+    // position is ordering by (block, offset).
+    let records: Vec<&[u8]> = blocks
+        .iter()
+        .flat_map(|b| b.chunks_exact(RECORD_SIZE))
+        .collect();
+    let keys = sorted_keys(records.iter().copied());
+    gather(&keys, |i| records[i])
+}
+
 /// True if a record buffer is sorted by key.
 pub fn is_sorted(records: &[u8]) -> bool {
-    records
-        .chunks_exact(RECORD_SIZE)
-        .map(|r| &r[..10])
-        .collect::<Vec<_>>()
-        .windows(2)
-        .all(|w| w[0] <= w[1])
+    let recs = records.chunks_exact(RECORD_SIZE);
+    recs.clone()
+        .zip(recs.skip(1))
+        .all(|(a, b)| a[..KEY_SIZE] <= b[..KEY_SIZE])
 }
 
 #[cfg(test)]
@@ -100,5 +138,52 @@ mod tests {
         let merged = kway_merge(&[&a, &[], &[]]);
         assert_eq!(merged, a);
         assert!(kway_merge(&[]).is_empty());
+    }
+
+    #[test]
+    fn equal_keys_keep_input_order() {
+        // Three records with one key, told apart by their bodies.
+        let mut recs = vec![0u8; 3 * RECORD_SIZE];
+        for (i, rec) in recs.chunks_exact_mut(RECORD_SIZE).enumerate() {
+            rec[..KEY_SIZE].fill(7);
+            rec[KEY_SIZE] = i as u8;
+        }
+        let mut sorted = recs.clone();
+        sort_records(&mut sorted);
+        assert_eq!(sorted, recs);
+        let (a, b) = recs.split_at(RECORD_SIZE);
+        assert_eq!(kway_merge(&[b, a]), [b, a].concat());
+    }
+
+    #[test]
+    fn is_sorted_compares_adjacent_keys_only() {
+        let mut r = gen_records(3, 0, 50);
+        assert!(is_sorted(&[]));
+        assert!(is_sorted(&r[..RECORD_SIZE]));
+        sort_records(&mut r);
+        assert!(is_sorted(&r));
+        // Bodies out of order do not matter; keys out of order do.
+        r[RECORD_SIZE - 1] = 0xFF;
+        assert!(is_sorted(&r));
+        for j in 0..RECORD_SIZE {
+            r.swap(j, RECORD_SIZE + j);
+        }
+        assert!(!is_sorted(&r));
+    }
+
+    #[test]
+    fn cut_blocks_are_exact_and_in_range() {
+        let part = RangePartitioner::new(64);
+        let recs = gen_records(5, 1, 300);
+        let blocks = sort_into_partitions(&recs, &part);
+        assert_eq!(blocks.len(), 64);
+        assert_eq!(blocks.iter().map(Vec::len).sum::<usize>(), recs.len());
+        for (p, b) in blocks.iter().enumerate() {
+            assert_eq!(b.capacity(), b.len(), "block {p} over-allocated");
+            assert!(is_sorted(b));
+            assert!(b
+                .chunks_exact(RECORD_SIZE)
+                .all(|rec| part.partition_of(&rec[..KEY_SIZE]) == p));
+        }
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! - deterministic record generation ([`record`]),
 //! - a uniform range partitioner over 10-byte keys ([`partition`]),
-//! - sort and k-way-merge kernels ([`kernel`]),
+//! - copy-once sort, sort-and-cut and k-way-merge kernels ([`kernel`]),
 //! - a [`ShuffleJob`](exo_shuffle::ShuffleJob) builder wiring these into
 //!   any Exoshuffle variant at a configurable *scale factor* — real
 //!   payloads are `1/scale` of logical size so 100 TB runs fit in memory
@@ -22,7 +22,7 @@ pub mod validate;
 
 pub use cost::{run_cost_usd, usd_per_tb, InstancePrice, D3_2XLARGE, I3_2XLARGE, R6I_2XLARGE};
 pub use job::{sort_job, SortSpec};
-pub use kernel::{kway_merge, sort_records};
+pub use kernel::{kway_merge, sort_into_partitions, sort_records};
 pub use partition::RangePartitioner;
 pub use record::{gen_records, key_of, RECORD_SIZE};
 pub use validate::{validate_sorted, SortCheck};

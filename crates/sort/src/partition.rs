@@ -30,7 +30,15 @@ impl RangePartitioner {
     /// uniform 10-byte key space billions of ways).
     pub fn partition_of(&self, key: &[u8]) -> usize {
         debug_assert!(key.len() >= KEY_SIZE);
-        let prefix = u64::from_be_bytes(key[..8].try_into().expect("8-byte prefix"));
+        self.partition_of_prefix(u64::from_be_bytes(
+            key[..8].try_into().expect("8-byte prefix"),
+        ))
+    }
+
+    /// Partition index for a key's big-endian 8-byte prefix. Monotone:
+    /// a larger prefix never maps to a smaller partition, so a run of keys
+    /// sorted by prefix splits into contiguous per-partition runs.
+    pub fn partition_of_prefix(&self, prefix: u64) -> usize {
         ((prefix as u128 * self.partitions as u128) >> 64) as usize
     }
 
@@ -68,6 +76,17 @@ mod tests {
         for c in counts {
             assert!((800..1200).contains(&c), "imbalanced: {counts:?}");
         }
+    }
+
+    #[test]
+    fn lower_bounds_start_their_partitions() {
+        let p = RangePartitioner::new(1600);
+        for i in 1..1600 {
+            let lb = p.lower_bound(i);
+            assert_eq!(p.partition_of_prefix(lb), i);
+            assert_eq!(p.partition_of_prefix(lb - 1), i - 1);
+        }
+        assert_eq!(p.partition_of_prefix(u64::MAX), 1599);
     }
 
     #[test]

@@ -15,7 +15,54 @@ fn arb_records(max: usize) -> impl Strategy<Value = Vec<u8>> {
     })
 }
 
+/// Records whose keys come from a tiny alphabet: a key is 10 bytes each
+/// drawn from `{0, 1}` with only the first and last byte varying, so
+/// batches hold many equal keys told apart only by their bodies.
+fn arb_tied_records(max_records: usize) -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(
+        (
+            0u8..2,
+            0u8..2,
+            proptest::collection::vec(any::<u8>(), RECORD_SIZE - 10),
+        ),
+        0..max_records,
+    )
+    .prop_map(|recs| {
+        let mut out = Vec::with_capacity(recs.len() * RECORD_SIZE);
+        for (first, last, body) in recs {
+            out.push(first);
+            out.extend_from_slice(&[0; 8]);
+            out.push(last);
+            out.extend_from_slice(&body);
+        }
+        out
+    })
+}
+
+/// Reference: a stable sort of `records` by their 10-byte keys.
+fn stable_sort_by_key(records: &[u8]) -> Vec<u8> {
+    let mut recs: Vec<&[u8]> = records.chunks_exact(RECORD_SIZE).collect();
+    recs.sort_by(|a, b| a[..10].cmp(&b[..10]));
+    recs.concat()
+}
+
 proptest! {
+    #[test]
+    fn sort_records_is_a_stable_sort_on_tied_keys(recs in arb_tied_records(40)) {
+        let mut sorted = recs.clone();
+        sort_records(&mut sorted);
+        prop_assert_eq!(sorted, stable_sort_by_key(&recs));
+    }
+
+    #[test]
+    fn kway_merge_is_a_stable_sort_of_the_blocks_on_tied_keys(
+        blocks in proptest::collection::vec(arb_tied_records(12), 0..6),
+    ) {
+        let sorted_blocks: Vec<Vec<u8>> = blocks.iter().map(|b| stable_sort_by_key(b)).collect();
+        let views: Vec<&[u8]> = sorted_blocks.iter().map(|b| &b[..]).collect();
+        prop_assert_eq!(kway_merge(&views), stable_sort_by_key(&sorted_blocks.concat()));
+    }
+
     #[test]
     fn sort_records_sorts_and_preserves_multiset(mut recs in arb_records(3000)) {
         let mut expected: Vec<Vec<u8>> =
