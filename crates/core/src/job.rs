@@ -90,7 +90,7 @@ impl ShuffleJob {
     /// the network (map outputs are consumed on other nodes in
     /// expectation). Argument fetch bytes are accounted by the policy.
     pub fn map_shape(&self) -> TaskShape {
-        TaskShape::from_cost(self.map_cpu, self.map_input_bytes, self.map_input_bytes)
+        TaskShape::from_cost(self.map_cpu, self.map_input_bytes)
             .with_disk(self.map_input_bytes)
             .with_net(self.map_input_bytes)
     }
@@ -99,7 +99,7 @@ impl ShuffleJob {
     /// blocks: pure CPU — its inputs are argument objects (policy-counted)
     /// and its output stays in the object store.
     pub fn merge_shape(&self) -> TaskShape {
-        TaskShape::from_cost(self.merge_cpu, self.map_input_bytes, self.map_input_bytes)
+        TaskShape::from_cost(self.merge_cpu, self.map_input_bytes)
     }
 
     /// Resource shape of a reduce task: CPU over its partition's share of
@@ -107,8 +107,7 @@ impl ShuffleJob {
     pub fn reduce_shape(&self) -> TaskShape {
         let reduce_in =
             self.num_maps as u64 * self.map_input_bytes / self.num_reduces.max(1) as u64;
-        TaskShape::from_cost(self.reduce_cpu, reduce_in, self.reduce_output_bytes)
-            .with_disk(self.reduce_output_bytes)
+        TaskShape::from_cost(self.reduce_cpu, reduce_in).with_disk(self.reduce_output_bytes)
     }
 }
 

@@ -93,7 +93,6 @@ pub fn petastorm_training(
                     exo_rt::TaskShape::from_cost(
                         CpuCost::input_throughput(cfg.decode_throughput),
                         spec.partition_bytes(),
-                        spec.partition_bytes(),
                     )
                     .with_disk(spec.partition_bytes()),
                 )

@@ -46,6 +46,7 @@
 
 pub mod arena;
 mod command;
+mod compute;
 mod directory;
 mod driver;
 mod ids;

@@ -4,7 +4,10 @@
 //!
 //! All state lives on the engine thread. Every mutation flows through
 //! [`Runtime::on_command`] / [`Runtime::on_event`], so behaviour is a
-//! deterministic function of the driver program.
+//! deterministic function of the driver program. Task closures are the
+//! one exception to running on that thread: each is launched to a helper
+//! when its args are pinned and its outputs land at the event that
+//! consumes them (see `compute.rs`), which no thread timing can move.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -25,6 +28,7 @@ use exo_watch::{WatchConfig, WatchHandle};
 
 use crate::arena::{DenseArena, SlotArena};
 use crate::command::{RtCommand, RtError};
+use crate::compute::{ComputePool, Pending};
 use crate::directory::{FetchState, ObjEntry};
 use crate::ids::{job_of, JobId, NodeId, ObjectId, TaskId, TenantId, JOB_SEQ_BITS};
 use crate::jobs::{Admission, JobManager, TenantQuota};
@@ -170,6 +174,8 @@ pub enum RtEvent {
     TaskInputDone {
         task: TaskId,
         epoch: u32,
+        /// The modelled CPU phase that follows the read.
+        cpu: SimDuration,
     },
     TaskCpuDone {
         task: TaskId,
@@ -303,9 +309,14 @@ struct TaskEntry {
     staging_started: bool,
     /// Slot already held while staging (prefetch-off mode).
     slot_held: bool,
-    /// Closure outputs of the current attempt, parked here until sealed
-    /// into the store. Empty before compute and after the last seal, so
-    /// a finished task holds no buffer for its returns.
+    /// The current attempt's closure, launched on the compute pool when
+    /// its args were pinned and not yet landed into `pending_outputs`.
+    /// Dropping it abandons a dead attempt's closure.
+    compute: Option<Pending<Vec<Payload>>>,
+    /// Closure outputs of the current attempt, parked here from their
+    /// landing until sealed into the store. Empty before the landing and
+    /// after the last seal, so a finished task holds no buffer for its
+    /// returns.
     pending_outputs: Vec<Option<Payload>>,
     outputs_pending: usize,
     cpu_done: bool,
@@ -391,6 +402,10 @@ pub struct Runtime {
     job_waiters: Vec<Vec<Reply<()>>>,
     /// The event queue's footprint, handed over at engine shutdown.
     queue_footprint: QueueFootprint,
+    /// Helper threads running task closures off the engine thread.
+    /// Declared last so the task table drops first: its unlanded
+    /// closures are abandoned before the pool joins its helpers.
+    compute: ComputePool<Vec<Payload>>,
 }
 
 impl Runtime {
@@ -475,6 +490,7 @@ impl Runtime {
             dispatch_scheduled: false,
             job_waiters: Vec::new(),
             queue_footprint: QueueFootprint::default(),
+            compute: ComputePool::new(),
         };
         rt.apply_store_quotas();
         rt
@@ -670,6 +686,7 @@ impl Runtime {
         }
         let unique_args = spec.object_args();
         let entry = TaskEntry {
+            compute: None,
             pending_outputs: Vec::new(),
             obj_args: unique_args.clone(),
             args_missing: 0,
@@ -889,6 +906,7 @@ impl Runtime {
         entry.cpu_done = false;
         entry.output_written = false;
         entry.outputs_pending = 0;
+        entry.compute = None;
         entry.pending_outputs = Vec::new();
         let retry = std::mem::take(&mut entry.retry_pending);
         let (label, attempt) = (entry.spec.opts.label, entry.attempt);
@@ -1322,9 +1340,24 @@ impl Runtime {
     // Execution phases
     // ------------------------------------------------------------------
 
+    /// Start a task attempt on its node: its args are pinned, so launch
+    /// the closure now, then model the input read (if any) and the CPU
+    /// phase. The closure's outputs land at the CPU phase's end (or its
+    /// first generator yield), whatever thread ran it.
     fn start_exec(&mut self, ctx: &mut Ctx<'_, RtEvent>, task: TaskId) {
-        let entry = self.task_mut(task);
+        let tctx = self.task_ctx(task);
+        let entry = self.task(task);
         let node = entry.node();
+        let in_logical: u64 =
+            tctx.args.iter().map(|p| p.logical).sum::<u64>() + entry.spec.opts.reads_input;
+        let slowdown = self.cfg.cpu_slowdown.get(node.0).copied().unwrap_or(1.0);
+        let cpu = SimDuration::from_secs_f64(
+            entry.spec.opts.cpu.eval(in_logical).as_secs_f64() * slowdown.max(0.01),
+        );
+        let func = Arc::clone(&entry.spec.func);
+        let pending = self.compute.launch(move || func(tctx));
+        let entry = self.task_mut(task);
+        entry.compute = Some(pending);
         entry.state = TaskState::Running;
         entry.slot_held = true;
         let epoch = entry.epoch;
@@ -1337,21 +1370,16 @@ impl Runtime {
                 .disk
                 .submit(ctx.now(), reads, IoKind::Sequential);
             self.emit_io(node, IoDir::Read, reads);
-            ctx.schedule_at(end, RtEvent::TaskInputDone { task, epoch });
+            ctx.schedule_at(end, RtEvent::TaskInputDone { task, epoch, cpu });
         } else {
-            self.exec_compute(ctx, task);
+            self.exec_compute(ctx, task, cpu);
         }
     }
 
-    /// Run the closure (real compute, zero virtual time) and schedule the
-    /// modelled CPU phase.
-    fn exec_compute(&mut self, ctx: &mut Ctx<'_, RtEvent>, task: TaskId) {
+    /// The closure's input: its resolved args and the attempt's identity.
+    fn task_ctx(&self, task: TaskId) -> TaskCtx {
         let entry = self.task(task);
-        let node = entry.node();
-        let epoch = entry.epoch;
-        let attempt = entry.attempt;
-        // Resolve args.
-        // audit:allow(P01): compute starts only after every object arg was
+        // audit:allow(P01): a task starts only after every object arg was
         // staged and pinned resident on the node, so each entry exists and
         // carries a payload.
         let args: Vec<Payload> = entry
@@ -1369,37 +1397,21 @@ impl Runtime {
                 }
             })
             .collect();
-        let in_logical: u64 =
-            args.iter().map(|p| p.logical).sum::<u64>() + entry.spec.opts.reads_input;
-        let tctx = TaskCtx {
+        TaskCtx {
             args,
-            node,
-            attempt,
+            node: entry.node(),
+            attempt: entry.attempt,
             rng: task_seed(task),
-        };
-        let outputs = (entry.spec.func)(tctx);
-        assert_eq!(
-            outputs.len(),
-            entry.spec.opts.num_returns,
-            "task returned {} outputs but declared {}",
-            outputs.len(),
-            entry.spec.opts.num_returns
-        );
-        let out_logical: u64 = outputs.iter().map(|p| p.logical).sum();
-        let slowdown = self.cfg.cpu_slowdown.get(node.0).copied().unwrap_or(1.0);
-        let cpu = exo_sim::SimDuration::from_secs_f64(
-            entry
-                .spec
-                .opts
-                .cpu
-                .eval(in_logical, out_logical)
-                .as_secs_f64()
-                * slowdown.max(0.01),
-        );
-        let generator = entry.spec.opts.generator;
-        let n_out = outputs.len();
+        }
+    }
+
+    /// Schedule the modelled CPU phase (the closure itself takes zero
+    /// virtual time, wherever it runs).
+    fn exec_compute(&mut self, ctx: &mut Ctx<'_, RtEvent>, task: TaskId, cpu: SimDuration) {
         let entry = self.task_mut(task);
-        entry.pending_outputs = outputs.into_iter().map(Some).collect();
+        let epoch = entry.epoch;
+        let generator = entry.spec.opts.generator;
+        let n_out = entry.spec.opts.num_returns;
         entry.outputs_pending = n_out;
         entry.cpu_done = false;
         if generator && n_out > 0 {
@@ -1420,15 +1432,34 @@ impl Runtime {
         ctx.schedule(cpu, RtEvent::TaskCpuDone { task, epoch });
     }
 
+    /// Collect the current attempt's closure outputs into
+    /// `pending_outputs`, at the first event that consumes them. Blocks
+    /// (helping with other closures) if a helper is still running it.
+    fn land_outputs(&mut self, task: TaskId) {
+        let Some(pending) = self.task_mut(task).compute.take() else {
+            return;
+        };
+        let outputs = self.compute.land(pending);
+        let entry = self.task_mut(task);
+        assert_eq!(
+            outputs.len(),
+            entry.spec.opts.num_returns,
+            "task returned {} outputs but declared {}",
+            outputs.len(),
+            entry.spec.opts.num_returns
+        );
+        entry.pending_outputs = outputs.into_iter().map(Some).collect();
+    }
+
     /// Allocate + seal one output into the local store.
     fn alloc_output(&mut self, ctx: &mut Ctx<'_, RtEvent>, task: TaskId, idx: usize) {
         let entry = self.task(task);
         let node = entry.node();
         let epoch = entry.epoch;
         let obj = entry.outputs[idx];
-        // audit:allow(P01): `exec_compute` parks every produced output in
-        // `pending_outputs` before scheduling the alloc event for its index,
-        // and the slot is only taken later by `seal_output`.
+        // audit:allow(P01): the event that allocates an output index lands
+        // the closure's outputs into `pending_outputs` first, and the slot
+        // is only taken later by `seal_output`.
         let logical = entry.pending_outputs[idx]
             .as_ref()
             .expect("output produced")
@@ -2005,6 +2036,7 @@ impl Runtime {
             e.pinned.clear();
             e.slot_held = false;
             e.staging_started = false;
+            e.compute = None;
             e.pending_outputs = Vec::new();
             e.outputs_pending = 0;
             e.cpu_done = false;
@@ -2068,6 +2100,7 @@ impl Runtime {
             e.unstaged.clear();
             e.slot_held = false;
             e.staging_started = false;
+            e.compute = None;
             e.pending_outputs = Vec::new();
             e.outputs_pending = 0;
             e.cpu_done = false;
@@ -2533,9 +2566,9 @@ impl Simulation for Runtime {
             self.maybe_schedule_watch(ctx);
         }
         match ev {
-            RtEvent::TaskInputDone { task, epoch } => {
+            RtEvent::TaskInputDone { task, epoch, cpu } => {
                 if self.tasks.get(task.0).map(|e| e.epoch) == Some(epoch) {
-                    self.exec_compute(ctx, task);
+                    self.exec_compute(ctx, task, cpu);
                 }
             }
             RtEvent::TaskCpuDone { task, epoch } => {
@@ -2543,6 +2576,7 @@ impl Simulation for Runtime {
                 if !valid {
                     return;
                 }
+                self.land_outputs(task);
                 let (generator, n_out) = {
                     let e = self.task(task);
                     (e.spec.opts.generator, e.outputs.len())
@@ -2557,6 +2591,7 @@ impl Simulation for Runtime {
             }
             RtEvent::OutputReady { task, idx, epoch } => {
                 if self.tasks.get(task.0).map(|e| e.epoch) == Some(epoch) {
+                    self.land_outputs(task);
                     self.alloc_output(ctx, task, idx);
                 }
             }

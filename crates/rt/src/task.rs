@@ -22,19 +22,19 @@ pub struct TaskCtx {
 }
 
 /// A task body. Must be deterministic in its arguments and `rng` —
-/// lineage reconstruction re-runs it and expects the same outputs.
+/// lineage reconstruction re-runs it and expects the same outputs. It may
+/// run on any thread, concurrently with other task bodies and with the
+/// engine, so it must not share mutable state with anything else.
 pub type TaskFn = Arc<dyn Fn(TaskCtx) -> Vec<Payload> + Send + Sync>;
 
-/// CPU cost model for a task, evaluated after the closure runs (when input
-/// and output logical sizes are both known).
+/// CPU cost model for a task, evaluated from the logical input bytes when
+/// the task's arguments are pinned, before its closure runs.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CpuCost {
     /// Fixed cost per invocation (scheduling, interpreter, setup).
     pub fixed: SimDuration,
     /// Nanoseconds of CPU per logical input byte.
     pub per_in_byte_ns: f64,
-    /// Nanoseconds of CPU per logical output byte.
-    pub per_out_byte_ns: f64,
 }
 
 impl CpuCost {
@@ -52,22 +52,12 @@ impl CpuCost {
         CpuCost {
             fixed: SimDuration::from_micros(500),
             per_in_byte_ns: 1e9 / bytes_per_sec,
-            per_out_byte_ns: 0.0,
         }
     }
 
-    /// Cost proportional to output bytes at the given throughput.
-    pub fn output_throughput(bytes_per_sec: f64) -> CpuCost {
-        CpuCost {
-            fixed: SimDuration::from_micros(500),
-            per_in_byte_ns: 0.0,
-            per_out_byte_ns: 1e9 / bytes_per_sec,
-        }
-    }
-
-    /// Evaluate the model.
-    pub fn eval(&self, in_bytes: u64, out_bytes: u64) -> SimDuration {
-        let var = self.per_in_byte_ns * in_bytes as f64 + self.per_out_byte_ns * out_bytes as f64;
+    /// Evaluate the model at `in_bytes` logical input bytes.
+    pub fn eval(&self, in_bytes: u64) -> SimDuration {
+        let var = self.per_in_byte_ns * in_bytes as f64;
         self.fixed + SimDuration::from_secs_f64(var / 1e9)
     }
 }
@@ -102,10 +92,10 @@ impl TaskShape {
     }
 
     /// Derive a shape from a CPU cost model evaluated at the expected
-    /// input/output sizes, plus the device byte counts.
-    pub fn from_cost(cpu: CpuCost, in_bytes: u64, out_bytes: u64) -> TaskShape {
+    /// input size (device byte counts are added with the builders below).
+    pub fn from_cost(cpu: CpuCost, in_bytes: u64) -> TaskShape {
         TaskShape {
-            cpu: cpu.eval(in_bytes, out_bytes).as_micros(),
+            cpu: cpu.eval(in_bytes).as_micros(),
             disk_bytes: 0,
             net_bytes: 0,
         }
@@ -245,16 +235,15 @@ mod tests {
         let c = CpuCost {
             fixed: SimDuration::from_micros(100),
             per_in_byte_ns: 2.0,
-            per_out_byte_ns: 1.0,
         };
-        // 1000 in * 2ns + 500 out * 1ns = 2.5 µs (rounds to 3) + 100 µs.
-        assert_eq!(c.eval(1000, 500).as_micros(), 103);
+        // 1000 in * 2ns = 2 µs + 100 µs.
+        assert_eq!(c.eval(1000).as_micros(), 102);
     }
 
     #[test]
     fn input_throughput_maps_to_per_byte_cost() {
         let c = CpuCost::input_throughput(100.0 * 1e6); // 100 MB/s
-        let d = c.eval(100_000_000, 0);
+        let d = c.eval(100_000_000);
         assert!((d.as_secs_f64() - 1.0005).abs() < 1e-3);
     }
 

@@ -12,6 +12,10 @@
 //! - The virtual clock advances **only when every attached driver is parked
 //!   waiting for a reply**. Driver compute between calls takes zero virtual
 //!   time, matching how the paper treats driver-side logic.
+//! - A simulation may hand pure work to other threads, as `exo-rt` does
+//!   with task closures: they no longer run on the engine thread, but they
+//!   still take zero virtual time, because the engine collects each result
+//!   at a fixed event and blocks there until it is ready.
 //!
 //! The result: with a single driver, a run is a deterministic function of
 //! the program and the simulation — no wall-clock leakage, no racy

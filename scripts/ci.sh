@@ -27,6 +27,9 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 echo "==> bench_gate (perf-regression gate vs bench/baseline.json)"
 ./scripts/bench_gate.sh
 
+echo "==> bench_gate on one CPU (no compute helpers: every closure runs at its landing event)"
+taskset -c 0 ./scripts/bench_gate.sh
+
 echo "==> multi-tenant service smoke (open-loop 3-tenant job stream)"
 cargo run --release -p exo-bench --bin multitenant -- --quick
 grep -q '"isolation_violations":0' results/multitenant.json || {
