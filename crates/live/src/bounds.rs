@@ -8,8 +8,8 @@
 //! what "bound" means.
 //!
 //! [`RollingBounds`] runs the classification incrementally over a ring
-//! of fixed-width buckets so it can be queried *mid-run* — the hook a
-//! future adaptive `PlacementPolicy` needs. Memory is
+//! of fixed-width buckets so it can be queried *mid-run*: at every
+//! live snapshot tick and every detector evaluation. Memory is
 //! O(nodes × buckets + stages × buckets), independent of event count.
 //!
 //! Transfers are emitted at submit time, and staging submits whole
@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use exo_sim::DeviceCaps;
 #[allow(unused_imports)] // doc links
 use exo_sim::NodeCaps;
-use exo_trace::{Event, EventKind, ObjectPhase, TaskPhase};
+use exo_trace::{Event, EventKind, ObjectPhase};
 
 /// What a stretch of time was limited by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -208,8 +208,8 @@ pub struct StageWindow {
     pub finished: u64,
 }
 
-/// Sliding-window bound profiler. Feed it events (the sink's `Observer`
-/// reaches it through [`LiveHandle`](crate::LiveHandle)), then call
+/// Sliding-window bound profiler. [`Fold`](crate::Fold) feeds it every
+/// event and each finished task's execution span, and both views call
 /// [`RollingBounds::snapshot`] at any virtual time.
 #[derive(Debug)]
 pub struct RollingBounds {
@@ -228,8 +228,6 @@ pub struct RollingBounds {
     store_level: Vec<u64>,
     /// Carry-forward CPU occupancy per node.
     cpu_level: Vec<f64>,
-    /// Open task spans: task id → (started_us, label).
-    open: HashMap<u64, (u64, &'static str)>,
     /// Newest absolute bucket any event's *emission time* landed in.
     /// Only [`RollingBounds::on_event`] advances it; smeared future
     /// credits never do.
@@ -257,7 +255,6 @@ impl RollingBounds {
             tx: TxReplay::new(caps),
             store_level: vec![0; nodes],
             cpu_level: vec![0.0; nodes],
-            open: HashMap::new(),
             cur: 0,
         }
     }
@@ -350,22 +347,14 @@ impl RollingBounds {
                 }
                 _ => {}
             },
-            EventKind::Task(t) => match t.phase {
-                TaskPhase::Started => {
-                    self.open.insert(t.task, (ev.at_us, t.label));
-                }
-                TaskPhase::Finished => {
-                    if let Some((started, label)) = self.open.remove(&t.task) {
-                        self.on_stage_exec(label, started, ev.at_us);
-                    }
-                }
-                _ => {}
-            },
-            // Deps, fetch-waits, failures, and incident edges carry no
-            // device occupancy; enumerated so a new variant is a compile
-            // error. (Out-of-range Resource/Io nodes fall here via their
-            // guards — there is no bucket to credit them to.)
-            EventKind::Resource(_)
+            // Task spans reach the stage rings through
+            // `on_stage_exec`, once the fold has matched start to
+            // finish. Deps, fetch-waits, failures, and incident edges
+            // carry no device occupancy; enumerated so a new variant is
+            // a compile error. (Out-of-range Resource/Io nodes fall here
+            // via their guards — there is no bucket to credit them to.)
+            EventKind::Task(_)
+            | EventKind::Resource(_)
             | EventKind::Io(_)
             | EventKind::Dep(_)
             | EventKind::FetchWait(_)
@@ -392,9 +381,10 @@ impl RollingBounds {
         }
     }
 
-    /// Credits a finished task's execution time to its stage's buckets,
-    /// clamped to the window.
-    fn on_stage_exec(&mut self, label: &'static str, started: u64, finished: u64) {
+    /// Credits a finished task's execution span `[started, finished)`
+    /// to its stage's buckets, clamped to the window. Call it after
+    /// [`RollingBounds::on_event`] has seen the `Finished` edge.
+    pub fn on_stage_exec(&mut self, label: &'static str, started: u64, finished: u64) {
         let lo_bucket = self.cur.saturating_sub(self.window as u64 - 1);
         let started = started.max(lo_bucket * self.bucket_us);
         let finished = finished.max(started + 1);
@@ -411,8 +401,7 @@ impl RollingBounds {
     }
 
     /// Classifies the window ending at `now_us`, one entry per node.
-    /// Queryable mid-run (this is the adaptive-placement hook) and at
-    /// snapshot ticks.
+    /// Read mid-run by snapshot ticks and detector evaluations.
     pub fn snapshot(&self, now_us: u64) -> Vec<NodeWindow> {
         let bucket_secs = self.bucket_us as f64 / 1e6;
         let mut out = Vec::with_capacity(self.caps.nodes());
@@ -503,7 +492,7 @@ impl RollingBounds {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exo_trace::{IoDir, IoEvent, ObjectEvent, ResourceSample, TaskSpan};
+    use exo_trace::{IoDir, IoEvent, ObjectEvent, ResourceSample, TaskPhase, TaskSpan};
 
     fn caps() -> DeviceCaps {
         DeviceCaps::uniform(
@@ -643,6 +632,7 @@ mod tests {
         };
         r.on_event(&span(TaskPhase::Started, 100));
         r.on_event(&span(TaskPhase::Finished, 400));
+        r.on_stage_exec("map", 100, 400);
         let stages = r.stage_snapshot(500);
         assert_eq!(stages.len(), 1);
         assert_eq!(stages[0].label, "map");

@@ -2,21 +2,23 @@
 //!
 //! Where `exo-prof` analyzes a *retained* trace after the run, this
 //! crate watches the trace stream *as it happens* through the sink's
-//! [`Observer`] hook and keeps only fixed-size aggregates:
+//! [`Observer`](exo_trace::Observer) hook and keeps only fixed-size
+//! aggregates:
 //!
 //! - [`bounds`] — the workspace's one bound model: [`Bound`],
 //!   [`classify`] and its threshold table, the dominant-bound rule and
 //!   the FIFO transmit replay [`TxReplay`]. exo-prof's whole-run
 //!   attribution and exo-watch's detectors use these primitives too.
-//! - [`RollingBounds`] — sliding virtual-time window ([`WINDOW_US`] in
-//!   [`WINDOW_BUCKETS`] buckets) of per-node
-//!   cpu/disk/net/alloc-stall/idle attribution against [`NodeCaps`],
-//!   queryable mid-run (the hook an adaptive placement policy needs).
-//! - [`LatencySketches`] — deterministic log-bucketed histograms
-//!   ([`QuantileSketch`]) of task durations, fetch-wait times, and
-//!   queue delays: p50/p99/p999 without retaining events.
-//! - [`MetricsSnapshot`] — the runtime folds both into a timestamped
-//!   snapshot every `snapshot_interval_us` of virtual time, appended to
+//! - [`Fold`] — the one streaming fold the runtime's observer feeds:
+//!   the in-flight task table, the per-tenant tally, a
+//!   [`RollingBounds`] window ([`WINDOW_US`] in [`WINDOW_BUCKETS`]
+//!   buckets of per-node cpu/disk/net/alloc-stall/idle attribution
+//!   against [`NodeCaps`]) and deterministic log-bucketed
+//!   [`QuantileSketch`]es of task durations, fetch-wait times and queue
+//!   delays: p50/p99/p999 without retaining events. exo-watch's
+//!   detectors read the same fold.
+//! - [`MetricsSnapshot`] — the runtime snapshots the fold, with the
+//!   sink's counters, every `snapshot_interval_us` of virtual time into
 //!   a JSONL timeseries ([`LiveSeries`]).
 //!
 //! Memory is O(nodes × buckets + stages × buckets + sketch buckets),
@@ -32,17 +34,17 @@ pub use bounds::{
     classify, Bound, NodeWindow, RollingBounds, StageWindow, Transmit, TxReplay, WINDOW_BUCKETS,
     WINDOW_US,
 };
-pub use sketch::{BaselineSketch, LatencySketches, QuantileSketch, RELATIVE_ERROR};
+pub use sketch::{BaselineSketch, QuantileSketch, RELATIVE_ERROR};
 pub use snapshot::{
     counters_from_json, counters_to_json, MetricsSnapshot, SketchStat, StageStat, TenantStat,
 };
 
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeMap, HashMap};
 
 use exo_sim::DeviceCaps;
 #[allow(unused_imports)] // doc links
 use exo_sim::NodeCaps;
-use exo_trace::{Event, Json, Observer, TraceCounters};
+use exo_trace::{Event, EventKind, Json, TaskPhase, TraceCounters};
 
 /// Live-observability knobs, carried on `RtConfig` next to
 /// `TraceConfig`. All times are virtual.
@@ -63,74 +65,198 @@ impl Default for LiveConfig {
     }
 }
 
-/// The composite observer state: rolling bounds + latency sketches +
-/// an independent counter fold (observers run under the sink lock and
-/// cannot query the sink, so the fold is duplicated here — `apply` is
-/// the same single definition either way).
-#[derive(Debug)]
-struct Recorder {
-    bounds: RollingBounds,
-    sketches: LatencySketches,
-    counters: TraceCounters,
-    last_counters: TraceCounters,
-    snapshots: Vec<MetricsSnapshot>,
-    progress: bool,
-    /// Job → tenant, learned from [`exo_trace::JobEvent`]s.
-    job_tenant: std::collections::HashMap<u32, u32>,
-    /// Start time of in-flight tasks (removed at finish): bounded by
-    /// task concurrency, not event count.
-    started: std::collections::HashMap<u64, u64>,
-    /// Cumulative per-tenant work. Jobs with no job event (pure
-    /// single-job runs) bill tenant 0.
-    by_tenant: std::collections::BTreeMap<u32, TenantStat>,
+/// One task the stream has scheduled and not yet finished.
+#[derive(Debug, Clone, Copy)]
+pub struct TaskState {
+    /// Where it was scheduled, then where it started.
+    pub node: u32,
+    pub label: &'static str,
+    /// Owning job.
+    pub job: u32,
+    pub scheduled_us: u64,
+    pub started_us: Option<u64>,
 }
 
-impl Recorder {
-    fn observe(&mut self, ev: &Event) {
-        self.counters.apply(&ev.kind);
-        self.bounds.on_event(ev);
-        self.sketches.on_event(ev);
-        match &ev.kind {
-            exo_trace::EventKind::Job(j) => {
-                self.job_tenant.insert(j.job, j.tenant);
-            }
-            exo_trace::EventKind::Task(t) => match t.phase {
-                exo_trace::TaskPhase::Started => {
-                    self.started.insert(t.task, ev.at_us);
-                }
-                exo_trace::TaskPhase::Finished => {
-                    let tenant = self.job_tenant.get(&t.job).copied().unwrap_or(0);
-                    let stat = self.by_tenant.entry(tenant).or_insert(TenantStat {
-                        tenant,
-                        tasks_finished: 0,
-                        exec_us: 0,
-                    });
-                    stat.tasks_finished += 1;
-                    if let Some(start) = self.started.remove(&t.task) {
-                        stat.exec_us += ev.at_us.saturating_sub(start);
-                    }
-                }
-                _ => {}
-            },
-            exo_trace::EventKind::Object(_)
-            | exo_trace::EventKind::Dep(_)
-            | exo_trace::EventKind::FetchWait(_)
-            | exo_trace::EventKind::Io(_)
-            | exo_trace::EventKind::Resource(_)
-            | exo_trace::EventKind::Failure(_)
-            | exo_trace::EventKind::Incident(_) => {}
+/// The one streaming fold both views read: exo-live snapshots it at
+/// each tick and exo-watch's detectors judge it at each evaluation
+/// boundary. It holds the in-flight task table, the job → tenant map,
+/// the per-tenant tally, the [`RollingBounds`] window and the latency
+/// sketches. Counters are not folded here: the sink already folds them
+/// ([`exo_trace::TraceSink::counters`]).
+///
+/// Memory is O(nodes × buckets + stages × buckets + in-flight tasks),
+/// independent of run length.
+#[derive(Debug)]
+pub struct Fold {
+    bounds: RollingBounds,
+    tasks: HashMap<u64, TaskState>,
+    job_tenant: HashMap<u32, u32>,
+    /// Cumulative per-tenant work. Jobs with no job event (pure
+    /// single-job runs) bill tenant 0.
+    tenants: BTreeMap<u32, TenantStat>,
+    /// Execution time (`Finished − Started`) across all tasks.
+    task_us: QuantileSketch,
+    /// Per-stage execution time.
+    stages: HashMap<&'static str, QuantileSketch>,
+    /// Argument fetch-wait intervals (remote fetch / restore / rebuild).
+    fetch_wait_us: QuantileSketch,
+    /// Open fetch-waits: (task, object) → begin time.
+    open_fetch: HashMap<(u64, u64), u64>,
+    /// Queue delay (`Dequeued − Scheduled`). exo-watch rotates its
+    /// window into the baseline; the live view reads the merge of both,
+    /// which is the cumulative sketch exactly.
+    queue_us: BaselineSketch,
+}
+
+impl Fold {
+    pub fn new(caps: &DeviceCaps) -> Fold {
+        Fold {
+            bounds: RollingBounds::new(caps, WINDOW_US, WINDOW_BUCKETS),
+            tasks: HashMap::new(),
+            job_tenant: HashMap::new(),
+            tenants: BTreeMap::new(),
+            task_us: QuantileSketch::new(),
+            stages: HashMap::new(),
+            fetch_wait_us: QuantileSketch::new(),
+            open_fetch: HashMap::new(),
+            queue_us: BaselineSketch::new(),
         }
     }
 
-    fn take_snapshot(&mut self, at_us: u64) -> &MetricsSnapshot {
-        let delta = self.counters.delta_since(&self.last_counters);
-        self.last_counters = self.counters;
+    /// Folds one event.
+    pub fn apply(&mut self, ev: &Event) {
+        self.bounds.on_event(ev);
+        match &ev.kind {
+            EventKind::Task(t) => match t.phase {
+                TaskPhase::Scheduled => {
+                    let old = self.tasks.insert(
+                        t.task,
+                        TaskState {
+                            node: t.node,
+                            label: t.label,
+                            job: t.job,
+                            scheduled_us: ev.at_us,
+                            started_us: None,
+                        },
+                    );
+                    // A reschedule (failure re-run or lineage resubmit)
+                    // supersedes the old attempt; one that had started
+                    // never gets a Finished edge, so release its slot.
+                    if let Some(o) = old.filter(|o| o.started_us.is_some()) {
+                        let stat = self.tenant_mut(o.job);
+                        stat.running = stat.running.saturating_sub(1);
+                    }
+                }
+                TaskPhase::Dequeued => {
+                    if let Some(st) = self.tasks.get(&t.task) {
+                        self.queue_us
+                            .record(ev.at_us.saturating_sub(st.scheduled_us));
+                    }
+                }
+                TaskPhase::Started => {
+                    if let Some(st) = self.tasks.get_mut(&t.task) {
+                        st.node = t.node;
+                        st.started_us = Some(ev.at_us);
+                        let job = st.job;
+                        self.tenant_mut(job).running += 1;
+                    }
+                }
+                TaskPhase::Finished => {
+                    self.tenant_mut(t.job).tasks_finished += 1;
+                    let Some(st) = self.tasks.remove(&t.task) else {
+                        return;
+                    };
+                    let Some(started) = st.started_us else {
+                        return;
+                    };
+                    let d = ev.at_us.saturating_sub(started);
+                    self.bounds.on_stage_exec(st.label, started, ev.at_us);
+                    self.task_us.record(d);
+                    self.stages.entry(st.label).or_default().record(d);
+                    let stat = self.tenant_mut(st.job);
+                    stat.exec_us += d;
+                    stat.running = stat.running.saturating_sub(1);
+                }
+            },
+            EventKind::FetchWait(f) => {
+                if f.begin {
+                    self.open_fetch.insert((f.task, f.object), ev.at_us);
+                } else if let Some(b) = self.open_fetch.remove(&(f.task, f.object)) {
+                    self.fetch_wait_us.record(ev.at_us.saturating_sub(b));
+                }
+            }
+            EventKind::Job(j) => {
+                // Any lifecycle edge ties the job to its tenant; the
+                // Admitted edge is the first one the runtime emits.
+                self.job_tenant.insert(j.job, j.tenant);
+            }
+            // Device occupancy is the bounds' business (handled above);
+            // deps, failures and incident edges feed nothing here.
+            // Enumerated so a new variant is a compile error.
+            EventKind::Object(_)
+            | EventKind::Dep(_)
+            | EventKind::Io(_)
+            | EventKind::Resource(_)
+            | EventKind::Failure(_)
+            | EventKind::Incident(_) => {}
+        }
+    }
+
+    /// `job`'s tenant's tally. Jobs with no job event bill tenant 0.
+    fn tenant_mut(&mut self, job: u32) -> &mut TenantStat {
+        let tenant = self.job_tenant.get(&job).copied().unwrap_or(0);
+        self.tenants.entry(tenant).or_insert(TenantStat {
+            tenant,
+            tasks_finished: 0,
+            exec_us: 0,
+            running: 0,
+        })
+    }
+
+    /// Tasks `tenant` has started and not yet finished.
+    pub fn running(&self, tenant: u32) -> u64 {
+        self.tenants.get(&tenant).map_or(0, |s| s.running)
+    }
+
+    /// The rolling per-node / per-stage bound window.
+    pub fn bounds(&self) -> &RollingBounds {
+        &self.bounds
+    }
+
+    /// In-flight tasks by id.
+    pub fn tasks(&self) -> &HashMap<u64, TaskState> {
+        &self.tasks
+    }
+
+    /// Run-so-far execution-time sketch of one stage.
+    pub fn stage_exec(&self, label: &str) -> Option<&QuantileSketch> {
+        self.stages.get(label)
+    }
+
+    pub fn queue_us(&self) -> &BaselineSketch {
+        &self.queue_us
+    }
+
+    /// Folds the queue-delay window into its baseline (exo-watch's
+    /// drift detector, after judging a window). The live view reads
+    /// baseline ⊕ window, which no rotation changes.
+    pub fn rotate_queue(&mut self) {
+        self.queue_us.rotate();
+    }
+
+    /// The snapshot line at `at_us`, with the sink's cumulative
+    /// `counters` and their `delta` since the previous line.
+    pub fn snapshot(
+        &self,
+        at_us: u64,
+        counters: TraceCounters,
+        delta: TraceCounters,
+    ) -> MetricsSnapshot {
         let windows = self.bounds.stage_snapshot(at_us);
-        let stages = self
-            .sketches
-            .stages()
-            .into_iter()
-            .map(|(label, sketch)| StageStat {
+        let mut stages: Vec<StageStat> = self
+            .stages
+            .iter()
+            .map(|(&label, sketch)| StageStat {
                 label,
                 finished: sketch.count(),
                 window_busy_us: windows
@@ -141,121 +267,35 @@ impl Recorder {
                 exec: SketchStat::of(sketch),
             })
             .collect();
-        // Emitted only in genuinely multi-tenant runs: single-tenant
+        stages.sort_by_key(|s| s.label);
+        // Only tenants with finished work count, and the block is
+        // emitted only in genuinely multi-tenant runs: single-tenant
         // timeseries stay byte-identical with pre-multi-job output.
-        let tenants = if self.by_tenant.len() > 1 {
-            self.by_tenant.values().copied().collect()
-        } else {
-            Vec::new()
-        };
-        self.snapshots.push(MetricsSnapshot {
+        let mut tenants: Vec<TenantStat> = self
+            .tenants
+            .values()
+            .filter(|s| s.tasks_finished > 0)
+            .copied()
+            .collect();
+        if tenants.len() < 2 {
+            tenants.clear();
+        }
+        MetricsSnapshot {
             at_us,
-            counters: self.counters,
+            counters,
             delta,
             nodes: self.bounds.snapshot(at_us),
             stages,
             tenants,
-            task_us: SketchStat::of(&self.sketches.task_us),
-            fetch_wait_us: SketchStat::of(&self.sketches.fetch_wait_us),
-            queue_us: SketchStat::of(&self.sketches.queue_us),
-        });
-        self.snapshots.last().expect("just pushed")
-    }
-}
-
-/// Handle to the live-observability state. One clone is boxed as the
-/// sink observer; the runtime keeps another to drive snapshot ticks and
-/// answer mid-run queries.
-#[derive(Clone, Debug)]
-pub struct LiveHandle {
-    cfg: LiveConfig,
-    inner: Arc<Mutex<Recorder>>,
-}
-
-struct LiveObserver(Arc<Mutex<Recorder>>);
-
-impl Observer for LiveObserver {
-    fn on_event(&mut self, ev: &Event) {
-        self.0.lock().expect("live recorder poisoned").observe(ev);
-    }
-}
-
-impl LiveHandle {
-    pub fn new(cfg: LiveConfig, caps: &DeviceCaps) -> LiveHandle {
-        let rec = Recorder {
-            bounds: RollingBounds::new(caps, WINDOW_US, WINDOW_BUCKETS),
-            sketches: LatencySketches::default(),
-            counters: TraceCounters::default(),
-            last_counters: TraceCounters::default(),
-            snapshots: Vec::new(),
-            progress: cfg.progress,
-            job_tenant: std::collections::HashMap::new(),
-            started: std::collections::HashMap::new(),
-            by_tenant: std::collections::BTreeMap::new(),
-        };
-        LiveHandle {
-            cfg,
-            inner: Arc::new(Mutex::new(rec)),
-        }
-    }
-
-    pub fn config(&self) -> &LiveConfig {
-        &self.cfg
-    }
-
-    /// The observer half, for `TraceSink::register_observer`.
-    pub fn observer(&self) -> Box<dyn Observer> {
-        Box::new(LiveObserver(self.inner.clone()))
-    }
-
-    /// Takes a snapshot at virtual time `at_us` and appends it to the
-    /// series. Returns the progress line when configured.
-    pub fn tick(&self, at_us: u64) -> Option<String> {
-        let mut rec = self.inner.lock().expect("live recorder poisoned");
-        let progress = rec.progress;
-        let snap = rec.take_snapshot(at_us);
-        progress.then(|| snap.progress_line())
-    }
-
-    /// Mid-run query: the rolling per-node bound profile at `at_us`,
-    /// without emitting a snapshot. This is the surface an adaptive
-    /// `PlacementPolicy` consults.
-    pub fn bounds_now(&self, at_us: u64) -> Vec<NodeWindow> {
-        self.inner
-            .lock()
-            .expect("live recorder poisoned")
-            .bounds
-            .snapshot(at_us)
-    }
-
-    pub fn snapshot_count(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("live recorder poisoned")
-            .snapshots
-            .len()
-    }
-
-    /// Finalizes the series with one last snapshot at `end_us`. A tick
-    /// that already fired at (or after) `end_us` is replaced so the
-    /// series stays strictly monotonic with exactly one final line.
-    pub fn finish(&self, end_us: u64) -> LiveSeries {
-        let mut rec = self.inner.lock().expect("live recorder poisoned");
-        while rec.snapshots.last().is_some_and(|s| s.at_us >= end_us) {
-            let dropped = rec.snapshots.pop().expect("nonempty");
-            // Fold the dropped line's delta back so the final delta
-            // still telescopes to the cumulative counters.
-            rec.last_counters = rec.last_counters.delta_since(&dropped.delta);
-        }
-        rec.take_snapshot(end_us);
-        LiveSeries {
-            interval_us: self.cfg.snapshot_interval_us,
-            snapshots: std::mem::take(&mut rec.snapshots),
+            task_us: SketchStat::of(&self.task_us),
+            fetch_wait_us: SketchStat::of(&self.fetch_wait_us),
+            queue_us: SketchStat::of(&self.queue_us.cumulative()),
         }
     }
 }
 
-/// A finished run's snapshot timeseries.
+/// A run's snapshot timeseries: one line per tick, closed by
+/// [`LiveSeries::finish`].
 #[derive(Debug, Clone)]
 pub struct LiveSeries {
     pub interval_us: u64,
@@ -263,6 +303,33 @@ pub struct LiveSeries {
 }
 
 impl LiveSeries {
+    pub fn new(interval_us: u64) -> LiveSeries {
+        LiveSeries {
+            interval_us,
+            snapshots: Vec::new(),
+        }
+    }
+
+    /// Appends the snapshot of `fold` at `at_us`. `counters` are the
+    /// sink's cumulative counters at that instant; the line's delta is
+    /// taken against the previous line's.
+    pub fn push(&mut self, fold: &Fold, counters: TraceCounters, at_us: u64) -> &MetricsSnapshot {
+        let delta = counters.delta_since(&self.final_counters());
+        self.snapshots.push(fold.snapshot(at_us, counters, delta));
+        self.snapshots.last().expect("just pushed")
+    }
+
+    /// Closes the series with one last snapshot at `end_us`. A tick
+    /// that already fired at (or after) `end_us` is replaced, so the
+    /// series stays strictly monotonic with exactly one final line and
+    /// the deltas still telescope to the final counters.
+    pub fn finish(&mut self, fold: &Fold, counters: TraceCounters, end_us: u64) {
+        while self.snapshots.last().is_some_and(|s| s.at_us >= end_us) {
+            self.snapshots.pop();
+        }
+        self.push(fold, counters, end_us);
+    }
+
     pub fn len(&self) -> usize {
         self.snapshots.len()
     }
@@ -336,7 +403,10 @@ impl LiveSeries {
 mod tests {
     use super::*;
     use exo_sim::NodeCaps;
-    use exo_trace::{EventKind, IoDir, IoEvent, ObjectEvent, ObjectPhase, TraceSink};
+    use exo_trace::{
+        FetchWaitEvent, IoDir, IoEvent, ObjectEvent, ObjectPhase, Observer, TaskSpan, TraceSink,
+    };
+    use std::sync::{Arc, Mutex};
 
     fn caps() -> DeviceCaps {
         DeviceCaps::uniform(
@@ -352,11 +422,26 @@ mod tests {
         )
     }
 
-    #[test]
-    fn handle_observes_through_a_retentionless_sink() {
-        let handle = LiveHandle::new(LiveConfig::default(), &caps());
+    /// Feeds a shared fold from the sink, like the runtime's observer.
+    struct FoldObserver(Arc<Mutex<Fold>>);
+
+    impl Observer for FoldObserver {
+        fn on_event(&mut self, ev: &Event) {
+            self.0.lock().expect("fold").apply(ev);
+        }
+    }
+
+    fn observed_sink() -> (TraceSink, Arc<Mutex<Fold>>) {
+        let fold = Arc::new(Mutex::new(Fold::new(&caps())));
         let sink = TraceSink::disabled();
-        sink.register_observer(handle.observer());
+        sink.register_observer(Box::new(FoldObserver(fold.clone())));
+        (sink, fold)
+    }
+
+    #[test]
+    fn fold_observes_through_a_retentionless_sink() {
+        let (sink, fold) = observed_sink();
+        let mut series = LiveSeries::new(LiveConfig::default().snapshot_interval_us);
         sink.set_now(10);
         sink.emit(EventKind::Object(ObjectEvent {
             object: 1,
@@ -365,6 +450,10 @@ mod tests {
             src: Some(0),
             bytes: 128,
         }));
+        // Reading the counters settles the sink's pending block, so the
+        // fold has seen the transfer by the time it is snapshotted.
+        let at_tick = sink.counters();
+        series.push(&fold.lock().expect("fold"), at_tick, 15);
         sink.set_now(20);
         sink.emit(EventKind::Io(IoEvent {
             node: 0,
@@ -372,22 +461,31 @@ mod tests {
             bytes: 64,
         }));
         assert!(sink.is_empty(), "no retention");
-        handle.tick(100);
-        let series = handle.finish(200);
+        let end = sink.counters();
+        series.finish(&fold.lock().expect("fold"), end, 200);
         assert_eq!(series.len(), 2);
+        let tick = &series.snapshots[0];
+        assert_eq!(tick.counters.net_bytes, 128);
+        assert_eq!(tick.counters.disk_write_bytes, 0, "later Io leaked back");
+        assert!(
+            tick.nodes.iter().all(|n| n.net_util > 0.0),
+            "{:?}",
+            tick.nodes
+        );
         let fin = series.final_counters();
         assert_eq!(fin.net_bytes, 128);
         assert_eq!(fin.disk_write_bytes, 64);
-        assert_eq!(fin, sink.counters(), "observer fold matches sink fold");
         assert_eq!(series.fold_deltas(), fin, "deltas telescope");
     }
 
     #[test]
     fn finish_replaces_coincident_tick_and_stays_monotonic() {
-        let handle = LiveHandle::new(LiveConfig::default(), &caps());
-        handle.tick(100);
-        handle.tick(200);
-        let series = handle.finish(200);
+        let fold = Fold::new(&caps());
+        let mut series = LiveSeries::new(250_000);
+        let zero = TraceCounters::default();
+        series.push(&fold, zero, 100);
+        series.push(&fold, zero, 200);
+        series.finish(&fold, zero, 200);
         assert_eq!(series.len(), 2);
         assert!(series.snapshots.windows(2).all(|w| w[0].at_us < w[1].at_us));
         assert_eq!(series.snapshots.last().expect("final").at_us, 200);
@@ -396,9 +494,8 @@ mod tests {
 
     #[test]
     fn jsonl_lines_parse_and_carry_counters() {
-        let handle = LiveHandle::new(LiveConfig::default(), &caps());
-        let sink = TraceSink::disabled();
-        sink.register_observer(handle.observer());
+        let (sink, fold) = observed_sink();
+        let mut series = LiveSeries::new(LiveConfig::default().snapshot_interval_us);
         for i in 0..5u64 {
             sink.set_now(i * 100);
             sink.emit(EventKind::Io(IoEvent {
@@ -406,12 +503,13 @@ mod tests {
                 dir: IoDir::Read,
                 bytes: 10,
             }));
-            // Like the runtime's LiveSnapshot arm: settle the sink's
-            // pending block before snapshotting observer-fed state.
-            sink.flush();
-            handle.tick(i * 100 + 50);
+            // Like the runtime's LiveSnapshot arm: read the counters
+            // (settling the pending block) before snapshotting the fold.
+            let c = sink.counters();
+            series.push(&fold.lock().expect("fold"), c, i * 100 + 50);
         }
-        let series = handle.finish(1000);
+        let c = sink.counters();
+        series.finish(&fold.lock().expect("fold"), c, 1000);
         let jsonl = series.to_jsonl();
         let mut folded = TraceCounters::default();
         let mut last_at = None;
@@ -430,5 +528,51 @@ mod tests {
             summary.get("snapshots").and_then(Json::as_f64),
             Some(series.len() as f64)
         );
+    }
+
+    #[test]
+    fn fold_tracks_task_lifecycle() {
+        let span = |task, phase, at_us| Event {
+            at_us,
+            kind: EventKind::Task(TaskSpan {
+                job: 0,
+                task,
+                phase,
+                node: 0,
+                label: "map",
+                attempt: 0,
+                retry: false,
+                reason: None,
+            }),
+        };
+        let fetch = |begin, at_us| Event {
+            at_us,
+            kind: EventKind::FetchWait(FetchWaitEvent {
+                task: 1,
+                object: 9,
+                node: 0,
+                begin,
+            }),
+        };
+        let mut fold = Fold::new(&caps());
+        fold.apply(&span(1, TaskPhase::Scheduled, 0));
+        fold.apply(&span(1, TaskPhase::Dequeued, 10)); // queue 10
+        fold.apply(&span(1, TaskPhase::Started, 15));
+        assert_eq!(fold.running(0), 1);
+        fold.apply(&fetch(true, 15));
+        fold.apply(&fetch(false, 22));
+        fold.apply(&span(1, TaskPhase::Finished, 40)); // exec 25
+        assert_eq!(fold.queue_us().cumulative().quantile(0.5), 10);
+        assert_eq!(fold.fetch_wait_us.quantile(0.5), 7);
+        assert_eq!(fold.task_us.quantile(0.5), 25);
+        let snap = fold.snapshot(40, TraceCounters::default(), TraceCounters::default());
+        assert_eq!(snap.stages.len(), 1);
+        assert_eq!(snap.stages[0].label, "map");
+        assert_eq!(snap.stages[0].finished, 1);
+        assert_eq!(snap.stages[0].window_busy_us, 25);
+        assert_eq!(fold.running(0), 0);
+        // In-flight state drained: fixed memory across a long run.
+        assert!(fold.tasks().is_empty());
+        assert!(fold.open_fetch.is_empty());
     }
 }

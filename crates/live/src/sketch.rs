@@ -192,80 +192,18 @@ impl BaselineSketch {
         self.baseline.merge(&window);
     }
 
+    /// Everything recorded so far, baseline and window merged: the
+    /// same sketch as one that recorded every sample directly, however
+    /// often the window was rotated.
+    pub fn cumulative(&self) -> QuantileSketch {
+        let mut all = self.baseline.clone();
+        all.merge(&self.window);
+        all
+    }
+
     /// Total samples recorded (baseline + window).
     pub fn count(&self) -> u64 {
         self.baseline.count() + self.window.count()
-    }
-}
-
-/// Latency sketches fed by the live event stream: task execution time,
-/// fetch-wait time, and queue delay, plus per-stage execution sketches.
-/// Memory is O(stages × buckets + in-flight tasks) — in-flight state is
-/// bounded by cluster slots, never by run length.
-#[derive(Debug, Default)]
-pub struct LatencySketches {
-    /// Execution time (`Finished − Started`) across all tasks.
-    pub task_us: QuantileSketch,
-    /// Argument fetch-wait intervals (remote fetch / restore / rebuild).
-    pub fetch_wait_us: QuantileSketch,
-    /// Queue delay (`Dequeued − Scheduled`).
-    pub queue_us: QuantileSketch,
-    stages: std::collections::HashMap<&'static str, QuantileSketch>,
-    open_sched: std::collections::HashMap<u64, u64>,
-    open_start: std::collections::HashMap<u64, (u64, &'static str)>,
-    open_fetch: std::collections::HashMap<(u64, u64), u64>,
-}
-
-impl LatencySketches {
-    pub fn on_event(&mut self, ev: &exo_trace::Event) {
-        use exo_trace::{EventKind, TaskPhase};
-        match &ev.kind {
-            EventKind::Task(t) => match t.phase {
-                // A retry re-schedules the same task id; latest wins.
-                TaskPhase::Scheduled => {
-                    self.open_sched.insert(t.task, ev.at_us);
-                }
-                TaskPhase::Dequeued => {
-                    if let Some(s) = self.open_sched.remove(&t.task) {
-                        self.queue_us.record(ev.at_us.saturating_sub(s));
-                    }
-                }
-                TaskPhase::Started => {
-                    self.open_start.insert(t.task, (ev.at_us, t.label));
-                }
-                TaskPhase::Finished => {
-                    if let Some((s, label)) = self.open_start.remove(&t.task) {
-                        let d = ev.at_us.saturating_sub(s);
-                        self.task_us.record(d);
-                        self.stages.entry(label).or_default().record(d);
-                    }
-                }
-            },
-            EventKind::FetchWait(f) => {
-                if f.begin {
-                    self.open_fetch.insert((f.task, f.object), ev.at_us);
-                } else if let Some(b) = self.open_fetch.remove(&(f.task, f.object)) {
-                    self.fetch_wait_us.record(ev.at_us.saturating_sub(b));
-                }
-            }
-            // No latency intervals live in these; enumerated so a new
-            // variant is a compile error, not a silently unmeasured one.
-            EventKind::Object(_)
-            | EventKind::Dep(_)
-            | EventKind::Io(_)
-            | EventKind::Resource(_)
-            | EventKind::Failure(_)
-            | EventKind::Incident(_)
-            | EventKind::Job(_) => {}
-        }
-    }
-
-    /// Per-stage execution sketches, label-sorted for deterministic
-    /// output.
-    pub fn stages(&self) -> Vec<(&'static str, &QuantileSketch)> {
-        let mut v: Vec<_> = self.stages.iter().map(|(l, s)| (*l, s)).collect();
-        v.sort_by_key(|(l, _)| *l);
-        v
     }
 }
 
@@ -395,57 +333,5 @@ mod tests {
         assert_eq!(s.count(), 6);
         s.rotate();
         assert_eq!(s.baseline().max(), 510);
-    }
-
-    #[test]
-    fn latency_sketches_track_task_lifecycle() {
-        use exo_trace::{Event, EventKind, FetchWaitEvent, TaskPhase, TaskSpan};
-        let span = |task, phase, at_us| Event {
-            at_us,
-            kind: EventKind::Task(TaskSpan {
-                job: 0,
-                task,
-                phase,
-                node: 0,
-                label: "map",
-                attempt: 0,
-                retry: false,
-                reason: None,
-            }),
-        };
-        let mut ls = LatencySketches::default();
-        ls.on_event(&span(1, TaskPhase::Scheduled, 0));
-        ls.on_event(&span(1, TaskPhase::Dequeued, 10)); // queue 10
-        ls.on_event(&span(1, TaskPhase::Started, 15));
-        ls.on_event(&Event {
-            at_us: 15,
-            kind: EventKind::FetchWait(FetchWaitEvent {
-                task: 1,
-                object: 9,
-                node: 0,
-                begin: true,
-            }),
-        });
-        ls.on_event(&Event {
-            at_us: 22,
-            kind: EventKind::FetchWait(FetchWaitEvent {
-                task: 1,
-                object: 9,
-                node: 0,
-                begin: false,
-            }),
-        });
-        ls.on_event(&span(1, TaskPhase::Finished, 40)); // exec 25
-        assert_eq!(ls.queue_us.quantile(0.5), 10);
-        assert_eq!(ls.fetch_wait_us.quantile(0.5), 7);
-        assert_eq!(ls.task_us.quantile(0.5), 25);
-        let stages = ls.stages();
-        assert_eq!(stages.len(), 1);
-        assert_eq!(stages[0].0, "map");
-        assert_eq!(stages[0].1.count(), 1);
-        // Open-state maps drained: fixed memory across a long run.
-        assert!(ls.open_sched.is_empty() || !ls.open_sched.contains_key(&1));
-        assert!(ls.open_start.is_empty());
-        assert!(ls.open_fetch.is_empty());
     }
 }

@@ -68,6 +68,9 @@ pub struct TenantStat {
     pub tasks_finished: u64,
     /// Total execution time (started → finished) so far, µs.
     pub exec_us: u64,
+    /// Tasks started and not yet finished — exo-watch's isolation
+    /// input; not written to the JSONL line.
+    pub running: u64,
 }
 
 /// One line of the live timeseries.

@@ -53,6 +53,7 @@ mod ids;
 mod jobs;
 mod metrics;
 mod object;
+mod observe;
 mod runtime;
 mod scheduler;
 mod task;
@@ -65,6 +66,7 @@ pub use ids::{JobId, NodeId, ObjectId, TaskId, TenantId};
 pub use jobs::{JobParams, TenantQuota};
 pub use metrics::{EngineTables, RtMetrics};
 pub use object::{ObjectRef, Payload};
+pub use observe::RunObserver;
 pub use runtime::RtConfig;
 pub use scheduler::{
     policy_from_name, BoundAware, Hybrid, LoadBalance, NodeSnapshot, Placed, PlacementPolicy,
@@ -85,6 +87,6 @@ pub use exo_live::LiveConfig;
 /// Re-export of the incident-detection crate: configure online
 /// detectors via [`RtConfig::watch`](crate::RtConfig) and consume the
 /// resulting [`WatchReport`](exo_watch::WatchReport) from `RunReport`
-/// (or query [`WatchHandle`](exo_watch::WatchHandle) mid-run).
+/// (or query [`RtHandle::incidents_now`] mid-run).
 pub use exo_watch as watch;
 pub use exo_watch::WatchConfig;

@@ -12,7 +12,7 @@
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use exo_live::{LiveConfig, LiveHandle};
+use exo_live::LiveConfig;
 use exo_sim::engine::{Ctx, Reply};
 use exo_sim::{
     ClusterSpec, DeviceCaps, IoKind, QueueFootprint, Resource, SimDuration, SimTime, Simulation,
@@ -24,7 +24,7 @@ use exo_trace::{
     ObjectEvent, ObjectPhase, Placement, ResourceSample, TaskPhase, TaskSpan, TraceConfig,
     TraceSink,
 };
-use exo_watch::{WatchConfig, WatchHandle};
+use exo_watch::WatchConfig;
 
 use crate::arena::{DenseArena, SlotArena};
 use crate::command::{RtCommand, RtError};
@@ -34,6 +34,7 @@ use crate::ids::{job_of, JobId, NodeId, ObjectId, TaskId, TenantId, JOB_SEQ_BITS
 use crate::jobs::{Admission, JobManager, TenantQuota};
 use crate::metrics::{EngineTables, ProgressSample, RtMetrics};
 use crate::object::Payload;
+use crate::observe::RunObserver;
 use crate::scheduler::{place, LoadBalance, NodeSnapshot, PlacementPolicy};
 use crate::task::{task_seed, ArgSpec, TaskCtx, TaskSpec};
 
@@ -62,14 +63,14 @@ pub struct RtConfig {
     /// counters; enabling this retains the full stream for export and
     /// turns on periodic resource sampling.
     pub trace: TraceConfig,
-    /// Streaming live observability (off by default). When set, a
-    /// fixed-memory `exo-live` recorder observes the trace stream —
+    /// Streaming live observability (off by default). When set, the
+    /// runtime's observer folds the trace stream in fixed memory —
     /// independent of retention — and the runtime emits a
     /// `MetricsSnapshot` every `snapshot_interval_us` of virtual time.
     pub live: Option<LiveConfig>,
-    /// Online incident detection (off by default). When set, a
-    /// fixed-memory `exo-watch` recorder observes the trace stream and
-    /// the runtime feeds its open/close verdicts back into the sink as
+    /// Online incident detection (off by default). When set, `exo-watch`
+    /// detectors judge the runtime observer's fold and the runtime
+    /// feeds their open/close verdicts back into the sink as
     /// [`EventKind::Incident`] events. Detection is driven by event
     /// timestamps (evaluation boundaries in virtual time), so the
     /// incident set is bit-identical across reruns of the same program.
@@ -383,16 +384,12 @@ pub struct Runtime {
     progress: Vec<ProgressSample>,
     /// A `SampleResources` tick is already in the event queue.
     sampling_scheduled: bool,
-    /// Live-observability recorder; one clone of its state is registered
-    /// as a sink observer, this handle drives snapshot ticks and answers
-    /// mid-run bound queries.
-    live: Option<LiveHandle>,
+    /// The one sink observer, when live observability or incident
+    /// detection is on; this clone drives snapshot ticks, drains
+    /// incident transitions and answers mid-run incident queries.
+    observer: Option<RunObserver>,
     /// A `LiveSnapshot` tick is already in the event queue.
     live_scheduled: bool,
-    /// Incident-detection recorder; one clone of its state is registered
-    /// as a sink observer, this handle drains transitions and answers
-    /// mid-run incident queries.
-    watch: Option<WatchHandle>,
     /// A `WatchTick` is already in the event queue.
     watch_scheduled: bool,
     /// A `DispatchPass` is already in the event queue.
@@ -412,23 +409,14 @@ impl Runtime {
     /// Build the runtime for a cluster.
     pub fn new(cfg: RtConfig) -> Runtime {
         let sink = TraceSink::new(&cfg.trace);
-        // Live observers must be registered before `sample_interval_us`
+        // The observer must be registered before `sample_interval_us`
         // is read below: a registered observer is a sample consumer even
-        // with retention off. Both observers classify against the
-        // *effective* capacity card, including the `object_store_capacity`
-        // override.
-        let caps = cfg.device_caps();
-        let live = cfg.live.clone().map(|lc| {
-            let handle = LiveHandle::new(lc, &caps);
-            sink.register_observer(handle.observer());
-            handle
-        });
-        // Same for the incident detector.
-        let watch = cfg.watch.clone().map(|wc| {
-            let handle = WatchHandle::new(wc, &caps);
-            sink.register_observer(handle.observer());
-            handle
-        });
+        // with retention off. It classifies against the *effective*
+        // capacity card, including the `object_store_capacity` override.
+        let observer = RunObserver::new(cfg.live.as_ref(), cfg.watch.as_ref(), &cfg.device_caps());
+        if let Some(obs) = &observer {
+            sink.register_observer(Box::new(obs.clone()));
+        }
         // Device occupancy bookkeeping is only paid for when resource
         // sampling will actually read it.
         let track_pending = sink.sample_interval_us() > 0;
@@ -483,9 +471,8 @@ impl Runtime {
             sink,
             progress: Vec::new(),
             sampling_scheduled: false,
-            live,
+            observer,
             live_scheduled: false,
-            watch,
             watch_scheduled: false,
             dispatch_scheduled: false,
             job_waiters: Vec::new(),
@@ -529,24 +516,13 @@ impl Runtime {
             .unwrap_or_default()
     }
 
-    /// The live-observability handle, when configured. Mid-run callers
-    /// (adaptive placement, diagnostics) can query
-    /// [`LiveHandle::bounds_now`] through it.
-    #[allow(dead_code)] // mid-run hook for a future adaptive PlacementPolicy
-    pub fn live_handle(&self) -> Option<&LiveHandle> {
-        self.live.as_ref()
-    }
-
     /// Finalize the live snapshot series at the run's end time (empty
     /// unless [`RtConfig::live`] was set).
     pub(crate) fn take_live(&self, end: SimTime) -> Option<exo_live::LiveSeries> {
-        self.live.as_ref().map(|h| h.finish(end.as_micros()))
-    }
-
-    /// The incident-detection handle, when configured. Mid-run callers
-    /// can query [`WatchHandle::incidents_now`] through it.
-    pub fn watch_handle(&self) -> Option<&WatchHandle> {
-        self.watch.as_ref()
+        let obs = self.observer.as_ref()?;
+        // Read before locking the observer: the read flushes into it.
+        let counters = self.sink.counters();
+        obs.finish_live(counters, end.as_micros())
     }
 
     /// Finalize incident detection at the run's end time: run the
@@ -555,27 +531,38 @@ impl Runtime {
     /// transitions into the sink. Must run *before* the trace stream is
     /// drained so the close edges appear in the export.
     pub(crate) fn take_watch(&self, end: SimTime) -> Option<exo_watch::WatchReport> {
-        self.watch.as_ref().map(|h| {
-            let report = h.finish(end.as_micros());
-            self.drain_watch();
-            report
-        })
+        let report = self.observer.as_ref()?.finish_watch(end.as_micros())?;
+        self.drain_watch();
+        Some(report)
     }
 
-    /// Move already-decided incident transitions out of the recorder and
-    /// into the trace sink. Emitting re-enters every observer, so this
-    /// must happen *outside* the recorder lock (the observer skips
-    /// `Incident` events, but the lock is not re-entrant).
+    /// Incidents decided so far; empty when not watching.
+    fn incidents_now(&self) -> Vec<exo_watch::Incident> {
+        self.observer
+            .as_ref()
+            .map(RunObserver::incidents_now)
+            .unwrap_or_default()
+    }
+
+    /// Move already-decided incident transitions out of the observer and
+    /// into the trace sink. Emitting re-enters the observer, so this
+    /// must happen *outside* its lock (the observer skips `Incident`
+    /// events, but the lock is not re-entrant).
     fn drain_watch(&self) {
-        let Some(watch) = &self.watch else { return };
-        let transitions = watch.drain_transitions();
-        let progress = self.live.as_ref().is_some_and(|l| l.config().progress);
+        let Some(obs) = &self.observer else { return };
+        let transitions = obs.drain_transitions();
+        let progress = self.live_progress();
         for (at, inc) in transitions {
             self.sink.emit_at(at, EventKind::Incident(inc));
             if progress {
                 eprintln!("{}", exo_watch::progress_line(at, &inc));
             }
         }
+    }
+
+    /// Whether `--live-progress` lines are printed.
+    fn live_progress(&self) -> bool {
+        self.cfg.live.as_ref().is_some_and(|l| l.progress)
     }
 
     /// Drain the retained trace-event stream (empty unless tracing was
@@ -1872,11 +1859,9 @@ impl Runtime {
                 return true;
             }
         }
-        self.watch.as_ref().is_some_and(|w| {
-            w.incidents_now()
-                .iter()
-                .any(|i| i.kind == exo_trace::IncidentKind::SpillStorm && i.t_close_us.is_none())
-        })
+        self.incidents_now()
+            .iter()
+            .any(|i| i.kind == exo_trace::IncidentKind::SpillStorm && i.t_close_us.is_none())
     }
 
     /// Re-evaluate parked registrations (FIFO) against current pressure
@@ -2201,13 +2186,13 @@ impl Runtime {
     /// [`Runtime::maybe_schedule_sampling`]: only real commands/events
     /// arm it, so a quiescent run does not tick forever.
     fn maybe_schedule_live(&mut self, ctx: &mut Ctx<'_, RtEvent>) {
-        let Some(live) = &self.live else { return };
+        let Some(live) = &self.cfg.live else { return };
         if self.live_scheduled {
             return;
         }
         self.live_scheduled = true;
         ctx.schedule(
-            SimDuration::from_micros(live.config().snapshot_interval_us),
+            SimDuration::from_micros(live.snapshot_interval_us),
             RtEvent::LiveSnapshot,
         );
     }
@@ -2215,13 +2200,13 @@ impl Runtime {
     /// Arm the next [`RtEvent::WatchTick`]. Same discipline as
     /// [`Runtime::maybe_schedule_live`].
     fn maybe_schedule_watch(&mut self, ctx: &mut Ctx<'_, RtEvent>) {
-        let Some(watch) = &self.watch else { return };
+        let Some(watch) = &self.cfg.watch else { return };
         if self.watch_scheduled {
             return;
         }
         self.watch_scheduled = true;
         ctx.schedule(
-            SimDuration::from_micros(watch.config().eval_interval_us),
+            SimDuration::from_micros(watch.eval_interval_us),
             RtEvent::WatchTick,
         );
     }
@@ -2519,10 +2504,7 @@ impl Simulation for Runtime {
                 ctx.reply(reply, n);
             }
             RtCommand::IncidentsNow { reply } => {
-                let incidents = self
-                    .watch_handle()
-                    .map(|w| w.incidents_now())
-                    .unwrap_or_default();
+                let incidents = self.incidents_now();
                 ctx.reply(reply, incidents);
             }
         }
@@ -2704,12 +2686,13 @@ impl Simulation for Runtime {
             }
             RtEvent::LiveSnapshot => {
                 self.live_scheduled = false;
-                if let Some(live) = &self.live {
-                    // Snapshots read observer-fed state; settle the
-                    // sink's pending block so the tick sees every event
-                    // emitted before this virtual instant.
-                    self.sink.flush();
-                    if let Some(line) = live.tick(ctx.now().as_micros()) {
+                if let Some(obs) = &self.observer {
+                    // Reading the counters settles the sink's pending
+                    // block, so the fold has seen every event emitted
+                    // before this virtual instant when it is snapshotted.
+                    let counters = self.sink.counters();
+                    let now = ctx.now().as_micros();
+                    if let Some(line) = obs.tick(counters, now, self.live_progress()) {
                         eprintln!("{line}");
                     }
                 }

@@ -5,6 +5,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use crate::event::{Event, EventKind, ObjectPhase, TaskPhase};
+use crate::sink::TraceCounters;
 
 #[derive(Debug, Clone)]
 pub struct LongTask {
@@ -66,7 +67,9 @@ pub struct NodeCapacityLine {
 #[derive(Debug, Clone, Default)]
 pub struct TraceSummary {
     pub end_us: u64,
-    pub tasks_finished: u64,
+    /// The stream's counter fold: tasks finished, network bytes,
+    /// reconstructions and failures come from here.
+    pub counters: TraceCounters,
     pub longest: Vec<LongTask>,
     pub per_node: Vec<NodeBusy>,
     /// Per-node hardware capacities, when the caller supplied them via
@@ -76,9 +79,6 @@ pub struct TraceSummary {
     pub spill_ops: u64,
     pub restored_bytes: u64,
     pub restore_ops: u64,
-    pub net_bytes: u64,
-    pub reconstructed: u64,
-    pub failures: u64,
 }
 
 impl TraceSummary {
@@ -98,13 +98,13 @@ pub fn summarize(events: &[Event]) -> TraceSummary {
     let mut busy: BTreeMap<u32, NodeBusy> = BTreeMap::new();
     for ev in events {
         s.end_us = s.end_us.max(ev.at_us);
+        s.counters.apply(&ev.kind);
         match &ev.kind {
             EventKind::Task(t) => match t.phase {
                 TaskPhase::Started => {
                     started.insert((t.task, t.attempt), ev.at_us);
                 }
                 TaskPhase::Finished => {
-                    s.tasks_finished += 1;
                     let start = started.remove(&(t.task, t.attempt)).unwrap_or(ev.at_us);
                     let dur = ev.at_us.saturating_sub(start);
                     let e = busy.entry(t.node).or_default();
@@ -136,8 +136,6 @@ pub fn summarize(events: &[Event]) -> TraceSummary {
                     s.restore_ops += 1;
                     busy.entry(o.node).or_default().restored_bytes += o.bytes;
                 }
-                ObjectPhase::Transferred => s.net_bytes += o.bytes,
-                ObjectPhase::Reconstructed => s.reconstructed += 1,
                 _ => {}
             },
             EventKind::Resource(r) => {
@@ -146,11 +144,12 @@ pub fn summarize(events: &[Event]) -> TraceSummary {
                 e.busy_slot_samples += r.cpu_slots_busy as u64;
                 e.slots_total = e.slots_total.max(r.cpu_slots_total);
             }
-            EventKind::Failure(_) => s.failures += 1,
-            // Deps, fetch-waits, I/O completions, and incident edges
-            // carry nothing this summary reports; enumerate them so a
-            // new variant is a compile error, not a silent drop.
-            EventKind::Dep(_)
+            // Failures reach the report through the counters; deps,
+            // fetch-waits, I/O completions and incident edges carry
+            // nothing it reports. Enumerated so a new variant is a
+            // compile error, not a silent drop.
+            EventKind::Failure(_)
+            | EventKind::Dep(_)
             | EventKind::FetchWait(_)
             | EventKind::Io(_)
             | EventKind::Incident(_)
@@ -183,7 +182,7 @@ impl fmt::Display for TraceSummary {
         writeln!(
             f,
             "trace summary: {} tasks in {:.2} s virtual time",
-            self.tasks_finished,
+            self.counters.tasks_completed,
             secs(self.end_us)
         )?;
         if !self.longest.is_empty() {
@@ -251,13 +250,14 @@ impl fmt::Display for TraceSummary {
             self.spill_ops,
             gb(self.restored_bytes),
             self.restore_ops,
-            gb(self.net_bytes)
+            gb(self.counters.net_bytes)
         )?;
-        if self.failures > 0 || self.reconstructed > 0 {
+        let failures = self.counters.node_failures + self.counters.executor_failures;
+        let reconstructed = self.counters.objects_reconstructed;
+        if failures > 0 || reconstructed > 0 {
             writeln!(
                 f,
-                "  failures: {}, objects reconstructed: {}",
-                self.failures, self.reconstructed
+                "  failures: {failures}, objects reconstructed: {reconstructed}"
             )?;
         }
         Ok(())
@@ -303,7 +303,7 @@ mod tests {
             }),
         });
         let s = summarize(&events);
-        assert_eq!(s.tasks_finished, 3);
+        assert_eq!(s.counters.tasks_completed, 3);
         assert_eq!(s.longest[0].task, 2);
         assert_eq!(s.longest[0].dur_us, 190);
         assert_eq!(s.spilled_bytes, 1_000);

@@ -1,7 +1,10 @@
-//! The detector engine: one `Recorder` fed every trace event, holding
-//! fixed-memory rolling state and the incident table.
+//! The detector engine: one [`Recorder`] holding detector state only —
+//! the incident table, open keys, transitions, hotspot timers,
+//! cascades and the evaluation clock. Everything it judges (bounds,
+//! in-flight tasks, stage sketches, the queue-delay sketch, tenant
+//! tallies) it reads from the shared [`Fold`].
 //!
-//! Evaluation discipline: before an event at `t` is applied, every
+//! Evaluation discipline: before an event at `t` is folded, every
 //! virtual-time boundary `b ≤ t` (multiples of `eval_interval_us`) that
 //! has not yet been evaluated is, in order — so detector verdicts
 //! depend only on the event stream's timestamps, never on how often the
@@ -10,12 +13,11 @@
 
 use std::collections::HashMap;
 
-use exo_live::{BaselineSketch, QuantileSketch, RollingBounds, WINDOW_BUCKETS, WINDOW_US};
+use exo_live::{Fold, WINDOW_US};
 use exo_sim::DeviceCaps;
 use exo_trace::{Event, EventKind, IncidentEvent, IncidentKind, TaskPhase};
 
-use crate::Incident;
-use crate::WatchConfig;
+use crate::{Incident, WatchConfig, WatchReport};
 
 /// Identity of an *open* incident, for matching a later close edge to
 /// it. Ordered so force-close sweeps are deterministic.
@@ -35,17 +37,6 @@ enum Key {
     Isolation(u32),
 }
 
-/// What we remember about a not-yet-finished task.
-#[derive(Debug, Clone, Copy)]
-struct TaskState {
-    node: u32,
-    label: &'static str,
-    /// Owning job (resolves to a tenant via the admitted-job table).
-    job: u32,
-    scheduled_us: u64,
-    started_us: Option<u64>,
-}
-
 /// One failure's reconstruction accounting.
 #[derive(Debug, Clone, Copy)]
 struct Cascade {
@@ -58,22 +49,16 @@ struct Cascade {
     retries: u64,
 }
 
-pub(crate) struct Recorder {
+/// The detectors' own state. Feed it every event through
+/// [`Recorder::observe`] *before* the fold applies that event.
+#[derive(Debug)]
+pub struct Recorder {
     cfg: WatchConfig,
     /// Per-node store capacity (spill-storm threshold base).
     store_bytes: Vec<u64>,
-    /// Busy fractions and windowed spill+fallback bytes.
-    bounds: RollingBounds,
-    queue: BaselineSketch,
+    /// When the fold's queue-delay window next rotates into its baseline.
     queue_next_rotate_us: u64,
-    /// Run-so-far execution-time sketch per stage (straggler p50).
-    stage_exec: HashMap<&'static str, QuantileSketch>,
-    tasks: HashMap<u64, TaskState>,
     cascades: Vec<Cascade>,
-    /// Job → tenant, learned from `JobEvent::Admitted` edges.
-    job_tenant: HashMap<u32, u32>,
-    /// Tenant → currently running (Started, not Finished) task count.
-    tenant_running: HashMap<u32, u64>,
     /// Since when the hotspot condition has held, per node × {disk,net}.
     hot_since: Vec<[Option<u64>; 2]>,
     incidents: Vec<Incident>,
@@ -84,51 +69,44 @@ pub(crate) struct Recorder {
 }
 
 impl Recorder {
-    pub(crate) fn new(cfg: &WatchConfig, caps: &DeviceCaps) -> Recorder {
-        let nodes = caps.nodes();
+    pub fn new(cfg: WatchConfig, caps: &DeviceCaps) -> Recorder {
         Recorder {
-            cfg: cfg.clone(),
             store_bytes: caps.per_node.iter().map(|n| n.store_bytes).collect(),
-            bounds: RollingBounds::new(caps, WINDOW_US, WINDOW_BUCKETS),
-            queue: BaselineSketch::new(),
             queue_next_rotate_us: WINDOW_US,
-            stage_exec: HashMap::new(),
-            tasks: HashMap::new(),
             cascades: Vec::new(),
-            job_tenant: HashMap::new(),
-            tenant_running: HashMap::new(),
-            hot_since: vec![[None; 2]; nodes],
+            hot_since: vec![[None; 2]; caps.nodes()],
             incidents: Vec::new(),
             open: HashMap::new(),
             transitions: Vec::new(),
             next_id: 0,
             next_eval_us: cfg.eval_interval_us,
+            cfg,
         }
     }
 
-    pub(crate) fn incidents(&self) -> &[Incident] {
+    /// Every incident detected so far (open and closed), in open order.
+    pub fn incidents(&self) -> &[Incident] {
         &self.incidents
     }
 
-    pub(crate) fn open_count(&self) -> usize {
-        self.open.len()
-    }
-
-    pub(crate) fn drain_transitions(&mut self) -> Vec<(u64, IncidentEvent)> {
+    /// Takes the open/close transitions recorded since the last drain.
+    /// The *runtime* re-emits these into the trace sink — an observer
+    /// runs under the sink lock and must never do so itself.
+    pub fn drain_transitions(&mut self) -> Vec<(u64, IncidentEvent)> {
         std::mem::take(&mut self.transitions)
     }
 
-    pub(crate) fn observe(&mut self, ev: &Event) {
+    /// Sees `ev` before `fold` applies it.
+    pub fn observe(&mut self, fold: &mut Fold, ev: &Event) {
         // Catch up on every evaluation boundary this event's timestamp
-        // crosses, *before* applying the event: state at boundary `b`
+        // crosses, *before* the event is folded: state at boundary `b`
         // is exactly the events strictly before `b` plus those at `b`
         // already seen, which is what an online monitor would have.
         while self.next_eval_us <= ev.at_us {
             let t = self.next_eval_us;
-            self.evaluate(t);
+            self.evaluate(fold, t);
             self.next_eval_us = t + self.cfg.eval_interval_us;
         }
-        self.bounds.on_event(ev);
         match &ev.kind {
             EventKind::Task(t) => match t.phase {
                 TaskPhase::Scheduled => {
@@ -139,51 +117,12 @@ impl Recorder {
                     // supersedes the old attempt; a straggler verdict
                     // on it closes here.
                     self.close(Key::Straggler(t.task), ev.at_us);
-                    let old = self.tasks.insert(
-                        t.task,
-                        TaskState {
-                            node: t.node,
-                            label: t.label,
-                            job: t.job,
-                            scheduled_us: ev.at_us,
-                            started_us: None,
-                        },
-                    );
-                    // A superseded attempt that had started never got a
-                    // Finished edge — release its running-count slot.
-                    if let Some(o) = old.filter(|o| o.started_us.is_some()) {
-                        self.tenant_dec(o.job);
-                    }
                 }
-                TaskPhase::Dequeued => {
-                    if let Some(st) = self.tasks.get(&t.task) {
-                        self.queue.record(ev.at_us - st.scheduled_us);
-                    }
-                }
-                TaskPhase::Started => {
-                    if let Some(st) = self.tasks.get_mut(&t.task) {
-                        st.node = t.node;
-                        st.started_us = Some(ev.at_us);
-                        let job = st.job;
-                        let tenant = self.job_tenant.get(&job).copied().unwrap_or(0);
-                        *self.tenant_running.entry(tenant).or_insert(0) += 1;
-                    }
-                }
-                TaskPhase::Finished => {
-                    if let Some(st) = self.tasks.remove(&t.task) {
-                        if let Some(s) = st.started_us {
-                            self.stage_exec
-                                .entry(st.label)
-                                .or_default()
-                                .record(ev.at_us - s);
-                            self.tenant_dec(st.job);
-                        }
-                    }
-                    self.close(Key::Straggler(t.task), ev.at_us);
-                }
+                TaskPhase::Finished => self.close(Key::Straggler(t.task), ev.at_us),
+                TaskPhase::Dequeued | TaskPhase::Started => {}
             },
             EventKind::Failure(f) => {
-                let direct = self.tasks.values().filter(|s| s.node == f.node).count() as u64;
+                let direct = fold.tasks().values().filter(|s| s.node == f.node).count() as u64;
                 self.cascades.push(Cascade {
                     node: f.node,
                     t_fail_us: ev.at_us,
@@ -191,13 +130,7 @@ impl Recorder {
                     retries: 0,
                 });
             }
-            EventKind::Job(j) => {
-                // Any lifecycle edge ties the job to its tenant; the
-                // Admitted edge is the first one the runtime emits.
-                self.job_tenant.insert(j.job, j.tenant);
-            }
-            // Object transitions, deps, fetch-waits, I/O and resource
-            // samples feed only the rolling bounds (handled above);
+            // Everything else reaches the detectors through the fold;
             // incident edges are detector *output*, never input.
             // Enumerated so a new variant is a compile error here.
             EventKind::Object(_)
@@ -205,7 +138,8 @@ impl Recorder {
             | EventKind::FetchWait(_)
             | EventKind::Io(_)
             | EventKind::Resource(_)
-            | EventKind::Incident(_) => {}
+            | EventKind::Incident(_)
+            | EventKind::Job(_) => {}
         }
     }
 
@@ -237,34 +171,26 @@ impl Recorder {
         }
     }
 
-    /// Release one running-task slot billed to `job`'s tenant.
-    fn tenant_dec(&mut self, job: u32) {
-        let tenant = self.job_tenant.get(&job).copied().unwrap_or(0);
-        if let Some(n) = self.tenant_running.get_mut(&tenant) {
-            *n = n.saturating_sub(1);
-        }
-    }
-
     /// One detector pass at virtual time `t` (an eval boundary).
-    fn evaluate(&mut self, t: u64) {
-        self.eval_hotspots(t);
-        self.eval_spill(t);
-        self.eval_queue(t);
-        self.eval_stragglers(t);
+    fn evaluate(&mut self, fold: &mut Fold, t: u64) {
+        self.eval_hotspots(fold, t);
+        self.eval_spill(fold, t);
+        self.eval_queue(fold, t);
+        self.eval_stragglers(fold, t);
         self.eval_cascades(t);
-        self.eval_isolation(t);
+        self.eval_isolation(fold, t);
     }
 
     /// Concurrent-slot isolation: a tenant running more tasks than its
     /// configured quota at an evaluation boundary is a violation of the
     /// fair-share guarantee the scheduler is supposed to enforce.
-    fn eval_isolation(&mut self, t: u64) {
+    fn eval_isolation(&mut self, fold: &Fold, t: u64) {
         if self.cfg.tenant_slot_quotas.is_empty() {
             return;
         }
         let quotas = self.cfg.tenant_slot_quotas.clone();
         for (tenant, quota) in quotas {
-            let running = self.tenant_running.get(&tenant).copied().unwrap_or(0);
+            let running = fold.running(tenant);
             if running > quota as u64 {
                 self.open_or_peak(
                     Key::Isolation(tenant),
@@ -283,8 +209,8 @@ impl Recorder {
         }
     }
 
-    fn eval_hotspots(&mut self, t: u64) {
-        let windows = self.bounds.snapshot(t);
+    fn eval_hotspots(&mut self, fold: &Fold, t: u64) {
+        let windows = fold.bounds().snapshot(t);
         // Median over nodes, per device. With a single pinned outlier
         // the median tracks the healthy majority.
         let median = |vals: &mut Vec<f64>| -> f64 {
@@ -327,10 +253,10 @@ impl Recorder {
         }
     }
 
-    fn eval_spill(&mut self, t: u64) {
+    fn eval_spill(&mut self, fold: &Fold, t: u64) {
         for node in 0..self.store_bytes.len() {
             let threshold = self.cfg.spill_window_frac * self.store_bytes[node] as f64;
-            let bytes = self.bounds.spill_bytes(node, t) as f64;
+            let bytes = fold.bounds().spill_bytes(node, t) as f64;
             if threshold > 0.0 && bytes > threshold {
                 self.open_or_peak(
                     Key::Spill(node as u32),
@@ -349,16 +275,13 @@ impl Recorder {
         }
     }
 
-    fn eval_queue(&mut self, t: u64) {
-        let base_p99 = self
-            .queue
-            .baseline()
-            .quantile(0.99)
-            .max(self.cfg.queue_min_us);
+    fn eval_queue(&mut self, fold: &mut Fold, t: u64) {
+        let queue = fold.queue_us();
+        let base_p99 = queue.baseline().quantile(0.99).max(self.cfg.queue_min_us);
         let threshold = self.cfg.queue_ratio * base_p99 as f64;
-        let window_p99 = self.queue.window().quantile(0.99) as f64;
-        let blown = self.queue.window().count() >= self.cfg.queue_min_count
-            && self.queue.baseline().count() >= self.cfg.queue_min_count
+        let window_p99 = queue.window().quantile(0.99) as f64;
+        let blown = queue.window().count() >= self.cfg.queue_min_count
+            && queue.baseline().count() >= self.cfg.queue_min_count
             && window_p99 > threshold;
         if blown {
             self.open_or_peak(
@@ -378,23 +301,22 @@ impl Recorder {
         // Rotate *after* judging, on window boundaries: the window just
         // judged becomes baseline.
         if t >= self.queue_next_rotate_us {
-            self.queue.rotate();
+            fold.rotate_queue();
             self.queue_next_rotate_us = t + WINDOW_US;
         }
     }
 
-    fn eval_stragglers(&mut self, t: u64) {
+    fn eval_stragglers(&mut self, fold: &Fold, t: u64) {
         // Sorted sweep: incident ids must not depend on hash order.
-        let mut ids: Vec<u64> = self.tasks.keys().copied().collect();
+        let mut ids: Vec<u64> = fold.tasks().keys().copied().collect();
         ids.sort_unstable();
         for task in ids {
-            let st = self.tasks[&task];
+            let st = fold.tasks()[&task];
             let Some(started) = st.started_us else {
                 continue;
             };
-            let peers = self
-                .stage_exec
-                .get(st.label)
+            let peers = fold
+                .stage_exec(st.label)
                 .map(|s| (s.count(), s.quantile(0.5)))
                 .filter(|(n, _)| *n >= self.cfg.straggler_min_peers);
             let Some((_, p50)) = peers else { continue };
@@ -511,17 +433,22 @@ impl Recorder {
 
     /// Final flush at the run's end time: evaluate any boundaries the
     /// event stream never reached, then force-close everything still
-    /// open at `end_us` so every incident has a close edge.
-    pub(crate) fn finish(&mut self, end_us: u64) {
+    /// open at `end_us` (an open interval would otherwise be
+    /// unrepresentable in the exporters). Drain the transitions
+    /// afterwards to pick up the close edges.
+    pub fn finish(&mut self, fold: &mut Fold, end_us: u64) -> WatchReport {
         while self.next_eval_us <= end_us {
             let t = self.next_eval_us;
-            self.evaluate(t);
+            self.evaluate(fold, t);
             self.next_eval_us = t + self.cfg.eval_interval_us;
         }
         let mut keys: Vec<Key> = self.open.keys().copied().collect();
         keys.sort_unstable();
         for key in keys {
             self.close(key, end_us);
+        }
+        WatchReport {
+            incidents: self.incidents.clone(),
         }
     }
 }
@@ -559,8 +486,37 @@ mod tests {
         }
     }
 
-    fn rec() -> Recorder {
-        Recorder::new(&cfg(), &caps(4))
+    /// The detectors and the fold they read, fed in the runtime
+    /// observer's order: detectors first, then the fold.
+    struct Rig {
+        rec: Recorder,
+        fold: Fold,
+    }
+
+    impl Rig {
+        fn observe(&mut self, ev: &Event) {
+            self.rec.observe(&mut self.fold, ev);
+            self.fold.apply(ev);
+        }
+
+        fn finish(&mut self, end_us: u64) {
+            self.rec.finish(&mut self.fold, end_us);
+        }
+
+        fn incidents(&self) -> &[Incident] {
+            self.rec.incidents()
+        }
+
+        fn drain_transitions(&mut self) -> Vec<(u64, IncidentEvent)> {
+            self.rec.drain_transitions()
+        }
+    }
+
+    fn rec() -> Rig {
+        Rig {
+            rec: Recorder::new(cfg(), &caps(4)),
+            fold: Fold::new(&caps(4)),
+        }
     }
 
     fn task(phase: TaskPhase, id: u64, node: u32, at_us: u64) -> Event {
@@ -583,7 +539,7 @@ mod tests {
         }
     }
 
-    fn run_task(r: &mut Recorder, id: u64, node: u32, start: u64, exec: u64) {
+    fn run_task(r: &mut Rig, id: u64, node: u32, start: u64, exec: u64) {
         r.observe(&task(TaskPhase::Scheduled, id, node, start));
         r.observe(&task(TaskPhase::Dequeued, id, node, start));
         r.observe(&task(TaskPhase::Started, id, node, start));

@@ -1,12 +1,13 @@
 //! # exo-watch — online incident detection over the trace stream
 //!
-//! A fixed-memory anomaly detector that plugs into the same
-//! [`Observer`] hook `exo-live` uses: it sees every trace event exactly
-//! once, in emission order, and keeps only rolling state (a
-//! [`RollingBounds`](exo_live::RollingBounds) ring, which also carries
-//! the windowed spill bytes, per-stage quantile sketches, and the
-//! open-task table). Five
-//! streaming detectors turn that state into typed [`Incident`]s:
+//! A fixed-memory anomaly detector over the trace stream. It keeps no
+//! rolling state of its own: the runtime's one sink observer feeds one
+//! [`Fold`](exo_live::Fold) — the [`RollingBounds`](exo_live::RollingBounds)
+//! ring (which also carries the windowed spill bytes), the per-stage
+//! quantile sketches, the queue-delay sketch, the tenant tally and the
+//! in-flight task table — and hands each event to the [`Recorder`]
+//! first. Five streaming detectors judge that fold and turn it into
+//! typed [`Incident`]s:
 //!
 //! - **stragglers** — a running task's elapsed execution exceeds
 //!   k× its stage's live p50 while enough peers have finished;
@@ -33,19 +34,18 @@
 //! order.
 //!
 //! The runtime drains open/close transitions out of the recorder and
-//! re-emits them into the trace sink as [`EventKind::Incident`]
-//! events (observers must not call back into the sink themselves), so
-//! incidents land in the Chrome trace's `incidents` track and the
-//! live JSONL stream as first-class events.
+//! re-emits them into the trace sink as
+//! [`EventKind::Incident`](exo_trace::EventKind::Incident) events
+//! (observers must not call back into the sink themselves), so
+//! incidents land in the Chrome trace's `incidents` track and the live
+//! JSONL stream as first-class events. The observer skips them: they
+//! are detector output, never input.
 
 pub mod detect;
 
-use std::sync::{Arc, Mutex};
+pub use detect::Recorder;
 
-use exo_sim::DeviceCaps;
-use exo_trace::{Event, EventKind, IncidentEvent, IncidentKind, Json, Observer};
-
-use detect::Recorder;
+use exo_trace::{IncidentEvent, IncidentKind, Json};
 
 /// Detector thresholds. All times are virtual-time microseconds;
 /// defaults are tuned so the pinned healthy benchmark cases (including
@@ -130,7 +130,7 @@ pub struct Incident {
     pub id: u32,
     pub kind: IncidentKind,
     pub t_open_us: u64,
-    /// `None` while still open; [`WatchHandle::finish`] force-closes
+    /// `None` while still open; [`Recorder::finish`] force-closes
     /// every open incident at the run's end time.
     pub t_close_us: Option<u64>,
     pub node: Option<u32>,
@@ -247,86 +247,4 @@ pub fn progress_line(at_us: u64, ev: &IncidentEvent) -> String {
         s.push_str(&format!(" tenant={tenant}"));
     }
     s
-}
-
-/// Shared handle to the detector state: one clone becomes the sink
-/// observer, the runtime keeps another to drain transitions and answer
-/// mid-run queries, mirroring `exo_live::LiveHandle`.
-#[derive(Clone)]
-pub struct WatchHandle {
-    cfg: WatchConfig,
-    inner: Arc<Mutex<Recorder>>,
-}
-
-struct WatchObserver(Arc<Mutex<Recorder>>);
-
-impl Observer for WatchObserver {
-    fn on_event(&mut self, ev: &Event) {
-        // The runtime re-emits our own verdicts into the sink; seeing
-        // them back would be a feedback loop, so skip them here.
-        if matches!(ev.kind, EventKind::Incident(_)) {
-            return;
-        }
-        self.0.lock().expect("watch recorder poisoned").observe(ev);
-    }
-}
-
-impl WatchHandle {
-    pub fn new(cfg: WatchConfig, caps: &DeviceCaps) -> WatchHandle {
-        let rec = Recorder::new(&cfg, caps);
-        WatchHandle {
-            cfg,
-            inner: Arc::new(Mutex::new(rec)),
-        }
-    }
-
-    pub fn config(&self) -> &WatchConfig {
-        &self.cfg
-    }
-
-    /// The observer half, for `TraceSink::register_observer`.
-    pub fn observer(&self) -> Box<dyn Observer> {
-        Box::new(WatchObserver(self.inner.clone()))
-    }
-
-    /// Every incident detected so far (open and closed), in open order.
-    /// Queryable mid-run.
-    pub fn incidents_now(&self) -> Vec<Incident> {
-        self.inner
-            .lock()
-            .expect("watch recorder poisoned")
-            .incidents()
-            .to_vec()
-    }
-
-    /// Number of incidents currently open.
-    pub fn open_count(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("watch recorder poisoned")
-            .open_count()
-    }
-
-    /// Takes the open/close transitions recorded since the last drain.
-    /// The *runtime* re-emits these into the trace sink — an observer
-    /// runs under the sink lock and must never do so itself.
-    pub fn drain_transitions(&self) -> Vec<(u64, IncidentEvent)> {
-        self.inner
-            .lock()
-            .expect("watch recorder poisoned")
-            .drain_transitions()
-    }
-
-    /// Runs any remaining evaluation boundaries up to `end_us`, then
-    /// force-closes every incident still open at `end_us` (an open
-    /// interval would otherwise be unrepresentable in the exporters).
-    /// Call [`WatchHandle::drain_transitions`] afterwards to pick up
-    /// the close edges.
-    pub fn finish(&self, end_us: u64) -> WatchReport {
-        let mut rec = self.inner.lock().expect("watch recorder poisoned");
-        rec.finish(end_us);
-        WatchReport {
-            incidents: rec.incidents().to_vec(),
-        }
-    }
 }

@@ -47,10 +47,23 @@ grep -q '"bound_aware_not_worse":true' results/hetero_policy.json || {
     exit 1
 }
 
-echo "==> live-observability smoke (--live JSONL timeseries + live_check)"
-cargo run --release -p exo-bench --bin fig4c -- --quick --live results/fig4c.live.jsonl
+# The committed results/*.live.jsonl hold only virtual-time fields, so
+# a rerun must reproduce them byte for byte; regenerate and commit them
+# when an observer's output changes on purpose.
+observed=$(mktemp -d)
+trap 'rm -rf "$observed"' EXIT
+same_as_committed() {
+    cmp "$observed/$1" "results/$2" || {
+        echo "FAIL: $1 differs from the committed results/$2" >&2
+        exit 1
+    }
+}
+
+echo "==> live-observability smoke (--live JSONL timeseries + live_check, committed copy)"
+cargo run --release -p exo-bench --bin fig4c -- --quick --live "$observed/fig4c.live.jsonl"
 cargo run --release -p exo-bench --bin live_check -- \
-    results/fig4c.live.jsonl results/fig4c.json
+    "$observed/fig4c.live.jsonl" results/fig4c.json
+same_as_committed fig4c.live.jsonl fig4c.live.jsonl
 
 echo "==> cloudsort_xl smoke (throughput floor, rerun bit-identity, 400 → 800 partition scaling)"
 cargo run --release -p exo-bench --bin cloudsort_xl -- --quick
@@ -59,14 +72,16 @@ echo "==> incident gate (bench_gate --incidents-diff vs bench/incidents.json)"
 cargo run --release -p exo-bench --bin bench_gate -- --incidents-diff \
     --out results/INCIDENTS_ci.json
 
-echo "==> watched fault-case smoke (--watch incident JSONL, validated twice for determinism)"
+echo "==> watched fault-case smoke (--watch incident JSONL, validated twice for determinism, committed copy)"
 cargo run --release -p exo-bench --bin fig4_ft -- --quick --watch \
-    --live results/fig4_ft.live.jsonl
+    --live "$observed/fig4_ft.live.jsonl"
 cargo run --release -p exo-bench --bin fig4_ft -- --quick --watch \
-    --live results/fig4_ft.live.rerun.jsonl
+    --live "$observed/fig4_ft.live.rerun.jsonl"
 cargo run --release -p exo-bench --bin live_check -- \
-    results/fig4_ft.live.jsonl results/fig4_ft.json \
-    --rerun results/fig4_ft.live.rerun.jsonl
+    "$observed/fig4_ft.live.jsonl" results/fig4_ft.json \
+    --rerun "$observed/fig4_ft.live.rerun.jsonl"
+same_as_committed fig4_ft.live.jsonl fig4_ft.live.jsonl
+same_as_committed fig4_ft.live.rerun.jsonl fig4_ft.live.jsonl
 # results/*.jsonl (incident + snapshot lines) are uploaded as CI artifacts.
 
 echo "==> CI OK"

@@ -312,9 +312,10 @@ mod sketch_merge {
 /// the default thresholds, for any draw of the stream's shape.
 mod watch_quiescence {
     use super::*;
+    use exoshuffle::rt::RunObserver;
     use exoshuffle::sim::{DeviceCaps, NodeCaps};
-    use exoshuffle::trace::{Event, EventKind, TaskPhase, TaskSpan};
-    use exoshuffle::watch::{WatchConfig, WatchHandle};
+    use exoshuffle::trace::{Event, EventKind, Observer, TaskPhase, TaskSpan};
+    use exoshuffle::watch::WatchConfig;
 
     fn caps(nodes: usize) -> DeviceCaps {
         DeviceCaps::uniform(
@@ -358,8 +359,9 @@ mod watch_quiescence {
             exec_us in proptest::collection::vec(100_000u64..400_000, 60),
             delay_us in proptest::collection::vec(0u64..40_000, 60),
         ) {
-            let handle = WatchHandle::new(WatchConfig::default(), &caps(nodes));
-            let mut obs = handle.observer();
+            let handle = RunObserver::new(None, Some(&WatchConfig::default()), &caps(nodes))
+                .expect("watching");
+            let mut obs: Box<dyn Observer> = Box::new(handle.clone());
             let mut events = Vec::new();
             let mut end = 0u64;
             for i in 0..tasks {
@@ -377,7 +379,7 @@ mod watch_quiescence {
             for ev in &events {
                 obs.on_event(ev);
             }
-            let report = handle.finish(end);
+            let report = handle.finish_watch(end).expect("watching");
             prop_assert!(report.is_empty(), "incidents: {:?}", report.incidents);
         }
     }
