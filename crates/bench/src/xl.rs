@@ -3,7 +3,7 @@
 //! Exoshuffle-CloudSort set the 2022 record) with the partition count
 //! scaled down proportionally so the engine still sees tens of millions
 //! of tasks/objects rather than the record run's billions. This is the
-//! workload the engine-core refactor (calendar queue, arena tables,
+//! workload the engine-core refactor (event queue, arena tables,
 //! batched tracing) is sized against: the shared [`run_xl`] runner
 //! reports sim-events/sec and wall-clock alongside the usual sort
 //! metrics, and reruns must be bit-identical.
@@ -143,7 +143,9 @@ pub fn rerun_diffs(a: &SortRunResult, b: &SortRunResult) -> Vec<&'static str> {
 }
 
 /// The engine's table footprints as the `"tables"` object of the
-/// results JSON: `{live, capacity, bytes}` per table.
+/// results JSON: `{live, capacity, bytes}` per table. The `queue_*`
+/// tables (hot heap, wheel buckets, far heap) give each tier's peak
+/// entries and peak allocation, since the queue is empty at shutdown.
 pub fn tables_json(t: &EngineTables) -> Json {
     let table = |f: TableFootprint| {
         Json::obj()
@@ -157,6 +159,6 @@ pub fn tables_json(t: &EngineTables) -> Json {
         .set("tasks", table(t.tasks))
         .set("store_slots", table(t.store_slots))
         .set("queue_hot", table(t.queue.hot))
-        .set("queue_ring", table(t.queue.ring))
+        .set("queue_wheel", table(t.queue.wheel))
         .set("queue_far", table(t.queue.far))
 }

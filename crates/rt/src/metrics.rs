@@ -20,9 +20,10 @@ pub struct ProgressSample {
 }
 
 /// Live entries and allocated capacity of the engine's largest tables,
-/// read once at shutdown. Only the event queue's ring buckets and the
-/// stores of killed nodes (rebuilt empty) give capacity back during a
-/// run, so the other figures are the run's peaks.
+/// read once at shutdown. The arenas never give capacity back, so their
+/// capacity is the run's peak; only the stores of killed nodes (rebuilt
+/// empty) shed theirs. The event queue has drained by then, so it
+/// reports each tier's peak entries and peak capacity instead.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineTables {
     /// Object directory.
@@ -33,7 +34,7 @@ pub struct EngineTables {
     pub tasks: TableFootprint,
     /// Object-store slot tables, summed over nodes.
     pub store_slots: TableFootprint,
-    /// Event-queue tiers.
+    /// Event-queue tiers, at their peaks.
     pub queue: QueueFootprint,
 }
 

@@ -199,7 +199,8 @@ pub enum RtEvent {
     SpillDone {
         node: NodeId,
         epoch: u32,
-        batch: SpillBatch,
+        /// Boxed, like `SleepDone`'s reply, to keep the event small.
+        batch: Box<SpillBatch>,
     },
     RestoreDone {
         node: NodeId,
@@ -217,7 +218,7 @@ pub enum RtEvent {
         waiter: u64,
     },
     SleepDone {
-        reply: Reply<()>,
+        reply: Box<Reply<()>>,
     },
     KillNode {
         node: NodeId,
@@ -247,6 +248,11 @@ pub enum RtEvent {
     /// Deduplicated — at most one pass is in the queue at a time.
     DispatchPass,
 }
+
+// Every queued event is one wheel or heap slot of `(at, seq)` plus this
+// enum, and I/O completions keep hundreds of thousands queued at once.
+// `FetchDone` sets the size; rarer large payloads go behind a `Box`.
+const _: () = assert!(std::mem::size_of::<RtEvent>() <= 40);
 
 struct Node {
     id: NodeId,
@@ -1715,7 +1721,14 @@ impl Runtime {
                 let end = self.nodes[node.0].disk.submit(ctx.now(), batch.bytes, kind);
                 self.emit_io(node, IoDir::Write, batch.bytes);
                 let epoch = self.nodes[node.0].epoch;
-                ctx.schedule_at(end, RtEvent::SpillDone { node, epoch, batch });
+                ctx.schedule_at(
+                    end,
+                    RtEvent::SpillDone {
+                        node,
+                        epoch,
+                        batch: Box::new(batch),
+                    },
+                );
                 progress = true;
             }
             // Grants.
@@ -2466,7 +2479,12 @@ impl Simulation for Runtime {
                 ctx.reply(reply, now);
             }
             RtCommand::Sleep { dur, reply } => {
-                ctx.schedule(dur, RtEvent::SleepDone { reply });
+                ctx.schedule(
+                    dur,
+                    RtEvent::SleepDone {
+                        reply: Box::new(reply),
+                    },
+                );
             }
             RtCommand::Locations { obj, reply } => {
                 let locs = self
@@ -2663,7 +2681,7 @@ impl Simulation for Runtime {
                 }
             }
             RtEvent::SleepDone { reply } => {
-                ctx.reply(reply, ());
+                ctx.reply(*reply, ());
             }
             RtEvent::KillNode {
                 node,

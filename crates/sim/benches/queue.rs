@@ -1,15 +1,19 @@
-//! Event-queue microbenches: the hierarchical calendar queue
+//! Event-queue microbenches: the hierarchical timing wheel
 //! (`exo_sim::EventQueue`) against the plain binary heap it replaced,
 //! on the schedule shapes the engine actually produces.
 //!
 //! Patterns:
-//! - `uniform`: short delays within the ring horizon (transfer/CPU
+//! - `uniform`: short delays within one level-1 bucket (transfer/CPU
 //!   churn), heavy tie density.
 //! - `bursty`: mostly short delays with occasional seconds-ahead
-//!   completions (disk writes), exercising the far heap and horizon
-//!   pulls.
-//! - `sparse`: milliseconds-apart events at low queue depth, the
-//!   bucket-rotation worst case for a calendar queue.
+//!   completions. Its queue stays a few tens of thousands deep, and
+//!   the long delays are a sixteenth of the schedules, so it never
+//!   reaches the backlog `xl_simple` builds.
+//! - `sparse`: milliseconds-apart events at low queue depth, where
+//!   most pops search past empty buckets.
+//! - `backlogged`: the measured `xl_simple` shape: half the delays
+//!   10–100 s ahead, half 100–1,000 s, about 180k pending (a 160k
+//!   prefill that the mixed operations grow by ~33k).
 //!
 //! Run with `cargo bench -p exo-sim --bench queue`.
 
@@ -80,15 +84,21 @@ impl Lcg {
 
 const OPS: u64 = 100_000;
 
-/// Drives a queue through `OPS` mixed operations (~2 schedules per
-/// pop, like the engine) with delays drawn from `spread`, then drains.
+/// Drives a queue through `prefill` schedules and then `OPS` mixed
+/// operations (~2 schedules per pop, like the engine) with delays drawn
+/// from `spread`, then drains.
 macro_rules! drive {
-    ($queue:expr, $spread:expr) => {{
+    ($queue:expr, $pattern:expr) => {{
         let mut q = $queue;
-        let spread = $spread;
+        let Pattern {
+            spread, prefill, ..
+        } = $pattern;
         let mut rng = Lcg(1);
         let mut now = 0u64;
         let mut acc = 0u64;
+        for id in 0..prefill {
+            q.schedule_at(SimTime(spread(rng.next())), OPS + id);
+        }
         for id in 0..OPS {
             let r = rng.next();
             if r % 3 != 0 {
@@ -121,19 +131,55 @@ fn sparse(r: u64) -> u64 {
     1_000 + r % 20_000
 }
 
+fn backlogged(r: u64) -> u64 {
+    if r.is_multiple_of(2) {
+        10_000_000 + r % 90_000_000
+    } else {
+        100_000_000 + r % 900_000_000
+    }
+}
+
+/// A schedule shape: delays drawn from `spread`, after `prefill`
+/// schedules that set the queue's standing depth.
+#[derive(Clone, Copy)]
+struct Pattern {
+    name: &'static str,
+    spread: fn(u64) -> u64,
+    prefill: u64,
+}
+
+const PATTERNS: [Pattern; 4] = [
+    Pattern {
+        name: "uniform",
+        spread: uniform,
+        prefill: 0,
+    },
+    Pattern {
+        name: "bursty",
+        spread: bursty,
+        prefill: 0,
+    },
+    Pattern {
+        name: "sparse",
+        spread: sparse,
+        prefill: 0,
+    },
+    Pattern {
+        name: "backlogged",
+        spread: backlogged,
+        prefill: 160_000,
+    },
+];
+
 fn bench_queues(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
     g.throughput(Throughput::Elements(OPS));
-    for (name, spread) in [
-        ("uniform", uniform as fn(u64) -> u64),
-        ("bursty", bursty),
-        ("sparse", sparse),
-    ] {
-        g.bench_function(format!("calendar/{name}"), |b| {
-            b.iter(|| black_box(drive!(EventQueue::new(), spread)))
+    for p in PATTERNS {
+        g.bench_function(format!("wheel/{}", p.name), |b| {
+            b.iter(|| black_box(drive!(EventQueue::new(), p)))
         });
-        g.bench_function(format!("heap/{name}"), |b| {
-            b.iter(|| black_box(drive!(HeapQueue::new(), spread)))
+        g.bench_function(format!("heap/{}", p.name), |b| {
+            b.iter(|| black_box(drive!(HeapQueue::new(), p)))
         });
     }
     g.finish();

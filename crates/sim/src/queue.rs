@@ -5,62 +5,99 @@
 //! function of the order in which events were scheduled — never of hash-map
 //! iteration or heap internals.
 //!
-//! # Structure: hierarchical (calendar) queue
+//! # Structure: hierarchical timing wheel
 //!
-//! A single `BinaryHeap` pays `O(log n)` comparisons per operation on the
-//! *whole* pending set; at engine scale (tens of millions of events,
-//! queue depths in the tens of thousands) those comparisons dominate.
-//! This queue splits the pending set by fire time into three tiers:
+//! Most pending events are I/O completions that `Resource::submit` books
+//! behind deep disk and NIC backlogs. On the benchmark's `xl_simple`
+//! (seed 2026) 47% of schedules land 10–100 s ahead and 50% land
+//! 100–1,000 s ahead, with about 180k entries pending at a time. A
+//! single `BinaryHeap` over that set pays a cache-missing sift of
+//! `O(log n)` per operation. This queue is a Varghese–Lauck timing
+//! wheel instead. Time is cut into 64 µs *ticks*, and the queue keeps a
+//! current tick `tick`:
 //!
-//! - **hot** — a small min-heap holding every entry with `at <
-//!   base + WIDTH` (the current bucket window, *including* anything
-//!   scheduled at or before `base`). Pops come from here.
-//! - **ring** — `BUCKETS` unsorted `Vec` buckets, bucket `i` covering
-//!   `[base + i·WIDTH, base + (i+1)·WIDTH)` for `i in 1..=BUCKETS`.
-//!   Inserts are an index computation and a push.
-//! - **far** — an overflow min-heap for everything at or beyond the
-//!   ring horizon `base + (BUCKETS+1)·WIDTH`.
+//! - **hot** — a small min-heap holding every entry whose tick is at or
+//!   before `tick` (the current tick, *including* anything scheduled in
+//!   the past). Pops come from here.
+//! - **levels** — `LEVELS` wheels of `SLOTS` (2048) unsorted `Vec`
+//!   buckets. Level `k`'s buckets are `64 µs × 2048^k` wide, so the
+//!   three levels reach about 6.4 days. An entry goes to the level of
+//!   the highest 11-bit digit in which its tick differs from `tick`, in
+//!   the bucket that digit names. Inserts are a `leading_zeros`, a
+//!   shift and a push.
+//! - **far** — an overflow min-heap for entries whose tick differs from
+//!   `tick` above the top level.
 //!
-//! Popping drains the hot heap; when it empties, `base` advances bucket
-//! by bucket, heapifying the next non-empty bucket into the hot heap.
-//! Every advance first pulls newly-in-horizon entries out of the far
-//! heap, maintaining the ordering invariant below. When hot and ring
-//! are both empty the queue re-bases directly at the far heap's minimum
-//! (long idle gaps cost one jump, not a bucket walk).
+//! Each level keeps a 2048-bit occupancy bitmap with a 32-bit summary
+//! word, so the next non-empty bucket is two `trailing_zeros` away.
+//! When hot empties, the queue takes the first non-empty bucket of the
+//! lowest non-empty level and moves `tick` to that bucket's start. A
+//! level-0 bucket is one tick, so all of it goes into hot; a higher
+//! bucket *cascades*: each entry is placed again against the new
+//! `tick`, landing in a lower level or directly in hot. An entry moves
+//! at most `LEVELS` times, so every operation is `O(1)` amortised. Only
+//! when every level is empty does the queue jump `tick` to the far
+//! heap's minimum and pull the entries that now share its top digits.
+//!
+//! Buckets hold their entries in fixed 16-entry chunks. Emptied chunks
+//! and bucket lists go to a pool that later buckets draw from, and
+//! nothing is freed. A cascade returns each chunk before taking the
+//! next, so the buckets it fills reuse that memory, and the wheel stays
+//! within one partly filled chunk per occupied bucket of its live
+//! entries. (A `Vec` per bucket kept a doubled buffer for every bucket
+//! it had filled, and held a whole drained bucket through its cascade.)
 //!
 //! # Determinism
 //!
 //! Pop order is *identical to the plain binary heap's* — bit for bit —
 //! because the tiers partition the pending set by fire time:
 //!
-//! 1. every hot entry fires before every ring entry (`< base + WIDTH`
-//!    vs `≥ base + WIDTH`),
-//! 2. ring buckets are disjoint ascending windows, drained in order,
-//!    and each bucket is min-heapified before any of it is popped,
-//! 3. the far heap only ever holds entries at or beyond the horizon
-//!    (enforced at insert *and* re-checked on every `base` advance), so
-//!    it cannot hide an entry earlier than anything in hot/ring.
+//! 1. every hot entry fires before every wheel entry: hot ticks are
+//!    `≤ tick`, wheel ticks are `> tick`;
+//! 2. a level-`k` entry shares every digit above `k` with `tick` and is
+//!    larger at digit `k`, while a lower-level entry also shares digit
+//!    `k`, so lower levels fire first; within a level, buckets are
+//!    disjoint ascending windows, all beyond `tick`'s own digit, and the
+//!    first set bit is the earliest;
+//! 3. a far entry is larger than `tick` above the top level, so it is
+//!    later than every wheel entry, and the far heap is read only when
+//!    the wheel is empty;
+//! 4. a bucket is moved into hot (heapified) in full before any of it
+//!    pops, and hot orders by the same `(at, seq)` key the heap used.
 //!
-//! Within a tier, ordering is the same `(at, seq)` comparison the old
-//! heap used, so FIFO tie-breaking is preserved exactly. Bucket width
-//! and count affect only *where* an entry waits, never *when* it pops.
+//! Level width and count affect only *where* an entry waits, never
+//! *when* it pops: FIFO tie-breaking is preserved exactly.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
 
-/// Ring bucket count. With `WIDTH` this sets the near-future horizon
-/// (`BUCKETS × WIDTH` ≈ 131 ms of virtual time): long enough that the
-/// short-delay churn (transfers, CPU slices, store pumps) stays out of
-/// the far heap, small enough that an idle cycle over the whole ring is
-/// cheap.
-const BUCKETS: usize = 2048;
+/// Tick width as a shift: a tick is `2^6 = 64` µs of virtual time, the
+/// scale of the gaps the runtime schedules at, so a level-0 bucket holds
+/// a handful of entries and its heapify stays near-linear.
+const TICK_SHIFT: u32 = 6;
 
-/// Bucket width in `SimTime` ticks (µs). Matches the µs-scale gaps the
-/// runtime schedules at: a bucket holds a handful of entries, so the
-/// per-bucket heapify stays near-linear.
-const WIDTH: u64 = 64;
+/// Bits of the tick each level resolves.
+const BITS: u32 = 11;
+
+/// Buckets per level.
+const SLOTS: usize = 1 << BITS;
+
+/// Bitmap words per level.
+const WORDS: usize = SLOTS / 64;
+
+/// Wheel levels. Three reach `64 µs × 2048³` ≈ 6.4 days, far past any
+/// I/O backlog the runtime books; only timers beyond that use the far
+/// heap.
+const LEVELS: usize = 3;
+
+/// Tick shift that leaves the digits above the top level.
+const TOP_SHIFT: u32 = BITS * LEVELS as u32;
+
+fn tick_of(at: SimTime) -> u64 {
+    at.0 >> TICK_SHIFT
+}
 
 struct Entry<E> {
     at: SimTime,
@@ -120,33 +157,133 @@ impl TableFootprint {
     }
 }
 
-/// Footprint of an [`EventQueue`]'s three tiers.
+/// Peak footprint of an [`EventQueue`]'s three tiers over its life: the
+/// most entries each tier held at once, and the slots and bytes it had
+/// allocated at its largest. A run drains its queue before reporting,
+/// so a read of what the tiers hold at that point would show nothing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueFootprint {
+    /// The current-tick heap.
     pub hot: TableFootprint,
-    pub ring: TableFootprint,
+    /// The wheel levels' chunks (in buckets or pooled), with the bucket
+    /// lists' headers.
+    pub wheel: TableFootprint,
+    /// The overflow heap beyond the top level.
     pub far: TableFootprint,
 }
 
+/// Entries per bucket chunk (896 B of 56-B entries): the most an
+/// occupied bucket leaves unused.
+const CHUNK: usize = 16;
+
+/// Up to `CHUNK` entries of one bucket.
+type Chunk<E> = Vec<Entry<E>>;
+
+/// Emptied chunks and bucket lists, which buckets reuse before
+/// allocating. The wheel's allocation is thus sized by the most entries
+/// and occupied buckets it held at once.
+struct Pool<E> {
+    chunks: Vec<Chunk<E>>,
+    lists: Vec<Vec<Chunk<E>>>,
+}
+
+/// One wheel level: `SLOTS` buckets and their occupancy bitmap.
+struct Level<E> {
+    /// Bucket `s` holds, in chunks, the entries whose tick has digit `s`
+    /// at this level (allocated on the level's first insert).
+    buckets: Vec<Vec<Chunk<E>>>,
+    /// Bit `s % 64` of `words[s / 64]` is set iff bucket `s` is
+    /// non-empty.
+    words: [u64; WORDS],
+    /// Bit `w` is set iff `words[w]` is non-zero.
+    summary: u32,
+}
+
+impl<E> Level<E> {
+    fn new() -> Self {
+        Level {
+            buckets: Vec::new(),
+            words: [0; WORDS],
+            summary: 0,
+        }
+    }
+
+    /// Files `e` into bucket `slot`, taking a chunk (and, for an empty
+    /// bucket, a list) from `pool` when the bucket's last chunk is full.
+    fn push(&mut self, slot: usize, e: Entry<E>, pool: &mut Pool<E>) {
+        if self.buckets.is_empty() {
+            self.buckets.resize_with(SLOTS, Vec::new);
+        }
+        let bucket = &mut self.buckets[slot];
+        match bucket.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK => chunk.push(e),
+            _ => {
+                if bucket.capacity() == 0 {
+                    if let Some(list) = pool.lists.pop() {
+                        *bucket = list;
+                    }
+                }
+                let mut chunk = pool
+                    .chunks
+                    .pop()
+                    .unwrap_or_else(|| Vec::with_capacity(CHUNK));
+                chunk.push(e);
+                bucket.push(chunk);
+            }
+        }
+        self.words[slot / 64] |= 1 << (slot % 64);
+        self.summary |= 1 << (slot / 64);
+    }
+
+    /// The lowest non-empty bucket.
+    fn first(&self) -> Option<usize> {
+        if self.summary == 0 {
+            return None;
+        }
+        let w = self.summary.trailing_zeros() as usize;
+        Some(w * 64 + self.words[w].trailing_zeros() as usize)
+    }
+
+    /// Empties bucket `slot`, returning its chunk list; hand the chunks
+    /// and the list back to the pool once drained.
+    fn take(&mut self, slot: usize) -> Vec<Chunk<E>> {
+        let w = slot / 64;
+        self.words[w] &= !(1 << (slot % 64));
+        if self.words[w] == 0 {
+            self.summary &= !(1 << w);
+        }
+        std::mem::take(&mut self.buckets[slot])
+    }
+}
+
+/// Most entries each tier has held at once.
+#[derive(Default)]
+struct Peaks {
+    hot: usize,
+    wheel: usize,
+    far: usize,
+}
+
 /// A min-queue of timestamped events with stable FIFO tie-breaking,
-/// implemented as a hierarchical calendar queue (see module docs).
+/// implemented as a hierarchical timing wheel (see module docs).
 pub struct EventQueue<E> {
-    /// Entries with `at < base + WIDTH` (including the past).
+    /// Entries whose tick is at or before `tick` (including the past).
     hot: BinaryHeap<Entry<E>>,
-    /// Bucket `i` (0-based slot, rotated by `head`) covers
-    /// `[base + (i+1)·WIDTH, base + (i+2)·WIDTH)`.
-    ring: Vec<Vec<Entry<E>>>,
-    /// Rotation offset: ring slot `(head + i) % BUCKETS` is bucket `i`.
-    head: usize,
-    /// Entries in the ring (fast emptiness check for rotation).
-    ring_len: usize,
-    /// Entries at or beyond `horizon()`.
+    /// Entries whose tick differs from `tick` first at digit `k` live in
+    /// `levels[k]`.
+    levels: [Level<E>; LEVELS],
+    /// Entries whose tick differs from `tick` above the top level.
     far: BinaryHeap<Entry<E>>,
-    /// Start of the hot window.
-    base: SimTime,
+    /// Empty chunks and lists, shared by every level's buckets.
+    pool: Pool<E>,
+    /// The current tick: every wheel and far entry is later.
+    tick: u64,
+    /// Entries across the levels.
+    wheel_len: usize,
     /// Total entries across all tiers.
     len: usize,
     seq: u64,
+    peak: Peaks,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -160,19 +297,18 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             hot: BinaryHeap::new(),
-            ring: Vec::new(), // allocated lazily on first ring insert
-            head: 0,
-            ring_len: 0,
+            levels: std::array::from_fn(|_| Level::new()),
             far: BinaryHeap::new(),
-            base: SimTime::ZERO,
+            pool: Pool {
+                chunks: Vec::new(),
+                lists: Vec::new(),
+            },
+            tick: 0,
+            wheel_len: 0,
             len: 0,
             seq: 0,
+            peak: Peaks::default(),
         }
-    }
-
-    /// First time at or beyond the ring: the far heap's domain.
-    fn horizon(&self) -> u64 {
-        self.base.0 + (BUCKETS as u64 + 1) * WIDTH
     }
 
     /// Schedule `event` to fire at absolute time `at`.
@@ -188,21 +324,24 @@ impl<E> EventQueue<E> {
         self.schedule_at(now + delay, event);
     }
 
-    /// Files an entry into the tier its fire time selects.
+    /// Files an entry into the tier its tick selects relative to `tick`.
     fn place(&mut self, e: Entry<E>) {
-        if e.at.0 < self.base.0 + WIDTH {
+        let t = tick_of(e.at);
+        if t <= self.tick {
             self.hot.push(e);
-        } else if e.at.0 < self.horizon() {
-            if self.ring.is_empty() {
-                self.ring.resize_with(BUCKETS, Vec::new);
-            }
-            let i = ((e.at.0 - self.base.0) / WIDTH) as usize - 1;
-            let slot = (self.head + i) % BUCKETS;
-            self.ring[slot].push(e);
-            self.ring_len += 1;
-        } else {
-            self.far.push(e);
+            self.peak.hot = self.peak.hot.max(self.hot.len());
+            return;
         }
+        let level = ((63 - (t ^ self.tick).leading_zeros()) / BITS) as usize;
+        if level >= LEVELS {
+            self.far.push(e);
+            self.peak.far = self.peak.far.max(self.far.len());
+            return;
+        }
+        let slot = (t >> (BITS * level as u32)) as usize & (SLOTS - 1);
+        self.levels[level].push(slot, e, &mut self.pool);
+        self.wheel_len += 1;
+        self.peak.wheel = self.peak.wheel.max(self.wheel_len);
     }
 
     /// Remove and return the earliest event with its fire time.
@@ -215,65 +354,58 @@ impl<E> EventQueue<E> {
         Some((e.at, e.event))
     }
 
-    /// Advances `base` until the hot heap holds the earliest pending
+    /// Advances `tick` until the hot heap holds the earliest pending
     /// entries (no-op when the queue is empty).
     fn refill_hot(&mut self) {
         debug_assert!(self.hot.is_empty());
-        while self.ring_len > 0 {
-            // Advance one bucket: the head bucket's window becomes the
-            // hot window. Drain it *before* pulling from the far heap —
-            // the advance re-purposes the head slot as the ring's new
-            // tail window, and a pull may file entries into that slot;
-            // they must not ride into the hot heap with this window's.
-            // (The far heap cannot hold anything for the new hot window
-            // itself: its entries are at least a full ring beyond it.)
-            self.base = SimTime(self.base.0 + WIDTH);
-            let head = self.head;
-            self.head = (self.head + 1) % BUCKETS;
-            let taken = std::mem::take(&mut self.ring[head]);
-            self.ring_len -= taken.len();
-            self.pull_far_within_horizon();
-            if !taken.is_empty() {
-                self.hot.extend(taken);
+        while let Some((level, slot)) = self
+            .levels
+            .iter()
+            .enumerate()
+            .find_map(|(k, l)| l.first().map(|s| (k, s)))
+        {
+            // Move `tick` to the bucket's start: keep the digits above
+            // `level`, set digit `level` to the bucket, zero the rest.
+            // Every lower level is empty, so no entry is left behind.
+            let shift = BITS * level as u32;
+            self.tick = (self.tick >> (shift + BITS) << (shift + BITS)) | ((slot as u64) << shift);
+            let mut bucket = self.levels[level].take(slot);
+            self.wheel_len -= bucket.iter().map(Vec::len).sum::<usize>();
+            if level == 0 {
+                // One tick wide: the whole bucket is the current tick.
+                self.hot.extend(bucket.iter_mut().flat_map(|c| c.drain(..)));
+                self.peak.hot = self.peak.hot.max(self.hot.len());
+                self.pool.chunks.append(&mut bucket);
+            } else {
+                for mut chunk in bucket.drain(..) {
+                    for e in chunk.drain(..) {
+                        self.place(e);
+                    }
+                    self.pool.chunks.push(chunk);
+                }
+            }
+            self.pool.lists.push(bucket);
+            if !self.hot.is_empty() {
                 return;
             }
         }
-        // Ring exhausted: jump straight to the far heap's minimum.
-        if let Some(min) = self.far.peek() {
-            self.base = SimTime(min.at.0 - min.at.0 % WIDTH);
-            self.pull_far_within_horizon();
-            debug_assert!(!self.hot.is_empty());
-        }
-    }
-
-    /// Moves every far entry the current horizon covers into hot/ring,
-    /// restoring the invariant that `far` starts at `horizon()`.
-    fn pull_far_within_horizon(&mut self) {
-        let horizon = self.horizon();
-        while self.far.peek().is_some_and(|e| e.at.0 < horizon) {
-            // audit:allow(P01): the loop condition just peeked Some on
-            // this same heap; pop cannot return None here.
-            let e = self.far.pop().expect("peeked entry pops");
+        // Wheel empty: jump to the far heap's minimum and pull every entry
+        // that now shares `tick`'s digits above the top level. The minimum
+        // itself lands in hot.
+        let Some(min) = self.far.peek() else {
+            return;
+        };
+        self.tick = tick_of(min.at);
+        let top = self.tick >> TOP_SHIFT;
+        while self
+            .far
+            .peek()
+            .is_some_and(|e| tick_of(e.at) >> TOP_SHIFT == top)
+        {
+            let Some(e) = self.far.pop() else { break };
             self.place(e);
         }
-    }
-
-    /// Fire time of the next event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(e) = self.hot.peek() {
-            return Some(e.at);
-        }
-        if self.ring_len > 0 {
-            // First non-empty bucket is the earliest window; its minimum
-            // is the global minimum (far starts at the horizon).
-            for i in 0..BUCKETS {
-                let bucket = &self.ring[(self.head + i) % BUCKETS];
-                if let Some(t) = bucket.iter().map(|e| e.at).min() {
-                    return Some(t);
-                }
-            }
-        }
-        self.far.peek().map(|e| e.at)
+        debug_assert!(!self.hot.is_empty());
     }
 
     /// Number of pending events.
@@ -286,18 +418,27 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
-    /// Entries and allocated slots per tier. The hot and far heaps never
-    /// release capacity, so theirs is the peak; a ring bucket hands its
-    /// buffer to the hot heap when its window comes up, so the ring's
-    /// figure is what its buckets hold now.
+    /// Peak entries and allocated slots per tier. No tier ever frees a
+    /// buffer — the heaps keep their capacity, and the wheel's chunks and
+    /// bucket lists are recycled — so the capacity held now is the peak.
     pub fn footprint(&self) -> QueueFootprint {
-        let buckets = self.ring.iter().map(Vec::capacity).sum();
-        let mut ring = TableFootprint::of::<Entry<E>>(self.ring_len, buckets);
-        ring.bytes += self.ring.capacity() * std::mem::size_of::<Vec<Entry<E>>>();
+        let header = std::mem::size_of::<Vec<Chunk<E>>>();
+        let pool = &self.pool;
+        let mut lists = pool.chunks.capacity() + pool.lists.capacity();
+        lists += pool.lists.iter().map(Vec::capacity).sum::<usize>();
+        let mut chunks = pool.chunks.len();
+        for level in &self.levels {
+            lists += level.buckets.iter().map(Vec::capacity).sum::<usize>();
+            chunks += level.buckets.iter().map(Vec::len).sum::<usize>();
+            // The slot array's own list headers.
+            lists += level.buckets.capacity();
+        }
+        let mut wheel = TableFootprint::of::<Entry<E>>(self.peak.wheel, chunks * CHUNK);
+        wheel.bytes += lists * header;
         QueueFootprint {
-            hot: TableFootprint::of::<Entry<E>>(self.hot.len(), self.hot.capacity()),
-            ring,
-            far: TableFootprint::of::<Entry<E>>(self.far.len(), self.far.capacity()),
+            hot: TableFootprint::of::<Entry<E>>(self.peak.hot, self.hot.capacity()),
+            wheel,
+            far: TableFootprint::of::<Entry<E>>(self.peak.far, self.far.capacity()),
         }
     }
 }
@@ -305,6 +446,13 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One tick, and the widths of a level-1 and a level-2 bucket, in µs.
+    const TICK: u64 = 1 << TICK_SHIFT;
+    const L1: u64 = TICK << BITS;
+    const L2: u64 = L1 << BITS;
+    /// First time past the top level from zero: the far heap's domain.
+    const TOP: u64 = L2 << BITS;
 
     #[test]
     fn pops_in_time_order() {
@@ -330,9 +478,8 @@ mod tests {
     fn schedule_after_offsets_from_now() {
         let mut q = EventQueue::new();
         q.schedule_after(SimTime(100), SimDuration(25), ());
-        assert_eq!(q.peek_time(), Some(SimTime(125)));
         assert_eq!(q.len(), 1);
-        q.pop();
+        assert_eq!(q.pop(), Some((SimTime(125), ())));
         assert!(q.is_empty());
     }
 
@@ -361,6 +508,50 @@ mod tests {
         }
     }
 
+    /// The wheel and the reference heap fed the same schedule; every pop
+    /// asserts both return the same `(time, id)`.
+    struct Pair {
+        wheel: EventQueue<u64>,
+        heap: HeapQueue<u64>,
+        next_id: u64,
+        /// The engine's clock: the last popped time.
+        now: u64,
+    }
+
+    impl Pair {
+        fn new() -> Self {
+            Pair {
+                wheel: EventQueue::new(),
+                heap: HeapQueue::new(),
+                next_id: 0,
+                now: 0,
+            }
+        }
+
+        fn schedule(&mut self, at: u64) {
+            self.wheel.schedule_at(SimTime(at), self.next_id);
+            self.heap.schedule_at(SimTime(at), self.next_id);
+            self.next_id += 1;
+        }
+
+        fn pop(&mut self) -> Option<u64> {
+            let a = self.wheel.pop();
+            let b = self.heap.pop();
+            assert_eq!(a, b, "pop diverged from reference heap");
+            let (t, _) = a?;
+            // The engine's clock is monotone across pops; past inserts
+            // are exercised explicitly below.
+            self.now = self.now.max(t.0);
+            Some(t.0)
+        }
+
+        fn drain(mut self) {
+            while self.pop().is_some() {}
+            assert!(self.wheel.is_empty());
+            assert_eq!(self.wheel.len(), 0);
+        }
+    }
+
     /// Deterministic splitmix-style generator (no external randomness:
     /// the audit bans ambient RNG and the test must be reproducible).
     struct Lcg(u64);
@@ -374,62 +565,36 @@ mod tests {
         }
     }
 
-    fn equivalence_run(seed: u64, ops: usize, spread: impl Fn(u64) -> u64) {
+    /// Schedules `prefill` entries, then runs `ops` mixed operations
+    /// (~2 schedules per pop, like the engine), each schedule `spread`
+    /// after the clock, then drains — all against the reference heap.
+    fn equivalence_run(seed: u64, prefill: usize, ops: usize, spread: impl Fn(u64) -> u64) {
         let mut rng = Lcg(seed);
-        let mut cal = EventQueue::new();
-        let mut heap = HeapQueue::new();
-        let mut now = 0u64;
-        let mut id = 0u64;
+        let mut p = Pair::new();
+        for _ in 0..prefill {
+            p.schedule(spread(rng.next()));
+        }
         for _ in 0..ops {
-            let r = rng.next();
-            // Mixed workload: ~2 schedules per pop, like the engine.
-            if !r.is_multiple_of(3) {
-                let at = now + spread(rng.next());
-                cal.schedule_at(SimTime(at), id);
-                heap.schedule_at(SimTime(at), id);
-                id += 1;
+            if !rng.next().is_multiple_of(3) {
+                p.schedule(p.now + spread(rng.next()));
             } else {
-                let a = cal.pop();
-                let b = heap.pop();
-                assert_eq!(
-                    a.as_ref().map(|(t, e)| (*t, *e)),
-                    b.as_ref().map(|(t, e)| (*t, *e)),
-                    "pop diverged from reference heap"
-                );
-                if let Some((t, _)) = a {
-                    // The engine's clock: monotone across pops.
-                    now = now.max(t.0);
-                }
+                p.pop();
             }
         }
-        // Drain both fully.
-        loop {
-            let a = cal.pop();
-            let b = heap.pop();
-            assert_eq!(
-                a.as_ref().map(|(t, e)| (*t, *e)),
-                b.as_ref().map(|(t, e)| (*t, *e))
-            );
-            if a.is_none() {
-                break;
-            }
-        }
-        assert!(cal.is_empty());
-        assert_eq!(cal.len(), 0);
+        p.drain();
     }
 
     #[test]
     fn matches_reference_heap_uniform_short_delays() {
-        // Delays inside the ring horizon; heavy tie density (mod 97).
-        equivalence_run(1, 20_000, |r| r % 97);
+        // Delays inside one level-1 bucket; heavy tie density (mod 97).
+        equivalence_run(1, 0, 20_000, |r| r % 97);
     }
 
     #[test]
     fn matches_reference_heap_bursty_mixed_delays() {
-        // Mostly sub-window delays with bursts far beyond the horizon
-        // (disk-write-like seconds-ahead completions), exercising the
-        // far heap, horizon pulls, and re-basing.
-        equivalence_run(2, 20_000, |r| {
+        // Mostly sub-tick delays with bursts seconds ahead (disk-write-like
+        // completions), exercising levels 1 and 2 and their cascades.
+        equivalence_run(2, 0, 20_000, |r| {
             if r % 16 == 0 {
                 1_000_000 + r % 5_000_000
             } else {
@@ -440,19 +605,64 @@ mod tests {
 
     #[test]
     fn matches_reference_heap_idle_jumps() {
-        // Sparse far-apart events: every pop crosses an empty ring, so
-        // the re-base jump path runs constantly.
-        equivalence_run(3, 5_000, |r| 10_000_000 + r % 100_000_000);
+        // Sparse far-apart events: most pops skip many empty buckets, so
+        // the bitmap search and multi-level advances run constantly.
+        equivalence_run(3, 0, 5_000, |r| 10_000_000 + r % 100_000_000);
+    }
+
+    #[test]
+    fn matches_reference_heap_deep_backlog() {
+        // The measured xl_simple shape: half the completions 10–100 s
+        // ahead, half 100–1,000 s, over a backlog deeper than 100k.
+        equivalence_run(4, 120_000, 60_000, |r| {
+            if r.is_multiple_of(2) {
+                10_000_000 + r % 90_000_000
+            } else {
+                100_000_000 + r % 900_000_000
+            }
+        });
+    }
+
+    #[test]
+    fn matches_reference_heap_beyond_top_level() {
+        // A quarter of the entries lie past the top level, several top
+        // blocks apart, so the wheel empties and the queue jumps to the
+        // far heap's minimum again and again; the rest spread over four
+        // level-2 buckets, interleaving with the far entries each jump
+        // pulls.
+        equivalence_run(5, 2_000, 20_000, |r| {
+            if r.is_multiple_of(4) {
+                TOP + r % (8 * TOP)
+            } else {
+                r % (4 * L2)
+            }
+        });
+    }
+
+    #[test]
+    fn far_jump_pulls_the_whole_top_block() {
+        // After the jump to `a`, `b` shares its top block and must leave
+        // the far heap with it: `c`, scheduled later, lands in level 2
+        // and would otherwise pop before `b`.
+        let mut p = Pair::new();
+        let a = 3 * TOP + 10;
+        p.schedule(a);
+        p.schedule(a + 5 * L2);
+        p.schedule(4 * TOP);
+        assert_eq!(p.pop(), Some(a));
+        p.schedule(a + 6 * L2);
+        assert_eq!(p.pop(), Some(a + 5 * L2));
+        p.drain();
     }
 
     #[test]
     fn past_inserts_pop_before_future_work() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime(1_000_000), "future");
-        // Popping "future" re-bases the queue at t=1 000 000...
+        // Popping "future" advances the current tick to t=1 000 000...
         assert_eq!(q.pop().map(|(_, e)| e), Some("future"));
-        // ...but an insert earlier than the new base must still pop
-        // first (the hot heap absorbs the past).
+        // ...but an insert earlier than it must still pop first (the hot
+        // heap absorbs the past).
         q.schedule_at(SimTime(10), "past");
         q.schedule_at(SimTime(1_000_050), "near");
         assert_eq!(q.pop(), Some((SimTime(10), "past")));
@@ -461,17 +671,130 @@ mod tests {
     }
 
     #[test]
+    fn past_inserts_right_after_a_jump() {
+        // Jump to the far heap, and advance through a level-2 bucket; right
+        // after each, insert entries before the new tick, on it, and in
+        // every level above it.
+        for first in [3 * TOP + 12_345, 5 * L2 + 777] {
+            let mut p = Pair::new();
+            p.schedule(first);
+            p.schedule(first + 3 * L2);
+            p.schedule(first + 9 * TOP);
+            assert_eq!(p.pop(), Some(first));
+            for at in [
+                0,
+                first - 1,
+                first - TICK,
+                first - L1,
+                first - L2,
+                first,
+                first + 1,
+                first + TICK,
+                first + L1,
+                first + L2,
+                first + TOP,
+            ] {
+                p.schedule(at);
+            }
+            // Interleave pops with more past inserts at the popped time.
+            while let Some(t) = p.pop() {
+                if t % 3 == 0 && p.next_id < 40 {
+                    p.schedule(t.saturating_sub(L1));
+                    p.schedule(t);
+                }
+            }
+            p.drain();
+        }
+    }
+
+    #[test]
+    fn ties_on_level_and_bucket_boundaries() {
+        // Several entries exactly on, and one µs either side of, every
+        // tick, level-1, level-2 and top-level boundary near a few
+        // multiples — entries that share a bucket, straddle two buckets,
+        // or sit at a level's last slot.
+        let mut p = Pair::new();
+        for width in [TICK, L1, L2, TOP] {
+            for k in [1, 2, 3, 2047, 2048, 2049] {
+                let edge = width * k;
+                for at in [edge - 1, edge, edge, edge + 1, edge] {
+                    p.schedule(at);
+                }
+            }
+        }
+        // Pop half, then repeat the same boundaries: now relative to a
+        // later tick, so they land in different levels.
+        for _ in 0..p.wheel.len() / 2 {
+            p.pop();
+        }
+        for width in [TICK, L1, L2] {
+            for k in [1, 2047, 2048] {
+                let edge = p.now + width * k - p.now % width;
+                for at in [edge - 1, edge, edge, edge + 1] {
+                    p.schedule(at);
+                }
+            }
+        }
+        p.drain();
+    }
+
+    #[test]
+    fn cascades_land_entries_directly_in_hot() {
+        // Entries on the first tick of a level-1 or level-2 bucket are on
+        // the new current tick when that bucket cascades, so they go
+        // straight to hot alongside the bucket's later entries.
+        let mut p = Pair::new();
+        for base in [7 * L1, 5 * L2, 5 * L2 + 3 * L1] {
+            for off in [TICK + 5, 0, 63, 1, 0, L1 - 1, 2 * TICK] {
+                p.schedule(base + off);
+            }
+        }
+        p.schedule(0);
+        assert_eq!(p.pop(), Some(0));
+        let q = &p.wheel;
+        assert!(q.hot.is_empty());
+        assert!(q.levels[1].summary != 0 && q.levels[2].summary != 0);
+        // The next pop cascades level 1's bucket 7: its four entries on
+        // the bucket's first tick go to hot, and one of them pops.
+        assert_eq!(p.pop(), Some(7 * L1));
+        assert_eq!(p.wheel.hot.len(), 3);
+        p.drain();
+    }
+
+    #[test]
     fn len_tracks_across_tiers() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime(5), 0); // hot
-        q.schedule_at(SimTime(WIDTH * 10), 1); // ring
-        q.schedule_at(SimTime(u64::MAX / 2), 2); // far
+        q.schedule_at(SimTime(TICK * 10), 1); // level 0
+        q.schedule_at(SimTime(L2 * 10), 2); // level 2
+        q.schedule_at(SimTime(u64::MAX / 2), 3); // far
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.pop(), Some((SimTime(5), 0)));
         assert_eq!(q.len(), 3);
-        assert_eq!(q.peek_time(), Some(SimTime(5)));
-        q.pop();
-        assert_eq!(q.peek_time(), Some(SimTime(WIDTH * 10)));
-        q.pop();
-        q.pop();
+        assert_eq!(q.pop(), Some((SimTime(TICK * 10), 1)));
+        assert_eq!(q.pop(), Some((SimTime(L2 * 10), 2)));
+        assert_eq!(q.pop(), Some((SimTime(u64::MAX / 2), 3)));
         assert!(q.is_empty());
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn footprint_reports_peaks_after_drain() {
+        let mut q = EventQueue::new();
+        for i in 0..100u64 {
+            q.schedule_at(SimTime(i * 1_000_000), i);
+        }
+        q.schedule_at(SimTime(TOP * 2), 100);
+        while q.pop().is_some() {}
+        let f = q.footprint();
+        // Entry at t=0 went to hot; the rest waited in the wheel, except
+        // the one past the top level.
+        assert_eq!(f.hot.live, 1);
+        assert_eq!(f.wheel.live, 99);
+        assert_eq!(f.far.live, 1);
+        assert!(f.wheel.capacity >= 99);
+        let slot = std::mem::size_of::<Entry<u64>>();
+        assert!(f.wheel.bytes >= f.wheel.capacity * slot);
+        assert_eq!(f.far.bytes, f.far.capacity * slot);
     }
 }

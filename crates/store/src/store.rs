@@ -593,7 +593,6 @@ impl<T> NodeStore<T> {
             let mut freed_any = false;
             let mut batch_objs = Vec::new();
             let mut batch_bytes = 0u64;
-            let mut postponed = Vec::new();
             while let Some(id) = self.spill_order.pop_front() {
                 let Some(slot) = self.slots.get_mut(id) else {
                     continue;
@@ -630,10 +629,6 @@ impl<T> NodeStore<T> {
                     }
                     _ => continue,
                 }
-            }
-            // Anything we popped but could not use goes back (rare).
-            for id in postponed.drain(..) {
-                self.spill_order.push_front(id);
             }
             if !batch_objs.is_empty() {
                 self.spilling_bytes += batch_bytes;
