@@ -33,8 +33,8 @@ pub mod table;
 pub mod xl;
 
 pub use obs::{
-    claim_obs, claim_trace, export_trace, export_trace_with_caps, live_flag, obs_not_applicable,
-    sort_result_json, without_trace, write_results, Obs,
+    claim_obs, export_trace_with_caps, live_flag, obs_not_applicable, sort_result_json,
+    without_trace, write_results, Obs,
 };
 pub use runs::{
     peak_rss_bytes, perf_json, run_es_sort, run_es_sort_on, timed_run, timed_run_service,

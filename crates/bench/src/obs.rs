@@ -201,7 +201,7 @@ impl Obs {
     pub fn finish(&self, report: &RunReport, caps: &DeviceCaps) {
         let events = &report.trace;
         if let Some(path) = &self.trace_path {
-            export_trace_with_caps(path, events, Some(caps));
+            export_trace_with_caps(path, events, caps);
         }
         let mut crit_spans: Option<Vec<(u64, u64, u64)>> = None;
         if self.profile {
@@ -433,13 +433,6 @@ pub fn claim_obs() -> Obs {
     }
 }
 
-/// Back-compat shim over [`claim_obs`] for callers that only care about
-/// the trace side: `(TraceConfig, Option<PathBuf>)`.
-pub fn claim_trace() -> (TraceConfig, Option<PathBuf>) {
-    let obs = claim_obs();
-    (obs.cfg.clone(), obs.trace_path)
-}
-
 /// Run `f` with observability claiming suppressed. Used by bins whose
 /// first simulated run is not the interesting one (fig4_ft instruments
 /// the first *failure* run, not the clean baseline it needs beforehand).
@@ -464,14 +457,9 @@ static WATCH_JSON: Mutex<Option<Json>> = Mutex::new(None);
 
 /// Export a finished run's trace: Chrome trace-event JSON at `path`
 /// (loadable in Perfetto / `chrome://tracing`), a flat JSONL sibling, and
-/// the text summary on stdout.
-pub fn export_trace(path: &Path, events: &[Event]) {
-    export_trace_with_caps(path, events, None);
-}
-
-/// [`export_trace`], with per-node capacity lines in the text summary
-/// when the caller knows the cluster's capacity card.
-pub fn export_trace_with_caps(path: &Path, events: &[Event], caps: Option<&DeviceCaps>) {
+/// the text summary on stdout, with per-node capacity lines from the
+/// cluster's capacity card.
+pub fn export_trace_with_caps(path: &Path, events: &[Event], caps: &DeviceCaps) {
     match write_chrome_trace(path, events) {
         Ok(()) => eprintln!(
             "wrote Chrome trace ({} events) to {} — load it at https://ui.perfetto.dev",
@@ -485,10 +473,7 @@ pub fn export_trace_with_caps(path: &Path, events: &[Event], caps: Option<&Devic
         Ok(()) => eprintln!("wrote flat event log to {}", jsonl.display()),
         Err(e) => eprintln!("failed to write event log {}: {e}", jsonl.display()),
     }
-    let mut summary = summarize(events);
-    if let Some(caps) = caps {
-        summary = summary.with_capacities(capacity_lines(caps));
-    }
+    let summary = summarize(events).with_capacities(capacity_lines(caps));
     println!("\n{summary}");
 }
 

@@ -8,7 +8,7 @@
 //! partial shuffle (Fig 2d-iii) for the accuracy/throughput trade-off of
 //! Figure 9.
 
-use exo_rt::{ObjectRef, Payload, RtHandle};
+use exo_rt::{ObjectRef, RtHandle};
 
 use crate::job::ShuffleJob;
 use crate::{run_shuffle, ShuffleVariant};
@@ -96,12 +96,6 @@ impl<'rt> EpochLoader<'rt> {
             .unwrap_or_else(|| self.launch_epoch());
         self.prefetched = Some(self.launch_epoch());
         current
-    }
-
-    /// Fetch one block's payload (the `ray.get(block)` inside the training
-    /// loop — blocks arrive as the shuffle produces them).
-    pub fn fetch_block(&self, block: &ObjectRef) -> Payload {
-        self.rt.get_one(block).expect("loader block available")
     }
 }
 

@@ -12,14 +12,10 @@ use crate::task::TaskSpec;
 /// Errors surfaced to the driver.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RtError {
-    /// An allocation could not be satisfied and neither spilling nor
-    /// fallback was available (executor-heap store modes only).
-    OutOfMemory {
-        /// Node that OOMed.
-        node: NodeId,
-    },
-    /// An object was lost and cannot be reconstructed (its lineage was
-    /// released or its producer is gone).
+    /// An object lost its last copy and has no lineage to rebuild it
+    /// from: a driver `put` whose only copy lived on a node that died.
+    /// Fails the object's job, so every later `get` of that job returns
+    /// this error.
     ObjectLost {
         /// The unrecoverable object.
         obj: ObjectId,
@@ -29,7 +25,6 @@ pub enum RtError {
 impl std::fmt::Display for RtError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RtError::OutOfMemory { node } => write!(f, "out of memory on {node}"),
             RtError::ObjectLost { obj } => write!(f, "object {obj:?} lost and unrecoverable"),
         }
     }

@@ -468,12 +468,6 @@ impl TaskBuilder {
         self
     }
 
-    /// Pass an inline payload (e.g. a ghost payload carrying parameters).
-    pub fn arg_payload(mut self, p: Payload) -> Self {
-        self.args.push(ArgSpec::Inline(p));
-        self
-    }
-
     /// Declare the number of return objects (multiple-returns API).
     pub fn num_returns(mut self, n: usize) -> Self {
         self.opts.num_returns = n;
@@ -522,7 +516,7 @@ impl TaskBuilder {
         self
     }
 
-    /// Label for progress metrics.
+    /// Label recorded on the task's trace spans.
     pub fn label(mut self, label: &'static str) -> Self {
         self.opts.label = label;
         self

@@ -6,18 +6,9 @@
 //! metrics are merged in separately. [`RtMetrics::from_counters`] is the
 //! one conversion point.
 
-use exo_sim::{QueueFootprint, SimTime, TableFootprint};
+use exo_sim::{QueueFootprint, TableFootprint};
 use exo_store::StoreMetrics;
 use exo_trace::TraceCounters;
-
-/// A labelled task-completion sample for progress curves (Fig 5).
-#[derive(Clone, Debug)]
-pub struct ProgressSample {
-    /// Completion time.
-    pub at: SimTime,
-    /// The task's label (e.g. `"map"`, `"reduce"`).
-    pub label: &'static str,
-}
 
 /// Live entries and allocated capacity of the engine's largest tables,
 /// read once at shutdown. The arenas never give capacity back, so their
@@ -62,13 +53,11 @@ pub struct RtMetrics {
     pub node_failures: u64,
     /// Executor-process failures injected (objects survive these).
     pub executor_failures: u64,
-    /// Completion samples, in completion order.
-    pub progress: Vec<ProgressSample>,
 }
 
 impl RtMetrics {
-    /// Builds the scalar counters from a trace fold; store metrics and
-    /// progress samples are filled in by the caller.
+    /// Builds the scalar counters from a trace fold; store metrics are
+    /// filled in by the caller.
     pub(crate) fn from_counters(c: &TraceCounters) -> RtMetrics {
         RtMetrics {
             tasks_completed: c.tasks_completed,
@@ -81,7 +70,6 @@ impl RtMetrics {
             objects_reconstructed: c.objects_reconstructed,
             node_failures: c.node_failures,
             executor_failures: c.executor_failures,
-            progress: Vec::new(),
         }
     }
 

@@ -32,7 +32,7 @@ use crate::compute::{ComputePool, Pending};
 use crate::directory::{FetchState, ObjEntry};
 use crate::ids::{job_of, JobId, NodeId, ObjectId, TaskId, TenantId, JOB_SEQ_BITS};
 use crate::jobs::{Admission, JobManager, TenantQuota};
-use crate::metrics::{EngineTables, ProgressSample, RtMetrics};
+use crate::metrics::{EngineTables, RtMetrics};
 use crate::object::Payload;
 use crate::observe::RunObserver;
 use crate::scheduler::{place, LoadBalance, NodeSnapshot, PlacementPolicy};
@@ -54,8 +54,6 @@ pub struct RtConfig {
     /// When off, a task's arguments are fetched only once it holds an
     /// execution slot, serialising I/O with execution.
     pub prefetch_args: bool,
-    /// Record per-task completion samples (progress curves, Fig 5).
-    pub record_progress: bool,
     /// Per-node CPU slowdown multipliers (straggler injection): a task's
     /// compute phase on node `i` is multiplied by `cpu_slowdown[i]`.
     pub cpu_slowdown: Vec<f64>,
@@ -82,11 +80,12 @@ pub struct RtConfig {
     /// Per-tenant quotas and fair-share weights for multi-job service
     /// mode. Tenants not listed get a default quota (weight 1, no caps).
     pub tenants: Vec<(TenantId, TenantQuota)>,
-    /// Admission control: new non-priority jobs queue while any alive
-    /// node's store utilisation exceeds this fraction, or while a
-    /// spill-storm incident is open (requires [`RtConfig::watch`]).
-    pub admission_pressure: f64,
 }
+
+/// Admission control: new non-priority jobs queue while any alive node's
+/// store utilisation exceeds this fraction, or while a spill-storm
+/// incident is open (requires [`RtConfig::watch`]).
+const ADMISSION_PRESSURE: f64 = 0.9;
 
 impl RtConfig {
     /// Ray-like defaults on the given cluster.
@@ -97,14 +96,12 @@ impl RtConfig {
             fuse_spill_writes: true,
             fuse_min: 100 * 1000 * 1000,
             prefetch_args: true,
-            record_progress: false,
             cpu_slowdown: Vec::new(),
             trace: TraceConfig::default(),
             live: None,
             watch: None,
             placement: Arc::new(LoadBalance),
             tenants: Vec::new(),
-            admission_pressure: 0.9,
         }
     }
 
@@ -275,16 +272,102 @@ impl Node {
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Where a task is in its life. Only the placed states carry an
+/// [`Attempt`], so leaving one (completion, resubmission, a failure)
+/// drops every per-placement field at once.
 enum TaskState {
     /// Some argument object has not been produced yet.
-    WaitingArgs,
+    WaitingArgs {
+        /// Arrival countdown: the object args found unavailable (and
+        /// registered on) by the last full scan, minus the first-copy
+        /// landings since. A landing that leaves it above zero skips the
+        /// rescan, so a p-ary fan-in costs O(p), not O(p²). 0 (on entry,
+        /// after a scan that found every arg, and after `kill_node` — the
+        /// only way a landed arg can become unavailable again) makes the
+        /// next landing rescan.
+        missing: u32,
+    },
     /// Assigned to a node, waiting for a slot (and possibly staging).
-    Queued,
+    Queued(Attempt),
     /// Executing (input read / compute / output allocation phases).
-    Running,
+    Running(Attempt),
     /// Finished.
     Done,
+}
+
+impl TaskState {
+    /// A task that has not yet scanned its args.
+    const UNSCANNED: TaskState = TaskState::WaitingArgs { missing: 0 };
+
+    /// The current attempt, when the task is placed on a node.
+    fn attempt(&self) -> Option<&Attempt> {
+        match self {
+            TaskState::Queued(a) | TaskState::Running(a) => Some(a),
+            _ => None,
+        }
+    }
+
+    /// Mutable variant of [`TaskState::attempt`].
+    fn attempt_mut(&mut self) -> Option<&mut Attempt> {
+        match self {
+            TaskState::Queued(a) | TaskState::Running(a) => Some(a),
+            _ => None,
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            TaskState::WaitingArgs { .. } => "WaitingArgs",
+            TaskState::Queued(_) => "Queued",
+            TaskState::Running(_) => "Running",
+            TaskState::Done => "Done",
+        }
+    }
+}
+
+/// One placement of a task on a node: built by `try_schedule`, carried
+/// from `Queued` into `Running`, and dropped with the state that owns it.
+struct Attempt {
+    node: NodeId,
+    /// Unique object args not yet pinned in local memory (ordered so
+    /// staging I/O is issued deterministically).
+    unstaged: BTreeSet<ObjectId>,
+    /// Object args currently pinned locally (to unpin at completion).
+    pinned: Vec<ObjectId>,
+    /// True once staging has been kicked off.
+    staging_started: bool,
+    /// Holds an execution slot: while staging in prefetch-off mode, and
+    /// from the start of execution on.
+    slot_held: bool,
+    /// The closure, launched on the compute pool when the args were
+    /// pinned and not yet landed into `pending_outputs`. Dropping it
+    /// abandons a dead attempt's closure.
+    compute: Option<Pending<Vec<Payload>>>,
+    /// Closure outputs, parked here from their landing until sealed into
+    /// the store. Empty before the landing and after the last seal.
+    pending_outputs: Vec<Option<Payload>>,
+    /// Outputs not yet sealed.
+    outputs_pending: usize,
+    cpu_done: bool,
+    /// The final output flush has been initiated.
+    output_written: bool,
+}
+
+impl Attempt {
+    fn new(node: NodeId, unstaged: BTreeSet<ObjectId>) -> Attempt {
+        Attempt {
+            node,
+            unstaged,
+            pinned: Vec::new(),
+            staging_started: false,
+            slot_held: false,
+            compute: None,
+            pending_outputs: Vec::new(),
+            outputs_pending: 0,
+            cpu_done: false,
+            output_written: false,
+        }
+    }
 }
 
 struct TaskEntry {
@@ -292,42 +375,12 @@ struct TaskEntry {
     /// Unique object args (deduplicated once at submit, `spec.args`
     /// order), cached so the arg scan and placement never re-hash `spec`.
     obj_args: Vec<ObjectId>,
-    /// Arrival countdown while `WaitingArgs`: the object args found
-    /// unavailable (and registered on) by the last full scan, minus the
-    /// first-copy landings since. A landing that leaves it above zero
-    /// skips the rescan, so a p-ary fan-in costs O(p), not O(p²).
-    /// 0 (outside `WaitingArgs`, after a scan that found every arg, and
-    /// after `kill_node` — the only way a landed arg can become
-    /// unavailable again) makes the next landing rescan.
-    args_missing: u32,
     outputs: Vec<ObjectId>,
     state: TaskState,
     attempt: u32,
     /// Bumped whenever the task is (re)assigned; in-flight events with an
     /// older epoch are void.
     epoch: u32,
-    node: Option<NodeId>,
-    /// Unique object args not yet pinned in local memory (ordered so
-    /// staging I/O is issued deterministically).
-    unstaged: BTreeSet<ObjectId>,
-    /// Object args currently pinned locally (to unpin at completion).
-    pinned: Vec<ObjectId>,
-    /// True once staging has been kicked off for the current assignment.
-    staging_started: bool,
-    /// Slot already held while staging (prefetch-off mode).
-    slot_held: bool,
-    /// The current attempt's closure, launched on the compute pool when
-    /// its args were pinned and not yet landed into `pending_outputs`.
-    /// Dropping it abandons a dead attempt's closure.
-    compute: Option<Pending<Vec<Payload>>>,
-    /// Closure outputs of the current attempt, parked here from their
-    /// landing until sealed into the store. Empty before the landing and
-    /// after the last seal, so a finished task holds no buffer for its
-    /// returns.
-    pending_outputs: Vec<Option<Payload>>,
-    outputs_pending: usize,
-    cpu_done: bool,
-    output_written: bool,
     /// Set by a lineage resubmission; consumed when the next `Scheduled`
     /// trace event is emitted so re-executions are counted exactly once
     /// (executor-failure re-runs do not set this).
@@ -335,18 +388,6 @@ struct TaskEntry {
     /// True while this task is re-running to reconstruct lost outputs;
     /// sealed outputs emit `ObjectEvent::Reconstructed` while set.
     reconstructing: bool,
-}
-
-impl TaskEntry {
-    /// Node this attempt is assigned to. Callers are execution-phase
-    /// handlers, which run strictly after `try_schedule` placed the task;
-    /// events from a stale assignment are discarded by epoch checks
-    /// before the entry is consulted.
-    fn node(&self) -> NodeId {
-        // audit:allow(P01): placement precedes every execution phase —
-        // see the doc comment above.
-        self.node.expect("execution phases run after placement")
-    }
 }
 
 enum Waiter {
@@ -385,9 +426,6 @@ pub struct Runtime {
     /// [`RtMetrics`] (derived by folding emitted events) and, when
     /// enabled, the full event stream for export.
     sink: TraceSink,
-    /// Completion samples (kept out of the event fold: they carry
-    /// `SimTime` and feed Fig 5 progress curves directly).
-    progress: Vec<ProgressSample>,
     /// A `SampleResources` tick is already in the event queue.
     sampling_scheduled: bool,
     /// The one sink observer, when live observability or incident
@@ -449,8 +487,6 @@ impl Runtime {
                             capacity,
                             fuse_min: cfg.fuse_min,
                             fuse_enabled: cfg.fuse_spill_writes,
-                            spill_enabled: true,
-                            fallback_enabled: true,
                         },
                         sink.clone(),
                         i as u32,
@@ -475,7 +511,6 @@ impl Runtime {
             jobs,
             rr_cursor: 0,
             sink,
-            progress: Vec::new(),
             sampling_scheduled: false,
             observer,
             live_scheduled: false,
@@ -679,23 +714,12 @@ impl Runtime {
         }
         let unique_args = spec.object_args();
         let entry = TaskEntry {
-            compute: None,
-            pending_outputs: Vec::new(),
             obj_args: unique_args.clone(),
-            args_missing: 0,
             spec,
             outputs: outputs.clone(),
-            state: TaskState::WaitingArgs,
+            state: TaskState::UNSCANNED,
             attempt: 0,
             epoch: 0,
-            node: None,
-            unstaged: BTreeSet::new(),
-            pinned: Vec::new(),
-            staging_started: false,
-            slot_held: false,
-            outputs_pending: 0,
-            cpu_done: false,
-            output_written: false,
             retry_pending: false,
             reconstructing: false,
         };
@@ -716,11 +740,33 @@ impl Runtime {
     /// Route a schedulable task: once its args are available, park it in
     /// its job's ready pool for the fair-share dispatcher.
     fn enqueue_ready(&mut self, ctx: &mut Ctx<'_, RtEvent>, task: TaskId) {
-        if self.task(task).state != TaskState::WaitingArgs || !self.scan_args(ctx, task) {
+        if !self.waiting_args(task) || !self.scan_args(ctx, task) {
             return;
         }
         self.jobs.push_ready(task);
         self.schedule_dispatch(ctx);
+    }
+
+    fn waiting_args(&self, task: TaskId) -> bool {
+        matches!(self.task(task).state, TaskState::WaitingArgs { .. })
+    }
+
+    /// Set a `WaitingArgs` task's arrival countdown (a no-op in any other
+    /// state).
+    fn set_args_missing(&mut self, task: TaskId, n: u32) {
+        if let TaskState::WaitingArgs { missing } = &mut self.task_mut(task).state {
+            *missing = n;
+        }
+    }
+
+    /// The current attempt of a placed task.
+    fn attempt(&self, task: TaskId) -> Option<&Attempt> {
+        self.tasks.get(task.0)?.state.attempt()
+    }
+
+    /// Mutable variant of [`Runtime::attempt`].
+    fn attempt_mut(&mut self, task: TaskId) -> Option<&mut Attempt> {
+        self.tasks.get_mut(task.0)?.state.attempt_mut()
     }
 
     fn obj_available(&self, obj: ObjectId) -> bool {
@@ -734,7 +780,7 @@ impl Runtime {
     fn scan_args(&mut self, ctx: &mut Ctx<'_, RtEvent>, task: TaskId) -> bool {
         // Disarmed while scanning: landings nested inside the registration
         // loop (reconstruction can seal synchronously) must rescan too.
-        self.task_mut(task).args_missing = 0;
+        self.set_args_missing(task, 0);
         let missing: Vec<ObjectId> = self
             .task(task)
             .obj_args
@@ -753,10 +799,7 @@ impl Runtime {
         // (or never needed) this task already. Args available at the
         // start cannot have been lost — kills are events, not nested.
         let still = missing.iter().filter(|&&a| !self.obj_available(a)).count() as u32;
-        let entry = self.task_mut(task);
-        if entry.state == TaskState::WaitingArgs {
-            entry.args_missing = still;
-        }
+        self.set_args_missing(task, still);
         false
     }
 
@@ -764,8 +807,11 @@ impl Runtime {
     /// equal the full rescan it lets `on_object_available` skip.
     fn debug_check_args_missing(&self, task: TaskId) {
         let entry = self.task(task);
+        let TaskState::WaitingArgs { missing } = entry.state else {
+            return;
+        };
         debug_assert_eq!(
-            entry.args_missing,
+            missing,
             entry
                 .obj_args
                 .iter()
@@ -837,7 +883,7 @@ impl Runtime {
     /// node queue. Its args are rescanned: one may have lost its last
     /// copy while the task sat in the ready pool.
     fn try_schedule(&mut self, ctx: &mut Ctx<'_, RtEvent>, task: TaskId) {
-        if self.task(task).state != TaskState::WaitingArgs || !self.scan_args(ctx, task) {
+        if !self.waiting_args(task) || !self.scan_args(ctx, task) {
             return;
         }
         // Place: one pass over the args sums each one's bytes into every
@@ -889,18 +935,8 @@ impl Runtime {
         let tenant = self.tenant_of(task);
         self.jobs.task_scheduled(tenant);
         let entry = self.task_mut(task);
-        entry.state = TaskState::Queued;
-        entry.node = Some(node);
+        entry.state = TaskState::Queued(Attempt::new(node, args.into_iter().collect()));
         entry.epoch += 1;
-        entry.unstaged = args.into_iter().collect();
-        entry.pinned.clear();
-        entry.staging_started = false;
-        entry.slot_held = false;
-        entry.cpu_done = false;
-        entry.output_written = false;
-        entry.outputs_pending = 0;
-        entry.compute = None;
-        entry.pending_outputs = Vec::new();
         let retry = std::mem::take(&mut entry.retry_pending);
         let (label, attempt) = (entry.spec.opts.label, entry.attempt);
         // Record the capacity the scheduler saw on the chosen node, so the
@@ -935,26 +971,22 @@ impl Runtime {
         }
         let Some(&(producer, _)) = self.lineage.get(obj.0) else {
             // A driver-put object with no lineage: unrecoverable.
+            self.fail_job(ctx, obj.job(), RtError::ObjectLost { obj });
             return;
         };
-        let pstate = self.tasks.get(producer.0).map(|t| t.state);
-        match pstate {
-            Some(TaskState::Done) => self.resubmit(ctx, producer),
-            Some(_) => {} // in flight; will seal
-            None => {}
-        }
+        // Re-runs a finished producer; one still in flight will seal it.
+        self.resubmit(ctx, producer);
     }
 
     /// Re-execute a finished task to reconstruct lost outputs (§4.2.3).
     fn resubmit(&mut self, ctx: &mut Ctx<'_, RtEvent>, task: TaskId) {
         let entry = self.task_mut(task);
-        if entry.state != TaskState::Done {
+        if !matches!(entry.state, TaskState::Done) {
             return; // already being re-run
         }
-        entry.state = TaskState::WaitingArgs;
+        entry.state = TaskState::UNSCANNED;
         entry.attempt += 1;
         entry.epoch += 1;
-        entry.node = None;
         // Counted (via the next Scheduled event's `retry` flag) when the
         // re-execution is actually placed.
         entry.retry_pending = true;
@@ -977,6 +1009,7 @@ impl Runtime {
         if !self.nodes[node.0].alive {
             return;
         }
+        self.debug_check_slots(node);
         if self.cfg.prefetch_args {
             // Stage args ahead of execution for a bounded admission window
             // of queued tasks. The window bounds pinned memory (staged
@@ -991,12 +1024,7 @@ impl Runtime {
                 .copied()
                 .collect();
             for t in queued {
-                let started = self
-                    .tasks
-                    .get(t.0)
-                    .map(|e| e.staging_started)
-                    .unwrap_or(true);
-                if !started {
+                if self.attempt(t).is_some_and(|a| !a.staging_started) {
                     self.start_staging(ctx, t);
                 }
             }
@@ -1006,12 +1034,10 @@ impl Runtime {
                 if self.nodes[node.0].slots_free == 0 {
                     break;
                 }
-                let pos = self.nodes[node.0].queue.iter().position(|t| {
-                    self.tasks
-                        .get(t.0)
-                        .map(|e| e.unstaged.is_empty())
-                        .unwrap_or(false)
-                });
+                let pos = self.nodes[node.0]
+                    .queue
+                    .iter()
+                    .position(|&t| self.attempt(t).is_some_and(|a| a.unstaged.is_empty()));
                 let Some(pos) = pos else { break };
                 let t = self.nodes[node.0].queue[pos];
                 let removed = self.nodes[node.0].queue.remove(pos);
@@ -1039,29 +1065,30 @@ impl Runtime {
                 let Some(&head) = self.nodes[node.0].queue.front() else {
                     break;
                 };
-                let entry = self.task(head);
-                if entry.unstaged.is_empty() {
+                let Some(a) = self.attempt(head) else { break };
+                let (staged, slot_held) = (a.unstaged.is_empty(), a.slot_held);
+                let e = self.task(head);
+                let (label, attempt) = (e.spec.opts.label, e.attempt);
+                if staged {
                     self.nodes[node.0].queue.pop_front();
-                    let e = self.task_mut(head);
-                    if !e.slot_held {
+                    if !slot_held {
                         self.nodes[node.0].slots_free -= 1;
-                        let e = self.task(head);
                         self.emit_task(
                             head,
                             TaskPhase::Dequeued,
                             node,
-                            e.spec.opts.label,
-                            e.attempt,
+                            label,
+                            attempt,
                             false,
                             None,
                         );
                     }
                     self.start_exec(ctx, head);
-                } else if !entry.slot_held {
+                } else if !slot_held {
                     self.nodes[node.0].slots_free -= 1;
-                    let e = self.task_mut(head);
-                    e.slot_held = true;
-                    let (label, attempt) = (e.spec.opts.label, e.attempt);
+                    if let Some(a) = self.attempt_mut(head) {
+                        a.slot_held = true;
+                    }
                     self.emit_task(head, TaskPhase::Dequeued, node, label, attempt, false, None);
                     self.start_staging(ctx, head);
                     break;
@@ -1072,33 +1099,46 @@ impl Runtime {
         }
     }
 
+    /// Debug-build cross-check: every execution slot of a node is free,
+    /// running a task, or held by a queued attempt staging its args.
+    fn debug_check_slots(&self, node: NodeId) {
+        let n = &self.nodes[node.0];
+        debug_assert_eq!(
+            n.slots_free
+                + n.running.len()
+                + n.queue
+                    .iter()
+                    .filter(|&&t| self.attempt(t).is_some_and(|a| a.slot_held))
+                    .count(),
+            self.cfg.cluster.node(node.0).cpus,
+            "slot accounting of {node:?} diverged"
+        );
+    }
+
     fn start_staging(&mut self, ctx: &mut Ctx<'_, RtEvent>, task: TaskId) {
-        let entry = self.task_mut(task);
-        entry.staging_started = true;
-        let args: Vec<ObjectId> = entry.unstaged.iter().copied().collect();
+        let Some(a) = self.attempt_mut(task) else {
+            return;
+        };
+        a.staging_started = true;
+        let args: Vec<ObjectId> = a.unstaged.iter().copied().collect();
         for a in args {
             self.stage_arg(ctx, task, a);
         }
         // Zero-arg tasks become runnable immediately.
-        if let Some(node) = self.tasks.get(task.0).and_then(|e| e.node) {
-            if self
-                .tasks
-                .get(task.0)
-                .map(|e| e.unstaged.is_empty())
-                .unwrap_or(false)
-            {
-                self.try_start_staged(ctx, task, node);
+        if let Some(a) = self.attempt(task) {
+            if a.unstaged.is_empty() {
+                self.try_start_staged(ctx, task, a.node);
             }
         }
     }
 
     /// Bring one argument into local memory and pin it.
     fn stage_arg(&mut self, ctx: &mut Ctx<'_, RtEvent>, task: TaskId, obj: ObjectId) {
-        let Some(entry) = self.tasks.get(task.0) else {
+        let Some(a) = self.attempt(task) else {
             return;
         };
-        let Some(node) = entry.node else { return };
-        if !entry.unstaged.contains(&obj) {
+        let node = a.node;
+        if !a.unstaged.contains(&obj) {
             return;
         }
         if self.nodes[node.0].store.in_memory(obj.0) {
@@ -1106,10 +1146,7 @@ impl Runtime {
             // spilled out from under it (staging admission is bounded by
             // the per-node window, and the store overcommits stuck
             // restores, so pinning here cannot wedge the node).
-            self.nodes[node.0].store.pin(obj.0);
-            let e = self.task_mut(task);
-            e.unstaged.remove(&obj);
-            e.pinned.push(obj);
+            self.pin_arg(task, node, obj);
             self.try_start_staged(ctx, task, node);
             return;
         }
@@ -1126,10 +1163,7 @@ impl Runtime {
                     if let Some(o) = self.objects.get_mut(obj.0) {
                         o.remove_arg_waiter(node, task);
                     }
-                    self.nodes[node.0].store.pin(obj.0);
-                    let e = self.task_mut(task);
-                    e.unstaged.remove(&obj);
-                    e.pinned.push(obj);
+                    self.pin_arg(task, node, obj);
                     self.try_start_staged(ctx, task, node);
                 }
                 RestoreDecision::Granted => {
@@ -1176,6 +1210,15 @@ impl Runtime {
         self.begin_fetch(ctx, node, obj);
     }
 
+    /// Pin a memory-resident arg on `node` for the task's attempt there.
+    fn pin_arg(&mut self, task: TaskId, node: NodeId, obj: ObjectId) {
+        self.nodes[node.0].store.pin(obj.0);
+        if let Some(a) = self.attempt_mut(task) {
+            a.unstaged.remove(&obj);
+            a.pinned.push(obj);
+        }
+    }
+
     /// Start pulling a remote object to `node` (allocation first).
     fn begin_fetch(&mut self, ctx: &mut Ctx<'_, RtEvent>, node: NodeId, obj: ObjectId) {
         let size = self.objects.get(obj.0).map(|o| o.logical).unwrap_or(0);
@@ -1183,12 +1226,11 @@ impl Runtime {
         // deeper prefetch is Low so it only consumes spare memory.
         let near_head = {
             let n = &self.nodes[node.0];
-            n.queue.iter().take(n.slots_free.max(1) * 2).any(|t| {
-                self.tasks
-                    .get(t.0)
-                    .map(|e| e.unstaged.contains(&obj))
-                    .unwrap_or(false)
-            }) || n.queue.is_empty()
+            n.queue
+                .iter()
+                .take(n.slots_free.max(1) * 2)
+                .any(|&t| self.attempt(t).is_some_and(|a| a.unstaged.contains(&obj)))
+                || n.queue.is_empty()
         };
         let prio = if near_head {
             exo_store::Priority::High
@@ -1213,9 +1255,6 @@ impl Runtime {
                 self.start_transfer(ctx, node, obj);
             }
             AllocDecision::Queued => {}
-            AllocDecision::Fail => {
-                self.fail_job(ctx, obj.job(), RtError::OutOfMemory { node });
-            }
         }
         self.pump_store(ctx, node);
     }
@@ -1311,13 +1350,13 @@ impl Runtime {
 
     /// If the task's staging is complete, let the node try to run it.
     fn try_start_staged(&mut self, ctx: &mut Ctx<'_, RtEvent>, task: TaskId, node: NodeId) {
-        let Some(entry) = self.tasks.get(task.0) else {
+        let Some(TaskState::Queued(a)) = self.tasks.get(task.0).map(|e| &e.state) else {
             return;
         };
-        if entry.state != TaskState::Queued || !entry.unstaged.is_empty() {
+        if !a.unstaged.is_empty() {
             return;
         }
-        if !self.cfg.prefetch_args && entry.slot_held {
+        if !self.cfg.prefetch_args && a.slot_held {
             // Already holding its slot: run immediately.
             let pos = self.nodes[node.0].queue.iter().position(|t| *t == task);
             if let Some(pos) = pos {
@@ -1338,9 +1377,12 @@ impl Runtime {
     /// phase. The closure's outputs land at the CPU phase's end (or its
     /// first generator yield), whatever thread ran it.
     fn start_exec(&mut self, ctx: &mut Ctx<'_, RtEvent>, task: TaskId) {
-        let tctx = self.task_ctx(task);
         let entry = self.task(task);
-        let node = entry.node();
+        let TaskState::Queued(a) = &entry.state else {
+            return;
+        };
+        let node = a.node;
+        let tctx = self.task_ctx(task, node);
         let in_logical: u64 =
             tctx.args.iter().map(|p| p.logical).sum::<u64>() + entry.spec.opts.reads_input;
         let slowdown = self.cfg.cpu_slowdown.get(node.0).copied().unwrap_or(1.0);
@@ -1350,9 +1392,14 @@ impl Runtime {
         let func = Arc::clone(&entry.spec.func);
         let pending = self.compute.launch(move || func(tctx));
         let entry = self.task_mut(task);
-        entry.compute = Some(pending);
-        entry.state = TaskState::Running;
-        entry.slot_held = true;
+        entry.state = match std::mem::replace(&mut entry.state, TaskState::Done) {
+            TaskState::Queued(a) => TaskState::Running(Attempt {
+                compute: Some(pending),
+                slot_held: true,
+                ..a
+            }),
+            other => other,
+        };
         let epoch = entry.epoch;
         let reads = entry.spec.opts.reads_input;
         let (label, attempt) = (entry.spec.opts.label, entry.attempt);
@@ -1370,7 +1417,7 @@ impl Runtime {
     }
 
     /// The closure's input: its resolved args and the attempt's identity.
-    fn task_ctx(&self, task: TaskId) -> TaskCtx {
+    fn task_ctx(&self, task: TaskId, node: NodeId) -> TaskCtx {
         let entry = self.task(task);
         // audit:allow(P01): a task starts only after every object arg was
         // staged and pinned resident on the node, so each entry exists and
@@ -1392,7 +1439,7 @@ impl Runtime {
             .collect();
         TaskCtx {
             args,
-            node: entry.node(),
+            node,
             attempt: entry.attempt,
             rng: task_seed(task),
         }
@@ -1405,8 +1452,10 @@ impl Runtime {
         let epoch = entry.epoch;
         let generator = entry.spec.opts.generator;
         let n_out = entry.spec.opts.num_returns;
-        entry.outputs_pending = n_out;
-        entry.cpu_done = false;
+        let TaskState::Running(a) = &mut entry.state else {
+            return;
+        };
+        a.outputs_pending = n_out;
         if generator && n_out > 0 {
             // Remote generator: outputs become available at evenly spaced
             // points of the compute phase.
@@ -1429,7 +1478,7 @@ impl Runtime {
     /// `pending_outputs`, at the first event that consumes them. Blocks
     /// (helping with other closures) if a helper is still running it.
     fn land_outputs(&mut self, task: TaskId) {
-        let Some(pending) = self.task_mut(task).compute.take() else {
+        let Some(pending) = self.attempt_mut(task).and_then(|a| a.compute.take()) else {
             return;
         };
         let outputs = self.compute.land(pending);
@@ -1441,19 +1490,24 @@ impl Runtime {
             outputs.len(),
             entry.spec.opts.num_returns
         );
-        entry.pending_outputs = outputs.into_iter().map(Some).collect();
+        if let Some(a) = entry.state.attempt_mut() {
+            a.pending_outputs = outputs.into_iter().map(Some).collect();
+        }
     }
 
     /// Allocate + seal one output into the local store.
     fn alloc_output(&mut self, ctx: &mut Ctx<'_, RtEvent>, task: TaskId, idx: usize) {
         let entry = self.task(task);
-        let node = entry.node();
+        let TaskState::Running(a) = &entry.state else {
+            return;
+        };
+        let node = a.node;
         let epoch = entry.epoch;
         let obj = entry.outputs[idx];
         // audit:allow(P01): the event that allocates an output index lands
         // the closure's outputs into `pending_outputs` first, and the slot
         // is only taken later by `seal_output`.
-        let logical = entry.pending_outputs[idx]
+        let logical = a.pending_outputs[idx]
             .as_ref()
             .expect("output produced")
             .logical;
@@ -1484,7 +1538,6 @@ impl Runtime {
                 ctx.schedule_at(end, RtEvent::OutputFallbackDone { task, obj, epoch });
             }
             AllocDecision::Queued => {}
-            AllocDecision::Fail => self.fail_job(ctx, task.job(), RtError::OutOfMemory { node }),
         }
         self.pump_store(ctx, node);
     }
@@ -1492,17 +1545,20 @@ impl Runtime {
     /// Mark an output as sealed in its node's store and publish it.
     fn seal_output(&mut self, ctx: &mut Ctx<'_, RtEvent>, task: TaskId, idx: usize) {
         let entry = self.task_mut(task);
-        let node = entry.node();
         let obj = entry.outputs[idx];
+        let reconstructing = entry.reconstructing;
+        let TaskState::Running(a) = &mut entry.state else {
+            return;
+        };
+        let node = a.node;
         // audit:allow(P01): each output index is sealed exactly once per
         // attempt — the alloc path fires one seal per parked payload, and a
-        // dead attempt clears `pending_outputs` before any re-run.
-        let payload = entry.pending_outputs[idx].take().expect("output pending");
-        entry.outputs_pending -= 1;
-        if entry.outputs_pending == 0 {
-            entry.pending_outputs = Vec::new();
+        // dead attempt's `pending_outputs` is dropped with it.
+        let payload = a.pending_outputs[idx].take().expect("output pending");
+        a.outputs_pending -= 1;
+        if a.outputs_pending == 0 {
+            a.pending_outputs = Vec::new();
         }
-        let reconstructing = entry.reconstructing;
         let store = &mut self.nodes[node.0].store;
         if store.contains(obj.0) && !store.sealed(obj.0) {
             store.seal(obj.0);
@@ -1545,21 +1601,17 @@ impl Runtime {
             (o.take_woken(), first_copy)
         };
         for t in woken.tasks {
-            match self
-                .tasks
-                .get_mut(t.0)
-                .map(|e| (e.state, &mut e.args_missing))
-            {
+            match self.tasks.get_mut(t.0).map(|e| &mut e.state) {
                 // Not the task's last missing arg: the rescan would find
                 // the rest still missing and already registered — skip it.
                 // Only a first copy counts; a later one is a stale
                 // registration the countdown never included.
-                Some((TaskState::WaitingArgs, n)) if first_copy && *n > 1 => {
-                    *n -= 1;
+                Some(TaskState::WaitingArgs { missing }) if first_copy && *missing > 1 => {
+                    *missing -= 1;
                     self.debug_check_args_missing(t);
                 }
-                Some((TaskState::WaitingArgs, _)) => self.enqueue_ready(ctx, t),
-                Some((TaskState::Queued | TaskState::Running, _)) => {
+                Some(TaskState::WaitingArgs { .. }) => self.enqueue_ready(ctx, t),
+                Some(TaskState::Queued(_) | TaskState::Running(_)) => {
                     // Staging was blocked on availability: retry.
                     self.stage_arg(ctx, t, obj);
                 }
@@ -1583,35 +1635,32 @@ impl Runtime {
             None => return,
         };
         for t in woken {
-            let Some(entry) = self.tasks.get_mut(t.0) else {
-                continue;
-            };
-            if entry.node != Some(node) || !entry.unstaged.contains(&obj) {
+            if !self
+                .attempt(t)
+                .is_some_and(|a| a.node == node && a.unstaged.contains(&obj))
+            {
                 continue;
             }
-            self.nodes[node.0].store.pin(obj.0);
-            entry.unstaged.remove(&obj);
-            entry.pinned.push(obj);
+            self.pin_arg(t, node, obj);
             self.emit_fetch_wait(t, obj, node, false);
             self.try_start_staged(ctx, t, node);
         }
     }
 
     fn check_task_completion(&mut self, ctx: &mut Ctx<'_, RtEvent>, task: TaskId) {
-        let entry = self.task(task);
-        if entry.state != TaskState::Running
-            || !entry.cpu_done
-            || entry.outputs_pending > 0
-            || entry.output_written
-        {
+        let entry = self.task_mut(task);
+        let writes = entry.spec.opts.writes_output;
+        let epoch = entry.epoch;
+        let TaskState::Running(a) = &mut entry.state else {
+            return;
+        };
+        if !a.cpu_done || a.outputs_pending > 0 || a.output_written {
             return;
         }
-        let writes = entry.spec.opts.writes_output;
-        let node = entry.node();
-        let epoch = entry.epoch;
+        let node = a.node;
         // `output_written` marks the final phase as initiated so this
         // function is idempotent while the write is in flight.
-        self.task_mut(task).output_written = true;
+        a.output_written = true;
         if writes > 0 {
             let end = self.nodes[node.0]
                 .disk
@@ -1625,12 +1674,15 @@ impl Runtime {
 
     fn complete_task(&mut self, ctx: &mut Ctx<'_, RtEvent>, task: TaskId) {
         let entry = self.task_mut(task);
-        let node = entry.node();
+        let TaskState::Running(a) = &mut entry.state else {
+            return;
+        };
+        let node = a.node;
+        let pinned = std::mem::take(&mut a.pinned);
         entry.state = TaskState::Done;
         entry.reconstructing = false;
         let label = entry.spec.opts.label;
         let attempt = entry.attempt;
-        let pinned = std::mem::take(&mut entry.pinned);
         let outputs = entry.outputs.clone();
         let args = entry.obj_args.clone();
         self.nodes[node.0].running.remove(&task);
@@ -1657,12 +1709,6 @@ impl Runtime {
         // this is the task's true end. In-flight `OutputWriteDone` events
         // are drained on driver exit, so final-stage spans still land.
         self.emit_task(task, TaskPhase::Finished, node, label, attempt, false, None);
-        if self.cfg.record_progress {
-            self.progress.push(ProgressSample {
-                at: ctx.now(),
-                label,
-            });
-        }
         let tenant = self.tenant_of(task);
         self.jobs.task_unscheduled(tenant);
         if self.jobs.has_ready() {
@@ -1695,7 +1741,7 @@ impl Runtime {
     }
 
     // ------------------------------------------------------------------
-    // Store pump: spills, grants, failures
+    // Store pump: spills and grants
     // ------------------------------------------------------------------
 
     fn pump_store(&mut self, ctx: &mut Ctx<'_, RtEvent>, node: NodeId) {
@@ -1737,12 +1783,6 @@ impl Runtime {
                 progress = true;
             }
             self.dispatch_grants(ctx, node, granted);
-            // Failures (only with fallback disabled; shared-memory mode
-            // never fails). Each failed allocation fails its own job.
-            let failed = self.nodes[node.0].store.take_failed();
-            for (oid, _tag) in failed {
-                self.fail_job(ctx, ObjectId(oid).job(), RtError::OutOfMemory { node });
-            }
             if !progress {
                 return;
             }
@@ -1759,36 +1799,24 @@ impl Runtime {
             let obj = ObjectId(oid);
             match tag {
                 AllocTag::Output { task, idx, epoch } => {
-                    let valid = self
-                        .tasks
-                        .get(task.0)
-                        .map(|e| e.epoch == epoch && e.node == Some(node))
-                        .unwrap_or(false);
-                    if !valid {
+                    let current = self.tasks.get(task.0).is_some_and(|e| e.epoch == epoch);
+                    let Some(a) = self.attempt(task).filter(|a| current && a.node == node) else {
                         self.nodes[node.0].store.unpin(obj.0);
                         self.nodes[node.0].store.forget(obj.0);
                         continue;
-                    }
+                    };
                     if kind == exo_store::GrantKind::CreateFallback {
-                        let logical = self
-                            .tasks
-                            .get(task.0)
-                            .and_then(|e| e.pending_outputs.get(idx)?.as_ref().map(|p| p.logical))
-                            .unwrap_or(0);
+                        let logical = a
+                            .pending_outputs
+                            .get(idx)
+                            .and_then(Option::as_ref)
+                            .map_or(0, |p| p.logical);
                         let end =
                             self.nodes[node.0]
                                 .disk
                                 .submit(ctx.now(), logical, IoKind::Sequential);
                         self.emit_io(node, IoDir::Write, logical);
-                        let tep = self.tasks.get(task.0).map(|e| e.epoch).unwrap_or(0);
-                        ctx.schedule_at(
-                            end,
-                            RtEvent::OutputFallbackDone {
-                                task,
-                                obj,
-                                epoch: tep,
-                            },
-                        );
+                        ctx.schedule_at(end, RtEvent::OutputFallbackDone { task, obj, epoch });
                     } else {
                         self.seal_output(ctx, task, idx);
                     }
@@ -1868,7 +1896,7 @@ impl Runtime {
                 continue;
             }
             let cap = n.store.config().capacity;
-            if cap > 0 && n.store.used() as f64 / cap as f64 > self.cfg.admission_pressure {
+            if cap > 0 && n.store.used() as f64 / cap as f64 > ADMISSION_PRESSURE {
                 return true;
             }
         }
@@ -1997,8 +2025,7 @@ impl Runtime {
         n.nic_rx.reset(ctx.now());
         n.slots_free = cpus;
         let queued: Vec<TaskId> = n.queue.drain(..).collect();
-        let mut running: Vec<TaskId> = std::mem::take(&mut n.running).into_iter().collect();
-        running.sort();
+        let running = std::mem::take(&mut n.running);
         // Drop object copies hosted here, along with any fetch state or
         // arg-waiter registrations targeting the dead node. Arena
         // iteration is ascending by id, so `lost_with_interest` comes
@@ -2014,35 +2041,25 @@ impl Runtime {
         // countdown accounts for: every waiting task rescans on its next
         // landing (the requeued tasks below rescan right away).
         for (_, e) in self.tasks.iter_mut() {
-            e.args_missing = 0;
+            if let TaskState::WaitingArgs { missing } = &mut e.state {
+                *missing = 0;
+            }
         }
         // The rebuilt store starts without owner quotas; re-apply them.
         self.apply_store_quotas();
-        // Requeue the node's tasks elsewhere.
+        // Requeue the node's tasks elsewhere; the dead store took their
+        // pins with it, so dropping each attempt is the whole reset.
         for t in queued.into_iter().chain(running) {
             let Some(e) = self.tasks.get_mut(t.0) else {
                 continue;
             };
-            if e.state == TaskState::Done {
+            if e.state.attempt().is_none() {
                 continue;
             }
-            let was_in_service = matches!(e.state, TaskState::Queued | TaskState::Running);
-            e.state = TaskState::WaitingArgs;
-            e.node = None;
+            e.state = TaskState::UNSCANNED;
             e.epoch += 1;
-            e.unstaged.clear();
-            e.pinned.clear();
-            e.slot_held = false;
-            e.staging_started = false;
-            e.compute = None;
-            e.pending_outputs = Vec::new();
-            e.outputs_pending = 0;
-            e.cpu_done = false;
-            e.output_written = false;
-            if was_in_service {
-                let tenant = self.tenant_of(t);
-                self.jobs.task_unscheduled(tenant);
-            }
+            let tenant = self.tenant_of(t);
+            self.jobs.task_unscheduled(tenant);
             self.enqueue_ready(ctx, t);
         }
         // Kick reconstruction for lost-but-needed objects. Only jobs
@@ -2069,53 +2086,38 @@ impl Runtime {
         }));
         // Invalidate in-flight execution events via the per-task epoch;
         // the store, its spilled files, and every sealed object survive.
-        let mut running: Vec<TaskId> = std::mem::take(&mut self.nodes[node.0].running)
-            .into_iter()
-            .collect();
-        running.sort();
-        self.nodes[node.0].slots_free = self.cfg.cluster.node(node.0).cpus;
+        let running = std::mem::take(&mut self.nodes[node.0].running);
+        // Each dead attempt frees its slot; a queued attempt staging under
+        // a held slot (prefetch off) keeps its own.
+        self.nodes[node.0].slots_free += running.len();
         for t in running {
             let Some(e) = self.tasks.get_mut(t.0) else {
                 continue;
             };
-            if e.state != TaskState::Running {
+            let TaskState::Running(a) = &e.state else {
                 continue;
-            }
+            };
+            let store = &mut self.nodes[node.0].store;
             // Unpin whatever the dead executor held.
-            let pinned = std::mem::take(&mut e.pinned);
-            for a in pinned {
-                if self.nodes[node.0].store.contains(a.0) {
-                    self.nodes[node.0].store.unpin(a.0);
+            for arg in &a.pinned {
+                if store.contains(arg.0) {
+                    store.unpin(arg.0);
                 }
             }
-            let e = self.task_mut(t);
             // Unsealed outputs created by the dead attempt are discarded.
-            let outputs = e.outputs.clone();
-            e.state = TaskState::WaitingArgs;
-            e.node = None;
-            e.epoch += 1;
-            e.attempt += 1;
-            e.unstaged.clear();
-            e.slot_held = false;
-            e.staging_started = false;
-            e.compute = None;
-            e.pending_outputs = Vec::new();
-            e.outputs_pending = 0;
-            e.cpu_done = false;
-            e.output_written = false;
-            for o in outputs {
-                let store = &mut self.nodes[node.0].store;
-                if store.contains(o.0)
-                    && !self
-                        .objects
-                        .get(o.0)
-                        .map(|e| e.copies.contains(node))
-                        .unwrap_or(false)
-                {
+            for o in &e.outputs {
+                let sealed_here = self
+                    .objects
+                    .get(o.0)
+                    .is_some_and(|e| e.copies.contains(node));
+                if store.contains(o.0) && !sealed_here {
                     store.unpin(o.0);
                     store.forget(o.0);
                 }
             }
+            e.state = TaskState::UNSCANNED;
+            e.epoch += 1;
+            e.attempt += 1;
             // The dead attempt was Running, i.e. in service.
             let tenant = self.tenant_of(t);
             self.jobs.task_unscheduled(tenant);
@@ -2174,7 +2176,6 @@ impl Runtime {
         for n in &self.nodes {
             m.add_store(n.store.metrics());
         }
-        m.progress = self.progress.clone();
         m
     }
 
@@ -2265,26 +2266,23 @@ impl Runtime {
         // report needs for reproducibility.
         for (id, t) in self.tasks.iter() {
             let id = TaskId(id);
-            let k = match t.state {
-                TaskState::WaitingArgs => "WaitingArgs",
-                TaskState::Queued => "Queued",
-                TaskState::Running => "Running",
-                TaskState::Done => "Done",
-            };
+            let k = t.state.name();
             *by_state.entry(k).or_default() += 1;
-            if t.state != TaskState::Done && shown < 10 {
-                shown += 1;
-                lines.push(format!(
-                    "{:?} state={:?} node={:?} unstaged={} outputs_pending={} cpu_done={} slot_held={}",
-                    id,
-                    k,
-                    t.node,
-                    t.unstaged.len(),
-                    t.outputs_pending,
-                    t.cpu_done,
-                    t.slot_held
-                ));
+            if matches!(t.state, TaskState::Done) || shown >= 10 {
+                continue;
             }
+            shown += 1;
+            lines.push(match t.state.attempt() {
+                Some(a) => format!(
+                    "{id:?} state={k:?} node={:?} unstaged={} outputs_pending={} cpu_done={} slot_held={}",
+                    a.node,
+                    a.unstaged.len(),
+                    a.outputs_pending,
+                    a.cpu_done,
+                    a.slot_held
+                ),
+                None => format!("{id:?} state={k:?}"),
+            });
         }
         lines.push(format!("task states: {by_state:?}"));
         if self.jobs.live_jobs() > 0 || self.jobs.pending_admissions() > 0 {
@@ -2581,7 +2579,9 @@ impl Simulation for Runtime {
                     let e = self.task(task);
                     (e.spec.opts.generator, e.outputs.len())
                 };
-                self.task_mut(task).cpu_done = true;
+                if let Some(a) = self.attempt_mut(task) {
+                    a.cpu_done = true;
+                }
                 if !generator {
                     for i in 0..n_out {
                         self.alloc_output(ctx, task, i);

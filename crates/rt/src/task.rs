@@ -155,7 +155,8 @@ pub struct TaskOptions {
     /// phase instead of all at the end. Reduces peak executor memory and
     /// overlaps downstream consumption with execution.
     pub generator: bool,
-    /// Label recorded in progress metrics (e.g. `"map"`, `"reduce"`).
+    /// Label recorded on the task's trace spans (e.g. `"map"`,
+    /// `"reduce"`).
     pub label: &'static str,
     /// Declared resource shape, consumed by bound-aware placement
     /// policies (ignored by plain load balancing).

@@ -1,7 +1,7 @@
 //! End-to-end behaviour tests for the distributed-futures runtime.
 
 use bytes::Bytes;
-use exo_rt::{CpuCost, Payload, RtConfig, SchedulingStrategy, TaskCtx};
+use exo_rt::{CpuCost, Payload, RtConfig, RtError, SchedulingStrategy, TaskCtx};
 use exo_sim::{ClusterSpec, NodeSpec, SimDuration, SimTime};
 
 fn small_cluster(nodes: usize) -> RtConfig {
@@ -369,9 +369,13 @@ fn one_object_watched_every_way_survives_a_killed_fetch_destination() {
     // serialised on node 0's NIC. Node 3 dies with its fetch in flight:
     // its fetch and staging registration go, its consumer re-places,
     // and nothing is lost, so no lineage re-run. X ends with copies on
-    // five or more nodes, past the inline copy slots.
-    let run_once = || {
-        exo_rt::run(small_cluster(7), |rt| {
+    // five or more nodes, past the inline copy slots. Without prefetching,
+    // node 3's consumer holds its execution slot while it stages, so the
+    // kill must drop a slot held by a queued attempt.
+    let run_once = |prefetch: bool| {
+        let mut cfg = small_cluster(7);
+        cfg.prefetch_args = prefetch;
+        exo_rt::run(cfg, |rt| {
             let x = rt
                 .task(|_ctx| vec![Payload::scaled(Bytes::from_static(&[40]), 1_000_000_000)])
                 .on_node(exo_rt::NodeId(0))
@@ -400,29 +404,31 @@ fn one_object_watched_every_way_survives_a_killed_fetch_destination() {
             (timed_out, got, landed, outs, rt.locations(&x))
         })
     };
-    let (report, (timed_out, got, landed, outs, copies)) = run_once();
-    assert_eq!(timed_out, (vec![], vec![0]), "the deadline fires first");
-    assert_eq!(got, [40]);
-    assert!(landed.as_secs_f64() >= 10.0);
-    assert_eq!(outs, [41, 42, 43, 44, 45]);
-    assert!(copies.len() >= 5, "copies: {copies:?}");
-    assert!(!copies.contains(&exo_rt::NodeId(3)));
-    // Node 3's fetch had started (five transfers began, one per pinned
-    // consumer) and its re-placed consumer found a local copy.
-    assert_eq!(report.metrics.net_ops, 5);
-    assert_eq!(report.metrics.node_failures, 1);
-    assert_eq!(
-        report.metrics.tasks_reexecuted, 0,
-        "a dead fetch destination loses no object"
-    );
-    let (rerun, rerun_out) = run_once();
-    assert_eq!(rerun_out.3, outs);
-    assert_eq!(rerun_out.4, copies);
-    assert_eq!(rerun.end_time, report.end_time);
-    assert_eq!(
-        format!("{:?}", rerun.metrics),
-        format!("{:?}", report.metrics)
-    );
+    for prefetch in [true, false] {
+        let (report, (timed_out, got, landed, outs, copies)) = run_once(prefetch);
+        assert_eq!(timed_out, (vec![], vec![0]), "the deadline fires first");
+        assert_eq!(got, [40]);
+        assert!(landed.as_secs_f64() >= 10.0);
+        assert_eq!(outs, [41, 42, 43, 44, 45]);
+        assert!(copies.len() >= 5, "copies: {copies:?}");
+        assert!(!copies.contains(&exo_rt::NodeId(3)));
+        // Node 3's fetch had started (five transfers began, one per pinned
+        // consumer) and its re-placed consumer found a local copy.
+        assert_eq!(report.metrics.net_ops, 5);
+        assert_eq!(report.metrics.node_failures, 1);
+        assert_eq!(
+            report.metrics.tasks_reexecuted, 0,
+            "a dead fetch destination loses no object"
+        );
+        let (rerun, rerun_out) = run_once(prefetch);
+        assert_eq!(rerun_out.3, outs);
+        assert_eq!(rerun_out.4, copies);
+        assert_eq!(rerun.end_time, report.end_time);
+        assert_eq!(
+            format!("{:?}", rerun.metrics),
+            format!("{:?}", report.metrics)
+        );
+    }
 }
 
 #[test]
@@ -505,6 +511,34 @@ fn put_values_are_retrievable_and_passable() {
 }
 
 #[test]
+fn lost_put_fails_its_job_instead_of_hanging() {
+    // A driver `put` lives only on node 0 and has no lineage. Killing
+    // node 0 loses it for good: a `get` of the put, and a `get` of a task
+    // that consumes it, each fail with `ObjectLost` instead of waiting
+    // forever.
+    for via_task in [false, true] {
+        let (_report, (got, put)) = exo_rt::run(small_cluster(2), |rt| {
+            let p = rt.put(Payload::inline(Bytes::from_static(b"seed")));
+            rt.kill_node(
+                exo_rt::NodeId(0),
+                rt.now() + SimDuration::from_millis(1),
+                None,
+            );
+            rt.sleep(SimDuration::from_secs(1));
+            let target = if via_task {
+                rt.task(|ctx: TaskCtx| vec![ctx.args[0].clone()])
+                    .arg(&p)
+                    .submit_one()
+            } else {
+                p.clone()
+            };
+            (rt.get_one(&target).err(), p.id())
+        });
+        assert_eq!(got, Some(RtError::ObjectLost { obj: put }));
+    }
+}
+
+#[test]
 fn input_and_output_disk_charges_extend_runtime() {
     // A task reading 1.1 GiB on a d3 node (1100 MiB/s aggregate but one
     // sequential stream per server) should take ~seconds, not ~0.
@@ -532,20 +566,6 @@ fn metrics_count_tasks() {
         rt.wait_all(&refs);
     });
     assert_eq!(report.metrics.tasks_completed, 10);
-}
-
-#[test]
-fn progress_samples_recorded_when_enabled() {
-    let mut cfg = small_cluster(1);
-    cfg.record_progress = true;
-    let (report, _) = exo_rt::run(cfg, |rt| {
-        let refs: Vec<_> = (0..5)
-            .map(|_| rt.task(const_task(vec![0])).label("map").submit_one())
-            .collect();
-        rt.wait_all(&refs);
-    });
-    assert_eq!(report.metrics.progress.len(), 5);
-    assert!(report.metrics.progress.iter().all(|p| p.label == "map"));
 }
 
 #[test]
@@ -724,22 +744,54 @@ fn executor_failure_loses_no_objects() {
 
 #[test]
 fn executor_failure_reruns_inflight_tasks() {
-    let (report, v) = exo_rt::run(small_cluster(2), |rt| {
-        let a = rt
-            .task(const_task(vec![9u8]))
-            .cpu(CpuCost::fixed(SimDuration::from_secs(10)))
-            .on_node(exo_rt::NodeId(1))
-            .submit_one();
-        // Kill the executors mid-flight.
-        rt.kill_executors(exo_rt::NodeId(1), rt.now() + SimDuration::from_secs(2));
-        rt.get_one(&a).unwrap().data[0]
-    });
-    assert_eq!(v, 9);
-    assert!(
-        report.end_time.as_secs_f64() >= 10.0,
-        "task restarted from scratch: {}",
-        report.end_time
-    );
+    // Node 1 runs a 10 s task while a consumer there stages a 1 GB arg
+    // from node 0 (3.2 s on the wire). Without prefetching, that
+    // consumer holds an execution slot while it stages. The executors die
+    // at 2 s: the running task restarts from scratch, the staging
+    // consumer keeps its attempt and its slot, and reruns are identical.
+    let run_once = |prefetch: bool| {
+        let mut cfg = small_cluster(2);
+        cfg.prefetch_args = prefetch;
+        exo_rt::run(cfg, |rt| {
+            let a = rt
+                .task(const_task(vec![9u8]))
+                .cpu(CpuCost::fixed(SimDuration::from_secs(10)))
+                .on_node(exo_rt::NodeId(1))
+                .submit_one();
+            let big = rt
+                .task(|_ctx| vec![Payload::scaled(Bytes::from_static(&[7]), 1_000_000_000)])
+                .on_node(exo_rt::NodeId(0))
+                .submit_one();
+            let c = rt
+                .task(|ctx: TaskCtx| {
+                    vec![Payload::inline(Bytes::from(vec![ctx.args[0].data[0] + 1]))]
+                })
+                .arg(&big)
+                .on_node(exo_rt::NodeId(1))
+                .submit_one();
+            // Kill the executors mid-flight.
+            rt.kill_executors(exo_rt::NodeId(1), rt.now() + SimDuration::from_secs(2));
+            let outs = rt.get(&[a, c]).unwrap();
+            (outs[0].data[0], outs[1].data[0])
+        })
+    };
+    for prefetch in [true, false] {
+        let (report, v) = run_once(prefetch);
+        assert_eq!(v, (9, 8));
+        assert_eq!(report.metrics.executor_failures, 1);
+        assert!(
+            report.end_time.as_secs_f64() >= 12.0,
+            "task restarted from scratch: {}",
+            report.end_time
+        );
+        let (rerun, rerun_v) = run_once(prefetch);
+        assert_eq!(rerun_v, v);
+        assert_eq!(rerun.end_time, report.end_time);
+        assert_eq!(
+            format!("{:?}", rerun.metrics),
+            format!("{:?}", report.metrics)
+        );
+    }
 }
 
 #[test]

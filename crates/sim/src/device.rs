@@ -273,11 +273,6 @@ impl ClusterSpec {
         &self.nodes[i]
     }
 
-    /// All per-node hardware descriptions, in node-id order.
-    pub fn node_specs(&self) -> &[NodeSpec] {
-        &self.nodes
-    }
-
     /// True when every node has the same shape as node 0 (field-for-field
     /// in the capacity card; used only for reporting, never for behavior).
     pub fn is_homogeneous(&self) -> bool {
@@ -368,16 +363,6 @@ impl DeviceCaps {
     /// Cluster-wide sequential disk bandwidth, bytes/second.
     pub fn total_disk_seq_bw(&self) -> f64 {
         self.per_node.iter().map(|n| n.disk_seq_bw).sum()
-    }
-
-    /// Cluster-wide per-direction NIC bandwidth, bytes/second.
-    pub fn total_nic_bw(&self) -> f64 {
-        self.per_node.iter().map(|n| n.nic_bw).sum()
-    }
-
-    /// Cluster-wide object-store capacity, bytes.
-    pub fn total_store_bytes(&self) -> u64 {
-        self.per_node.iter().map(|n| n.store_bytes).sum()
     }
 }
 

@@ -143,26 +143,6 @@ impl Resource {
         end
     }
 
-    /// Submit an op with an explicit service duration (for CPU-slot style
-    /// resources where the caller computed the cost itself).
-    pub fn submit_duration(&mut self, now: SimTime, dur: SimDuration) -> SimTime {
-        // audit:allow(P01): `new` asserts servers >= 1, so `free_at` is
-        // never empty and min always exists.
-        let (idx, &free) = self
-            .free_at
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, t)| **t)
-            .expect("at least one server");
-        let start = free.max(now);
-        let end = start + dur;
-        self.free_at[idx] = end;
-        self.ops += 1;
-        self.busy += dur;
-        self.record_pending(now, end, 0);
-        end
-    }
-
     /// Drop all queued/served state, e.g. when the owning node dies. In-
     /// flight op completion events already scheduled by callers must be
     /// invalidated by the caller.

@@ -13,15 +13,17 @@
 //! performs I/O or advances time itself — the runtime (`exo-rt`) charges
 //! the decisions against `exo-sim` device models and acknowledges
 //! completions back to the store. This keeps the store unit-testable in
-//! isolation and lets the same logic back both the shared-memory mode and
-//! the Dask-style executor-heap modes (spilling and fallback disabled).
+//! isolation. Every allocation eventually succeeds — in memory, after
+//! spilling, or through fallback — so the store has no out-of-memory
+//! outcome (Figure 6's Dask OOMs are modelled analytically in
+//! `exo-monolith`).
 //!
 //! ## Protocol
 //!
 //! ```text
 //! runtime                          store
 //! ───────                          ─────
-//! request_create(id,size,tag) ───► Granted | Queued | Fallback | Fail
+//! request_create(id,size,tag) ───► Granted | Queued | Fallback
 //! (writes payload)             ◄── take_granted()  (after memory frees)
 //! seal(id)
 //! next_spill_batch()           ◄── Some(batch)      (when backlogged)

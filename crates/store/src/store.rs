@@ -20,12 +20,6 @@ pub struct StoreConfig {
     pub fuse_min: u64,
     /// Whether spill writes are fused at all (Fig 7 ablates this).
     pub fuse_enabled: bool,
-    /// Whether the store may spill to disk. Dask-style executor-heap
-    /// stores cannot.
-    pub spill_enabled: bool,
-    /// Whether allocation may fall back to the filesystem when nothing is
-    /// spillable. Keeps the node live; disabled to model OOM-prone stores.
-    pub fallback_enabled: bool,
 }
 
 impl StoreConfig {
@@ -35,20 +29,6 @@ impl StoreConfig {
             capacity,
             fuse_min: 100 * 1000 * 1000,
             fuse_enabled: true,
-            spill_enabled: true,
-            fallback_enabled: true,
-        }
-    }
-
-    /// Executor-heap store (Dask-style): no spilling, no fallback — an
-    /// unsatisfiable allocation is an OOM.
-    pub fn executor_heap(capacity: u64) -> Self {
-        StoreConfig {
-            capacity,
-            fuse_min: 0,
-            fuse_enabled: false,
-            spill_enabled: false,
-            fallback_enabled: false,
         }
     }
 }
@@ -87,16 +67,12 @@ pub enum Priority {
 pub enum AllocDecision {
     /// Memory reserved immediately; caller may fill the object.
     Granted,
-    /// Queued; will appear in [`NodeStore::take_granted`] (or
-    /// [`NodeStore::take_failed`]) later.
+    /// Queued; will appear in [`NodeStore::take_granted`] later.
     Queued,
     /// Granted via the filesystem fallback path: no store memory consumed,
     /// the caller should charge a disk write and treat the object as
     /// spilled-on-arrival.
     Fallback,
-    /// Impossible: spilling and fallback are both unavailable and the
-    /// request can never fit. This is an OOM.
-    Fail,
 }
 
 /// Outcome of a restore request.
@@ -199,8 +175,6 @@ pub struct NodeStore<T> {
     spilling_bytes: u64,
     /// Grants ready for the runtime to collect.
     granted: Vec<(ObjId, T, GrantKind)>,
-    /// OOM failures ready for the runtime to collect.
-    failed: Vec<(ObjId, T)>,
     next_file: u64,
     metrics: StoreMetrics,
     /// Per-tenant live bytes on this node (any residency), keyed by
@@ -209,8 +183,7 @@ pub struct NodeStore<T> {
     /// Per-tenant cumulative bytes spilled from this node.
     owner_spilled: BTreeMap<u32, u64>,
     /// Per-tenant byte quotas. An over-quota create is routed to the
-    /// filesystem fallback (disk speed, no shared-memory pressure) when
-    /// fallback is enabled; quota enforcement is best-effort otherwise.
+    /// filesystem fallback (disk speed, no shared-memory pressure).
     owner_quota: BTreeMap<u32, u64>,
     /// Trace sink (shares the runtime's stream when constructed with
     /// [`NodeStore::with_trace`]; a private disabled sink otherwise). The
@@ -241,7 +214,6 @@ impl<T> NodeStore<T> {
             spillable: 0,
             spilling_bytes: 0,
             granted: Vec::new(),
-            failed: Vec::new(),
             next_file: 0,
             metrics: StoreMetrics::default(),
             owner_used: BTreeMap::new(),
@@ -293,8 +265,8 @@ impl<T> NodeStore<T> {
     /// [`NodeStore::request_create`], billing the bytes to `owner`. When
     /// the owner has a quota and this allocation would exceed it, the
     /// object is routed to the filesystem fallback instead of shared
-    /// memory (when fallback is enabled) — over-quota tenants degrade to
-    /// disk speed rather than squeezing other tenants out of memory.
+    /// memory — over-quota tenants degrade to disk speed rather than
+    /// squeezing other tenants out of memory.
     pub fn request_create_owned(
         &mut self,
         id: ObjId,
@@ -305,7 +277,7 @@ impl<T> NodeStore<T> {
     ) -> AllocDecision {
         assert!(!self.slots.contains_key(id), "object {id} already present");
         if let Some(&quota) = self.owner_quota.get(&owner) {
-            if self.owner_used(owner) + size > quota && self.cfg.fallback_enabled {
+            if self.owner_used(owner) + size > quota {
                 self.metrics.quota_denials += 1;
                 self.admit_fallback(id, size, owner);
                 return AllocDecision::Fallback;
@@ -315,49 +287,27 @@ impl<T> NodeStore<T> {
             self.admit(id, size, Residency::Memory { on_disk: false }, false, owner);
             return AllocDecision::Granted;
         }
-        // Can this request ever be satisfied by waiting? (If the head of
-        // the queue later turns out to be unsatisfiable — everything pinned
-        // and nothing spilling — the pump resolves it via fallback/failure
-        // to preserve liveness.)
-        let can_wait = self.cfg.spill_enabled && size <= self.cfg.capacity;
-        if can_wait {
-            let p = Pending {
-                id,
-                size,
-                tag,
-                kind: PendingKind::Create,
-                owner,
-            };
-            self.queued_bytes += size;
-            match priority {
-                Priority::High => self.queue_high.push_back(p),
-                Priority::Low => self.queue_low.push_back(p),
-            }
-            return AllocDecision::Queued;
-        }
-        if self.cfg.fallback_enabled {
+        if size > self.cfg.capacity {
+            // Waiting can never make room: straight to the filesystem.
             self.admit_fallback(id, size, owner);
             return AllocDecision::Fallback;
         }
-        // Without spilling, waiting could still help if memory is merely
-        // pinned/queued right now — model Dask's behaviour generously by
-        // queueing when current usage (not capacity) is the blocker.
-        if size <= self.cfg.capacity && !self.cfg.spill_enabled {
-            let p = Pending {
-                id,
-                size,
-                tag,
-                kind: PendingKind::Create,
-                owner,
-            };
-            self.queued_bytes += size;
-            match priority {
-                Priority::High => self.queue_high.push_back(p),
-                Priority::Low => self.queue_low.push_back(p),
-            }
-            return AllocDecision::Queued;
+        // Spilling will make room. (If the head of the queue later turns
+        // out to be stuck — everything pinned and nothing spilling — the
+        // pump resolves it via fallback to preserve liveness.)
+        let p = Pending {
+            id,
+            size,
+            tag,
+            kind: PendingKind::Create,
+            owner,
+        };
+        self.queued_bytes += size;
+        match priority {
+            Priority::High => self.queue_high.push_back(p),
+            Priority::Low => self.queue_low.push_back(p),
         }
-        AllocDecision::Fail
+        AllocDecision::Queued
     }
 
     fn admit(&mut self, id: ObjId, size: u64, residency: Residency, sealed: bool, owner: u32) {
@@ -580,9 +530,6 @@ impl<T> NodeStore<T> {
     /// spillable. Objects whose bytes are already on disk are freed
     /// in-place (no write) before a write batch is formed.
     pub fn next_spill_batch(&mut self) -> Option<SpillBatch> {
-        if !self.cfg.spill_enabled {
-            return None;
-        }
         loop {
             let demand = self.memory_demand();
             if demand == 0 {
@@ -677,12 +624,6 @@ impl<T> NodeStore<T> {
         std::mem::take(&mut self.granted)
     }
 
-    /// Collect allocation failures (OOMs). Only possible with fallback
-    /// disabled.
-    pub fn take_failed(&mut self) -> Vec<(ObjId, T)> {
-        std::mem::take(&mut self.failed)
-    }
-
     /// Whether the store wants to spill right now (queued demand exceeds
     /// free memory and writes are not already covering it).
     pub fn memory_demand(&self) -> u64 {
@@ -740,7 +681,7 @@ impl<T> NodeStore<T> {
             let Some(head) = queue.front() else { return };
             if head.size > self.cfg.capacity.saturating_sub(self.used) {
                 // Head does not fit. If nothing can ever free the memory,
-                // resolve via fallback or failure to preserve liveness.
+                // resolve via fallback to preserve liveness.
                 let stuck = self.spilling_bytes == 0 && !self.any_spillable();
                 if !stuck {
                     return; // spilling in flight or possible; wait
@@ -756,12 +697,8 @@ impl<T> NodeStore<T> {
                 self.queued_bytes -= p.size;
                 match p.kind {
                     PendingKind::Create => {
-                        if self.cfg.fallback_enabled {
-                            self.admit_fallback(p.id, p.size, p.owner);
-                            self.granted.push((p.id, p.tag, GrantKind::CreateFallback));
-                        } else {
-                            self.failed.push((p.id, p.tag));
-                        }
+                        self.admit_fallback(p.id, p.size, p.owner);
+                        self.granted.push((p.id, p.tag, GrantKind::CreateFallback));
                     }
                     PendingKind::Restore => {
                         // Everything in memory is pinned (or the object is
@@ -853,7 +790,7 @@ impl<T> NodeStore<T> {
 
     fn any_spillable(&self) -> bool {
         self.debug_check_spillable();
-        self.cfg.spill_enabled && self.spillable > 0
+        self.spillable > 0
     }
 
     /// Debug-build cross-check: the O(1) spillable counter must always
@@ -881,8 +818,6 @@ mod tests {
             capacity,
             fuse_min: 100,
             fuse_enabled: true,
-            spill_enabled: true,
-            fallback_enabled: true,
         }
     }
 
@@ -1076,28 +1011,6 @@ mod tests {
         assert_eq!(s.used(), 0);
         s.spill_complete(&batch); // must not underflow or panic
         assert!(!s.contains(1));
-    }
-
-    #[test]
-    fn executor_heap_mode_fails_with_oom() {
-        let mut s: NodeStore<&'static str> = NodeStore::new(StoreConfig::executor_heap(1000));
-        s.request_create(1, 800, "a", Priority::High);
-        s.seal(1);
-        // 800 used and pinned; a 500 request can never fit alongside.
-        match s.request_create(2, 500, "b", Priority::High) {
-            AllocDecision::Queued => {
-                // Queued because unpin could free it; doom it by keeping the
-                // pin and checking the stuck path.
-                let _ = s.take_granted();
-            }
-            AllocDecision::Fail => {}
-            other => panic!("unexpected {:?}", other),
-        }
-        // Oversized request in executor-heap mode is a hard OOM.
-        assert!(matches!(
-            s.request_create(3, 2000, "c", Priority::High),
-            AllocDecision::Fail
-        ));
     }
 
     #[test]

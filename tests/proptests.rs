@@ -211,7 +211,6 @@ proptest! {
                 }
                 _ => {
                     let _ = store.take_granted();
-                    let _ = store.take_failed();
                 }
             }
             // free() uses saturating arithmetic; used must track slots.
