@@ -155,7 +155,6 @@ pub fn tables_json(t: &EngineTables) -> Json {
     };
     Json::obj()
         .set("objects", table(t.objects))
-        .set("lineage", table(t.lineage))
         .set("tasks", table(t.tasks))
         .set("store_slots", table(t.store_slots))
         .set("queue_hot", table(t.queue.hot))

@@ -17,8 +17,8 @@
 //!   seq order per job (guaranteed by the per-job counters). Used for
 //!   task entries, which are never removed.
 //! - [`SlotArena`]: tombstoned slots (`Vec<Option<T>>`). Used for
-//!   object entries / lineage / waiters, which are GC'd and (for
-//!   objects) sometimes re-created.
+//!   object entries and waiters, which are GC'd and (for objects)
+//!   sometimes re-created.
 
 use exo_sim::TableFootprint;
 
@@ -85,6 +85,11 @@ impl<T> DenseArena<T> {
         );
         self.jobs[job].push(value);
         self.len += 1;
+    }
+
+    /// `job`'s entries in seq order (empty for a job with none).
+    pub fn job_entries(&self, job: u32) -> &[T] {
+        self.jobs.get(job as usize).map_or(&[], Vec::as_slice)
     }
 
     /// All entries in ascending raw-id order (== ascending `(job, seq)`).
@@ -254,6 +259,8 @@ mod tests {
         assert_eq!(a.get(raw(0, 1)), Some(&"b"));
         assert_eq!(a.get(raw(2, 0)), None);
         assert_eq!(a.get(raw(0, 2)), None);
+        assert_eq!(a.job_entries(0), ["a", "b"]);
+        assert!(a.job_entries(2).is_empty());
         let got: Vec<_> = a.iter().collect();
         assert_eq!(
             got,

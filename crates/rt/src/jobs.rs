@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use exo_sim::engine::Reply;
 
 use crate::command::RtError;
-use crate::ids::{pack_id, JobId, TaskId, TenantId};
+use crate::ids::{pack_id, JobId, ObjectId, TaskId, TenantId};
 
 /// Fixed-point scale for the weighted-round-robin virtual-service
 /// counters: a tenant of weight `w` pays `SERVICE_SCALE / w` virtual
@@ -117,10 +117,10 @@ impl JobState {
         id
     }
 
-    /// Mint the next object id for this job.
-    pub fn fresh_obj_raw(&mut self, job: JobId) -> u64 {
-        let id = pack_id(job, self.next_obj);
-        self.next_obj += 1;
+    /// Mint `n` consecutive object ids for this job; returns the first.
+    pub fn fresh_objs(&mut self, job: JobId, n: usize) -> ObjectId {
+        let id = ObjectId(pack_id(job, self.next_obj));
+        self.next_obj += n as u64;
         id
     }
 

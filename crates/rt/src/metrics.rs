@@ -19,8 +19,6 @@ use exo_trace::TraceCounters;
 pub struct EngineTables {
     /// Object directory.
     pub objects: TableFootprint,
-    /// Object → producer lineage.
-    pub lineage: TableFootprint,
     /// Task table.
     pub tasks: TableFootprint,
     /// Object-store slot tables, summed over nodes.

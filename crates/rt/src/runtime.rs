@@ -30,7 +30,7 @@ use crate::arena::{DenseArena, SlotArena};
 use crate::command::{RtCommand, RtError};
 use crate::compute::{ComputePool, Pending};
 use crate::directory::{FetchState, ObjEntry};
-use crate::ids::{job_of, JobId, NodeId, ObjectId, TaskId, TenantId, JOB_SEQ_BITS};
+use crate::ids::{job_of, pack_id, JobId, NodeId, ObjectId, TaskId, TenantId, JOB_SEQ_BITS};
 use crate::jobs::{Admission, JobManager, TenantQuota};
 use crate::metrics::{EngineTables, RtMetrics};
 use crate::object::Payload;
@@ -159,12 +159,8 @@ enum AllocTag {
         idx: usize,
         epoch: u32,
     },
-    Fetch {
-        obj: ObjectId,
-    },
-    Restore {
-        obj: ObjectId,
-    },
+    Fetch,
+    Restore,
 }
 
 /// Events the runtime schedules for itself.
@@ -186,7 +182,7 @@ pub enum RtEvent {
     },
     OutputFallbackDone {
         task: TaskId,
-        obj: ObjectId,
+        idx: usize,
         epoch: u32,
     },
     OutputWriteDone {
@@ -375,7 +371,9 @@ struct TaskEntry {
     /// Unique object args (deduplicated once at submit, `spec.args`
     /// order), cached so the arg scan and placement never re-hash `spec`.
     obj_args: Vec<ObjectId>,
-    outputs: Vec<ObjectId>,
+    /// The first of the task's `spec.opts.num_returns` outputs, minted
+    /// back to back at submission: output `i` is `first_output + i`.
+    first_output: ObjectId,
     state: TaskState,
     attempt: u32,
     /// Bumped whenever the task is (re)assigned; in-flight events with an
@@ -388,6 +386,17 @@ struct TaskEntry {
     /// True while this task is re-running to reconstruct lost outputs;
     /// sealed outputs emit `ObjectEvent::Reconstructed` while set.
     reconstructing: bool,
+}
+
+impl TaskEntry {
+    fn output(&self, idx: usize) -> ObjectId {
+        ObjectId(self.first_output.0 + idx as u64)
+    }
+
+    fn outputs(&self) -> impl Iterator<Item = ObjectId> {
+        let first = self.first_output.0;
+        (first..first + self.spec.opts.num_returns as u64).map(ObjectId)
+    }
 }
 
 enum Waiter {
@@ -410,11 +419,8 @@ pub struct Runtime {
     /// Entries are GC'd (tombstoned) and re-created via
     /// [`Runtime::ensure_obj_entry`].
     objects: SlotArena<ObjEntry>,
-    /// Permanent object → producer map (survives entry GC so lineage can
-    /// recreate entries).
-    lineage: SlotArena<(TaskId, usize)>,
-    /// Task table; entries are never removed (lineage reconstruction can
-    /// re-execute any finished task), so the arena is append-only.
+    /// Task table, and with it the lineage ([`Runtime::producer_of`]):
+    /// entries are never removed, so the arena is append-only.
     tasks: DenseArena<TaskEntry>,
     waiters: SlotArena<Waiter>,
     /// Per-job state, id minting, tenant quotas, fair-share picking and
@@ -505,7 +511,6 @@ impl Runtime {
             cfg,
             nodes,
             objects: SlotArena::new(),
-            lineage: SlotArena::new(),
             tasks: DenseArena::new(),
             waiters: SlotArena::new(),
             jobs,
@@ -695,37 +700,33 @@ impl Runtime {
         }
     }
 
-    fn fresh_obj(&mut self, job: JobId) -> ObjectId {
-        ObjectId(self.jobs.ensure(job).fresh_obj_raw(job))
-    }
-
     // ------------------------------------------------------------------
     // Submission & scheduling
     // ------------------------------------------------------------------
 
     fn submit(&mut self, ctx: &mut Ctx<'_, RtEvent>, job: JobId, spec: TaskSpec) -> Vec<ObjectId> {
-        let task = self.jobs.ensure(job).fresh_task(job);
-        let outputs: Vec<ObjectId> = (0..spec.opts.num_returns)
-            .map(|_| self.fresh_obj(job))
-            .collect();
-        for (idx, &o) in outputs.iter().enumerate() {
-            self.lineage.insert(o.0, (task, idx));
-            self.objects.insert(o.0, ObjEntry::output());
-        }
+        let st = self.jobs.ensure(job);
+        let task = st.fresh_task(job);
+        let first_output = st.fresh_objs(job, spec.opts.num_returns);
+        // `producer_of` binary-searches on this order (`None` sorts first).
+        let prev = self.tasks.job_entries(job.0).last().map(|t| t.first_output);
+        debug_assert!(prev <= Some(first_output), "outputs minted out of order");
         let unique_args = spec.object_args();
         let entry = TaskEntry {
             obj_args: unique_args.clone(),
             spec,
-            outputs: outputs.clone(),
+            first_output,
             state: TaskState::UNSCANNED,
             attempt: 0,
             epoch: 0,
             retry_pending: false,
             reconstructing: false,
         };
+        let outputs: Vec<ObjectId> = entry.outputs().collect();
         self.tasks.insert(task.0, entry);
-        // Record the task's dependency edges for offline DAG analysis.
+        // Directory entries, and dependency edges for offline DAG analysis.
         for &o in &outputs {
+            self.objects.insert(o.0, ObjEntry::output());
             self.emit_dep(task, o, DepKind::Output);
         }
         // Hold the args on behalf of this consumer.
@@ -969,13 +970,27 @@ impl Runtime {
         if entry.available() {
             return;
         }
-        let Some(&(producer, _)) = self.lineage.get(obj.0) else {
+        let Some(producer) = self.producer_of(obj) else {
             // A driver-put object with no lineage: unrecoverable.
             self.fail_job(ctx, obj.job(), RtError::ObjectLost { obj });
             return;
         };
         // Re-runs a finished producer; one still in flight will seal it.
         self.resubmit(ctx, producer);
+    }
+
+    /// The task whose outputs include `obj`, or `None` for a driver `put`.
+    /// `first_output` rises with task seq, so the only candidate is the
+    /// last task starting at or below `obj`; a `put` falls past its range.
+    fn producer_of(&self, obj: ObjectId) -> Option<TaskId> {
+        let job = obj.job();
+        let tasks = self.tasks.job_entries(job.0);
+        let seq = tasks
+            .partition_point(|t| t.first_output <= obj)
+            .checked_sub(1)?;
+        let t = &tasks[seq];
+        (obj.0 - t.first_output.0 < t.spec.opts.num_returns as u64)
+            .then(|| TaskId(pack_id(job, seq as u64)))
     }
 
     /// Re-execute a finished task to reconstruct lost outputs (§4.2.3).
@@ -1156,7 +1171,7 @@ impl Runtime {
             self.ensure_obj_entry(obj).add_arg_waiter(node, task);
             let decision = self.nodes[node.0]
                 .store
-                .request_restore(obj.0, AllocTag::Restore { obj });
+                .request_restore(obj.0, AllocTag::Restore);
             match decision {
                 RestoreDecision::InMemory => {
                     // Raced with another path; redo as memory-resident.
@@ -1243,7 +1258,7 @@ impl Runtime {
         let decision = self.nodes[node.0].store.request_create_owned(
             obj.0,
             size,
-            AllocTag::Fetch { obj },
+            AllocTag::Fetch,
             prio,
             owner,
         );
@@ -1503,7 +1518,7 @@ impl Runtime {
         };
         let node = a.node;
         let epoch = entry.epoch;
-        let obj = entry.outputs[idx];
+        let obj = entry.output(idx);
         // audit:allow(P01): the event that allocates an output index lands
         // the closure's outputs into `pending_outputs` first, and the slot
         // is only taken later by `seal_output`.
@@ -1535,7 +1550,7 @@ impl Runtime {
                     .disk
                     .submit(ctx.now(), logical, IoKind::Sequential);
                 self.emit_io(node, IoDir::Write, logical);
-                ctx.schedule_at(end, RtEvent::OutputFallbackDone { task, obj, epoch });
+                ctx.schedule_at(end, RtEvent::OutputFallbackDone { task, idx, epoch });
             }
             AllocDecision::Queued => {}
         }
@@ -1545,7 +1560,7 @@ impl Runtime {
     /// Mark an output as sealed in its node's store and publish it.
     fn seal_output(&mut self, ctx: &mut Ctx<'_, RtEvent>, task: TaskId, idx: usize) {
         let entry = self.task_mut(task);
-        let obj = entry.outputs[idx];
+        let obj = entry.output(idx);
         let reconstructing = entry.reconstructing;
         let TaskState::Running(a) = &mut entry.state else {
             return;
@@ -1683,12 +1698,12 @@ impl Runtime {
         entry.reconstructing = false;
         let label = entry.spec.opts.label;
         let attempt = entry.attempt;
-        let outputs = entry.outputs.clone();
+        let outputs = entry.outputs();
         let args = entry.obj_args.clone();
         self.nodes[node.0].running.remove(&task);
         self.nodes[node.0].slots_free += 1;
         // Unpin outputs (creator pins) — they stay sealed in the store.
-        for &o in &outputs {
+        for o in outputs {
             if self.nodes[node.0].store.contains(o.0) {
                 self.nodes[node.0].store.unpin(o.0);
             }
@@ -1816,13 +1831,12 @@ impl Runtime {
                                 .disk
                                 .submit(ctx.now(), logical, IoKind::Sequential);
                         self.emit_io(node, IoDir::Write, logical);
-                        ctx.schedule_at(end, RtEvent::OutputFallbackDone { task, obj, epoch });
+                        ctx.schedule_at(end, RtEvent::OutputFallbackDone { task, idx, epoch });
                     } else {
                         self.seal_output(ctx, task, idx);
                     }
                 }
-                AllocTag::Fetch { obj: fobj } => {
-                    debug_assert_eq!(obj, fobj);
+                AllocTag::Fetch => {
                     let pending = self.objects.get(obj.0).and_then(|o| o.fetch_state(node))
                         == Some(FetchState::AllocPending);
                     if pending {
@@ -1833,8 +1847,7 @@ impl Runtime {
                         self.nodes[node.0].store.forget(obj.0);
                     }
                 }
-                AllocTag::Restore { obj: robj } => {
-                    debug_assert_eq!(obj, robj);
+                AllocTag::Restore => {
                     let size = self.objects.get(obj.0).map(|o| o.logical).unwrap_or(0);
                     let end = self.nodes[node.0]
                         .disk
@@ -1849,31 +1862,20 @@ impl Runtime {
 
     fn fail_job(&mut self, ctx: &mut Ctx<'_, RtEvent>, job: JobId, err: RtError) {
         let st = self.jobs.ensure(job);
-        if st.failed.is_none() {
-            st.failed = Some(err);
-        }
+        let err = st.failed.get_or_insert(err).clone();
         // Purge the failed job's parked ready tasks: the fair-share
         // dispatcher must never spend cluster slots on work whose job
         // can no longer finish.
         st.ready.clear();
         // Resolve the failed job's pending waiters so its driver sees the
         // failure instead of hanging — other jobs' waiters are untouched
-        // (one tenant's OOM must not fail another's get). The arena's
-        // per-job listing is ascending by id, matching the sorted order
-        // the HashMap-based table had to produce explicitly.
+        // (one job's lost object must not fail another's get). The
+        // arena's per-job listing is ascending by id, matching the sorted
+        // order the HashMap-based table had to produce explicitly.
         let wids: Vec<u64> = self.waiters.job_keys(job.0);
         for wid in wids {
             match self.waiters.remove(wid) {
-                Some(Waiter::Get { reply, .. }) => {
-                    // audit:allow(P01): `fail_job` stores the error into
-                    // the job's `failed` before resolving any waiter.
-                    let e = self
-                        .jobs
-                        .job(job)
-                        .and_then(|j| j.failed.clone())
-                        .expect("set above");
-                    ctx.reply(reply, Err(e));
-                }
+                Some(Waiter::Get { reply, .. }) => ctx.reply(reply, Err(err.clone())),
                 Some(w @ Waiter::Wait { .. }) => {
                     self.waiters.insert(wid, w);
                     self.finish_wait(ctx, wid);
@@ -1927,11 +1929,11 @@ impl Runtime {
         let Some(w) = self.waiters.get(wid) else {
             return;
         };
+        // Waiter ids are job-scoped; only the owning job's failure
+        // resolves this waiter early.
+        let failed = self.jobs.job(job_of(wid)).and_then(|j| j.failed.clone());
         match w {
             Waiter::Get { objs, .. } => {
-                // Waiter ids are job-scoped; only the owning job's
-                // failure fails this get.
-                let failed = self.jobs.job(job_of(wid)).and_then(|j| j.failed.clone());
                 if let Some(err) = failed {
                     if let Some(Waiter::Get { reply, .. }) = self.waiters.remove(wid) {
                         ctx.reply(reply, Err(err));
@@ -1969,7 +1971,7 @@ impl Runtime {
                 objs, num_ready, ..
             } => {
                 let ready = objs.iter().filter(|&&o| self.obj_available(o)).count();
-                if ready >= *num_ready {
+                if failed.is_some() || ready >= *num_ready {
                     self.finish_wait(ctx, wid);
                 }
             }
@@ -1980,22 +1982,19 @@ impl Runtime {
         let Some(Waiter::Wait { objs, reply, .. }) = self.waiters.remove(wid) else {
             return;
         };
-        let mut ready = Vec::new();
-        let mut pending = Vec::new();
-        for (i, o) in objs.iter().enumerate() {
-            if self.obj_available(*o) {
-                ready.push(i);
-            } else {
-                pending.push(i);
-            }
-        }
+        let split = self.ready_split(&objs);
         for o in objs {
             if let Some(e) = self.objects.get_mut(o.0) {
                 e.remove_waiter(wid);
             }
             self.maybe_gc(o);
         }
-        ctx.reply(reply, (ready, pending));
+        ctx.reply(reply, split);
+    }
+
+    /// Indices of `objs` that are available, then of those that are not.
+    fn ready_split(&self, objs: &[ObjectId]) -> (Vec<usize>, Vec<usize>) {
+        (0..objs.len()).partition(|&i| self.obj_available(objs[i]))
     }
 
     // ------------------------------------------------------------------
@@ -2105,7 +2104,7 @@ impl Runtime {
                 }
             }
             // Unsealed outputs created by the dead attempt are discarded.
-            for o in &e.outputs {
+            for o in e.outputs() {
                 let sealed_here = self
                     .objects
                     .get(o.0)
@@ -2153,7 +2152,6 @@ impl Runtime {
     pub(crate) fn tables(&self) -> EngineTables {
         EngineTables {
             objects: self.objects.footprint(),
-            lineage: self.lineage.footprint(),
             tasks: self.tasks.footprint(),
             store_slots: self
                 .nodes
@@ -2396,7 +2394,7 @@ impl Simulation for Runtime {
                 ctx.reply(reply, ids);
             }
             RtCommand::Put { job, value, reply } => {
-                let id = self.fresh_obj(job);
+                let id = self.jobs.ensure(job).fresh_objs(job, 1);
                 let owner = self.tenant_of_obj(id).0;
                 // Driver-put values live on node 0 (the head node) with no
                 // lineage; paper applications only put small config values.
@@ -2410,7 +2408,7 @@ impl Simulation for Runtime {
                     n.store.request_create_owned(
                         id.0,
                         logical,
-                        AllocTag::Fetch { obj: id },
+                        AllocTag::Fetch,
                         exo_store::Priority::High,
                         owner,
                     ),
@@ -2445,6 +2443,11 @@ impl Simulation for Runtime {
                 timeout,
                 reply,
             } => {
+                // As `fail_job` resolves the waits it finds parked.
+                if self.jobs.job(job).is_some_and(|j| j.failed.is_some()) {
+                    ctx.reply(reply, self.ready_split(&objs));
+                    return;
+                }
                 let wid = self.jobs.ensure(job).fresh_waiter(job);
                 let num_ready = num_ready.min(objs.len());
                 for &o in &objs {
@@ -2577,7 +2580,7 @@ impl Simulation for Runtime {
                 self.land_outputs(task);
                 let (generator, n_out) = {
                     let e = self.task(task);
-                    (e.spec.opts.generator, e.outputs.len())
+                    (e.spec.opts.generator, e.spec.opts.num_returns)
                 };
                 if let Some(a) = self.attempt_mut(task) {
                     a.cpu_done = true;
@@ -2595,21 +2598,10 @@ impl Simulation for Runtime {
                     self.alloc_output(ctx, task, idx);
                 }
             }
-            RtEvent::OutputFallbackDone { task, obj, epoch } => {
-                let valid = self.tasks.get(task.0).map(|e| e.epoch) == Some(epoch);
-                if !valid {
-                    return;
+            RtEvent::OutputFallbackDone { task, idx, epoch } => {
+                if self.tasks.get(task.0).map(|e| e.epoch) == Some(epoch) {
+                    self.seal_output(ctx, task, idx);
                 }
-                // audit:allow(P01): the event carries (task, obj) minted
-                // together at submission — `obj` is one of `task`'s
-                // declared outputs by construction.
-                let idx = self
-                    .task(task)
-                    .outputs
-                    .iter()
-                    .position(|o| *o == obj)
-                    .expect("output of task");
-                self.seal_output(ctx, task, idx);
             }
             RtEvent::OutputWriteDone { task, epoch } => {
                 if self.tasks.get(task.0).map(|e| e.epoch) == Some(epoch) {

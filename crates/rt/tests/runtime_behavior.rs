@@ -515,27 +515,110 @@ fn lost_put_fails_its_job_instead_of_hanging() {
     // A driver `put` lives only on node 0 and has no lineage. Killing
     // node 0 loses it for good: a `get` of the put, and a `get` of a task
     // that consumes it, each fail with `ObjectLost` instead of waiting
-    // forever.
+    // forever. A `wait` on either, before or after the failing `get`,
+    // returns at once with the target still pending.
     for via_task in [false, true] {
-        let (_report, (got, put)) = exo_rt::run(small_cluster(2), |rt| {
-            let p = rt.put(Payload::inline(Bytes::from_static(b"seed")));
+        for wait_first in [false, true] {
+            let (_report, (got, waited, put)) = exo_rt::run(small_cluster(2), |rt| {
+                let p = rt.put(Payload::inline(Bytes::from_static(b"seed")));
+                rt.kill_node(
+                    exo_rt::NodeId(0),
+                    rt.now() + SimDuration::from_millis(1),
+                    None,
+                );
+                rt.sleep(SimDuration::from_secs(1));
+                let target = if via_task {
+                    rt.task(|ctx: TaskCtx| vec![ctx.args[0].clone()])
+                        .arg(&p)
+                        .submit_one()
+                } else {
+                    p.clone()
+                };
+                let wait = || rt.wait(std::slice::from_ref(&target), 1, None);
+                let waited = wait_first.then(wait);
+                let got = rt.get_one(&target).err();
+                (got, waited.unwrap_or_else(wait), p.id())
+            });
+            assert_eq!(got, Some(RtError::ObjectLost { obj: put }));
+            assert_eq!(waited, (vec![], vec![0]));
+        }
+    }
+}
+
+#[test]
+fn producers_are_found_across_puts_between_multi_return_tasks() {
+    // Object ids come from one per-job counter: a put, a 3-return task,
+    // a 0-return task, a put, a 2-return task. The id just past the first
+    // task's range is the second put's, and the empty range starts at
+    // it. Node 0 holds all of them; killing it makes both multi-return
+    // tasks' outputs rebuild from their producers, while the put between
+    // them has no producer and is lost.
+    let returns = |tag: u8, n: u8| {
+        move |_ctx: TaskCtx| {
+            (0..n)
+                .map(|i| Payload::inline(Bytes::from(vec![tag, i])))
+                .collect::<Vec<_>>()
+        }
+    };
+    let run_once = || {
+        exo_rt::run(small_cluster(2), |rt| {
+            let _head = rt.put(Payload::inline(Bytes::from_static(b"head")));
+            let a = rt
+                .task(returns(b'a', 3))
+                .num_returns(3)
+                .on_node(exo_rt::NodeId(0))
+                .submit();
+            assert!(rt.task(returns(b'z', 0)).num_returns(0).submit().is_empty());
+            let between = rt.put(Payload::inline(Bytes::from_static(b"between")));
+            let b = rt
+                .task(returns(b'b', 2))
+                .num_returns(2)
+                .on_node(exo_rt::NodeId(0))
+                .submit();
+            assert_eq!(between.id().0, a[2].id().0 + 1);
+            assert_eq!(b[0].id().0, between.id().0 + 1);
+            let outs: Vec<_> = a.iter().chain(&b).cloned().collect();
+            rt.wait_all(&outs);
             rt.kill_node(
                 exo_rt::NodeId(0),
                 rt.now() + SimDuration::from_millis(1),
                 None,
             );
             rt.sleep(SimDuration::from_secs(1));
-            let target = if via_task {
-                rt.task(|ctx: TaskCtx| vec![ctx.args[0].clone()])
-                    .arg(&p)
-                    .submit_one()
-            } else {
-                p.clone()
-            };
-            (rt.get_one(&target).err(), p.id())
-        });
-        assert_eq!(got, Some(RtError::ObjectLost { obj: put }));
-    }
+            let values: Vec<Vec<u8>> = rt
+                .get(&outs)
+                .unwrap()
+                .into_iter()
+                .map(|p| p.data.to_vec())
+                .collect();
+            let lost = rt.get_one(&between).err();
+            (values, lost, between.id())
+        })
+    };
+    let (report, out) = run_once();
+    let (values, lost, between) = &out;
+    assert_eq!(
+        values,
+        &vec![
+            vec![b'a', 0],
+            vec![b'a', 1],
+            vec![b'a', 2],
+            vec![b'b', 0],
+            vec![b'b', 1]
+        ]
+    );
+    assert_eq!(lost, &Some(RtError::ObjectLost { obj: *between }));
+    // Three first runs and two re-runs: nothing rebuilds the 0-return task.
+    assert_eq!(report.metrics.tasks_completed, 5);
+    assert_eq!(report.metrics.tasks_reexecuted, 2);
+    assert_eq!(report.metrics.objects_reconstructed, 5);
+    let (rerun, rerun_out) = run_once();
+    assert_eq!(rerun_out, out);
+    assert_eq!(rerun.end_time, report.end_time);
+    assert_eq!(
+        format!("{:?}", rerun.metrics),
+        format!("{:?}", report.metrics)
+    );
 }
 
 #[test]
