@@ -182,7 +182,6 @@ impl Obs {
     pub fn live_cfg(&self) -> Option<LiveConfig> {
         self.live_path.as_ref().map(|_| LiveConfig {
             progress: self.live_progress,
-            ..LiveConfig::default()
         })
     }
 

@@ -144,8 +144,8 @@ pub fn rerun_diffs(a: &SortRunResult, b: &SortRunResult) -> Vec<&'static str> {
 
 /// The engine's table footprints as the `"tables"` object of the
 /// results JSON: `{live, capacity, bytes}` per table. The `queue_*`
-/// tables (hot heap, wheel buckets, far heap) give each tier's peak
-/// entries and peak allocation, since the queue is empty at shutdown.
+/// tables (hot heap, wheel buckets) give each tier's peak entries and
+/// peak allocation, since the queue is empty at shutdown.
 pub fn tables_json(t: &EngineTables) -> Json {
     let table = |f: TableFootprint| {
         Json::obj()
@@ -159,5 +159,4 @@ pub fn tables_json(t: &EngineTables) -> Json {
         .set("store_slots", table(t.store_slots))
         .set("queue_hot", table(t.queue.hot))
         .set("queue_wheel", table(t.queue.wheel))
-        .set("queue_far", table(t.queue.far))
 }

@@ -18,7 +18,7 @@
 //!   delays: p50/p99/p999 without retaining events. exo-watch's
 //!   detectors read the same fold.
 //! - [`MetricsSnapshot`] — the runtime snapshots the fold, with the
-//!   sink's counters, every `snapshot_interval_us` of virtual time into
+//!   sink's counters, every [`SNAPSHOT_INTERVAL_US`] of virtual time into
 //!   a JSONL timeseries ([`LiveSeries`]).
 //!
 //! Memory is O(nodes × buckets + stages × buckets + sketch buckets),
@@ -46,23 +46,15 @@ use exo_sim::DeviceCaps;
 use exo_sim::NodeCaps;
 use exo_trace::{Event, EventKind, Json, TaskPhase, TraceCounters};
 
+/// Virtual-time interval between `MetricsSnapshot` emissions (250 ms).
+pub const SNAPSHOT_INTERVAL_US: u64 = 250_000;
+
 /// Live-observability knobs, carried on `RtConfig` next to
-/// `TraceConfig`. All times are virtual.
-#[derive(Debug, Clone)]
+/// `TraceConfig`.
+#[derive(Debug, Clone, Default)]
 pub struct LiveConfig {
-    /// Interval between `MetricsSnapshot` emissions (µs).
-    pub snapshot_interval_us: u64,
     /// Print a one-line progress summary at each snapshot (stderr).
     pub progress: bool,
-}
-
-impl Default for LiveConfig {
-    fn default() -> LiveConfig {
-        LiveConfig {
-            snapshot_interval_us: 250_000,
-            progress: false,
-        }
-    }
 }
 
 /// One task the stream has scheduled and not yet finished.
@@ -294,20 +286,16 @@ impl Fold {
     }
 }
 
-/// A run's snapshot timeseries: one line per tick, closed by
-/// [`LiveSeries::finish`].
-#[derive(Debug, Clone)]
+/// A run's snapshot timeseries: one line per [`SNAPSHOT_INTERVAL_US`]
+/// tick, closed by [`LiveSeries::finish`].
+#[derive(Debug, Clone, Default)]
 pub struct LiveSeries {
-    pub interval_us: u64,
     pub snapshots: Vec<MetricsSnapshot>,
 }
 
 impl LiveSeries {
-    pub fn new(interval_us: u64) -> LiveSeries {
-        LiveSeries {
-            interval_us,
-            snapshots: Vec::new(),
-        }
+    pub fn new() -> LiveSeries {
+        LiveSeries::default()
     }
 
     /// Appends the snapshot of `fold` at `at_us`. `counters` are the
@@ -374,7 +362,7 @@ impl LiveSeries {
         let last = self.snapshots.last();
         let mut doc = Json::obj()
             .set("snapshots", self.len())
-            .set("interval_us", self.interval_us)
+            .set("interval_us", SNAPSHOT_INTERVAL_US)
             .set("window_us", WINDOW_US)
             .set("final_counters", counters_to_json(&self.final_counters()));
         if let Some(s) = last {
@@ -441,7 +429,7 @@ mod tests {
     #[test]
     fn fold_observes_through_a_retentionless_sink() {
         let (sink, fold) = observed_sink();
-        let mut series = LiveSeries::new(LiveConfig::default().snapshot_interval_us);
+        let mut series = LiveSeries::new();
         sink.set_now(10);
         sink.emit(EventKind::Object(ObjectEvent {
             object: 1,
@@ -481,7 +469,7 @@ mod tests {
     #[test]
     fn finish_replaces_coincident_tick_and_stays_monotonic() {
         let fold = Fold::new(&caps());
-        let mut series = LiveSeries::new(250_000);
+        let mut series = LiveSeries::new();
         let zero = TraceCounters::default();
         series.push(&fold, zero, 100);
         series.push(&fold, zero, 200);
@@ -495,7 +483,7 @@ mod tests {
     #[test]
     fn jsonl_lines_parse_and_carry_counters() {
         let (sink, fold) = observed_sink();
-        let mut series = LiveSeries::new(LiveConfig::default().snapshot_interval_us);
+        let mut series = LiveSeries::new();
         for i in 0..5u64 {
             sink.set_now(i * 100);
             sink.emit(EventKind::Io(IoEvent {

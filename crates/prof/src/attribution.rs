@@ -309,7 +309,7 @@ impl AttributionPass {
                 a.disk_bytes += s.disk_bytes;
                 a.spill_ops += s.spill_ops;
             }
-            // Samples arrive every resource_sample_us; slices without
+            // Samples arrive every `RESOURCE_SAMPLE_US`; slices without
             // one carry the previous slice's levels (they describe
             // occupancy, not flow).
             let cpu_util = if a.samples > 0 {

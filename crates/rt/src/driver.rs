@@ -55,7 +55,7 @@ pub struct RunReport {
 /// on), and watch finalization force-closes open incidents *into* the
 /// sink, so it must run before the trace stream is drained.
 fn finish_report(runtime: Runtime, end: SimTime) -> RunReport {
-    let metrics = runtime.final_metrics();
+    let metrics = runtime.metrics();
     let tables = runtime.tables();
     let incidents = runtime.take_watch(end);
     let trace = runtime.take_trace();

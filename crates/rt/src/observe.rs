@@ -65,7 +65,7 @@ impl RunObserver {
         }
         Some(RunObserver(Arc::new(Mutex::new(Observed {
             fold: Fold::new(caps),
-            series: live.map(|l| LiveSeries::new(l.snapshot_interval_us)),
+            series: live.map(|_| LiveSeries::new()),
             detectors: watch.map(|w| Recorder::new(w.clone(), caps)),
         }))))
     }

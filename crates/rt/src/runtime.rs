@@ -12,7 +12,7 @@
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use exo_live::LiveConfig;
+use exo_live::{LiveConfig, SNAPSHOT_INTERVAL_US};
 use exo_sim::engine::{Ctx, Reply};
 use exo_sim::{
     ClusterSpec, DeviceCaps, IoKind, QueueFootprint, Resource, SimDuration, SimTime, Simulation,
@@ -22,7 +22,7 @@ use exo_store::{AllocDecision, NodeStore, RestoreDecision, SpillBatch, StoreConf
 use exo_trace::{
     DepEvent, DepKind, EventKind, FailureEvent, FailureKind, FetchWaitEvent, IoDir, IoEvent,
     ObjectEvent, ObjectPhase, Placement, ResourceSample, TaskPhase, TaskSpan, TraceConfig,
-    TraceSink,
+    TraceSink, RESOURCE_SAMPLE_US,
 };
 use exo_watch::WatchConfig;
 
@@ -64,7 +64,8 @@ pub struct RtConfig {
     /// Streaming live observability (off by default). When set, the
     /// runtime's observer folds the trace stream in fixed memory —
     /// independent of retention — and the runtime emits a
-    /// `MetricsSnapshot` every `snapshot_interval_us` of virtual time.
+    /// `MetricsSnapshot` every [`exo_live::SNAPSHOT_INTERVAL_US`] of
+    /// virtual time.
     pub live: Option<LiveConfig>,
     /// Online incident detection (off by default). When set, `exo-watch`
     /// detectors judge the runtime observer's fold and the runtime
@@ -223,19 +224,20 @@ pub enum RtEvent {
     KillExecutors {
         node: NodeId,
     },
-    /// Periodic per-node occupancy sampling (tracing only). Re-armed by
-    /// real commands/events, never by itself, so a quiescent or
-    /// deadlocked simulation still stalls out.
-    SampleResources,
+    /// Periodic observer tick, every [`RESOURCE_SAMPLE_US`], armed
+    /// while the samples have a consumer or a job registration is
+    /// parked. It emits per-node occupancy samples; with
+    /// [`RtConfig::watch`] set it then drains the incident transitions
+    /// the observer has decided into the trace sink (detection itself
+    /// happens at virtual-time evaluation boundaries, so the tick's
+    /// cadence cannot change what is detected); last it re-checks
+    /// parked registrations against store pressure. Re-armed by real
+    /// commands/events, never by itself, so a quiescent or deadlocked
+    /// simulation still stalls out.
+    ObserveTick,
     /// Periodic live-metrics snapshot tick (only when [`RtConfig::live`]
-    /// is set). Same re-arm discipline as `SampleResources`.
+    /// is set). Same re-arm discipline as `ObserveTick`.
     LiveSnapshot,
-    /// Periodic drain of detected incident transitions into the trace
-    /// sink (only when [`RtConfig::watch`] is set). Detection itself
-    /// happens inside the observer at virtual-time evaluation
-    /// boundaries; this tick only moves already-decided verdicts into
-    /// the event stream, so its cadence cannot change what is detected.
-    WatchTick,
     /// Fair-share dispatch sweep: drain the job manager's ready pools
     /// onto node queues, one pick per free slot.
     /// Deduplicated — at most one pass is in the queue at a time.
@@ -432,16 +434,14 @@ pub struct Runtime {
     /// [`RtMetrics`] (derived by folding emitted events) and, when
     /// enabled, the full event stream for export.
     sink: TraceSink,
-    /// A `SampleResources` tick is already in the event queue.
-    sampling_scheduled: bool,
+    /// An `ObserveTick` is already in the event queue.
+    observe_scheduled: bool,
     /// The one sink observer, when live observability or incident
     /// detection is on; this clone drives snapshot ticks, drains
     /// incident transitions and answers mid-run incident queries.
     observer: Option<RunObserver>,
     /// A `LiveSnapshot` tick is already in the event queue.
     live_scheduled: bool,
-    /// A `WatchTick` is already in the event queue.
-    watch_scheduled: bool,
     /// A `DispatchPass` is already in the event queue.
     dispatch_scheduled: bool,
     /// Parked `AwaitJob` replies, indexed by job id and resolved when
@@ -459,8 +459,8 @@ impl Runtime {
     /// Build the runtime for a cluster.
     pub fn new(cfg: RtConfig) -> Runtime {
         let sink = TraceSink::new(&cfg.trace);
-        // The observer must be registered before `sample_interval_us`
-        // is read below: a registered observer is a sample consumer even
+        // The observer must be registered before `sampling` is read
+        // below: a registered observer is a sample consumer even
         // with retention off. It classifies against the *effective*
         // capacity card, including the `object_store_capacity` override.
         let observer = RunObserver::new(cfg.live.as_ref(), cfg.watch.as_ref(), &cfg.device_caps());
@@ -469,7 +469,7 @@ impl Runtime {
         }
         // Device occupancy bookkeeping is only paid for when resource
         // sampling will actually read it.
-        let track_pending = sink.sample_interval_us() > 0;
+        let track_pending = sink.sampling();
         let nodes = (0..cfg.cluster.num_nodes())
             .map(|i| {
                 // Each node is built from its *own* spec: heterogeneous
@@ -516,10 +516,9 @@ impl Runtime {
             jobs,
             rr_cursor: 0,
             sink,
-            sampling_scheduled: false,
+            observe_scheduled: false,
             observer,
             live_scheduled: false,
-            watch_scheduled: false,
             dispatch_scheduled: false,
             job_waiters: Vec::new(),
             queue_footprint: QueueFootprint::default(),
@@ -2140,13 +2139,6 @@ impl Runtime {
     // Metrics
     // ------------------------------------------------------------------
 
-    /// Metrics computed after the engine has fully shut down (including
-    /// the drain of in-flight output writes), used by `driver::run` so the
-    /// report reflects the whole run rather than the driver's last call.
-    pub(crate) fn final_metrics(&self) -> RtMetrics {
-        self.snapshot_metrics()
-    }
-
     /// The engine's table footprints at shutdown; read once, after the
     /// run, so it cannot feed back into simulation state.
     pub(crate) fn tables(&self) -> EngineTables {
@@ -2169,7 +2161,11 @@ impl Runtime {
         }
     }
 
-    fn snapshot_metrics(&self) -> RtMetrics {
+    /// Metrics folded so far. `driver::run` reads them after the engine
+    /// has fully shut down (including the drain of in-flight output
+    /// writes), so the report covers the whole run rather than the
+    /// driver's last call.
+    pub(crate) fn metrics(&self) -> RtMetrics {
         let mut m = RtMetrics::from_counters(&self.sink.counters());
         for n in &self.nodes {
             m.add_store(n.store.metrics());
@@ -2178,48 +2174,35 @@ impl Runtime {
     }
 
     // ------------------------------------------------------------------
-    // Resource sampling
+    // Observer ticks
     // ------------------------------------------------------------------
 
-    /// Arm the next [`RtEvent::SampleResources`] tick. Called from real
-    /// commands and events only — the tick handler never re-arms itself,
-    /// so a quiescent (or deadlocked) simulation still stalls out instead
-    /// of spinning virtual time forever.
-    fn maybe_schedule_sampling(&mut self, ctx: &mut Ctx<'_, RtEvent>) {
-        let interval = self.sink.sample_interval_us();
-        if interval == 0 || self.sampling_scheduled {
+    /// Arm the next [`RtEvent::ObserveTick`] while resource samples have
+    /// a consumer or a registration is parked. Called from real commands
+    /// and events only — the tick handler never re-arms itself, so a
+    /// quiescent (or deadlocked) simulation still stalls out instead of
+    /// spinning virtual time forever.
+    fn maybe_schedule_observe(&mut self, ctx: &mut Ctx<'_, RtEvent>) {
+        if self.observe_scheduled || !(self.sink.sampling() || self.jobs.pending_admissions() > 0) {
             return;
         }
-        self.sampling_scheduled = true;
-        ctx.schedule(SimDuration::from_micros(interval), RtEvent::SampleResources);
+        self.observe_scheduled = true;
+        ctx.schedule(
+            SimDuration::from_micros(RESOURCE_SAMPLE_US),
+            RtEvent::ObserveTick,
+        );
     }
 
     /// Arm the next [`RtEvent::LiveSnapshot`] tick. Same discipline as
-    /// [`Runtime::maybe_schedule_sampling`]: only real commands/events
-    /// arm it, so a quiescent run does not tick forever.
+    /// [`Runtime::maybe_schedule_observe`].
     fn maybe_schedule_live(&mut self, ctx: &mut Ctx<'_, RtEvent>) {
-        let Some(live) = &self.cfg.live else { return };
-        if self.live_scheduled {
+        if self.cfg.live.is_none() || self.live_scheduled {
             return;
         }
         self.live_scheduled = true;
         ctx.schedule(
-            SimDuration::from_micros(live.snapshot_interval_us),
+            SimDuration::from_micros(SNAPSHOT_INTERVAL_US),
             RtEvent::LiveSnapshot,
-        );
-    }
-
-    /// Arm the next [`RtEvent::WatchTick`]. Same discipline as
-    /// [`Runtime::maybe_schedule_live`].
-    fn maybe_schedule_watch(&mut self, ctx: &mut Ctx<'_, RtEvent>) {
-        let Some(watch) = &self.cfg.watch else { return };
-        if self.watch_scheduled {
-            return;
-        }
-        self.watch_scheduled = true;
-        ctx.schedule(
-            SimDuration::from_micros(watch.eval_interval_us),
-            RtEvent::WatchTick,
         );
     }
 
@@ -2348,9 +2331,8 @@ impl Simulation for Runtime {
 
     fn on_command(&mut self, ctx: &mut Ctx<'_, RtEvent>, cmd: RtCommand) {
         self.sink.set_now(ctx.now().as_micros());
-        self.maybe_schedule_sampling(ctx);
+        self.maybe_schedule_observe(ctx);
         self.maybe_schedule_live(ctx);
-        self.maybe_schedule_watch(ctx);
         match cmd {
             RtCommand::RegisterJob { params, reply } => {
                 let pressured = self.store_pressured();
@@ -2515,7 +2497,7 @@ impl Simulation for Runtime {
                 ctx.reply(reply, ());
             }
             RtCommand::Metrics { reply } => {
-                let m = self.snapshot_metrics();
+                let m = self.metrics();
                 ctx.reply(reply, m);
             }
             RtCommand::NumNodes { reply } => {
@@ -2546,7 +2528,7 @@ impl Simulation for Runtime {
     /// Final-stage output flushes are pure disk bookkeeping the driver
     /// never waits on; drain them on exit so disk-write completion,
     /// `Finished` spans, and progress samples cover the tail. Everything
-    /// else (wait deadlines, scheduled failures, sampling ticks) is
+    /// else (wait deadlines, scheduled failures, observer ticks) is
     /// discarded.
     fn drains_on_shutdown(&self, ev: &RtEvent) -> bool {
         matches!(ev, RtEvent::OutputWriteDone { .. })
@@ -2558,13 +2540,9 @@ impl Simulation for Runtime {
 
     fn on_event(&mut self, ctx: &mut Ctx<'_, RtEvent>, ev: RtEvent) {
         self.sink.set_now(ctx.now().as_micros());
-        if !matches!(
-            ev,
-            RtEvent::SampleResources | RtEvent::LiveSnapshot | RtEvent::WatchTick
-        ) {
-            self.maybe_schedule_sampling(ctx);
+        if !matches!(ev, RtEvent::ObserveTick | RtEvent::LiveSnapshot) {
+            self.maybe_schedule_observe(ctx);
             self.maybe_schedule_live(ctx);
-            self.maybe_schedule_watch(ctx);
         }
         match ev {
             RtEvent::TaskInputDone { task, epoch, cpu } => {
@@ -2690,9 +2668,18 @@ impl Simulation for Runtime {
             RtEvent::RestartNode { node } => {
                 self.restart_node(ctx, node);
             }
-            RtEvent::SampleResources => {
-                self.sampling_scheduled = false;
-                self.emit_resource_samples(ctx.now());
+            RtEvent::ObserveTick => {
+                self.observe_scheduled = false;
+                if self.sink.sampling() {
+                    self.emit_resource_samples(ctx.now());
+                }
+                if self.cfg.watch.is_some() {
+                    self.sink.flush();
+                    self.drain_watch();
+                }
+                // Store pressure may have cleared since a registration
+                // was parked; ticks are the periodic re-check.
+                self.drain_admission(ctx);
             }
             RtEvent::LiveSnapshot => {
                 self.live_scheduled = false;
@@ -2706,14 +2693,6 @@ impl Simulation for Runtime {
                         eprintln!("{line}");
                     }
                 }
-            }
-            RtEvent::WatchTick => {
-                self.watch_scheduled = false;
-                self.sink.flush();
-                self.drain_watch();
-                // Store pressure may have cleared since a registration
-                // was parked; ticks are the periodic re-check.
-                self.drain_admission(ctx);
             }
             RtEvent::DispatchPass => {
                 self.dispatch_scheduled = false;

@@ -78,7 +78,6 @@ fn three_tenants_share_one_runtime_without_isolation_violations() {
             (1, slots_per_tenant),
             (2, slots_per_tenant),
         ],
-        ..WatchConfig::default()
     });
     let (report, outcomes) = run_service(cfg, |svc| {
         let mut handles = Vec::new();
@@ -283,4 +282,38 @@ fn faulted_service_rerun_is_bit_identical() {
     let i1 = r1.incidents.expect("watch on").to_json().render();
     let i2 = r2.incidents.expect("watch on").to_json().render();
     assert_eq!(i1, i2, "incident stream diverged across identical reruns");
+}
+
+/// Job A fills 950 MB of a one-node, 1 GB store and drops it at t=1 s,
+/// then runs until t=11 s; job B registers at t=0.5 s under that store
+/// pressure. Returns B's admission time and A's finish time.
+fn parked_registration_run(watch: bool) -> (u64, u64) {
+    let mut cfg = cluster(1);
+    cfg.object_store_capacity = Some(1_000_000_000);
+    if watch {
+        cfg.watch = Some(WatchConfig::default());
+    }
+    let (_report, (a, b)) = run_service(cfg, |svc| {
+        let ha = svc.submit_job(params(0), |rt: &exo_rt::RtHandle| {
+            let big = rt.put(Payload::ghost(950_000_000));
+            rt.sleep(SimDuration::from_secs(1));
+            drop(big);
+            rt.sleep(SimDuration::from_secs(10));
+        });
+        svc.sleep(SimDuration::from_millis(500));
+        let hb = svc.submit_job(params(1), |_rt: &exo_rt::RtHandle| {});
+        (ha.join(), hb.join())
+    });
+    (b.admitted_us, a.finished_us)
+}
+
+#[test]
+fn admission_rechecks_store_pressure_without_an_observer() {
+    for watch in [false, true] {
+        let (b_admitted, a_finished) = parked_registration_run(watch);
+        assert_eq!(a_finished, 11_000_000, "watch={watch}");
+        // The first observer tick after the drop at t=1 s admits B.
+        assert_eq!(b_admitted, 1_100_000, "watch={watch}");
+        assert!(b_admitted < a_finished, "watch={watch}");
+    }
 }

@@ -22,8 +22,8 @@
 //! interleavings.
 //!
 //! The simulation behind the channel is pluggable via the [`Simulation`]
-//! trait; `exo-rt` implements the distributed-futures runtime as one, and
-//! `exo-monolith` implements a Spark-like BSP engine as another.
+//! trait; `exo-rt`'s distributed-futures runtime is its one implementor
+//! outside this module's tests.
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 

@@ -19,14 +19,12 @@
 //! - **hot** — a small min-heap holding every entry whose tick is at or
 //!   before `tick` (the current tick, *including* anything scheduled in
 //!   the past). Pops come from here.
-//! - **levels** — `LEVELS` wheels of `SLOTS` (2048) unsorted `Vec`
-//!   buckets. Level `k`'s buckets are `64 µs × 2048^k` wide, so the
-//!   three levels reach about 6.4 days. An entry goes to the level of
-//!   the highest 11-bit digit in which its tick differs from `tick`, in
-//!   the bucket that digit names. Inserts are a `leading_zeros`, a
-//!   shift and a push.
-//! - **far** — an overflow min-heap for entries whose tick differs from
-//!   `tick` above the top level.
+//! - **levels** — `LEVELS` (6) wheels of `SLOTS` (2048) unsorted
+//!   bucket lists. Level `k`'s buckets are `64 µs × 2048^k` wide, and
+//!   six 11-bit digits cover every 58-bit tick, so every later entry
+//!   has a level. An entry goes to the level of the highest digit in
+//!   which its tick differs from `tick`, in the bucket that digit
+//!   names. Inserts are a `leading_zeros`, a shift and a push.
 //!
 //! Each level keeps a 2048-bit occupancy bitmap with a 32-bit summary
 //! word, so the next non-empty bucket is two `trailing_zeros` away.
@@ -35,9 +33,9 @@
 //! level-0 bucket is one tick, so all of it goes into hot; a higher
 //! bucket *cascades*: each entry is placed again against the new
 //! `tick`, landing in a lower level or directly in hot. An entry moves
-//! at most `LEVELS` times, so every operation is `O(1)` amortised. Only
-//! when every level is empty does the queue jump `tick` to the far
-//! heap's minimum and pull the entries that now share its top digits.
+//! at most `LEVELS` times, so every operation is `O(1)` amortised.
+//! Levels past the first three stay empty in practice (level 3 starts
+//! about 6.4 days ahead) and cost only their bitmaps.
 //!
 //! Buckets hold their entries in fixed 16-entry chunks. Emptied chunks
 //! and bucket lists go to a pool that later buckets draw from, and
@@ -50,7 +48,7 @@
 //! # Determinism
 //!
 //! Pop order is *identical to the plain binary heap's* — bit for bit —
-//! because the tiers partition the pending set by fire time:
+//! because the two tiers partition the pending set by fire time:
 //!
 //! 1. every hot entry fires before every wheel entry: hot ticks are
 //!    `≤ tick`, wheel ticks are `> tick`;
@@ -59,10 +57,7 @@
 //!    `k`, so lower levels fire first; within a level, buckets are
 //!    disjoint ascending windows, all beyond `tick`'s own digit, and the
 //!    first set bit is the earliest;
-//! 3. a far entry is larger than `tick` above the top level, so it is
-//!    later than every wheel entry, and the far heap is read only when
-//!    the wheel is empty;
-//! 4. a bucket is moved into hot (heapified) in full before any of it
+//! 3. a bucket is moved into hot (heapified) in full before any of it
 //!    pops, and hot orders by the same `(at, seq)` key the heap used.
 //!
 //! Level width and count affect only *where* an entry waits, never
@@ -87,13 +82,11 @@ const SLOTS: usize = 1 << BITS;
 /// Bitmap words per level.
 const WORDS: usize = SLOTS / 64;
 
-/// Wheel levels. Three reach `64 µs × 2048³` ≈ 6.4 days, far past any
-/// I/O backlog the runtime books; only timers beyond that use the far
-/// heap.
-const LEVELS: usize = 3;
-
-/// Tick shift that leaves the digits above the top level.
-const TOP_SHIFT: u32 = BITS * LEVELS as u32;
+/// Wheel levels: enough `BITS`-bit digits to cover every tick of a
+/// 64-bit microsecond clock (`6 × 11 ≥ 64 − TICK_SHIFT`), so no entry
+/// needs an overflow tier.
+const LEVELS: usize = 6;
+const _: () = assert!(BITS * LEVELS as u32 >= 64 - TICK_SHIFT);
 
 fn tick_of(at: SimTime) -> u64 {
     at.0 >> TICK_SHIFT
@@ -157,7 +150,7 @@ impl TableFootprint {
     }
 }
 
-/// Peak footprint of an [`EventQueue`]'s three tiers over its life: the
+/// Peak footprint of an [`EventQueue`]'s two tiers over its life: the
 /// most entries each tier held at once, and the slots and bytes it had
 /// allocated at its largest. A run drains its queue before reporting,
 /// so a read of what the tiers hold at that point would show nothing.
@@ -168,8 +161,6 @@ pub struct QueueFootprint {
     /// The wheel levels' chunks (in buckets or pooled), with the bucket
     /// lists' headers.
     pub wheel: TableFootprint,
-    /// The overflow heap beyond the top level.
-    pub far: TableFootprint,
 }
 
 /// Entries per bucket chunk (896 B of 56-B entries): the most an
@@ -261,7 +252,6 @@ impl<E> Level<E> {
 struct Peaks {
     hot: usize,
     wheel: usize,
-    far: usize,
 }
 
 /// A min-queue of timestamped events with stable FIFO tie-breaking,
@@ -272,11 +262,9 @@ pub struct EventQueue<E> {
     /// Entries whose tick differs from `tick` first at digit `k` live in
     /// `levels[k]`.
     levels: [Level<E>; LEVELS],
-    /// Entries whose tick differs from `tick` above the top level.
-    far: BinaryHeap<Entry<E>>,
     /// Empty chunks and lists, shared by every level's buckets.
     pool: Pool<E>,
-    /// The current tick: every wheel and far entry is later.
+    /// The current tick: every wheel entry is later.
     tick: u64,
     /// Entries across the levels.
     wheel_len: usize,
@@ -298,7 +286,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             hot: BinaryHeap::new(),
             levels: std::array::from_fn(|_| Level::new()),
-            far: BinaryHeap::new(),
             pool: Pool {
                 chunks: Vec::new(),
                 lists: Vec::new(),
@@ -333,11 +320,6 @@ impl<E> EventQueue<E> {
             return;
         }
         let level = ((63 - (t ^ self.tick).leading_zeros()) / BITS) as usize;
-        if level >= LEVELS {
-            self.far.push(e);
-            self.peak.far = self.peak.far.max(self.far.len());
-            return;
-        }
         let slot = (t >> (BITS * level as u32)) as usize & (SLOTS - 1);
         self.levels[level].push(slot, e, &mut self.pool);
         self.wheel_len += 1;
@@ -368,7 +350,8 @@ impl<E> EventQueue<E> {
             // `level`, set digit `level` to the bucket, zero the rest.
             // Every lower level is empty, so no entry is left behind.
             let shift = BITS * level as u32;
-            self.tick = (self.tick >> (shift + BITS) << (shift + BITS)) | ((slot as u64) << shift);
+            let above = u64::MAX.checked_shl(shift + BITS).unwrap_or(0);
+            self.tick = (self.tick & above) | ((slot as u64) << shift);
             let mut bucket = self.levels[level].take(slot);
             self.wheel_len -= bucket.iter().map(Vec::len).sum::<usize>();
             if level == 0 {
@@ -389,23 +372,6 @@ impl<E> EventQueue<E> {
                 return;
             }
         }
-        // Wheel empty: jump to the far heap's minimum and pull every entry
-        // that now shares `tick`'s digits above the top level. The minimum
-        // itself lands in hot.
-        let Some(min) = self.far.peek() else {
-            return;
-        };
-        self.tick = tick_of(min.at);
-        let top = self.tick >> TOP_SHIFT;
-        while self
-            .far
-            .peek()
-            .is_some_and(|e| tick_of(e.at) >> TOP_SHIFT == top)
-        {
-            let Some(e) = self.far.pop() else { break };
-            self.place(e);
-        }
-        debug_assert!(!self.hot.is_empty());
     }
 
     /// Number of pending events.
@@ -419,7 +385,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Peak entries and allocated slots per tier. No tier ever frees a
-    /// buffer — the heaps keep their capacity, and the wheel's chunks and
+    /// buffer — the heap keeps its capacity, and the wheel's chunks and
     /// bucket lists are recycled — so the capacity held now is the peak.
     pub fn footprint(&self) -> QueueFootprint {
         let header = std::mem::size_of::<Vec<Chunk<E>>>();
@@ -438,7 +404,6 @@ impl<E> EventQueue<E> {
         QueueFootprint {
             hot: TableFootprint::of::<Entry<E>>(self.peak.hot, self.hot.capacity()),
             wheel,
-            far: TableFootprint::of::<Entry<E>>(self.peak.far, self.far.capacity()),
         }
     }
 }
@@ -447,12 +412,12 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
 
-    /// One tick, and the widths of a level-1 and a level-2 bucket, in µs.
+    /// One tick, and the widths of a level-1, level-2 and level-3
+    /// bucket, in µs.
     const TICK: u64 = 1 << TICK_SHIFT;
     const L1: u64 = TICK << BITS;
     const L2: u64 = L1 << BITS;
-    /// First time past the top level from zero: the far heap's domain.
-    const TOP: u64 = L2 << BITS;
+    const L3: u64 = L2 << BITS;
 
     #[test]
     fn pops_in_time_order() {
@@ -624,15 +589,15 @@ mod tests {
     }
 
     #[test]
-    fn matches_reference_heap_beyond_top_level() {
-        // A quarter of the entries lie past the top level, several top
-        // blocks apart, so the wheel empties and the queue jumps to the
-        // far heap's minimum again and again; the rest spread over four
-        // level-2 buckets, interleaving with the far entries each jump
-        // pulls.
+    fn matches_reference_heap_across_level_three() {
+        // A quarter of the entries lie at level 3, several level-3
+        // buckets apart, so the lower levels empty and the queue cascades
+        // a level-3 bucket again and again; the rest spread over four
+        // level-2 buckets, interleaving with the entries each cascade
+        // re-places.
         equivalence_run(5, 2_000, 20_000, |r| {
             if r.is_multiple_of(4) {
-                TOP + r % (8 * TOP)
+                L3 + r % (8 * L3)
             } else {
                 r % (4 * L2)
             }
@@ -640,15 +605,22 @@ mod tests {
     }
 
     #[test]
-    fn far_jump_pulls_the_whole_top_block() {
-        // After the jump to `a`, `b` shares its top block and must leave
-        // the far heap with it: `c`, scheduled later, lands in level 2
-        // and would otherwise pop before `b`.
+    fn matches_reference_heap_every_level() {
+        // Delays of every magnitude from 1 µs to 2^50 µs (35 years), so
+        // entries wait at each of levels 0–4 and cascade down from them.
+        equivalence_run(6, 1_000, 10_000, |r| r % (1 << (r % 51)));
+    }
+
+    #[test]
+    fn cascade_keeps_a_level_three_bucket_together() {
+        // After the cascade to `a`, `b` shares its level-3 bucket and
+        // must be re-placed with it: `c`, scheduled later, lands in
+        // level 2 and would otherwise pop before `b`.
         let mut p = Pair::new();
-        let a = 3 * TOP + 10;
+        let a = 3 * L3 + 10;
         p.schedule(a);
         p.schedule(a + 5 * L2);
-        p.schedule(4 * TOP);
+        p.schedule(4 * L3);
         assert_eq!(p.pop(), Some(a));
         p.schedule(a + 6 * L2);
         assert_eq!(p.pop(), Some(a + 5 * L2));
@@ -672,14 +644,14 @@ mod tests {
 
     #[test]
     fn past_inserts_right_after_a_jump() {
-        // Jump to the far heap, and advance through a level-2 bucket; right
-        // after each, insert entries before the new tick, on it, and in
+        // Cascade a level-3 bucket, and advance through a level-2 bucket;
+        // right after each, insert entries before the new tick, on it, and in
         // every level above it.
-        for first in [3 * TOP + 12_345, 5 * L2 + 777] {
+        for first in [3 * L3 + 12_345, 5 * L2 + 777] {
             let mut p = Pair::new();
             p.schedule(first);
             p.schedule(first + 3 * L2);
-            p.schedule(first + 9 * TOP);
+            p.schedule(first + 9 * L3);
             assert_eq!(p.pop(), Some(first));
             for at in [
                 0,
@@ -692,7 +664,7 @@ mod tests {
                 first + TICK,
                 first + L1,
                 first + L2,
-                first + TOP,
+                first + L3,
             ] {
                 p.schedule(at);
             }
@@ -710,11 +682,11 @@ mod tests {
     #[test]
     fn ties_on_level_and_bucket_boundaries() {
         // Several entries exactly on, and one µs either side of, every
-        // tick, level-1, level-2 and top-level boundary near a few
+        // tick, level-1, level-2 and level-3 boundary near a few
         // multiples — entries that share a bucket, straddle two buckets,
         // or sit at a level's last slot.
         let mut p = Pair::new();
-        for width in [TICK, L1, L2, TOP] {
+        for width in [TICK, L1, L2, L3] {
             for k in [1, 2, 3, 2047, 2048, 2049] {
                 let edge = width * k;
                 for at in [edge - 1, edge, edge, edge + 1, edge] {
@@ -767,7 +739,7 @@ mod tests {
         q.schedule_at(SimTime(5), 0); // hot
         q.schedule_at(SimTime(TICK * 10), 1); // level 0
         q.schedule_at(SimTime(L2 * 10), 2); // level 2
-        q.schedule_at(SimTime(u64::MAX / 2), 3); // far
+        q.schedule_at(SimTime(u64::MAX / 2), 3); // level 5
         assert_eq!(q.len(), 4);
         assert_eq!(q.pop(), Some((SimTime(5), 0)));
         assert_eq!(q.len(), 3);
@@ -784,17 +756,15 @@ mod tests {
         for i in 0..100u64 {
             q.schedule_at(SimTime(i * 1_000_000), i);
         }
-        q.schedule_at(SimTime(TOP * 2), 100);
+        q.schedule_at(SimTime(L3 * 2), 100);
         while q.pop().is_some() {}
         let f = q.footprint();
-        // Entry at t=0 went to hot; the rest waited in the wheel, except
-        // the one past the top level.
+        // Entry at t=0 went to hot; the rest waited in the wheel, the
+        // last one at level 3.
         assert_eq!(f.hot.live, 1);
-        assert_eq!(f.wheel.live, 99);
-        assert_eq!(f.far.live, 1);
-        assert!(f.wheel.capacity >= 99);
+        assert_eq!(f.wheel.live, 100);
+        assert!(f.wheel.capacity >= 100);
         let slot = std::mem::size_of::<Entry<u64>>();
         assert!(f.wheel.bytes >= f.wheel.capacity * slot);
-        assert_eq!(f.far.bytes, f.far.capacity * slot);
     }
 }

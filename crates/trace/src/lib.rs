@@ -38,6 +38,6 @@ pub use event::{
 };
 pub use json::Json;
 pub use jsonl::{jsonl_string, write_jsonl};
-pub use sink::{Observer, TraceConfig, TraceCounters, TraceSink};
+pub use sink::{Observer, TraceConfig, TraceCounters, TraceSink, RESOURCE_SAMPLE_US};
 pub use summary::NodeCapacityLine;
 pub use summary::{summarize, TraceSummary};

@@ -58,36 +58,25 @@ pub trait Observer: Send {
     }
 }
 
+/// Virtual-time interval between `ResourceSample` emissions (100 ms).
+/// Honoured whenever there is a sample consumer: full retention *or* a
+/// registered observer.
+pub const RESOURCE_SAMPLE_US: u64 = 100_000;
+
+/// Capacity of the always-on recent-event ring (deadlock dumps).
+const RING: usize = 64;
+
 /// Tracing knobs, carried on `RtConfig`. Off by default.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceConfig {
     /// Retain the full event stream for export.
     pub enabled: bool,
-    /// Virtual-time interval between `ResourceSample` emissions
-    /// (microseconds); 0 disables sampling. Honoured whenever there is
-    /// a sample consumer: full retention *or* a registered observer.
-    pub resource_sample_us: u64,
-    /// Capacity of the always-on recent-event ring (deadlock dumps).
-    pub ring: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> TraceConfig {
-        TraceConfig {
-            enabled: false,
-            resource_sample_us: 100_000,
-            ring: 64,
-        }
-    }
 }
 
 impl TraceConfig {
-    /// Tracing on, with default sampling interval and ring size.
+    /// Tracing on.
     pub fn on() -> TraceConfig {
-        TraceConfig {
-            enabled: true,
-            ..TraceConfig::default()
-        }
+        TraceConfig { enabled: true }
     }
 }
 
@@ -205,27 +194,25 @@ impl SinkState {
     /// Settles the pending block: folds counters, feeds the ring and the
     /// retained stream, and hands observers the whole block. Every read
     /// accessor calls this first, so batching is invisible downstream.
-    fn flush(&mut self, retain: bool, ring_cap: usize) {
+    fn flush(&mut self, retain: bool) {
         if self.pending.is_empty() {
             return;
         }
         for ev in &self.pending {
             self.counters.apply(&ev.kind);
         }
-        if ring_cap > 0 {
-            // Equivalent to pushing each event with pop-at-capacity: the
-            // ring ends holding the last `ring_cap` of (old ring ++ block).
-            if self.pending.len() >= ring_cap {
-                self.ring.clear();
-                let skip = self.pending.len() - ring_cap;
-                self.ring.extend(self.pending[skip..].iter().copied());
-            } else {
-                let excess = (self.ring.len() + self.pending.len()).saturating_sub(ring_cap);
-                for _ in 0..excess {
-                    self.ring.pop_front();
-                }
-                self.ring.extend(self.pending.iter().copied());
+        // Equivalent to pushing each event with pop-at-capacity: the ring
+        // ends holding the last `RING` of (old ring ++ block).
+        if self.pending.len() >= RING {
+            self.ring.clear();
+            let skip = self.pending.len() - RING;
+            self.ring.extend(self.pending[skip..].iter().copied());
+        } else {
+            let excess = (self.ring.len() + self.pending.len()).saturating_sub(RING);
+            for _ in 0..excess {
+                self.ring.pop_front();
             }
+            self.ring.extend(self.pending.iter().copied());
         }
         if retain {
             self.events.extend_from_slice(&self.pending);
@@ -241,8 +228,6 @@ impl SinkState {
 
 struct SinkInner {
     retain: bool,
-    ring_cap: usize,
-    sample_us: u64,
     /// Mirrors `state.observers.is_empty()` so gating decisions (resource
     /// sampling, fetch-wait emission) can be made without the lock.
     observing: AtomicBool,
@@ -261,14 +246,12 @@ impl TraceSink {
         TraceSink {
             inner: Arc::new(SinkInner {
                 retain: cfg.enabled,
-                ring_cap: cfg.ring,
-                sample_us: cfg.resource_sample_us,
                 observing: AtomicBool::new(false),
                 now_us: AtomicU64::new(0),
                 state: Mutex::new(SinkState {
                     pending: Vec::with_capacity(BLOCK),
                     events: Vec::new(),
-                    ring: VecDeque::with_capacity(cfg.ring.min(1024)),
+                    ring: VecDeque::with_capacity(RING),
                     counters: TraceCounters::default(),
                     observers: Vec::new(),
                 }),
@@ -301,15 +284,10 @@ impl TraceSink {
         self.inner.observing.store(true, Ordering::Relaxed);
     }
 
-    /// Virtual-time interval for `ResourceSample`s; 0 when sampling off.
-    /// Sampling runs whenever there is a consumer for the samples: full
-    /// retention *or* a registered observer.
-    pub fn sample_interval_us(&self) -> u64 {
-        if self.inner.retain || self.observing() {
-            self.inner.sample_us
-        } else {
-            0
-        }
+    /// Whether `ResourceSample`s have a consumer: full retention *or* a
+    /// registered observer.
+    pub fn sampling(&self) -> bool {
+        self.inner.retain || self.observing()
     }
 
     /// Advances the sink clock (virtual-time microseconds). Called by
@@ -337,7 +315,7 @@ impl TraceSink {
         let mut st = self.inner.state.lock().expect("trace sink poisoned");
         st.pending.push(ev);
         if st.pending.len() >= BLOCK {
-            st.flush(self.inner.retain, self.inner.ring_cap);
+            st.flush(self.inner.retain);
         }
     }
 
@@ -345,7 +323,7 @@ impl TraceSink {
     /// point for every reader, so batching never changes what they see.
     fn lock_flushed(&self) -> std::sync::MutexGuard<'_, SinkState> {
         let mut st = self.inner.state.lock().expect("trace sink poisoned");
-        st.flush(self.inner.retain, self.inner.ring_cap);
+        st.flush(self.inner.retain);
         st
     }
 
@@ -455,17 +433,15 @@ mod tests {
         }
         let sink = TraceSink::disabled();
         assert!(!sink.observing());
-        assert_eq!(
-            sink.sample_interval_us(),
-            0,
+        assert!(
+            !sink.sampling(),
             "no retention and no observers: sampling must stay off"
         );
         let tally = std::sync::Arc::new(Mutex::new((0u64, TraceCounters::default())));
         sink.register_observer(Box::new(Tally(tally.clone())));
         assert!(sink.observing());
-        assert_eq!(
-            sink.sample_interval_us(),
-            TraceConfig::default().resource_sample_us,
+        assert!(
+            sink.sampling(),
             "a registered observer is a sample consumer"
         );
         sink.emit(obj(ObjectPhase::Transferred, 100));
@@ -488,19 +464,16 @@ mod tests {
 
     #[test]
     fn ring_keeps_only_last_events() {
-        let cfg = TraceConfig {
-            ring: 4,
-            ..TraceConfig::default()
-        };
-        let sink = TraceSink::new(&cfg);
-        for i in 0..10u64 {
+        let sink = TraceSink::disabled();
+        let n = RING as u64 + 96;
+        for i in 0..n {
             sink.set_now(i);
             sink.emit(obj(ObjectPhase::Created, i));
         }
         let recent = sink.recent();
-        assert_eq!(recent.len(), 4);
-        assert_eq!(recent[0].at_us, 6);
-        assert_eq!(recent[3].at_us, 9);
+        assert_eq!(recent.len(), RING);
+        assert_eq!(recent[0].at_us, n - RING as u64);
+        assert_eq!(recent[RING - 1].at_us, n - 1);
     }
 
     #[test]
@@ -522,7 +495,7 @@ mod tests {
         assert_eq!(sink.counters(), expect);
         assert_eq!(sink.len(), 3 * BLOCK + 17);
         let recent = sink.recent();
-        assert_eq!(recent.len(), TraceConfig::default().ring);
+        assert_eq!(recent.len(), RING);
         assert_eq!(recent.last().unwrap().at_us, 3 * BLOCK as u64 + 16);
         assert_eq!(sink.with_events(TraceCounters::fold), expect);
     }
@@ -531,24 +504,22 @@ mod tests {
     fn ring_feed_matches_per_event_semantics_across_blocks() {
         // Flush with a block smaller than the ring capacity: the ring
         // must behave as if each event were pushed individually.
-        let cfg = TraceConfig {
-            ring: 8,
-            ..TraceConfig::default()
-        };
-        let sink = TraceSink::new(&cfg);
-        for i in 0..5u64 {
+        let sink = TraceSink::disabled();
+        let first = RING as u64 - 24;
+        let n = first + 48;
+        for i in 0..first {
             sink.set_now(i);
             sink.emit(obj(ObjectPhase::Created, i));
         }
         sink.flush();
-        for i in 5..11u64 {
+        for i in first..n {
             sink.set_now(i);
             sink.emit(obj(ObjectPhase::Created, i));
         }
         let recent = sink.recent();
-        assert_eq!(recent.len(), 8);
-        assert_eq!(recent[0].at_us, 3);
-        assert_eq!(recent[7].at_us, 10);
+        assert_eq!(recent.len(), RING);
+        assert_eq!(recent[0].at_us, n - RING as u64);
+        assert_eq!(recent[RING - 1].at_us, n - 1);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! tallies) it reads from the shared [`Fold`].
 //!
 //! Evaluation discipline: before an event at `t` is folded, every
-//! virtual-time boundary `b ≤ t` (multiples of `eval_interval_us`) that
+//! virtual-time boundary `b ≤ t` (multiples of [`EVAL_INTERVAL_US`]) that
 //! has not yet been evaluated is, in order — so detector verdicts
 //! depend only on the event stream's timestamps, never on how often the
 //! runtime happens to tick. Anything that iterates across tasks or open
@@ -17,7 +17,11 @@ use exo_live::{Fold, WINDOW_US};
 use exo_sim::DeviceCaps;
 use exo_trace::{Event, EventKind, IncidentEvent, IncidentKind, TaskPhase};
 
-use crate::{Incident, WatchConfig, WatchReport};
+use crate::{
+    Incident, WatchConfig, WatchReport, CASCADE_WINDOW_US, EVAL_INTERVAL_US, HOTSPOT_MEDIAN_UTIL,
+    HOTSPOT_MIN_US, HOTSPOT_UTIL, QUEUE_MIN_COUNT, QUEUE_MIN_US, QUEUE_RATIO, SPILL_WINDOW_FRAC,
+    STRAGGLER_MIN_PEERS, STRAGGLER_MIN_US, STRAGGLER_RATIO,
+};
 
 /// Identity of an *open* incident, for matching a later close edge to
 /// it. Ordered so force-close sweeps are deterministic.
@@ -53,7 +57,8 @@ struct Cascade {
 /// [`Recorder::observe`] *before* the fold applies that event.
 #[derive(Debug)]
 pub struct Recorder {
-    cfg: WatchConfig,
+    /// Per-tenant concurrent CPU-slot quotas `(tenant, slots)`.
+    tenant_slot_quotas: Vec<(u32, u32)>,
     /// Per-node store capacity (spill-storm threshold base).
     store_bytes: Vec<u64>,
     /// When the fold's queue-delay window next rotates into its baseline.
@@ -79,8 +84,8 @@ impl Recorder {
             open: HashMap::new(),
             transitions: Vec::new(),
             next_id: 0,
-            next_eval_us: cfg.eval_interval_us,
-            cfg,
+            next_eval_us: EVAL_INTERVAL_US,
+            tenant_slot_quotas: cfg.tenant_slot_quotas,
         }
     }
 
@@ -105,7 +110,7 @@ impl Recorder {
         while self.next_eval_us <= ev.at_us {
             let t = self.next_eval_us;
             self.evaluate(fold, t);
-            self.next_eval_us = t + self.cfg.eval_interval_us;
+            self.next_eval_us = t + EVAL_INTERVAL_US;
         }
         match &ev.kind {
             EventKind::Task(t) => match t.phase {
@@ -149,7 +154,7 @@ impl Recorder {
     fn on_retry(&mut self, at_us: u64) {
         for i in 0..self.cascades.len() {
             let c = &mut self.cascades[i];
-            if at_us > c.t_fail_us + self.cfg.cascade_window_us {
+            if at_us > c.t_fail_us + CASCADE_WINDOW_US {
                 continue;
             }
             c.retries += 1;
@@ -185,11 +190,7 @@ impl Recorder {
     /// configured quota at an evaluation boundary is a violation of the
     /// fair-share guarantee the scheduler is supposed to enforce.
     fn eval_isolation(&mut self, fold: &Fold, t: u64) {
-        if self.cfg.tenant_slot_quotas.is_empty() {
-            return;
-        }
-        let quotas = self.cfg.tenant_slot_quotas.clone();
-        for (tenant, quota) in quotas {
+        for (tenant, quota) in self.tenant_slot_quotas.clone() {
             let running = fold.running(tenant);
             if running > quota as u64 {
                 self.open_or_peak(
@@ -228,11 +229,10 @@ impl Recorder {
                 } else {
                     IncidentKind::DiskHotspot
                 };
-                let pinned =
-                    util >= self.cfg.hotspot_util && med[dev] <= self.cfg.hotspot_median_util;
+                let pinned = util >= HOTSPOT_UTIL && med[dev] <= HOTSPOT_MEDIAN_UTIL;
                 if pinned {
                     let since = *self.hot_since[w.node as usize][dev].get_or_insert(t);
-                    if t - since >= self.cfg.hotspot_min_us {
+                    if t - since >= HOTSPOT_MIN_US {
                         self.open_or_peak(
                             key,
                             t,
@@ -242,7 +242,7 @@ impl Recorder {
                             None,
                             None,
                             util,
-                            self.cfg.hotspot_util,
+                            HOTSPOT_UTIL,
                         );
                     }
                 } else {
@@ -255,7 +255,7 @@ impl Recorder {
 
     fn eval_spill(&mut self, fold: &Fold, t: u64) {
         for node in 0..self.store_bytes.len() {
-            let threshold = self.cfg.spill_window_frac * self.store_bytes[node] as f64;
+            let threshold = SPILL_WINDOW_FRAC * self.store_bytes[node] as f64;
             let bytes = fold.bounds().spill_bytes(node, t) as f64;
             if threshold > 0.0 && bytes > threshold {
                 self.open_or_peak(
@@ -277,11 +277,11 @@ impl Recorder {
 
     fn eval_queue(&mut self, fold: &mut Fold, t: u64) {
         let queue = fold.queue_us();
-        let base_p99 = queue.baseline().quantile(0.99).max(self.cfg.queue_min_us);
-        let threshold = self.cfg.queue_ratio * base_p99 as f64;
+        let base_p99 = queue.baseline().quantile(0.99).max(QUEUE_MIN_US);
+        let threshold = QUEUE_RATIO * base_p99 as f64;
         let window_p99 = queue.window().quantile(0.99) as f64;
-        let blown = queue.window().count() >= self.cfg.queue_min_count
-            && queue.baseline().count() >= self.cfg.queue_min_count
+        let blown = queue.window().count() >= QUEUE_MIN_COUNT
+            && queue.baseline().count() >= QUEUE_MIN_COUNT
             && window_p99 > threshold;
         if blown {
             self.open_or_peak(
@@ -318,10 +318,9 @@ impl Recorder {
             let peers = fold
                 .stage_exec(st.label)
                 .map(|s| (s.count(), s.quantile(0.5)))
-                .filter(|(n, _)| *n >= self.cfg.straggler_min_peers);
+                .filter(|(n, _)| *n >= STRAGGLER_MIN_PEERS);
             let Some((_, p50)) = peers else { continue };
-            let threshold =
-                (self.cfg.straggler_ratio * p50 as f64).max(self.cfg.straggler_min_us as f64);
+            let threshold = (STRAGGLER_RATIO * p50 as f64).max(STRAGGLER_MIN_US as f64);
             let elapsed = (t - started) as f64;
             if elapsed > threshold {
                 self.open_or_peak(
@@ -343,7 +342,7 @@ impl Recorder {
 
     fn eval_cascades(&mut self, t: u64) {
         for i in 0..self.cascades.len() {
-            if t > self.cascades[i].t_fail_us + self.cfg.cascade_window_us {
+            if t > self.cascades[i].t_fail_us + CASCADE_WINDOW_US {
                 self.close(Key::Cascade(i as u32), t);
             }
         }
@@ -440,7 +439,7 @@ impl Recorder {
         while self.next_eval_us <= end_us {
             let t = self.next_eval_us;
             self.evaluate(fold, t);
-            self.next_eval_us = t + self.cfg.eval_interval_us;
+            self.next_eval_us = t + EVAL_INTERVAL_US;
         }
         let mut keys: Vec<Key> = self.open.keys().copied().collect();
         keys.sort_unstable();
@@ -475,17 +474,6 @@ mod tests {
         )
     }
 
-    fn cfg() -> WatchConfig {
-        WatchConfig {
-            eval_interval_us: 100_000,
-            straggler_min_peers: 2,
-            straggler_min_us: 100_000,
-            hotspot_min_us: 300_000,
-            queue_min_count: 4,
-            ..WatchConfig::default()
-        }
-    }
-
     /// The detectors and the fold they read, fed in the runtime
     /// observer's order: detectors first, then the fold.
     struct Rig {
@@ -514,7 +502,7 @@ mod tests {
 
     fn rec() -> Rig {
         Rig {
-            rec: Recorder::new(cfg(), &caps(4)),
+            rec: Recorder::new(WatchConfig::default(), &caps(4)),
             fold: Fold::new(&caps(4)),
         }
     }
@@ -695,7 +683,7 @@ mod tests {
         assert_eq!(incs[0].t_open_us, 32_000);
         assert_eq!(incs[0].node, Some(3));
         // Window expiry closes it.
-        r.finish(20_000 + cfg().cascade_window_us + 200_000);
+        r.finish(20_000 + CASCADE_WINDOW_US + 200_000);
         assert!(r.incidents()[0].t_close_us.is_some());
     }
 
@@ -703,20 +691,21 @@ mod tests {
     fn queue_blowup_against_baseline() {
         let mut r = rec();
         let mut id = 0u64;
-        // Baseline: ~10 ms queue delays over the first two windows.
+        // Baseline: ~10 ms queue delays over the first window, 100 of
+        // them (at least `QUEUE_MIN_COUNT`).
         let mut t = 0u64;
-        for _ in 0..40 {
+        for _ in 0..100 {
             r.observe(&task(TaskPhase::Scheduled, id, 0, t));
             r.observe(&task(TaskPhase::Dequeued, id, 0, t + 10_000));
             id += 1;
-            t += 50_000;
+            t += 20_000;
         }
-        // Blowup: 400 ms delays (≥ 4× the 50 ms floor) in later windows.
-        for _ in 0..40 {
+        // Blowup: 400 ms delays (≥ 4× the 50 ms floor) in the next window.
+        for _ in 0..100 {
             r.observe(&task(TaskPhase::Scheduled, id, 0, t));
             r.observe(&task(TaskPhase::Dequeued, id, 0, t + 400_000));
             id += 1;
-            t += 50_000;
+            t += 20_000;
         }
         r.finish(t + 1_000_000);
         let incs = r.incidents();

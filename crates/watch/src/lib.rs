@@ -26,7 +26,7 @@
 //!
 //! Detection is driven *entirely by event timestamps*: detectors are
 //! evaluated when the event stream crosses a virtual-time evaluation
-//! boundary (every [`WatchConfig::eval_interval_us`]), never from the
+//! boundary (every [`EVAL_INTERVAL_US`]), never from the
 //! runtime's tick cadence or wall clock. Two runs that produce the same
 //! event stream therefore produce bit-identical incident sets — ids,
 //! open/close times, and severities included. All cross-incident
@@ -47,79 +47,62 @@ pub use detect::Recorder;
 
 use exo_trace::{IncidentEvent, IncidentKind, Json};
 
-/// Detector thresholds. All times are virtual-time microseconds;
-/// defaults are tuned so the pinned healthy benchmark cases (including
-/// the deliberately out-of-core `sort_hdd_small`) fire **zero**
-/// incidents while the pinned fault case fires a small, stable set.
-/// Every windowed detector reads exo-live's shared rolling window,
-/// [`WINDOW_US`](exo_live::WINDOW_US) in
-/// [`WINDOW_BUCKETS`](exo_live::WINDOW_BUCKETS) buckets.
-#[derive(Debug, Clone)]
+// Detector thresholds. All times are virtual-time microseconds. They
+// are tuned so the pinned healthy benchmark cases (including the
+// deliberately out-of-core `sort_hdd_small`) fire **zero** incidents
+// while the pinned fault case fires a small, stable set. Every windowed
+// detector reads exo-live's shared rolling window,
+// `exo_live::WINDOW_US` in `exo_live::WINDOW_BUCKETS` buckets.
+
+/// Virtual-time interval between detector evaluations. Boundaries are
+/// crossed by event timestamps, so this does not change *what* the
+/// detectors see — only how often conditions are tested.
+pub const EVAL_INTERVAL_US: u64 = 100_000;
+/// Straggler: elapsed execution must exceed this multiple of the
+/// stage's live p50.
+pub const STRAGGLER_RATIO: f64 = 3.0;
+/// Straggler: suppress until this many peers of the same stage have
+/// finished (the p50 is meaningless before that).
+pub const STRAGGLER_MIN_PEERS: u64 = 4;
+/// Straggler: absolute floor on the elapsed-time threshold, so short
+/// uniform stages never flag.
+pub const STRAGGLER_MIN_US: u64 = 500_000;
+/// Hotspot: windowed device utilisation that counts as pinned.
+pub const HOTSPOT_UTIL: f64 = 0.9;
+/// Hotspot: the cluster median utilisation must be at or below this for
+/// the pinned node to count as an outlier.
+pub const HOTSPOT_MEDIAN_UTIL: f64 = 0.45;
+/// Hotspot: the outlier condition must hold this long before an
+/// incident opens.
+pub const HOTSPOT_MIN_US: u64 = 1_500_000;
+/// Spill storm: windowed spill+fallback bytes on a node must exceed this
+/// multiple of the node's store capacity. 8× is calibrated against the
+/// pinned spill-path gate case, which churns ~6.3× its deliberately
+/// undersized store per window at peak in steady state: designed-in
+/// spilling is normal, a storm is the store turning over many times
+/// faster than even that.
+pub const SPILL_WINDOW_FRAC: f64 = 8.0;
+/// Queue blowup: windowed queue-delay p99 must exceed this multiple of
+/// the run-so-far baseline p99.
+pub const QUEUE_RATIO: f64 = 4.0;
+/// Queue blowup: both window and baseline need this many samples.
+pub const QUEUE_MIN_COUNT: u64 = 64;
+/// Queue blowup: floor on the baseline p99, so microsecond-scale
+/// baselines don't make ordinary jitter look like a blowup.
+pub const QUEUE_MIN_US: u64 = 50_000;
+/// Cascade: lineage resubmits are attributed to a failure for this long
+/// after it.
+pub const CASCADE_WINDOW_US: u64 = 5_000_000;
+
+/// Incident-detection knobs, carried on `RtConfig`; the detector
+/// thresholds are the constants above.
+#[derive(Debug, Clone, Default)]
 pub struct WatchConfig {
-    /// Virtual-time interval between detector evaluations. Boundaries
-    /// are crossed by event timestamps, so this does not change *what*
-    /// the detectors see — only how often conditions are tested.
-    pub eval_interval_us: u64,
-    /// Straggler: elapsed execution must exceed this multiple of the
-    /// stage's live p50.
-    pub straggler_ratio: f64,
-    /// Straggler: suppress until this many peers of the same stage have
-    /// finished (the p50 is meaningless before that).
-    pub straggler_min_peers: u64,
-    /// Straggler: absolute floor on the elapsed-time threshold, so
-    /// short uniform stages never flag.
-    pub straggler_min_us: u64,
-    /// Hotspot: windowed device utilisation that counts as pinned.
-    pub hotspot_util: f64,
-    /// Hotspot: the cluster median utilisation must be at or below this
-    /// for the pinned node to count as an outlier.
-    pub hotspot_median_util: f64,
-    /// Hotspot: the outlier condition must hold this long before an
-    /// incident opens.
-    pub hotspot_min_us: u64,
-    /// Spill storm: windowed spill+fallback bytes on a node must exceed
-    /// this multiple of the node's store capacity. The default (8×) is
-    /// calibrated against the pinned spill-path gate case, which churns
-    /// ~6.3× its deliberately undersized store per window at peak in
-    /// steady state: designed-in spilling is normal, a storm is the
-    /// store turning over many times faster than even that.
-    pub spill_window_frac: f64,
-    /// Queue blowup: windowed queue-delay p99 must exceed this multiple
-    /// of the run-so-far baseline p99.
-    pub queue_ratio: f64,
-    /// Queue blowup: both window and baseline need this many samples.
-    pub queue_min_count: u64,
-    /// Queue blowup: floor on the baseline p99, so microsecond-scale
-    /// baselines don't make ordinary jitter look like a blowup.
-    pub queue_min_us: u64,
-    /// Cascade: lineage resubmits are attributed to a failure for this
-    /// long after it.
-    pub cascade_window_us: u64,
     /// Per-tenant concurrent CPU-slot quotas `(tenant, slots)`. At each
     /// evaluation boundary a tenant running more tasks than its quota
     /// opens an [`IncidentKind::IsolationViolation`]. Empty (the
     /// default) disables the detector.
     pub tenant_slot_quotas: Vec<(u32, u32)>,
-}
-
-impl Default for WatchConfig {
-    fn default() -> WatchConfig {
-        WatchConfig {
-            eval_interval_us: 100_000,
-            straggler_ratio: 3.0,
-            straggler_min_peers: 4,
-            straggler_min_us: 500_000,
-            hotspot_util: 0.9,
-            hotspot_median_util: 0.45,
-            hotspot_min_us: 1_500_000,
-            spill_window_frac: 8.0,
-            queue_ratio: 4.0,
-            queue_min_count: 64,
-            queue_min_us: 50_000,
-            cascade_window_us: 5_000_000,
-            tenant_slot_quotas: Vec::new(),
-        }
-    }
 }
 
 /// One detected incident: a typed interval with scope and evidence.
