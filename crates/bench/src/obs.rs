@@ -11,8 +11,8 @@ use std::sync::Mutex;
 
 use exo_prof::profile;
 use exo_rt::trace::{
-    summarize, write_chrome_trace, write_jsonl, Event, EventKind, IncidentEvent, Json,
-    NodeCapacityLine, TaskPhase,
+    summarize, write_chrome_trace, write_jsonl, AttemptTable, Event, EventKind, IncidentEvent,
+    Json, NodeCapacityLine,
 };
 use exo_rt::watch::WatchReport;
 use exo_rt::{LiveConfig, RunReport, TraceConfig, WatchConfig};
@@ -332,34 +332,16 @@ fn merge_incident_lines(snapshot_jsonl: &str, watch: &WatchReport) -> String {
 }
 
 /// `(task, start_us, end_us)` execution spans of the critical-path
-/// tasks, joined from the profile's path against the trace's task
-/// events (the profile report carries durations, not absolute times).
+/// tasks, looked up in the trace's attempt table (the profile report
+/// carries durations, not absolute times).
 fn crit_task_spans(prof: &exo_prof::ProfileReport, events: &[Event]) -> Vec<(u64, u64, u64)> {
-    use std::collections::HashMap;
-    let mut started: HashMap<(u64, u32), u64> = HashMap::new();
-    let mut spans: HashMap<(u64, u32), (u64, u64)> = HashMap::new();
-    for ev in events {
-        if let EventKind::Task(t) = &ev.kind {
-            match t.phase {
-                TaskPhase::Started => {
-                    started.insert((t.task, t.attempt), ev.at_us);
-                }
-                TaskPhase::Finished => {
-                    if let Some(s) = started.remove(&(t.task, t.attempt)) {
-                        spans.insert((t.task, t.attempt), (s, ev.at_us));
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
+    let attempts = AttemptTable::fold(events);
     prof.critpath
         .tasks
         .iter()
         .filter_map(|ct| {
-            spans
-                .get(&(ct.task, ct.attempt))
-                .map(|&(s, e)| (ct.task, s, e))
+            let r = attempts.get(ct.task, ct.attempt)?;
+            Some((ct.task, r.started?, r.finished?))
         })
         .collect()
 }

@@ -414,8 +414,11 @@ mod tests {
     struct FoldObserver(Arc<Mutex<Fold>>);
 
     impl Observer for FoldObserver {
-        fn on_event(&mut self, ev: &Event) {
-            self.0.lock().expect("fold").apply(ev);
+        fn on_block(&mut self, evs: &[Event]) {
+            let mut fold = self.0.lock().expect("fold");
+            for ev in evs {
+                fold.apply(ev);
+            }
         }
     }
 

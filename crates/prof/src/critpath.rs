@@ -1,21 +1,22 @@
 //! Critical-path analysis over the task/object dependency DAG.
 //!
-//! The trace stream carries two kinds of facts we join here: task
-//! lifecycle spans ([`TaskPhase`] scheduled → dequeued → started →
-//! finished) and dependency edges ([`DepKind::Arg`] task-consumes-object,
-//! [`DepKind::Output`] task-produces-object). From these we reconstruct
-//! the task-level DAG and walk backwards from the last task to finish,
-//! at each step following the *latest-finishing* producer of any
-//! argument — the classic longest-weighted-path heuristic for "what
-//! actually gated job completion". Each critical task's contribution is
-//! the wall-clock interval it exclusively owned on that path.
+//! The [`Dag`] joins two kinds of facts: task attempts' lifecycle edges
+//! (scheduled → dequeued → started → finished) and dependency edges
+//! (task consumes object, task produces object). We walk it backwards
+//! from the last task to finish, at each step following the
+//! *latest-finishing* producer of any argument — the classic
+//! longest-weighted-path heuristic for "what actually gated job
+//! completion". Each critical task's contribution is the wall-clock
+//! interval it exclusively owned on that path.
 
 use std::collections::{BTreeMap, HashMap};
 
-use exo_trace::{DepKind, Event, EventKind, TaskPhase};
+use exo_trace::AttemptRecord;
+
+use crate::dag::Dag;
 
 /// One task on the critical path, with its lifecycle breakdown.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CritTask {
     pub task: u64,
     pub label: &'static str,
@@ -36,8 +37,25 @@ pub struct CritTask {
     pub contribution_us: u64,
 }
 
+impl CritTask {
+    /// Attempt `r` on a path, owning `contribution_us` of it.
+    fn of(dag: &Dag, r: &AttemptRecord, contribution_us: u64) -> CritTask {
+        CritTask {
+            task: r.task,
+            label: r.label,
+            node: r.node,
+            attempt: r.attempt,
+            queue_us: r.queue_us(),
+            stage_us: r.stage_us(),
+            exec_us: r.exec_us(),
+            fetch_wait_us: dag.fetch_wait.get(&r.task).copied().unwrap_or(0),
+            contribution_us,
+        }
+    }
+}
+
 /// The reconstructed critical path, last task first.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CritPath {
     /// Tasks on the path, ordered from job completion backwards.
     pub tasks: Vec<CritTask>,
@@ -71,150 +89,36 @@ impl CritPath {
     }
 }
 
-/// Total length covered by a set of possibly-overlapping intervals.
-fn interval_union_us(mut ivals: Vec<(u64, u64)>) -> u64 {
-    ivals.sort_unstable();
-    let mut total = 0u64;
-    let mut cur: Option<(u64, u64)> = None;
-    for (s, e) in ivals {
-        match &mut cur {
-            Some((_, ce)) if s <= *ce => *ce = (*ce).max(e),
-            _ => {
-                if let Some((cs, ce)) = cur {
-                    total += ce - cs;
-                }
-                cur = Some((s, e));
-            }
-        }
-    }
-    if let Some((cs, ce)) = cur {
-        total += ce - cs;
-    }
-    total
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct TaskTimes {
-    scheduled: Option<u64>,
-    dequeued: Option<u64>,
-    started: Option<u64>,
-    finished: Option<u64>,
-    node: u32,
-    label: &'static str,
-    attempt: u32,
-}
-
-/// The per-task facts both path analyses start from, folded from the
-/// raw stream in one pass.
-struct Folded {
-    /// Lifecycle keyed by (task, attempt). Ordered: both path analyses
-    /// iterate it, and tie-breaks (equal finish times) must not depend
-    /// on hash order.
-    times: BTreeMap<(u64, u32), TaskTimes>,
-    /// task -> argument objects.
-    args: HashMap<u64, Vec<u64>>,
-    /// object -> producing task.
-    producer: HashMap<u64, u64>,
-    /// task -> unioned fetch-wait wall-clock.
-    fetch_wait: HashMap<u64, u64>,
-}
-
-fn fold_events(events: &[Event]) -> Folded {
-    let mut times: BTreeMap<(u64, u32), TaskTimes> = BTreeMap::new();
-    let mut args: HashMap<u64, Vec<u64>> = HashMap::new();
-    let mut producer: HashMap<u64, u64> = HashMap::new();
-    // (task, object) -> open fetch-wait begin; task -> closed intervals
-    // (ordered — unioned below by iterating).
-    let mut open_wait: HashMap<(u64, u64), u64> = HashMap::new();
-    let mut wait_ivals: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
-
-    for ev in events {
-        match &ev.kind {
-            EventKind::Task(t) => {
-                let e = times.entry((t.task, t.attempt)).or_default();
-                e.node = t.node;
-                e.attempt = t.attempt;
-                if !t.label.is_empty() {
-                    e.label = t.label;
-                }
-                match t.phase {
-                    TaskPhase::Scheduled => e.scheduled = Some(ev.at_us),
-                    TaskPhase::Dequeued => e.dequeued = Some(ev.at_us),
-                    TaskPhase::Started => e.started = Some(ev.at_us),
-                    TaskPhase::Finished => e.finished = Some(ev.at_us),
-                }
-            }
-            EventKind::Dep(d) => match d.kind {
-                DepKind::Arg => args.entry(d.task).or_default().push(d.object),
-                DepKind::Output => {
-                    producer.insert(d.object, d.task);
-                }
-            },
-            EventKind::FetchWait(w) => {
-                let key = (w.task, w.object);
-                if w.begin {
-                    // Keep the earliest begin if the runtime re-registers.
-                    open_wait.entry(key).or_insert(ev.at_us);
-                } else if let Some(b) = open_wait.remove(&key) {
-                    if ev.at_us > b {
-                        wait_ivals.entry(w.task).or_default().push((b, ev.at_us));
-                    }
-                }
-            }
-            // Object/store, I/O, resource, failure, and incident events
-            // carry no lifecycle or dependency facts; enumerated so a
-            // new variant is a compile error, not a silent drop.
-            EventKind::Object(_)
-            | EventKind::Io(_)
-            | EventKind::Resource(_)
-            | EventKind::Failure(_)
-            | EventKind::Incident(_)
-            | EventKind::Job(_) => {}
-        }
-    }
-
-    // A task staging many arguments waits on them concurrently; its
-    // blocked wall-clock is the union of the intervals, not their sum.
-    let fetch_wait: HashMap<u64, u64> = wait_ivals
-        .into_iter()
-        .map(|(task, ivals)| (task, interval_union_us(ivals)))
-        .collect();
-
-    Folded {
-        times,
-        args,
-        producer,
-        fetch_wait,
-    }
-}
-
-/// Computes the critical path of `events`. Tolerates partial streams:
-/// unmatched fetch-wait begins are dropped, unfinished tasks are never
-/// on the path, and unknown producers terminate the walk.
+/// Computes the critical path of the DAG. Tolerates partial streams:
+/// unfinished tasks are never on the path, and unknown producers
+/// terminate the walk.
 ///
 /// This is the fast greedy walk (always follow the *latest-finishing*
 /// producer); [`longest_paths`] computes the DP-exact longest chain and
 /// the near-critical runners-up.
-pub fn critical_path(events: &[Event]) -> CritPath {
-    let Folded {
-        times,
-        args,
-        producer,
-        fetch_wait,
-    } = fold_events(events);
+pub fn critical_path(dag: &Dag) -> CritPath {
+    greedy_path(dag, dag.attempts.iter())
+}
 
-    // Best (latest-finishing) finished attempt per task. Ordered, and
-    // fed from the ordered fold, so equal finish times resolve to the
-    // lowest attempt on every run rather than whichever hashed first.
-    let mut best: BTreeMap<u64, TaskTimes> = BTreeMap::new();
-    for (&(task, _), &tt) in &times {
-        if tt.finished.is_none() {
+/// The greedy walk over `attempts` only (e.g. one job's), with their
+/// dependency edges from `dag`.
+pub(crate) fn greedy_path<'a>(
+    dag: &Dag,
+    attempts: impl IntoIterator<Item = &'a AttemptRecord>,
+) -> CritPath {
+    // Best (latest-finishing) finished attempt per task; equal finish
+    // times resolve to the lowest attempt, whatever the table order.
+    let mut best: BTreeMap<u64, &AttemptRecord> = BTreeMap::new();
+    for r in attempts {
+        if r.finished.is_none() {
             continue;
         }
-        match best.get(&task) {
-            Some(prev) if prev.finished >= tt.finished => {}
+        match best.get(&r.task) {
+            Some(prev)
+                if (prev.finished, std::cmp::Reverse(prev.attempt))
+                    >= (r.finished, std::cmp::Reverse(r.attempt)) => {}
             _ => {
-                best.insert(task, tt);
+                best.insert(r.task, r);
             }
         }
     }
@@ -233,11 +137,12 @@ pub fn critical_path(events: &[Event]) -> CritPath {
     loop {
         let tt = best[&cur];
         // Latest-finishing finished producer among this task's args.
-        let pred = args
+        let pred = dag
+            .args
             .get(&cur)
             .into_iter()
             .flatten()
-            .filter_map(|obj| producer.get(obj))
+            .filter_map(|obj| dag.producer.get(obj))
             .filter_map(|p| best.get(p).map(|ptt| (*p, ptt.finished)))
             .max_by_key(|&(p, fin)| (fin, p))
             .map(|(p, _)| p);
@@ -249,28 +154,7 @@ pub fn critical_path(events: &[Event]) -> CritPath {
         };
         let contribution = finished.saturating_sub(own_start);
         path.covered_us += contribution;
-        path.tasks.push(CritTask {
-            task: cur,
-            label: tt.label,
-            node: tt.node,
-            attempt: tt.attempt,
-            queue_us: tt
-                .dequeued
-                .zip(tt.scheduled)
-                .map(|(d, s)| d.saturating_sub(s))
-                .unwrap_or(0),
-            stage_us: tt
-                .started
-                .zip(tt.dequeued)
-                .map(|(st, d)| st.saturating_sub(d))
-                .unwrap_or(0),
-            exec_us: tt
-                .started
-                .map(|st| finished.saturating_sub(st))
-                .unwrap_or(0),
-            fetch_wait_us: fetch_wait.get(&cur).copied().unwrap_or(0),
-            contribution_us: contribution,
-        });
+        path.tasks.push(CritTask::of(dag, tt, contribution));
 
         guard += 1;
         match pred {
@@ -318,7 +202,7 @@ pub struct PathAnalysis {
     pub near: Vec<NearPath>,
 }
 
-/// True longest-path DP over *all finished attempts* in `events`.
+/// True longest-path DP over *all finished attempts* in the DAG.
 ///
 /// Unlike [`critical_path`]'s greedy walk this maximizes total covered
 /// time: for every finished attempt it considers every finished producer
@@ -327,28 +211,25 @@ pub struct PathAnalysis {
 /// keeps the chain with the largest exclusively-owned wall-clock.
 /// Processing attempts in finish-time order makes the recurrence a DAG
 /// walk even on corrupt streams: edges only ever point backwards.
-pub fn longest_paths(events: &[Event], top_k: usize) -> PathAnalysis {
-    let f = fold_events(events);
-
+pub fn longest_paths(dag: &Dag, top_k: usize) -> PathAnalysis {
     // All finished attempts in a deterministic topological order: a
     // consumer attempt cannot finish before the producer attempt that
     // fed it, so sorting by (finish, task, attempt) lets the DP below
     // only look backwards.
-    let mut nodes: Vec<((u64, u32), TaskTimes)> = f
-        .times
+    let mut nodes: Vec<&AttemptRecord> = dag
+        .attempts
         .iter()
-        .filter(|(_, tt)| tt.finished.is_some())
-        .map(|(&k, &tt)| (k, tt))
+        .filter(|r| r.finished.is_some())
         .collect();
-    nodes.sort_by_key(|&((task, attempt), tt)| (tt.finished, task, attempt));
+    nodes.sort_by_key(|r| (r.finished, r.task, r.attempt));
     if nodes.is_empty() {
         return PathAnalysis::default();
     }
 
     // task -> indices of its finished attempts (ascending finish).
-    let mut attempts: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (i, ((task, _), _)) in nodes.iter().enumerate() {
-        attempts.entry(*task).or_default().push(i);
+    let mut by_task: HashMap<u64, Vec<usize>> = HashMap::new();
+    for (i, r) in nodes.iter().enumerate() {
+        by_task.entry(r.task).or_default().push(i);
     }
 
     // dp[i]: covered time of the longest chain ending at attempt i;
@@ -356,23 +237,23 @@ pub fn longest_paths(events: &[Event], top_k: usize) -> PathAnalysis {
     let mut dp = vec![0u64; nodes.len()];
     let mut choice: Vec<Option<usize>> = vec![None; nodes.len()];
     for i in 0..nodes.len() {
-        let ((task, _), tt) = nodes[i];
+        let tt = nodes[i];
         let fin = tt.finished.unwrap_or(0);
         let sched = tt.scheduled.unwrap_or(0).min(fin);
         // Base case: the chain is just this attempt.
         let mut best = fin - sched;
         let mut pred = None;
-        for obj in f.args.get(&task).into_iter().flatten() {
-            let Some(p) = f.producer.get(obj) else {
+        for obj in dag.args.get(&tt.task).into_iter().flatten() {
+            let Some(p) = dag.producer.get(obj) else {
                 continue;
             };
-            for &j in attempts.get(p).into_iter().flatten() {
+            for &j in by_task.get(p).into_iter().flatten() {
                 if j >= i {
                     // Sorted by finish time: a producer attempt that
                     // finished after us cannot have fed us.
                     continue;
                 }
-                let pfin = nodes[j].1.finished.unwrap_or(0);
+                let pfin = nodes[j].finished.unwrap_or(0);
                 let own = fin - pfin.max(sched).min(fin);
                 let cand = dp[j] + own;
                 if cand > best {
@@ -388,41 +269,23 @@ pub fn longest_paths(events: &[Event], top_k: usize) -> PathAnalysis {
     // Reconstruct the chain ending at attempt `end` into a CritPath.
     let build = |end: usize| -> (CritPath, Vec<usize>) {
         let mut path = CritPath {
-            end_us: nodes[end].1.finished.unwrap_or(0),
+            end_us: nodes[end].finished.unwrap_or(0),
             ..CritPath::default()
         };
         let mut members = Vec::new();
         let mut cur = end;
         loop {
-            let ((task, _), tt) = nodes[cur];
+            let tt = nodes[cur];
             let fin = tt.finished.unwrap_or(0);
             let sched = tt.scheduled.unwrap_or(0).min(fin);
             let own_start = match choice[cur] {
-                Some(j) => nodes[j].1.finished.unwrap_or(0).max(sched).min(fin),
+                Some(j) => nodes[j].finished.unwrap_or(0).max(sched).min(fin),
                 None => sched,
             };
             let contribution = fin - own_start;
             path.covered_us += contribution;
             members.push(cur);
-            path.tasks.push(CritTask {
-                task,
-                label: tt.label,
-                node: tt.node,
-                attempt: tt.attempt,
-                queue_us: tt
-                    .dequeued
-                    .zip(tt.scheduled)
-                    .map(|(d, s)| d.saturating_sub(s))
-                    .unwrap_or(0),
-                stage_us: tt
-                    .started
-                    .zip(tt.dequeued)
-                    .map(|(st, d)| st.saturating_sub(d))
-                    .unwrap_or(0),
-                exec_us: tt.started.map(|st| fin.saturating_sub(st)).unwrap_or(0),
-                fetch_wait_us: f.fetch_wait.get(&task).copied().unwrap_or(0),
-                contribution_us: contribution,
-            });
+            path.tasks.push(CritTask::of(dag, tt, contribution));
             match choice[cur] {
                 Some(j) => cur = j,
                 None => break,
@@ -446,8 +309,8 @@ pub fn longest_paths(events: &[Event], top_k: usize) -> PathAnalysis {
     order.sort_by_key(|&i| {
         (
             std::cmp::Reverse(dp[i]),
-            std::cmp::Reverse(nodes[i].1.finished),
-            nodes[i].0,
+            std::cmp::Reverse(nodes[i].finished),
+            (nodes[i].task, nodes[i].attempt),
         )
     });
     let mut near = Vec::new();
@@ -464,10 +327,9 @@ pub fn longest_paths(events: &[Event], top_k: usize) -> PathAnalysis {
         for &m in &members {
             used[m] = true;
         }
-        let ((end_task, _), tt) = nodes[i];
         near.push(NearPath {
-            end_task,
-            end_label: tt.label,
+            end_task: nodes[i].task,
+            end_label: nodes[i].label,
             end_us: path.end_us,
             covered_us: path.covered_us,
             slack_us: longest.covered_us.saturating_sub(path.covered_us),
@@ -481,7 +343,7 @@ pub fn longest_paths(events: &[Event], top_k: usize) -> PathAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exo_trace::{DepEvent, FetchWaitEvent, TaskSpan};
+    use exo_trace::{DepEvent, DepKind, Event, EventKind, FetchWaitEvent, TaskPhase, TaskSpan};
 
     fn task_events(
         task: u64,
@@ -550,7 +412,7 @@ mod tests {
         events.extend(task_events(3, "d", 0, 80, 80, 100));
         events.sort_by_key(|e| e.at_us);
 
-        let p = critical_path(&events);
+        let p = critical_path(&Dag::fold(&events));
         let ids: Vec<u64> = p.tasks.iter().map(|t| t.task).collect();
         assert_eq!(ids, vec![3, 2, 0], "path should be d <- c <- a");
         assert_eq!(p.end_us, 100);
@@ -587,7 +449,7 @@ mod tests {
         events.push(fw(70, true));
         events.sort_by_key(|e| e.at_us);
 
-        let p = critical_path(&events);
+        let p = critical_path(&Dag::fold(&events));
         assert_eq!(p.tasks[0].task, 1);
         assert_eq!(p.tasks[0].fetch_wait_us, 12);
     }
@@ -612,7 +474,7 @@ mod tests {
             }
         }
         events.sort_by_key(|e| e.at_us);
-        let p = critical_path(&events);
+        let p = critical_path(&Dag::fold(&events));
         assert_eq!(p.tasks[0].fetch_wait_us, 30);
     }
 
@@ -635,7 +497,7 @@ mod tests {
             }),
         });
         events.extend(task_events_attempt(0, "map", 1, 1, 20, 25, 60));
-        let p = critical_path(&events);
+        let p = critical_path(&Dag::fold(&events));
         assert_eq!(p.tasks.len(), 1);
         assert_eq!(p.tasks[0].attempt, 1);
         assert_eq!(p.end_us, 60);
@@ -675,10 +537,10 @@ mod tests {
 
     #[test]
     fn empty_stream_yields_empty_path() {
-        let p = critical_path(&[]);
+        let p = critical_path(&Dag::default());
         assert!(p.tasks.is_empty());
         assert_eq!(p.coverage(), 0.0);
-        let a = longest_paths(&[], 3);
+        let a = longest_paths(&Dag::default(), 3);
         assert!(a.longest.tasks.is_empty());
         assert!(a.near.is_empty());
     }
@@ -711,12 +573,12 @@ mod tests {
         events.extend(task_events(3, "d", 0, 80, 80, 100));
         events.sort_by_key(|e| e.at_us);
 
-        let greedy = critical_path(&events);
+        let greedy = critical_path(&Dag::fold(&events));
         let greedy_ids: Vec<u64> = greedy.tasks.iter().map(|t| t.task).collect();
         assert_eq!(greedy_ids, vec![3, 2], "greedy follows the late producer");
         assert_eq!(greedy.covered_us, 25);
 
-        let a = longest_paths(&events, 3);
+        let a = longest_paths(&Dag::fold(&events), 3);
         let dp_ids: Vec<u64> = a.longest.tasks.iter().map(|t| t.task).collect();
         assert_eq!(dp_ids, vec![3, 1, 0], "DP finds d <- b <- a");
         assert_eq!(a.longest.covered_us, 90);
@@ -742,7 +604,7 @@ mod tests {
         events.extend(task_events(1, "reduce", 1, 30, 30, 50));
         events.sort_by_key(|e| e.at_us);
 
-        let a = longest_paths(&events, 3);
+        let a = longest_paths(&Dag::fold(&events), 3);
         // Last finisher is map attempt 1, so the main chain is just it.
         assert_eq!(a.longest.end_us, 90);
         assert_eq!(a.longest.tasks.len(), 1);
@@ -767,7 +629,7 @@ mod tests {
         }
         events.sort_by_key(|e| e.at_us);
 
-        let a = longest_paths(&events, 5);
+        let a = longest_paths(&Dag::fold(&events), 5);
         assert_eq!(a.longest.covered_us, 100);
         let ids: Vec<u64> = a.longest.tasks.iter().map(|t| t.task).collect();
         assert_eq!(ids, vec![1, 0]);

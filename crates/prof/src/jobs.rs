@@ -1,16 +1,17 @@
 //! Per-job statistics for multi-job traces: admission → finish timing
 //! (job completion time), per-job task counts, and a per-job critical
-//! path computed over just that job's slice of the event stream.
+//! path over just that job's attempts in the shared [`Dag`].
 //!
 //! Single-job traces (no [`exo_trace::JobEvent`]s, or only job 0) yield
 //! a list the report layer suppresses, so legacy renderings stay
 //! byte-identical.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
-use exo_trace::{Event, EventKind, JobPhase, TaskPhase};
+use exo_trace::{AttemptRecord, Event, EventKind, JobPhase};
 
-use crate::critpath::{critical_path, CritPath};
+use crate::critpath::{greedy_path, CritPath};
+use crate::dag::Dag;
 
 /// One job's derived statistics.
 #[derive(Debug, Clone)]
@@ -40,15 +41,12 @@ struct Partial {
     label: &'static str,
     admitted_us: Option<u64>,
     finished_us: Option<u64>,
-    tasks_finished: u64,
-    last_task_us: u64,
-    /// Raw ids of the job's tasks, for slicing task-scoped events.
-    task_ids: HashSet<u64>,
 }
 
-/// Derives per-job stats from a retained event stream. Empty when the
-/// stream carries no job lifecycle events (pre-multi-job traces).
-pub fn job_stats(events: &[Event]) -> Vec<JobStat> {
+/// Derives per-job stats from a retained event stream and its folded
+/// `dag`. Empty when the stream carries no job lifecycle events
+/// (pre-multi-job traces).
+pub fn job_stats(events: &[Event], dag: &Dag) -> Vec<JobStat> {
     let mut jobs: BTreeMap<u32, Partial> = BTreeMap::new();
     for ev in events {
         match &ev.kind {
@@ -58,9 +56,6 @@ pub fn job_stats(events: &[Event]) -> Vec<JobStat> {
                     label: j.label,
                     admitted_us: None,
                     finished_us: None,
-                    tasks_finished: 0,
-                    last_task_us: 0,
-                    task_ids: HashSet::new(),
                 });
                 p.tenant = j.tenant;
                 p.label = j.label;
@@ -74,16 +69,8 @@ pub fn job_stats(events: &[Event]) -> Vec<JobStat> {
                     JobPhase::Finished => p.finished_us = Some(ev.at_us),
                 }
             }
-            EventKind::Task(t) => {
-                if let Some(p) = jobs.get_mut(&t.job) {
-                    p.task_ids.insert(t.task);
-                    if t.phase == TaskPhase::Finished {
-                        p.tasks_finished += 1;
-                        p.last_task_us = p.last_task_us.max(ev.at_us);
-                    }
-                }
-            }
-            EventKind::Object(_)
+            EventKind::Task(_)
+            | EventKind::Object(_)
             | EventKind::Dep(_)
             | EventKind::FetchWait(_)
             | EventKind::Io(_)
@@ -92,35 +79,24 @@ pub fn job_stats(events: &[Event]) -> Vec<JobStat> {
             | EventKind::Incident(_) => {}
         }
     }
+    let mut by_job: BTreeMap<u32, Vec<&AttemptRecord>> = BTreeMap::new();
+    for r in dag.attempts.iter() {
+        by_job.entry(r.job).or_default().push(r);
+    }
     jobs.into_iter()
         .map(|(job, p)| {
-            // Slice out the job's task-scoped events (task spans, dep
-            // edges, fetch-waits) and run the standard critical-path
-            // walk over just them. Membership is by observed task id,
-            // so this needs no knowledge of the runtime's id packing.
-            let slice: Vec<Event> = events
-                .iter()
-                .filter(|ev| match &ev.kind {
-                    EventKind::Task(t) => t.job == job,
-                    EventKind::Dep(d) => p.task_ids.contains(&d.task),
-                    EventKind::FetchWait(w) => p.task_ids.contains(&w.task),
-                    EventKind::Object(_)
-                    | EventKind::Io(_)
-                    | EventKind::Resource(_)
-                    | EventKind::Failure(_)
-                    | EventKind::Incident(_)
-                    | EventKind::Job(_) => false,
-                })
-                .cloned()
-                .collect();
+            let attempts = by_job.remove(&job).unwrap_or_default();
+            let finishes = attempts.iter().filter_map(|r| r.finished);
             JobStat {
                 job,
                 tenant: p.tenant,
                 label: p.label,
                 admitted_us: p.admitted_us.unwrap_or(0),
-                finished_us: p.finished_us.unwrap_or(p.last_task_us),
-                tasks_finished: p.tasks_finished,
-                critpath: critical_path(&slice),
+                finished_us: p
+                    .finished_us
+                    .unwrap_or_else(|| finishes.clone().max().unwrap_or(0)),
+                tasks_finished: finishes.count() as u64,
+                critpath: greedy_path(dag, attempts),
             }
         })
         .collect()
@@ -129,7 +105,7 @@ pub fn job_stats(events: &[Event]) -> Vec<JobStat> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exo_trace::{EventKind, JobEvent, TaskSpan};
+    use exo_trace::{EventKind, JobEvent, TaskPhase, TaskSpan};
 
     fn task_span(at_us: u64, job: u32, task: u64, phase: TaskPhase) -> Event {
         Event {
@@ -165,7 +141,7 @@ mod tests {
             task_span(0, 0, 1, TaskPhase::Started),
             task_span(10, 0, 1, TaskPhase::Finished),
         ];
-        assert!(job_stats(&events).is_empty());
+        assert!(job_stats(&events, &Dag::fold(&events)).is_empty());
     }
 
     #[test]
@@ -183,7 +159,7 @@ mod tests {
             job_event(50, 0, 0, JobPhase::Finished),
             job_event(120, 1, 2, JobPhase::Finished),
         ];
-        let stats = job_stats(&events);
+        let stats = job_stats(&events, &Dag::fold(&events));
         assert_eq!(stats.len(), 2);
         assert_eq!(stats[0].job, 0);
         assert_eq!(stats[0].jct_us(), 50);

@@ -1,10 +1,11 @@
 //! # exo-prof — offline profiler for exo-trace streams
 //!
-//! Answers the three questions an Exoshuffle run report should open
+//! Answers the four questions an Exoshuffle run report should open
 //! with, all derived from the retained [`exo_trace::Event`] stream:
 //!
-//! 1. **What gated completion?** [`critical_path`] reconstructs the
-//!    task/object dependency DAG from `Dep` edges and walks the
+//! 1. **What gated completion?** [`Dag::fold`] folds the task/object
+//!    dependency DAG from the stream's task edges (exo-trace's attempt
+//!    table), `Dep` edges and fetch waits; [`critical_path`] walks its
 //!    longest-weighted chain backwards from the last task to finish,
 //!    breaking each critical task into queue / staging / exec /
 //!    fetch-wait time. [`longest_paths`] sharpens this with a DP-exact
@@ -25,12 +26,15 @@
 //!    the argument bytes it moved and the share a better-placed node
 //!    would have kept local.
 //!
-//! [`profile`] bundles all three into a [`ProfileReport`] with a text
-//! rendering and a JSON embedding; the bench bins expose it behind
-//! `--profile`, and `bench_gate` regresses its headline metrics.
+//! [`profile`] runs all four over one [`Dag`] fold, plus per-job
+//! timing and critical paths ([`job_stats`]) on multi-job streams, into
+//! a [`ProfileReport`] with a text rendering and a JSON embedding; the
+//! bench bins expose it behind `--profile`, and `bench_gate` regresses
+//! its headline metrics.
 
 pub mod attribution;
 pub mod critpath;
+pub mod dag;
 pub mod jobs;
 pub mod placement;
 pub mod report;
@@ -38,6 +42,7 @@ pub mod stages;
 
 pub use attribution::{attribute_all, Bound, BoundProfile, Interval};
 pub use critpath::{critical_path, longest_paths, CritPath, CritTask, NearPath, PathAnalysis};
+pub use dag::Dag;
 pub use jobs::{job_stats, JobStat};
 pub use placement::{placement_quality, PlacementQuality};
 pub use report::{profile, ProfileReport};

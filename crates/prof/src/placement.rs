@@ -25,7 +25,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-use exo_trace::{DepKind, Event, EventKind, Json, ObjectPhase, PlaceReason, TaskPhase};
+use exo_trace::{Event, EventKind, Json, ObjectPhase, PlaceReason, TaskPhase};
+
+use crate::dag::Dag;
 
 /// Aggregate placement quality for one run.
 #[derive(Debug, Clone, Default)]
@@ -70,25 +72,12 @@ impl PlacementQuality {
     }
 }
 
-/// Replays the event stream and attributes placement quality.
-pub fn placement_quality(events: &[Event]) -> PlacementQuality {
-    // Pass 1: argument edges are immutable per task, so collect them up
-    // front (Dep events are emitted at submission, but lineage retries
-    // re-schedule without re-emitting them).
-    let mut args: HashMap<u64, Vec<u64>> = HashMap::new();
-    for ev in events {
-        if let EventKind::Dep(d) = &ev.kind {
-            if d.kind == DepKind::Arg {
-                let v = args.entry(d.task).or_default();
-                if !v.contains(&d.object) {
-                    v.push(d.object);
-                }
-            }
-        }
-    }
-
-    // Pass 2: replay object locations in time order and score each
-    // policy-made decision against the state the scheduler saw.
+/// Replays the event stream and attributes placement quality. Argument
+/// edges come from the stream's folded `dag`: they are immutable per
+/// task, and lineage retries re-schedule without re-emitting them.
+pub fn placement_quality(events: &[Event], dag: &Dag) -> PlacementQuality {
+    // Replay object locations in time order and score each policy-made
+    // decision against the state the scheduler saw.
     let mut holders: HashMap<u64, (u64, HashSet<u32>)> = HashMap::new();
     let mut q = PlacementQuality::default();
     for ev in events {
@@ -120,7 +109,7 @@ pub fn placement_quality(events: &[Event]) -> PlacementQuality {
                     PlaceReason::BoundMatch => q.bound_matches += 1,
                     _ => {}
                 }
-                let Some(task_args) = args.get(&t.task) else {
+                let Some(task_args) = dag.args.get(&t.task) else {
                     continue;
                 };
                 let mut total = 0u64;
@@ -158,7 +147,7 @@ pub fn placement_quality(events: &[Event]) -> PlacementQuality {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exo_trace::{DepEvent, ObjectEvent, Placement, TaskSpan};
+    use exo_trace::{DepEvent, DepKind, ObjectEvent, Placement, TaskSpan};
 
     fn created(object: u64, node: u32, bytes: u64, at_us: u64) -> Event {
         Event {
@@ -209,7 +198,7 @@ mod tests {
             created(2, 0, 50, 10),
             scheduled(7, 0, PlaceReason::LocalityHit, 20),
         ];
-        let q = placement_quality(&events);
+        let q = placement_quality(&events, &Dag::fold(&events));
         assert_eq!(q.decisions, 1);
         assert_eq!(q.locality_hits, 1);
         assert_eq!(q.transfer_bytes, 0);
@@ -227,7 +216,7 @@ mod tests {
             created(2, 1, 40, 10),
             scheduled(7, 1, PlaceReason::LeastLoaded, 20),
         ];
-        let q = placement_quality(&events);
+        let q = placement_quality(&events, &Dag::fold(&events));
         assert_eq!(q.transfer_bytes, 100);
         assert_eq!(q.avoidable_bytes, 60);
         assert!((q.avoidable_fraction() - 0.6).abs() < 1e-9);
@@ -241,7 +230,7 @@ mod tests {
             scheduled(7, 1, PlaceReason::Spread, 20),
             scheduled(8, 1, PlaceReason::Affinity, 21),
         ];
-        let q = placement_quality(&events);
+        let q = placement_quality(&events, &Dag::fold(&events));
         assert_eq!(q.decisions, 0);
         assert_eq!(q.transfer_bytes, 0);
         assert_eq!(q.policy, None);
@@ -272,7 +261,7 @@ mod tests {
                 }),
             },
         ];
-        let q = placement_quality(&events);
+        let q = placement_quality(&events, &Dag::fold(&events));
         assert_eq!(q.bound_matches, 1);
         assert_eq!(q.policy, Some("bound_aware"));
         let json = q.to_json().render();

@@ -9,6 +9,7 @@ use exo_trace::{Event, Json};
 
 use crate::attribution::{attribute_all, Bound, BoundProfile};
 use crate::critpath::{critical_path, longest_paths, CritPath, PathAnalysis};
+use crate::dag::Dag;
 use crate::jobs::{job_stats, JobStat};
 use crate::placement::{placement_quality, PlacementQuality};
 use crate::stages::{stage_stats, StageStats};
@@ -39,14 +40,17 @@ pub fn profile(events: &[Event], caps: &DeviceCaps) -> ProfileReport {
     // One memoized scan yields both the cluster and the per-node bound
     // profiles; re-deriving them separately costs 1 + N stream passes.
     let (bounds, per_node_bounds) = attribute_all(events, caps);
+    // One fold of the lifecycle, dependency and fetch-wait facts feeds
+    // every path, stage, placement and per-job analysis.
+    let dag = Dag::fold(events);
     ProfileReport {
-        critpath: critical_path(events),
-        paths: longest_paths(events, 3),
+        critpath: critical_path(&dag),
+        paths: longest_paths(&dag, 3),
         bounds,
         per_node_bounds,
-        stages: stage_stats(events),
-        placement: placement_quality(events),
-        jobs: job_stats(events),
+        stages: stage_stats(&dag),
+        placement: placement_quality(events, &dag),
+        jobs: job_stats(events, &dag),
     }
 }
 

@@ -4,11 +4,11 @@
 //! `reduce`, …). For each we report the execution-time distribution
 //! (p50/p99/max — the straggler signal) and the output-bytes skew
 //! (max/mean across tasks — the partitioning-quality signal, joined
-//! from [`DepKind::Output`] edges and `Created` object sizes).
+//! from the [`Dag`]'s output edges and `Created` object sizes).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
-use exo_trace::{DepKind, Event, EventKind, ObjectPhase, TaskPhase};
+use crate::dag::Dag;
 
 /// Distribution summary for one stage (label).
 #[derive(Debug, Clone)]
@@ -54,66 +54,31 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-/// Computes per-stage stats from the stream, ordered by first appearance.
-pub fn stage_stats(events: &[Event]) -> Vec<StageStats> {
-    // (task, attempt) -> start; label -> durations.
-    let mut started: HashMap<(u64, u32), u64> = HashMap::new();
+/// Computes per-stage stats, ordered by each label's first `Finished`
+/// edge in the stream.
+pub fn stage_stats(dag: &Dag) -> Vec<StageStats> {
+    // label -> durations, in finish order; task -> label.
     let mut durations: HashMap<&'static str, Vec<u64>> = HashMap::new();
     let mut order: Vec<&'static str> = Vec::new();
-    // Output-bytes join: task -> produced objects (ordered — iterated
-    // for the per-label grouping below); object -> bytes.
-    let mut outputs: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    let mut obj_bytes: HashMap<u64, u64> = HashMap::new();
     let mut task_label: HashMap<u64, &'static str> = HashMap::new();
-
-    for ev in events {
-        match &ev.kind {
-            EventKind::Task(t) => match t.phase {
-                TaskPhase::Started => {
-                    started.insert((t.task, t.attempt), ev.at_us);
-                }
-                TaskPhase::Finished => {
-                    let start = started.remove(&(t.task, t.attempt)).unwrap_or(ev.at_us);
-                    if !durations.contains_key(t.label) {
-                        order.push(t.label);
-                    }
-                    durations
-                        .entry(t.label)
-                        .or_default()
-                        .push(ev.at_us.saturating_sub(start));
-                    task_label.insert(t.task, t.label);
-                }
-                _ => {}
-            },
-            EventKind::Dep(d) if d.kind == DepKind::Output => {
-                outputs.entry(d.task).or_default().push(d.object);
-            }
-            EventKind::Object(o) if o.phase == ObjectPhase::Created => {
-                // Last Created wins (reconstruction re-creates objects
-                // with the same size).
-                obj_bytes.insert(o.object, o.bytes);
-            }
-            // Other dep kinds and object phases, waits, I/O, resource,
-            // failure, and incident events carry nothing stage stats
-            // report; enumerated so a new variant is a compile error.
-            EventKind::Dep(_)
-            | EventKind::Object(_)
-            | EventKind::FetchWait(_)
-            | EventKind::Io(_)
-            | EventKind::Resource(_)
-            | EventKind::Failure(_)
-            | EventKind::Incident(_)
-            | EventKind::Job(_) => {}
+    for r in dag.attempts.finished() {
+        if !durations.contains_key(r.label) {
+            order.push(r.label);
         }
+        durations.entry(r.label).or_default().push(r.exec_us());
+        task_label.insert(r.task, r.label);
     }
 
     // Total output bytes per task, grouped by label.
     let mut bytes_by_label: HashMap<&'static str, Vec<u64>> = HashMap::new();
-    for (task, objs) in &outputs {
+    for (task, objs) in &dag.outputs {
         let Some(label) = task_label.get(task) else {
             continue;
         };
-        let total: u64 = objs.iter().filter_map(|o| obj_bytes.get(o).copied()).sum();
+        let total: u64 = objs
+            .iter()
+            .filter_map(|o| dag.obj_bytes.get(o).copied())
+            .sum();
         if total > 0 {
             bytes_by_label.entry(label).or_default().push(total);
         }
@@ -149,7 +114,9 @@ pub fn stage_stats(events: &[Event]) -> Vec<StageStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exo_trace::{DepEvent, ObjectEvent, TaskSpan};
+    use exo_trace::{
+        DepEvent, DepKind, Event, EventKind, ObjectEvent, ObjectPhase, TaskPhase, TaskSpan,
+    };
 
     fn run(task: u64, label: &'static str, start: u64, finish: u64) -> [Event; 2] {
         let mk = |phase, at_us| Event {
@@ -206,7 +173,7 @@ mod tests {
         events.extend(output(1, 101, 1_000));
         events.extend(output(2, 102, 4_000));
 
-        let stats = stage_stats(&events);
+        let stats = stage_stats(&Dag::fold(&events));
         assert_eq!(stats.len(), 2);
         let map = &stats[0];
         assert_eq!(map.label, "map");
@@ -229,7 +196,7 @@ mod tests {
             let dur = if i == 99 { 1_000 } else { 10 };
             events.extend(run(i, "map", 0, dur));
         }
-        let stats = stage_stats(&events);
+        let stats = stage_stats(&Dag::fold(&events));
         assert_eq!(stats[0].p50_us, 10);
         assert_eq!(stats[0].p99_us, 1_000);
     }

@@ -2,7 +2,7 @@
 //! whatever the stream looks like, the derived aggregates must stay
 //! internally consistent.
 
-use exo_prof::{attribute_all, critical_path, Bound};
+use exo_prof::{attribute_all, critical_path, Bound, Dag};
 use exo_sim::{DeviceCaps, NodeCaps};
 use exo_trace::{Event, EventKind, IoDir, IoEvent, ObjectEvent, ObjectPhase, ResourceSample};
 use proptest::prelude::*;
@@ -164,7 +164,7 @@ proptest! {
         ),
     ) {
         let events = build(&raw);
-        let p = critical_path(&events);
+        let p = critical_path(&Dag::fold(&events));
         // build() emits no Task events, so nothing can be on the path.
         prop_assert!(p.tasks.is_empty());
         prop_assert!(p.coverage() <= 1.0 + 1e-9);

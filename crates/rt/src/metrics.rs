@@ -54,8 +54,8 @@ pub struct RtMetrics {
 }
 
 impl RtMetrics {
-    /// Builds the scalar counters from a trace fold; store metrics are
-    /// filled in by the caller.
+    /// Builds the scalar counters from a trace fold; the caller merges
+    /// in each node's store metrics ([`StoreMetrics::merge`]).
     pub(crate) fn from_counters(c: &TraceCounters) -> RtMetrics {
         RtMetrics {
             tasks_completed: c.tasks_completed,
@@ -69,19 +69,5 @@ impl RtMetrics {
             node_failures: c.node_failures,
             executor_failures: c.executor_failures,
         }
-    }
-
-    pub(crate) fn add_store(&mut self, m: StoreMetrics) {
-        let s = &mut self.store;
-        s.spilled_bytes += m.spilled_bytes;
-        s.spill_files += m.spill_files;
-        s.spilled_objects += m.spilled_objects;
-        s.restored_bytes += m.restored_bytes;
-        s.restore_ops += m.restore_ops;
-        s.fallback_bytes += m.fallback_bytes;
-        s.fallback_allocs += m.fallback_allocs;
-        s.spill_writes_elided += m.spill_writes_elided;
-        s.peak_used = s.peak_used.max(m.peak_used);
-        s.evicted_unwritten += m.evicted_unwritten;
     }
 }

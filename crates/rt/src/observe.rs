@@ -29,10 +29,6 @@ struct Observed {
 pub struct RunObserver(Arc<Mutex<Observed>>);
 
 impl Observer for RunObserver {
-    fn on_event(&mut self, ev: &Event) {
-        self.on_block(std::slice::from_ref(ev));
-    }
-
     fn on_block(&mut self, evs: &[Event]) {
         let mut guard = self.lock();
         let st = &mut *guard;

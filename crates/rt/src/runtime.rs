@@ -2168,7 +2168,7 @@ impl Runtime {
     pub(crate) fn metrics(&self) -> RtMetrics {
         let mut m = RtMetrics::from_counters(&self.sink.counters());
         for n in &self.nodes {
-            m.add_store(n.store.metrics());
+            m.store.merge(&n.store.metrics());
         }
         m
     }

@@ -317,3 +317,26 @@ fn admission_rechecks_store_pressure_without_an_observer() {
         assert!(b_admitted < a_finished, "watch={watch}");
     }
 }
+
+/// A put past its tenant's 1 MB store quota is denied a memory slot
+/// and allocated through the fallback path; the run's merged store
+/// metrics must count the denial alongside the fallback.
+#[test]
+fn store_quota_denials_reach_the_run_metrics() {
+    let cfg = cluster(1).with_tenant(
+        TenantId(0),
+        TenantQuota {
+            weight: 1,
+            cpu_slots: None,
+            store_bytes: Some(1_000_000),
+        },
+    );
+    let (report, _) = run_service(cfg, |svc| {
+        svc.submit_job(params(0), |rt: &exo_rt::RtHandle| {
+            let _big = rt.put(Payload::ghost(5_000_000));
+        })
+        .join()
+    });
+    assert_eq!(report.metrics.store.fallback_allocs, 1);
+    assert_eq!(report.metrics.store.quota_denials, 1);
+}

@@ -31,3 +31,21 @@ pub struct StoreMetrics {
     /// was exhausted (multi-tenant isolation enforcement).
     pub quota_denials: u64,
 }
+
+impl StoreMetrics {
+    /// Folds another store's counters into these: every counter sums,
+    /// and `peak_used` keeps the larger high-water mark.
+    pub fn merge(&mut self, other: &StoreMetrics) {
+        self.spilled_bytes += other.spilled_bytes;
+        self.spill_files += other.spill_files;
+        self.spilled_objects += other.spilled_objects;
+        self.restored_bytes += other.restored_bytes;
+        self.restore_ops += other.restore_ops;
+        self.fallback_bytes += other.fallback_bytes;
+        self.fallback_allocs += other.fallback_allocs;
+        self.spill_writes_elided += other.spill_writes_elided;
+        self.peak_used = self.peak_used.max(other.peak_used);
+        self.evicted_unwritten += other.evicted_unwritten;
+        self.quota_denials += other.quota_denials;
+    }
+}

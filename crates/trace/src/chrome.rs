@@ -15,7 +15,8 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-use crate::event::{Event, EventKind, IncidentKind, ObjectPhase, TaskPhase};
+use crate::attempts::{AttemptRecord, AttemptTable};
+use crate::event::{Event, EventKind, IncidentKind, ObjectPhase};
 use crate::json::escape;
 
 /// Lane used for store instant events, above any plausible slot count.
@@ -59,97 +60,20 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
         }
     };
 
-    // Pass 1: pair task phases into spans keyed by (task, attempt).
-    struct Open {
-        node: u32,
-        label: &'static str,
-        scheduled: Option<u64>,
-        dequeued: Option<u64>,
-        started: Option<u64>,
-        reason: Option<(&'static str, &'static str)>,
-    }
+    // Pass 1: fold task edges into the attempt table; render the rest.
     let mut jobs_seen: BTreeMap<u32, u32> = BTreeMap::new(); // job -> tenant
     let mut any_job_event = false;
-    let mut open: HashMap<(u64, u32), Open> = HashMap::new();
+    let mut attempts = AttemptTable::default();
     // Incident open edges awaiting their close: id → (t_open, event).
     // Ordered: stray opens are flushed by iterating this map, and the
     // final sort is stable, so same-ts spans would otherwise come out
     // in hash order and the rendered bytes would differ across runs.
     let mut open_incidents: BTreeMap<u32, (u64, crate::event::IncidentEvent)> = BTreeMap::new();
     let mut any_incident = false;
-    struct Span {
-        node: u32,
-        label: &'static str,
-        start: u64,
-        end: u64,
-        queue_wait: u64,
-        stage_wait: u64,
-        attempt: u32,
-        reason: Option<(&'static str, &'static str)>,
-        task: u64,
-        job: u32,
-    }
-    let mut spans: Vec<Span> = Vec::new();
 
     for ev in events {
         match &ev.kind {
-            EventKind::Task(t) => {
-                let key = (t.task, t.attempt);
-                match t.phase {
-                    TaskPhase::Scheduled => {
-                        open.insert(
-                            key,
-                            Open {
-                                node: t.node,
-                                label: t.label,
-                                scheduled: Some(ev.at_us),
-                                dequeued: None,
-                                started: None,
-                                reason: t.reason.map(|p| (p.reason.name(), p.policy)),
-                            },
-                        );
-                    }
-                    TaskPhase::Dequeued => {
-                        if let Some(o) = open.get_mut(&key) {
-                            o.dequeued = Some(ev.at_us);
-                            o.node = t.node;
-                        }
-                    }
-                    TaskPhase::Started => {
-                        if let Some(o) = open.get_mut(&key) {
-                            o.started = Some(ev.at_us);
-                            o.node = t.node;
-                        }
-                    }
-                    TaskPhase::Finished => {
-                        if let Some(o) = open.remove(&key) {
-                            let start =
-                                o.started.or(o.dequeued).or(o.scheduled).unwrap_or(ev.at_us);
-                            spans.push(Span {
-                                node: t.node,
-                                label: o.label,
-                                start,
-                                end: ev.at_us,
-                                queue_wait: o
-                                    .dequeued
-                                    .zip(o.scheduled)
-                                    .map(|(d, s)| d.saturating_sub(s))
-                                    .unwrap_or(0),
-                                stage_wait: o
-                                    .started
-                                    .zip(o.dequeued)
-                                    .map(|(st, d)| st.saturating_sub(d))
-                                    .unwrap_or(0),
-                                attempt: t.attempt,
-                                reason: o.reason,
-                                task: t.task,
-                                job: t.job,
-                            });
-                            jobs_seen.entry(t.job).or_insert(0);
-                        }
-                    }
-                }
-            }
+            EventKind::Task(t) => attempts.apply(ev.at_us, t),
             EventKind::Object(o) => {
                 note_node(&mut entries, &mut nodes_seen, o.node);
                 // Spill-path transitions show as instants on the store
@@ -267,6 +191,21 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
         }
     }
 
+    // A span per finished attempt that was scheduled, drawn from its
+    // latest edges, in finish order until the stable sort by start below.
+    let mut spans: Vec<(u64, u64, AttemptRecord)> = attempts
+        .finished()
+        .filter(|r| r.scheduled.is_some())
+        .map(|&r| {
+            let end = r.finished.unwrap_or(0);
+            let start = r.started.or(r.dequeued).or(r.scheduled).unwrap_or(end);
+            (start, end, r)
+        })
+        .collect();
+    for (_, _, r) in &spans {
+        jobs_seen.entry(r.job).or_insert(0);
+    }
+
     // Pass 2: greedy lane assignment per process so overlapping
     // executions render side by side like CPU slots. With more than one
     // job in the stream, each (job, node) pair becomes its own process
@@ -296,13 +235,13 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
             ),
         ));
     }
-    spans.sort_by_key(|s| s.start);
+    spans.sort_by_key(|&(start, _, _)| start);
     let mut lanes_free: HashMap<u32, Vec<u64>> = HashMap::new(); // pid -> end time per lane
                                                                  // Ordered: iterated below to emit thread_name metadata, all at ts 0,
                                                                  // where the stable sort preserves emission order.
     let mut lane_count: BTreeMap<u32, u32> = BTreeMap::new();
     let mut job_pids_named: Vec<u32> = Vec::new();
-    for s in &spans {
+    for &(start, end, ref s) in &spans {
         let pid = if multi_job {
             let pid = job_pid(s.job, s.node);
             if !job_pids_named.contains(&pid) {
@@ -327,13 +266,13 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
             s.node
         };
         let free = lanes_free.entry(pid).or_default();
-        let lane = match free.iter().position(|&end| end <= s.start) {
+        let lane = match free.iter().position(|&busy_until| busy_until <= start) {
             Some(i) => {
-                free[i] = s.end;
+                free[i] = end;
                 i as u32
             }
             None => {
-                free.push(s.end);
+                free.push(end);
                 (free.len() - 1) as u32
             }
         };
@@ -341,21 +280,29 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
         *lc = (*lc).max(lane + 1);
         let mut args = format!(
             r#""task":{},"attempt":{},"queue_wait_us":{},"stage_wait_us":{}"#,
-            s.task, s.attempt, s.queue_wait, s.stage_wait
+            s.task,
+            s.attempt,
+            s.queue_us(),
+            s.stage_us()
         );
         if multi_job {
             let _ = write!(args, r#","job":{}"#, s.job);
         }
-        if let Some((r, policy)) = s.reason {
-            let _ = write!(args, r#","placed":"{r}","policy":"{policy}""#);
+        if let Some(p) = s.reason {
+            let _ = write!(
+                args,
+                r#","placed":"{}","policy":"{}""#,
+                p.reason.name(),
+                p.policy
+            );
         }
         entries.push((
-            s.start,
+            start,
             format!(
                 r#"{{"name":"{}","cat":"task","ph":"X","ts":{},"dur":{},"pid":{},"tid":{},"args":{{{}}}}}"#,
                 escape(s.label),
-                s.start,
-                s.end.saturating_sub(s.start).max(1),
+                start,
+                end.saturating_sub(start).max(1),
                 pid,
                 lane,
                 args

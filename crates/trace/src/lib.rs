@@ -21,8 +21,11 @@
 //! [`chrome_trace_json`] (load in `chrome://tracing` or Perfetto; one
 //! process per node, per-slot task lanes, one counter track per
 //! node×resource) and [`jsonl_string`] (one JSON object per line).
-//! [`summarize`] renders the end-of-run text report.
+//! [`summarize`] renders the end-of-run text report. Both, and exo-prof's
+//! path and stage analyses, pair task lifecycle edges through one
+//! [`AttemptTable`].
 
+pub mod attempts;
 pub mod chrome;
 pub mod event;
 pub mod json;
@@ -30,6 +33,7 @@ pub mod jsonl;
 pub mod sink;
 pub mod summary;
 
+pub use attempts::{AttemptRecord, AttemptTable};
 pub use chrome::{chrome_trace_json, write_chrome_trace};
 pub use event::{
     DepEvent, DepKind, Event, EventKind, FailureEvent, FailureKind, FetchWaitEvent, IncidentEvent,

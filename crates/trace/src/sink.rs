@@ -12,11 +12,10 @@
 //! the runtime at each simulation dispatch, so time-free components
 //! like the object store can emit correctly stamped events.
 //!
-//! Streaming consumers plug in through [`Observer`]: each registered
+//! A streaming consumer plugs in through [`Observer`]: the registered
 //! observer sees every event exactly once, in order, without the
-//! stream being retained. With no observers registered the fan-out is a
-//! single branch on an empty `Vec` — the always-on cost class is
-//! unchanged.
+//! stream being retained. With none registered the fan-out is a single
+//! branch on an empty slot — the always-on cost class is unchanged.
 //!
 //! Emission is **batched**: `emit` appends to a pending block and the
 //! counter fold, ring feed, retention copy and observer fan-out run
@@ -31,31 +30,17 @@ use std::sync::{Arc, Mutex};
 
 use crate::event::{Event, EventKind, IoDir, ObjectPhase, TaskPhase};
 
-/// A streaming consumer of the event stream. Observers are invoked
+/// A streaming consumer of the event stream. The observer is invoked
 /// synchronously from the sink's block flush while the sink lock is
 /// held, so implementations must be cheap, must not block, and must not
-/// call back into the sink. They see every event exactly once, in
+/// call back into the sink. It sees every event exactly once, in
 /// emission order, whether or not the full stream is retained — this is
 /// how fixed-memory live observability (`exo-live`) taps the stream
 /// without O(events) retention.
-///
-/// Emission is batched: events accumulate in a pending block and are
-/// delivered via [`Observer::on_block`] when the block fills or any
-/// reader forces a flush. The default `on_block` replays the block
-/// through `on_event` one event at a time, so per-event observers see
-/// exactly the stream they saw before batching existed.
 pub trait Observer: Send {
-    fn on_event(&mut self, ev: &Event);
-
-    /// Receives a whole flushed block in emission order. Override to
-    /// amortize per-event dispatch; the default delegates to
-    /// [`Observer::on_event`] per event, byte-identical to unbatched
-    /// delivery.
-    fn on_block(&mut self, evs: &[Event]) {
-        for ev in evs {
-            self.on_event(ev);
-        }
-    }
+    /// Receives one flushed block of events in emission order: the
+    /// block fills, or a reader forces a flush.
+    fn on_block(&mut self, evs: &[Event]);
 }
 
 /// Virtual-time interval between `ResourceSample` emissions (100 ms).
@@ -187,12 +172,12 @@ struct SinkState {
     events: Vec<Event>,
     ring: VecDeque<Event>,
     counters: TraceCounters,
-    observers: Vec<Box<dyn Observer>>,
+    observer: Option<Box<dyn Observer>>,
 }
 
 impl SinkState {
     /// Settles the pending block: folds counters, feeds the ring and the
-    /// retained stream, and hands observers the whole block. Every read
+    /// retained stream, and hands the observer the whole block. Every read
     /// accessor calls this first, so batching is invisible downstream.
     fn flush(&mut self, retain: bool) {
         if self.pending.is_empty() {
@@ -217,10 +202,8 @@ impl SinkState {
         if retain {
             self.events.extend_from_slice(&self.pending);
         }
-        if !self.observers.is_empty() {
-            for obs in self.observers.iter_mut() {
-                obs.on_block(&self.pending);
-            }
+        if let Some(obs) = &mut self.observer {
+            obs.on_block(&self.pending);
         }
         self.pending.clear();
     }
@@ -228,7 +211,7 @@ impl SinkState {
 
 struct SinkInner {
     retain: bool,
-    /// Mirrors `state.observers.is_empty()` so gating decisions (resource
+    /// Mirrors `state.observer.is_some()` so gating decisions (resource
     /// sampling, fetch-wait emission) can be made without the lock.
     observing: AtomicBool,
     now_us: AtomicU64,
@@ -253,7 +236,7 @@ impl TraceSink {
                     events: Vec::new(),
                     ring: VecDeque::with_capacity(RING),
                     counters: TraceCounters::default(),
-                    observers: Vec::new(),
+                    observer: None,
                 }),
             }),
         }
@@ -270,17 +253,19 @@ impl TraceSink {
         self.inner.retain
     }
 
-    /// Whether at least one streaming [`Observer`] is registered.
+    /// Whether a streaming [`Observer`] is registered.
     pub fn observing(&self) -> bool {
         self.inner.observing.load(Ordering::Relaxed)
     }
 
-    /// Registers a streaming observer. It sees every event emitted from
-    /// this point on, in order, under the sink lock. Any pending block
-    /// is flushed first so pre-registration events stay invisible to it.
+    /// Registers the sink's one streaming observer. It sees every event
+    /// emitted from this point on, in order, under the sink lock. Any
+    /// pending block is flushed first so pre-registration events stay
+    /// invisible to it. Panics if an observer is already registered.
     pub fn register_observer(&self, obs: Box<dyn Observer>) {
         let mut st = self.lock_flushed();
-        st.observers.push(obs);
+        assert!(st.observer.is_none(), "a sink takes one observer");
+        st.observer = Some(obs);
         self.inner.observing.store(true, Ordering::Relaxed);
     }
 
@@ -309,7 +294,7 @@ impl TraceSink {
     /// Records an event with an explicit timestamp (used when a
     /// completion is known to happen at a future virtual time). The
     /// event lands in the pending block; counters, ring, retention and
-    /// observers are settled when the block fills or a reader flushes.
+    /// the observer are settled when the block fills or a reader flushes.
     pub fn emit_at(&self, at_us: u64, kind: EventKind) {
         let ev = Event { at_us, kind };
         let mut st = self.inner.state.lock().expect("trace sink poisoned");
@@ -327,7 +312,7 @@ impl TraceSink {
         st
     }
 
-    /// Forces the pending block out to counters, ring and observers.
+    /// Forces the pending block out to counters, ring and observer.
     pub fn flush(&self) {
         drop(self.lock_flushed());
     }
@@ -425,10 +410,12 @@ mod tests {
     fn observers_see_every_event_without_retention() {
         struct Tally(std::sync::Arc<Mutex<(u64, TraceCounters)>>);
         impl Observer for Tally {
-            fn on_event(&mut self, ev: &Event) {
+            fn on_block(&mut self, evs: &[Event]) {
                 let mut t = self.0.lock().unwrap();
-                t.0 += 1;
-                t.1.apply(&ev.kind);
+                for ev in evs {
+                    t.0 += 1;
+                    t.1.apply(&ev.kind);
+                }
             }
         }
         let sink = TraceSink::disabled();
@@ -526,9 +513,6 @@ mod tests {
     fn observer_blocks_preserve_event_order() {
         struct Blocks(std::sync::Arc<Mutex<(usize, Vec<u64>)>>);
         impl Observer for Blocks {
-            fn on_event(&mut self, _ev: &Event) {
-                unreachable!("on_block override must shadow on_event");
-            }
             fn on_block(&mut self, evs: &[Event]) {
                 let mut t = self.0.lock().unwrap();
                 t.0 += 1;

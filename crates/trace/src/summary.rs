@@ -1,10 +1,11 @@
 //! End-of-run text summary derived from the event stream: top-5 longest
 //! task executions, per-node busy fraction, and spill/restore totals.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::event::{Event, EventKind, ObjectPhase, TaskPhase};
+use crate::attempts::AttemptTable;
+use crate::event::{Event, EventKind, ObjectPhase};
 use crate::sink::TraceCounters;
 
 #[derive(Debug, Clone)]
@@ -92,7 +93,7 @@ impl TraceSummary {
 /// Folds the stream into a [`TraceSummary`].
 pub fn summarize(events: &[Event]) -> TraceSummary {
     let mut s = TraceSummary::default();
-    let mut started: HashMap<(u64, u32), u64> = HashMap::new();
+    let mut attempts = AttemptTable::default();
     // Keyed by node id; ordered so `per_node` comes out sorted without a
     // separate pass and the report is independent of event order.
     let mut busy: BTreeMap<u32, NodeBusy> = BTreeMap::new();
@@ -100,31 +101,7 @@ pub fn summarize(events: &[Event]) -> TraceSummary {
         s.end_us = s.end_us.max(ev.at_us);
         s.counters.apply(&ev.kind);
         match &ev.kind {
-            EventKind::Task(t) => match t.phase {
-                TaskPhase::Started => {
-                    started.insert((t.task, t.attempt), ev.at_us);
-                }
-                TaskPhase::Finished => {
-                    let start = started.remove(&(t.task, t.attempt)).unwrap_or(ev.at_us);
-                    let dur = ev.at_us.saturating_sub(start);
-                    let e = busy.entry(t.node).or_default();
-                    e.tasks += 1;
-                    e.busy_us += dur;
-                    s.longest.push(LongTask {
-                        label: t.label,
-                        node: t.node,
-                        task: t.task,
-                        start_us: start,
-                        dur_us: dur,
-                    });
-                    // Keep the list small while scanning long streams.
-                    if s.longest.len() > 64 {
-                        s.longest.sort_by_key(|t| std::cmp::Reverse(t.dur_us));
-                        s.longest.truncate(5);
-                    }
-                }
-                _ => {}
-            },
+            EventKind::Task(t) => attempts.apply(ev.at_us, t),
             EventKind::Object(o) => match o.phase {
                 ObjectPhase::Spilled => {
                     s.spilled_bytes += o.bytes;
@@ -156,8 +133,25 @@ pub fn summarize(events: &[Event]) -> TraceSummary {
             | EventKind::Job(_) => {}
         }
     }
-    s.longest.sort_by_key(|t| std::cmp::Reverse(t.dur_us));
-    s.longest.truncate(5);
+    for r in attempts.finished() {
+        let e = busy.entry(r.node).or_default();
+        e.tasks += 1;
+        e.busy_us += r.exec_us();
+    }
+    // Finish order breaks duration ties: the sort is stable.
+    let mut longest: Vec<_> = attempts.finished().collect();
+    longest.sort_by_key(|r| std::cmp::Reverse(r.exec_us()));
+    s.longest = longest
+        .into_iter()
+        .take(5)
+        .map(|r| LongTask {
+            label: r.label,
+            node: r.node,
+            task: r.task,
+            start_us: r.started.or(r.finished).unwrap_or(0),
+            dur_us: r.exec_us(),
+        })
+        .collect();
     // BTreeMap iteration is already node-ordered.
     s.per_node = busy
         .into_iter()

@@ -72,6 +72,13 @@ echo "==> incident gate (bench_gate --incidents-diff vs bench/incidents.json)"
 cargo run --release -p exo-bench --bin bench_gate -- --incidents-diff \
     --out results/INCIDENTS_ci.json
 
+echo "==> traced fault-case profile (stdout and profile JSON, committed copy)"
+cargo run --release -p exo-bench --bin fig4_ft -- --quick \
+    --trace "$observed/fig4_ft.trace.json" \
+    --profile="$observed/fig4_ft.profile.json" > "$observed/fig4_ft.profile.txt"
+same_as_committed fig4_ft.profile.txt fig4_ft.profile.txt
+same_as_committed fig4_ft.profile.json fig4_ft.profile.json
+
 echo "==> watched fault-case smoke (--watch incident JSONL, validated twice for determinism, committed copy)"
 cargo run --release -p exo-bench --bin fig4_ft -- --quick --watch \
     --live "$observed/fig4_ft.live.jsonl"

@@ -162,7 +162,7 @@ fn live_sketches_cross_check_against_post_hoc_profiler() {
 
     // Per-stage cross-check against exo-prof's stage stats: finished
     // counts and (exact) max execution times must agree bit-for-bit.
-    let prof_stages = exoshuffle::prof::stage_stats(&report.trace);
+    let prof_stages = exoshuffle::prof::stage_stats(&exoshuffle::prof::Dag::fold(&report.trace));
     assert!(!prof_stages.is_empty());
     for ps in &prof_stages {
         let ls = last

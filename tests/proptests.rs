@@ -375,9 +375,7 @@ mod watch_quiescence {
             }
             // Observers see the sink's stream in virtual-time order.
             events.sort_by_key(|e| e.at_us);
-            for ev in &events {
-                obs.on_event(ev);
-            }
+            obs.on_block(&events);
             let report = handle.finish_watch(end).expect("watching");
             prop_assert!(report.is_empty(), "incidents: {:?}", report.incidents);
         }
