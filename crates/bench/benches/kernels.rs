@@ -5,12 +5,13 @@
 
 use std::time::Duration;
 
+use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use exo_rt::RtConfig;
 use exo_shuffle::{frame_blocks, key_sum_job, run_shuffle, unframe_blocks, ShuffleVariant};
 use exo_sim::{ClusterSpec, EventQueue, NodeSpec, SimTime};
 use exo_sort::{
-    gen_records, kway_merge, sort_into_partitions, sort_records, RangePartitioner, RECORD_SIZE,
+    gen_records, kway_merge, sort_and_cut, sort_records, RangePartitioner, RECORD_SIZE,
 };
 use exo_store::{NodeStore, Priority, StoreConfig};
 
@@ -45,6 +46,14 @@ fn bench_kway_merge(c: &mut Criterion) {
     });
 }
 
+/// One map's work as the sort job does it: sort and cut, freeze the run,
+/// and slice one view per partition.
+fn map_views(records: &[u8], part: &RangePartitioner) -> Vec<Bytes> {
+    let (run, cuts) = sort_and_cut(records, part);
+    let run = Bytes::from(run);
+    cuts.windows(2).map(|c| run.slice(c[0]..c[1])).collect()
+}
+
 /// The kernel calls of one spill_pushstar map, merge and reduce: 2,500
 /// records per map cut into 1,600 partitions, 40-map rounds.
 fn bench_spill_pushstar_kernels(c: &mut Criterion) {
@@ -56,14 +65,12 @@ fn bench_spill_pushstar_kernels(c: &mut Criterion) {
 
     let recs = gen_records(5, 0, RECORDS);
     g.throughput(Throughput::Bytes((RECORDS * RECORD_SIZE) as u64));
-    g.bench_function("map_2500_into_1600", |b| {
-        b.iter(|| sort_into_partitions(&recs, &part))
-    });
+    g.bench_function("map_2500_into_1600", |b| b.iter(|| map_views(&recs, &part)));
 
-    // One merge task's inputs for one partition: that partition's block
-    // from each of a round's maps (~1.6 records each).
-    let maps: Vec<Vec<Vec<u8>>> = (0..ROUND)
-        .map(|m| sort_into_partitions(&gen_records(5, m, RECORDS), &part))
+    // One merge task's inputs for one partition: that partition's view
+    // of each of a round's map runs (~1.6 records each).
+    let maps: Vec<Vec<Bytes>> = (0..ROUND)
+        .map(|m| map_views(&gen_records(5, m, RECORDS), &part))
         .collect();
     let column: Vec<&[u8]> = maps
         .iter()

@@ -57,20 +57,25 @@ impl PushStarConfig {
 ///
 /// Layout: `u32 n`, then per block `u64 logical, u32 data_len`, then the
 /// concatenated block data. The frame's logical size is the sum of the
-/// block logical sizes (the header is noise at shuffle scales).
-pub fn frame_blocks(blocks: &[Payload]) -> Payload {
-    let mut header = BytesMut::with_capacity(4 + blocks.len() * 12);
-    header.put_u32_le(blocks.len() as u32);
-    let mut total_data = 0usize;
+/// block logical sizes (the header is noise at shuffle scales). The
+/// blocks are borrowed and copied once, into one exact-size buffer.
+pub fn frame_blocks<'a, I>(blocks: I) -> Payload
+where
+    I: IntoIterator<Item = &'a Payload>,
+    I::IntoIter: Clone,
+{
+    let blocks = blocks.into_iter();
+    let (n, data_len) = blocks
+        .clone()
+        .fold((0usize, 0usize), |(n, len), b| (n + 1, len + b.data.len()));
+    let mut buf = BytesMut::with_capacity(4 + n * 12 + data_len);
+    buf.put_u32_le(n as u32);
     let mut logical = 0u64;
-    for b in blocks {
-        header.put_u64_le(b.logical);
-        header.put_u32_le(b.data.len() as u32);
-        total_data += b.data.len();
+    for b in blocks.clone() {
+        buf.put_u64_le(b.logical);
+        buf.put_u32_le(b.data.len() as u32);
         logical += b.logical;
     }
-    let mut buf = BytesMut::with_capacity(header.len() + total_data);
-    buf.extend_from_slice(&header);
     for b in blocks {
         buf.extend_from_slice(&b.data);
     }
@@ -79,22 +84,22 @@ pub fn frame_blocks(blocks: &[Payload]) -> Payload {
 
 /// Inverse of [`frame_blocks`].
 pub fn unframe_blocks(p: &Payload) -> Vec<Payload> {
+    unframe(p).collect()
+}
+
+/// The blocks of a frame, in order, as zero-copy views of its data.
+fn unframe(p: &Payload) -> impl Iterator<Item = Payload> + '_ {
     let d: &Bytes = &p.data;
     let n = u32::from_le_bytes(d[0..4].try_into().expect("frame header")) as usize;
-    let mut metas = Vec::with_capacity(n);
-    let mut off = 4;
-    for _ in 0..n {
-        let logical = u64::from_le_bytes(d[off..off + 8].try_into().expect("logical"));
-        let len = u32::from_le_bytes(d[off + 8..off + 12].try_into().expect("len")) as usize;
-        metas.push((logical, len));
-        off += 12;
-    }
-    let mut out = Vec::with_capacity(n);
-    for (logical, len) in metas {
-        out.push(Payload::scaled(d.slice(off..off + len), logical));
-        off += len;
-    }
-    out
+    let mut data_off = 4 + n * 12;
+    (0..n).map(move |i| {
+        let meta = &d[4 + i * 12..4 + (i + 1) * 12];
+        let logical = u64::from_le_bytes(meta[..8].try_into().expect("logical"));
+        let len = u32::from_le_bytes(meta[8..].try_into().expect("len")) as usize;
+        let block = Payload::scaled(d.slice(data_off..data_off + len), logical);
+        data_off += len;
+        block
+    })
 }
 
 /// Run the pipelined push shuffle; returns the `R` reduce-output futures
@@ -130,10 +135,7 @@ pub fn push_star_shuffle(rt: &RtHandle, job: &ShuffleJob, cfg: PushStarConfig) -
                     let blocks = map(m, r_total, &mut rng);
                     owned
                         .iter()
-                        .map(|rs| {
-                            let ws: Vec<Payload> = rs.iter().map(|&r| blocks[r].clone()).collect();
-                            frame_blocks(&ws)
-                        })
+                        .map(|rs| frame_blocks(rs.iter().map(|&r| &blocks[r])))
                         .collect()
                 })
                 .num_returns(workers)
@@ -164,14 +166,17 @@ pub fn push_star_shuffle(rt: &RtHandle, job: &ShuffleJob, cfg: PushStarConfig) -
             let mut b = rt
                 .task(move |ctx: TaskCtx| {
                     // Unframe each map's worker-block into per-partition
-                    // blocks, then combine per partition.
-                    let per_map: Vec<Vec<Payload>> = ctx.args.iter().map(unframe_blocks).collect();
+                    // views, moved partition by partition into one
+                    // column-major table, then combine per partition:
+                    // column `j` holds partition `j`'s block of every map.
+                    let mut frames: Vec<_> = ctx.args.iter().map(unframe).collect();
+                    let maps = frames.len();
+                    let mut table = Vec::with_capacity(n_owned * maps);
+                    for _ in 0..n_owned {
+                        table.extend(frames.iter_mut().map(|f| f.next().expect("owned block")));
+                    }
                     (0..n_owned)
-                        .map(|j| {
-                            let blocks: Vec<Payload> =
-                                per_map.iter().map(|pm| pm[j].clone()).collect();
-                            combine(&blocks)
-                        })
+                        .map(|j| combine(&table[j * maps..(j + 1) * maps]))
                         .collect()
                 })
                 .args(column)

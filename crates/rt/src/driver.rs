@@ -464,7 +464,8 @@ impl TaskBuilder {
 
     /// Pass a small inline value.
     pub fn arg_inline(mut self, data: impl Into<Bytes>) -> Self {
-        self.args.push(ArgSpec::Inline(Payload::inline(data)));
+        self.args
+            .push(ArgSpec::Inline(Box::new(Payload::inline(data))));
         self
     }
 

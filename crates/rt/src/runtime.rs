@@ -401,16 +401,41 @@ impl TaskEntry {
     }
 }
 
+/// A parked `get` or `wait`. `counted` is never below the number of
+/// `objs` entries that are available: it starts at the exact count and
+/// each first-copy wake adds one, so only an object lost after it was
+/// counted makes it too high. The exact recount runs only once `counted`
+/// reaches the target, which keeps a wake O(1) until then.
 enum Waiter {
     Get {
         objs: Vec<ObjectId>,
+        counted: usize,
         reply: Reply<Result<Vec<Payload>, RtError>>,
     },
     Wait {
         objs: Vec<ObjectId>,
+        counted: usize,
         num_ready: usize,
         reply: Reply<(Vec<usize>, Vec<usize>)>,
     },
+}
+
+impl Waiter {
+    fn objs(&self) -> &[ObjectId] {
+        match self {
+            Waiter::Get { objs, .. } | Waiter::Wait { objs, .. } => objs,
+        }
+    }
+
+    /// The running ready count and the count that resolves the waiter.
+    fn tally(&mut self) -> (&mut usize, usize) {
+        match self {
+            Waiter::Get { objs, counted, .. } => (counted, objs.len()),
+            Waiter::Wait {
+                counted, num_ready, ..
+            } => (counted, *num_ready),
+        }
+    }
 }
 
 /// The runtime simulation state.
@@ -1441,7 +1466,7 @@ impl Runtime {
             .args
             .iter()
             .map(|a| match a {
-                ArgSpec::Inline(p) => p.clone(),
+                ArgSpec::Inline(p) => Payload::clone(p),
                 ArgSpec::Object(id) => {
                     let o = self.objects.get(id.0).expect("staged arg exists");
                     Payload {
@@ -1632,8 +1657,14 @@ impl Runtime {
                 _ => {}
             }
         }
-        for w in woken.waiters {
-            self.check_waiter(ctx, w);
+        // A waiter listing `obj` k times holds k registrations: wake it
+        // once, in first-registration order, counting all k listings.
+        let mut waiters = woken.waiters;
+        while let Some(&w) = waiters.first() {
+            let registered = waiters.len();
+            waiters.retain(|&x| x != w);
+            let listings = registered - waiters.len();
+            self.check_waiter(ctx, w, if first_copy { listings } else { 0 });
         }
         // Local tasks waiting for this object in memory can pin now.
         self.drain_arg_waiters(ctx, node, obj);
@@ -1924,56 +1955,72 @@ impl Runtime {
     // Waiters
     // ------------------------------------------------------------------
 
-    fn check_waiter(&mut self, ctx: &mut Ctx<'_, RtEvent>, wid: u64) {
-        let Some(w) = self.waiters.get(wid) else {
+    /// Re-examines waiter `wid` right after registration or after one of
+    /// its objects got a copy; `arrived` is how many of its listings that
+    /// copy made available (0 unless it was the object's first).
+    fn check_waiter(&mut self, ctx: &mut Ctx<'_, RtEvent>, wid: u64, arrived: usize) {
+        let Some(w) = self.waiters.get_mut(wid) else {
             return;
         };
+        let (counted, target) = w.tally();
+        *counted += arrived;
+        let counted = *counted;
+        if cfg!(debug_assertions) {
+            let ready = self
+                .waiters
+                .get(wid)
+                .map_or(0, |w| self.ready_count(w.objs()));
+            debug_assert!(
+                counted >= ready,
+                "waiter {wid} counted {counted} < {ready} ready"
+            );
+        }
         // Waiter ids are job-scoped; only the owning job's failure
         // resolves this waiter early.
         let failed = self.jobs.job(job_of(wid)).and_then(|j| j.failed.clone());
-        match w {
-            Waiter::Get { objs, .. } => {
-                if let Some(err) = failed {
-                    if let Some(Waiter::Get { reply, .. }) = self.waiters.remove(wid) {
-                        ctx.reply(reply, Err(err));
-                    }
+        if failed.is_none() && counted < target {
+            return;
+        }
+        match (self.waiters.get(wid), failed) {
+            (Some(Waiter::Get { .. }), Some(err)) => {
+                if let Some(Waiter::Get { reply, .. }) = self.waiters.remove(wid) {
+                    ctx.reply(reply, Err(err));
+                }
+            }
+            (Some(Waiter::Get { objs, .. }), None) if self.ready_count(objs) == objs.len() => {
+                let Some(Waiter::Get { objs, reply, .. }) = self.waiters.remove(wid) else {
                     return;
-                }
-                let all = objs.iter().all(|o| self.obj_available(*o));
-                if all {
-                    let Some(Waiter::Get { objs, reply }) = self.waiters.remove(wid) else {
-                        return;
-                    };
-                    // audit:allow(P01): this branch runs only when every
-                    // watched object was just confirmed available, and an
-                    // available object has an entry with a payload.
-                    let payloads: Vec<Payload> = objs
-                        .iter()
-                        .map(|o| {
-                            let e = self.objects.get(o.0).expect("available");
-                            Payload {
-                                data: e.payload.clone().expect("available object has payload"),
-                                logical: e.logical,
-                            }
-                        })
-                        .collect();
-                    for o in objs {
-                        if let Some(e) = self.objects.get_mut(o.0) {
-                            e.remove_waiter(wid);
+                };
+                // audit:allow(P01): this branch runs only when every
+                // watched object was just confirmed available, and an
+                // available object has an entry with a payload.
+                let payloads: Vec<Payload> = objs
+                    .iter()
+                    .map(|o| {
+                        let e = self.objects.get(o.0).expect("available");
+                        Payload {
+                            data: e.payload.clone().expect("available object has payload"),
+                            logical: e.logical,
                         }
-                        self.maybe_gc(o);
+                    })
+                    .collect();
+                for o in objs {
+                    if let Some(e) = self.objects.get_mut(o.0) {
+                        e.remove_waiter(wid);
                     }
-                    ctx.reply(reply, Ok(payloads));
+                    self.maybe_gc(o);
                 }
+                ctx.reply(reply, Ok(payloads));
             }
-            Waiter::Wait {
-                objs, num_ready, ..
-            } => {
-                let ready = objs.iter().filter(|&&o| self.obj_available(o)).count();
-                if failed.is_some() || ready >= *num_ready {
-                    self.finish_wait(ctx, wid);
-                }
+            (
+                Some(Waiter::Wait {
+                    objs, num_ready, ..
+                }),
+                failed,
+            ) if failed.is_some() || self.ready_count(objs) >= *num_ready => {
+                self.finish_wait(ctx, wid);
             }
+            _ => {}
         }
     }
 
@@ -1989,6 +2036,11 @@ impl Runtime {
             self.maybe_gc(o);
         }
         ctx.reply(reply, split);
+    }
+
+    /// How many entries of `objs` are available (duplicates count twice).
+    fn ready_count(&self, objs: &[ObjectId]) -> usize {
+        objs.iter().filter(|&&o| self.obj_available(o)).count()
     }
 
     /// Indices of `objs` that are available, then of those that are not.
@@ -2295,7 +2347,7 @@ impl Runtime {
                 Waiter::Wait {
                     objs, num_ready, ..
                 } => {
-                    let ready = objs.iter().filter(|&&o| self.obj_available(o)).count();
+                    let ready = self.ready_count(objs);
                     lines.push(format!(
                         "pending wait (waiter {wid}): {ready}/{num_ready} of {} ready",
                         objs.len()
@@ -2415,8 +2467,16 @@ impl Simulation for Runtime {
                     }
                     self.ensure_obj_entry(o).add_waiter(wid);
                 }
-                self.waiters.insert(wid, Waiter::Get { objs, reply });
-                self.check_waiter(ctx, wid);
+                let counted = self.ready_count(&objs);
+                self.waiters.insert(
+                    wid,
+                    Waiter::Get {
+                        objs,
+                        counted,
+                        reply,
+                    },
+                );
+                self.check_waiter(ctx, wid, 0);
             }
             RtCommand::Wait {
                 job,
@@ -2438,10 +2498,12 @@ impl Simulation for Runtime {
                     }
                     self.ensure_obj_entry(o).add_waiter(wid);
                 }
+                let counted = self.ready_count(&objs);
                 self.waiters.insert(
                     wid,
                     Waiter::Wait {
                         objs,
+                        counted,
                         num_ready,
                         reply,
                     },
@@ -2449,7 +2511,7 @@ impl Simulation for Runtime {
                 if let Some(t) = timeout {
                     ctx.schedule(t, RtEvent::WaitDeadline { waiter: wid });
                 }
-                self.check_waiter(ctx, wid);
+                self.check_waiter(ctx, wid, 0);
             }
             RtCommand::Release { obj } => {
                 if let Some(o) = self.objects.get_mut(obj.0) {

@@ -178,14 +178,18 @@ impl Default for TaskOptions {
     }
 }
 
-/// An argument as stored in a task spec.
+/// An argument as stored in a task spec. Object arguments dominate (a
+/// reduce lists one per map), so the rare inline value is boxed and an
+/// argument costs 16 bytes instead of a whole [`Payload`] plus tag.
 #[derive(Clone, Debug)]
 pub enum ArgSpec {
     /// A distributed future produced elsewhere.
     Object(ObjectId),
     /// A small inline value copied with the spec.
-    Inline(Payload),
+    Inline(Box<Payload>),
 }
+
+const _: () = assert!(std::mem::size_of::<ArgSpec>() == 16);
 
 /// Everything needed to execute (and re-execute) a task.
 #[derive(Clone)]
@@ -255,7 +259,7 @@ mod tests {
             func: f,
             args: vec![
                 ArgSpec::Object(ObjectId(1)),
-                ArgSpec::Inline(Payload::ghost(4)),
+                ArgSpec::Inline(Box::new(Payload::ghost(4))),
                 ArgSpec::Object(ObjectId(2)),
                 ArgSpec::Object(ObjectId(1)),
             ],

@@ -894,3 +894,108 @@ fn slow_node_multiplier_stretches_compute() {
     let slow = run(5.0);
     assert!((slow / fast - 5.0).abs() < 0.5, "fast {fast}, slow {slow}");
 }
+
+/// `(virtual µs at return, ready, pending)` of a `wait` or `get`.
+type Resolved = (u64, Vec<usize>, Vec<usize>);
+
+/// Twelve producers land at 1–12 s, submitted out of order; waits and a
+/// get resolve on the landing that completes them.
+fn staggered_waits() -> Vec<Resolved> {
+    let (_report, seen) = exo_rt::run(small_cluster(4), |rt| {
+        let secs = [7u64, 3, 11, 1, 9, 5, 12, 2, 8, 4, 10, 6];
+        let objs: Vec<_> = secs
+            .iter()
+            .map(|&s| {
+                rt.task(const_task(vec![s as u8]))
+                    .cpu(CpuCost::fixed(SimDuration::from_secs(s)))
+                    .submit_one()
+            })
+            .collect();
+        let mut seen = Vec::new();
+        let mut record = |(ready, pending): (Vec<usize>, Vec<usize>)| {
+            seen.push((rt.now().as_micros(), ready, pending));
+        };
+        record(rt.wait(&objs, 3, None));
+        // A duplicated ref counts once per listing.
+        let dup: Vec<_> = objs.iter().chain(&objs[..2]).cloned().collect();
+        record(rt.wait(&dup, 9, None));
+        record(rt.wait(&objs, 12, Some(SimDuration::from_secs(2))));
+        let got = rt.get(&objs).unwrap();
+        let bytes: Vec<u8> = got.iter().map(|p| p.data[0]).collect();
+        assert_eq!(bytes, secs.map(|s| s as u8));
+        record(((0..objs.len()).collect(), vec![]));
+        record(rt.wait(&objs, 12, None));
+        seen
+    });
+    seen
+}
+
+/// A counted object is lost and rebuilt while a wait and a get watch
+/// it: the wait counted it at registration (twice, listed twice), its
+/// node dies, lineage rebuilds it, and its re-landing wakes the wait
+/// again, so the running count overshoots the true one.
+fn lost_and_rebuilt_waits() -> (Vec<Resolved>, u64) {
+    let (report, seen) = exo_rt::run(small_cluster(4), |rt| {
+        let producer = |v: u8, secs: u64| {
+            rt.task(const_task(vec![v]))
+                .cpu(CpuCost::fixed(SimDuration::from_secs(secs)))
+                .submit_one()
+        };
+        let (a, b, c, d) = (
+            producer(1, 1),
+            producer(2, 6),
+            producer(3, 12),
+            producer(4, 3),
+        );
+        let mut seen = Vec::new();
+        let (ready, pending) = rt.wait(std::slice::from_ref(&a), 1, None);
+        seen.push((rt.now().as_micros(), ready, pending));
+        let home = rt.locations(&a)[0];
+        rt.kill_node(
+            home,
+            rt.now() + SimDuration::from_secs(1),
+            Some(SimDuration::from_secs(1)),
+        );
+        let watched = [a.clone(), b.clone(), c.clone(), d.clone(), a.clone()];
+        let (ready, pending) = rt.wait(&watched, 4, None);
+        seen.push((rt.now().as_micros(), ready, pending));
+        let got = rt.get(&[a, b, c, d]).unwrap();
+        let bytes: Vec<u8> = got.iter().map(|p| p.data[0]).collect();
+        assert_eq!(bytes, [1, 2, 3, 4]);
+        seen.push((rt.now().as_micros(), vec![0, 1, 2, 3], vec![]));
+        seen
+    });
+    (seen, report.metrics.tasks_reexecuted)
+}
+
+/// Each `wait` and `get` resolves at the same virtual time with the
+/// same (ready, pending) split as a full recount on every wake would
+/// give: the values below were recorded from that implementation.
+#[test]
+fn waits_and_gets_resolve_on_the_landing_that_completes_them() {
+    let all: Vec<usize> = (0..12).collect();
+    assert_eq!(
+        staggered_waits(),
+        [
+            (3_000_000, vec![1, 3, 7], vec![0, 2, 4, 5, 6, 8, 9, 10, 11]),
+            (
+                7_000_000,
+                vec![0, 1, 3, 5, 7, 9, 11, 12, 13],
+                vec![2, 4, 6, 8, 10]
+            ),
+            (9_000_000, vec![0, 1, 3, 4, 5, 7, 8, 9, 11], vec![2, 6, 10]),
+            (12_000_000, all.clone(), vec![]),
+            (12_000_000, all, vec![]),
+        ]
+    );
+    let (seen, reexecuted) = lost_and_rebuilt_waits();
+    assert_eq!(reexecuted, 1, "the lost object is rebuilt once");
+    assert_eq!(
+        seen,
+        [
+            (1_000_000, vec![0], vec![]),
+            (6_000_000, vec![0, 1, 3, 4], vec![2]),
+            (12_000_000, vec![0, 1, 2, 3], vec![]),
+        ]
+    );
+}

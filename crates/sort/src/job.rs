@@ -2,10 +2,11 @@
 
 use std::sync::Arc;
 
+use bytes::Bytes;
 use exo_rt::{CpuCost, Payload};
 use exo_shuffle::{CombineFn, MapFn, ReduceFn, ShuffleJob};
 
-use crate::kernel::{kway_merge, sort_into_partitions};
+use crate::kernel::{kway_merge, sort_and_cut};
 use crate::partition::RangePartitioner;
 use crate::record::{gen_records, RECORD_SIZE};
 
@@ -47,8 +48,10 @@ impl SortSpec {
 /// Build the sort as a [`ShuffleJob`] runnable under any variant.
 ///
 /// - **map**: generates its partition's records (the simulation charges a
-///   sequential disk read of the partition), sorts them once and cuts the
-///   sorted run into one block per range partition.
+///   sequential disk read of the partition), sorts them once into one
+///   run and returns one zero-copy view of the run per range partition.
+///   The views share the run's single allocation, so it is freed when the
+///   last of them is released.
 /// - **combine**: k-way merge of sorted same-partition blocks.
 /// - **reduce**: final k-way merge (the simulation charges the output
 ///   write).
@@ -61,13 +64,10 @@ pub fn sort_job(spec: SortSpec) -> ShuffleJob {
 
     let map: MapFn = Arc::new(move |m, r_total, _rng| {
         debug_assert_eq!(r_total, partitioner.partitions());
-        let records = gen_records(seed, m, n_real);
-        sort_into_partitions(&records, &partitioner)
-            .into_iter()
-            .map(|b| {
-                let logical = b.len() as u64 * scale;
-                Payload::scaled(b, logical)
-            })
+        let (run, cuts) = sort_and_cut(&gen_records(seed, m, n_real), &partitioner);
+        let run = Bytes::from(run);
+        cuts.windows(2)
+            .map(|c| Payload::scaled(run.slice(c[0]..c[1]), (c[1] - c[0]) as u64 * scale))
             .collect()
     });
 
@@ -132,6 +132,36 @@ mod tests {
         let logical: u64 = blocks.iter().map(|b| b.logical).sum();
         assert_eq!(real, s.real_records_per_map() as u64 * RECORD_SIZE as u64);
         assert_eq!(logical, real * 5);
+    }
+
+    /// A map's blocks are views of one allocation: each block's bytes
+    /// start where the previous block's end.
+    #[test]
+    fn map_blocks_are_views_of_one_run() {
+        let s = SortSpec {
+            data_bytes: 3 * 833 * RECORD_SIZE as u64,
+            num_maps: 3,
+            num_reduces: 600,
+            scale: 1,
+            seed: 2026,
+        };
+        let job = sort_job(s);
+        let mut rng = exo_sim::SplitMix64::new(0);
+        let blocks = (job.map)(1, 600, &mut rng);
+        assert_eq!(blocks.len(), 600);
+        assert!(blocks.iter().filter(|b| b.data.is_empty()).count() > 0);
+        for (p, w) in blocks.windows(2).enumerate() {
+            let end = w[0].data.as_ptr() as usize + w[0].data.len();
+            assert_eq!(
+                end,
+                w[1].data.as_ptr() as usize,
+                "blocks {p} and {} apart",
+                p + 1
+            );
+        }
+        let first = blocks[0].data.as_ptr() as usize;
+        let last = blocks[599].data.as_ptr() as usize + blocks[599].data.len();
+        assert_eq!(last - first, 833 * RECORD_SIZE);
     }
 
     /// The map's blocks equal the scatter-then-sort reference: records

@@ -54,27 +54,29 @@ pub fn sort_records(records: &mut Vec<u8>) {
     *records = gather(&keys, |i| record_at(records, i));
 }
 
-/// Range-partition a map's records and sort each partition: one sort of
-/// the whole map, cut at the partitioner's boundaries. Returns one
-/// exact-capacity block per partition (empty ones included), each equal
-/// to a stable sort by key of that partition's records.
-pub fn sort_into_partitions(records: &[u8], partitioner: &RangePartitioner) -> Vec<Vec<u8>> {
+/// Sort a map's records once and cut the sorted run at the range
+/// partitioner's boundaries. Returns the run, one exact-capacity buffer
+/// equal to [`sort_records`] of `records`, and `partitions + 1` byte
+/// offsets into it: partition `p`'s records are `run[cuts[p]..cuts[p + 1]]`
+/// (empty when the two are equal), a stable sort by key of exactly the
+/// records [`RangePartitioner::partition_of`] sends to `p`.
+pub fn sort_and_cut(records: &[u8], partitioner: &RangePartitioner) -> (Vec<u8>, Vec<usize>) {
     assert_eq!(records.len() % RECORD_SIZE, 0, "whole records only");
     let keys = sorted_keys(records.chunks_exact(RECORD_SIZE));
     // The partitioner is monotone in the prefix, so each partition is
-    // one contiguous run of the sorted keys.
-    let mut blocks = Vec::with_capacity(partitioner.partitions());
-    let mut lo = 0;
-    for p in 0..partitioner.partitions() {
-        let mut hi = lo;
-        while hi < keys.len() && partitioner.partition_of_prefix(keys[hi].0) == p {
-            hi += 1;
+    // one contiguous run of the sorted keys: partition `q` starts at the
+    // first key it owns, and every partition skipped on the way to it
+    // is empty and starts there too.
+    let mut cuts = Vec::with_capacity(partitioner.partitions() + 1);
+    cuts.push(0);
+    for (i, &(prefix, _, _)) in keys.iter().enumerate() {
+        let q = partitioner.partition_of_prefix(prefix);
+        while cuts.len() <= q {
+            cuts.push(i * RECORD_SIZE);
         }
-        blocks.push(gather(&keys[lo..hi], |i| record_at(records, i)));
-        lo = hi;
     }
-    debug_assert_eq!(lo, keys.len());
-    blocks
+    cuts.resize(partitioner.partitions() + 1, records.len());
+    (gather(&keys, |i| record_at(records, i)), cuts)
 }
 
 /// Merge already-sorted record buffers into one sorted buffer. Equal
@@ -172,16 +174,19 @@ mod tests {
     }
 
     #[test]
-    fn cut_blocks_are_exact_and_in_range() {
+    fn run_is_exact_and_cuts_partition_it() {
         let part = RangePartitioner::new(64);
         let recs = gen_records(5, 1, 300);
-        let blocks = sort_into_partitions(&recs, &part);
-        assert_eq!(blocks.len(), 64);
-        assert_eq!(blocks.iter().map(Vec::len).sum::<usize>(), recs.len());
-        for (p, b) in blocks.iter().enumerate() {
-            assert_eq!(b.capacity(), b.len(), "block {p} over-allocated");
-            assert!(is_sorted(b));
-            assert!(b
+        let (run, cuts) = sort_and_cut(&recs, &part);
+        assert_eq!(run.capacity(), run.len(), "run over-allocated");
+        let mut reference = recs.clone();
+        sort_records(&mut reference);
+        assert_eq!(run, reference);
+        assert_eq!(cuts.len(), 65);
+        assert_eq!((cuts[0], cuts[64]), (0, recs.len()));
+        for (p, c) in cuts.windows(2).enumerate() {
+            assert!(c[0] <= c[1] && c[0] % RECORD_SIZE == 0, "cut {p}: {c:?}");
+            assert!(run[c[0]..c[1]]
                 .chunks_exact(RECORD_SIZE)
                 .all(|rec| part.partition_of(&rec[..KEY_SIZE]) == p));
         }

@@ -4,7 +4,7 @@ use bytes::Bytes;
 use exoshuffle::rt::Payload;
 use exoshuffle::shuffle::{frame_blocks, unframe_blocks};
 use exoshuffle::sim::{EventQueue, IoKind, Resource, SimDuration, SimTime};
-use exoshuffle::sort::{kway_merge, sort_records, RangePartitioner, RECORD_SIZE};
+use exoshuffle::sort::{kway_merge, sort_and_cut, sort_records, RangePartitioner, RECORD_SIZE};
 use exoshuffle::store::{NodeStore, Priority, StoreConfig};
 use proptest::prelude::*;
 
@@ -90,6 +90,30 @@ proptest! {
         let mut reference: Vec<u8> = blocks.concat();
         sort_records(&mut reference);
         prop_assert_eq!(merged, reference);
+    }
+
+    #[test]
+    fn sort_and_cut_is_one_sorted_run_cut_at_partition_boundaries(
+        recs in arb_records(4000),
+        parts in 1usize..300,
+    ) {
+        let part = RangePartitioner::new(parts);
+        let (run, cuts) = sort_and_cut(&recs, &part);
+        let mut reference = recs.clone();
+        sort_records(&mut reference);
+        prop_assert_eq!(&run, &reference);
+        // The cuts are exactly the partitioner's boundaries: cut `p` is
+        // the byte offset of the first sorted record in partition `p` or
+        // above.
+        let want: Vec<usize> = (0..=parts)
+            .map(|p| {
+                run.chunks_exact(RECORD_SIZE)
+                    .take_while(|rec| part.partition_of(&rec[..10]) < p)
+                    .count()
+                    * RECORD_SIZE
+            })
+            .collect();
+        prop_assert_eq!(cuts, want);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Cross-crate integration: the Sort Benchmark through every shuffle
 //! variant, validated record-for-record, including under failure injection.
 
-use exoshuffle::rt::{RtConfig, RtHandle};
+use exoshuffle::rt::{Payload, RtConfig, RtHandle};
 use exoshuffle::shuffle::{run_shuffle, ShuffleVariant};
 use exoshuffle::sim::{ClusterSpec, NodeSpec, SimDuration};
 use exoshuffle::sort::{sort_job, validate_sorted, SortSpec};
@@ -111,7 +111,7 @@ fn simple_sort_survives_node_failure() {
 #[test]
 fn all_variants_agree_on_output() {
     let s = spec();
-    let mut results: Vec<Vec<usize>> = Vec::new();
+    let mut results: Vec<Vec<Payload>> = Vec::new();
     for variant in [
         ShuffleVariant::Simple,
         ShuffleVariant::Merge { factor: 4 },
@@ -123,10 +123,15 @@ fn all_variants_agree_on_output() {
             let outs = run_shuffle(rt, &job, variant);
             rt.get(&outs).expect("outputs")
         });
-        results.push(outs.iter().map(|p| p.data.len()).collect());
+        results.push(outs);
     }
-    assert!(
-        results.windows(2).all(|w| w[0] == w[1]),
-        "identical partition sizes: {results:?}"
-    );
+    // Byte-identical partitions, logical sizes included: every variant
+    // merges the same map blocks into the same sorted partitions.
+    for (v, outs) in results.iter().enumerate().skip(1) {
+        assert_eq!(outs.len(), results[0].len());
+        for (p, (a, b)) in results[0].iter().zip(outs).enumerate() {
+            assert_eq!(a.data, b.data, "variant {v} partition {p} bytes differ");
+            assert_eq!(a.logical, b.logical, "variant {v} partition {p} logical");
+        }
+    }
 }
