@@ -238,6 +238,8 @@ fn footprint<S>(live: usize, jobs: &[Vec<S>]) -> TableFootprint {
     let slots = jobs.iter().map(Vec::capacity).sum();
     let mut f = TableFootprint::of::<S>(live, slots);
     f.bytes += std::mem::size_of_val(jobs);
+    f.written = jobs.iter().map(Vec::len).sum::<usize>() * std::mem::size_of::<S>()
+        + std::mem::size_of_val(jobs);
     f
 }
 

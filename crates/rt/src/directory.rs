@@ -275,6 +275,10 @@ impl ObjEntry {
         self.waits.push(Wait::Waiter(wid));
     }
 
+    pub(crate) fn has_waiter(&self, wid: u64) -> bool {
+        self.waits.0.contains(&Wait::Waiter(wid))
+    }
+
     pub(crate) fn remove_waiter(&mut self, wid: u64) {
         self.waits.retain(|w| *w != Wait::Waiter(wid));
     }

@@ -25,6 +25,9 @@ pub struct EngineTables {
     pub store_slots: TableFootprint,
     /// Event-queue tiers, at their peaks.
     pub queue: QueueFootprint,
+    /// Device completion rings (the ops queued behind each server's
+    /// head), at their peak.
+    pub rings: TableFootprint,
 }
 
 /// Aggregated counters across all nodes.

@@ -15,8 +15,8 @@ use std::sync::Arc;
 use exo_live::{LiveConfig, SNAPSHOT_INTERVAL_US};
 use exo_sim::engine::{Ctx, Reply};
 use exo_sim::{
-    ClusterSpec, DeviceCaps, IoKind, QueueFootprint, Resource, SimDuration, SimTime, Simulation,
-    TableFootprint,
+    ClusterSpec, DeviceCaps, IoKind, QueueFootprint, Resource, RingId, RingPool, SimDuration,
+    SimTime, Simulation, TableFootprint,
 };
 use exo_store::{AllocDecision, NodeStore, RestoreDecision, SpillBatch, StoreConfig};
 use exo_trace::{
@@ -146,6 +146,10 @@ impl RtConfig {
 /// Panic early on nonsensical configs.
 pub(crate) fn validate_config(cfg: &RtConfig) {
     assert!(cfg.cluster.num_nodes() >= 1, "need at least one node");
+    assert!(
+        cfg.cluster.num_nodes() <= 1 << 16,
+        "node ids must fit the u16 of a fetch completion"
+    );
     if let Some(cap) = cfg.object_store_capacity {
         assert!(cap > 0, "object store capacity must be positive");
     }
@@ -164,13 +168,51 @@ enum AllocTag {
     Restore,
 }
 
-/// Events the runtime schedules for itself.
-pub enum RtEvent {
-    TaskInputDone {
+/// The completion of a device op, held in its server's ring until it is
+/// next to fire. A fetch completes on the destination's NIC receive
+/// side; everything else on the node's disk.
+pub enum DeviceDone {
+    TaskInput {
         task: TaskId,
         epoch: u32,
-        /// The modelled CPU phase that follows the read.
-        cpu: SimDuration,
+    },
+    /// An output written straight to disk; its task is the object's
+    /// producer.
+    OutputFallback {
+        obj: ObjectId,
+        epoch: u32,
+    },
+    OutputWrite {
+        task: TaskId,
+        epoch: u32,
+    },
+    Spill {
+        /// Boxed to keep the record small.
+        batch: Box<SpillBatch>,
+    },
+    Restore {
+        obj: ObjectId,
+    },
+    Fetch {
+        obj: ObjectId,
+        /// The source node ([`validate_config`] caps node ids at `u16`).
+        src: u16,
+        src_epoch: u32,
+    },
+}
+
+// A ring entry is this record plus `(end, seq)`, and the rings hold
+// hundreds of thousands of them at once.
+const _: () = assert!(std::mem::size_of::<DeviceDone>() <= 16);
+
+/// Events the runtime schedules for itself.
+pub enum RtEvent {
+    /// The head op of a device ring on `node` completed (or an op left
+    /// from before the node's kill, which is void).
+    Device {
+        node: u32,
+        ring: RingId,
+        done: DeviceDone,
     },
     TaskCpuDone {
         task: TaskId,
@@ -179,33 +221,6 @@ pub enum RtEvent {
     OutputReady {
         task: TaskId,
         idx: usize,
-        epoch: u32,
-    },
-    OutputFallbackDone {
-        task: TaskId,
-        idx: usize,
-        epoch: u32,
-    },
-    OutputWriteDone {
-        task: TaskId,
-        epoch: u32,
-    },
-    SpillDone {
-        node: NodeId,
-        epoch: u32,
-        /// Boxed, like `SleepDone`'s reply, to keep the event small.
-        batch: Box<SpillBatch>,
-    },
-    RestoreDone {
-        node: NodeId,
-        obj: ObjectId,
-        epoch: u32,
-    },
-    FetchDone {
-        node: NodeId,
-        obj: ObjectId,
-        src: NodeId,
-        src_epoch: u32,
         epoch: u32,
     },
     WaitDeadline {
@@ -245,14 +260,23 @@ pub enum RtEvent {
 }
 
 // Every queued event is one wheel or heap slot of `(at, seq)` plus this
-// enum, and I/O completions keep hundreds of thousands queued at once.
-// `FetchDone` sets the size; rarer large payloads go behind a `Box`.
+// enum. `Device` sets the size; rarer large payloads go behind a `Box`.
 const _: () = assert!(std::mem::size_of::<RtEvent>() <= 40);
+
+/// The `RtEvent` a completion on `node`'s `ring` fires as.
+fn device_event(node: NodeId) -> impl Fn(RingId, DeviceDone) -> RtEvent {
+    move |ring, done| RtEvent::Device {
+        node: node.0 as u32,
+        ring,
+        done,
+    }
+}
 
 struct Node {
     id: NodeId,
     alive: bool,
-    /// Bumped on kill and restart; events carrying a stale epoch are void.
+    /// Bumped on kill and restart; a transfer whose source's epoch moved
+    /// lost its source mid-flight.
     epoch: u32,
     store: NodeStore<AllocTag>,
     disk: Resource,
@@ -267,6 +291,14 @@ struct Node {
 impl Node {
     fn load(&self) -> usize {
         self.queue.len() + self.running.len()
+    }
+
+    /// The device whose ring holds `done`.
+    fn device(&mut self, done: &DeviceDone) -> &mut Resource {
+        match done {
+            DeviceDone::Fetch { .. } => &mut self.nic_rx,
+            _ => &mut self.disk,
+        }
     }
 }
 
@@ -347,6 +379,8 @@ struct Attempt {
     /// Outputs not yet sealed.
     outputs_pending: usize,
     cpu_done: bool,
+    /// The modelled CPU phase, fixed when execution starts.
+    cpu: SimDuration,
     /// The final output flush has been initiated.
     output_written: bool,
 }
@@ -363,6 +397,7 @@ impl Attempt {
             pending_outputs: Vec::new(),
             outputs_pending: 0,
             cpu_done: false,
+            cpu: SimDuration::ZERO,
             output_written: false,
         }
     }
@@ -474,6 +509,8 @@ pub struct Runtime {
     job_waiters: Vec<Vec<Reply<()>>>,
     /// The event queue's footprint, handed over at engine shutdown.
     queue_footprint: QueueFootprint,
+    /// Chunks of every node's device completion rings.
+    rings: RingPool<DeviceDone>,
     /// Helper threads running task closures off the engine thread.
     /// Declared last so the task table drops first: its unlanded
     /// closures are abandoned before the pool joins its helpers.
@@ -492,9 +529,6 @@ impl Runtime {
         if let Some(obs) = &observer {
             sink.register_observer(Box::new(obs.clone()));
         }
-        // Device occupancy bookkeeping is only paid for when resource
-        // sampling will actually read it.
-        let track_pending = sink.sampling();
         let nodes = (0..cfg.cluster.num_nodes())
             .map(|i| {
                 // Each node is built from its *own* spec: heterogeneous
@@ -503,12 +537,6 @@ impl Runtime {
                 let capacity = cfg
                     .object_store_capacity
                     .unwrap_or(node_spec.object_store_bytes);
-                let mut disk = node_spec.disk.build(format!("disk[{i}]"));
-                let mut nic_tx = node_spec.nic.build(format!("nic-tx[{i}]"));
-                let mut nic_rx = node_spec.nic.build(format!("nic-rx[{i}]"));
-                disk.set_tracking(track_pending);
-                nic_tx.set_tracking(track_pending);
-                nic_rx.set_tracking(track_pending);
                 Node {
                     id: NodeId(i),
                     alive: true,
@@ -522,9 +550,9 @@ impl Runtime {
                         sink.clone(),
                         i as u32,
                     ),
-                    disk,
-                    nic_tx,
-                    nic_rx,
+                    disk: node_spec.disk.build(format!("disk[{i}]")),
+                    nic_tx: node_spec.nic.build(format!("nic-tx[{i}]")),
+                    nic_rx: node_spec.nic.build(format!("nic-rx[{i}]")),
                     slots_free: node_spec.cpus,
                     queue: VecDeque::new(),
                     running: BTreeSet::new(),
@@ -547,6 +575,7 @@ impl Runtime {
             dispatch_scheduled: false,
             job_waiters: Vec::new(),
             queue_footprint: QueueFootprint::default(),
+            rings: RingPool::new(),
             compute: ComputePool::new(),
         };
         rt.apply_store_quotas();
@@ -690,6 +719,47 @@ impl Runtime {
                 dir,
                 bytes,
             }));
+        }
+    }
+
+    /// Books an op on `node` whose completion `done` fires at its end,
+    /// returned; `at` is when it is submitted (the current time, or a
+    /// later one for a chained op).
+    fn submit_done(
+        &mut self,
+        ctx: &mut Ctx<'_, RtEvent>,
+        node: NodeId,
+        at: SimTime,
+        size: u64,
+        kind: IoKind,
+        done: DeviceDone,
+    ) -> SimTime {
+        debug_assert!(self.nodes[node.0].alive, "device op booked on a dead node");
+        let dev = self.nodes[node.0].device(&done);
+        dev.submit_timed(
+            ctx,
+            &mut self.rings,
+            at,
+            size,
+            kind,
+            done,
+            device_event(node),
+        )
+    }
+
+    /// Books an op that no event waits for on `dev`; it is remembered for
+    /// resource sampling only while samples have a consumer.
+    fn submit_untimed(
+        sink: &TraceSink,
+        dev: &mut Resource,
+        at: SimTime,
+        size: u64,
+        kind: IoKind,
+    ) -> SimTime {
+        if sink.sampling() {
+            dev.submit_tracked(at, size, kind)
+        } else {
+            dev.submit(at, size, kind)
         }
     }
 
@@ -1207,13 +1277,7 @@ impl Runtime {
                 }
                 RestoreDecision::Granted => {
                     self.emit_fetch_wait(task, obj, node, true);
-                    let size = self.objects.get(obj.0).map(|o| o.logical).unwrap_or(0);
-                    let end = self.nodes[node.0]
-                        .disk
-                        .submit(ctx.now(), size, IoKind::Random);
-                    self.emit_io(node, IoDir::Read, size);
-                    let epoch = self.nodes[node.0].epoch;
-                    ctx.schedule_at(end, RtEvent::RestoreDone { node, obj, epoch });
+                    self.start_restore(ctx, node, obj);
                 }
                 RestoreDecision::InFlight => {
                     self.emit_fetch_wait(task, obj, node, true);
@@ -1247,6 +1311,21 @@ impl Runtime {
             return;
         }
         self.begin_fetch(ctx, node, obj);
+    }
+
+    /// Read a spilled object back into its granted memory on `node`.
+    fn start_restore(&mut self, ctx: &mut Ctx<'_, RtEvent>, node: NodeId, obj: ObjectId) {
+        let size = self.objects.get(obj.0).map(|o| o.logical).unwrap_or(0);
+        let now = ctx.now();
+        self.submit_done(
+            ctx,
+            node,
+            now,
+            size,
+            IoKind::Random,
+            DeviceDone::Restore { obj },
+        );
+        self.emit_io(node, IoDir::Read, size);
     }
 
     /// Pin a memory-resident arg on `node` for the task's attempt there.
@@ -1328,18 +1407,22 @@ impl Runtime {
             // Spilled at the source: stream disk → network (sequentially
             // chained; the paper's NodeManager streams from disk over the
             // network without staging in memory).
-            let read_end = self.nodes[src.0].disk.submit(now, size, IoKind::Random);
+            let disk = &mut self.nodes[src.0].disk;
+            let read_end = Self::submit_untimed(&self.sink, disk, now, size, IoKind::Random);
             self.emit_io(src, IoDir::Read, size);
             read_end
         } else {
             now
         };
-        let tx_end = self.nodes[src.0]
-            .nic_tx
-            .submit(depart, size, IoKind::Sequential);
-        let rx_end = self.nodes[dst.0]
-            .nic_rx
-            .submit(tx_end, 0, IoKind::Sequential);
+        let tx = &mut self.nodes[src.0].nic_tx;
+        let tx_end = Self::submit_untimed(&self.sink, tx, depart, size, IoKind::Sequential);
+        let src_epoch = self.nodes[src.0].epoch;
+        let fetch = DeviceDone::Fetch {
+            obj,
+            src: src.0 as u16,
+            src_epoch,
+        };
+        self.submit_done(ctx, dst, tx_end, 0, IoKind::Sequential, fetch);
         self.sink.emit(EventKind::Object(ObjectEvent {
             object: obj.0,
             phase: ObjectPhase::Transferred,
@@ -1347,20 +1430,8 @@ impl Runtime {
             src: Some(src.0 as u32),
             bytes: size,
         }));
-        let src_epoch = self.nodes[src.0].epoch;
-        let epoch = self.nodes[dst.0].epoch;
         self.ensure_obj_entry(obj)
             .set_fetch_state(dst, FetchState::transferring(src, src_epoch));
-        ctx.schedule_at(
-            rx_end,
-            RtEvent::FetchDone {
-                node: dst,
-                obj,
-                src,
-                src_epoch,
-                epoch,
-            },
-        );
     }
 
     /// A fetch can no longer proceed (source died). Roll back the local
@@ -1435,6 +1506,7 @@ impl Runtime {
             TaskState::Queued(a) => TaskState::Running(Attempt {
                 compute: Some(pending),
                 slot_held: true,
+                cpu,
                 ..a
             }),
             other => other,
@@ -1445,13 +1517,12 @@ impl Runtime {
         self.nodes[node.0].running.insert(task);
         self.emit_task(task, TaskPhase::Started, node, label, attempt, false, None);
         if reads > 0 {
-            let end = self.nodes[node.0]
-                .disk
-                .submit(ctx.now(), reads, IoKind::Sequential);
+            let input = DeviceDone::TaskInput { task, epoch };
+            let now = ctx.now();
+            self.submit_done(ctx, node, now, reads, IoKind::Sequential, input);
             self.emit_io(node, IoDir::Read, reads);
-            ctx.schedule_at(end, RtEvent::TaskInputDone { task, epoch, cpu });
         } else {
-            self.exec_compute(ctx, task, cpu);
+            self.exec_compute(ctx, task);
         }
     }
 
@@ -1486,7 +1557,7 @@ impl Runtime {
 
     /// Schedule the modelled CPU phase (the closure itself takes zero
     /// virtual time, wherever it runs).
-    fn exec_compute(&mut self, ctx: &mut Ctx<'_, RtEvent>, task: TaskId, cpu: SimDuration) {
+    fn exec_compute(&mut self, ctx: &mut Ctx<'_, RtEvent>, task: TaskId) {
         let entry = self.task_mut(task);
         let epoch = entry.epoch;
         let generator = entry.spec.opts.generator;
@@ -1494,6 +1565,7 @@ impl Runtime {
         let TaskState::Running(a) = &mut entry.state else {
             return;
         };
+        let cpu = a.cpu;
         a.outputs_pending = n_out;
         if generator && n_out > 0 {
             // Remote generator: outputs become available at evenly spaced
@@ -1550,6 +1622,20 @@ impl Runtime {
             .as_ref()
             .expect("output produced")
             .logical;
+        let fetch = self.objects.get(obj.0).and_then(|o| o.fetch_state(node));
+        if let Some(FetchState::Transferring { .. }) = fetch {
+            // Reconstruction re-ran the producer here while a transfer of
+            // this output to this node is in flight: the output supersedes
+            // the copy. Its unsealed slot becomes the output's, creator
+            // pin included, and the transfer's completion finds no fetch
+            // state and is void; the bytes already sent stay charged.
+            if let Some(o) = self.objects.get_mut(obj.0) {
+                o.clear_fetch_state(node);
+            }
+            self.seal_output(ctx, task, idx);
+            self.restage_if_on_disk(ctx, node, obj);
+            return;
+        }
         if self.nodes[node.0].store.contains(obj.0) {
             // Reconstruction produced an output that already has a local
             // copy (e.g. fetched here before the failure): nothing to
@@ -1568,17 +1654,27 @@ impl Runtime {
             owner,
         ) {
             AllocDecision::Granted => self.seal_output(ctx, task, idx),
-            AllocDecision::Fallback => {
-                // Written straight to the filesystem (liveness path).
-                let end = self.nodes[node.0]
-                    .disk
-                    .submit(ctx.now(), logical, IoKind::Sequential);
-                self.emit_io(node, IoDir::Write, logical);
-                ctx.schedule_at(end, RtEvent::OutputFallbackDone { task, idx, epoch });
-            }
+            // Written straight to the filesystem (liveness path).
+            AllocDecision::Fallback => self.write_fallback(ctx, node, obj, epoch, logical),
             AllocDecision::Queued => {}
         }
         self.pump_store(ctx, node);
+    }
+
+    /// Write output `obj` of the attempt with `epoch` straight to
+    /// `node`'s disk; it seals when the write lands.
+    fn write_fallback(
+        &mut self,
+        ctx: &mut Ctx<'_, RtEvent>,
+        node: NodeId,
+        obj: ObjectId,
+        epoch: u32,
+        logical: u64,
+    ) {
+        let done = DeviceDone::OutputFallback { obj, epoch };
+        let now = ctx.now();
+        self.submit_done(ctx, node, now, logical, IoKind::Sequential, done);
+        self.emit_io(node, IoDir::Write, logical);
     }
 
     /// Mark an output as sealed in its node's store and publish it.
@@ -1670,6 +1766,22 @@ impl Runtime {
         self.drain_arg_waiters(ctx, node, obj);
     }
 
+    /// A copy of `obj` that landed on `node` straight on disk (a fallback
+    /// allocation) cannot be pinned: its local waiters go through
+    /// restore.
+    fn restage_if_on_disk(&mut self, ctx: &mut Ctx<'_, RtEvent>, node: NodeId, obj: ObjectId) {
+        if self.nodes[node.0].store.in_memory(obj.0) {
+            return;
+        }
+        let ws = match self.objects.get_mut(obj.0) {
+            Some(o) => o.take_arg_waiters(node),
+            None => Vec::new(),
+        };
+        for t in ws {
+            self.stage_arg(ctx, t, obj);
+        }
+    }
+
     /// Pin a now-memory-resident object for every local task waiting on it.
     fn drain_arg_waiters(&mut self, ctx: &mut Ctx<'_, RtEvent>, node: NodeId, obj: ObjectId) {
         if !self.nodes[node.0].store.in_memory(obj.0) {
@@ -1707,11 +1819,10 @@ impl Runtime {
         // function is idempotent while the write is in flight.
         a.output_written = true;
         if writes > 0 {
-            let end = self.nodes[node.0]
-                .disk
-                .submit(ctx.now(), writes, IoKind::Sequential);
+            let now = ctx.now();
+            let done = DeviceDone::OutputWrite { task, epoch };
+            self.submit_done(ctx, node, now, writes, IoKind::Sequential, done);
             self.emit_io(node, IoDir::Write, writes);
-            ctx.schedule_at(end, RtEvent::OutputWriteDone { task, epoch });
         } else {
             self.complete_task(ctx, task);
         }
@@ -1751,7 +1862,7 @@ impl Runtime {
             self.maybe_gc(a);
         }
         // The slot is released and the output flush (if any) has landed:
-        // this is the task's true end. In-flight `OutputWriteDone` events
+        // this is the task's true end. In-flight `OutputWrite` completions
         // are drained on driver exit, so final-stage spans still land.
         self.emit_task(task, TaskPhase::Finished, node, label, attempt, false, None);
         let tenant = self.tenant_of(task);
@@ -1809,17 +1920,12 @@ impl Runtime {
                 } else {
                     IoKind::Random
                 };
-                let end = self.nodes[node.0].disk.submit(ctx.now(), batch.bytes, kind);
-                self.emit_io(node, IoDir::Write, batch.bytes);
-                let epoch = self.nodes[node.0].epoch;
-                ctx.schedule_at(
-                    end,
-                    RtEvent::SpillDone {
-                        node,
-                        epoch,
-                        batch: Box::new(batch),
-                    },
-                );
+                let (now, bytes) = (ctx.now(), batch.bytes);
+                let done = DeviceDone::Spill {
+                    batch: Box::new(batch),
+                };
+                self.submit_done(ctx, node, now, bytes, kind, done);
+                self.emit_io(node, IoDir::Write, bytes);
                 progress = true;
             }
             // Grants.
@@ -1856,12 +1962,7 @@ impl Runtime {
                             .get(idx)
                             .and_then(Option::as_ref)
                             .map_or(0, |p| p.logical);
-                        let end =
-                            self.nodes[node.0]
-                                .disk
-                                .submit(ctx.now(), logical, IoKind::Sequential);
-                        self.emit_io(node, IoDir::Write, logical);
-                        ctx.schedule_at(end, RtEvent::OutputFallbackDone { task, idx, epoch });
+                        self.write_fallback(ctx, node, obj, epoch, logical);
                     } else {
                         self.seal_output(ctx, task, idx);
                     }
@@ -1877,15 +1978,7 @@ impl Runtime {
                         self.nodes[node.0].store.forget(obj.0);
                     }
                 }
-                AllocTag::Restore => {
-                    let size = self.objects.get(obj.0).map(|o| o.logical).unwrap_or(0);
-                    let end = self.nodes[node.0]
-                        .disk
-                        .submit(ctx.now(), size, IoKind::Random);
-                    self.emit_io(node, IoDir::Read, size);
-                    let epoch = self.nodes[node.0].epoch;
-                    ctx.schedule_at(end, RtEvent::RestoreDone { node, obj, epoch });
-                }
+                AllocTag::Restore => self.start_restore(ctx, node, obj),
             }
         }
     }
@@ -2048,6 +2141,79 @@ impl Runtime {
         (0..objs.len()).partition(|&i| self.obj_available(objs[i]))
     }
 
+    /// A device op on `node` completed. `current` is false for an op
+    /// booked before the node was last killed: its node-owned state
+    /// died with the store, and a task-owned op's attempt was moved off
+    /// the node, so it is void.
+    fn on_device_done(
+        &mut self,
+        ctx: &mut Ctx<'_, RtEvent>,
+        node: NodeId,
+        current: bool,
+        done: DeviceDone,
+    ) {
+        let task_epoch = |rt: &Runtime, task: TaskId| rt.tasks.get(task.0).map(|e| e.epoch);
+        match done {
+            DeviceDone::TaskInput { task, epoch } => {
+                if task_epoch(self, task) == Some(epoch) {
+                    self.exec_compute(ctx, task);
+                }
+            }
+            DeviceDone::OutputFallback { obj, epoch } => {
+                let task = self.producer_of(obj);
+                if let Some(task) = task.filter(|&t| task_epoch(self, t) == Some(epoch)) {
+                    let idx = obj.0 - self.task(task).first_output.0;
+                    self.seal_output(ctx, task, idx as usize);
+                }
+            }
+            DeviceDone::OutputWrite { task, epoch } => {
+                if task_epoch(self, task) == Some(epoch) {
+                    self.complete_task(ctx, task);
+                }
+            }
+            _ if !current || !self.nodes[node.0].alive => {}
+            DeviceDone::Spill { batch } => {
+                self.nodes[node.0].store.spill_complete(&batch);
+                self.pump_store(ctx, node);
+                self.pump_node(ctx, node);
+            }
+            DeviceDone::Restore { obj } => {
+                self.nodes[node.0].store.restore_complete(obj.0);
+                self.drain_arg_waiters(ctx, node, obj);
+                self.pump_store(ctx, node);
+                self.pump_node(ctx, node);
+            }
+            DeviceDone::Fetch {
+                obj,
+                src,
+                src_epoch,
+            } => {
+                let src = NodeId(src as usize);
+                let state = self.objects.get(obj.0).and_then(|o| o.fetch_state(node));
+                if state != Some(FetchState::transferring(src, src_epoch)) {
+                    return;
+                }
+                if self.nodes[src.0].epoch != src_epoch {
+                    // Source died mid-transfer: retry / reconstruct.
+                    self.abort_fetch(ctx, node, obj);
+                    return;
+                }
+                if let Some(o) = self.objects.get_mut(obj.0) {
+                    o.clear_fetch_state(node);
+                }
+                let store = &mut self.nodes[node.0].store;
+                if store.contains(obj.0) {
+                    store.seal(obj.0);
+                    store.unpin(obj.0); // creator pin
+                }
+                self.on_object_available(ctx, obj, node);
+                self.restage_if_on_disk(ctx, node, obj);
+                self.pump_store(ctx, node);
+                self.pump_node(ctx, node);
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Failure handling
     // ------------------------------------------------------------------
@@ -2070,9 +2236,12 @@ impl Runtime {
         // lost — matching the paper's fail-and-restart of a whole worker).
         let cfg = *n.store.config();
         n.store = NodeStore::with_trace(StoreConfig { capacity, ..cfg }, sink, node.0 as u32);
-        n.disk.reset(ctx.now());
-        n.nic_tx.reset(ctx.now());
-        n.nic_rx.reset(ctx.now());
+        // The dead node's booked completions stay queued, void, at their
+        // `(end, seq)`.
+        let now = ctx.now();
+        for dev in [&mut n.disk, &mut n.nic_tx, &mut n.nic_rx] {
+            dev.reset(ctx, &mut self.rings, now, device_event(node));
+        }
         n.slots_free = cpus;
         let queued: Vec<TaskId> = n.queue.drain(..).collect();
         let running = std::mem::take(&mut n.running);
@@ -2095,6 +2264,9 @@ impl Runtime {
                 *missing = 0;
             }
         }
+        lost_with_interest.extend(self.rewatch_lost());
+        lost_with_interest.sort_unstable();
+        lost_with_interest.dedup();
         // The rebuilt store starts without owner quotas; re-apply them.
         self.apply_store_quotas();
         // Requeue the node's tasks elsewhere; the dead store took their
@@ -2120,7 +2292,46 @@ impl Runtime {
             self.ensure_available(ctx, obj);
         }
         // In-flight fetches sourced from this node are detected lazily via
-        // src_epoch checks in FetchDone.
+        // src_epoch checks when their `Fetch` completes.
+    }
+
+    /// A pending get or wait stops watching an object once it has counted
+    /// its arrival, so a kill that then takes the object's last copy
+    /// leaves it counted but lost, and nothing would reconstruct it. An
+    /// unavailable listed object the waiter is not registered on is
+    /// exactly such a one (registration lasts until arrival): un-count
+    /// it, watch it again, and return it for reconstruction.
+    fn rewatch_lost(&mut self) -> Vec<ObjectId> {
+        let mut lost = Vec::new();
+        let wids: Vec<u64> = self.waiters.iter().map(|(wid, _)| wid).collect();
+        for wid in wids {
+            let Some(w) = self.waiters.get(wid) else {
+                continue;
+            };
+            // Every listing of such an object is collected before any
+            // is registered again.
+            let counted_lost: Vec<ObjectId> = w
+                .objs()
+                .iter()
+                .copied()
+                .filter(|o| {
+                    self.objects
+                        .get(o.0)
+                        .is_some_and(|e| !e.available() && !e.has_waiter(wid))
+                })
+                .collect();
+            if counted_lost.is_empty() {
+                continue;
+            }
+            if let Some(w) = self.waiters.get_mut(wid) {
+                *w.tally().0 -= counted_lost.len();
+            }
+            for o in counted_lost {
+                self.ensure_obj_entry(o).add_waiter(wid);
+                lost.push(o);
+            }
+        }
+        lost
     }
 
     /// Executor-process failure (§4.2.3): in-flight tasks on the node die
@@ -2202,14 +2413,18 @@ impl Runtime {
                 .iter()
                 .map(|n| {
                     let (capacity, bytes) = n.store.slot_capacity();
+                    // The slot cells are not tracked per write: count
+                    // them as written in full.
                     TableFootprint {
                         live: n.store.len(),
                         capacity,
                         bytes,
+                        written: bytes,
                     }
                 })
                 .fold(TableFootprint::default(), TableFootprint::plus),
             queue: self.queue_footprint,
+            rings: self.rings.footprint(),
         }
     }
 
@@ -2260,15 +2475,15 @@ impl Runtime {
 
     /// Emit one [`ResourceSample`] per alive node: busy CPU slots, store
     /// bytes in use, disk ops queued, and NIC bytes in flight.
-    fn emit_resource_samples(&self, now: SimTime) {
-        for (i, n) in self.nodes.iter().enumerate() {
+    fn emit_resource_samples(&mut self, now: SimTime) {
+        for (i, n) in self.nodes.iter_mut().enumerate() {
             if !n.alive {
                 continue;
             }
             let cpus = self.cfg.cluster.node(i).cpus;
-            let (disk_ops, _) = n.disk.pending_at(now);
-            let (_, tx_bytes) = n.nic_tx.pending_at(now);
-            let (_, rx_bytes) = n.nic_rx.pending_at(now);
+            let (disk_ops, _) = n.disk.pending_at(&self.rings, now);
+            let (_, tx_bytes) = n.nic_tx.pending_at(&self.rings, now);
+            let (_, rx_bytes) = n.nic_rx.pending_at(&self.rings, now);
             self.sink.emit(EventKind::Resource(ResourceSample {
                 node: i as u32,
                 cpu_slots_busy: cpus.saturating_sub(n.slots_free) as u32,
@@ -2590,10 +2805,21 @@ impl Simulation for Runtime {
     /// Final-stage output flushes are pure disk bookkeeping the driver
     /// never waits on; drain them on exit so disk-write completion,
     /// `Finished` spans, and progress samples cover the tail. Everything
-    /// else (wait deadlines, scheduled failures, observer ticks) is
-    /// discarded.
-    fn drains_on_shutdown(&self, ev: &RtEvent) -> bool {
-        matches!(ev, RtEvent::OutputWriteDone { .. })
+    /// else (other completions, wait deadlines, scheduled failures,
+    /// observer ticks) is discarded, though a discarded ring head still
+    /// arms the op behind it, which may be a flush.
+    fn drain_on_shutdown(&mut self, ctx: &mut Ctx<'_, RtEvent>, ev: RtEvent) -> bool {
+        let RtEvent::Device { node, ring, done } = ev else {
+            return false;
+        };
+        if let DeviceDone::OutputWrite { .. } = done {
+            self.on_event(ctx, RtEvent::Device { node, ring, done });
+            return true;
+        }
+        let node = NodeId(node as usize);
+        let dev = self.nodes[node.0].device(&done);
+        dev.fired(ctx, &mut self.rings, ring, device_event(node));
+        false
     }
 
     fn on_shutdown(&mut self, queue: QueueFootprint) {
@@ -2607,10 +2833,11 @@ impl Simulation for Runtime {
             self.maybe_schedule_live(ctx);
         }
         match ev {
-            RtEvent::TaskInputDone { task, epoch, cpu } => {
-                if self.tasks.get(task.0).map(|e| e.epoch) == Some(epoch) {
-                    self.exec_compute(ctx, task, cpu);
-                }
+            RtEvent::Device { node, ring, done } => {
+                let node = NodeId(node as usize);
+                let dev = self.nodes[node.0].device(&done);
+                let current = dev.fired(ctx, &mut self.rings, ring, device_event(node));
+                self.on_device_done(ctx, node, current, done);
             }
             RtEvent::TaskCpuDone { task, epoch } => {
                 let valid = self.tasks.get(task.0).map(|e| e.epoch) == Some(epoch);
@@ -2637,75 +2864,6 @@ impl Simulation for Runtime {
                     self.land_outputs(task);
                     self.alloc_output(ctx, task, idx);
                 }
-            }
-            RtEvent::OutputFallbackDone { task, idx, epoch } => {
-                if self.tasks.get(task.0).map(|e| e.epoch) == Some(epoch) {
-                    self.seal_output(ctx, task, idx);
-                }
-            }
-            RtEvent::OutputWriteDone { task, epoch } => {
-                if self.tasks.get(task.0).map(|e| e.epoch) == Some(epoch) {
-                    self.complete_task(ctx, task);
-                }
-            }
-            RtEvent::SpillDone { node, epoch, batch } => {
-                if self.nodes[node.0].epoch != epoch || !self.nodes[node.0].alive {
-                    return;
-                }
-                self.nodes[node.0].store.spill_complete(&batch);
-                self.pump_store(ctx, node);
-                self.pump_node(ctx, node);
-            }
-            RtEvent::RestoreDone { node, obj, epoch } => {
-                if self.nodes[node.0].epoch != epoch || !self.nodes[node.0].alive {
-                    return;
-                }
-                self.nodes[node.0].store.restore_complete(obj.0);
-                self.drain_arg_waiters(ctx, node, obj);
-                self.pump_store(ctx, node);
-                self.pump_node(ctx, node);
-            }
-            RtEvent::FetchDone {
-                node,
-                obj,
-                src,
-                src_epoch,
-                epoch,
-            } => {
-                if self.nodes[node.0].epoch != epoch || !self.nodes[node.0].alive {
-                    return;
-                }
-                let state = self.objects.get(obj.0).and_then(|o| o.fetch_state(node));
-                if state != Some(FetchState::transferring(src, src_epoch)) {
-                    return;
-                }
-                if self.nodes[src.0].epoch != src_epoch {
-                    // Source died mid-transfer: retry / reconstruct.
-                    self.abort_fetch(ctx, node, obj);
-                    return;
-                }
-                if let Some(o) = self.objects.get_mut(obj.0) {
-                    o.clear_fetch_state(node);
-                }
-                let store = &mut self.nodes[node.0].store;
-                if store.contains(obj.0) {
-                    store.seal(obj.0);
-                    store.unpin(obj.0); // creator pin
-                }
-                self.on_object_available(ctx, obj, node);
-                if !self.nodes[node.0].store.in_memory(obj.0) {
-                    // Arrived via the fallback path (straight to disk);
-                    // local waiters must go through restore.
-                    let ws = match self.objects.get_mut(obj.0) {
-                        Some(o) => o.take_arg_waiters(node),
-                        None => Vec::new(),
-                    };
-                    for t in ws {
-                        self.stage_arg(ctx, t, obj);
-                    }
-                }
-                self.pump_store(ctx, node);
-                self.pump_node(ctx, node);
             }
             RtEvent::WaitDeadline { waiter } => {
                 if self.waiters.contains(waiter) {

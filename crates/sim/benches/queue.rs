@@ -11,9 +11,14 @@
 //!   reaches the backlog `xl_simple` builds.
 //! - `sparse`: milliseconds-apart events at low queue depth, where
 //!   most pops search past empty buckets.
-//! - `backlogged`: the measured `xl_simple` shape: half the delays
-//!   10–100 s ahead, half 100–1,000 s, about 180k pending (a 160k
-//!   prefill that the mixed operations grow by ~33k).
+//!
+//! `backlogged` is the shape `xl_simple` builds: some 180k device
+//! completions booked 10–1,000 s ahead behind FIFO servers. It runs
+//! through the engine against a toy simulation of 200 devices, once
+//! with each completion held in its server's ring (`rings/`, what the
+//! runtime does) and once with every completion scheduled as its own
+//! event (`per_op/`, what it did before the rings). A 160k prefill is
+//! grown by 100k more ops, two booked per completion, then drained.
 //!
 //! Run with `cargo bench -p exo-sim --bench queue`.
 
@@ -21,7 +26,8 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use exo_sim::{EventQueue, SimTime};
+use exo_sim::engine::{run_with_driver, Ctx, Reply, Simulation};
+use exo_sim::{EventQueue, IoKind, Resource, RingId, RingPool, SimDuration, SimTime};
 
 /// The pre-refactor queue: one binary heap over the whole pending set.
 struct HeapQueue {
@@ -84,21 +90,15 @@ impl Lcg {
 
 const OPS: u64 = 100_000;
 
-/// Drives a queue through `prefill` schedules and then `OPS` mixed
-/// operations (~2 schedules per pop, like the engine) with delays drawn
-/// from `spread`, then drains.
+/// Drives a queue through `OPS` mixed operations (~2 schedules per pop,
+/// like the engine) with delays drawn from `spread`, then drains.
 macro_rules! drive {
     ($queue:expr, $pattern:expr) => {{
         let mut q = $queue;
-        let Pattern {
-            spread, prefill, ..
-        } = $pattern;
+        let Pattern { spread, .. } = $pattern;
         let mut rng = Lcg(1);
         let mut now = 0u64;
         let mut acc = 0u64;
-        for id in 0..prefill {
-            q.schedule_at(SimTime(spread(rng.next())), OPS + id);
-        }
         for id in 0..OPS {
             let r = rng.next();
             if r % 3 != 0 {
@@ -131,43 +131,130 @@ fn sparse(r: u64) -> u64 {
     1_000 + r % 20_000
 }
 
-fn backlogged(r: u64) -> u64 {
-    if r.is_multiple_of(2) {
-        10_000_000 + r % 90_000_000
-    } else {
-        100_000_000 + r % 900_000_000
+/// Devices of the backlogged shape: 200 single-server FIFO devices at
+/// 100 MB/s, so an op of up to 200 MB (up to 2 s) lands 10–1,000 s
+/// behind a per-device backlog of some 800 ops.
+const DEVICES: usize = 200;
+const PREFILL: u64 = 160_000;
+
+/// The toy simulation: every completion books two more ops until `OPS`
+/// have been booked, and the run ends when the last one completes.
+struct Backlog {
+    rings: bool,
+    devs: Vec<Resource>,
+    pool: RingPool<u64>,
+    rng: Lcg,
+    booked: u64,
+    outstanding: u64,
+    acc: u64,
+    reply: Option<Reply<u64>>,
+}
+
+enum Ev {
+    Ring { dev: usize, ring: RingId, rec: u64 },
+    Op(u64),
+}
+
+impl Backlog {
+    fn new(rings: bool) -> Self {
+        Backlog {
+            rings,
+            devs: (0..DEVICES)
+                .map(|i| {
+                    Resource::new(
+                        format!("d{i}"),
+                        1,
+                        100e6,
+                        SimDuration::ZERO,
+                        SimDuration(20),
+                    )
+                })
+                .collect(),
+            pool: RingPool::new(),
+            rng: Lcg(1),
+            booked: 0,
+            outstanding: 0,
+            acc: 0,
+            reply: None,
+        }
+    }
+
+    fn book(&mut self, ctx: &mut Ctx<'_, Ev>) {
+        let r = self.rng.next();
+        let (dev, size, rec) = (r as usize % DEVICES, r % 200_000_000, self.booked);
+        let now = ctx.now();
+        if self.rings {
+            let arm = move |ring, rec| Ev::Ring { dev, ring, rec };
+            let kind = IoKind::Sequential;
+            self.devs[dev].submit_timed(ctx, &mut self.pool, now, size, kind, rec, arm);
+        } else {
+            let end = self.devs[dev].submit(now, size, IoKind::Sequential);
+            ctx.schedule_at(end, Ev::Op(rec));
+        }
+        self.booked += 1;
+        self.outstanding += 1;
     }
 }
 
-/// A schedule shape: delays drawn from `spread`, after `prefill`
-/// schedules that set the queue's standing depth.
+impl Simulation for Backlog {
+    type Event = Ev;
+    type Command = Reply<u64>;
+
+    fn on_command(&mut self, ctx: &mut Ctx<'_, Ev>, reply: Reply<u64>) {
+        for _ in 0..PREFILL {
+            self.book(ctx);
+        }
+        self.reply = Some(reply);
+    }
+
+    fn on_event(&mut self, ctx: &mut Ctx<'_, Ev>, ev: Ev) {
+        let rec = match ev {
+            Ev::Ring { dev, ring, rec } => {
+                let arm = move |ring, rec| Ev::Ring { dev, ring, rec };
+                self.devs[dev].fired(ctx, &mut self.pool, ring, arm);
+                rec
+            }
+            Ev::Op(rec) => rec,
+        };
+        self.acc = self.acc.wrapping_add(rec);
+        self.outstanding -= 1;
+        for _ in 0..2 {
+            if self.booked < PREFILL + OPS {
+                self.book(ctx);
+            }
+        }
+        if self.outstanding == 0 {
+            if let Some(reply) = self.reply.take() {
+                ctx.reply(reply, self.acc);
+            }
+        }
+    }
+}
+
+/// One backlogged run through the engine; returns the completion sum.
+fn drive_backlog(rings: bool) -> u64 {
+    run_with_driver(Backlog::new(rings), |conn| conn.call(|r| r)).2
+}
+
+/// A schedule shape: delays drawn from `spread`.
 #[derive(Clone, Copy)]
 struct Pattern {
     name: &'static str,
     spread: fn(u64) -> u64,
-    prefill: u64,
 }
 
-const PATTERNS: [Pattern; 4] = [
+const PATTERNS: [Pattern; 3] = [
     Pattern {
         name: "uniform",
         spread: uniform,
-        prefill: 0,
     },
     Pattern {
         name: "bursty",
         spread: bursty,
-        prefill: 0,
     },
     Pattern {
         name: "sparse",
         spread: sparse,
-        prefill: 0,
-    },
-    Pattern {
-        name: "backlogged",
-        spread: backlogged,
-        prefill: 160_000,
     },
 ];
 
@@ -182,6 +269,14 @@ fn bench_queues(c: &mut Criterion) {
             b.iter(|| black_box(drive!(HeapQueue::new(), p)))
         });
     }
+    assert_eq!(drive_backlog(true), drive_backlog(false));
+    g.throughput(Throughput::Elements(PREFILL + OPS));
+    g.bench_function("rings/backlogged", |b| {
+        b.iter(|| black_box(drive_backlog(true)))
+    });
+    g.bench_function("per_op/backlogged", |b| {
+        b.iter(|| black_box(drive_backlog(false)))
+    });
     g.finish();
 }
 

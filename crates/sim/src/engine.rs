@@ -86,15 +86,17 @@ pub trait Simulation: Sized {
         Vec::new()
     }
 
-    /// Called for each event still queued when the last driver detaches.
-    /// Return `true` to process the event (advancing the clock to its fire
-    /// time) before the engine shuts down; `false` to discard it. Used for
+    /// Called for each event still queued when the last driver detaches,
+    /// in fire order, with the context's clock at its fire time. Handle
+    /// it and return `true` (it counts as dispatched and advances the
+    /// engine clock), or return `false` to discard it. Used for
     /// completion-style events whose accounting would otherwise be lost —
     /// e.g. in-flight final-stage disk writes — while far-future timers
     /// (wait deadlines, scheduled failures) stay discarded so the final
-    /// virtual time is not dragged out past the run. The default drains
-    /// nothing.
-    fn drains_on_shutdown(&self, _ev: &Self::Event) -> bool {
+    /// virtual time is not dragged out past the run. A discarded event
+    /// may still schedule: the head of a [`crate::Resource`] completion
+    /// ring arms the next op behind it. The default discards everything.
+    fn drain_on_shutdown(&mut self, _ctx: &mut Ctx<'_, Self::Event>, _ev: Self::Event) -> bool {
         false
     }
 
@@ -112,6 +114,10 @@ pub struct Ctx<'a, E> {
 }
 
 impl<'a, E> Ctx<'a, E> {
+    pub(crate) fn new(now: SimTime, queue: &'a mut EventQueue<E>, woken: &'a mut u64) -> Self {
+        Ctx { now, queue, woken }
+    }
+
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -126,6 +132,17 @@ impl<'a, E> Ctx<'a, E> {
     /// past, since time never rewinds).
     pub fn schedule_at(&mut self, at: SimTime, ev: E) {
         self.queue.schedule_at(at.max(self.now), ev);
+    }
+
+    /// See [`EventQueue::reserve`].
+    pub(crate) fn reserve_seq(&mut self) -> u64 {
+        self.queue.reserve()
+    }
+
+    /// Schedules `ev` at `at` (never before now) under a reserved number.
+    pub(crate) fn schedule_reserved(&mut self, at: SimTime, seq: u64, ev: E) {
+        debug_assert!(at >= self.now, "a reserved event cannot fire in the past");
+        self.queue.schedule_reserved(at, seq, ev);
     }
 
     /// Answer a driver's pending command, unparking it.
@@ -385,20 +402,12 @@ impl<S: Simulation> Engine<S> {
                     );
                 }
                 let mut woken = 0;
-                let mut ctx = Ctx {
-                    now: self.now,
-                    queue: &mut self.queue,
-                    woken: &mut woken,
-                };
+                let mut ctx = Ctx::new(self.now, &mut self.queue, &mut woken);
                 self.sim.on_event(&mut ctx, ev);
                 self.running += woken;
             } else {
                 let mut woken = 0;
-                let mut ctx = Ctx {
-                    now: self.now,
-                    queue: &mut self.queue,
-                    woken: &mut woken,
-                };
+                let mut ctx = Ctx::new(self.now, &mut self.queue, &mut woken);
                 let progressed = self.sim.on_stalled(&mut ctx);
                 self.running += woken;
                 if !progressed && woken == 0 {
@@ -432,26 +441,20 @@ impl<S: Simulation> Engine<S> {
         self.commands_processed = 0;
     }
 
-    /// After the last driver detaches, run the in-flight completion events
-    /// the simulation opts into via [`Simulation::drains_on_shutdown`]
-    /// (advancing the clock to each fire time) and discard the rest, so
-    /// final-stage accounting like trailing disk writes lands before the
-    /// simulation state is returned.
+    /// After the last driver detaches, offer every queued event to
+    /// [`Simulation::drain_on_shutdown`] in fire order. The events it
+    /// handles advance the clock and count as dispatched, so final-stage
+    /// accounting like trailing disk writes lands before the simulation
+    /// state is returned.
     fn drain_shutdown_events(&mut self) {
         while let Some((t, ev)) = self.queue.pop() {
-            if !self.sim.drains_on_shutdown(&ev) {
-                continue;
-            }
             debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            self.events_processed += 1;
             let mut woken = 0;
-            let mut ctx = Ctx {
-                now: self.now,
-                queue: &mut self.queue,
-                woken: &mut woken,
-            };
-            self.sim.on_event(&mut ctx, ev);
+            let mut ctx = Ctx::new(t, &mut self.queue, &mut woken);
+            if self.sim.drain_on_shutdown(&mut ctx, ev) {
+                self.now = t;
+                self.events_processed += 1;
+            }
         }
     }
 
@@ -468,11 +471,7 @@ impl<S: Simulation> Engine<S> {
             EngineMsg::Post(cmd) => {
                 self.commands_processed += 1;
                 let mut woken = 0;
-                let mut ctx = Ctx {
-                    now: self.now,
-                    queue: &mut self.queue,
-                    woken: &mut woken,
-                };
+                let mut ctx = Ctx::new(self.now, &mut self.queue, &mut woken);
                 self.sim.on_command(&mut ctx, cmd);
                 self.running += woken;
             }
@@ -487,11 +486,7 @@ impl<S: Simulation> Engine<S> {
                 }
                 self.running -= 1;
                 let mut woken = 0;
-                let mut ctx = Ctx {
-                    now: self.now,
-                    queue: &mut self.queue,
-                    woken: &mut woken,
-                };
+                let mut ctx = Ctx::new(self.now, &mut self.queue, &mut woken);
                 self.sim.on_command(&mut ctx, cmd);
                 self.running += woken;
             }
@@ -674,8 +669,12 @@ mod tests {
             }
         }
 
-        fn drains_on_shutdown(&self, ev: &DrainEv) -> bool {
-            matches!(ev, DrainEv::Completion)
+        fn drain_on_shutdown(&mut self, ctx: &mut Ctx<'_, DrainEv>, ev: DrainEv) -> bool {
+            let drains = matches!(ev, DrainEv::Completion);
+            if drains {
+                self.on_event(ctx, ev);
+            }
+            drains
         }
     }
 

@@ -20,7 +20,8 @@
 //!   (k = spindles/channels) and NIC directions (k = 1). Service time for a
 //!   disk op is `seek + size / per-server-bandwidth`, which makes random
 //!   IOPS limits — the core of the paper's small-block I/O story — emerge
-//!   naturally.
+//!   naturally. Each server keeps its booked completions in a FIFO ring
+//!   ([`RingPool`]), so the event queue holds one head per busy server.
 //! - [`engine::Engine`]: a conservative virtual-time event loop. User
 //!   "driver" code (the shuffle libraries) runs on real threads and talks to
 //!   the simulation through command channels; the clock only advances when
@@ -40,6 +41,6 @@ pub mod time;
 pub use device::{ClusterSpec, DeviceCaps, DiskSpec, NicSpec, NodeCaps, NodeSpec};
 pub use engine::{dispatch_total, Ctx, DriverConn, Engine, Reply, Simulation};
 pub use queue::{EventQueue, QueueFootprint, TableFootprint};
-pub use resource::{IoKind, Resource};
+pub use resource::{IoKind, Resource, RingId, RingPool};
 pub use rng::SplitMix64;
 pub use time::{SimDuration, SimTime};

@@ -7,14 +7,14 @@
 //!
 //! # Structure: hierarchical timing wheel
 //!
-//! Most pending events are I/O completions that `Resource::submit` books
-//! behind deep disk and NIC backlogs. On the benchmark's `xl_simple`
-//! (seed 2026) 47% of schedules land 10–100 s ahead and 50% land
-//! 100–1,000 s ahead, with about 180k entries pending at a time. A
-//! single `BinaryHeap` over that set pays a cache-missing sift of
-//! `O(log n)` per operation. This queue is a Varghese–Lauck timing
-//! wheel instead. Time is cut into 64 µs *ticks*, and the queue keeps a
-//! current tick `tick`:
+//! Device completions booked behind deep disk and NIC backlogs wait in
+//! their server's ring ([`crate::Resource::submit_timed`]), and this
+//! queue holds only each ring's head, so it stays near one entry per
+//! busy server plus the timers; those heads still land up to 1,000 s
+//! ahead. A single `BinaryHeap` pays a cache-missing sift of `O(log n)`
+//! per operation; this queue is a Varghese–Lauck timing wheel instead.
+//! Time is cut into 64 µs *ticks*, and the queue keeps a current tick
+//! `tick`:
 //!
 //! - **hot** — a small min-heap holding every entry whose tick is at or
 //!   before `tick` (the current tick, *including* anything scheduled in
@@ -128,6 +128,11 @@ pub struct TableFootprint {
     /// Bytes of those slots (inline entry size × capacity, plus any
     /// bucket headers); heap blocks owned by the entries are not counted.
     pub bytes: usize,
+    /// Bytes of the slots ever written: a `Vec`'s `len × size` where
+    /// the table is `Vec`-backed, else `live × size`. The rest of
+    /// `bytes` is capacity reserved by growth that a page-granular
+    /// allocator may never have touched.
+    pub written: usize,
 }
 
 impl TableFootprint {
@@ -137,6 +142,7 @@ impl TableFootprint {
             live,
             capacity,
             bytes: capacity * std::mem::size_of::<T>(),
+            written: live * std::mem::size_of::<T>(),
         }
     }
 
@@ -146,6 +152,7 @@ impl TableFootprint {
             live: self.live + other.live,
             capacity: self.capacity + other.capacity,
             bytes: self.bytes + other.bytes,
+            written: self.written + other.written,
         }
     }
 }
@@ -300,8 +307,24 @@ impl<E> EventQueue<E> {
 
     /// Schedule `event` to fire at absolute time `at`.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
+        let seq = self.reserve();
+        self.schedule_reserved(at, seq, event);
+    }
+
+    /// Takes the next sequence number without scheduling anything: an
+    /// event scheduled later under it with
+    /// [`EventQueue::schedule_reserved`] pops exactly where it would have
+    /// had it been scheduled now.
+    pub(crate) fn reserve(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
+        seq
+    }
+
+    /// Schedules `event` at `at` under a number from
+    /// [`EventQueue::reserve`]; each number must be used once.
+    pub(crate) fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) {
+        debug_assert!(seq < self.seq, "sequence number was never reserved");
         self.len += 1;
         self.place(Entry { at, seq, event });
     }

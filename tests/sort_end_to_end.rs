@@ -135,3 +135,53 @@ fn all_variants_agree_on_output() {
         }
     }
 }
+
+/// Runs a sort on 3 HDD nodes with `victim` killed at `kill_us` (40% of
+/// the clean JCT, as `fig4_ft` does) and restarted 30 s later, then
+/// validates the output.
+fn ft_sort(variant: ShuffleVariant, data_gb: u64, partitions: usize, victim: usize, kill_us: u64) {
+    let s = SortSpec {
+        data_bytes: data_gb * 1_000_000_000,
+        num_maps: partitions,
+        num_reduces: partitions,
+        scale: data_gb * 20,
+        seed: 7,
+    };
+    let cfg = RtConfig::new(ClusterSpec::homogeneous(NodeSpec::d3_2xlarge(), 3));
+    let (report, outputs) = exoshuffle::rt::run(cfg, |rt: &RtHandle| {
+        rt.kill_node(
+            exoshuffle::rt::NodeId(victim),
+            exoshuffle::sim::SimTime(kill_us),
+            Some(SimDuration::from_secs(30)),
+        );
+        let job = sort_job(s);
+        let outs = run_shuffle(rt, &job, variant);
+        rt.get(&outs).expect("sort outputs despite failure")
+    });
+    validate_sorted(&s, &outputs).expect("correct despite node failure");
+    assert_eq!(report.metrics.node_failures, 1);
+}
+
+/// The smallest geometry found where ES-push's failure run re-runs a
+/// producer on a node that is still fetching one of its outputs, as the
+/// default `fig4_ft` config does. The local output must supersede the
+/// in-flight copy instead of the copy's landing sealing it twice.
+#[test]
+fn push_sort_survives_a_reconstruction_racing_a_fetch() {
+    ft_sort(ShuffleVariant::Push { factor: 8 }, 45, 40, 1, 16_078_915);
+}
+
+/// The smallest geometry found where ES-push*'s failure run loses merge
+/// outputs that the driver's backpressure wait had already counted, as
+/// the default `fig4_ft` config does. The wait must watch them again so
+/// they are reconstructed, instead of parking forever.
+#[test]
+fn push_star_sort_survives_losing_objects_a_wait_counted() {
+    ft_sort(
+        ShuffleVariant::PushStar { map_parallelism: 4 },
+        30,
+        80,
+        0,
+        14_512_977,
+    );
+}
