@@ -10,157 +10,98 @@
 //! - eager ref release (ES-push*) — evict vs spill map outputs (the
 //!   ES-push vs ES-push* write-amplification trade-off, §4.3.1).
 
-use exo_bench::{claim_obs, quick_mode, write_results, Table};
+use exo_bench::figure::{run, Case, Column, Figure, Scale};
+use exo_bench::runs::run_es_sort_with;
+use exo_bench::EsSortParams;
 use exo_rt::trace::Json;
-use exo_rt::RtConfig;
-use exo_shuffle::{push_shuffle, push_star_shuffle, PushConfig, PushStarConfig};
-use exo_sim::{ClusterSpec, NodeSpec};
-use exo_sort::{sort_job, SortSpec};
+use exo_rt::{ObjectRef, RtHandle};
+use exo_shuffle::{
+    push_shuffle, push_star_shuffle, PushConfig, PushStarConfig, ShuffleJob, ShuffleVariant,
+};
+use exo_sim::NodeSpec;
 
-struct Outcome {
-    jct: f64,
-    net_gb: f64,
-    spilled_gb: f64,
-}
-
-fn run(
-    data: u64,
-    parts: usize,
-    f: impl Fn(&exo_rt::RtHandle, &exo_shuffle::ShuffleJob) -> Vec<exo_rt::ObjectRef> + Send + Sync,
-) -> Outcome {
-    let cluster = ClusterSpec::homogeneous(NodeSpec::d3_2xlarge(), 10);
-    let caps = cluster.device_caps();
-    let mut cfg = RtConfig::new(cluster);
-    exo_bench::obs::apply_policy(&mut cfg);
-    let obs = claim_obs();
-    cfg.trace = obs.cfg.clone();
-    cfg.live = obs.live_cfg();
-    cfg.watch = obs.watch_cfg();
-    let spec = SortSpec {
-        data_bytes: data,
-        num_maps: parts,
-        num_reduces: parts,
-        scale: (data / 50_000_000).max(1),
-        seed: 7,
-    };
-    let (report, jct) = exo_bench::timed_run(cfg, |rt| {
-        let job = sort_job(spec);
-        let t0 = rt.now();
-        let outs = f(rt, &job);
-        rt.wait_all(&outs);
-        rt.now() - t0
-    });
-    obs.finish(&report, &caps);
-    Outcome {
-        jct: jct.as_secs_f64(),
-        net_gb: report.metrics.net_bytes as f64 / 1e9,
-        spilled_gb: report.metrics.store.spilled_bytes as f64 / 1e9,
-    }
-}
+/// One ablation's shuffle: a push variant with one option switched.
+type Shuffle = fn(&RtHandle, &ShuffleJob) -> Vec<ObjectRef>;
 
 fn main() {
-    let data: u64 = if quick_mode() {
+    run("ablations", ablations);
+}
+
+fn ablations(scale: Scale) -> Figure {
+    let quick = scale == Scale::Quick;
+    let nodes = 10;
+    let data: u64 = if quick {
         50_000_000_000
     } else {
         200_000_000_000
     };
-    let parts = if quick_mode() { 100 } else { 200 };
-    println!(
-        "# Ablations — {} GB sort, 10× d3.2xlarge, {parts} partitions\n",
-        data / 1_000_000_000
-    );
-
-    let mut t = Table::new(&["configuration", "JCT (s)", "net (GB)", "spilled (GB)"]);
-    let mut runs = Vec::new();
-    let mut add = |name: &str, o: Outcome| {
-        t.row(vec![
-            name.into(),
-            format!("{:.0}", o.jct),
-            format!("{:.1}", o.net_gb),
-            format!("{:.1}", o.spilled_gb),
-        ]);
-        runs.push(
+    let parts = if quick { 100 } else { 200 };
+    // The variant is unused: each case passes its own shuffle.
+    let variant = ShuffleVariant::Push { factor: 8 };
+    let p = EsSortParams::new(NodeSpec::d3_2xlarge(), nodes, data, parts, variant);
+    let case = move |name: &'static str, shuffle: Shuffle| -> Case {
+        Box::new(move || {
+            let r = run_es_sort_with(p, shuffle);
             Json::obj()
                 .set("configuration", name)
-                .set("jct_s", o.jct)
-                .set("net_gb", o.net_gb)
-                .set("spilled_gb", o.spilled_gb),
-        );
+                .set("jct_s", r.jct.as_secs_f64())
+                .set("net_gb", r.net as f64 / 1e9)
+                .set("spilled_gb", r.spilled as f64 / 1e9)
+        })
     };
-
-    add(
-        "ES-push (affinity on)",
-        run(data, parts, |rt, job| {
+    let cases = vec![
+        case("ES-push (affinity on)", |rt, job| {
             push_shuffle(rt, job, PushConfig::new(8))
         }),
-    );
-    add(
-        "ES-push (affinity OFF)",
-        run(data, parts, |rt, job| {
-            push_shuffle(
-                rt,
-                job,
-                PushConfig {
-                    factor: 8,
-                    affinity: false,
-                },
-            )
+        case("ES-push (affinity OFF)", |rt, job| {
+            let cfg = PushConfig {
+                factor: 8,
+                affinity: false,
+            };
+            push_shuffle(rt, job, cfg)
         }),
-    );
-    add(
-        "ES-push* (all on)",
-        run(data, parts, |rt, job| {
+        case("ES-push* (all on)", |rt, job| {
             push_star_shuffle(rt, job, PushStarConfig::new(2))
         }),
-    );
-    add(
-        "ES-push* (backpressure OFF)",
-        run(data, parts, |rt, job| {
-            push_star_shuffle(
-                rt,
-                job,
-                PushStarConfig {
-                    backpressure: false,
-                    ..PushStarConfig::new(2)
-                },
-            )
+        case("ES-push* (backpressure OFF)", |rt, job| {
+            let cfg = PushStarConfig {
+                backpressure: false,
+                ..PushStarConfig::new(2)
+            };
+            push_star_shuffle(rt, job, cfg)
         }),
-    );
-    add(
-        "ES-push* (generators OFF)",
-        run(data, parts, |rt, job| {
-            push_star_shuffle(
-                rt,
-                job,
-                PushStarConfig {
-                    generators: false,
-                    ..PushStarConfig::new(2)
-                },
-            )
+        case("ES-push* (generators OFF)", |rt, job| {
+            let cfg = PushStarConfig {
+                generators: false,
+                ..PushStarConfig::new(2)
+            };
+            push_star_shuffle(rt, job, cfg)
         }),
-    );
-    add(
-        "ES-push* (eager release OFF)",
-        run(data, parts, |rt, job| {
-            push_star_shuffle(
-                rt,
-                job,
-                PushStarConfig {
-                    eager_release: false,
-                    ..PushStarConfig::new(2)
-                },
-            )
+        case("ES-push* (eager release OFF)", |rt, job| {
+            let cfg = PushStarConfig {
+                eager_release: false,
+                ..PushStarConfig::new(2)
+            };
+            push_star_shuffle(rt, job, cfg)
         }),
-    );
-    t.print();
-    write_results(
-        "ablations",
-        Json::obj()
-            .set("figure", "ablations")
+    ];
+    Figure {
+        header: vec![format!(
+            "# Ablations — {} GB sort, 10× d3.2xlarge, {parts} partitions",
+            data / 1_000_000_000
+        )],
+        fields: Json::obj()
             .set("node", "d3_2xlarge")
-            .set("nodes", 10usize)
+            .set("nodes", nodes)
             .set("data_bytes", data)
-            .set("partitions", parts)
-            .set("runs", runs),
-    );
+            .set("partitions", parts),
+        columns: vec![
+            Column::text("configuration", "configuration"),
+            Column::num("JCT (s)", "jct_s", 1.0, 0),
+            Column::num("net (GB)", "net_gb", 1.0, 1),
+            Column::num("spilled (GB)", "spilled_gb", 1.0, 1),
+        ],
+        cases,
+        footer: None,
+    }
 }

@@ -3,8 +3,9 @@
 //! set the 2022 CloudSort record; this reproduces the cost math on the
 //! simulated runs.)
 
-use exo_bench::runs::{default_scale, variant_name};
-use exo_bench::{quick_mode, run_es_sort, sort_result_json, write_results, EsSortParams, Table};
+use exo_bench::figure::{run, Case, Column, Figure, Scale};
+use exo_bench::runs::variant_name;
+use exo_bench::{run_es_sort, sort_result_json, EsSortParams};
 use exo_monolith::{spark_sort, SparkConfig};
 use exo_rt::trace::Json;
 use exo_shuffle::ShuffleVariant;
@@ -12,85 +13,65 @@ use exo_sim::{ClusterSpec, NodeSpec};
 use exo_sort::{usd_per_tb, D3_2XLARGE};
 
 fn main() {
+    run("cloudsort", cloudsort);
+}
+
+fn cloudsort(scale: Scale) -> Figure {
+    let quick = scale == Scale::Quick;
     let node = NodeSpec::d3_2xlarge();
     let nodes = 10;
-    let data: u64 = if quick_mode() {
+    let data: u64 = if quick {
         50_000_000_000
     } else {
         200_000_000_000
     };
-    let parts = if quick_mode() { 100 } else { 200 };
+    let parts = if quick { 100 } else { 200 };
     let cluster = ClusterSpec::homogeneous(node, nodes);
-
-    println!(
-        "# CloudSort cost — {} GB sort, {nodes}× {} @ ${}/h\n",
-        data / 1_000_000_000,
-        D3_2XLARGE.name,
-        D3_2XLARGE.usd_per_hour
-    );
-    let mut t = Table::new(&["system", "JCT (s)", "$ / TB"]);
-    let mut runs = Vec::new();
-    for v in [
+    let mut cases: Vec<Case> = Vec::new();
+    for variant in [
         ShuffleVariant::Simple,
         ShuffleVariant::Merge { factor: 8 },
         ShuffleVariant::Push { factor: 8 },
         ShuffleVariant::PushStar { map_parallelism: 4 },
     ] {
-        let r = run_es_sort(EsSortParams {
-            node,
-            nodes,
-            data_bytes: data,
-            partitions: parts,
-            scale: default_scale(data),
-            variant: v,
-            failure: None,
-            in_memory: false,
-            store_capacity: None,
-        });
-        t.row(vec![
-            variant_name(v).into(),
-            format!("{:.0}", r.jct.as_secs_f64()),
-            format!("{:.3}", usd_per_tb(D3_2XLARGE, nodes, r.jct, data)),
-        ]);
-        runs.push(
+        let p = EsSortParams::new(node, nodes, data, parts, variant);
+        cases.push(Box::new(move || {
+            let r = run_es_sort(p);
             sort_result_json(&r)
-                .set("variant", variant_name(v))
-                .set("usd_per_tb", usd_per_tb(D3_2XLARGE, nodes, r.jct, data)),
-        );
+                .set("variant", variant_name(variant))
+                .set("usd_per_tb", usd_per_tb(D3_2XLARGE, nodes, r.jct, data))
+        }));
     }
-    let spark = spark_sort(&SparkConfig::native(cluster.clone()), data, parts, parts);
-    t.row(vec![
-        "Spark".into(),
-        format!("{:.0}", spark.jct.as_secs_f64()),
-        format!("{:.3}", usd_per_tb(D3_2XLARGE, nodes, spark.jct, data)),
-    ]);
-    let push = spark_sort(&SparkConfig::push(cluster.clone()), data, parts, parts);
-    t.row(vec![
-        "Spark-push".into(),
-        format!("{:.0}", push.jct.as_secs_f64()),
-        format!("{:.3}", usd_per_tb(D3_2XLARGE, nodes, push.jct, data)),
-    ]);
-    t.print();
-    runs.push(
-        Json::obj()
-            .set("variant", "Spark")
-            .set("jct_s", spark.jct.as_secs_f64())
-            .set("usd_per_tb", usd_per_tb(D3_2XLARGE, nodes, spark.jct, data)),
-    );
-    runs.push(
-        Json::obj()
-            .set("variant", "Spark-push")
-            .set("jct_s", push.jct.as_secs_f64())
-            .set("usd_per_tb", usd_per_tb(D3_2XLARGE, nodes, push.jct, data)),
-    );
-    write_results(
-        "cloudsort",
-        Json::obj()
-            .set("figure", "cloudsort")
+    for (variant, cfg) in [
+        ("Spark", SparkConfig::native(cluster.clone())),
+        ("Spark-push", SparkConfig::push(cluster)),
+    ] {
+        cases.push(Box::new(move || {
+            let jct = spark_sort(&cfg, data, parts, parts).jct;
+            Json::obj()
+                .set("variant", variant)
+                .set("jct_s", jct.as_secs_f64())
+                .set("usd_per_tb", usd_per_tb(D3_2XLARGE, nodes, jct, data))
+        }));
+    }
+    Figure {
+        header: vec![format!(
+            "# CloudSort cost — {} GB sort, {nodes}× {} @ ${}/h",
+            data / 1_000_000_000,
+            D3_2XLARGE.name,
+            D3_2XLARGE.usd_per_hour
+        )],
+        fields: Json::obj()
             .set("node", "d3_2xlarge")
             .set("nodes", nodes)
             .set("data_bytes", data)
-            .set("partitions", parts)
-            .set("runs", runs),
-    );
+            .set("partitions", parts),
+        columns: vec![
+            Column::text("system", "variant"),
+            Column::num("JCT (s)", "jct_s", 1.0, 0),
+            Column::num("$ / TB", "usd_per_tb", 1.0, 3),
+        ],
+        cases,
+        footer: None,
+    }
 }

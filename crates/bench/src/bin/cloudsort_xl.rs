@@ -15,12 +15,12 @@ use exo_bench::xl::{
     XL_MID_PARTITIONS, XL_MID_RSS_CEILING_BYTES, XL_NODES, XL_SCALING_MIN_RATIO,
     XL_SMOKE_PARTITIONS,
 };
-use exo_bench::{quick_mode, sort_result_json, write_results, Table};
+use exo_bench::{sort_result_json, write_results, Scale, Table};
 use exo_rt::trace::Json;
 use exo_sort::{usd_per_tb, D3_2XLARGE};
 
 fn main() {
-    let smoke = quick_mode();
+    let smoke = Scale::from_args() == Scale::Quick;
     let p = xl_params(if smoke {
         XL_SMOKE_PARTITIONS
     } else {

@@ -7,120 +7,12 @@
 //! ES-merge pays extra writes at few partitions and catches up later;
 //! ES-push/push* stay near the theoretical bound throughout.
 
-use exo_bench::runs::{default_scale, variant_name};
-use exo_bench::{quick_mode, run_es_sort, sort_result_json, write_results, EsSortParams, Table};
-use exo_monolith::{spark_sort, SparkConfig};
-use exo_rt::trace::Json;
-use exo_shuffle::ShuffleVariant;
-use exo_sim::{ClusterSpec, NodeSpec};
+use exo_bench::figure::{partition_sweep, run};
+use exo_sim::NodeSpec;
 
 fn main() {
-    let node = NodeSpec::d3_2xlarge();
-    let nodes = 10;
-    // Default: 100 GB over partition counts chosen to cover the same
-    // shuffle-block-size range (10 MB → 150 KB) as the paper's 1 TB sweep;
-    // pass --full for the 1 TB configuration (slow: millions of objects).
-    let full = std::env::args().any(|a| a == "--full");
-    let data: u64 = if quick_mode() {
-        20_000_000_000
-    } else if full {
-        1_000_000_000_000
-    } else {
-        100_000_000_000
-    };
-    let cluster = ClusterSpec::homogeneous(node, nodes);
-    let theory = cluster.theoretical_sort_time(data);
-    let sweeps: &[usize] = if quick_mode() {
-        &[50, 100]
-    } else if full {
-        &[500, 1000, 2000]
-    } else {
-        &[100, 200, 400]
-    };
-
-    println!(
-        "# Figure 4a — {} GB sort, 10× d3.2xlarge (HDD)",
-        data / 1_000_000_000
-    );
-    println!(
-        "theoretical baseline T=4D/B: {:.0} s\n",
-        theory.as_secs_f64()
-    );
-    // Preserve the paper's data : object-store ratio (~5:1) so scaled-down
-    // runs still exercise spilling like the 1 TB original.
-    let store_capacity = data / 5 / nodes as u64;
-
-    let mut table = Table::new(&[
-        "partitions",
-        "variant",
-        "JCT (s)",
-        "spilled (GB)",
-        "net (GB)",
-    ]);
-    let mut runs = Vec::new();
-    for &parts in sweeps {
-        let variants = [
-            ShuffleVariant::Simple,
-            ShuffleVariant::Merge { factor: 8 },
-            ShuffleVariant::Push { factor: 8 },
-            ShuffleVariant::PushStar { map_parallelism: 4 },
-        ];
-        for v in variants {
-            let r = run_es_sort(EsSortParams {
-                node,
-                nodes,
-                data_bytes: data,
-                partitions: parts,
-                scale: default_scale(data),
-                variant: v,
-                failure: None,
-                in_memory: false,
-                store_capacity: Some(store_capacity),
-            });
-            eprintln!(
-                "  [{} @ {parts} partitions: {:.0} s]",
-                variant_name(v),
-                r.jct.as_secs_f64()
-            );
-            table.row(vec![
-                parts.to_string(),
-                variant_name(v).into(),
-                format!("{:.0}", r.jct.as_secs_f64()),
-                format!("{:.1}", r.spilled as f64 / 1e9),
-                format!("{:.1}", r.net as f64 / 1e9),
-            ]);
-            runs.push(
-                sort_result_json(&r)
-                    .set("partitions", parts)
-                    .set("variant", variant_name(v)),
-            );
-        }
-        let spark = spark_sort(&SparkConfig::native(cluster.clone()), data, parts, parts);
-        table.row(vec![
-            parts.to_string(),
-            "Spark".into(),
-            format!("{:.0}", spark.jct.as_secs_f64()),
-            "-".into(),
-            format!("{:.1}", spark.net_bytes as f64 / 1e9),
-        ]);
-        runs.push(
-            Json::obj()
-                .set("jct_s", spark.jct.as_secs_f64())
-                .set("net_bytes", spark.net_bytes)
-                .set("partitions", parts)
-                .set("variant", "Spark"),
-        );
-    }
-    table.print();
-    write_results(
-        "fig4a",
-        Json::obj()
-            .set("figure", "fig4a")
-            .set("node", "d3_2xlarge")
-            .set("nodes", nodes)
-            .set("data_bytes", data)
-            .set("store_capacity", store_capacity)
-            .set("theoretical_s", theory.as_secs_f64())
-            .set("runs", runs),
-    );
+    run("fig4a", |scale| {
+        let node = NodeSpec::d3_2xlarge();
+        partition_sweep(scale, "Figure 4a", node, "d3_2xlarge", "d3.2xlarge (HDD)")
+    });
 }

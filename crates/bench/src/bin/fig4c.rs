@@ -7,79 +7,62 @@
 //! pipelining and fewer, larger transfers dominate. "The most performant
 //! shuffle algorithm depends on data size, layout and hardware."
 
-use exo_bench::runs::{default_scale, variant_name};
-use exo_bench::{quick_mode, run_es_sort, sort_result_json, write_results, EsSortParams, Table};
+use exo_bench::figure::{run, Case, Column, Figure, Scale};
+use exo_bench::runs::variant_name;
+use exo_bench::{run_es_sort, sort_result_json, EsSortParams};
 use exo_rt::trace::Json;
 use exo_shuffle::ShuffleVariant;
 use exo_sim::NodeSpec;
 
 fn main() {
-    let node = NodeSpec::i3_2xlarge();
+    run("fig4c", fig4c);
+}
+
+fn fig4c(scale: Scale) -> Figure {
+    let quick = scale == Scale::Quick;
     let nodes = 10;
     // Fits comfortably in the aggregate object store (10 × 18 GiB).
-    let data: u64 = if quick_mode() {
-        8_000_000_000
-    } else {
-        32_000_000_000
-    };
-    let sweeps: &[usize] = if quick_mode() {
+    let data: u64 = if quick { 8_000_000_000 } else { 32_000_000_000 };
+    let sweeps: &[usize] = if quick {
         &[80, 200]
     } else {
         &[80, 200, 400, 800]
     };
-
-    println!(
-        "# Figure 4c — in-memory sort ({} GB), 10× i3.2xlarge\n",
-        data / 1_000_000_000
-    );
-
-    let mut table = Table::new(&[
-        "partitions",
-        "variant",
-        "JCT (s)",
-        "spilled (GB)",
-        "net (GB)",
-    ]);
-    let mut runs = Vec::new();
+    let mut cases: Vec<Case> = Vec::new();
     for &parts in sweeps {
-        for v in [
+        for variant in [
             ShuffleVariant::Simple,
             ShuffleVariant::PushStar { map_parallelism: 4 },
         ] {
-            let r = run_es_sort(EsSortParams {
-                node,
-                nodes,
-                data_bytes: data,
-                partitions: parts,
-                scale: default_scale(data),
-                variant: v,
-                failure: None,
+            let p = EsSortParams {
                 in_memory: true,
-                store_capacity: None,
-            });
-            table.row(vec![
-                parts.to_string(),
-                variant_name(v).into(),
-                format!("{:.1}", r.jct.as_secs_f64()),
-                format!("{:.1}", r.spilled as f64 / 1e9),
-                format!("{:.1}", r.net as f64 / 1e9),
-            ]);
-            runs.push(
-                sort_result_json(&r)
+                ..EsSortParams::new(NodeSpec::i3_2xlarge(), nodes, data, parts, variant)
+            };
+            cases.push(Box::new(move || {
+                sort_result_json(&run_es_sort(p))
                     .set("partitions", parts)
-                    .set("variant", variant_name(v)),
-            );
+                    .set("variant", variant_name(variant))
+            }));
         }
     }
-    table.print();
-    write_results(
-        "fig4c",
-        Json::obj()
-            .set("figure", "fig4c")
+    Figure {
+        header: vec![format!(
+            "# Figure 4c — in-memory sort ({} GB), 10× i3.2xlarge",
+            data / 1_000_000_000
+        )],
+        fields: Json::obj()
             .set("node", "i3_2xlarge")
             .set("nodes", nodes)
             .set("data_bytes", data)
-            .set("in_memory", true)
-            .set("runs", runs),
-    );
+            .set("in_memory", true),
+        columns: vec![
+            Column::text("partitions", "partitions"),
+            Column::text("variant", "variant"),
+            Column::num("JCT (s)", "jct_s", 1.0, 1),
+            Column::num("spilled (GB)", "spilled_bytes", 1e9, 1),
+            Column::num("net (GB)", "net_bytes", 1e9, 1),
+        ],
+        cases,
+        footer: None,
+    }
 }

@@ -7,114 +7,81 @@
 //! spills only the *merged* map outputs — the eager-release trick — while
 //! Spark-push writes both the un-merged and the merged copies.
 
-use exo_bench::runs::default_scale;
-use exo_bench::{quick_mode, run_es_sort, sort_result_json, write_results, EsSortParams, Table};
+use exo_bench::figure::{number, run, Column, Figure, Scale};
+use exo_bench::{run_es_sort, sort_result_json, EsSortParams};
 use exo_monolith::{spark_sort, SparkConfig};
 use exo_rt::trace::Json;
 use exo_shuffle::ShuffleVariant;
 use exo_sim::{ClusterSpec, NodeSpec};
 
 fn main() {
+    run("fig4d", fig4d);
+}
+
+fn fig4d(scale: Scale) -> Figure {
     let node = NodeSpec::d3_2xlarge();
     let nodes = 100;
     // Full scale: 100 TB with 2 GB partitions = 50 000 partitions. The
-    // default run uses 2 TB / 1000 partitions (same 2 GB partition size,
-    // same block-size regime) so it completes in seconds of wall time;
-    // pass --full for the 100 TB configuration.
-    let full = std::env::args().any(|a| a == "--full");
-    let (data, parts): (u64, usize) = if quick_mode() {
-        (200_000_000_000, 100)
-    } else if full {
-        (100_000_000_000_000, 50_000)
-    } else {
-        (4_000_000_000_000, 6000)
-    };
+    // default run is 4 TB / 6000 partitions (~670 MB partitions, the
+    // small-compressed-block regime of the full run) so it completes in
+    // seconds of wall time; --full runs the 100 TB configuration.
+    let (data, parts): (u64, usize) = scale.pick(
+        (200_000_000_000, 100),
+        (4_000_000_000_000, 6000),
+        (100_000_000_000_000, 50_000),
+    );
     let cluster = ClusterSpec::homogeneous(node, nodes);
     let theory = cluster.theoretical_sort_time(data);
-
-    println!(
-        "# Figure 4d — {} TB sort, {nodes}× d3.2xlarge, {parts} partitions",
-        data / 1_000_000_000_000
-    );
-    println!(
-        "theoretical baseline T=4D/B: {:.0} s\n",
-        theory.as_secs_f64()
-    );
-
-    let mut table = Table::new(&["system", "JCT (s)", "disk write (TB)", "spilled (TB)"]);
-
-    let es = run_es_sort(EsSortParams {
+    let size = if data % 1_000_000_000_000 == 0 {
+        format!("{} TB", data / 1_000_000_000_000)
+    } else {
+        format!("{} GB", data / 1_000_000_000)
+    };
+    let es = EsSortParams::new(
         node,
         nodes,
-        data_bytes: data,
-        partitions: parts,
-        scale: default_scale(data),
-        variant: ShuffleVariant::PushStar { map_parallelism: 4 },
-        failure: None,
-        in_memory: false,
-        store_capacity: None,
-    });
-    table.row(vec![
-        "ES-push*".into(),
-        format!("{:.0}", es.jct.as_secs_f64()),
-        format!("{:.2}", es.disk_write as f64 / 1e12),
-        format!("{:.2}", es.spilled as f64 / 1e12),
-    ]);
-
-    let native = spark_sort(
-        &SparkConfig::native(cluster.clone()).with_compression(),
         data,
         parts,
-        parts,
+        ShuffleVariant::PushStar { map_parallelism: 4 },
     );
-    table.row(vec![
-        "Spark".into(),
-        format!("{:.0}", native.jct.as_secs_f64()),
-        format!("{:.2}", native.disk_write as f64 / 1e12),
-        "-".into(),
-    ]);
-
-    let push = spark_sort(
-        &SparkConfig::push(cluster).with_compression(),
-        data,
-        parts,
-        parts,
-    );
-    table.row(vec![
-        "Spark-push".into(),
-        format!("{:.0}", push.jct.as_secs_f64()),
-        format!("{:.2}", push.disk_write as f64 / 1e12),
-        "-".into(),
-    ]);
-
-    table.print();
-    println!(
-        "\nspeedups: Spark/Spark-push = {:.2}x, Spark-push/ES-push* = {:.2}x",
-        native.jct.as_secs_f64() / push.jct.as_secs_f64(),
-        push.jct.as_secs_f64() / es.jct.as_secs_f64(),
-    );
-    write_results(
-        "fig4d",
-        Json::obj()
-            .set("figure", "fig4d")
+    let spark = |variant: &'static str, cfg: SparkConfig| {
+        move || {
+            let r = spark_sort(&cfg.with_compression(), data, parts, parts);
+            Json::obj()
+                .set("jct_s", r.jct.as_secs_f64())
+                .set("disk_write_bytes", r.disk_write)
+                .set("variant", variant)
+        }
+    };
+    Figure {
+        header: vec![
+            format!("# Figure 4d — {size} sort, {nodes}× d3.2xlarge, {parts} partitions"),
+            format!("theoretical baseline T=4D/B: {:.0} s", theory.as_secs_f64()),
+        ],
+        fields: Json::obj()
             .set("node", "d3_2xlarge")
             .set("nodes", nodes)
             .set("data_bytes", data)
             .set("partitions", parts)
-            .set("theoretical_s", theory.as_secs_f64())
-            .set(
-                "runs",
-                vec![
-                    sort_result_json(&es).set("variant", "ES-push*"),
-                    Json::obj()
-                        .set("jct_s", native.jct.as_secs_f64())
-                        .set("disk_write_bytes", native.disk_write)
-                        .set("variant", "Spark"),
-                    Json::obj()
-                        .set("jct_s", push.jct.as_secs_f64())
-                        .set("disk_write_bytes", push.disk_write)
-                        .set("variant", "Spark-push"),
-                ],
-            ),
-    );
+            .set("theoretical_s", theory.as_secs_f64()),
+        columns: vec![
+            Column::text("system", "variant"),
+            Column::num("JCT (s)", "jct_s", 1.0, 0),
+            Column::num("disk write (TB)", "disk_write_bytes", 1e12, 2),
+            Column::num("spilled (TB)", "spilled_bytes", 1e12, 2),
+        ],
+        cases: vec![
+            Box::new(move || sort_result_json(&run_es_sort(es)).set("variant", "ES-push*")),
+            Box::new(spark("Spark", SparkConfig::native(cluster.clone()))),
+            Box::new(spark("Spark-push", SparkConfig::push(cluster))),
+        ],
+        footer: Some(|rows| {
+            let jct = |i: usize| number(&rows[i], "jct_s").unwrap_or(f64::NAN);
+            format!(
+                "speedups: Spark/Spark-push = {:.2}x, Spark-push/ES-push* = {:.2}x",
+                jct(1) / jct(2),
+                jct(2) / jct(0),
+            )
+        }),
+    }
 }

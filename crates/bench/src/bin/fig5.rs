@@ -6,13 +6,14 @@
 //! order of magnitude sooner than the batch job completes.
 
 use exo_agg::{regular_aggregation, streaming_aggregation, AggConfig, PageviewSpec};
-use exo_bench::{claim_obs, quick_mode, write_results, Table};
+use exo_bench::{instrument, write_results, Scale, Table};
 use exo_rt::trace::Json;
 use exo_rt::RtConfig;
 use exo_sim::{ClusterSpec, NodeSpec};
 
 fn main() {
-    let spec = if quick_mode() {
+    let quick = Scale::from_args() == Scale::Quick;
+    let spec = if quick {
         PageviewSpec {
             data_bytes: 10_000_000_000,
             num_maps: 40,
@@ -36,16 +37,12 @@ fn main() {
     };
     let cfg = AggConfig {
         spec,
-        rounds: if quick_mode() { 5 } else { 20 },
+        rounds: if quick { 5 } else { 20 },
     };
     let cluster = ClusterSpec::homogeneous(NodeSpec::r6i_2xlarge(), 10);
     let caps = cluster.device_caps();
     let mut rt_cfg = RtConfig::new(cluster);
-    exo_bench::obs::apply_policy(&mut rt_cfg);
-    let obs = claim_obs();
-    rt_cfg.trace = obs.cfg.clone();
-    rt_cfg.live = obs.live_cfg();
-    rt_cfg.watch = obs.watch_cfg();
+    let obs = instrument(&mut rt_cfg);
 
     println!("# Figure 5 — online aggregation, 10× r6i.2xlarge\n");
     let (report, (t_batch, samples, t_stream)) = exo_bench::timed_run(rt_cfg, |rt| {

@@ -9,7 +9,8 @@
 //! sizes; without it, up to ~12× slower at 100 KB objects. Prefetching
 //! task arguments cuts the consume phase by 60–80%.
 
-use exo_bench::{claim_obs, quick_mode, write_results, Table};
+use exo_bench::figure::{number, run, Case, Column, Figure, Scale};
+use exo_bench::instrument;
 use exo_rt::trace::Json;
 use exo_rt::{CpuCost, Payload, RtConfig, TaskCtx};
 use exo_sim::{ClusterSpec, NodeSpec, SimDuration};
@@ -20,11 +21,7 @@ fn run_once(obj_bytes: u64, fuse: bool, prefetch: bool, total_bytes: u64) -> f64
     let mut cfg = RtConfig::new(cluster);
     cfg.fuse_spill_writes = fuse;
     cfg.prefetch_args = prefetch;
-    exo_bench::obs::apply_policy(&mut cfg);
-    let obs = claim_obs();
-    cfg.trace = obs.cfg.clone();
-    cfg.live = obs.live_cfg();
-    cfg.watch = obs.watch_cfg();
+    let obs = instrument(&mut cfg);
     let returns_per_task = 64usize;
     let n_objs = (total_bytes / obj_bytes) as usize;
     let n_tasks = n_objs.div_ceil(returns_per_task);
@@ -63,52 +60,46 @@ fn run_once(obj_bytes: u64, fuse: bool, prefetch: bool, total_bytes: u64) -> f64
 }
 
 fn main() {
-    let total: u64 = if quick_mode() {
-        2_000_000_000
-    } else {
-        8_000_000_000
-    };
-    let sizes: &[u64] = if quick_mode() {
+    run("fig7", fig7);
+}
+
+fn fig7(scale: Scale) -> Figure {
+    let quick = scale == Scale::Quick;
+    let total: u64 = if quick { 2_000_000_000 } else { 8_000_000_000 };
+    let sizes: &[u64] = if quick {
         &[250_000, 1_000_000]
     } else {
         &[100_000, 250_000, 1_000_000]
     };
-    println!(
-        "# Figure 7 — spill/restore {} GB through a 1 GB store (sc1 HDD)\n",
-        total / 1_000_000_000
-    );
-    let mut t = Table::new(&[
-        "object size",
-        "default (s)",
-        "no fusing (s)",
-        "no prefetch (s)",
-    ]);
-    let mut runs = Vec::new();
-    for &s in sizes {
-        let default = run_once(s, true, true, total);
-        let no_fuse = run_once(s, false, true, total);
-        let no_prefetch = run_once(s, true, false, total);
-        t.row(vec![
-            format!("{} KB", s / 1000),
-            format!("{default:.0}"),
-            format!("{no_fuse:.0}"),
-            format!("{no_prefetch:.0}"),
-        ]);
-        runs.push(
-            Json::obj()
-                .set("object_bytes", s)
-                .set("default_s", default)
-                .set("no_fuse_s", no_fuse)
-                .set("no_prefetch_s", no_prefetch),
-        );
-    }
-    t.print();
-    write_results(
-        "fig7",
-        Json::obj()
-            .set("figure", "fig7")
+    let cases = sizes
+        .iter()
+        .map(|&s| {
+            Box::new(move || {
+                Json::obj()
+                    .set("object_bytes", s)
+                    .set("default_s", run_once(s, true, true, total))
+                    .set("no_fuse_s", run_once(s, false, true, total))
+                    .set("no_prefetch_s", run_once(s, true, false, total))
+            }) as Case
+        })
+        .collect();
+    Figure {
+        header: vec![format!(
+            "# Figure 7 — spill/restore {} GB through a 1 GB store (sc1 HDD)",
+            total / 1_000_000_000
+        )],
+        fields: Json::obj()
             .set("node", "sc1_microbench_node")
-            .set("total_bytes", total)
-            .set("runs", runs),
-    );
+            .set("total_bytes", total),
+        columns: vec![
+            Column::new("object size", |row| {
+                Some(format!("{:.0} KB", number(row, "object_bytes")? / 1e3))
+            }),
+            Column::num("default (s)", "default_s", 1.0, 0),
+            Column::num("no fusing (s)", "no_fuse_s", 1.0, 0),
+            Column::num("no prefetch (s)", "no_prefetch_s", 1.0, 0),
+        ],
+        cases,
+        footer: None,
+    }
 }

@@ -6,7 +6,8 @@
 //! buffered loader both bottlenecks on single-process decode and limits
 //! shuffling to a ~9% window of the (label-ordered) dataset.
 
-use exo_bench::{claim_obs, quick_mode, write_results, Table};
+use exo_bench::obs::apply_policy;
+use exo_bench::{instrument, write_results, Scale, Table};
 use exo_ml::{exoshuffle_training, petastorm_training, DatasetSpec, PetastormConfig, TrainConfig};
 use exo_rt::trace::Json;
 use exo_rt::RtConfig;
@@ -14,7 +15,8 @@ use exo_shuffle::{ShuffleVariant, ShuffleWindow};
 use exo_sim::{ClusterSpec, NodeSpec};
 
 fn main() {
-    let epochs = if quick_mode() { 5 } else { 20 };
+    let quick = Scale::from_args() == Scale::Quick;
+    let epochs = if quick { 5 } else { 20 };
     // `--mixed` swaps the single g4dn node for the heterogeneous
     // ML-loader cluster: a g4dn.4xlarge trainer plus r6i.2xlarge feeder
     // nodes, scheduled with per-node slot counts.
@@ -22,16 +24,14 @@ fn main() {
     // HIGGS-like logical footprint: ~2 KB of stored/decoded bytes per
     // sample, so the single-process loader becomes the bottleneck exactly
     // as in the paper's setup.
-    let dataset = DatasetSpec::new(if quick_mode() { 20_000 } else { 80_000 }, 16, 2023)
+    let dataset = DatasetSpec::new(if quick { 20_000 } else { 80_000 }, 16, 2023)
         .with_logical_sample_bytes(2000);
     let rt_cfg = || {
-        let mut cfg = RtConfig::new(if mixed {
+        RtConfig::new(if mixed {
             ClusterSpec::ml_loader(2)
         } else {
             ClusterSpec::homogeneous(NodeSpec::g4dn_4xlarge(), 1)
-        });
-        exo_bench::obs::apply_policy(&mut cfg);
-        cfg
+        })
     };
     let gpu_ns = 40_000.0; // 40 µs/sample on the T4
 
@@ -56,12 +56,9 @@ fn main() {
         window: ShuffleWindow::Full,
         gpu_ns_per_sample: gpu_ns,
     };
-    let obs = claim_obs();
     let mut es_rt_cfg = rt_cfg();
     let caps = es_rt_cfg.cluster.device_caps();
-    es_rt_cfg.trace = obs.cfg.clone();
-    es_rt_cfg.live = obs.live_cfg();
-    es_rt_cfg.watch = obs.watch_cfg();
+    let obs = instrument(&mut es_rt_cfg);
     let (es_report, es) = exo_bench::timed_run(es_rt_cfg, |rt| exoshuffle_training(rt, &es_cfg));
     obs.finish(&es_report, &caps);
 
@@ -74,7 +71,9 @@ fn main() {
         gpu_ns_per_sample: gpu_ns,
         decode_throughput: 20.0 * 1e6, // single-process Parquet decode
     };
-    let (_r, ps) = exo_bench::timed_run(rt_cfg(), |rt| petastorm_training(rt, &ps_cfg));
+    let mut ps_rt_cfg = rt_cfg();
+    apply_policy(&mut ps_rt_cfg);
+    let (_r, ps) = exo_bench::timed_run(ps_rt_cfg, |rt| petastorm_training(rt, &ps_cfg));
     let ps = ps.expect("9% buffer fits");
 
     println!(

@@ -6,7 +6,8 @@
 //! shuffle (it stays local), but convergence accuracy is slightly lower
 //! because of the less-random shuffling.
 
-use exo_bench::{claim_obs, quick_mode, write_results, Table};
+use exo_bench::obs::apply_policy;
+use exo_bench::{instrument, write_results, Scale, Table};
 use exo_ml::{exoshuffle_training, DatasetSpec, TrainConfig};
 use exo_rt::trace::Json;
 use exo_rt::RtConfig;
@@ -14,17 +15,14 @@ use exo_shuffle::{ShuffleVariant, ShuffleWindow};
 use exo_sim::{ClusterSpec, NodeSpec};
 
 fn main() {
-    let epochs = if quick_mode() { 5 } else { 20 };
+    let quick = Scale::from_args() == Scale::Quick;
+    let epochs = if quick { 5 } else { 20 };
     // HIGGS-like logical footprint: ~2 KB of stored/decoded bytes per
     // sample, so the single-process loader becomes the bottleneck exactly
     // as in the paper's setup.
-    let dataset = DatasetSpec::new(if quick_mode() { 20_000 } else { 80_000 }, 16, 2023)
+    let dataset = DatasetSpec::new(if quick { 20_000 } else { 80_000 }, 16, 2023)
         .with_logical_sample_bytes(2000);
-    let rt_cfg = || {
-        let mut cfg = RtConfig::new(ClusterSpec::homogeneous(NodeSpec::g4dn_xlarge(), 4));
-        exo_bench::obs::apply_policy(&mut cfg);
-        cfg
-    };
+    let rt_cfg = || RtConfig::new(ClusterSpec::homogeneous(NodeSpec::g4dn_xlarge(), 4));
 
     let base = TrainConfig {
         dataset,
@@ -40,18 +38,17 @@ fn main() {
         epochs
     );
 
-    let obs = claim_obs();
     let mut full_rt_cfg = rt_cfg();
     let caps = full_rt_cfg.cluster.device_caps();
-    full_rt_cfg.trace = obs.cfg.clone();
-    full_rt_cfg.live = obs.live_cfg();
-    full_rt_cfg.watch = obs.watch_cfg();
+    let obs = instrument(&mut full_rt_cfg);
     let (full_rep, full) = exo_bench::timed_run(full_rt_cfg, |rt| exoshuffle_training(rt, &base));
     obs.finish(&full_rep, &caps);
     let mut windowed_cfg = base;
     windowed_cfg.window = ShuffleWindow::Window { partitions: 4 }; // per-node batches only
+    let mut win_rt_cfg = rt_cfg();
+    apply_policy(&mut win_rt_cfg);
     let (win_rep, win) =
-        exo_bench::timed_run(rt_cfg(), |rt| exoshuffle_training(rt, &windowed_cfg));
+        exo_bench::timed_run(win_rt_cfg, |rt| exoshuffle_training(rt, &windowed_cfg));
 
     let avg = |xs: &[exo_sim::SimDuration]| {
         xs.iter().map(|d| d.as_secs_f64()).sum::<f64>() / xs.len() as f64

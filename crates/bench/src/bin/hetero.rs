@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use exo_bench::obs::capacity_lines;
-use exo_bench::{quick_mode, write_results, Table};
+use exo_bench::{write_results, Scale, Table};
 use exo_ml::{exoshuffle_training, DatasetSpec, TrainConfig};
 use exo_prof::{profile, Bound};
 use exo_rt::trace::{summarize, Json};
@@ -30,12 +30,13 @@ use exo_sim::ClusterSpec;
 use exo_sort::{sort_job, SortSpec};
 
 fn main() {
+    let quick = Scale::from_args() == Scale::Quick;
     if std::env::args().any(|a| a == "--compare") {
-        hetero_compare();
+        hetero_compare(quick);
         return;
     }
-    hetero_sort();
-    hetero_ml();
+    hetero_sort(quick);
+    hetero_ml(quick);
 }
 
 /// One policy's metrics from a mixed-cluster sort run.
@@ -94,15 +95,11 @@ fn run_policy_sort(
 /// placement, not spill scheduling, decides the reduce stage — the weak
 /// i3 transmitters must serve every map share fetched away from them, so
 /// bound-aware placement keeps more reduces on the SSD nodes.
-fn hetero_compare() {
+fn hetero_compare(quick: bool) {
     let (d3, i3) = (2, 2);
     let cluster = ClusterSpec::mixed_hdd_ssd(d3, i3);
-    let data: u64 = if quick_mode() {
-        2_000_000_000
-    } else {
-        8_000_000_000
-    };
-    let partitions = if quick_mode() { 32 } else { 64 };
+    let data: u64 = if quick { 2_000_000_000 } else { 8_000_000_000 };
+    let partitions = if quick { 32 } else { 64 };
 
     println!(
         "# Placement-policy comparison — ES-simple sort, {} GB over {}x d3.2xlarge (HDD) + {}x i3.2xlarge (NVMe)\n",
@@ -181,15 +178,11 @@ fn hetero_compare() {
 
 /// Mixed HDD + SSD sort: same dataset as a homogeneous small sort, but
 /// half the nodes seek and half don't.
-fn hetero_sort() {
+fn hetero_sort(quick: bool) {
     let (d3, i3) = (2, 2);
     let cluster = ClusterSpec::mixed_hdd_ssd(d3, i3);
-    let data: u64 = if quick_mode() {
-        2_000_000_000
-    } else {
-        8_000_000_000
-    };
-    let partitions = if quick_mode() { 16 } else { 32 };
+    let data: u64 = if quick { 2_000_000_000 } else { 8_000_000_000 };
+    let partitions = if quick { 16 } else { 32 };
     let store_capacity = data / 5 / cluster.num_nodes() as u64;
 
     println!(
@@ -258,12 +251,12 @@ fn hetero_sort() {
 
 /// Fig8-shaped pipelined-shuffle training, but on a mixed cluster: one
 /// g4dn.4xlarge trainer plus r6i.2xlarge feeder nodes.
-fn hetero_ml() {
+fn hetero_ml(quick: bool) {
     let feeders = 2;
     let cluster = ClusterSpec::ml_loader(feeders);
     let caps = cluster.device_caps();
-    let epochs = if quick_mode() { 3 } else { 10 };
-    let dataset = DatasetSpec::new(if quick_mode() { 10_000 } else { 40_000 }, 16, 2023)
+    let epochs = if quick { 3 } else { 10 };
+    let dataset = DatasetSpec::new(if quick { 10_000 } else { 40_000 }, 16, 2023)
         .with_logical_sample_bytes(2000);
 
     println!(

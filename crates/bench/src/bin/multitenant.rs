@@ -15,10 +15,10 @@
 //! in `results/multitenant.json` is an end-to-end audit of the
 //! fair-share guarantee — it must be zero.
 
-use exo_bench::{quick_mode, write_results, MtParams, Table};
+use exo_bench::{write_results, MtParams, Scale, Table};
 
 fn main() {
-    let quick = quick_mode();
+    let quick = Scale::from_args() == Scale::Quick;
     let p = MtParams::standard(quick);
     println!(
         "# Multi-tenant service — {} jobs, 3 tenants, {}× r6i.2xlarge\n",

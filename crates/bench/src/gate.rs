@@ -62,32 +62,24 @@ fn sort_metrics(p: EsSortParams) -> Vec<(&'static str, f64)> {
 fn sort_hdd_small_params() -> EsSortParams {
     let data = 4_000_000_000u64;
     let nodes = 4;
+    let variant = ShuffleVariant::PushStar { map_parallelism: 2 };
     EsSortParams {
-        node: NodeSpec::d3_2xlarge(),
-        nodes,
-        data_bytes: data,
-        partitions: 32,
-        scale: crate::runs::default_scale(data),
-        variant: ShuffleVariant::PushStar { map_parallelism: 2 },
-        failure: None,
-        in_memory: false,
         store_capacity: Some(data / 5 / nodes as u64),
+        ..EsSortParams::new(NodeSpec::d3_2xlarge(), nodes, data, 32, variant)
     }
 }
 
 /// Fig-4c-shaped: SSD nodes, everything fits in memory, no spill.
 fn sort_ssd_inmem_small_params() -> EsSortParams {
-    let data = 2_000_000_000u64;
     EsSortParams {
-        node: NodeSpec::i3_2xlarge(),
-        nodes: 4,
-        data_bytes: data,
-        partitions: 16,
-        scale: crate::runs::default_scale(data),
-        variant: ShuffleVariant::Simple,
-        failure: None,
         in_memory: true,
-        store_capacity: None,
+        ..EsSortParams::new(
+            NodeSpec::i3_2xlarge(),
+            4,
+            2_000_000_000,
+            16,
+            ShuffleVariant::Simple,
+        )
     }
 }
 
@@ -95,17 +87,10 @@ fn sort_ssd_inmem_small_params() -> EsSortParams {
 /// reconstruction (and its extra network/re-execution cost) is pinned
 /// alongside the clean paths.
 fn sort_ft_small_params() -> EsSortParams {
-    let data = 2_000_000_000u64;
+    let variant = ShuffleVariant::PushStar { map_parallelism: 2 };
     EsSortParams {
-        node: NodeSpec::d3_2xlarge(),
-        nodes: 4,
-        data_bytes: data,
-        partitions: 16,
-        scale: crate::runs::default_scale(data),
-        variant: ShuffleVariant::PushStar { map_parallelism: 2 },
         failure: Some((3, SimTime(2_000_000), SimDuration::from_secs(5))),
-        in_memory: false,
-        store_capacity: None,
+        ..EsSortParams::new(NodeSpec::d3_2xlarge(), 4, 2_000_000_000, 16, variant)
     }
 }
 

@@ -19,11 +19,16 @@
 //! | `ablations` | Design-choice ablations called out in DESIGN.md |
 //! | `hetero` | Heterogeneous presets: mixed HDD+SSD sort, g4dn+r6i ML loader |
 //! | `multitenant` | Shuffle-as-a-service: open-loop multi-tenant job stream |
+//! | `cloudsort` | CloudSort cost: $/TB per shuffle variant and the Spark baselines |
+//! | `cloudsort_xl` | Engine at CloudSort geometry: 100 nodes, rerun bit-identity, scaling |
 //!
-//! All binaries accept `--quick` to shrink the sweep for smoke-testing;
-//! EXPERIMENTS.md records full-run outputs. Criterion microbenches for the
-//! hot kernels live under `benches/`.
+//! All binaries accept `--quick` to shrink the sweep for smoke-testing
+//! (see [`Scale`]). The sort figures whose table has one row per case
+//! are case lists run by [`figure::run`], which renders each table from
+//! the JSON rows it writes to `results/<name>.json`. Criterion
+//! microbenches for the hot kernels live under `benches/`.
 
+pub mod figure;
 pub mod gate;
 pub mod obs;
 pub mod profdiff;
@@ -32,8 +37,9 @@ pub mod service;
 pub mod table;
 pub mod xl;
 
+pub use figure::Scale;
 pub use obs::{
-    claim_obs, export_trace_with_caps, live_flag, obs_not_applicable, sort_result_json,
+    export_trace_with_caps, instrument, live_flag, obs_not_applicable, sort_result_json,
     without_trace, write_results, Obs,
 };
 pub use runs::{
@@ -42,8 +48,3 @@ pub use runs::{
 };
 pub use service::{run_multitenant, MtJobPlan, MtKind, MtParams, MtReport};
 pub use table::Table;
-
-/// True when `--quick` was passed (shrunken sweeps for smoke tests).
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}

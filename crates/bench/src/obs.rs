@@ -15,7 +15,7 @@ use exo_rt::trace::{
     Json, NodeCapacityLine,
 };
 use exo_rt::watch::WatchReport;
-use exo_rt::{LiveConfig, RunReport, TraceConfig, WatchConfig};
+use exo_rt::{LiveConfig, RtConfig, RunReport, TraceConfig, WatchConfig};
 use exo_sim::DeviceCaps;
 
 use crate::runs::SortRunResult;
@@ -134,22 +134,34 @@ pub fn policy_flag() -> Option<std::sync::Arc<dyn exo_rt::PlacementPolicy>> {
 }
 
 /// Apply the `--policy` flag (if present) to a run's config.
-pub fn apply_policy(cfg: &mut exo_rt::RtConfig) {
+pub fn apply_policy(cfg: &mut RtConfig) {
     if let Some(policy) = policy_flag() {
         cfg.placement = policy;
     }
+}
+
+/// Hook one simulated run up to the observability flags: `--policy`
+/// applies to every run, while `--trace`/`--profile`/`--live`/`--watch`
+/// instrument only the first run of a sweep (outside [`without_trace`]).
+/// Pass the run's report to [`Obs::finish`] once it returns.
+pub fn instrument(cfg: &mut RtConfig) -> Obs {
+    apply_policy(cfg);
+    let obs = claim_obs();
+    cfg.trace = obs.cfg.clone();
+    cfg.live = obs.live_cfg();
+    cfg.watch = obs.watch_cfg();
+    obs
 }
 
 static OBS_CLAIMED: AtomicBool = AtomicBool::new(false);
 static OBS_SUPPRESSED: AtomicBool = AtomicBool::new(false);
 
 /// The claimed observability request for one simulated run: carries the
-/// [`TraceConfig`] to put on `RtConfig` and knows what to do with the
-/// retained events afterwards (see [`Obs::finish`]).
+/// [`TraceConfig`] that [`instrument`] puts on `RtConfig` and knows what
+/// to do with the retained events afterwards (see [`Obs::finish`]).
 #[derive(Debug)]
 pub struct Obs {
-    /// Put this on `RtConfig::trace` before running.
-    pub cfg: TraceConfig,
+    cfg: TraceConfig,
     trace_path: Option<PathBuf>,
     profile: bool,
     profile_path: Option<PathBuf>,
@@ -179,7 +191,7 @@ impl Obs {
     /// The [`LiveConfig`] to put on `RtConfig::live` before running, if
     /// `--live` asked for a timeseries. Streaming observers need no
     /// event retention, so `--live` alone leaves `cfg.enabled` false.
-    pub fn live_cfg(&self) -> Option<LiveConfig> {
+    fn live_cfg(&self) -> Option<LiveConfig> {
         self.live_path.as_ref().map(|_| LiveConfig {
             progress: self.live_progress,
         })
@@ -188,7 +200,7 @@ impl Obs {
     /// The [`WatchConfig`] to put on `RtConfig::watch` before running,
     /// if `--watch` asked for incident detection. Like `--live`, the
     /// detector is a streaming observer and needs no event retention.
-    pub fn watch_cfg(&self) -> Option<WatchConfig> {
+    fn watch_cfg(&self) -> Option<WatchConfig> {
         self.watch.then(WatchConfig::default)
     }
 
@@ -382,7 +394,7 @@ fn incidents_json(watch: &WatchReport, crit_spans: Option<&[(u64, u64, u64)]>) -
 /// simulated run of a sweep. Returns an enabled [`Obs`] exactly once;
 /// every later call gets a disabled one, so instrumenting one
 /// representative run leaves the rest of the sweep unperturbed.
-pub fn claim_obs() -> Obs {
+fn claim_obs() -> Obs {
     if OBS_SUPPRESSED.load(Ordering::SeqCst) {
         return Obs::disabled();
     }

@@ -4,8 +4,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use exo_rt::trace::Json;
-use exo_rt::{NodeId, RtConfig, RtHandle, RunReport, ServiceHandle};
-use exo_shuffle::{run_shuffle, ShuffleVariant};
+use exo_rt::{NodeId, ObjectRef, RtConfig, RtHandle, RunReport, ServiceHandle};
+use exo_shuffle::{run_shuffle, ShuffleJob, ShuffleVariant};
 use exo_sim::{ClusterSpec, NodeSpec, SimDuration, SimTime};
 use exo_sort::{sort_job, SortSpec};
 
@@ -98,6 +98,30 @@ pub struct EsSortParams {
     pub store_capacity: Option<u64>,
 }
 
+impl EsSortParams {
+    /// A failure-free on-disk sort of `data_bytes` at [`default_scale`],
+    /// with each node's stock object store.
+    pub fn new(
+        node: NodeSpec,
+        nodes: usize,
+        data_bytes: u64,
+        partitions: usize,
+        variant: ShuffleVariant,
+    ) -> EsSortParams {
+        EsSortParams {
+            node,
+            nodes,
+            data_bytes,
+            partitions,
+            scale: default_scale(data_bytes),
+            variant,
+            failure: None,
+            in_memory: false,
+            store_capacity: None,
+        }
+    }
+}
+
 /// Result of one sort run.
 #[derive(Clone, Debug)]
 pub struct SortRunResult {
@@ -129,7 +153,17 @@ pub fn run_es_sort(p: EsSortParams) -> SortRunResult {
 /// Like [`run_es_sort`], but on an explicit (possibly heterogeneous)
 /// cluster; `p.node`/`p.nodes` are ignored in favour of the spec.
 pub fn run_es_sort_on(cluster: ClusterSpec, p: EsSortParams) -> SortRunResult {
-    run_es_sort_inner(cluster, p, None).0
+    run_es_sort_inner(cluster, p, None, &|rt, job| run_shuffle(rt, job, p.variant)).0
+}
+
+/// Like [`run_es_sort`], but `shuffle` runs the job in place of
+/// `p.variant`'s stock configuration (the ablations switch off one
+/// optimisation of a variant).
+pub fn run_es_sort_with(
+    p: EsSortParams,
+    shuffle: impl Fn(&RtHandle, &ShuffleJob) -> Vec<ObjectRef> + Sync,
+) -> SortRunResult {
+    run_es_sort_inner(ClusterSpec::homogeneous(p.node, p.nodes), p, None, &shuffle).0
 }
 
 /// Like [`run_es_sort`], but with the online incident detectors forced
@@ -141,6 +175,7 @@ pub fn run_es_sort_watched(p: EsSortParams) -> (SortRunResult, exo_rt::watch::Wa
         ClusterSpec::homogeneous(p.node, p.nodes),
         p,
         Some(exo_rt::WatchConfig::default()),
+        &|rt, job| run_shuffle(rt, job, p.variant),
     );
     (result, watch.expect("watch was configured"))
 }
@@ -149,17 +184,15 @@ fn run_es_sort_inner(
     cluster: ClusterSpec,
     p: EsSortParams,
     force_watch: Option<exo_rt::WatchConfig>,
+    shuffle: &(dyn Fn(&RtHandle, &ShuffleJob) -> Vec<ObjectRef> + Sync),
 ) -> (SortRunResult, Option<exo_rt::watch::WatchReport>) {
     let mut cfg = RtConfig::new(cluster);
     cfg.object_store_capacity = p.store_capacity;
     let caps = cfg.device_caps();
-    // `--policy` swaps the placement policy for the whole sweep.
-    crate::obs::apply_policy(&mut cfg);
-    // `--trace`/`--profile` instrument the first run of the sweep only.
-    let obs = crate::obs::claim_obs();
-    cfg.trace = obs.cfg.clone();
-    cfg.live = obs.live_cfg();
-    cfg.watch = force_watch.or_else(|| obs.watch_cfg());
+    let obs = crate::obs::instrument(&mut cfg);
+    if force_watch.is_some() {
+        cfg.watch = force_watch;
+    }
     let spec = SortSpec {
         data_bytes: p.data_bytes,
         num_maps: p.partitions,
@@ -177,7 +210,7 @@ fn run_es_sort_inner(
             job.reduce_output_bytes = 0;
         }
         let t0 = rt.now();
-        let outs = run_shuffle(rt, &job, p.variant);
+        let outs = shuffle(rt, &job);
         rt.wait_all(&outs);
         rt.now() - t0
     });

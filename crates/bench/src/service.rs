@@ -312,13 +312,10 @@ pub fn run_multitenant(p: &MtParams) -> MtReport {
     for (t, q) in &tenants {
         cfg = cfg.with_tenant(*t, *q);
     }
-    crate::obs::apply_policy(&mut cfg);
-    let obs = crate::obs::claim_obs();
-    cfg.trace = obs.cfg.clone();
-    cfg.live = obs.live_cfg();
+    let obs = crate::obs::instrument(&mut cfg);
     // Watch is forced on: the isolation detector doubles as the run's
     // quota auditor.
-    let mut watch = obs.watch_cfg().unwrap_or_default();
+    let mut watch = cfg.watch.take().unwrap_or_default();
     watch.tenant_slot_quotas = tenants
         .iter()
         .filter_map(|(t, q)| q.cpu_slots.map(|s| (t.0, s as u32)))

@@ -15,7 +15,7 @@ use exo_rt::EngineTables;
 use exo_shuffle::ShuffleVariant;
 use exo_sim::{NodeSpec, TableFootprint};
 
-use crate::runs::{default_scale, run_es_sort, EsSortParams, SortRunResult};
+use crate::runs::{run_es_sort, EsSortParams, SortRunResult};
 
 /// Nodes in the CloudSort geometry (matches fig4d / the record run).
 pub const XL_NODES: usize = 100;
@@ -74,17 +74,14 @@ pub fn xl_params(partitions: usize) -> EsSortParams {
     // (and the data:store ratio driving the out-of-core spill behaviour)
     // stay at the record run's proportions.
     let data_bytes = XL_DATA_BYTES / XL_FULL_PARTITIONS as u64 * partitions as u64;
-    EsSortParams {
-        node: NodeSpec::d3_2xlarge(),
-        nodes: XL_NODES,
+    let node = NodeSpec::d3_2xlarge();
+    EsSortParams::new(
+        node,
+        XL_NODES,
         data_bytes,
         partitions,
-        scale: default_scale(data_bytes),
-        variant: ShuffleVariant::Simple,
-        failure: None,
-        in_memory: false,
-        store_capacity: None,
-    }
+        ShuffleVariant::Simple,
+    )
 }
 
 /// One measured xl run: sort metrics plus engine throughput.

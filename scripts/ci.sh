@@ -91,4 +91,15 @@ same_as_committed fig4_ft.live.jsonl fig4_ft.live.jsonl
 same_as_committed fig4_ft.live.rerun.jsonl fig4_ft.live.jsonl
 # results/*.jsonl (incident + snapshot lines) are uploaded as CI artifacts.
 
+echo "==> committed results/*.txt (every default config rerun by scripts/run_experiments.sh)"
+./scripts/run_experiments.sh "$observed/regen" > /dev/null
+for txt in "$observed"/regen/results/*.txt; do
+    name=$(basename "$txt")
+    diff -u "results/$name" "$txt" || {
+        echo "FAIL: the default config's output differs from the committed results/$name;" \
+            "regenerate with scripts/run_experiments.sh" >&2
+        exit 1
+    }
+done
+
 echo "==> CI OK"
