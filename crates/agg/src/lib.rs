@@ -16,6 +16,6 @@ pub mod metrics;
 pub mod runner;
 pub mod workload;
 
-pub use metrics::{kl_divergence, lang_distribution, top_pages};
+pub use metrics::{kl_divergence, lang_distribution};
 pub use runner::{regular_aggregation, streaming_aggregation, AggConfig, RoundSample};
 pub use workload::{decode_entries, pageview_job, PageviewSpec, ENTRY_BYTES, NUM_LANGS};

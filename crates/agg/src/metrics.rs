@@ -33,19 +33,6 @@ pub fn kl_divergence(p: &[f64], p_hat: &[f64]) -> f64 {
         .sum()
 }
 
-/// Top `k` pages by views for one language across states.
-pub fn top_pages(states: &[&[u8]], lang: u8, k: usize) -> Vec<(u32, u64)> {
-    let mut pages: Vec<(u32, u64)> = states
-        .iter()
-        .flat_map(|s| decode_state(s))
-        .filter(|((l, _), _)| *l == lang)
-        .map(|((_, p), v)| (p, v))
-        .collect();
-    pages.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    pages.truncate(k);
-    pages
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,17 +72,5 @@ mod tests {
         let d = lang_distribution(&[&s]);
         assert!((d[0] - 0.75).abs() < 1e-12);
         assert!((d[1] - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn top_pages_ranks_by_views() {
-        let mut s = Vec::new();
-        for (page, views) in [(5u32, 7u64), (9, 100), (2, 50)] {
-            s.push(3u8);
-            s.extend_from_slice(&page.to_le_bytes());
-            s.extend_from_slice(&views.to_le_bytes());
-        }
-        let top = top_pages(&[&s], 3, 2);
-        assert_eq!(top, vec![(9, 100), (2, 50)]);
     }
 }

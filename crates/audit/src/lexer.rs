@@ -318,7 +318,13 @@ fn consume_cooked_string(chars: &[char], mut j: usize, line: &mut u32) -> usize 
     let n = chars.len();
     while j < n {
         match chars[j] {
-            '\\' => j += 2,
+            '\\' => {
+                // A `\` line continuation still ends a source line.
+                if chars.get(j + 1) == Some(&'\n') {
+                    *line += 1;
+                }
+                j += 2;
+            }
             '"' => return j + 1,
             '\n' => {
                 *line += 1;
@@ -387,6 +393,13 @@ mod tests {
         assert_eq!(nums, 3); // 0, 10, 1.5e-3
         let dots = lx.toks.iter().filter(|t| t.is_punct('.')).count();
         assert_eq!(dots, 2); // the `..` range
+    }
+
+    #[test]
+    fn string_line_continuations_count_their_lines() {
+        let lx = lex("let s = \"a\\\n   b\\\n   c\";\nlet t = 1;\n");
+        let t = lx.toks.iter().find(|t| t.is_ident("t")).map(|t| t.line);
+        assert_eq!(t, Some(4));
     }
 
     #[test]

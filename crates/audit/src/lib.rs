@@ -14,7 +14,10 @@
 //!   matches, which let new trace variants silently skip exporters,
 //!   folding, observers, and detectors;
 //! - **P01** `unwrap`/`expect`/`panic!` in engine hot paths (`sim`,
-//!   `rt`, `store`) where typed errors are required.
+//!   `rt`, `store`) where typed errors are required;
+//! - **U01** `pub` items whose name no non-test code uses — a
+//!   workspace pass over every file, with `examples/` and the
+//!   repository benchmark read as consumers.
 //!
 //! Deliberate violations carry an inline
 //! `// audit:allow(RULE): <justification>`; a missing justification is
@@ -26,10 +29,11 @@ pub mod lexer;
 pub mod report;
 pub mod rules;
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 pub use report::{render_human, render_json};
-pub use rules::{scan_source, Exemption, Finding, RuleInfo, RULES};
+pub use rules::{scan_files, Exemption, Finding, RuleInfo, SourceFile, RULES};
 
 /// The result of auditing a whole workspace.
 #[derive(Debug, Default)]
@@ -37,31 +41,21 @@ pub struct AuditReport {
     pub findings: Vec<Finding>,
     pub exemptions: Vec<Exemption>,
     pub files_scanned: usize,
+    /// Non-test lines per crate (the root package as "exoshuffle"):
+    /// physical lines outside the test regions the lexer finds.
+    pub lines: BTreeMap<String, usize>,
 }
 
 impl AuditReport {
-    /// Findings per rule id, in [`RULES`] order (zero-count rules
-    /// included, so reports are shape-stable).
-    pub fn findings_by_rule(&self) -> Vec<(&'static str, usize)> {
+    /// `(rule id, findings, exemptions)` in [`RULES`] order (zero-count
+    /// rules included, so reports are shape-stable).
+    pub fn by_rule(&self) -> Vec<(&'static str, usize, usize)> {
         RULES
             .iter()
             .map(|r| {
-                (
-                    r.id,
-                    self.findings.iter().filter(|f| f.rule == r.id).count(),
-                )
-            })
-            .collect()
-    }
-
-    pub fn exemptions_by_rule(&self) -> Vec<(&'static str, usize)> {
-        RULES
-            .iter()
-            .map(|r| {
-                (
-                    r.id,
-                    self.exemptions.iter().filter(|e| e.rule == r.id).count(),
-                )
+                let findings = self.findings.iter().filter(|f| f.rule == r.id).count();
+                let exemptions = self.exemptions.iter().filter(|e| e.rule == r.id).count();
+                (r.id, findings, exemptions)
             })
             .collect()
     }
@@ -133,10 +127,20 @@ fn collect_rs(dir: &Path, crate_name: &str, out: &mut Vec<(PathBuf, String)>) {
     }
 }
 
+/// Directories read only as U01 consumers: a use there keeps a `pub`
+/// item alive, but nothing in them is audited.
+const CONSUMER_DIRS: &[&str] = &["examples", "benchmark/src"];
+
 /// Audits the workspace rooted at `root`.
 pub fn audit_workspace(root: &Path) -> AuditReport {
-    let mut report = AuditReport::default();
-    for (path, crate_name) in workspace_sources(root) {
+    let mut consumers = Vec::new();
+    for dir in CONSUMER_DIRS {
+        collect_rs(&root.join(dir), "", &mut consumers);
+    }
+    let audited = workspace_sources(root);
+    let n_audited = audited.len();
+    let mut files = Vec::new();
+    for (i, (path, crate_name)) in audited.into_iter().chain(consumers).enumerate() {
         let Ok(src) = std::fs::read_to_string(&path) else {
             continue;
         };
@@ -145,10 +149,22 @@ pub fn audit_workspace(root: &Path) -> AuditReport {
             .unwrap_or(&path)
             .to_string_lossy()
             .replace('\\', "/");
-        let (f, e) = rules::scan_source(&src, &crate_name, &rel);
-        report.findings.extend(f);
-        report.exemptions.extend(e);
-        report.files_scanned += 1;
+        files.push(SourceFile {
+            path: rel,
+            crate_name,
+            src,
+            audited: i < n_audited,
+        });
     }
-    report
+    let (findings, exemptions) = rules::scan_files(&files);
+    let mut lines = BTreeMap::new();
+    for f in files.iter().filter(|f| f.audited) {
+        *lines.entry(f.crate_name.clone()).or_insert(0) += rules::non_test_lines(&f.src);
+    }
+    AuditReport {
+        findings,
+        exemptions,
+        files_scanned: files.iter().filter(|f| f.audited).count(),
+        lines,
+    }
 }

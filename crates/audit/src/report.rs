@@ -28,8 +28,10 @@ fn json_escape(s: &str) -> String {
 pub fn render_human(r: &AuditReport) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "exo-audit: scanned {} files — {} finding(s), {} justified exemption(s)\n",
+        "exo-audit: scanned {} files ({} non-test lines) — {} finding(s), {} justified \
+         exemption(s)\n",
         r.files_scanned,
+        r.lines.values().sum::<usize>(),
         r.findings.len(),
         r.exemptions.len()
     ));
@@ -73,15 +75,20 @@ pub fn render_json(r: &AuditReport) -> String {
         "  \"exemptions_total\": {},\n",
         r.exemptions.len()
     ));
+    let by_crate: Vec<String> = r
+        .lines
+        .iter()
+        .map(|(k, n)| format!("\"{}\": {n}", json_escape(k)))
+        .collect();
+    out.push_str(&format!(
+        "  \"non_test_lines\": {{\"total\": {}, \"by_crate\": {{{}}}}},\n",
+        r.lines.values().sum::<usize>(),
+        by_crate.join(", ")
+    ));
     out.push_str("  \"rules\": {\n");
-    let by_f = r.findings_by_rule();
-    let by_e = r.exemptions_by_rule();
-    for (i, rule) in RULES.iter().enumerate() {
+    for (i, (id, findings, exemptions)) in r.by_rule().into_iter().enumerate() {
         out.push_str(&format!(
-            "    \"{}\": {{\"findings\": {}, \"exemptions\": {}}}{}\n",
-            rule.id,
-            by_f[i].1,
-            by_e[i].1,
+            "    \"{id}\": {{\"findings\": {findings}, \"exemptions\": {exemptions}}}{}\n",
             if i + 1 < RULES.len() { "," } else { "" }
         ));
     }
@@ -134,6 +141,7 @@ mod tests {
                 justification: "count is order-free".into(),
             }],
             files_scanned: 2,
+            lines: [("rt".to_string(), 40), ("store".to_string(), 2)].into(),
         }
     }
 
@@ -152,6 +160,9 @@ mod tests {
         assert!(j.contains("\"findings_total\": 1"));
         assert!(j.contains("\"exemptions_total\": 1"));
         assert!(j.contains("\"D01\": {\"findings\": 1, \"exemptions\": 0}"));
+        assert!(j.contains(
+            "\"non_test_lines\": {\"total\": 42, \"by_crate\": {\"rt\": 40, \"store\": 2}}"
+        ));
         // Every rule id appears, even at zero.
         for r in RULES {
             assert!(j.contains(&format!("\"{}\"", r.id)), "{}", r.id);

@@ -8,6 +8,8 @@
 //! is genuinely order-insensitive carries an inline
 //! `// audit:allow(RULE): <justification>` with a written reason.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use crate::lexer::{lex, Lexed, Tok, TokKind};
 
 /// Crates whose output must be bit-identical across reruns: the sim
@@ -53,6 +55,11 @@ pub const RULES: &[RuleInfo] = &[
         id: "P01",
         summary: "unwrap/expect/panic! in engine hot-path code (sim/rt/store) \
                   where typed errors are required",
+    },
+    RuleInfo {
+        id: "U01",
+        summary: "pub item whose name no non-test code uses outside its own \
+                  declaration (delete it, or name the test oracle that needs it)",
     },
     RuleInfo {
         id: "A01",
@@ -104,26 +111,75 @@ struct Allow {
     malformed: bool,
 }
 
-/// Scans one file's source. `crate_name` decides rule scope ("sim",
-/// "trace", …; the root package scans as "exoshuffle"). `path` is only
-/// recorded into findings.
-pub fn scan_source(src: &str, crate_name: &str, path: &str) -> (Vec<Finding>, Vec<Exemption>) {
-    let lexed = lex(src);
-    let test_lines = test_regions(&lexed);
-    let mut allows = parse_allows(&lexed, &test_lines);
+/// One source file handed to [`scan_files`]. A file with `audited ==
+/// false` (examples, the repository benchmark) is read only as a U01
+/// consumer: its uses keep a `pub` item alive, but no rule runs on it.
+#[derive(Debug, Clone)]
+pub struct SourceFile {
+    /// Workspace-relative path, recorded into findings.
+    pub path: String,
+    /// Decides rule scope ("sim", "trace", …; the root package scans as
+    /// "exoshuffle").
+    pub crate_name: String,
+    pub src: String,
+    pub audited: bool,
+}
+
+/// Scans a set of files: the per-file rules on each audited file, then
+/// the workspace pass (U01) across all of them. Findings and exemptions
+/// come back in file order.
+pub fn scan_files(files: &[SourceFile]) -> (Vec<Finding>, Vec<Exemption>) {
+    let lexed: Vec<(Lexed, BTreeSet<u32>)> = files
+        .iter()
+        .map(|f| {
+            let lx = lex(&f.src);
+            let tests = test_regions(&lx);
+            (lx, tests)
+        })
+        .collect();
+    let mut unused = rule_u01(files, &lexed);
+    let mut findings = Vec::new();
+    let mut exemptions = Vec::new();
+    for (i, file) in files.iter().enumerate() {
+        if file.audited {
+            let (lx, tests) = &lexed[i];
+            let raw = std::mem::take(&mut unused[i]);
+            let (f, e) = scan_lexed(lx, tests, &file.crate_name, &file.path, raw);
+            findings.extend(f);
+            exemptions.extend(e);
+        }
+    }
+    (findings, exemptions)
+}
+
+/// Physical lines of `src` outside its test regions: the unit of the
+/// size report.
+pub fn non_test_lines(src: &str) -> usize {
+    src.lines().count() - test_regions(&lex(src)).len()
+}
+
+/// Runs the per-file rules on one lexed file, adds `raw` (its share of
+/// the workspace findings) and applies the file's exemptions.
+fn scan_lexed(
+    lexed: &Lexed,
+    test_lines: &BTreeSet<u32>,
+    crate_name: &str,
+    path: &str,
+    mut raw: Vec<Finding>,
+) -> (Vec<Finding>, Vec<Exemption>) {
+    let mut allows = parse_allows(lexed, test_lines);
 
     let deterministic = DETERMINISTIC_CRATES.contains(&crate_name);
     let hot_path = P01_CRATES.contains(&crate_name);
 
-    let mut raw: Vec<Finding> = Vec::new();
     if deterministic {
-        rule_d01(&lexed, path, &mut raw);
-        rule_d02(&lexed, path, &mut raw);
-        rule_d03(&lexed, path, &mut raw);
+        rule_d01(lexed, path, &mut raw);
+        rule_d02(lexed, path, &mut raw);
+        rule_d03(lexed, path, &mut raw);
     }
-    rule_d04(&lexed, path, &mut raw);
+    rule_d04(lexed, path, &mut raw);
     if hot_path {
-        rule_p01(&lexed, path, &mut raw);
+        rule_p01(lexed, path, &mut raw);
     }
 
     // Drop findings inside test code, dedupe per (rule, line), then
@@ -184,8 +240,8 @@ pub fn scan_source(src: &str, crate_name: &str, path: &str) -> (Vec<Finding>, Ve
 }
 
 /// Lines covered by `#[cfg(test)]`-gated items and `#[test]` functions.
-fn test_regions(lx: &Lexed) -> std::collections::BTreeSet<u32> {
-    let mut lines = std::collections::BTreeSet::new();
+fn test_regions(lx: &Lexed) -> BTreeSet<u32> {
+    let mut lines = BTreeSet::new();
     let t = &lx.toks;
     let mut i = 0usize;
     while i < t.len() {
@@ -286,7 +342,7 @@ fn test_regions(lx: &Lexed) -> std::collections::BTreeSet<u32> {
 /// must *begin* the comment (after the doc sigils `/`, `!`, `*`) so
 /// prose that merely mentions the syntax is not an annotation.
 /// Comments in test regions are ignored entirely.
-fn parse_allows(lx: &Lexed, test_lines: &std::collections::BTreeSet<u32>) -> Vec<Allow> {
+fn parse_allows(lx: &Lexed, test_lines: &BTreeSet<u32>) -> Vec<Allow> {
     let mut out = Vec::new();
     for c in &lx.comments {
         let head = c
@@ -401,8 +457,8 @@ fn is_type_ish(t: &Tok) -> bool {
 /// Identifiers bound to a `HashMap`/`HashSet` in this file: let
 /// bindings with a type ascription, struct fields, fn params, and
 /// `= HashMap::new()`-style constructions.
-fn hash_names(t: &[Tok]) -> std::collections::BTreeSet<String> {
-    let mut names = std::collections::BTreeSet::new();
+fn hash_names(t: &[Tok]) -> BTreeSet<String> {
+    let mut names = BTreeSet::new();
     for i in 0..t.len() {
         if !(t[i].is_ident("HashMap") || t[i].is_ident("HashSet")) {
             continue;
@@ -904,9 +960,216 @@ fn rule_p01(lx: &Lexed, path: &str, out: &mut Vec<Finding>) {
     }
 }
 
+// ---------------------------------------------------------------------------
+// U01 — public items no non-test code uses
+// ---------------------------------------------------------------------------
+
+/// Item keywords U01 tracks after `pub`.
+const PUB_KINDS: &[&str] = &[
+    "fn", "struct", "enum", "union", "type", "const", "static", "trait",
+];
+
+/// Index of the token closing the item that continues at `from`: the
+/// first `;` outside brackets, or the brace matching the first `{`.
+fn item_end(t: &[Tok], from: usize) -> usize {
+    let (mut depth, mut braced) = (0i32, false);
+    for (k, tok) in t.iter().enumerate().skip(from) {
+        match tok.ch {
+            ';' if depth == 0 && !braced => return k,
+            '{' | '(' | '[' => {
+                braced |= tok.ch == '{';
+                depth += 1;
+            }
+            '}' | ')' | ']' => {
+                depth -= 1;
+                if braced && depth == 0 {
+                    return k;
+                }
+            }
+            _ => {}
+        }
+    }
+    t.len().saturating_sub(1)
+}
+
+/// `(kind, name token)` of every `pub` item outside test code, with
+/// struct fields and the variants of `pub enum`s. `pub(crate)` and
+/// narrower are skipped: rustc's dead-code lint covers them.
+fn pub_items(t: &[Tok], tests: &BTreeSet<u32>) -> Vec<(&'static str, usize)> {
+    let mut out = Vec::new();
+    for i in 0..t.len() {
+        if !t[i].is_ident("pub")
+            || tests.contains(&t[i].line)
+            || t.get(i + 1).is_some_and(|x| x.is_punct('('))
+        {
+            continue;
+        }
+        // Skip the qualifiers of a `const`/`unsafe`/`async`/`extern "C"` fn.
+        let mut j = i + 1;
+        while t.get(j).is_some_and(|q| {
+            q.kind == TokKind::Str
+                || ["unsafe", "async", "extern"].iter().any(|w| q.is_ident(w))
+                || (q.is_ident("const") && t.get(j + 1).is_some_and(|f| f.is_ident("fn")))
+        }) {
+            j += 1;
+        }
+        let is_name = |k: usize| t.get(k).is_some_and(|n| n.kind == TokKind::Ident);
+        if is_name(j)
+            && t.get(j + 1).is_some_and(|c| c.is_punct(':'))
+            && !t.get(j + 2).is_some_and(|c| c.is_punct(':'))
+        {
+            out.push(("field", j));
+            continue;
+        }
+        let Some(&kind) = PUB_KINDS
+            .iter()
+            .find(|k| t.get(j).is_some_and(|w| w.is_ident(k)))
+        else {
+            continue;
+        };
+        let at = j + 1 + usize::from(t.get(j + 1).is_some_and(|m| m.is_ident("mut")));
+        if !is_name(at) {
+            continue;
+        }
+        out.push((kind, at));
+        if kind != "enum" {
+            continue;
+        }
+        // Variants: the first identifier of each comma-separated entry
+        // at the body's top level (attributes sit in brackets).
+        let Some(open) = (at..t.len()).find(|&k| t[k].is_punct('{')) else {
+            continue;
+        };
+        let (mut depth, mut fresh) = (0i32, true);
+        for (k, tok) in t.iter().enumerate().skip(open + 1) {
+            match tok.ch {
+                '{' | '(' | '[' => depth += 1,
+                '}' | ')' | ']' if depth == 0 => break,
+                '}' | ')' | ']' => depth -= 1,
+                ',' if depth == 0 => fresh = true,
+                _ if depth == 0 && fresh && tok.kind == TokKind::Ident => {
+                    out.push(("variant", k));
+                    fresh = false;
+                }
+                _ => {}
+            }
+        }
+    }
+    out
+}
+
+/// `(self type, first token, last token)` of each `impl` block: inside
+/// one, the type's own name is no use of the type. The self type is the
+/// last identifier outside angle brackets before the body or `where`.
+fn impl_spans(t: &[Tok]) -> Vec<(&str, usize, usize)> {
+    let mut out = Vec::new();
+    for i in 0..t.len() {
+        // An item-level `impl`, not `-> impl Trait` or `x: impl Fn()`.
+        if !t[i].is_ident("impl") || (i > 0 && !matches!(t[i - 1].ch, '}' | ';' | '{' | ']')) {
+            continue;
+        }
+        let (mut angle, mut name) = (0i32, None);
+        for k in i + 1..t.len() {
+            match t[k].ch {
+                '<' => angle += 1,
+                '>' if !t[k - 1].is_punct('-') => angle -= 1,
+                '{' | ';' => break,
+                _ if t[k].is_ident("where") => break,
+                _ if angle == 0
+                    && t[k].kind == TokKind::Ident
+                    && !matches!(t[k].text.as_str(), "for" | "dyn" | "mut") =>
+                {
+                    name = Some(t[k].text.as_str())
+                }
+                _ => {}
+            }
+        }
+        if let Some(name) = name {
+            out.push((name, i, item_end(t, i)));
+        }
+    }
+    out
+}
+
+/// U01: every `pub` item of an audited file whose name no non-test
+/// token of any file uses, outside declarations, `pub use` re-exports
+/// and, for a type, its own `impl` blocks. Names only, no path
+/// resolution: a collision can hide a finding, never invent one.
+fn rule_u01(files: &[SourceFile], lexed: &[(Lexed, BTreeSet<u32>)]) -> Vec<Vec<Finding>> {
+    let decls: Vec<Vec<(&str, usize)>> = files
+        .iter()
+        .zip(lexed)
+        .map(|(f, (lx, tests))| match f.audited {
+            true => pub_items(&lx.toks, tests),
+            false => Vec::new(),
+        })
+        .collect();
+    let mut uses: BTreeMap<&str, usize> = BTreeMap::new();
+    for ((lx, _), d) in lexed.iter().zip(&decls) {
+        for &(_, at) in d {
+            uses.insert(&lx.toks[at].text, 0);
+        }
+    }
+    for ((lx, tests), d) in lexed.iter().zip(&decls) {
+        let t = &lx.toks;
+        let impls = impl_spans(t);
+        let reexports: Vec<(usize, usize)> = (0..t.len())
+            .filter(|&i| t[i].is_ident("pub") && t.get(i + 1).is_some_and(|u| u.is_ident("use")))
+            .map(|i| (i, item_end(t, i)))
+            .collect();
+        for (k, tok) in t.iter().enumerate() {
+            let Some(n) = uses.get_mut(tok.text.as_str()) else {
+                continue;
+            };
+            let within = |&(s, e): &(usize, usize)| s <= k && k <= e;
+            if tok.kind == TokKind::Ident
+                && !tests.contains(&tok.line)
+                && !d.iter().any(|&(_, at)| at == k)
+                && !reexports.iter().any(within)
+                && !impls
+                    .iter()
+                    .any(|&(name, s, e)| name == tok.text && within(&(s, e)))
+            {
+                *n += 1;
+            }
+        }
+    }
+    files
+        .iter()
+        .zip(lexed)
+        .zip(&decls)
+        .map(|((file, (lx, _)), d)| {
+            d.iter()
+                .map(|&(kind, at)| (kind, &lx.toks[at]))
+                .filter(|(_, name)| uses[name.text.as_str()] == 0)
+                .map(|(kind, name)| Finding {
+                    rule: "U01",
+                    path: file.path.clone(),
+                    line: name.line,
+                    message: format!(
+                        "pub {kind} `{}` is used by no non-test code — delete it, or name \
+                         the test oracle that needs it in an audit:allow(U01)",
+                        name.text
+                    ),
+                })
+                .collect()
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Scans one file's source as a one-file workspace.
+    fn scan_source(src: &str, krate: &str, path: &str) -> (Vec<Finding>, Vec<Exemption>) {
+        scan_files(&[SourceFile {
+            path: path.into(),
+            crate_name: krate.into(),
+            src: src.into(),
+            audited: true,
+        }])
+    }
 
     fn findings(src: &str, krate: &str) -> Vec<(String, u32)> {
         let (f, _) = scan_source(src, krate, "x.rs");
@@ -1089,5 +1352,114 @@ mod tests {
         assert!(f.iter().any(|(r, _)| r == "A01"));
         assert!(f.iter().any(|(r, _)| r == "P01"));
         assert!(f.iter().any(|(r, _)| r == "A02"));
+    }
+
+    type Located = (String, String, u32);
+
+    /// Scans `(path, source, audited)` files as one workspace (every
+    /// audited file as crate "lib"); returns `(rule, path, line)`
+    /// findings and `(rule, line)` exemptions.
+    fn workspace(files: &[(&str, &str, bool)]) -> (Vec<Located>, Vec<(String, u32)>) {
+        let files: Vec<SourceFile> = files
+            .iter()
+            .map(|&(path, src, audited)| SourceFile {
+                path: path.into(),
+                crate_name: "lib".into(),
+                src: src.into(),
+                audited,
+            })
+            .collect();
+        let (f, e) = scan_files(&files);
+        (
+            f.into_iter()
+                .map(|f| (f.rule.to_string(), f.path, f.line))
+                .collect(),
+            e.into_iter().map(|e| (e.rule, e.line)).collect(),
+        )
+    }
+
+    fn u01(path: &str, line: u32) -> Located {
+        ("U01".to_string(), path.to_string(), line)
+    }
+
+    #[test]
+    fn u01_flags_each_item_kind() {
+        let decl = "pub fn dead_fn() {}\n\
+                    pub struct S {\n\
+                    pub dead_field: u32,\n\
+                    pub live_field: u32,\n\
+                    }\n\
+                    pub enum E {\n\
+                    #[default]\n\
+                    DeadVariant,\n\
+                    LiveVariant(u32),\n\
+                    }\n\
+                    pub const DEAD_CONST: u32 = 1;\n";
+        let user = "fn f(s: S) -> E { let _ = s.live_field; E::LiveVariant(1) }\n";
+        let (f, e) = workspace(&[("a.rs", decl, true), ("b.rs", user, true)]);
+        assert_eq!(
+            f,
+            [
+                u01("a.rs", 1),
+                u01("a.rs", 3),
+                u01("a.rs", 8),
+                u01("a.rs", 11)
+            ]
+        );
+        assert!(e.is_empty());
+    }
+
+    #[test]
+    fn u01_test_only_reexport_and_doc_uses_do_not_count() {
+        let decl = "pub fn only_tested() {}\n\
+                    pub fn only_reexported() {}\n\
+                    /// See [`only_documented`].\n\
+                    pub fn only_documented() {}\n\
+                    #[cfg(test)]\n\
+                    mod tests { fn t() { super::only_tested(); } }\n";
+        let user = "pub use crate::a::{only_reexported, only_documented};\n";
+        let (f, _) = workspace(&[("a.rs", decl, true), ("lib.rs", user, true)]);
+        assert_eq!(f, [u01("a.rs", 1), u01("a.rs", 2), u01("a.rs", 4)]);
+    }
+
+    #[test]
+    fn u01_counts_other_files_and_consumers() {
+        let decl = "pub fn for_other_crate() {}\npub fn for_example() {}\n";
+        let other = "fn g() { a::for_other_crate(); }\n";
+        // An example is read, not audited: its own `pub` items are not
+        // tracked, but its uses keep items alive.
+        let example = "pub fn untracked() {}\nfn main() { a::for_example(); }\n";
+        let (f, _) = workspace(&[
+            ("a.rs", decl, true),
+            ("b.rs", other, true),
+            ("examples/x.rs", example, false),
+        ]);
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn u01_ignores_a_types_own_impls_and_restricted_items() {
+        let src = "pub struct Lonely;\n\
+                   impl Lonely { fn make() -> Lonely { Lonely } }\n\
+                   impl Default for Lonely { fn default() -> Self { Lonely } }\n\
+                   pub(crate) fn crate_only() {}\n\
+                   fn iter() -> impl Iterator<Item = Lonely> { None.into_iter() }\n";
+        // `-> impl Iterator` is no impl block: its `Lonely` is a use.
+        let (f, _) = workspace(&[("a.rs", src, true)]);
+        assert!(f.is_empty(), "{f:?}");
+        let (f, _) = workspace(&[("a.rs", &src[..src.rfind("fn iter").unwrap()], true)]);
+        assert_eq!(f, [u01("a.rs", 1)]);
+    }
+
+    #[test]
+    fn u01_allow_exempts_and_unused_allow_is_a02() {
+        let src = "// audit:allow(U01): the oracle test checks its answer\n\
+                   pub fn oracle() -> u32 { 42 }\n\
+                   // audit:allow(U01): stale\n\
+                   pub fn used() {}\n\
+                   fn f() { used() }\n";
+        let (f, e) = workspace(&[("a.rs", src, true)]);
+        assert_eq!(f, [("A02".to_string(), "a.rs".to_string(), 3)]);
+        assert_eq!(e, [("U01".to_string(), 2)]);
     }
 }

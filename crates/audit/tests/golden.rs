@@ -6,12 +6,16 @@
 //! here first, with the diff in plain sight — the same philosophy as
 //! `bench_gate`'s pinned cases, applied to the auditor itself.
 
-use exo_audit::scan_source;
+use std::path::PathBuf;
+
+use exo_audit::{audit_workspace, scan_files, SourceFile};
+
+fn fixtures() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
+}
 
 fn fixture(name: &str) -> String {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name);
+    let path = fixtures().join(name);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
@@ -20,8 +24,12 @@ type Pairs = Vec<(String, u32)>;
 /// Scan a fixture as `krate`; return `(findings, exemptions)` as
 /// `(rule, line)` pairs in report order.
 fn scan(name: &str, krate: &str) -> (Pairs, Pairs) {
-    let src = fixture(name);
-    let (f, e) = scan_source(&src, krate, name);
+    let (f, e) = scan_files(&[SourceFile {
+        path: name.into(),
+        crate_name: krate.into(),
+        src: fixture(name),
+        audited: true,
+    }]);
     (
         f.into_iter()
             .map(|f| (f.rule.to_string(), f.line))
@@ -138,6 +146,47 @@ fn a02_unused_allow() {
 }
 
 #[test]
+fn u01_unused_public_items_across_a_workspace() {
+    // `u01_workspace` is a miniature workspace: crate alpha declares the
+    // items, crate beta, examples/ and benchmark/src use some of them,
+    // and alpha's integration test uses one that stays a finding.
+    let report = audit_workspace(&fixtures().join("u01_workspace"));
+    let alpha = "crates/alpha/src/lib.rs";
+    let found: Vec<_> = report
+        .findings
+        .iter()
+        .map(|f| (f.rule, f.path.clone(), f.line))
+        .collect();
+    assert_eq!(
+        found,
+        [
+            ("U01", 16), // fn used only by tests/
+            ("U01", 19), // const used only under #[cfg(test)]
+            ("U01", 22), // fn named only by a `pub use` and a doc link
+            ("U01", 28), // field named nowhere else
+            ("U01", 35), // variant named nowhere else
+            ("U01", 39), // struct named only in its own impl
+            ("U01", 42), // ...and that impl's method
+            ("A02", 52), // U01 allow over an item beta uses
+        ]
+        .map(|(r, l)| (r, alpha.to_string(), l))
+    );
+    let exempt: Vec<_> = report
+        .exemptions
+        .iter()
+        .map(|e| (e.rule.as_str(), e.path.as_str(), e.line))
+        .collect();
+    assert_eq!(exempt, [("U01", alpha, 48)]);
+    // Only crates/*/src is audited; examples/ and the benchmark are read
+    // as consumers.
+    assert_eq!(report.files_scanned, 2);
+    assert_eq!(
+        report.lines.into_iter().collect::<Vec<_>>(),
+        [("alpha".to_string(), 54), ("beta".to_string(), 11)]
+    );
+}
+
+#[test]
 fn fixture_corpus_is_fully_pinned() {
     // Every fixture file must be covered by a golden above; a new
     // fixture without a pin is itself a test failure.
@@ -159,6 +208,7 @@ fn fixture_corpus_is_fully_pinned() {
         "p01_clean.rs",
         "p01_exempt.rs",
         "p01_violation.rs",
+        "u01_workspace",
     ];
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let mut on_disk: Vec<String> = std::fs::read_dir(&dir)

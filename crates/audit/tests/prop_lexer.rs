@@ -5,7 +5,7 @@
 //! positives from non-code text" — these properties pin it.
 
 use exo_audit::lexer::lex;
-use exo_audit::scan_source;
+use exo_audit::{scan_files, SourceFile};
 use proptest::prelude::*;
 
 /// Snippets that would each fire a rule if lexed as code. Quote-free so
@@ -35,7 +35,12 @@ fn trigger(idx: usize) -> &'static str {
 
 /// Scan as "sim": deterministic AND hot, so every rule is active.
 fn findings(src: &str) -> Vec<(String, u32)> {
-    let (f, _) = scan_source(src, "sim", "gen.rs");
+    let (f, _) = scan_files(&[SourceFile {
+        path: "gen.rs".into(),
+        crate_name: "sim".into(),
+        src: src.into(),
+        audited: true,
+    }]);
     f.into_iter()
         .map(|f| (f.rule.to_string(), f.line))
         .collect()

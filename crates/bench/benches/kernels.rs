@@ -148,9 +148,13 @@ fn bench_event_queue(c: &mut Criterion) {
 fn bench_store_spill_path(c: &mut Criterion) {
     c.bench_function("store_create_spill_cycle_1k", |b| {
         b.iter(|| {
-            let mut s: NodeStore<u64> = NodeStore::new(StoreConfig::ray_default(1_000_000));
+            let mut s: NodeStore<u64> = NodeStore::new(StoreConfig {
+                capacity: 1_000_000,
+                fuse_min: 100_000_000,
+                fuse_enabled: true,
+            });
             for id in 0..1000u64 {
-                let _ = s.request_create(id, 10_000, id, Priority::High);
+                let _ = s.request_create(id, 10_000, id, Priority::High, 0);
                 if s.contains(id) {
                     s.seal(id);
                     s.unpin(id);

@@ -36,27 +36,29 @@ use exo_bench::profdiff::{diff_profiles, extract_profile, render_diff};
 use exo_rt::trace::Json;
 
 /// Audit posture of the sources the numbers were taken from: total and
-/// per-rule finding/exemption counts. `None` when not run inside a
-/// workspace checkout. Returns the JSON block plus the two totals for
-/// the summary line.
+/// per-rule finding/exemption counts, and non-test lines per crate.
+/// `None` when not run inside a workspace checkout. Returns the JSON
+/// block plus the two totals for the summary line.
 fn audit_snapshot() -> Option<(Json, usize, usize)> {
     let cwd = std::env::current_dir().ok()?;
     let root = exo_audit::find_workspace_root(&cwd)?;
     let report = exo_audit::audit_workspace(&root);
-    let exemptions = report.exemptions_by_rule();
     let mut by_rule = Json::obj();
-    for (rule, f) in report.findings_by_rule() {
-        let e = exemptions
-            .iter()
-            .find(|(r, _)| *r == rule)
-            .map(|(_, n)| *n)
-            .unwrap_or(0);
+    for (rule, f, e) in report.by_rule() {
         by_rule = by_rule.set(rule, Json::obj().set("findings", f).set("exemptions", e));
     }
+    let mut by_crate = Json::obj();
+    for (krate, n) in &report.lines {
+        by_crate = by_crate.set(krate, *n);
+    }
+    let lines = Json::obj()
+        .set("total", report.lines.values().sum::<usize>())
+        .set("by_crate", by_crate);
     let json = Json::obj()
         .set("findings", report.findings.len())
         .set("exemptions", report.exemptions.len())
-        .set("by_rule", by_rule);
+        .set("by_rule", by_rule)
+        .set("non_test_lines", lines);
     Some((json, report.findings.len(), report.exemptions.len()))
 }
 

@@ -14,7 +14,7 @@
 //! | ES-push: Magnet-style push-based shuffle | §3.1.3, Listing 1 | [`push`] |
 //! | ES-push*: pipelined two-stage push shuffle | §4.1, Listing 3 | [`push_star`] |
 //! | Streaming shuffle for online aggregation | §3.2.1, Listing 2 | [`streaming`] |
-//! | Per-epoch pipelined shuffle for ML loaders | §3.2.2, Listing 2 | [`loader`] |
+//! | Per-epoch pipelined shuffle for ML loaders | §3.2.2, Listing 2 | [`ShuffleWindow`]; the loop is `exo_ml::trainer` |
 //!
 //! All variants consume the same workload description ([`ShuffleJob`]) and
 //! return reduce-output futures, so an application can pick its shuffle at
@@ -22,7 +22,6 @@
 //! [`run_shuffle`] make that selection a one-liner.
 
 pub mod job;
-pub mod loader;
 pub mod merge;
 pub mod push;
 pub mod push_star;
@@ -31,7 +30,6 @@ pub mod speculative;
 pub mod streaming;
 
 pub use job::{key_sum_job, key_sum_total, CombineFn, MapFn, ReduceFn, ShuffleJob};
-pub use loader::{EpochLoader, LoaderConfig, ShuffleWindow};
 pub use merge::{merge_shuffle, MergeConfig};
 pub use push::{push_shuffle, PushConfig};
 pub use push_star::{frame_blocks, push_star_shuffle, unframe_blocks, PushStarConfig};
@@ -60,6 +58,19 @@ pub enum ShuffleVariant {
     PushStar {
         /// Concurrent map tasks per node per round.
         map_parallelism: usize,
+    },
+}
+
+/// How much of the dataset each per-epoch shuffle round mixes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ShuffleWindow {
+    /// Full distributed shuffle across the entire dataset per epoch.
+    Full,
+    /// Partial shuffle: only blocks within a window of `partitions`
+    /// partitions are mixed (Petastorm-style local buffer shuffle).
+    Window {
+        /// Window size in partitions.
+        partitions: usize,
     },
 }
 

@@ -23,19 +23,6 @@ pub struct MergeConfig {
     pub factor: usize,
 }
 
-impl MergeConfig {
-    /// Riffle's dynamic policy: choose `F` so merged blocks reach at
-    /// least `block_threshold` bytes, given the job's expected block size
-    /// (`map_input / R`).
-    pub fn dynamic(job: &ShuffleJob, block_threshold: u64) -> MergeConfig {
-        let block = (job.map_input_bytes / job.num_reduces.max(1) as u64).max(1);
-        let factor = block_threshold.div_ceil(block).max(1) as usize;
-        MergeConfig {
-            factor: factor.min(job.num_maps.max(1)),
-        }
-    }
-}
-
 /// Run the Riffle-style shuffle; returns the `R` reduce-output futures.
 pub fn merge_shuffle(rt: &RtHandle, job: &ShuffleJob, cfg: MergeConfig) -> Vec<ObjectRef> {
     let (m_total, r_total) = (job.num_maps, job.num_reduces);
@@ -131,22 +118,6 @@ mod tests {
     use crate::job::{key_sum_job, key_sum_total};
     use exo_rt::RtConfig;
     use exo_sim::{ClusterSpec, NodeSpec};
-
-    #[test]
-    fn dynamic_factor_targets_block_threshold() {
-        // 64 MB map partitions over 64 reducers => 1 MB blocks; a 100 MB
-        // threshold wants F = 100.
-        let job = key_sum_job(200, 64, 1).with_io(64_000_000, 0);
-        let cfg = MergeConfig::dynamic(&job, 100_000_000);
-        assert_eq!(cfg.factor, 100);
-        // Threshold below one block => no merging (F = 1).
-        let cfg = MergeConfig::dynamic(&job, 500_000);
-        assert_eq!(cfg.factor, 1);
-        // Factor is capped at M.
-        let small = key_sum_job(4, 64, 1).with_io(64_000_000, 0);
-        let cfg = MergeConfig::dynamic(&small, u64::MAX);
-        assert_eq!(cfg.factor, 4);
-    }
 
     #[test]
     fn computes_correct_totals() {

@@ -83,6 +83,8 @@ where
 }
 
 /// Inverse of [`frame_blocks`].
+// audit:allow(U01): the frame_blocks_roundtrips oracle decodes frames
+// through it.
 pub fn unframe_blocks(p: &Payload) -> Vec<Payload> {
     unframe(p).collect()
 }

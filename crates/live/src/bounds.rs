@@ -495,17 +495,17 @@ mod tests {
     use exo_trace::{IoDir, IoEvent, ObjectEvent, ResourceSample, TaskPhase, TaskSpan};
 
     fn caps() -> DeviceCaps {
-        DeviceCaps::uniform(
-            NodeCaps {
-                cpu_slots: 8,
-                disk_seq_bw: 1e9,
-                disk_random_iops: 1500.0,
-                disk_devices: 6,
-                nic_bw: 1e9,
-                store_bytes: 1_000_000,
-            },
-            2,
-        )
+        let node = NodeCaps {
+            cpu_slots: 8,
+            disk_seq_bw: 1e9,
+            disk_random_iops: 1500.0,
+            disk_devices: 6,
+            nic_bw: 1e9,
+            store_bytes: 1_000_000,
+        };
+        DeviceCaps {
+            per_node: vec![node; 2],
+        }
     }
 
     fn io(node: u32, at_us: u64, bytes: u64) -> Event {

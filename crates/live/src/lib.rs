@@ -338,6 +338,8 @@ impl LiveSeries {
     /// Sums every snapshot's `delta` — must reproduce
     /// [`LiveSeries::final_counters`] exactly (the telescoping
     /// property the integration tests pin).
+    // audit:allow(U01): the telescoping oracle of the live tests, which
+    // check that the snapshot deltas sum to the final counters.
     pub fn fold_deltas(&self) -> TraceCounters {
         let mut c = TraceCounters::default();
         for s in &self.snapshots {
@@ -397,17 +399,17 @@ mod tests {
     use std::sync::{Arc, Mutex};
 
     fn caps() -> DeviceCaps {
-        DeviceCaps::uniform(
-            NodeCaps {
-                cpu_slots: 8,
-                disk_seq_bw: 1e9,
-                disk_random_iops: 1500.0,
-                disk_devices: 6,
-                nic_bw: 1e9,
-                store_bytes: 1_000_000,
-            },
-            2,
-        )
+        let node = NodeCaps {
+            cpu_slots: 8,
+            disk_seq_bw: 1e9,
+            disk_random_iops: 1500.0,
+            disk_devices: 6,
+            nic_bw: 1e9,
+            store_bytes: 1_000_000,
+        };
+        DeviceCaps {
+            per_node: vec![node; 2],
+        }
     }
 
     /// Feeds a shared fold from the sink, like the runtime's observer.

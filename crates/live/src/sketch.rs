@@ -23,6 +23,8 @@ const MAX_OCTAVE: u32 = 40;
 const BUCKETS: usize = SUB + (MAX_OCTAVE - SUB_BITS) as usize * SUB;
 
 /// One-sided relative error bound of reported quantiles.
+// audit:allow(U01): the sketch accuracy oracles (tests/proptests.rs,
+// tests/live_observability.rs) bound quantile error by it.
 pub const RELATIVE_ERROR: f64 = 1.0 / SUB as f64;
 
 /// Fixed-memory histogram of `u64` microsecond values.

@@ -14,8 +14,8 @@
 //!
 //! - [`dataset`]: deterministic biased dataset generation and block codec.
 //! - [`model`]: logistic regression + SGD + accuracy.
-//! - [`trainer`]: the training loop against an Exoshuffle
-//!   [`EpochLoader`](exo_shuffle::EpochLoader) (full or windowed shuffle).
+//! - [`trainer`]: the pipelined per-epoch training loop over Exoshuffle
+//!   (full or windowed shuffle, [`ShuffleWindow`](exo_shuffle::ShuffleWindow)).
 //! - [`petastorm`]: a Petastorm-style buffered loader — sequential chunk
 //!   reads into a bounded in-memory buffer, random draws from the buffer —
 //!   the single-node baseline of Fig 8.

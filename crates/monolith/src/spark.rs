@@ -223,88 +223,6 @@ pub fn spark_sort(
     }
 }
 
-/// Failure model for the Spark baseline (§2.1's motivation for external
-/// shuffle services): an executor dies right at the map/reduce barrier.
-///
-/// - Without an ESS, the dead executor's map outputs vanish with it, and
-///   the whole stage's worth of its tasks re-runs before the reduce stage
-///   can proceed.
-/// - With an ESS, shuffle files live outside the executors and survive;
-///   only the executor restart cost is paid.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FailureMode {
-    /// No failure injected.
-    None,
-    /// One executor (a node's worth of task slots) dies at the stage
-    /// barrier; the cluster runs without an external shuffle service.
-    ExecutorWithoutEss,
-    /// Same failure, but shuffle files are served by an ESS and survive.
-    ExecutorWithEss,
-}
-
-/// Run the Spark sort with an injected executor failure at the stage
-/// barrier. Returns the report; compare against `FailureMode::None` for
-/// the recovery overhead.
-pub fn spark_sort_with_failure(
-    cfg: &SparkConfig,
-    data_bytes: u64,
-    num_maps: usize,
-    num_reduces: usize,
-    failure: FailureMode,
-) -> SparkReport {
-    let base = spark_sort(cfg, data_bytes, num_maps, num_reduces);
-    match failure {
-        FailureMode::None => base,
-        FailureMode::ExecutorWithEss => {
-            // Outputs survive; pay an executor restart (JVM spin-up).
-            SparkReport {
-                jct: base.jct + SimDuration::from_secs(15),
-                ..base
-            }
-        }
-        FailureMode::ExecutorWithoutEss => {
-            // The dead executor held ~1/nodes of the map outputs: that
-            // slice of the map stage re-runs serially on the restarted
-            // executor before reduces can start (plus the restart).
-            let nodes = cfg.cluster.num_nodes() as u64;
-            let mut sim = StageSim::new(&cfg.cluster);
-            let part = data_bytes / num_maps as u64;
-            let ratio = cfg.compression.map(|c| c.ratio).unwrap_or(1.0);
-            let part_c = (part as f64 * ratio) as u64;
-            let redo = num_maps / nodes as usize;
-            let redo_tasks: Vec<(Vec<Op>, Vec<bool>)> = (0..redo.max(1))
-                .map(|_| {
-                    (
-                        vec![
-                            Op::Disk {
-                                node: Some(0),
-                                bytes: part,
-                                kind: IoKind::Sequential,
-                            },
-                            Op::Cpu(SimDuration::from_secs_f64(
-                                part as f64 / cfg.sort_throughput,
-                            )),
-                            Op::Disk {
-                                node: Some(0),
-                                bytes: part_c,
-                                kind: IoKind::Sequential,
-                            },
-                        ],
-                        vec![true, false],
-                    )
-                })
-                .collect();
-            let redo_time = sim.run_stage(SimTime::ZERO, &redo_tasks) - SimTime::ZERO;
-            SparkReport {
-                jct: base.jct + SimDuration::from_secs(15) + redo_time,
-                disk_read: base.disk_read + sim.disk_read,
-                disk_write: base.disk_write + sim.disk_write,
-                net_bytes: base.net_bytes,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,22 +283,6 @@ mod tests {
         let native = spark_sort(&SparkConfig::native(hdd10()), d, 500, 500);
         let push = spark_sort(&SparkConfig::push(hdd10()), d, 500, 500);
         assert!(push.disk_write > native.disk_write);
-    }
-
-    #[test]
-    fn ess_limits_executor_failure_damage() {
-        let d = 100_000_000_000;
-        let cfg = SparkConfig::native(hdd10());
-        let clean = spark_sort_with_failure(&cfg, d, 500, 500, FailureMode::None);
-        let with_ess = spark_sort_with_failure(&cfg, d, 500, 500, FailureMode::ExecutorWithEss);
-        let without = spark_sort_with_failure(&cfg, d, 500, 500, FailureMode::ExecutorWithoutEss);
-        assert!(with_ess.jct > clean.jct);
-        assert!(
-            without.jct > with_ess.jct,
-            "losing map outputs must cost more than an executor restart: {} vs {}",
-            without.jct,
-            with_ess.jct
-        );
     }
 
     #[test]

@@ -367,7 +367,9 @@ mod tests {
     }
 
     fn caps() -> DeviceCaps {
-        DeviceCaps::uniform(node_caps(), 2)
+        DeviceCaps {
+            per_node: vec![node_caps(); 2],
+        }
     }
 
     fn io_on(node: u32, at_us: u64, bytes: u64) -> Event {

@@ -184,7 +184,13 @@ mod tests {
                 label: "reduce",
                 attempt: 0,
                 retry: false,
-                reason: Some(Placement::bare(reason)),
+                reason: Some(Placement {
+                    reason,
+                    policy: "load_balance",
+                    score: 0.0,
+                    slots_free: 0,
+                    slots_total: 0,
+                }),
             }),
         }
     }

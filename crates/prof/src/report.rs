@@ -323,17 +323,17 @@ mod tests {
     use exo_trace::{DepEvent, DepKind, EventKind, TaskPhase, TaskSpan};
 
     fn caps() -> DeviceCaps {
-        DeviceCaps::uniform(
-            exo_sim::NodeCaps {
-                cpu_slots: 8,
-                disk_seq_bw: 1e9,
-                disk_random_iops: 1500.0,
-                disk_devices: 1,
-                nic_bw: 1e9,
-                store_bytes: 1 << 30,
-            },
-            1,
-        )
+        let node = exo_sim::NodeCaps {
+            cpu_slots: 8,
+            disk_seq_bw: 1e9,
+            disk_random_iops: 1500.0,
+            disk_devices: 1,
+            nic_bw: 1e9,
+            store_bytes: 1 << 30,
+        };
+        DeviceCaps {
+            per_node: vec![node; 1],
+        }
     }
 
     fn chain() -> Vec<Event> {

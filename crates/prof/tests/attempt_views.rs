@@ -30,8 +30,13 @@ fn edge(
             label,
             attempt,
             retry: false,
-            reason: (phase == TaskPhase::Scheduled)
-                .then(|| Placement::bare(PlaceReason::LeastLoaded)),
+            reason: (phase == TaskPhase::Scheduled).then_some(Placement {
+                reason: PlaceReason::LeastLoaded,
+                policy: "load_balance",
+                score: 0.0,
+                slots_free: 0,
+                slots_total: 0,
+            }),
         }),
     }
 }

@@ -8,17 +8,17 @@ use exo_trace::{Event, EventKind, IoDir, IoEvent, ObjectEvent, ObjectPhase, Reso
 use proptest::prelude::*;
 
 fn caps(nodes: usize) -> DeviceCaps {
-    DeviceCaps::uniform(
-        NodeCaps {
-            cpu_slots: 8,
-            disk_seq_bw: 500e6,
-            disk_random_iops: 1500.0,
-            disk_devices: 4,
-            nic_bw: 1e9,
-            store_bytes: 1 << 26,
-        },
-        nodes,
-    )
+    let node = NodeCaps {
+        cpu_slots: 8,
+        disk_seq_bw: 500e6,
+        disk_random_iops: 1500.0,
+        disk_devices: 4,
+        nic_bw: 1e9,
+        store_bytes: 1 << 26,
+    };
+    DeviceCaps {
+        per_node: vec![node; nodes],
+    }
 }
 
 /// A deliberately lopsided capacity card: node capacities differ so the

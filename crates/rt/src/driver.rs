@@ -5,7 +5,6 @@
 //! for consumption and backpressure, `locations` for runtime introspection,
 //! and `kill_node` for fault injection.
 
-use bytes::Bytes;
 use exo_sim::engine::{run_with_driver, DriverConn, DriverSpawner, Engine};
 use exo_sim::{SimDuration, SimTime};
 
@@ -15,9 +14,7 @@ use crate::jobs::JobParams;
 use crate::metrics::{EngineTables, RtMetrics};
 use crate::object::{ObjectRef, Payload};
 use crate::runtime::{validate_config, RtConfig, Runtime};
-use crate::task::{
-    ArgSpec, CpuCost, SchedulingStrategy, TaskCtx, TaskFn, TaskOptions, TaskShape, TaskSpec,
-};
+use crate::task::{CpuCost, SchedulingStrategy, TaskCtx, TaskFn, TaskOptions, TaskShape, TaskSpec};
 
 /// Handle through which a driver program talks to the runtime. Each
 /// handle is scoped to one admitted job; every submit/put/get it issues
@@ -443,29 +440,20 @@ impl RtHandle {
 pub struct TaskBuilder {
     rt: RtHandle,
     func: TaskFn,
-    args: Vec<ArgSpec>,
+    args: Vec<ObjectId>,
     opts: TaskOptions,
 }
 
 impl TaskBuilder {
     /// Pass a distributed future as an argument.
     pub fn arg(mut self, r: &ObjectRef) -> Self {
-        self.args.push(ArgSpec::Object(r.id()));
+        self.args.push(r.id());
         self
     }
 
     /// Pass many futures.
     pub fn args<'a>(mut self, rs: impl IntoIterator<Item = &'a ObjectRef>) -> Self {
-        for r in rs {
-            self.args.push(ArgSpec::Object(r.id()));
-        }
-        self
-    }
-
-    /// Pass a small inline value.
-    pub fn arg_inline(mut self, data: impl Into<Bytes>) -> Self {
-        self.args
-            .push(ArgSpec::Inline(Box::new(Payload::inline(data))));
+        self.args.extend(rs.into_iter().map(ObjectRef::id));
         self
     }
 

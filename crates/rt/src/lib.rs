@@ -37,7 +37,8 @@
 //!         let x = ctx.args[0].data[0];
 //!         vec![Payload::inline(Bytes::from(vec![x * 2]))]
 //!     };
-//!     let refs = rt.task(double).arg_inline(Bytes::from(vec![21u8])).submit();
+//!     let x = rt.put(Payload::inline(Bytes::from(vec![21u8])));
+//!     let refs = rt.task(double).arg(&x).submit();
 //!     rt.get(&refs).unwrap()[0].data[0]
 //! });
 //! assert_eq!(answer, 42);

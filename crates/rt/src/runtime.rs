@@ -36,7 +36,7 @@ use crate::metrics::{EngineTables, RtMetrics};
 use crate::object::Payload;
 use crate::observe::RunObserver;
 use crate::scheduler::{place, LoadBalance, NodeSnapshot, PlacementPolicy};
-use crate::task::{task_seed, ArgSpec, TaskCtx, TaskSpec};
+use crate::task::{task_seed, TaskCtx, TaskSpec};
 
 /// Runtime configuration.
 #[derive(Clone, Debug)]
@@ -1358,13 +1358,10 @@ impl Runtime {
         let owner = self.tenant_of_obj(obj).0;
         self.ensure_obj_entry(obj)
             .set_fetch_state(node, FetchState::AllocPending);
-        let decision = self.nodes[node.0].store.request_create_owned(
-            obj.0,
-            size,
-            AllocTag::Fetch,
-            prio,
-            owner,
-        );
+        let decision =
+            self.nodes[node.0]
+                .store
+                .request_create(obj.0, size, AllocTag::Fetch, prio, owner);
         match decision {
             AllocDecision::Granted => self.start_transfer(ctx, node, obj),
             AllocDecision::Fallback => {
@@ -1536,14 +1533,11 @@ impl Runtime {
             .spec
             .args
             .iter()
-            .map(|a| match a {
-                ArgSpec::Inline(p) => Payload::clone(p),
-                ArgSpec::Object(id) => {
-                    let o = self.objects.get(id.0).expect("staged arg exists");
-                    Payload {
-                        data: o.payload.clone().expect("staged arg has payload"),
-                        logical: o.logical,
-                    }
+            .map(|id| {
+                let o = self.objects.get(id.0).expect("staged arg exists");
+                Payload {
+                    data: o.payload.clone().expect("staged arg has payload"),
+                    logical: o.logical,
                 }
             })
             .collect();
@@ -1646,7 +1640,7 @@ impl Runtime {
             return;
         }
         let owner = self.tenant_of(task).0;
-        match self.nodes[node.0].store.request_create_owned(
+        match self.nodes[node.0].store.request_create(
             obj.0,
             logical,
             AllocTag::Output { task, idx, epoch },
@@ -2654,7 +2648,7 @@ impl Simulation for Runtime {
                 // pressure see it.
                 let n = &mut self.nodes[0];
                 if matches!(
-                    n.store.request_create_owned(
+                    n.store.request_create(
                         id.0,
                         logical,
                         AllocTag::Fetch,

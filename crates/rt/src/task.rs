@@ -178,26 +178,13 @@ impl Default for TaskOptions {
     }
 }
 
-/// An argument as stored in a task spec. Object arguments dominate (a
-/// reduce lists one per map), so the rare inline value is boxed and an
-/// argument costs 16 bytes instead of a whole [`Payload`] plus tag.
-#[derive(Clone, Debug)]
-pub enum ArgSpec {
-    /// A distributed future produced elsewhere.
-    Object(ObjectId),
-    /// A small inline value copied with the spec.
-    Inline(Box<Payload>),
-}
-
-const _: () = assert!(std::mem::size_of::<ArgSpec>() == 16);
-
 /// Everything needed to execute (and re-execute) a task.
 #[derive(Clone)]
 pub struct TaskSpec {
     /// The body.
     pub func: TaskFn,
-    /// Arguments in order.
-    pub args: Vec<ArgSpec>,
+    /// Arguments in order: distributed futures produced elsewhere.
+    pub args: Vec<ObjectId>,
     /// Options.
     pub opts: TaskOptions,
 }
@@ -208,10 +195,8 @@ impl TaskSpec {
         let mut seen = std::collections::HashSet::new();
         self.args
             .iter()
-            .filter_map(|a| match a {
-                ArgSpec::Object(id) if seen.insert(*id) => Some(*id),
-                _ => None,
-            })
+            .copied()
+            .filter(|id| seen.insert(*id))
             .collect()
     }
 }
@@ -257,12 +242,7 @@ mod tests {
         let f: TaskFn = Arc::new(|_ctx| vec![]);
         let spec = TaskSpec {
             func: f,
-            args: vec![
-                ArgSpec::Object(ObjectId(1)),
-                ArgSpec::Inline(Box::new(Payload::ghost(4))),
-                ArgSpec::Object(ObjectId(2)),
-                ArgSpec::Object(ObjectId(1)),
-            ],
+            args: vec![ObjectId(1), ObjectId(2), ObjectId(1)],
             opts: TaskOptions::default(),
         };
         assert_eq!(spec.object_args(), vec![ObjectId(1), ObjectId(2)]);

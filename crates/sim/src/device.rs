@@ -239,6 +239,8 @@ impl ClusterSpec {
     }
 
     /// Build a cluster from an explicit per-node list.
+    // audit:allow(U01): the heterogeneous-scheduler and placement-policy
+    // property tests draw arbitrary per-node clusters through it.
     pub fn heterogeneous(nodes: Vec<NodeSpec>) -> Self {
         assert!(!nodes.is_empty(), "cluster needs at least one node");
         ClusterSpec { nodes }
@@ -271,13 +273,6 @@ impl ClusterSpec {
     /// Hardware description of node `i`.
     pub fn node(&self, i: usize) -> &NodeSpec {
         &self.nodes[i]
-    }
-
-    /// True when every node has the same shape as node 0 (field-for-field
-    /// in the capacity card; used only for reporting, never for behavior).
-    pub fn is_homogeneous(&self) -> bool {
-        let first = self.nodes[0].caps();
-        self.nodes.iter().all(|n| n.caps() == first)
     }
 
     /// Aggregate sequential disk bandwidth of the cluster, bytes/second.
@@ -329,7 +324,7 @@ impl NodeSpec {
 
 /// Per-node capacity cards for a whole cluster, in node-id order.
 /// Offline analysis classifies each node's samples against its own entry
-/// and uses the `total_*` aggregates for cluster-wide views.
+/// and sums over `per_node` for cluster-wide views.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DeviceCaps {
     /// One capacity card per node, indexed by node id.
@@ -337,14 +332,6 @@ pub struct DeviceCaps {
 }
 
 impl DeviceCaps {
-    /// Capacity card for `n` identical nodes.
-    pub fn uniform(node: NodeCaps, n: usize) -> DeviceCaps {
-        assert!(n >= 1, "need at least one node");
-        DeviceCaps {
-            per_node: vec![node; n],
-        }
-    }
-
     /// Worker node count.
     pub fn nodes(&self) -> usize {
         self.per_node.len()
@@ -353,16 +340,6 @@ impl DeviceCaps {
     /// Capacity card of node `i`.
     pub fn node(&self, i: usize) -> &NodeCaps {
         &self.per_node[i]
-    }
-
-    /// Cluster-wide CPU slot count.
-    pub fn total_cpu_slots(&self) -> usize {
-        self.per_node.iter().map(|n| n.cpu_slots).sum()
-    }
-
-    /// Cluster-wide sequential disk bandwidth, bytes/second.
-    pub fn total_disk_seq_bw(&self) -> f64 {
-        self.per_node.iter().map(|n| n.disk_seq_bw).sum()
     }
 }
 
@@ -427,9 +404,8 @@ mod tests {
             assert_eq!(nc.store_bytes, node.object_store_bytes);
             assert!((nc.disk_random_iops - node.disk.random_iops()).abs() < 1e-6);
         }
-        assert!((caps.total_disk_seq_bw() - c.aggregate_disk_bw()).abs() < 1.0);
-        assert_eq!(caps.total_cpu_slots(), 32);
-        assert!(c.is_homogeneous());
+        let disk_bw: f64 = caps.per_node.iter().map(|n| n.disk_seq_bw).sum();
+        assert!((disk_bw - c.aggregate_disk_bw()).abs() < 1.0);
     }
 
     #[test]
@@ -441,7 +417,6 @@ mod tests {
         assert_eq!(c.node(1).disk.devices, 6);
         assert_eq!(c.node(2).disk.devices, 8);
         assert_eq!(c.node(4).disk.devices, 8);
-        assert!(!c.is_homogeneous());
         let expect =
             2.0 * NodeSpec::d3_2xlarge().disk.seq_bw + 3.0 * NodeSpec::i3_2xlarge().disk.seq_bw;
         assert!((c.aggregate_disk_bw() - expect).abs() < 1.0);
@@ -458,6 +433,5 @@ mod tests {
         for i in 1..4 {
             assert_eq!(c.node(i).cpus, 8); // r6i.2xlarge feeders
         }
-        assert!(!c.is_homogeneous());
     }
 }

@@ -269,12 +269,6 @@ pub struct Resource {
     /// Fixed per-op overhead charged to every op (request setup, interrupt).
     per_op: SimDuration,
     servers: Vec<Server>,
-    /// Total bytes served (for utilisation metrics).
-    bytes: u64,
-    /// Total ops served.
-    ops: u64,
-    /// Accumulated busy time across servers (for utilisation metrics).
-    busy: SimDuration,
     /// Resets so far: the generation of the current rings.
     gen: u32,
 }
@@ -309,9 +303,6 @@ impl Resource {
                     untimed_bytes: 0,
                 })
                 .collect(),
-            bytes: 0,
-            ops: 0,
-            busy: SimDuration::ZERO,
             gen: 0,
         }
     }
@@ -342,9 +333,6 @@ impl Resource {
             .expect("at least one server");
         let end = server.free_at.max(now) + service;
         server.free_at = end;
-        self.bytes += size;
-        self.ops += 1;
-        self.busy += service;
         (idx, end)
     }
 
@@ -503,21 +491,6 @@ impl Resource {
         }
     }
 
-    /// Total bytes served so far.
-    pub fn bytes_served(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Total ops served so far.
-    pub fn ops_served(&self) -> u64 {
-        self.ops
-    }
-
-    /// Accumulated service (busy) time across all servers.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
     /// Diagnostic label.
     pub fn label(&self) -> &str {
         &self.label
@@ -589,16 +562,6 @@ mod tests {
         }
         // 1500 ops * 4ms / 6 servers = 1.0 s.
         assert_eq!(end.as_micros(), 1_000_000);
-    }
-
-    #[test]
-    fn metrics_accumulate() {
-        let mut d = disk();
-        d.submit(SimTime::ZERO, 1000, IoKind::Sequential);
-        d.submit(SimTime::ZERO, 2000, IoKind::Random);
-        assert_eq!(d.bytes_served(), 3000);
-        assert_eq!(d.ops_served(), 2);
-        assert!(d.busy_time() > SimDuration::ZERO);
     }
 
     #[test]

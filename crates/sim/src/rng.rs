@@ -41,11 +41,6 @@ impl SplitMix64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Derive an independent child generator (for per-task seeding).
-    pub fn fork(&mut self) -> SplitMix64 {
-        SplitMix64::new(self.next_u64())
-    }
-
     /// Fisher–Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
@@ -102,12 +97,5 @@ mod tests {
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         // With 50 elements the odds of the identity permutation are ~0.
         assert_ne!(xs, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fork_produces_independent_stream() {
-        let mut a = SplitMix64::new(9);
-        let mut c = a.fork();
-        assert_ne!(a.next_u64(), c.next_u64());
     }
 }

@@ -23,16 +23,6 @@ pub const D3_2XLARGE: InstancePrice = InstancePrice {
     name: "d3.2xlarge",
     usd_per_hour: 0.999,
 };
-/// `i3.2xlarge` (NVMe storage node).
-pub const I3_2XLARGE: InstancePrice = InstancePrice {
-    name: "i3.2xlarge",
-    usd_per_hour: 0.624,
-};
-/// `r6i.2xlarge` (memory-optimised node).
-pub const R6I_2XLARGE: InstancePrice = InstancePrice {
-    name: "r6i.2xlarge",
-    usd_per_hour: 0.504,
-};
 
 /// Total cluster cost of a run.
 pub fn run_cost_usd(price: InstancePrice, nodes: usize, jct: SimDuration) -> f64 {

@@ -20,9 +20,9 @@ pub mod partition;
 pub mod record;
 pub mod validate;
 
-pub use cost::{run_cost_usd, usd_per_tb, InstancePrice, D3_2XLARGE, I3_2XLARGE, R6I_2XLARGE};
+pub use cost::{run_cost_usd, usd_per_tb, InstancePrice, D3_2XLARGE};
 pub use job::{sort_job, SortSpec};
 pub use kernel::{kway_merge, sort_and_cut, sort_records};
 pub use partition::RangePartitioner;
-pub use record::{gen_records, key_of, RECORD_SIZE};
+pub use record::{gen_records, RECORD_SIZE};
 pub use validate::{validate_sorted, SortCheck};

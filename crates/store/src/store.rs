@@ -22,17 +22,6 @@ pub struct StoreConfig {
     pub fuse_enabled: bool,
 }
 
-impl StoreConfig {
-    /// Ray-like defaults at a given capacity.
-    pub fn ray_default(capacity: u64) -> Self {
-        StoreConfig {
-            capacity,
-            fuse_min: 100 * 1000 * 1000,
-            fuse_enabled: true,
-        }
-    }
-}
-
 /// Where an object's bytes currently live on this node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Residency {
@@ -250,24 +239,13 @@ impl<T> NodeStore<T> {
     }
 
     /// Request memory for a brand-new local object (task output or an
-    /// incoming remote/restored copy). On `Granted` the object exists
-    /// unsealed with one pin (the creator's).
-    pub fn request_create(
-        &mut self,
-        id: ObjId,
-        size: u64,
-        tag: T,
-        priority: Priority,
-    ) -> AllocDecision {
-        self.request_create_owned(id, size, tag, priority, 0)
-    }
-
-    /// [`NodeStore::request_create`], billing the bytes to `owner`. When
-    /// the owner has a quota and this allocation would exceed it, the
+    /// incoming remote/restored copy), billing the bytes to `owner`. On
+    /// `Granted` the object exists unsealed with one pin (the creator's).
+    /// When the owner has a quota and this allocation would exceed it, the
     /// object is routed to the filesystem fallback instead of shared
     /// memory — over-quota tenants degrade to disk speed rather than
     /// squeezing other tenants out of memory.
-    pub fn request_create_owned(
+    pub fn request_create(
         &mut self,
         id: ObjId,
         size: u64,
@@ -829,7 +807,7 @@ mod tests {
     fn create_within_capacity_grants_immediately() {
         let mut s = store(1000);
         assert!(matches!(
-            s.request_create(1, 400, "a", Priority::High),
+            s.request_create(1, 400, "a", Priority::High, 0),
             AllocDecision::Granted
         ));
         assert_eq!(s.used(), 400);
@@ -840,7 +818,7 @@ mod tests {
     fn over_capacity_request_falls_back() {
         let mut s = store(1000);
         assert!(matches!(
-            s.request_create(1, 5000, "big", Priority::High),
+            s.request_create(1, 5000, "big", Priority::High, 0),
             AllocDecision::Fallback
         ));
         assert_eq!(s.used(), 0);
@@ -852,15 +830,15 @@ mod tests {
     fn backlogged_create_queues_then_spills_then_grants() {
         let mut s = store(1000);
         // Fill with two sealed, unpinned objects.
-        s.request_create(1, 600, "a", Priority::High);
+        s.request_create(1, 600, "a", Priority::High, 0);
         s.seal(1);
         s.unpin(1);
-        s.request_create(2, 400, "b", Priority::High);
+        s.request_create(2, 400, "b", Priority::High, 0);
         s.seal(2);
         s.unpin(2);
         // Now request more than free.
         assert!(matches!(
-            s.request_create(3, 500, "c", Priority::High),
+            s.request_create(3, 500, "c", Priority::High, 0),
             AllocDecision::Queued
         ));
         // Spill pump should produce a batch.
@@ -881,12 +859,12 @@ mod tests {
     fn fusing_batches_small_objects_into_one_file() {
         let mut s = store(1000);
         for id in 0..10 {
-            s.request_create(id, 100, "x", Priority::High);
+            s.request_create(id, 100, "x", Priority::High, 0);
             s.seal(id);
             s.unpin(id);
         }
         // Demand 500 with fuse_min 100: batch covers the demand.
-        s.request_create(100, 500, "big", Priority::High);
+        s.request_create(100, 500, "big", Priority::High, 0);
         let batch = s.next_spill_batch().expect("pressure");
         assert!(batch.objects.len() >= 5, "fused batch, got {:?}", batch);
         assert_eq!(s.metrics().spill_files, 1);
@@ -898,11 +876,11 @@ mod tests {
         c.fuse_enabled = false;
         let mut s: NodeStore<&'static str> = NodeStore::new(c);
         for id in 0..10 {
-            s.request_create(id, 100, "x", Priority::High);
+            s.request_create(id, 100, "x", Priority::High, 0);
             s.seal(id);
             s.unpin(id);
         }
-        s.request_create(100, 500, "big", Priority::High);
+        s.request_create(100, 500, "big", Priority::High, 0);
         let mut files = 0;
         while let Some(b) = s.next_spill_batch() {
             assert_eq!(b.objects.len(), 1);
@@ -915,9 +893,9 @@ mod tests {
     #[test]
     fn pinned_objects_are_never_spilled() {
         let mut s = store(1000);
-        s.request_create(1, 800, "a", Priority::High); // pinned by creator
+        s.request_create(1, 800, "a", Priority::High, 0); // pinned by creator
         s.seal(1);
-        s.request_create(2, 800, "b", Priority::High);
+        s.request_create(2, 800, "b", Priority::High, 0);
         assert!(s.next_spill_batch().is_none(), "only candidate is pinned");
         // Queue resolves via fallback to preserve liveness.
         let granted = s.take_granted();
@@ -928,10 +906,10 @@ mod tests {
     #[test]
     fn restore_roundtrip() {
         let mut s = store(1000);
-        s.request_create(1, 600, "a", Priority::High);
+        s.request_create(1, 600, "a", Priority::High, 0);
         s.seal(1);
         s.unpin(1);
-        s.request_create(2, 600, "b", Priority::High);
+        s.request_create(2, 600, "b", Priority::High, 0);
         let batch = s.next_spill_batch().expect("pressure");
         s.spill_complete(&batch);
         assert_eq!(s.residency(1), Some(Residency::Disk));
@@ -952,10 +930,10 @@ mod tests {
     #[test]
     fn respill_of_restored_object_elides_the_write() {
         let mut s = store(1000);
-        s.request_create(1, 600, "a", Priority::High);
+        s.request_create(1, 600, "a", Priority::High, 0);
         s.seal(1);
         s.unpin(1);
-        s.request_create(2, 600, "b", Priority::High);
+        s.request_create(2, 600, "b", Priority::High, 0);
         let batch = s.next_spill_batch().expect("pressure");
         s.spill_complete(&batch);
         s.take_granted();
@@ -966,7 +944,7 @@ mod tests {
         s.restore_complete(1);
         // New pressure: object 1 (on disk already) should be freed without
         // a write batch.
-        s.request_create(3, 800, "c", Priority::High);
+        s.request_create(3, 800, "c", Priority::High, 0);
         assert!(s.next_spill_batch().is_none(), "no write needed");
         assert_eq!(s.metrics().spill_writes_elided, 1);
         let granted = s.take_granted();
@@ -977,7 +955,7 @@ mod tests {
     #[test]
     fn forget_frees_memory_and_counts_unwritten_eviction() {
         let mut s = store(1000);
-        s.request_create(1, 400, "a", Priority::High);
+        s.request_create(1, 400, "a", Priority::High, 0);
         s.seal(1);
         s.unpin(1);
         s.forget(1);
@@ -989,7 +967,7 @@ mod tests {
     #[test]
     fn forget_while_pinned_defers_to_last_unpin() {
         let mut s = store(1000);
-        s.request_create(1, 400, "a", Priority::High); // creator pin
+        s.request_create(1, 400, "a", Priority::High, 0); // creator pin
         s.seal(1);
         s.forget(1);
         assert!(s.contains(1), "pinned object survives forget");
@@ -1001,10 +979,10 @@ mod tests {
     #[test]
     fn forget_mid_spill_frees_immediately_and_ack_is_ignored() {
         let mut s = store(1000);
-        s.request_create(1, 600, "a", Priority::High);
+        s.request_create(1, 600, "a", Priority::High, 0);
         s.seal(1);
         s.unpin(1);
-        s.request_create(2, 600, "b", Priority::High);
+        s.request_create(2, 600, "b", Priority::High, 0);
         let batch = s.next_spill_batch().expect("pressure");
         assert_eq!(s.used(), 600);
         s.forget(1);
@@ -1016,16 +994,16 @@ mod tests {
     #[test]
     fn low_priority_waits_for_high() {
         let mut s = store(1000);
-        s.request_create(1, 900, "hog", Priority::High);
+        s.request_create(1, 900, "hog", Priority::High, 0);
         s.seal(1);
         s.unpin(1);
         // Low-priority prefetch and high-priority output both queued.
         assert!(matches!(
-            s.request_create(2, 500, "low", Priority::Low),
+            s.request_create(2, 500, "low", Priority::Low, 0),
             AllocDecision::Queued
         ));
         assert!(matches!(
-            s.request_create(3, 500, "high", Priority::High),
+            s.request_create(3, 500, "high", Priority::High, 0),
             AllocDecision::Queued
         ));
         let batch = s.next_spill_batch().expect("pressure");
@@ -1037,11 +1015,11 @@ mod tests {
     #[test]
     fn peak_used_tracks_high_water_mark() {
         let mut s = store(1000);
-        s.request_create(1, 700, "a", Priority::High);
+        s.request_create(1, 700, "a", Priority::High, 0);
         s.seal(1);
         s.unpin(1);
         s.forget(1);
-        s.request_create(2, 300, "b", Priority::High);
+        s.request_create(2, 300, "b", Priority::High, 0);
         assert_eq!(s.metrics().peak_used, 700);
     }
 }

@@ -403,7 +403,13 @@ mod tests {
                 attempt: 0,
                 retry: false,
                 reason: if phase == TaskPhase::Scheduled {
-                    Some(Placement::bare(PlaceReason::LocalityHit))
+                    Some(Placement {
+                        reason: PlaceReason::LocalityHit,
+                        policy: "load_balance",
+                        score: 0.0,
+                        slots_free: 0,
+                        slots_total: 0,
+                    })
                 } else {
                     None
                 },

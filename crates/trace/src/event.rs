@@ -58,20 +58,6 @@ pub struct Placement {
     pub slots_total: u32,
 }
 
-impl Placement {
-    /// A placement record with no capacity or policy context (tests,
-    /// synthetic streams).
-    pub fn bare(reason: PlaceReason) -> Placement {
-        Placement {
-            reason,
-            policy: "load_balance",
-            score: 0.0,
-            slots_free: 0,
-            slots_total: 0,
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 pub struct TaskSpan {
     pub task: u64,

@@ -346,6 +346,8 @@ impl TraceSink {
     /// cloning it — the O(1)-copy path exporters and tests should use.
     /// The sink lock is held for the duration of `f`, so `f` must not
     /// call back into the sink.
+    // audit:allow(U01): the counter-fold oracle of the trace consistency
+    // tests folds the retained stream through it without draining it.
     pub fn with_events<R>(&self, f: impl FnOnce(&[Event]) -> R) -> R {
         let st = self.lock_flushed();
         f(&st.events)
@@ -544,7 +546,13 @@ mod tests {
             label: "map",
             attempt: 1,
             retry: true,
-            reason: Some(Placement::bare(PlaceReason::Spread)),
+            reason: Some(Placement {
+                reason: PlaceReason::Spread,
+                policy: "load_balance",
+                score: 0.0,
+                slots_free: 0,
+                slots_total: 0,
+            }),
         }));
         c.apply(&obj(ObjectPhase::Reconstructed, 5));
         c.apply(&EventKind::Failure(FailureEvent {

@@ -461,17 +461,17 @@ mod tests {
     };
 
     fn caps(nodes: usize) -> DeviceCaps {
-        DeviceCaps::uniform(
-            NodeCaps {
-                cpu_slots: 8,
-                disk_seq_bw: 1e8,
-                disk_random_iops: 1500.0,
-                disk_devices: 1,
-                nic_bw: 1e8,
-                store_bytes: 1_000_000,
-            },
-            nodes,
-        )
+        let node = NodeCaps {
+            cpu_slots: 8,
+            disk_seq_bw: 1e8,
+            disk_random_iops: 1500.0,
+            disk_devices: 1,
+            nic_bw: 1e8,
+            store_bytes: 1_000_000,
+        };
+        DeviceCaps {
+            per_node: vec![node; nodes],
+        }
     }
 
     /// The detectors and the fold they read, fed in the runtime

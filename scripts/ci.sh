@@ -5,9 +5,22 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "==> exo-audit --deny (static determinism & safety audit)"
+# The committed results/audit.json, results/*.live.jsonl and fig4_ft
+# profile hold no host-dependent fields, so a rerun must reproduce them
+# byte for byte; regenerate and commit them when they change on purpose.
 mkdir -p results
-cargo run -q -p exo-audit -- --deny --json results/audit.json
+observed=$(mktemp -d)
+trap 'rm -rf "$observed"' EXIT
+same_as_committed() {
+    cmp "$observed/$1" "results/$2" || {
+        echo "FAIL: $1 differs from the committed results/$2" >&2
+        exit 1
+    }
+}
+
+echo "==> exo-audit --deny (static determinism, safety and unused-surface audit; committed report)"
+cargo run -q -p exo-audit -- --deny --json "$observed/audit.json"
+same_as_committed audit.json audit.json
 
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
@@ -45,18 +58,6 @@ cargo run --release -p exo-bench --bin hetero -- --compare --quick
 grep -q '"bound_aware_not_worse":true' results/hetero_policy.json || {
     echo "FAIL: bound-aware placement regressed vs load_balance on mixed_hdd_ssd" >&2
     exit 1
-}
-
-# The committed results/*.live.jsonl hold only virtual-time fields, so
-# a rerun must reproduce them byte for byte; regenerate and commit them
-# when an observer's output changes on purpose.
-observed=$(mktemp -d)
-trap 'rm -rf "$observed"' EXIT
-same_as_committed() {
-    cmp "$observed/$1" "results/$2" || {
-        echo "FAIL: $1 differs from the committed results/$2" >&2
-        exit 1
-    }
 }
 
 echo "==> live-observability smoke (--live JSONL timeseries + live_check, committed copy)"
