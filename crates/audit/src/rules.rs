@@ -10,7 +10,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lexer::{lex, Lexed, Tok, TokKind};
+use crate::lexer::{lex, Comment, Lexed, Tok, TokKind};
 
 /// Crates whose output must be bit-identical across reruns: the sim
 /// engine, the object store, the runtime, and every layer that folds,
@@ -338,22 +338,45 @@ fn test_regions(lx: &Lexed) -> BTreeSet<u32> {
     lines
 }
 
+/// A comment's text without its sigils (`/`, `!`, `*`) and leading
+/// blanks.
+fn comment_body(c: &Comment) -> &str {
+    c.text
+        .trim_start_matches(['/', '!', '*'])
+        .trim_start_matches([' ', '\t'])
+}
+
 /// Parses `audit:allow(...)` annotations out of comments. The marker
 /// must *begin* the comment (after the doc sigils `/`, `!`, `*`) so
-/// prose that merely mentions the syntax is not an annotation.
+/// prose that merely mentions the syntax is not an annotation. A
+/// leading annotation's justification runs on through the whole-line
+/// comments directly below it, up to the next code line or annotation.
 /// Comments in test regions are ignored entirely.
 fn parse_allows(lx: &Lexed, test_lines: &BTreeSet<u32>) -> Vec<Allow> {
     let mut out = Vec::new();
-    for c in &lx.comments {
-        let head = c
-            .text
-            .trim_start_matches(['/', '!', '*'])
-            .trim_start_matches([' ', '\t']);
-        let Some(rest) = head.strip_prefix("audit:allow") else {
+    for (i, c) in lx.comments.iter().enumerate() {
+        let Some(rest) = comment_body(c).strip_prefix("audit:allow") else {
             continue;
         };
         if test_lines.contains(&c.line) {
             continue;
+        }
+        let mut rest = rest.trim_end().to_string();
+        if !c.trailing {
+            let mut line = c.line;
+            for next in &lx.comments[i + 1..] {
+                let body = comment_body(next);
+                if next.trailing
+                    || next.line != line + 1
+                    || lx.code_lines.contains(&next.line)
+                    || body.starts_with("audit:allow")
+                {
+                    break;
+                }
+                rest.push(' ');
+                rest.push_str(body.trim_end());
+                line = next.line;
+            }
         }
         let (rules, justification, malformed) = match rest.strip_prefix('(') {
             Some(r) => match r.split_once(')') {
@@ -1305,6 +1328,31 @@ mod tests {
         assert_eq!(e.len(), 1);
         assert_eq!(e[0].rule, "P01");
         assert!(e[0].justification.contains("invariant"));
+    }
+
+    #[test]
+    fn allow_justification_runs_on_through_the_comment_below() {
+        let src = "fn f(x: Option<u32>) -> u32 {\n\
+                   // audit:allow(P01): the caller checked is_some, so\n\
+                   //   this never panics\n\
+                   x.unwrap()\n\
+                   }\n";
+        let (f, e) = scan_source(src, "rt", "x.rs");
+        assert!(f.is_empty(), "{f:?}");
+        assert_eq!(
+            e[0].justification,
+            "the caller checked is_some, so this never panics"
+        );
+        // A trailing annotation's reason ends on its own line: the
+        // comment below it belongs to the next statement.
+        let src = "fn f(x: Option<u32>) -> u32 {\n\
+                   let y = x.unwrap(); // audit:allow(P01): checked above\n\
+                   // the answer\n\
+                   y\n\
+                   }\n";
+        let (f, e) = scan_source(src, "rt", "x.rs");
+        assert!(f.is_empty(), "{f:?}");
+        assert_eq!(e[0].justification, "checked above");
     }
 
     #[test]

@@ -24,12 +24,13 @@ pub const XL_NODES: usize = 100;
 pub const XL_DATA_BYTES: u64 = 100_000_000_000_000;
 
 /// Sim-events/sec floor asserted by the bench gate on the smoke
-/// geometry. The pre-refactor engine (BinaryHeap queue, HashMap
-/// tables, per-event tracing, per-call arg-set rebuilds) measured
-/// ~21 k events/s on this case on the reference machine; the
-/// refactored engine measures ~180 k. The floor sits at ~4.7× the
-/// pre-refactor rate — far above any pre-refactor regression, with
-/// ~45% headroom below the measured rate for slow CI machines.
+/// geometry. The pre-refactor engine (every device completion queued
+/// as its own event, HashMap tables, per-event tracing, per-call
+/// arg-set rebuilds) measured ~21 k events/s on this case on the
+/// reference machine; the refactored engine measures ~180 k. The floor
+/// sits at ~4.7× the pre-refactor rate — far above any pre-refactor
+/// regression, with ~45% headroom below the measured rate for slow CI
+/// machines.
 pub const XL_EVENTS_PER_SEC_FLOOR: f64 = 100_000.0;
 
 /// Minimum ratio of events/s at [`XL_MID_PARTITIONS`] to events/s at
@@ -145,9 +146,8 @@ pub fn rerun_diffs(a: &SortRunResult, b: &SortRunResult) -> Vec<&'static str> {
 
 /// The engine's table footprints as the `"tables"` object of the
 /// results JSON: `{live, capacity, bytes, written}` per table. The
-/// `queue_*` tables (hot heap, wheel buckets) and `device_rings` give
-/// their peak entries and peak allocation, since they are empty at
-/// shutdown.
+/// `queue` and `device_rings` tables give their peak entries and peak
+/// allocation, since they are empty at shutdown.
 pub fn tables_json(t: &EngineTables) -> Json {
     let table = |f: TableFootprint| {
         Json::obj()
@@ -160,7 +160,6 @@ pub fn tables_json(t: &EngineTables) -> Json {
         .set("objects", table(t.objects))
         .set("tasks", table(t.tasks))
         .set("store_slots", table(t.store_slots))
-        .set("queue_hot", table(t.queue.hot))
-        .set("queue_wheel", table(t.queue.wheel))
+        .set("queue", table(t.queue))
         .set("device_rings", table(t.rings))
 }

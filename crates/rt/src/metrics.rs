@@ -6,7 +6,7 @@
 //! metrics are merged in separately. [`RtMetrics::from_counters`] is the
 //! one conversion point.
 
-use exo_sim::{QueueFootprint, TableFootprint};
+use exo_sim::TableFootprint;
 use exo_store::StoreMetrics;
 use exo_trace::TraceCounters;
 
@@ -14,7 +14,7 @@ use exo_trace::TraceCounters;
 /// read once at shutdown. The arenas never give capacity back, so their
 /// capacity is the run's peak; only the stores of killed nodes (rebuilt
 /// empty) shed theirs. The event queue has drained by then, so it
-/// reports each tier's peak entries and peak capacity instead.
+/// reports its peak entries and peak capacity instead.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineTables {
     /// Object directory.
@@ -23,8 +23,8 @@ pub struct EngineTables {
     pub tasks: TableFootprint,
     /// Object-store slot tables, summed over nodes.
     pub store_slots: TableFootprint,
-    /// Event-queue tiers, at their peaks.
-    pub queue: QueueFootprint,
+    /// Event queue, at its peak.
+    pub queue: TableFootprint,
     /// Device completion rings (the ops queued behind each server's
     /// head), at their peak.
     pub rings: TableFootprint,

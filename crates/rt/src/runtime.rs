@@ -15,8 +15,8 @@ use std::sync::Arc;
 use exo_live::{LiveConfig, SNAPSHOT_INTERVAL_US};
 use exo_sim::engine::{Ctx, Reply};
 use exo_sim::{
-    ClusterSpec, DeviceCaps, IoKind, QueueFootprint, Resource, RingId, RingPool, SimDuration,
-    SimTime, Simulation, TableFootprint,
+    ClusterSpec, DeviceCaps, IoKind, Resource, RingId, RingPool, SimDuration, SimTime, Simulation,
+    TableFootprint,
 };
 use exo_store::{AllocDecision, NodeStore, RestoreDecision, SpillBatch, StoreConfig};
 use exo_trace::{
@@ -259,8 +259,9 @@ pub enum RtEvent {
     DispatchPass,
 }
 
-// Every queued event is one wheel or heap slot of `(at, seq)` plus this
-// enum. `Device` sets the size; rarer large payloads go behind a `Box`.
+// Every queued event is one heap entry of `(at, seq)` plus this enum,
+// and each sift moves whole entries. `Device` sets the size; rarer large
+// payloads go behind a `Box`.
 const _: () = assert!(std::mem::size_of::<RtEvent>() <= 40);
 
 /// The `RtEvent` a completion on `node`'s `ring` fires as.
@@ -508,7 +509,7 @@ pub struct Runtime {
     /// the job finishes.
     job_waiters: Vec<Vec<Reply<()>>>,
     /// The event queue's footprint, handed over at engine shutdown.
-    queue_footprint: QueueFootprint,
+    queue_footprint: TableFootprint,
     /// Chunks of every node's device completion rings.
     rings: RingPool<DeviceDone>,
     /// Helper threads running task closures off the engine thread.
@@ -574,7 +575,7 @@ impl Runtime {
             live_scheduled: false,
             dispatch_scheduled: false,
             job_waiters: Vec::new(),
-            queue_footprint: QueueFootprint::default(),
+            queue_footprint: TableFootprint::default(),
             rings: RingPool::new(),
             compute: ComputePool::new(),
         };
@@ -2816,7 +2817,7 @@ impl Simulation for Runtime {
         false
     }
 
-    fn on_shutdown(&mut self, queue: QueueFootprint) {
+    fn on_shutdown(&mut self, queue: TableFootprint) {
         self.queue_footprint = queue;
     }
 

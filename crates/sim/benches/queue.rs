@@ -1,16 +1,14 @@
-//! Event-queue microbenches: the hierarchical timing wheel
-//! (`exo_sim::EventQueue`) against the plain binary heap it replaced,
-//! on the schedule shapes the engine actually produces.
+//! Event-queue microbenches: `exo_sim::EventQueue` on the schedule
+//! shapes the engine produces.
 //!
 //! Patterns:
-//! - `uniform`: short delays within one level-1 bucket (transfer/CPU
-//!   churn), heavy tie density.
+//! - `uniform`: delays up to 4 ms (transfer/CPU churn), heavy tie
+//!   density.
 //! - `bursty`: mostly short delays with occasional seconds-ahead
 //!   completions. Its queue stays a few tens of thousands deep, and
 //!   the long delays are a sixteenth of the schedules, so it never
 //!   reaches the backlog `xl_simple` builds.
-//! - `sparse`: milliseconds-apart events at low queue depth, where
-//!   most pops search past empty buckets.
+//! - `sparse`: milliseconds-apart events at low queue depth.
 //!
 //! `backlogged` is the shape `xl_simple` builds: some 180k device
 //! completions booked 10–1,000 s ahead behind FIFO servers. It runs
@@ -22,58 +20,9 @@
 //!
 //! Run with `cargo bench -p exo-sim --bench queue`.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use exo_sim::engine::{run_with_driver, Ctx, Reply, Simulation};
 use exo_sim::{EventQueue, IoKind, Resource, RingId, RingPool, SimDuration, SimTime};
-
-/// The pre-refactor queue: one binary heap over the whole pending set.
-struct HeapQueue {
-    heap: BinaryHeap<HeapEntry>,
-    seq: u64,
-}
-
-struct HeapEntry {
-    at: SimTime,
-    seq: u64,
-    event: u64,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-impl HeapQueue {
-    fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-    fn schedule_at(&mut self, at: SimTime, event: u64) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(HeapEntry { at, seq, event });
-    }
-    fn pop(&mut self) -> Option<(SimTime, u64)> {
-        self.heap.pop().map(|e| (e.at, e.event))
-    }
-}
 
 /// Deterministic splitmix-style generator (benches must be reproducible
 /// without ambient RNG).
@@ -92,27 +41,24 @@ const OPS: u64 = 100_000;
 
 /// Drives a queue through `OPS` mixed operations (~2 schedules per pop,
 /// like the engine) with delays drawn from `spread`, then drains.
-macro_rules! drive {
-    ($queue:expr, $pattern:expr) => {{
-        let mut q = $queue;
-        let Pattern { spread, .. } = $pattern;
-        let mut rng = Lcg(1);
-        let mut now = 0u64;
-        let mut acc = 0u64;
-        for id in 0..OPS {
-            let r = rng.next();
-            if r % 3 != 0 {
-                q.schedule_at(SimTime(now + spread(rng.next())), id);
-            } else if let Some((t, e)) = q.pop() {
-                now = now.max(t.0);
-                acc = acc.wrapping_add(e);
-            }
-        }
-        while let Some((_, e)) = q.pop() {
+fn drive(spread: fn(u64) -> u64) -> u64 {
+    let mut q = EventQueue::new();
+    let mut rng = Lcg(1);
+    let mut now = 0u64;
+    let mut acc = 0u64;
+    for id in 0..OPS {
+        let r = rng.next();
+        if !r.is_multiple_of(3) {
+            q.schedule_at(SimTime(now + spread(rng.next())), id);
+        } else if let Some((t, e)) = q.pop() {
+            now = now.max(t.0);
             acc = acc.wrapping_add(e);
         }
-        acc
-    }};
+    }
+    while let Some((_, e)) = q.pop() {
+        acc = acc.wrapping_add(e);
+    }
+    acc
 }
 
 fn uniform(r: u64) -> u64 {
@@ -262,12 +208,7 @@ fn bench_queues(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
     g.throughput(Throughput::Elements(OPS));
     for p in PATTERNS {
-        g.bench_function(format!("wheel/{}", p.name), |b| {
-            b.iter(|| black_box(drive!(EventQueue::new(), p)))
-        });
-        g.bench_function(format!("heap/{}", p.name), |b| {
-            b.iter(|| black_box(drive!(HeapQueue::new(), p)))
-        });
+        g.bench_function(p.name, |b| b.iter(|| black_box(drive(p.spread))));
     }
     assert_eq!(drive_backlog(true), drive_backlog(false));
     g.throughput(Throughput::Elements(PREFILL + OPS));

@@ -27,7 +27,7 @@
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
-use crate::queue::{EventQueue, QueueFootprint};
+use crate::queue::{EventQueue, TableFootprint};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier for an attached driver thread.
@@ -103,7 +103,7 @@ pub trait Simulation: Sized {
     /// Called once after the shutdown drain, with the event queue's
     /// footprint, before the engine returns the simulation. The default
     /// ignores it.
-    fn on_shutdown(&mut self, _queue: QueueFootprint) {}
+    fn on_shutdown(&mut self, _queue: TableFootprint) {}
 }
 
 /// Handler context: the current time plus scheduling and reply capabilities.

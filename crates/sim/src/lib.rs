@@ -40,7 +40,7 @@ pub mod time;
 
 pub use device::{ClusterSpec, DeviceCaps, DiskSpec, NicSpec, NodeCaps, NodeSpec};
 pub use engine::{dispatch_total, Ctx, DriverConn, Engine, Reply, Simulation};
-pub use queue::{EventQueue, QueueFootprint, TableFootprint};
+pub use queue::{EventQueue, TableFootprint};
 pub use resource::{IoKind, Resource, RingId, RingPool};
 pub use rng::SplitMix64;
 pub use time::{SimDuration, SimTime};
