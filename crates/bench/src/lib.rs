@@ -43,8 +43,8 @@ pub use obs::{
     without_trace, write_results, Obs,
 };
 pub use runs::{
-    peak_rss_bytes, perf_json, run_es_sort, run_es_sort_on, timed_run, timed_run_service,
-    EsSortParams, SortRunResult,
+    peak_rss_bytes, perf_json, run_es_sort, timed_run, timed_run_service, EsSortParams,
+    SortRunResult,
 };
 pub use service::{run_multitenant, MtJobPlan, MtKind, MtParams, MtReport};
 pub use table::Table;

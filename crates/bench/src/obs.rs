@@ -9,10 +9,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use exo_prof::profile;
+use exo_prof::{profile, CritTask};
 use exo_rt::trace::{
-    summarize, write_chrome_trace, write_jsonl, AttemptTable, Event, EventKind, IncidentEvent,
-    Json, NodeCapacityLine,
+    summarize, write_chrome_trace, write_jsonl, Event, EventKind, IncidentEvent, Json,
+    NodeCapacityLine,
 };
 use exo_rt::watch::WatchReport;
 use exo_rt::{LiveConfig, RtConfig, RunReport, TraceConfig, WatchConfig};
@@ -214,13 +214,9 @@ impl Obs {
         if let Some(path) = &self.trace_path {
             export_trace_with_caps(path, events, caps);
         }
-        let mut crit_spans: Option<Vec<(u64, u64, u64)>> = None;
-        if self.profile {
-            let prof = profile(events, caps);
+        let prof = self.profile.then(|| profile(events, caps));
+        if let Some(prof) = &prof {
             println!("\n{prof}");
-            if self.watch {
-                crit_spans = Some(crit_task_spans(&prof, events));
-            }
             let json = prof.to_json();
             if let Some(path) = &self.profile_path {
                 match std::fs::write(path, json.render() + "\n") {
@@ -244,8 +240,10 @@ impl Obs {
                         if kinds.is_empty() { "" } else { ": " },
                         kinds.join(" ")
                     );
-                    *WATCH_JSON.lock().expect("watch stash poisoned") =
-                        Some(incidents_json(watch, crit_spans.as_deref()));
+                    *WATCH_JSON.lock().expect("watch stash poisoned") = Some(incidents_json(
+                        watch,
+                        prof.as_ref().map(|p| p.critpath.tasks.as_slice()),
+                    ));
                 }
                 // finish() on a run that never had watch configured — a
                 // caller wiring bug worth surfacing, not hiding.
@@ -343,38 +341,25 @@ fn merge_incident_lines(snapshot_jsonl: &str, watch: &WatchReport) -> String {
     out
 }
 
-/// `(task, start_us, end_us)` execution spans of the critical-path
-/// tasks, looked up in the trace's attempt table (the profile report
-/// carries durations, not absolute times).
-fn crit_task_spans(prof: &exo_prof::ProfileReport, events: &[Event]) -> Vec<(u64, u64, u64)> {
-    let attempts = AttemptTable::fold(events);
-    prof.critpath
-        .tasks
-        .iter()
-        .filter_map(|ct| {
-            let r = attempts.get(ct.task, ct.attempt)?;
-            Some((ct.task, r.started?, r.finished?))
-        })
-        .collect()
-}
-
 /// The `"incidents"` results block: the watch report's JSON, plus —
 /// when the run was also profiled — the exo-prof cross-attribution
 /// (which incidents overlap the critical path).
-fn incidents_json(watch: &WatchReport, crit_spans: Option<&[(u64, u64, u64)]>) -> Json {
+fn incidents_json(watch: &WatchReport, crit_tasks: Option<&[CritTask]>) -> Json {
     let doc = watch.to_json();
-    let Some(spans) = crit_spans else { return doc };
+    let Some(crit_tasks) = crit_tasks else {
+        return doc;
+    };
     let on_path: Vec<&exo_rt::watch::Incident> = watch
         .incidents
         .iter()
         .filter(|inc| {
             let close = inc.t_close_us.unwrap_or(inc.t_open_us);
-            spans.iter().any(|&(task, s, e)| {
+            crit_tasks.iter().any(|t| {
                 // A task-scoped incident attributes by identity; the
                 // rest by interval overlap with an on-path execution.
                 match inc.task {
-                    Some(t) => t == task,
-                    None => inc.t_open_us <= e && s <= close,
+                    Some(task) => task == t.task,
+                    None => inc.t_open_us <= t.finished_us && t.started_us <= close,
                 }
             })
         })
@@ -544,6 +529,8 @@ pub fn write_results(name: &str, doc: Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exo_rt::trace::IncidentKind;
+    use exo_rt::watch::Incident;
 
     fn args(s: &[&str]) -> Vec<String> {
         s.iter().map(|a| a.to_string()).collect()
@@ -587,5 +574,66 @@ mod tests {
             parse_path_flag("--profile", &args(&["bin", "--profile=p.json"])),
             FlagArg::Present(Some(PathBuf::from("p.json")))
         );
+    }
+
+    fn crit_task(task: u64, started_us: u64, finished_us: u64) -> CritTask {
+        CritTask {
+            task,
+            label: "reduce",
+            node: 0,
+            attempt: 0,
+            started_us,
+            finished_us,
+            queue_us: 0,
+            stage_us: 0,
+            exec_us: finished_us - started_us,
+            fetch_wait_us: 0,
+            contribution_us: finished_us - started_us,
+        }
+    }
+
+    fn incident(id: u32, kind: IncidentKind, task: Option<u64>, window: (u64, u64)) -> Incident {
+        Incident {
+            id,
+            kind,
+            t_open_us: window.0,
+            t_close_us: Some(window.1),
+            node: task.is_none().then_some(3),
+            stage: None,
+            task,
+            tenant: None,
+            value: 2.0,
+            threshold: 1.0,
+            severity: 2.0,
+        }
+    }
+
+    #[test]
+    fn incidents_cross_attribute_to_critical_tasks() {
+        // Tasks 9 (executing 300..400) and 7 (100..200) are on the path.
+        let path = [crit_task(9, 300, 400), crit_task(7, 100, 200)];
+        let watch = WatchReport {
+            incidents: vec![
+                // Task-scoped on an on-path task: counts by identity,
+                // though its window overlaps no on-path execution.
+                incident(0, IncidentKind::Straggler, Some(7), (500, 600)),
+                // Task-scoped on an off-path task: does not count, though
+                // its window overlaps task 7's execution.
+                incident(1, IncidentKind::Straggler, Some(8), (150, 160)),
+                // Node-scoped, overlapping task 9's execution.
+                incident(2, IncidentKind::DiskHotspot, None, (390, 450)),
+                // Node-scoped, between the two executions: not counted.
+                incident(3, IncidentKind::NetHotspot, None, (220, 280)),
+            ],
+        };
+        let doc = incidents_json(&watch, Some(&path)).render();
+        assert!(
+            doc.ends_with(r#""on_critical_path":2,"critical_path_incident_ids":[0,2]}"#),
+            "{doc}"
+        );
+        // An unprofiled run gets no cross-attribution.
+        let plain = incidents_json(&watch, None).render();
+        assert_eq!(plain, watch.to_json().render());
+        assert!(!plain.contains("on_critical_path"), "{plain}");
     }
 }

@@ -147,13 +147,7 @@ pub struct SortRunResult {
 /// failure runs skip it here — the integration tests cover correctness
 /// under failures).
 pub fn run_es_sort(p: EsSortParams) -> SortRunResult {
-    run_es_sort_on(ClusterSpec::homogeneous(p.node, p.nodes), p)
-}
-
-/// Like [`run_es_sort`], but on an explicit (possibly heterogeneous)
-/// cluster; `p.node`/`p.nodes` are ignored in favour of the spec.
-pub fn run_es_sort_on(cluster: ClusterSpec, p: EsSortParams) -> SortRunResult {
-    run_es_sort_inner(cluster, p, None, &|rt, job| run_shuffle(rt, job, p.variant)).0
+    run_es_sort_inner(p, None, &|rt, job| run_shuffle(rt, job, p.variant)).0
 }
 
 /// Like [`run_es_sort`], but `shuffle` runs the job in place of
@@ -163,7 +157,7 @@ pub fn run_es_sort_with(
     p: EsSortParams,
     shuffle: impl Fn(&RtHandle, &ShuffleJob) -> Vec<ObjectRef> + Sync,
 ) -> SortRunResult {
-    run_es_sort_inner(ClusterSpec::homogeneous(p.node, p.nodes), p, None, &shuffle).0
+    run_es_sort_inner(p, None, &shuffle).0
 }
 
 /// Like [`run_es_sort`], but with the online incident detectors forced
@@ -171,22 +165,18 @@ pub fn run_es_sort_with(
 /// returns the metrics plus the detected incident set. The incident
 /// gate (`bench_gate --incidents-diff`) pins the latter bit-for-bit.
 pub fn run_es_sort_watched(p: EsSortParams) -> (SortRunResult, exo_rt::watch::WatchReport) {
-    let (result, watch) = run_es_sort_inner(
-        ClusterSpec::homogeneous(p.node, p.nodes),
-        p,
-        Some(exo_rt::WatchConfig::default()),
-        &|rt, job| run_shuffle(rt, job, p.variant),
-    );
+    let (result, watch) = run_es_sort_inner(p, Some(exo_rt::WatchConfig::default()), &|rt, job| {
+        run_shuffle(rt, job, p.variant)
+    });
     (result, watch.expect("watch was configured"))
 }
 
 fn run_es_sort_inner(
-    cluster: ClusterSpec,
     p: EsSortParams,
     force_watch: Option<exo_rt::WatchConfig>,
     shuffle: &(dyn Fn(&RtHandle, &ShuffleJob) -> Vec<ObjectRef> + Sync),
 ) -> (SortRunResult, Option<exo_rt::watch::WatchReport>) {
-    let mut cfg = RtConfig::new(cluster);
+    let mut cfg = RtConfig::new(ClusterSpec::homogeneous(p.node, p.nodes));
     cfg.object_store_capacity = p.store_capacity;
     let caps = cfg.device_caps();
     let obs = crate::obs::instrument(&mut cfg);

@@ -2,14 +2,14 @@
 //!
 //! The [`Dag`] joins two kinds of facts: task attempts' lifecycle edges
 //! (scheduled → dequeued → started → finished) and dependency edges
-//! (task consumes object, task produces object). We walk it backwards
-//! from the last task to finish, at each step following the
-//! *latest-finishing* producer of any argument — the classic
-//! longest-weighted-path heuristic for "what actually gated job
-//! completion". Each critical task's contribution is the wall-clock
-//! interval it exclusively owned on that path.
+//! (task consumes object, task produces object). [`critical_path`] finds
+//! the dependency chain ending at the last task to finish that covers the
+//! most wall-clock — an exact longest-path DP over every finished attempt
+//! — and ranks the chains that came closest behind it. Each critical
+//! task's contribution is the wall-clock interval it exclusively owned on
+//! that chain.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use exo_trace::AttemptRecord;
 
@@ -22,6 +22,10 @@ pub struct CritTask {
     pub label: &'static str,
     pub node: u32,
     pub attempt: u32,
+    /// When this attempt started executing (its finish time when the
+    /// stream carries no `Started` edge, so the span is empty).
+    pub started_us: u64,
+    pub finished_us: u64,
     /// Scheduled → dequeued: time spent queued behind other tasks.
     pub queue_us: u64,
     /// Dequeued → started: argument staging (restore/fetch/pin).
@@ -38,13 +42,16 @@ pub struct CritTask {
 }
 
 impl CritTask {
-    /// Attempt `r` on a path, owning `contribution_us` of it.
+    /// Finished attempt `r` on a path, owning `contribution_us` of it.
     fn of(dag: &Dag, r: &AttemptRecord, contribution_us: u64) -> CritTask {
+        let finished_us = r.finished.unwrap_or(0);
         CritTask {
             task: r.task,
             label: r.label,
             node: r.node,
             attempt: r.attempt,
+            started_us: r.started.unwrap_or(finished_us),
+            finished_us,
             queue_us: r.queue_us(),
             stage_us: r.stage_us(),
             exec_us: r.exec_us(),
@@ -54,7 +61,8 @@ impl CritTask {
     }
 }
 
-/// The reconstructed critical path, last task first.
+/// The critical path, last task first, with its near-critical
+/// runners-up.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CritPath {
     /// Tasks on the path, ordered from job completion backwards.
@@ -63,6 +71,11 @@ pub struct CritPath {
     pub end_us: u64,
     /// Sum of per-task contributions.
     pub covered_us: u64,
+    /// Top near-critical chains, ranked by ascending slack. Chains may
+    /// share ancestry with the critical chain (most real chains share
+    /// sources), but every entry ends at a distinct attempt and strict
+    /// sub-chains of already-reported chains are suppressed.
+    pub near: Vec<NearPath>,
 }
 
 impl CritPath {
@@ -89,88 +102,10 @@ impl CritPath {
     }
 }
 
-/// Computes the critical path of the DAG. Tolerates partial streams:
-/// unfinished tasks are never on the path, and unknown producers
-/// terminate the walk.
-///
-/// This is the fast greedy walk (always follow the *latest-finishing*
-/// producer); [`longest_paths`] computes the DP-exact longest chain and
-/// the near-critical runners-up.
-pub fn critical_path(dag: &Dag) -> CritPath {
-    greedy_path(dag, dag.attempts.iter())
-}
-
-/// The greedy walk over `attempts` only (e.g. one job's), with their
-/// dependency edges from `dag`.
-pub(crate) fn greedy_path<'a>(
-    dag: &Dag,
-    attempts: impl IntoIterator<Item = &'a AttemptRecord>,
-) -> CritPath {
-    // Best (latest-finishing) finished attempt per task; equal finish
-    // times resolve to the lowest attempt, whatever the table order.
-    let mut best: BTreeMap<u64, &AttemptRecord> = BTreeMap::new();
-    for r in attempts {
-        if r.finished.is_none() {
-            continue;
-        }
-        match best.get(&r.task) {
-            Some(prev)
-                if (prev.finished, std::cmp::Reverse(prev.attempt))
-                    >= (r.finished, std::cmp::Reverse(r.attempt)) => {}
-            _ => {
-                best.insert(r.task, r);
-            }
-        }
-    }
-
-    // --- Pass 2: backward walk from the last finisher. -------------
-    let Some((&sink, _)) = best.iter().max_by_key(|(&task, tt)| (tt.finished, task)) else {
-        return CritPath::default();
-    };
-
-    let mut path = CritPath {
-        end_us: best[&sink].finished.unwrap_or(0),
-        ..CritPath::default()
-    };
-    let mut cur = sink;
-    let mut guard = 0usize;
-    loop {
-        let tt = best[&cur];
-        // Latest-finishing finished producer among this task's args.
-        let pred = dag
-            .args
-            .get(&cur)
-            .into_iter()
-            .flatten()
-            .filter_map(|obj| dag.producer.get(obj))
-            .filter_map(|p| best.get(p).map(|ptt| (*p, ptt.finished)))
-            .max_by_key(|&(p, fin)| (fin, p))
-            .map(|(p, _)| p);
-
-        let finished = tt.finished.unwrap_or(0);
-        let own_start = match pred.and_then(|p| best[&p].finished) {
-            Some(pf) => pf.max(tt.scheduled.unwrap_or(pf)),
-            None => tt.scheduled.unwrap_or(0),
-        };
-        let contribution = finished.saturating_sub(own_start);
-        path.covered_us += contribution;
-        path.tasks.push(CritTask::of(dag, tt, contribution));
-
-        guard += 1;
-        match pred {
-            // A retry loop in a corrupt stream could cycle; the task
-            // count bounds any legitimate path.
-            Some(p) if guard <= best.len() => cur = p,
-            _ => break,
-        }
-    }
-    path
-}
-
 /// Summary of one near-critical chain: a dependency chain that almost
 /// gated the run. Feeds what-if analysis — e.g. "if the critical chain
 /// is sped up by more than `slack_us`, this chain gates instead".
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NearPath {
     /// Task the chain ends at.
     pub end_task: u64,
@@ -179,51 +114,39 @@ pub struct NearPath {
     pub end_us: u64,
     /// Total covered (exclusively-owned) time along the chain.
     pub covered_us: u64,
-    /// Covered-time deficit vs the longest chain: how much faster the
+    /// Covered-time deficit vs the critical chain: how much faster the
     /// critical chain would have to get before this one gates the run.
     pub slack_us: u64,
     /// Task ids along the chain, end first.
     pub tasks: Vec<u64>,
 }
 
-/// DP-exact path analysis: the true longest chain plus slack-ranked
-/// near-critical runners-up.
-#[derive(Debug, Clone, Default)]
-pub struct PathAnalysis {
-    /// Longest-covered dependency chain ending at the run's last
-    /// finisher. `covered_us` here is >= the greedy [`critical_path`]
-    /// cover (the greedy walk follows latest-finishing producers, which
-    /// is not always the longest chain).
-    pub longest: CritPath,
-    /// Top near-critical chains, ranked by ascending slack. Chains may
-    /// share ancestry with the critical chain (most real chains share
-    /// sources), but every entry ends at a distinct attempt and strict
-    /// sub-chains of already-reported chains are suppressed.
-    pub near: Vec<NearPath>,
-}
-
-/// True longest-path DP over *all finished attempts* in the DAG.
+/// The critical path of `job`'s finished attempts (every job's with
+/// `None`), plus up to `top_k` near-critical chains. Tolerates partial
+/// streams: unfinished attempts are never on a path, and unknown
+/// producers end a chain.
 ///
-/// Unlike [`critical_path`]'s greedy walk this maximizes total covered
-/// time: for every finished attempt it considers every finished producer
-/// attempt of every argument (so a consumer fed by an early attempt of a
-/// later-retried task credits the attempt that actually fed it) and
-/// keeps the chain with the largest exclusively-owned wall-clock.
-/// Processing attempts in finish-time order makes the recurrence a DAG
-/// walk even on corrupt streams: edges only ever point backwards.
-pub fn longest_paths(dag: &Dag, top_k: usize) -> PathAnalysis {
-    // All finished attempts in a deterministic topological order: a
+/// A longest-path DP: for every finished attempt it considers every
+/// finished producer attempt of every argument (so a consumer fed by an
+/// early attempt of a later-retried task credits the attempt that
+/// actually fed it) and keeps the chain with the largest
+/// exclusively-owned wall-clock. The critical chain is the best one
+/// ending at the last finisher. Processing attempts in finish-time order
+/// makes the recurrence a DAG walk even on corrupt streams: edges only
+/// ever point backwards.
+pub fn critical_path(dag: &Dag, job: Option<u32>, top_k: usize) -> CritPath {
+    // The finished attempts in a deterministic topological order: a
     // consumer attempt cannot finish before the producer attempt that
     // fed it, so sorting by (finish, task, attempt) lets the DP below
     // only look backwards.
     let mut nodes: Vec<&AttemptRecord> = dag
         .attempts
         .iter()
-        .filter(|r| r.finished.is_some())
+        .filter(|r| r.finished.is_some() && job.is_none_or(|j| r.job == j))
         .collect();
     nodes.sort_by_key(|r| (r.finished, r.task, r.attempt));
     if nodes.is_empty() {
-        return PathAnalysis::default();
+        return CritPath::default();
     }
 
     // task -> indices of its finished attempts (ascending finish).
@@ -266,7 +189,7 @@ pub fn longest_paths(dag: &Dag, top_k: usize) -> PathAnalysis {
         choice[i] = pred;
     }
 
-    // Reconstruct the chain ending at attempt `end` into a CritPath.
+    // Reconstruct the chain ending at attempt `end`, and its members.
     let build = |end: usize| -> (CritPath, Vec<usize>) {
         let mut path = CritPath {
             end_us: nodes[end].finished.unwrap_or(0),
@@ -294,9 +217,9 @@ pub fn longest_paths(dag: &Dag, top_k: usize) -> PathAnalysis {
         (path, members)
     };
 
-    // The main chain ends at the run's last finisher (the last node in
-    // finish order — same sink the greedy walk starts from).
-    let (longest, main_members) = build(nodes.len() - 1);
+    // The critical chain ends at the last finisher (the last node in
+    // finish order).
+    let (mut path, main_members) = build(nodes.len() - 1);
     let mut used = vec![false; nodes.len()];
     for &i in &main_members {
         used[i] = true;
@@ -304,8 +227,13 @@ pub fn longest_paths(dag: &Dag, top_k: usize) -> PathAnalysis {
 
     // Near-critical: rank every other attempt's chain by covered time
     // (descending == ascending slack), greedily claiming disjoint
-    // chains. Deterministic: ties break on later finish, then task id.
-    let mut order: Vec<usize> = (0..nodes.len()).collect();
+    // chains. A chain covering more than the critical one would have
+    // negative slack: it finished before the last finisher, so it is no
+    // runner-up to that chain and is left out. Deterministic: ties
+    // break on later finish, then task id.
+    let mut order: Vec<usize> = (0..nodes.len())
+        .filter(|&i| !used[i] && dp[i] <= path.covered_us)
+        .collect();
     order.sort_by_key(|&i| {
         (
             std::cmp::Reverse(dp[i]),
@@ -313,31 +241,29 @@ pub fn longest_paths(dag: &Dag, top_k: usize) -> PathAnalysis {
             (nodes[i].task, nodes[i].attempt),
         )
     });
-    let mut near = Vec::new();
     for i in order {
-        if near.len() >= top_k {
+        if path.near.len() >= top_k {
             break;
         }
         if used[i] {
             continue;
         }
-        let (path, members) = build(i);
+        let (chain, members) = build(i);
         // Mark the whole chain: prefixes of a reported chain must not
         // re-emerge as "distinct" near-critical chains of their own.
         for &m in &members {
             used[m] = true;
         }
-        near.push(NearPath {
+        path.near.push(NearPath {
             end_task: nodes[i].task,
             end_label: nodes[i].label,
-            end_us: path.end_us,
-            covered_us: path.covered_us,
-            slack_us: longest.covered_us.saturating_sub(path.covered_us),
-            tasks: path.tasks.iter().map(|t| t.task).collect(),
+            end_us: chain.end_us,
+            covered_us: chain.covered_us,
+            slack_us: path.covered_us - chain.covered_us,
+            tasks: chain.tasks.iter().map(|t| t.task).collect(),
         });
     }
-
-    PathAnalysis { longest, near }
+    path
 }
 
 #[cfg(test)]
@@ -412,7 +338,7 @@ mod tests {
         events.extend(task_events(3, "d", 0, 80, 80, 100));
         events.sort_by_key(|e| e.at_us);
 
-        let p = critical_path(&Dag::fold(&events));
+        let p = critical_path(&Dag::fold(&events), None, 3);
         let ids: Vec<u64> = p.tasks.iter().map(|t| t.task).collect();
         assert_eq!(ids, vec![3, 2, 0], "path should be d <- c <- a");
         assert_eq!(p.end_us, 100);
@@ -449,7 +375,7 @@ mod tests {
         events.push(fw(70, true));
         events.sort_by_key(|e| e.at_us);
 
-        let p = critical_path(&Dag::fold(&events));
+        let p = critical_path(&Dag::fold(&events), None, 3);
         assert_eq!(p.tasks[0].task, 1);
         assert_eq!(p.tasks[0].fetch_wait_us, 12);
     }
@@ -474,7 +400,7 @@ mod tests {
             }
         }
         events.sort_by_key(|e| e.at_us);
-        let p = critical_path(&Dag::fold(&events));
+        let p = critical_path(&Dag::fold(&events), None, 3);
         assert_eq!(p.tasks[0].fetch_wait_us, 30);
     }
 
@@ -497,7 +423,7 @@ mod tests {
             }),
         });
         events.extend(task_events_attempt(0, "map", 1, 1, 20, 25, 60));
-        let p = critical_path(&Dag::fold(&events));
+        let p = critical_path(&Dag::fold(&events), None, 3);
         assert_eq!(p.tasks.len(), 1);
         assert_eq!(p.tasks[0].attempt, 1);
         assert_eq!(p.end_us, 60);
@@ -537,16 +463,14 @@ mod tests {
 
     #[test]
     fn empty_stream_yields_empty_path() {
-        let p = critical_path(&Dag::default());
+        let p = critical_path(&Dag::default(), None, 3);
         assert!(p.tasks.is_empty());
+        assert!(p.near.is_empty());
         assert_eq!(p.coverage(), 0.0);
-        let a = longest_paths(&Dag::default(), 3);
-        assert!(a.longest.tasks.is_empty());
-        assert!(a.near.is_empty());
     }
 
-    /// A DAG where the greedy latest-finishing-producer walk picks the
-    /// wrong branch:
+    /// A DAG where the latest-finishing producer is not on the critical
+    /// path:
     ///
     /// ```text
     ///   a (0..10) -> b (10..70) \
@@ -554,11 +478,10 @@ mod tests {
     ///         c (75..80, short) /
     /// ```
     ///
-    /// c finishes last among d's producers so the greedy walk takes
-    /// d <- c (covered 25 µs); the longest chain is d <- b <- a
-    /// (covered 90 µs).
+    /// c finishes last among d's producers, but d <- c covers only
+    /// 25 µs; the critical path is d <- b <- a (covered 90 µs).
     #[test]
-    fn dp_beats_greedy_on_late_short_producer() {
+    fn critical_path_skips_a_late_short_producer() {
         let mut events = vec![
             dep(0, 1, DepKind::Output),
             dep(1, 1, DepKind::Arg),
@@ -573,42 +496,37 @@ mod tests {
         events.extend(task_events(3, "d", 0, 80, 80, 100));
         events.sort_by_key(|e| e.at_us);
 
-        let greedy = critical_path(&Dag::fold(&events));
-        let greedy_ids: Vec<u64> = greedy.tasks.iter().map(|t| t.task).collect();
-        assert_eq!(greedy_ids, vec![3, 2], "greedy follows the late producer");
-        assert_eq!(greedy.covered_us, 25);
-
-        let a = longest_paths(&Dag::fold(&events), 3);
-        let dp_ids: Vec<u64> = a.longest.tasks.iter().map(|t| t.task).collect();
-        assert_eq!(dp_ids, vec![3, 1, 0], "DP finds d <- b <- a");
-        assert_eq!(a.longest.covered_us, 90);
-        assert_eq!(a.longest.end_us, 100);
+        let p = critical_path(&Dag::fold(&events), None, 3);
+        let ids: Vec<u64> = p.tasks.iter().map(|t| t.task).collect();
+        assert_eq!(ids, vec![3, 1, 0], "d <- b <- a");
+        assert_eq!(p.covered_us, 90);
+        assert_eq!(p.end_us, 100);
         // The skipped branch shows up as the top near-critical chain.
-        assert_eq!(a.near.len(), 1);
-        assert_eq!(a.near[0].end_task, 2);
-        assert_eq!(a.near[0].covered_us, 5);
-        assert_eq!(a.near[0].slack_us, 85);
+        assert_eq!(p.near.len(), 1);
+        assert_eq!(p.near[0].end_task, 2);
+        assert_eq!(p.near[0].covered_us, 5);
+        assert_eq!(p.near[0].slack_us, 85);
     }
 
-    /// DP runs over *all* finished attempts: a consumer fed by an early
-    /// attempt of a later-retried producer credits the attempt that
-    /// actually fed it, not the late re-execution.
+    /// The DP runs over *all* finished attempts: a consumer fed by an
+    /// early attempt of a later-retried producer credits the attempt
+    /// that actually fed it, not the late re-execution.
     #[test]
     fn dp_credits_the_attempt_that_fed_the_consumer() {
         let mut events = vec![dep(0, 1, DepKind::Output), dep(1, 1, DepKind::Arg)];
         // Producer attempt 0 finishes at 30; re-executed attempt 1 (say
-        // the object was lost later) finishes at 90 — after the
-        // consumer already finished at 50.
+        // the object was lost later) runs 40..100 — after the consumer
+        // already finished at 50.
         events.extend(task_events(0, "map", 0, 0, 0, 30));
-        events.extend(task_events_attempt(0, "map", 0, 1, 60, 60, 90));
+        events.extend(task_events_attempt(0, "map", 0, 1, 40, 40, 100));
         events.extend(task_events(1, "reduce", 1, 30, 30, 50));
         events.sort_by_key(|e| e.at_us);
 
-        let a = longest_paths(&Dag::fold(&events), 3);
+        let a = critical_path(&Dag::fold(&events), None, 3);
         // Last finisher is map attempt 1, so the main chain is just it.
-        assert_eq!(a.longest.end_us, 90);
-        assert_eq!(a.longest.tasks.len(), 1);
-        assert_eq!(a.longest.covered_us, 30);
+        assert_eq!(a.end_us, 100);
+        assert_eq!(a.tasks.len(), 1);
+        assert_eq!(a.covered_us, 60);
         // The consumer's chain goes through attempt 0 (finish 30), not
         // the future attempt: reduce owns 30..50, map#0 owns 0..30.
         let near: Vec<_> = a.near.iter().map(|n| (n.end_task, n.covered_us)).collect();
@@ -629,9 +547,9 @@ mod tests {
         }
         events.sort_by_key(|e| e.at_us);
 
-        let a = longest_paths(&Dag::fold(&events), 5);
-        assert_eq!(a.longest.covered_us, 100);
-        let ids: Vec<u64> = a.longest.tasks.iter().map(|t| t.task).collect();
+        let a = critical_path(&Dag::fold(&events), None, 5);
+        assert_eq!(a.covered_us, 100);
+        let ids: Vec<u64> = a.tasks.iter().map(|t| t.task).collect();
         assert_eq!(ids, vec![1, 0]);
         // Both tails reported, longer (less slack) first; near chains
         // share the map source with the critical chain, and the map task

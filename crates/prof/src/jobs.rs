@@ -8,9 +8,9 @@
 
 use std::collections::BTreeMap;
 
-use exo_trace::{AttemptRecord, Event, EventKind, JobPhase};
+use exo_trace::{Event, EventKind, JobPhase};
 
-use crate::critpath::{greedy_path, CritPath};
+use crate::critpath::{critical_path, CritPath};
 use crate::dag::Dag;
 
 /// One job's derived statistics.
@@ -25,7 +25,8 @@ pub struct JobStat {
     /// task-finish when the trace ends before `FinishJob`).
     pub finished_us: u64,
     pub tasks_finished: u64,
-    /// Critical path over this job's tasks only.
+    /// Critical path over this job's attempts only, without
+    /// near-critical chains.
     pub critpath: CritPath,
 }
 
@@ -79,24 +80,22 @@ pub fn job_stats(events: &[Event], dag: &Dag) -> Vec<JobStat> {
             | EventKind::Incident(_) => {}
         }
     }
-    let mut by_job: BTreeMap<u32, Vec<&AttemptRecord>> = BTreeMap::new();
-    for r in dag.attempts.iter() {
-        by_job.entry(r.job).or_default().push(r);
+    let mut finished: BTreeMap<u32, u64> = BTreeMap::new();
+    for r in dag.attempts.iter().filter(|r| r.finished.is_some()) {
+        *finished.entry(r.job).or_default() += 1;
     }
     jobs.into_iter()
         .map(|(job, p)| {
-            let attempts = by_job.remove(&job).unwrap_or_default();
-            let finishes = attempts.iter().filter_map(|r| r.finished);
+            let critpath = critical_path(dag, Some(job), 0);
             JobStat {
                 job,
                 tenant: p.tenant,
                 label: p.label,
                 admitted_us: p.admitted_us.unwrap_or(0),
-                finished_us: p
-                    .finished_us
-                    .unwrap_or_else(|| finishes.clone().max().unwrap_or(0)),
-                tasks_finished: finishes.count() as u64,
-                critpath: greedy_path(dag, attempts),
+                // The path ends at the job's last task-finish.
+                finished_us: p.finished_us.unwrap_or(critpath.end_us),
+                tasks_finished: finished.get(&job).copied().unwrap_or(0),
+                critpath,
             }
         })
         .collect()

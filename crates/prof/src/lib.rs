@@ -5,12 +5,12 @@
 //!
 //! 1. **What gated completion?** [`Dag::fold`] folds the task/object
 //!    dependency DAG from the stream's task edges (exo-trace's attempt
-//!    table), `Dep` edges and fetch waits; [`critical_path`] walks its
-//!    longest-weighted chain backwards from the last task to finish,
-//!    breaking each critical task into queue / staging / exec /
-//!    fetch-wait time. [`longest_paths`] sharpens this with a DP-exact
-//!    longest chain over all finished attempts plus slack-ranked
-//!    near-critical chains for what-if analysis.
+//!    table), `Dep` edges and fetch waits; [`critical_path`] finds, by
+//!    an exact DP over every finished attempt, the dependency chain
+//!    ending at the last task to finish that covers the most
+//!    wall-clock, breaks each critical task into queue / staging / exec
+//!    / fetch-wait time, and ranks near-critical chains by slack for
+//!    what-if analysis.
 //! 2. **What was the run bound by?** [`attribute_all`] slices the run
 //!    into intervals and classifies each as cpu / disk / net /
 //!    alloc-stall / idle against the hardware capacities in
@@ -41,7 +41,7 @@ pub mod report;
 pub mod stages;
 
 pub use attribution::{attribute_all, Bound, BoundProfile, Interval};
-pub use critpath::{critical_path, longest_paths, CritPath, CritTask, NearPath, PathAnalysis};
+pub use critpath::{critical_path, CritPath, CritTask, NearPath};
 pub use dag::Dag;
 pub use jobs::{job_stats, JobStat};
 pub use placement::{placement_quality, PlacementQuality};

@@ -8,7 +8,7 @@ use exo_sim::DeviceCaps;
 use exo_trace::{Event, Json};
 
 use crate::attribution::{attribute_all, Bound, BoundProfile};
-use crate::critpath::{critical_path, longest_paths, CritPath, PathAnalysis};
+use crate::critpath::{critical_path, CritPath, CritTask};
 use crate::dag::Dag;
 use crate::jobs::{job_stats, JobStat};
 use crate::placement::{placement_quality, PlacementQuality};
@@ -17,10 +17,8 @@ use crate::stages::{stage_stats, StageStats};
 /// Everything exo-prof derives from one run's event stream.
 #[derive(Debug, Clone)]
 pub struct ProfileReport {
+    /// The critical path, with up to three near-critical runners-up.
     pub critpath: CritPath,
-    /// DP-exact longest chain plus slack-ranked near-critical chains,
-    /// alongside the greedy `critpath` walk (see [`longest_paths`]).
-    pub paths: PathAnalysis,
     pub bounds: BoundProfile,
     /// One bound profile per node, classified against that node's own
     /// capacities. On homogeneous clusters these mostly echo `bounds`;
@@ -44,8 +42,7 @@ pub fn profile(events: &[Event], caps: &DeviceCaps) -> ProfileReport {
     // every path, stage, placement and per-job analysis.
     let dag = Dag::fold(events);
     ProfileReport {
-        critpath: critical_path(&dag),
-        paths: longest_paths(&dag, 3),
+        critpath: critical_path(&dag, None, 3),
         bounds,
         per_node_bounds,
         stages: stage_stats(&dag),
@@ -158,34 +155,25 @@ impl ProfileReport {
         )
         .set(
             "paths",
-            Json::obj()
-                .set(
-                    "longest",
-                    Json::obj()
-                        .set("end_us", self.paths.longest.end_us)
-                        .set("covered_us", self.paths.longest.covered_us)
-                        .set("coverage", self.paths.longest.coverage())
-                        .set("tasks_on_path", self.paths.longest.tasks.len()),
-                )
-                .set(
-                    "near",
-                    self.paths
-                        .near
-                        .iter()
-                        .map(|n| {
-                            Json::obj()
-                                .set("end_task", n.end_task)
-                                .set("end_label", n.end_label)
-                                .set("end_us", n.end_us)
-                                .set("covered_us", n.covered_us)
-                                .set("slack_us", n.slack_us)
-                                .set(
-                                    "tasks",
-                                    n.tasks.iter().map(|&t| Json::from(t)).collect::<Vec<_>>(),
-                                )
-                        })
-                        .collect::<Vec<_>>(),
-                ),
+            Json::obj().set(
+                "near",
+                self.critpath
+                    .near
+                    .iter()
+                    .map(|n| {
+                        Json::obj()
+                            .set("end_task", n.end_task)
+                            .set("end_label", n.end_label)
+                            .set("end_us", n.end_us)
+                            .set("covered_us", n.covered_us)
+                            .set("slack_us", n.slack_us)
+                            .set(
+                                "tasks",
+                                n.tasks.iter().map(|&t| Json::from(t)).collect::<Vec<_>>(),
+                            )
+                    })
+                    .collect::<Vec<_>>(),
+            ),
         )
         .set("stages", stages)
     }
@@ -225,21 +213,10 @@ impl fmt::Display for ProfileReport {
             secs(cp.end_us),
             100.0 * cp.coverage()
         )?;
-        // The DP path only earns a line when it disagrees with the
-        // greedy walk, or when a near-critical chain is close enough
+        // A near-critical chain earns a line when it is close enough
         // (< 20% slack) to matter for what-if analysis.
-        let lp = &self.paths.longest;
-        if lp.covered_us > cp.covered_us {
-            writeln!(
-                f,
-                "    longest chain (DP): {} tasks cover {:.2} s ({:.0}%)",
-                lp.tasks.len(),
-                secs(lp.covered_us),
-                100.0 * lp.coverage()
-            )?;
-        }
-        for n in &self.paths.near {
-            if lp.covered_us > 0 && (n.slack_us as f64) < 0.2 * lp.covered_us as f64 {
+        for n in &cp.near {
+            if cp.covered_us > 0 && (n.slack_us as f64) < 0.2 * cp.covered_us as f64 {
                 writeln!(
                     f,
                     "    near-critical: {} tasks ending at {} task {} cover {:.2} s (slack {:.2} s)",
@@ -263,7 +240,7 @@ impl fmt::Display for ProfileReport {
             )?;
             // The head of the walk is job completion; show the top
             // contributors rather than the whole (possibly long) chain.
-            let mut top: Vec<&crate::critpath::CritTask> = cp.tasks.iter().collect();
+            let mut top: Vec<&CritTask> = cp.tasks.iter().collect();
             top.sort_by_key(|t| std::cmp::Reverse(t.contribution_us));
             writeln!(f, "    top critical tasks:")?;
             for t in top.iter().take(5) {

@@ -129,7 +129,7 @@ fn a_requeued_attempt_shows_its_latest_edges() {
     let stage = &stage_stats(&dag)[0];
     assert_eq!((stage.tasks, stage.max_us), (1, 240));
 
-    let path = critical_path(&dag);
+    let path = critical_path(&dag, None, 3);
     let t = &path.tasks[0];
     assert_eq!(
         (t.node, t.queue_us, t.stage_us, t.exec_us),
@@ -187,7 +187,12 @@ fn each_jobs_path_equals_the_path_of_its_own_events() {
             })
             .copied()
             .collect();
-        assert_eq!(s.critpath, critical_path(&Dag::fold(&own)), "job {}", s.job);
+        assert_eq!(
+            s.critpath,
+            critical_path(&Dag::fold(&own), None, 0),
+            "job {}",
+            s.job
+        );
     }
     let tasks = |j: usize| -> Vec<(u64, u32)> {
         stats[j]

@@ -164,7 +164,7 @@ proptest! {
         ),
     ) {
         let events = build(&raw);
-        let p = critical_path(&Dag::fold(&events));
+        let p = critical_path(&Dag::fold(&events), None, 3);
         // build() emits no Task events, so nothing can be on the path.
         prop_assert!(p.tasks.is_empty());
         prop_assert!(p.coverage() <= 1.0 + 1e-9);

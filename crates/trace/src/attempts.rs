@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use crate::event::{Event, EventKind, Placement, TaskPhase, TaskSpan};
+use crate::event::{Placement, TaskPhase, TaskSpan};
 
 /// One task attempt's folded lifecycle.
 #[derive(Debug, Clone, Copy, Default)]
@@ -60,17 +60,6 @@ pub struct AttemptTable {
 }
 
 impl AttemptTable {
-    /// Folds the task edges of `events`.
-    pub fn fold(events: &[Event]) -> AttemptTable {
-        let mut table = AttemptTable::default();
-        for ev in events {
-            if let EventKind::Task(t) = &ev.kind {
-                table.apply(ev.at_us, t);
-            }
-        }
-        table
-    }
-
     /// Folds one task edge at `at_us`.
     pub fn apply(&mut self, at_us: u64, t: &TaskSpan) {
         let next = self.records.len();
@@ -102,11 +91,6 @@ impl AttemptTable {
                 r.finished = Some(at_us);
             }
         }
-    }
-
-    /// The record of `(task, attempt)`, if any edge of it was seen.
-    pub fn get(&self, task: u64, attempt: u32) -> Option<&AttemptRecord> {
-        self.index.get(&(task, attempt)).map(|&i| &self.records[i])
     }
 
     /// Finished attempts, in the order their `Finished` edges arrived.
