@@ -5,8 +5,8 @@
 
 use exo_prof::{critical_path, job_stats, stage_stats, Dag};
 use exo_trace::{
-    chrome_trace_json, summarize, DepEvent, DepKind, Event, EventKind, FetchWaitEvent, JobEvent,
-    JobPhase, PlaceReason, Placement, TaskPhase, TaskSpan,
+    chrome_trace_json, summarize, AttemptTable, DepEvent, DepKind, Event, EventKind,
+    FetchWaitEvent, JobEvent, JobPhase, PlaceReason, Placement, TaskPhase, TaskSpan,
 };
 
 /// First task id of job 1 under the runtime's packed-id scheme.
@@ -101,25 +101,36 @@ fn equal_values_rank_in_finish_order() {
 
 #[test]
 fn a_requeued_attempt_shows_its_latest_edges() {
-    // The node-kill shape: attempt 0 of task 7 is scheduled, dequeued
-    // and started on node 0, requeued without a new attempt number, and
-    // runs again on node 1.
+    // The node-kill shape the runtime emits: attempt 0 of task 7 is
+    // scheduled, dequeued and started on node 0, abandoned, and runs
+    // again on node 1 as attempt 1.
     let events = vec![
         edge(0, 7, 0, 0, "map", TaskPhase::Scheduled),
         edge(10, 7, 0, 0, "map", TaskPhase::Dequeued),
         edge(20, 7, 0, 0, "map", TaskPhase::Started),
-        edge(100, 7, 0, 1, "map", TaskPhase::Scheduled),
-        edge(130, 7, 0, 1, "map", TaskPhase::Dequeued),
-        edge(160, 7, 0, 1, "map", TaskPhase::Started),
-        edge(400, 7, 0, 1, "map", TaskPhase::Finished),
+        edge(100, 7, 1, 1, "map", TaskPhase::Scheduled),
+        edge(130, 7, 1, 1, "map", TaskPhase::Dequeued),
+        edge(160, 7, 1, 1, "map", TaskPhase::Started),
+        edge(400, 7, 1, 1, "map", TaskPhase::Finished),
     ];
     let chrome = chrome_trace_json(&events);
     assert!(
         chrome.contains(
-            r#""ph":"X","ts":160,"dur":240,"pid":1,"tid":0,"args":{"task":7,"attempt":0,"queue_wait_us":30,"stage_wait_us":30"#
+            r#""ph":"X","ts":160,"dur":240,"pid":1,"tid":0,"args":{"task":7,"attempt":1,"queue_wait_us":30,"stage_wait_us":30"#
         ),
         "{chrome}"
     );
+    // The abandoned attempt never finished: it draws no span and is in
+    // no view built from finished attempts.
+    assert!(!chrome.contains(r#""task":7,"attempt":0"#), "{chrome}");
+    let mut table = AttemptTable::default();
+    for ev in &events {
+        if let EventKind::Task(t) = &ev.kind {
+            table.apply(ev.at_us, t);
+        }
+    }
+    let finished: Vec<(u64, u32)> = table.finished().map(|r| (r.task, r.attempt)).collect();
+    assert_eq!(finished, vec![(7, 1)]);
 
     let summary = summarize(&events);
     let long = &summary.longest[0];

@@ -7,6 +7,7 @@ use crate::ids::{JobId, NodeId, ObjectId};
 use crate::jobs::JobParams;
 use crate::metrics::RtMetrics;
 use crate::object::Payload;
+use crate::runtime::Fault;
 use crate::task::TaskSpec;
 
 /// Errors surfaced to the driver.
@@ -127,26 +128,14 @@ pub enum RtCommand {
         /// Nodes with a copy (any residency).
         reply: Reply<Vec<NodeId>>,
     },
-    /// Schedule a node failure (and optional restart) — fault-injection
-    /// for §5.1.5.
-    KillNode {
-        /// Victim node.
-        node: NodeId,
-        /// When to kill it.
+    /// Schedule a fault (node or executor failure injection, §4.2.3 and
+    /// §5.1.5).
+    Inject {
+        /// When it strikes.
         at: SimTime,
-        /// Restart delay after the kill, if any.
-        restart_after: Option<SimDuration>,
-        /// Ack (immediate; the kill happens later).
-        reply: Reply<()>,
-    },
-    /// Kill all executor processes on a node at a time (the store and its
-    /// objects survive — §4.2.3's executor-failure case).
-    KillExecutors {
-        /// Victim node.
-        node: NodeId,
-        /// When.
-        at: SimTime,
-        /// Ack.
+        /// What fails.
+        fault: Fault,
+        /// Ack (immediate; the fault strikes later).
         reply: Reply<()>,
     },
     /// Snapshot of runtime metrics.

@@ -13,7 +13,7 @@ use crate::ids::{JobId, NodeId, ObjectId};
 use crate::jobs::JobParams;
 use crate::metrics::{EngineTables, RtMetrics};
 use crate::object::{ObjectRef, Payload};
-use crate::runtime::{validate_config, RtConfig, Runtime};
+use crate::runtime::{validate_config, Fault, RtConfig, Runtime};
 use crate::task::{CpuCost, SchedulingStrategy, TaskCtx, TaskFn, TaskOptions, TaskShape, TaskSpec};
 
 /// Handle through which a driver program talks to the runtime. Each
@@ -387,21 +387,21 @@ impl RtHandle {
     }
 
     /// Schedule a node kill at `at`, restarting after `restart_after` if
-    /// given (fault injection, §5.1.5).
+    /// given (fault injection, §5.1.5). A kill that lands while the node
+    /// is already down does nothing and its `restart_after` is ignored:
+    /// only the kill that took the node down schedules its restart.
     pub fn kill_node(&self, node: NodeId, at: SimTime, restart_after: Option<SimDuration>) {
-        self.conn.call(|reply| RtCommand::KillNode {
-            node,
-            at,
-            restart_after,
-            reply,
-        })
+        let fault = Fault::KillNode(node, restart_after);
+        self.conn
+            .call(|reply| RtCommand::Inject { at, fault, reply })
     }
 
     /// Kill all executor processes on `node` at `at`; the node's object
     /// store survives (executor-failure injection, §4.2.3).
     pub fn kill_executors(&self, node: NodeId, at: SimTime) {
+        let fault = Fault::KillExecutors(node);
         self.conn
-            .call(|reply| RtCommand::KillExecutors { node, at, reply })
+            .call(|reply| RtCommand::Inject { at, fault, reply })
     }
 
     /// Snapshot runtime metrics.

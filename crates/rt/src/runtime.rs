@@ -20,9 +20,8 @@ use exo_sim::{
 };
 use exo_store::{AllocDecision, NodeStore, RestoreDecision, SpillBatch, StoreConfig};
 use exo_trace::{
-    DepEvent, DepKind, EventKind, FailureEvent, FailureKind, FetchWaitEvent, IoDir, IoEvent,
-    ObjectEvent, ObjectPhase, Placement, ResourceSample, TaskPhase, TaskSpan, TraceConfig,
-    TraceSink, RESOURCE_SAMPLE_US,
+    DepEvent, DepKind, EventKind, FetchWaitEvent, IoDir, IoEvent, ObjectEvent, ObjectPhase,
+    Placement, ResourceSample, TaskPhase, TaskSpan, TraceConfig, TraceSink, RESOURCE_SAMPLE_US,
 };
 use exo_watch::WatchConfig;
 
@@ -37,6 +36,9 @@ use crate::object::Payload;
 use crate::observe::RunObserver;
 use crate::scheduler::{place, LoadBalance, NodeSnapshot, PlacementPolicy};
 use crate::task::{task_seed, TaskCtx, TaskSpec};
+
+mod fault;
+pub(crate) use fault::Fault;
 
 /// Runtime configuration.
 #[derive(Clone, Debug)]
@@ -229,16 +231,7 @@ pub enum RtEvent {
     SleepDone {
         reply: Box<Reply<()>>,
     },
-    KillNode {
-        node: NodeId,
-        restart_after: Option<SimDuration>,
-    },
-    RestartNode {
-        node: NodeId,
-    },
-    KillExecutors {
-        node: NodeId,
-    },
+    Fault(Fault),
     /// Periodic observer tick, every [`RESOURCE_SAMPLE_US`], armed
     /// while the samples have a consumer or a job registration is
     /// parked. It emits per-node occupancy samples; with
@@ -419,7 +412,7 @@ struct TaskEntry {
     epoch: u32,
     /// Set by a lineage resubmission; consumed when the next `Scheduled`
     /// trace event is emitted so re-executions are counted exactly once
-    /// (executor-failure re-runs do not set this).
+    /// (node- and executor-loss re-runs do not set this).
     retry_pending: bool,
     /// True while this task is re-running to reconstruct lost outputs;
     /// sealed outputs emit `ObjectEvent::Reconstructed` while set.
@@ -600,20 +593,10 @@ impl Runtime {
         }
     }
 
-    /// Tenant a task bills to (default tenant for unknown jobs).
-    fn tenant_of(&self, task: TaskId) -> TenantId {
-        self.jobs
-            .job(task.job())
-            .map(|j| j.tenant)
-            .unwrap_or_default()
-    }
-
-    /// Tenant an object bills to.
-    fn tenant_of_obj(&self, obj: ObjectId) -> TenantId {
-        self.jobs
-            .job(obj.job())
-            .map(|j| j.tenant)
-            .unwrap_or_default()
+    /// Tenant a job's tasks and objects bill to (default tenant for
+    /// unknown jobs).
+    fn tenant_of(&self, job: JobId) -> TenantId {
+        self.jobs.job(job).map(|j| j.tenant).unwrap_or_default()
     }
 
     /// Finalize the live snapshot series at the run's end time (empty
@@ -1028,7 +1011,7 @@ impl Runtime {
             return;
         };
         let node = placed.node;
-        let tenant = self.tenant_of(task);
+        let tenant = self.tenant_of(task.job());
         self.jobs.task_scheduled(tenant);
         let entry = self.task_mut(task);
         entry.state = TaskState::Queued(Attempt::new(node, args.into_iter().collect()));
@@ -1086,27 +1069,6 @@ impl Runtime {
         let t = &tasks[seq];
         (obj.0 - t.first_output.0 < t.spec.opts.num_returns as u64)
             .then(|| TaskId(pack_id(job, seq as u64)))
-    }
-
-    /// Re-execute a finished task to reconstruct lost outputs (§4.2.3).
-    fn resubmit(&mut self, ctx: &mut Ctx<'_, RtEvent>, task: TaskId) {
-        let entry = self.task_mut(task);
-        if !matches!(entry.state, TaskState::Done) {
-            return; // already being re-run
-        }
-        entry.state = TaskState::UNSCANNED;
-        entry.attempt += 1;
-        entry.epoch += 1;
-        // Counted (via the next Scheduled event's `retry` flag) when the
-        // re-execution is actually placed.
-        entry.retry_pending = true;
-        entry.reconstructing = true;
-        // Re-acquire holds on the args.
-        let args = entry.obj_args.clone();
-        for &a in &args {
-            self.ensure_obj_entry(a).task_refs += 1;
-        }
-        self.enqueue_ready(ctx, task);
     }
 
     // ------------------------------------------------------------------
@@ -1356,7 +1318,7 @@ impl Runtime {
         } else {
             exo_store::Priority::Low
         };
-        let owner = self.tenant_of_obj(obj).0;
+        let owner = self.tenant_of(obj.job()).0;
         self.ensure_obj_entry(obj)
             .set_fetch_state(node, FetchState::AllocPending);
         let decision =
@@ -1640,7 +1602,7 @@ impl Runtime {
             self.seal_output(ctx, task, idx);
             return;
         }
-        let owner = self.tenant_of(task).0;
+        let owner = self.tenant_of(task.job()).0;
         match self.nodes[node.0].store.request_create(
             obj.0,
             logical,
@@ -1860,7 +1822,7 @@ impl Runtime {
         // this is the task's true end. In-flight `OutputWrite` completions
         // are drained on driver exit, so final-stage spans still land.
         self.emit_task(task, TaskPhase::Finished, node, label, attempt, false, None);
-        let tenant = self.tenant_of(task);
+        let tenant = self.tenant_of(task.job());
         self.jobs.task_unscheduled(tenant);
         if self.jobs.has_ready() {
             // A slot (and possibly a tenant quota slot) just freed up.
@@ -2210,190 +2172,6 @@ impl Runtime {
     }
 
     // ------------------------------------------------------------------
-    // Failure handling
-    // ------------------------------------------------------------------
-
-    fn kill_node(&mut self, ctx: &mut Ctx<'_, RtEvent>, node: NodeId) {
-        let capacity = self.nodes[node.0].store.config().capacity;
-        let cpus = self.cfg.cluster.node(node.0).cpus;
-        let sink = self.sink.clone();
-        let n = &mut self.nodes[node.0];
-        if !n.alive {
-            return;
-        }
-        n.alive = false;
-        n.epoch += 1;
-        sink.emit(EventKind::Failure(FailureEvent {
-            node: node.0 as u32,
-            kind: FailureKind::NodeKilled,
-        }));
-        // Rebuild the store (all objects on the node, memory or disk, are
-        // lost — matching the paper's fail-and-restart of a whole worker).
-        let cfg = *n.store.config();
-        n.store = NodeStore::with_trace(StoreConfig { capacity, ..cfg }, sink, node.0 as u32);
-        // The dead node's booked completions stay queued, void, at their
-        // `(end, seq)`.
-        let now = ctx.now();
-        for dev in [&mut n.disk, &mut n.nic_tx, &mut n.nic_rx] {
-            dev.reset(ctx, &mut self.rings, now, device_event(node));
-        }
-        n.slots_free = cpus;
-        let queued: Vec<TaskId> = n.queue.drain(..).collect();
-        let running = std::mem::take(&mut n.running);
-        // Drop object copies hosted here, along with any fetch state or
-        // arg-waiter registrations targeting the dead node. Arena
-        // iteration is ascending by id, so `lost_with_interest` comes
-        // out sorted by construction.
-        let mut lost_with_interest = Vec::new();
-        for (id, o) in self.objects.iter_mut() {
-            o.forget_node(node);
-            if o.copies.remove(node) && o.copies.is_empty() && (o.watched() || o.task_refs > 0) {
-                lost_with_interest.push(ObjectId(id));
-            }
-        }
-        // A landed arg may just have lost its last copy, which no arrival
-        // countdown accounts for: every waiting task rescans on its next
-        // landing (the requeued tasks below rescan right away).
-        for (_, e) in self.tasks.iter_mut() {
-            if let TaskState::WaitingArgs { missing } = &mut e.state {
-                *missing = 0;
-            }
-        }
-        lost_with_interest.extend(self.rewatch_lost());
-        lost_with_interest.sort_unstable();
-        lost_with_interest.dedup();
-        // The rebuilt store starts without owner quotas; re-apply them.
-        self.apply_store_quotas();
-        // Requeue the node's tasks elsewhere; the dead store took their
-        // pins with it, so dropping each attempt is the whole reset.
-        for t in queued.into_iter().chain(running) {
-            let Some(e) = self.tasks.get_mut(t.0) else {
-                continue;
-            };
-            if e.state.attempt().is_none() {
-                continue;
-            }
-            e.state = TaskState::UNSCANNED;
-            e.epoch += 1;
-            let tenant = self.tenant_of(t);
-            self.jobs.task_unscheduled(tenant);
-            self.enqueue_ready(ctx, t);
-        }
-        // Kick reconstruction for lost-but-needed objects. Only jobs
-        // whose objects were actually lost see lineage resubmission —
-        // `lost_with_interest` is exactly the set with no surviving copy
-        // and a live consumer, so unaffected jobs are untouched.
-        for obj in lost_with_interest {
-            self.ensure_available(ctx, obj);
-        }
-        // In-flight fetches sourced from this node are detected lazily via
-        // src_epoch checks when their `Fetch` completes.
-    }
-
-    /// A pending get or wait stops watching an object once it has counted
-    /// its arrival, so a kill that then takes the object's last copy
-    /// leaves it counted but lost, and nothing would reconstruct it. An
-    /// unavailable listed object the waiter is not registered on is
-    /// exactly such a one (registration lasts until arrival): un-count
-    /// it, watch it again, and return it for reconstruction.
-    fn rewatch_lost(&mut self) -> Vec<ObjectId> {
-        let mut lost = Vec::new();
-        let wids: Vec<u64> = self.waiters.iter().map(|(wid, _)| wid).collect();
-        for wid in wids {
-            let Some(w) = self.waiters.get(wid) else {
-                continue;
-            };
-            // Every listing of such an object is collected before any
-            // is registered again.
-            let counted_lost: Vec<ObjectId> = w
-                .objs()
-                .iter()
-                .copied()
-                .filter(|o| {
-                    self.objects
-                        .get(o.0)
-                        .is_some_and(|e| !e.available() && !e.has_waiter(wid))
-                })
-                .collect();
-            if counted_lost.is_empty() {
-                continue;
-            }
-            if let Some(w) = self.waiters.get_mut(wid) {
-                *w.tally().0 -= counted_lost.len();
-            }
-            for o in counted_lost {
-                self.ensure_obj_entry(o).add_waiter(wid);
-                lost.push(o);
-            }
-        }
-        lost
-    }
-
-    /// Executor-process failure (§4.2.3): in-flight tasks on the node die
-    /// and are re-run, but the object store lives in the NodeManager — no
-    /// objects are lost and nothing needs lineage reconstruction.
-    fn kill_executors(&mut self, ctx: &mut Ctx<'_, RtEvent>, node: NodeId) {
-        if !self.nodes[node.0].alive {
-            return;
-        }
-        self.sink.emit(EventKind::Failure(FailureEvent {
-            node: node.0 as u32,
-            kind: FailureKind::ExecutorsKilled,
-        }));
-        // Invalidate in-flight execution events via the per-task epoch;
-        // the store, its spilled files, and every sealed object survive.
-        let running = std::mem::take(&mut self.nodes[node.0].running);
-        // Each dead attempt frees its slot; a queued attempt staging under
-        // a held slot (prefetch off) keeps its own.
-        self.nodes[node.0].slots_free += running.len();
-        for t in running {
-            let Some(e) = self.tasks.get_mut(t.0) else {
-                continue;
-            };
-            let TaskState::Running(a) = &e.state else {
-                continue;
-            };
-            let store = &mut self.nodes[node.0].store;
-            // Unpin whatever the dead executor held.
-            for arg in &a.pinned {
-                if store.contains(arg.0) {
-                    store.unpin(arg.0);
-                }
-            }
-            // Unsealed outputs created by the dead attempt are discarded.
-            for o in e.outputs() {
-                let sealed_here = self
-                    .objects
-                    .get(o.0)
-                    .is_some_and(|e| e.copies.contains(node));
-                if store.contains(o.0) && !sealed_here {
-                    store.unpin(o.0);
-                    store.forget(o.0);
-                }
-            }
-            e.state = TaskState::UNSCANNED;
-            e.epoch += 1;
-            e.attempt += 1;
-            // The dead attempt was Running, i.e. in service.
-            let tenant = self.tenant_of(t);
-            self.jobs.task_unscheduled(tenant);
-            self.enqueue_ready(ctx, t);
-        }
-        self.pump_store(ctx, node);
-        self.pump_node(ctx, node);
-    }
-
-    fn restart_node(&mut self, ctx: &mut Ctx<'_, RtEvent>, node: NodeId) {
-        let n = &mut self.nodes[node.0];
-        n.alive = true;
-        n.epoch += 1;
-        if self.jobs.has_ready() {
-            // Fresh capacity: let the fair-share dispatcher use it.
-            self.schedule_dispatch(ctx);
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Metrics
     // ------------------------------------------------------------------
 
@@ -2639,7 +2417,7 @@ impl Simulation for Runtime {
             }
             RtCommand::Put { job, value, reply } => {
                 let id = self.jobs.ensure(job).fresh_objs(job, 1);
-                let owner = self.tenant_of_obj(id).0;
+                let owner = self.tenant_of(id.job()).0;
                 // Driver-put values live on node 0 (the head node) with no
                 // lineage; paper applications only put small config values.
                 let logical = value.logical;
@@ -2749,23 +2527,8 @@ impl Simulation for Runtime {
                     .unwrap_or_default();
                 ctx.reply(reply, locs);
             }
-            RtCommand::KillNode {
-                node,
-                at,
-                restart_after,
-                reply,
-            } => {
-                ctx.schedule_at(
-                    at,
-                    RtEvent::KillNode {
-                        node,
-                        restart_after,
-                    },
-                );
-                ctx.reply(reply, ());
-            }
-            RtCommand::KillExecutors { node, at, reply } => {
-                ctx.schedule_at(at, RtEvent::KillExecutors { node });
+            RtCommand::Inject { at, fault, reply } => {
+                ctx.schedule_at(at, RtEvent::Fault(fault));
                 ctx.reply(reply, ());
             }
             RtCommand::Metrics { reply } => {
@@ -2868,21 +2631,7 @@ impl Simulation for Runtime {
             RtEvent::SleepDone { reply } => {
                 ctx.reply(*reply, ());
             }
-            RtEvent::KillNode {
-                node,
-                restart_after,
-            } => {
-                self.kill_node(ctx, node);
-                if let Some(d) = restart_after {
-                    ctx.schedule(d, RtEvent::RestartNode { node });
-                }
-            }
-            RtEvent::KillExecutors { node } => {
-                self.kill_executors(ctx, node);
-            }
-            RtEvent::RestartNode { node } => {
-                self.restart_node(ctx, node);
-            }
+            RtEvent::Fault(fault) => self.on_fault(ctx, fault),
             RtEvent::ObserveTick => {
                 self.observe_scheduled = false;
                 if self.sink.sampling() {

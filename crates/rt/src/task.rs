@@ -13,8 +13,8 @@ pub struct TaskCtx {
     pub args: Vec<Payload>,
     /// Node the task runs on.
     pub node: NodeId,
-    /// Execution attempt (0 for the first run; >0 for lineage
-    /// reconstruction re-executions).
+    /// Execution attempt: 0 for the first run, one more for each re-run
+    /// (after a node or executor loss, or for lineage reconstruction).
     pub attempt: u32,
     /// A per-(task, nothing-else) deterministic RNG: attempts of the same
     /// task see the same stream, so re-executions are idempotent (§4.2.3).

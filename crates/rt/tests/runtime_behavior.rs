@@ -1,7 +1,7 @@
 //! End-to-end behaviour tests for the distributed-futures runtime.
 
 use bytes::Bytes;
-use exo_rt::{CpuCost, Payload, RtConfig, RtError, SchedulingStrategy, TaskCtx};
+use exo_rt::{CpuCost, Payload, RtConfig, RtError, SchedulingStrategy, TaskCtx, TraceConfig};
 use exo_sim::{ClusterSpec, NodeSpec, SimDuration, SimTime};
 
 fn small_cluster(nodes: usize) -> RtConfig {
@@ -444,6 +444,56 @@ fn task_ready_while_every_node_is_down_runs_after_restart() {
         rt.get_one(&r).unwrap().data[0]
     });
     assert_eq!(v, 7);
+}
+
+/// Node 1 dies at 1 s and is back at 2 s. From 3 s it produces a 1 GB
+/// object in 6 s, which node 0 then fetches over 2.5 Gbps, in flight
+/// from 9 s to past 12 s. `second_kill` kills node 1 again at 1 s, while
+/// it is down, asking for a restart at 10 s.
+fn kill_then_fetch(second_kill: bool) -> (exo_rt::RunReport, u8) {
+    let mut cfg = small_cluster(2);
+    cfg.trace = TraceConfig::on();
+    exo_rt::run(cfg, |rt| {
+        let at = SimTime::ZERO + SimDuration::from_secs(1);
+        rt.kill_node(exo_rt::NodeId(1), at, Some(SimDuration::from_secs(1)));
+        if second_kill {
+            rt.kill_node(exo_rt::NodeId(1), at, Some(SimDuration::from_secs(9)));
+        }
+        rt.sleep(SimDuration::from_secs(3));
+        let x = rt
+            .task(|_ctx| vec![Payload::scaled(Bytes::from_static(&[7]), 1_000_000_000)])
+            .on_node(exo_rt::NodeId(1))
+            .cpu(CpuCost::fixed(SimDuration::from_secs(6)))
+            .submit_one();
+        let y = rt
+            .task(|ctx: TaskCtx| vec![Payload::inline(Bytes::from(vec![ctx.args[0].data[0]]))])
+            .arg(&x)
+            .on_node(exo_rt::NodeId(0))
+            .submit_one();
+        rt.get_one(&y).unwrap().data[0]
+    })
+}
+
+#[test]
+fn a_kill_of_a_dead_node_is_a_no_op_restart_and_all() {
+    // The second kill must neither schedule a restart of its own (which
+    // would find node 1 alive and void its in-flight fetch) nor leave a
+    // trace: the run is the single kill's, edge for edge.
+    let (single, v) = kill_then_fetch(false);
+    let (double, w) = kill_then_fetch(true);
+    assert_eq!((v, w), (7, 7));
+    assert_eq!(single.metrics.node_failures, 1);
+    assert_eq!(single.metrics.net_ops, 1);
+    assert_eq!(double.end_time, single.end_time);
+    assert_eq!(
+        format!("{:?}", double.metrics),
+        format!("{:?}", single.metrics)
+    );
+    assert!(single.trace.len() > 2, "trace retention is on");
+    assert!(
+        format!("{:?}", double.trace) == format!("{:?}", single.trace),
+        "the trace streams differ"
+    );
 }
 
 #[test]

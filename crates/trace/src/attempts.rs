@@ -1,9 +1,9 @@
 //! The attempt table: how a task attempt's `Scheduled`, `Dequeued`,
 //! `Started` and `Finished` edges pair up, for every post-hoc view (the
 //! Chrome exporter, the text summary, exo-prof's paths, stage and job
-//! stats). Keyed by `(task, attempt)`, each record holds the *latest*
-//! edge of each phase: a node kill requeues its tasks without a new
-//! attempt number, so one key can be scheduled and started twice.
+//! stats). Keyed by `(task, attempt)`: every requeue is a new attempt,
+//! so a key has one edge per phase and an abandoned attempt never
+//! finishes. Should a stream repeat a phase, its *latest* edge is kept.
 
 use std::collections::HashMap;
 

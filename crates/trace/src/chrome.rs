@@ -191,8 +191,8 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
         }
     }
 
-    // A span per finished attempt that was scheduled, drawn from its
-    // latest edges, in finish order until the stable sort by start below.
+    // A span per scheduled attempt that finished (one a requeue abandoned
+    // never does), in finish order until the stable sort by start below.
     let mut spans: Vec<(u64, u64, AttemptRecord)> = attempts
         .finished()
         .filter(|r| r.scheduled.is_some())

@@ -3,7 +3,10 @@
 //! executor failures in the middle of a shuffle, all validated
 //! record-for-record.
 
-use exoshuffle::rt::{NodeId, RtConfig, RtHandle};
+use std::collections::BTreeMap;
+
+use exoshuffle::rt::trace::{EventKind, TaskPhase};
+use exoshuffle::rt::{NodeId, RtConfig, RtHandle, RunReport, TraceConfig};
 use exoshuffle::shuffle::{run_shuffle, ShuffleVariant};
 use exoshuffle::sim::{ClusterSpec, NodeSpec, SimDuration, SimTime};
 use exoshuffle::sort::{sort_job, validate_sorted, SortSpec};
@@ -22,16 +25,12 @@ fn cluster(nodes: usize) -> RtConfig {
     RtConfig::new(ClusterSpec::homogeneous(NodeSpec::d3_2xlarge(), nodes))
 }
 
-#[test]
-fn two_staggered_node_failures_recover() {
+/// A push* sort on `cfg`'s cluster with `faults` injected, validated
+/// record for record.
+fn run(cfg: RtConfig, faults: &(dyn Fn(&RtHandle) + Sync)) -> RunReport {
     let s = spec();
-    let (report, outputs) = exoshuffle::rt::run(cluster(5), |rt: &RtHandle| {
-        rt.kill_node(NodeId(1), SimTime(40_000), Some(SimDuration::from_secs(20)));
-        rt.kill_node(
-            NodeId(3),
-            SimTime(120_000),
-            Some(SimDuration::from_secs(20)),
-        );
+    let (report, outputs) = exoshuffle::rt::run(cfg, |rt: &RtHandle| {
+        faults(rt);
         let outs = run_shuffle(
             rt,
             &sort_job(s),
@@ -39,32 +38,79 @@ fn two_staggered_node_failures_recover() {
         );
         rt.get(&outs).expect("recovered output")
     });
-    validate_sorted(&s, &outputs).expect("correct despite two failures");
+    validate_sorted(&s, &outputs).expect("correct despite the faults");
+    report
+}
+
+/// Nodes 1 and 3 die 80 ms apart, mid-sort, and restart.
+fn two_staggered_node_failures(rt: &RtHandle) {
+    rt.kill_node(NodeId(1), SimTime(40_000), Some(SimDuration::from_secs(20)));
+    rt.kill_node(
+        NodeId(3),
+        SimTime(120_000),
+        Some(SimDuration::from_secs(20)),
+    );
+}
+
+#[test]
+fn two_staggered_node_failures_recover() {
+    let report = run(cluster(5), &two_staggered_node_failures);
     assert_eq!(report.metrics.node_failures, 2);
 }
 
 #[test]
+fn a_fault_run_never_reuses_an_attempt_key() {
+    let mut cfg = cluster(5);
+    cfg.trace = TraceConfig::on();
+    let report = run(cfg, &two_staggered_node_failures);
+    // Per task, the attempts its Scheduled edges carry, and the Started
+    // edges seen per (task, attempt).
+    let mut scheduled: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+    let mut started: BTreeMap<(u64, u32), u32> = BTreeMap::new();
+    for ev in &report.trace {
+        let EventKind::Task(t) = &ev.kind else {
+            continue;
+        };
+        match t.phase {
+            TaskPhase::Scheduled => scheduled.entry(t.task).or_default().push(t.attempt),
+            TaskPhase::Started => {
+                assert_eq!(
+                    scheduled[&t.task].last(),
+                    Some(&t.attempt),
+                    "task {} started an attempt other than its latest",
+                    t.task
+                );
+                *started.entry((t.task, t.attempt)).or_default() += 1;
+            }
+            TaskPhase::Dequeued | TaskPhase::Finished => {}
+        }
+    }
+    // Every requeue is a new attempt: a task's k-th scheduling carries
+    // attempt k, so no key is scheduled twice.
+    let requeued = scheduled.values().filter(|a| a.len() > 1).count();
+    assert!(requeued > 0, "the kills requeued no task");
+    for (task, attempts) in &scheduled {
+        let want: Vec<u32> = (0..attempts.len() as u32).collect();
+        assert_eq!(attempts, &want, "task {task}'s attempts");
+    }
+    let twice: Vec<_> = started.iter().filter(|(_, &n)| n > 1).collect();
+    assert!(twice.is_empty(), "started twice: {twice:?}");
+    // Only lineage re-runs count as re-executions: as many as before
+    // node-loss requeues took new attempt numbers.
+    assert_eq!(report.metrics.tasks_reexecuted, 4);
+}
+
+#[test]
 fn executor_failure_mid_shuffle_is_cheaper_than_node_failure() {
-    let s = spec();
-    let run = |f: &(dyn Fn(&RtHandle) + Sync)| {
-        let (report, outputs) = exoshuffle::rt::run(cluster(4), |rt: &RtHandle| {
-            f(rt);
-            let outs = run_shuffle(
-                rt,
-                &sort_job(s),
-                ShuffleVariant::PushStar { map_parallelism: 2 },
-            );
-            rt.get(&outs).expect("output")
-        });
-        validate_sorted(&s, &outputs).expect("validated");
-        report
-    };
-    let clean = run(&|_| {});
-    let exec = run(&|rt| rt.kill_executors(NodeId(2), SimTime(400_000)));
-    let node = run(&|rt| {
+    // The clean sort ends at 373 ms; both faults land mid-shuffle.
+    let clean = run(cluster(4), &|_| {});
+    let exec = run(cluster(4), &|rt| {
+        rt.kill_executors(NodeId(2), SimTime(200_000))
+    });
+    let node = run(cluster(4), &|rt| {
         rt.kill_node(
             NodeId(2),
-            SimTime(400_000),
+            SimTime(200_000),
             Some(SimDuration::from_secs(20)),
         )
     });
@@ -76,6 +122,26 @@ fn executor_failure_mid_shuffle_is_cheaper_than_node_failure() {
         "node failure {} must cost at least executor failure {}",
         node.end_time,
         exec.end_time
+    );
+}
+
+#[test]
+fn executor_loss_then_node_loss_on_one_node_recovers() {
+    // The executors on node 2 die mid-sort; 50 ms later the whole node
+    // dies, taking the store the first fault spared, and restarts.
+    let report = run(cluster(4), &|rt| {
+        rt.kill_executors(NodeId(2), SimTime(150_000));
+        rt.kill_node(
+            NodeId(2),
+            SimTime(200_000),
+            Some(SimDuration::from_secs(20)),
+        )
+    });
+    assert_eq!(report.metrics.executor_failures, 1);
+    assert_eq!(report.metrics.node_failures, 1);
+    assert!(
+        report.metrics.tasks_reexecuted > 0,
+        "the node kill lost sealed outputs"
     );
 }
 
