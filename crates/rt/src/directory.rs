@@ -2,15 +2,15 @@
 //!
 //! ES-simple creates M·R shuffle blocks, and the directory holds one
 //! entry per live block, so the entry's size is the engine's largest
-//! per-object memory term at CloudSort scale. An [`ObjEntry`] is 96
-//! bytes, and besides the payload it owns one heap block at most
-//! unless the object has more than four copies:
+//! per-object memory term at CloudSort scale. An [`ObjEntry`] is 64
+//! bytes, and besides the payload it owns heap blocks only while
+//! something waits on the object or it has more than three copies:
 //!
 //! - every registration of interest in the object (waiting tasks,
 //!   get/wait waiters, inbound fetches and staging tasks) shares one
-//!   [`WaitList`], whose first allocation holds two entries and which
-//!   frees its allocation when it empties;
-//! - the [`CopySet`] keeps up to four node ids inline.
+//!   [`WaitList`], an 8-byte handle to a list whose first allocation
+//!   holds two entries and which is freed when it empties;
+//! - the [`CopySet`] keeps up to three node ids inline.
 //!
 //! Both are storage choices only. Every operation filters the shared
 //! list by kind and keeps each kind's relative order, so each wake,
@@ -46,12 +46,11 @@ impl FetchState {
     }
 }
 
-/// Copies held inline before a [`CopySet`] moves to the heap. Four
-/// `u32`s are as wide as the spilled variant's boxed-slice pointer, so
-/// inline storage costs the entry nothing extra; measured peaks are two
-/// copies per object on xl_simple, spill_pushstar and ft_simple
-/// (DESIGN.md §15.7).
-const INLINE_COPIES: usize = 4;
+/// Copies held inline before a [`CopySet`] moves to the heap. Three
+/// `u32`s and the variant tag fill 16 bytes, as does the tag and the
+/// spilled variant's thin pointer; measured peaks are two copies per
+/// object on xl_simple, spill_pushstar and ft_simple (DESIGN.md §15.7).
+const INLINE_COPIES: usize = 3;
 
 /// An unused inline slot. It sorts after every real node id, so the
 /// used slots are always a sorted prefix.
@@ -59,12 +58,17 @@ const NO_NODE: u32 = u32::MAX;
 
 /// The nodes whose store holds a copy of an object, ascending and
 /// unique. Up to [`INLINE_COPIES`] ids live inline; a larger set moves
-/// to one exact-size heap slice and comes back inline when it shrinks.
+/// to a boxed `Vec` and comes back inline when it shrinks.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum CopySet {
     Inline([u32; INLINE_COPIES]),
-    Spilled(Box<[u32]>),
+    // The box keeps the variant one pointer wide, so the set stays 16 B;
+    // a bare `Vec` would make every entry 8 B larger.
+    #[allow(clippy::box_collection)]
+    Spilled(Box<Vec<u32>>),
 }
+
+const _: () = assert!(std::mem::size_of::<CopySet>() == 16);
 
 impl Default for CopySet {
     fn default() -> Self {
@@ -118,19 +122,18 @@ impl CopySet {
             return false;
         };
         let len = ids.len();
-        if let CopySet::Inline(slots) = self {
-            if len < INLINE_COPIES {
+        match self {
+            CopySet::Inline(slots) if len < INLINE_COPIES => {
                 slots.copy_within(at..len, at + 1);
                 slots[at] = id;
-                return true;
             }
+            CopySet::Inline(slots) => {
+                let mut grown = slots.to_vec();
+                grown.insert(at, id);
+                *self = CopySet::Spilled(Box::new(grown));
+            }
+            CopySet::Spilled(ids) => ids.insert(at, id),
         }
-        let ids = self.as_slice();
-        let mut grown = Vec::with_capacity(len + 1);
-        grown.extend_from_slice(&ids[..at]);
-        grown.push(id);
-        grown.extend_from_slice(&ids[at..]);
-        *self = CopySet::Spilled(grown.into_boxed_slice());
         true
     }
 
@@ -147,17 +150,12 @@ impl CopySet {
                 slots[len - 1] = NO_NODE;
             }
             CopySet::Spilled(ids) => {
-                let rest = ids[..at].iter().chain(&ids[at + 1..]).copied();
-                let shrunk = if len - 1 <= INLINE_COPIES {
+                ids.remove(at);
+                if ids.len() <= INLINE_COPIES {
                     let mut slots = [NO_NODE; INLINE_COPIES];
-                    for (slot, id) in slots.iter_mut().zip(rest) {
-                        *slot = id;
-                    }
-                    CopySet::Inline(slots)
-                } else {
-                    CopySet::Spilled(rest.collect())
-                };
-                *self = shrunk;
+                    slots[..ids.len()].copy_from_slice(ids);
+                    *self = CopySet::Inline(slots);
+                }
             }
         }
         true
@@ -178,30 +176,77 @@ pub(crate) enum Wait {
     Arg(u32, TaskId),
 }
 
-/// Every registration on one object, in registration order. The first
-/// allocation fits two: at most two are held at once on 99–100% of
-/// objects in the measured workloads, and at most three on every one
-/// (DESIGN.md §15.7). A list that empties gives its allocation back.
+/// Every registration on one object, in registration order, behind one
+/// thin pointer: most objects have none at any moment, so the entry
+/// holds 8 bytes rather than a `Vec`'s 24. One block holds up to two
+/// registrations: at most two are held at once on 99–100% of objects in
+/// the measured workloads, and at most three on every one (DESIGN.md
+/// §15.7). A third moves them into a `Vec` inside the block. A list
+/// that empties gives its block back.
 #[derive(Debug, Default)]
-pub(crate) struct WaitList(Vec<Wait>);
+pub(crate) struct WaitList(Option<Box<Waits>>);
+
+#[derive(Debug)]
+enum Waits {
+    One(Wait),
+    Two([Wait; 2]),
+    Many(Vec<Wait>),
+}
 
 impl WaitList {
     fn push(&mut self, w: Wait) {
-        if self.0.capacity() == 0 {
-            self.0.reserve_exact(2);
+        let Some(list) = &mut self.0 else {
+            self.0 = Some(Box::new(Waits::One(w)));
+            return;
+        };
+        match &mut **list {
+            Waits::One(a) => **list = Waits::Two([*a, w]),
+            Waits::Two([a, b]) => **list = Waits::Many(vec![*a, *b, w]),
+            Waits::Many(ws) => ws.push(w),
         }
-        self.0.push(w);
     }
 
-    /// Keeps the entries `keep` accepts, in order.
-    fn retain(&mut self, keep: impl FnMut(&Wait) -> bool) {
-        self.0.retain(keep);
-        self.release_if_empty();
+    fn as_slice(&self) -> &[Wait] {
+        match self.0.as_deref() {
+            None => &[],
+            Some(Waits::One(w)) => std::slice::from_ref(w),
+            Some(Waits::Two(ws)) => ws,
+            Some(Waits::Many(ws)) => ws,
+        }
     }
 
-    fn release_if_empty(&mut self) {
-        if self.0.is_empty() {
-            self.0 = Vec::new();
+    fn as_mut_slice(&mut self) -> &mut [Wait] {
+        match self.0.as_deref_mut() {
+            None => &mut [],
+            Some(Waits::One(w)) => std::slice::from_mut(w),
+            Some(Waits::Two(ws)) => ws,
+            Some(Waits::Many(ws)) => ws,
+        }
+    }
+
+    /// Keeps the entries `keep` accepts, in order; `keep` sees each
+    /// entry once, in order.
+    fn retain(&mut self, mut keep: impl FnMut(&Wait) -> bool) {
+        let Some(list) = &mut self.0 else {
+            return;
+        };
+        let empty = match &mut **list {
+            Waits::One(a) => !keep(a),
+            Waits::Two([a, b]) => match (keep(a), keep(b)) {
+                (true, true) => false,
+                (false, false) => true,
+                (kept_a, _) => {
+                    **list = Waits::One(if kept_a { *a } else { *b });
+                    false
+                }
+            },
+            Waits::Many(ws) => {
+                ws.retain(keep);
+                ws.is_empty()
+            }
+        };
+        if empty {
+            self.0 = None;
         }
     }
 }
@@ -221,8 +266,12 @@ pub(crate) struct ObjEntry {
     waits: WaitList,
 }
 
-const _: () = assert!(std::mem::size_of::<ObjEntry>() <= 96);
+// The directory's arena holds one `Option<ObjEntry>` per object ever
+// minted.
+const _: () = assert!(std::mem::size_of::<Option<ObjEntry>>() <= 64);
 const _: () = assert!(std::mem::size_of::<Wait>() <= 24);
+// One heap block of at most 56 bytes (a 64-byte malloc chunk).
+const _: () = assert!(std::mem::size_of::<Waits>() <= 56);
 
 /// What an object's arrival wakes: registered tasks and waiters, each
 /// in registration order.
@@ -259,14 +308,14 @@ impl ObjEntry {
     /// entry from being GC'd).
     pub(crate) fn watched(&self) -> bool {
         self.waits
-            .0
+            .as_slice()
             .iter()
             .any(|w| matches!(w, Wait::Task(_) | Wait::Waiter(_)))
     }
 
     /// Registers `task` to be poked on arrival, once.
     pub(crate) fn add_waiting_task(&mut self, task: TaskId) {
-        if !self.waits.0.contains(&Wait::Task(task)) {
+        if !self.waits.as_slice().contains(&Wait::Task(task)) {
             self.waits.push(Wait::Task(task));
         }
     }
@@ -276,7 +325,7 @@ impl ObjEntry {
     }
 
     pub(crate) fn has_waiter(&self, wid: u64) -> bool {
-        self.waits.0.contains(&Wait::Waiter(wid))
+        self.waits.as_slice().contains(&Wait::Waiter(wid))
     }
 
     pub(crate) fn remove_waiter(&mut self, wid: u64) {
@@ -302,7 +351,7 @@ impl ObjEntry {
 
     pub(crate) fn fetch_state(&self, node: NodeId) -> Option<FetchState> {
         let node = raw(node);
-        self.waits.0.iter().find_map(|w| match *w {
+        self.waits.as_slice().iter().find_map(|w| match *w {
             Wait::Fetch(n, st) if n == node => Some(st),
             _ => None,
         })
@@ -310,7 +359,7 @@ impl ObjEntry {
 
     pub(crate) fn set_fetch_state(&mut self, node: NodeId, st: FetchState) {
         let node = raw(node);
-        let slot = self.waits.0.iter_mut().find_map(|w| match w {
+        let slot = self.waits.as_mut_slice().iter_mut().find_map(|w| match w {
             Wait::Fetch(n, slot) if *n == node => Some(slot),
             _ => None,
         });
@@ -341,7 +390,7 @@ impl ObjEntry {
     pub(crate) fn arg_waiters(&self, node: NodeId) -> Vec<TaskId> {
         let node = raw(node);
         self.waits
-            .0
+            .as_slice()
             .iter()
             .filter_map(|w| match *w {
                 Wait::Arg(n, t) if n == node => Some(t),
@@ -381,6 +430,15 @@ mod tests {
         s.iter().map(|n| n.0).collect()
     }
 
+    /// Entries the wait list's allocation has room for (0: none held).
+    fn capacity(o: &ObjEntry) -> usize {
+        match o.waits.0.as_deref() {
+            None => 0,
+            Some(Waits::One(_) | Waits::Two(_)) => 2,
+            Some(Waits::Many(ws)) => ws.capacity(),
+        }
+    }
+
     #[test]
     fn copy_set_stays_sorted_and_unique_across_the_inline_boundary() {
         let mut s = CopySet::default();
@@ -397,12 +455,15 @@ mod tests {
             assert!(s.remove(NodeId(n)));
             assert!(!s.remove(NodeId(n)), "double remove of {n}");
         }
-        // Four left: back inline.
+        assert!(matches!(s, CopySet::Spilled(_)));
+        assert!(s.remove(NodeId(3)));
+        // Three left: back inline.
         assert!(matches!(s, CopySet::Inline(_)));
-        assert_eq!(nodes(&s), [2, 3, 7, 8]);
+        assert_eq!(nodes(&s), [2, 7, 8]);
         assert!(s.insert(NodeId(1)));
-        assert_eq!(nodes(&s), [1, 2, 3, 7, 8]);
-        for n in [8, 1, 3, 2, 7] {
+        assert!(matches!(s, CopySet::Spilled(_)));
+        assert_eq!(nodes(&s), [1, 2, 7, 8]);
+        for n in [8, 1, 2, 7] {
             assert!(s.remove(NodeId(n)));
         }
         assert!(s.is_empty());
@@ -437,6 +498,36 @@ mod tests {
                 matches!(s, CopySet::Spilled(_)),
                 reference.len() > INLINE_COPIES
             );
+        }
+    }
+
+    #[test]
+    fn wait_list_matches_a_vec_under_churn() {
+        let mut list = WaitList::default();
+        let mut reference: Vec<Wait> = Vec::new();
+        let mut x = 3u64;
+        for _ in 0..4_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let w = Wait::Waiter((x >> 40) % 5);
+            let third = (x >> 20) % 3;
+            if third < 2 && reference.len() < 4 {
+                list.push(w);
+                reference.push(w);
+            } else {
+                // Drop every copy of `w`; `keep` must see each entry
+                // once, in order.
+                let mut seen = Vec::new();
+                list.retain(|v| {
+                    seen.push(*v);
+                    *v != w
+                });
+                assert_eq!(seen, reference);
+                reference.retain(|v| *v != w);
+            }
+            assert_eq!(list.as_slice(), reference.as_slice());
+            assert_eq!(list.0.is_none(), reference.is_empty());
         }
     }
 
@@ -476,25 +567,25 @@ mod tests {
     #[test]
     fn emptying_the_wait_list_frees_its_allocation() {
         let mut o = ObjEntry::default();
-        assert_eq!(o.waits.0.capacity(), 0);
+        assert_eq!(capacity(&o), 0);
         o.add_waiter(1);
-        assert_eq!(o.waits.0.capacity(), 2, "first allocation fits two");
+        assert_eq!(capacity(&o), 2, "first allocation fits two");
         o.add_arg_waiter(NodeId(0), TaskId(5));
         o.add_waiting_task(TaskId(6));
         o.remove_waiter(1);
         o.remove_arg_waiter(NodeId(0), TaskId(5));
-        assert!(o.waits.0.capacity() > 0);
+        assert!(capacity(&o) > 0);
         assert_eq!(o.take_woken().tasks, [TaskId(6)]);
-        assert_eq!(o.waits.0.capacity(), 0);
+        assert_eq!(capacity(&o), 0);
 
         o.set_fetch_state(NodeId(3), FetchState::AllocPending);
         o.clear_fetch_state(NodeId(3));
-        assert_eq!(o.waits.0.capacity(), 0);
+        assert_eq!(capacity(&o), 0);
         o.add_arg_waiter(NodeId(3), TaskId(1));
         assert_eq!(o.take_arg_waiters(NodeId(3)), [TaskId(1)]);
-        assert_eq!(o.waits.0.capacity(), 0);
+        assert_eq!(capacity(&o), 0);
         o.add_arg_waiter(NodeId(3), TaskId(2));
         o.forget_node(NodeId(3));
-        assert_eq!(o.waits.0.capacity(), 0);
+        assert_eq!(capacity(&o), 0);
     }
 }

@@ -10,7 +10,8 @@ use std::fmt;
 
 /// Bits reserved for the per-job sequence number; the job id occupies
 /// the bits above. 2^40 ids per job is far beyond any simulated run.
-pub const JOB_SEQ_BITS: u32 = 40;
+/// The store reads an object's job from the same bits to bill it.
+pub use exo_store::JOB_SEQ_BITS;
 
 /// A worker node in the cluster, indexed densely from 0.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -23,6 +23,9 @@ pub struct EngineTables {
     pub tasks: TableFootprint,
     /// Object-store slot tables, summed over nodes.
     pub store_slots: TableFootprint,
+    /// Object-store allocation queues and spill-candidate lists, summed
+    /// over nodes: their peak entries, and their allocation.
+    pub store_queues: TableFootprint,
     /// Event queue, at its peak.
     pub queue: TableFootprint,
     /// Device completion rings (the ops queued behind each server's

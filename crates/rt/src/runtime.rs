@@ -158,17 +158,17 @@ pub(crate) fn validate_config(cfg: &RtConfig) {
 }
 
 /// Tag attached to queued store allocations so grants resume the right
-/// work.
+/// work. An output's task and index are derived from its object id
+/// ([`Runtime::output_of`]); only the attempt's epoch is kept.
 #[derive(Clone, Debug)]
 enum AllocTag {
-    Output {
-        task: TaskId,
-        idx: usize,
-        epoch: u32,
-    },
+    Output { epoch: u32 },
     Fetch,
     Restore,
 }
+
+// The store queues hold hundreds of thousands of these at once.
+const _: () = assert!(NodeStore::<AllocTag>::PENDING_BYTES <= 32);
 
 /// The completion of a device op, held in its server's ring until it is
 /// next to fire. A fetch completes on the destination's NIC receive
@@ -1058,17 +1058,24 @@ impl Runtime {
     }
 
     /// The task whose outputs include `obj`, or `None` for a driver `put`.
-    /// `first_output` rises with task seq, so the only candidate is the
-    /// last task starting at or below `obj`; a `put` falls past its range.
     fn producer_of(&self, obj: ObjectId) -> Option<TaskId> {
+        self.output_of(obj).map(|(task, _)| task)
+    }
+
+    /// The task whose outputs include `obj` and `obj`'s index among them,
+    /// or `None` for a driver `put`. `first_output` rises with task seq,
+    /// so the only candidate is the last task starting at or below `obj`;
+    /// a `put` falls past its range.
+    fn output_of(&self, obj: ObjectId) -> Option<(TaskId, usize)> {
         let job = obj.job();
         let tasks = self.tasks.job_entries(job.0);
         let seq = tasks
             .partition_point(|t| t.first_output <= obj)
             .checked_sub(1)?;
         let t = &tasks[seq];
-        (obj.0 - t.first_output.0 < t.spec.opts.num_returns as u64)
-            .then(|| TaskId(pack_id(job, seq as u64)))
+        let idx = obj.0 - t.first_output.0;
+        (idx < t.spec.opts.num_returns as u64)
+            .then(|| (TaskId(pack_id(job, seq as u64)), idx as usize))
     }
 
     // ------------------------------------------------------------------
@@ -1395,7 +1402,10 @@ impl Runtime {
     }
 
     /// A fetch can no longer proceed (source died). Roll back the local
-    /// allocation and requeue interest through reconstruction.
+    /// allocation and requeue interest through reconstruction, or, when
+    /// a copy is already available elsewhere (lineage rebuilt it before
+    /// this transfer's end), fetch again for `dst`'s staging tasks:
+    /// nothing would wake a task parked on an object already available.
     fn abort_fetch(&mut self, ctx: &mut Ctx<'_, RtEvent>, dst: NodeId, obj: ObjectId) {
         let woken: Vec<TaskId> = match self.objects.get_mut(obj.0) {
             Some(o) => {
@@ -1410,7 +1420,17 @@ impl Runtime {
             n.store.forget(obj.0);
         }
         self.ensure_available(ctx, obj);
-        if let Some(o) = self.objects.get_mut(obj.0) {
+        if self.obj_available(obj) {
+            let restage = match self.objects.get_mut(obj.0) {
+                Some(o) => o.take_arg_waiters(dst),
+                None => Vec::new(),
+            };
+            for t in restage {
+                if self.attempt(t).is_some_and(|a| a.node == dst) {
+                    self.stage_arg(ctx, t, obj);
+                }
+            }
+        } else if let Some(o) = self.objects.get_mut(obj.0) {
             for t in woken {
                 o.add_waiting_task(t);
             }
@@ -1606,7 +1626,7 @@ impl Runtime {
         match self.nodes[node.0].store.request_create(
             obj.0,
             logical,
-            AllocTag::Output { task, idx, epoch },
+            AllocTag::Output { epoch },
             exo_store::Priority::High,
             owner,
         ) {
@@ -1906,17 +1926,21 @@ impl Runtime {
         for (oid, tag, kind) in granted {
             let obj = ObjectId(oid);
             match tag {
-                AllocTag::Output { task, idx, epoch } => {
-                    let current = self.tasks.get(task.0).is_some_and(|e| e.epoch == epoch);
-                    let Some(a) = self.attempt(task).filter(|a| current && a.node == node) else {
+                AllocTag::Output { epoch } => {
+                    // Live only for the attempt that asked, still placed here.
+                    let placed = self.output_of(obj).filter(|&(task, _)| {
+                        self.tasks.get(task.0).is_some_and(|e| e.epoch == epoch)
+                            && self.attempt(task).is_some_and(|a| a.node == node)
+                    });
+                    let Some((task, idx)) = placed else {
                         self.nodes[node.0].store.unpin(obj.0);
                         self.nodes[node.0].store.forget(obj.0);
                         continue;
                     };
                     if kind == exo_store::GrantKind::CreateFallback {
-                        let logical = a
-                            .pending_outputs
-                            .get(idx)
+                        let logical = self
+                            .attempt(task)
+                            .and_then(|a| a.pending_outputs.get(idx))
                             .and_then(Option::as_ref)
                             .map_or(0, |p| p.logical);
                         self.write_fallback(ctx, node, obj, epoch, logical);
@@ -2117,10 +2141,10 @@ impl Runtime {
                 }
             }
             DeviceDone::OutputFallback { obj, epoch } => {
-                let task = self.producer_of(obj);
-                if let Some(task) = task.filter(|&t| task_epoch(self, t) == Some(epoch)) {
-                    let idx = obj.0 - self.task(task).first_output.0;
-                    self.seal_output(ctx, task, idx as usize);
+                let out = self.output_of(obj);
+                if let Some((task, idx)) = out.filter(|&(t, _)| task_epoch(self, t) == Some(epoch))
+                {
+                    self.seal_output(ctx, task, idx);
                 }
             }
             DeviceDone::OutputWrite { task, epoch } => {
@@ -2184,17 +2208,12 @@ impl Runtime {
             store_slots: self
                 .nodes
                 .iter()
-                .map(|n| {
-                    let (capacity, bytes) = n.store.slot_capacity();
-                    // The slot cells are not tracked per write: count
-                    // them as written in full.
-                    TableFootprint {
-                        live: n.store.len(),
-                        capacity,
-                        bytes,
-                        written: bytes,
-                    }
-                })
+                .map(|n| n.store.slot_footprint())
+                .fold(TableFootprint::default(), TableFootprint::plus),
+            store_queues: self
+                .nodes
+                .iter()
+                .map(|n| n.store.queue_footprint())
                 .fold(TableFootprint::default(), TableFootprint::plus),
             queue: self.queue_footprint,
             rings: self.rings.footprint(),

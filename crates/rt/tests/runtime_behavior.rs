@@ -497,6 +497,37 @@ fn a_kill_of_a_dead_node_is_a_no_op_restart_and_all() {
 }
 
 #[test]
+fn a_fetch_whose_source_died_refetches_a_rebuilt_copy() {
+    // Node 1 fetches a 1 GB output from node 0, in flight from 0.1 s to
+    // about 3.3 s. Node 0 dies for good at 2 s, and lineage rebuilds the
+    // object on a live node before the stale transfer lands. The abort
+    // must fetch the rebuilt copy for the consumer, which is staging on
+    // node 1, rather than park it on an object already available.
+    let (report, v) = exo_rt::run(small_cluster(3), |rt| {
+        let x = rt
+            .task(|_ctx| vec![Payload::scaled(Bytes::from_static(&[9]), 1_000_000_000)])
+            .on_node(exo_rt::NodeId(0))
+            .cpu(CpuCost::fixed(SimDuration::from_millis(100)))
+            .submit_one();
+        let y = rt
+            .task(|ctx: TaskCtx| vec![Payload::inline(Bytes::from(vec![ctx.args[0].data[0]]))])
+            .arg(&x)
+            .on_node(exo_rt::NodeId(1))
+            .submit_one();
+        let at = SimTime::ZERO + SimDuration::from_secs(2);
+        rt.kill_node(exo_rt::NodeId(0), at, None);
+        rt.get_one(&y).unwrap().data[0]
+    });
+    assert_eq!(v, 9);
+    assert_eq!(report.metrics.node_failures, 1);
+    assert_eq!(report.metrics.tasks_reexecuted, 1);
+    assert_eq!(
+        report.metrics.net_ops, 2,
+        "the aborted fetch, then the refetch"
+    );
+}
+
+#[test]
 fn get_after_failure_reconstructs_directly() {
     let (_report, v) = exo_rt::run(small_cluster(3), |rt| {
         let a = rt

@@ -41,5 +41,5 @@ mod store;
 pub use metrics::StoreMetrics;
 pub use store::{
     AllocDecision, GrantKind, NodeStore, ObjId, Priority, Residency, RestoreDecision, SpillBatch,
-    StoreConfig,
+    StoreConfig, JOB_SEQ_BITS,
 };

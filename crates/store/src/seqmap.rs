@@ -3,16 +3,23 @@
 //! The store's slot table was a `HashMap<ObjId, Slot>`: every lookup
 //! paid a SipHash-1-3 pass over the key plus a cold probe. Object ids
 //! are already well-packed integers (`job << 40 | seq`), so a single
-//! Fibonacci multiply spreads them perfectly; linear probing on a
-//! power-of-two table then makes the common hit a one-cacheline read.
+//! Fibonacci multiply spreads them perfectly, and a multiply-high range
+//! reduction (the top bits of `hash × capacity`) maps the hash onto a
+//! table of any size. Linear probing then makes the common hit a
+//! one-cacheline read.
 //!
 //! Deletion uses tombstones; the table rehashes (dropping tombstones)
-//! when live + tombstones exceed ~70% of capacity. A dense seq-indexed
-//! arena was rejected here on memory grounds: a node's resident set is
-//! *sparse* in seq space (reducers pin ~`p` object seqs scattered at
-//! stride `p` across the whole job), so per-node dense/paged tables
-//! would blow up to a page per live slot. Open addressing keeps memory
-//! proportional to residency while still skipping SipHash.
+//! when live + tombstones exceed ~70% of capacity, and grows by about
+//! 1.5× when the live set alone passes that mark. The capacity need not
+//! be a power of two, so a grown table sits at 47–70% occupancy instead
+//! of doubling's 35–70%; the 70% ceiling, which bounds the expected
+//! probe length, is unchanged. A dense
+//! seq-indexed arena was rejected here on memory grounds: a node's
+//! resident set is *sparse* in seq space (reducers pin ~`p` object seqs
+//! scattered at stride `p` across the whole job), so per-node
+//! dense/paged tables would blow up to a page per live slot. Open
+//! addressing keeps memory proportional to residency while still
+//! skipping SipHash.
 //!
 //! Iteration order is insertion-history dependent but fully
 //! deterministic (no ambient randomness); the store only iterates for
@@ -66,16 +73,30 @@ impl<V> SeqMap<V> {
         self.cells.len()
     }
 
+    /// Bytes of one cell: the key plus the value's `Option`.
+    pub const CELL_BYTES: usize = std::mem::size_of::<Cell<V>>();
+
     /// Bytes of the cell array.
     pub fn cell_bytes(&self) -> usize {
-        self.cells.len() * std::mem::size_of::<Cell<V>>()
+        self.cells.len() * Self::CELL_BYTES
     }
 
+    /// The home cell of `key`: the high word of `hash × capacity`, which
+    /// is uniform over `0..capacity` for any capacity.
     #[inline]
     fn slot_of(&self, key: u64) -> usize {
-        debug_assert!(self.cells.len().is_power_of_two());
-        let shift = 64 - self.cells.len().trailing_zeros();
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
+        let hash = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        ((u128::from(hash) * self.cells.len() as u128) >> 64) as usize
+    }
+
+    /// The cell after `i`, wrapping at the end of the table.
+    #[inline]
+    fn next(&self, i: usize) -> usize {
+        if i + 1 == self.cells.len() {
+            0
+        } else {
+            i + 1
+        }
     }
 
     /// Index of `key`'s live cell, if present.
@@ -84,7 +105,6 @@ impl<V> SeqMap<V> {
         if self.cells.is_empty() {
             return None;
         }
-        let mask = self.cells.len() - 1;
         let mut i = self.slot_of(key);
         loop {
             let k = self.cells[i].key;
@@ -94,7 +114,7 @@ impl<V> SeqMap<V> {
             if k == EMPTY {
                 return None;
             }
-            i = (i + 1) & mask;
+            i = self.next(i);
         }
     }
 
@@ -129,7 +149,6 @@ impl<V> SeqMap<V> {
     pub fn insert(&mut self, key: u64, value: V) -> Option<V> {
         assert!(key < TOMB, "seqmap keys must leave sentinel headroom");
         self.reserve_one();
-        let mask = self.cells.len() - 1;
         let mut i = self.slot_of(key);
         let mut first_tomb = None;
         loop {
@@ -157,7 +176,7 @@ impl<V> SeqMap<V> {
                 TOMB if first_tomb.is_none() => first_tomb = Some(i),
                 _ => {}
             }
-            i = (i + 1) & mask;
+            i = self.next(i);
         }
     }
 
@@ -171,7 +190,8 @@ impl<V> SeqMap<V> {
     }
 
     /// Ensures room for one more entry, growing / rehashing when the
-    /// occupied (live + tombstone) fraction passes ~70%.
+    /// occupied (live + tombstone) fraction passes ~70%. Growth is
+    /// `cap + cap / 2`: a table just grown is 47% occupied.
     fn reserve_one(&mut self) {
         let cap = self.cells.len();
         if cap == 0 {
@@ -180,7 +200,7 @@ impl<V> SeqMap<V> {
             // Grow only if the *live* set needs it; otherwise rebuild at
             // the same size purely to shed tombstones.
             let want = if (self.live + 1) * 10 > cap * 7 {
-                cap * 2
+                cap + cap / 2
             } else {
                 cap
             };
@@ -189,7 +209,6 @@ impl<V> SeqMap<V> {
     }
 
     fn rebuild(&mut self, cap: usize) {
-        debug_assert!(cap.is_power_of_two());
         let old = std::mem::replace(
             &mut self.cells,
             (0..cap)
@@ -212,10 +231,9 @@ impl<V> SeqMap<V> {
 
     /// Insert into a table known to have no tombstones and no `key`.
     fn insert_fresh(&mut self, key: u64, value: V) {
-        let mask = self.cells.len() - 1;
         let mut i = self.slot_of(key);
         while self.cells[i].key != EMPTY {
-            i = (i + 1) & mask;
+            i = self.next(i);
         }
         self.cells[i] = Cell {
             key,
@@ -282,6 +300,48 @@ mod tests {
         // Survivors still resolve after all that churn.
         for k in 9_992..10_000u64 {
             assert_eq!(m.get(k), Some(&k));
+        }
+    }
+
+    #[test]
+    fn capacity_stays_within_a_fixed_multiple_of_peak_live() {
+        // A table grows only once its live set passes 70%, to 1.5× the
+        // old size, so it never holds more than 1.5 / 0.7 ≈ 2.15 cells
+        // per entry of its peak live set (plus the 16-cell start), however
+        // the inserts and removals interleave.
+        let bound = |peak: usize| peak * 215 / 100 + 16;
+        let mut m = SeqMap::new();
+        let (mut peak, mut next, mut oldest) = (0usize, 0u64, 0u64);
+        let mut x = 7u64;
+        for round in 0..60_000u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // Grow for the first third, churn at a steady size for the
+            // second, drain toward a smaller set in the last.
+            let quarter = (x >> 33) % 4;
+            let insert = match round / 20_000 {
+                0 => quarter > 0,
+                1 => quarter < 2,
+                _ => quarter < 1,
+            };
+            if insert || oldest == next {
+                m.insert((5u64 << 40) | (next * 600), next);
+                next += 1;
+            } else {
+                assert_eq!(m.remove((5u64 << 40) | (oldest * 600)), Some(oldest));
+                oldest += 1;
+            }
+            peak = peak.max(m.len());
+            assert!(
+                m.capacity() <= bound(peak),
+                "round {round}: {} cells for a peak of {peak}",
+                m.capacity()
+            );
+        }
+        assert!(peak > 5_000, "the table must have grown several times");
+        for k in oldest..next {
+            assert_eq!(m.get((5u64 << 40) | (k * 600)), Some(&k));
         }
     }
 

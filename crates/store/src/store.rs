@@ -2,13 +2,20 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use exo_sim::TableFootprint;
 use exo_trace::{EventKind, ObjectEvent, ObjectPhase, TraceSink};
 
 use crate::metrics::StoreMetrics;
 use crate::seqmap::SeqMap;
 
-/// Object identifier. The runtime maps its own richer ids onto these.
+/// Object identifier: the runtime's packed `job << JOB_SEQ_BITS | seq`
+/// object id.
 pub type ObjId = u64;
+
+/// Bits of an [`ObjId`] below its job. Every object of one job bills to
+/// the same owner, so the store keeps the owner per job rather than per
+/// slot.
+pub const JOB_SEQ_BITS: u32 = 40;
 
 /// Store configuration.
 #[derive(Clone, Copy, Debug)]
@@ -102,28 +109,48 @@ pub enum GrantKind {
     Restore,
 }
 
+/// One object's record. The residency and the three flags are one byte
+/// each and share the word after `pins`, so a slot is 16 bytes and, with
+/// its key, a table cell 24. The owner is not stored: it is the owner of
+/// the id's job ([`NodeStore::owner_of`]).
 #[derive(Debug)]
 struct Slot {
     size: u64,
     pins: u32,
-    sealed: bool,
     residency: Residency,
+    sealed: bool,
     /// Set while the object's refcount is zero but pins keep it alive;
     /// freed at last unpin.
     doomed: bool,
     /// Whether this object has ever been written to disk (metrics).
     ever_on_disk: bool,
-    /// Tenant the object's bytes bill to (0 = unowned/default tenant).
-    owner: u32,
 }
 
+impl Slot {
+    /// A new, unsealed object holding its creator's pin: in memory, or
+    /// on disk for a fallback allocation.
+    fn new(size: u64, residency: Residency) -> Self {
+        Slot {
+            size,
+            pins: 1,
+            residency,
+            sealed: false,
+            doomed: false,
+            ever_on_disk: residency == Residency::Disk,
+        }
+    }
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 16);
+const _: () = assert!(SeqMap::<Slot>::CELL_BYTES <= 24);
+
+/// A queued allocation. Its owner is derived from `id` like a slot's.
 #[derive(Debug)]
 struct Pending<T> {
     id: ObjId,
     size: u64,
     tag: T,
     kind: PendingKind,
-    owner: u32,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -147,6 +174,9 @@ pub struct NodeStore<T> {
     /// FIFO of waiting allocations, split by priority.
     queue_high: VecDeque<Pending<T>>,
     queue_low: VecDeque<Pending<T>>,
+    /// Most entries `queue_high`, `queue_low` and `spill_order` each
+    /// held at once, in that order (footprint accounting).
+    queue_peaks: [usize; 3],
     /// Cached sum of queued request sizes (both queues) so
     /// `memory_demand` is O(1) — the queues can hold hundreds of
     /// thousands of entries during wide shuffles.
@@ -166,6 +196,10 @@ pub struct NodeStore<T> {
     granted: Vec<(ObjId, T, GrantKind)>,
     next_file: u64,
     metrics: StoreMetrics,
+    /// Owner of each job's objects, indexed by job (the id's bits above
+    /// [`JOB_SEQ_BITS`]); recorded by `request_create`. Jobs the store
+    /// has not seen bill to owner 0.
+    job_owner: Vec<u32>,
     /// Per-tenant live bytes on this node (any residency), keyed by
     /// owner id. Billed at admit, credited when the slot is removed.
     owner_used: BTreeMap<u32, u64>,
@@ -184,6 +218,9 @@ pub struct NodeStore<T> {
 }
 
 impl<T> NodeStore<T> {
+    /// Bytes of one allocation-queue entry carrying a `T` tag.
+    pub const PENDING_BYTES: usize = std::mem::size_of::<Pending<T>>();
+
     /// Create an empty store with a private (disabled) trace sink.
     pub fn new(cfg: StoreConfig) -> Self {
         NodeStore::with_trace(cfg, TraceSink::disabled(), 0)
@@ -198,6 +235,7 @@ impl<T> NodeStore<T> {
             used: 0,
             queue_high: VecDeque::new(),
             queue_low: VecDeque::new(),
+            queue_peaks: [0; 3],
             queued_bytes: 0,
             spill_order: VecDeque::new(),
             spillable: 0,
@@ -205,6 +243,7 @@ impl<T> NodeStore<T> {
             granted: Vec::new(),
             next_file: 0,
             metrics: StoreMetrics::default(),
+            job_owner: Vec::new(),
             owner_used: BTreeMap::new(),
             owner_spilled: BTreeMap::new(),
             owner_quota: BTreeMap::new(),
@@ -226,6 +265,43 @@ impl<T> NodeStore<T> {
     /// Cumulative bytes spilled from this node billed to `owner`.
     pub fn owner_spilled(&self, owner: u32) -> u64 {
         self.owner_spilled.get(&owner).copied().unwrap_or(0)
+    }
+
+    /// The owner `id`'s bytes bill to: its job's.
+    fn owner_of(&self, id: ObjId) -> u32 {
+        let job = (id >> JOB_SEQ_BITS) as usize;
+        self.job_owner.get(job).copied().unwrap_or(0)
+    }
+
+    /// Records that `id`'s job bills to `owner`. A job's owner is fixed,
+    /// so every create of the job names the same one.
+    fn set_owner(&mut self, id: ObjId, owner: u32) {
+        let job = (id >> JOB_SEQ_BITS) as usize;
+        if job >= self.job_owner.len() {
+            self.job_owner.resize(job + 1, 0);
+        }
+        let known = std::mem::replace(&mut self.job_owner[job], owner);
+        debug_assert!(
+            known == owner || known == 0,
+            "job {job} billed to owner {known}, then {owner}"
+        );
+    }
+
+    /// Appends to `priority`'s queue and records its peak.
+    fn enqueue(&mut self, priority: Priority, p: Pending<T>) {
+        self.queued_bytes += p.size;
+        let (queue, peak) = match priority {
+            Priority::High => (&mut self.queue_high, &mut self.queue_peaks[0]),
+            Priority::Low => (&mut self.queue_low, &mut self.queue_peaks[1]),
+        };
+        queue.push_back(p);
+        *peak = (*peak).max(queue.len());
+    }
+
+    /// Registers `id` as a spill candidate and records the list's peak.
+    fn push_spill_candidate(&mut self, id: ObjId) {
+        self.spill_order.push_back(id);
+        self.queue_peaks[2] = self.queue_peaks[2].max(self.spill_order.len());
     }
 
     fn emit_obj(&self, id: ObjId, phase: ObjectPhase, bytes: u64) {
@@ -254,20 +330,21 @@ impl<T> NodeStore<T> {
         owner: u32,
     ) -> AllocDecision {
         assert!(!self.slots.contains_key(id), "object {id} already present");
+        self.set_owner(id, owner);
         if let Some(&quota) = self.owner_quota.get(&owner) {
             if self.owner_used(owner) + size > quota {
                 self.metrics.quota_denials += 1;
-                self.admit_fallback(id, size, owner);
+                self.admit_fallback(id, size);
                 return AllocDecision::Fallback;
             }
         }
         if size <= self.free() && self.queue_high.is_empty() {
-            self.admit(id, size, Residency::Memory { on_disk: false }, false, owner);
+            self.admit(id, size);
             return AllocDecision::Granted;
         }
         if size > self.cfg.capacity {
             // Waiting can never make room: straight to the filesystem.
-            self.admit_fallback(id, size, owner);
+            self.admit_fallback(id, size);
             return AllocDecision::Fallback;
         }
         // Spilling will make room. (If the head of the queue later turns
@@ -278,52 +355,26 @@ impl<T> NodeStore<T> {
             size,
             tag,
             kind: PendingKind::Create,
-            owner,
         };
-        self.queued_bytes += size;
-        match priority {
-            Priority::High => self.queue_high.push_back(p),
-            Priority::Low => self.queue_low.push_back(p),
-        }
+        self.enqueue(priority, p);
         AllocDecision::Queued
     }
 
-    fn admit(&mut self, id: ObjId, size: u64, residency: Residency, sealed: bool, owner: u32) {
+    fn admit(&mut self, id: ObjId, size: u64) {
         self.used += size;
         self.metrics.peak_used = self.metrics.peak_used.max(self.used);
-        *self.owner_used.entry(owner).or_insert(0) += size;
+        *self.owner_used.entry(self.owner_of(id)).or_insert(0) += size;
         self.emit_obj(id, ObjectPhase::Created, size);
-        self.slots.insert(
-            id,
-            Slot {
-                size,
-                pins: 1,
-                sealed,
-                residency,
-                doomed: false,
-                ever_on_disk: false,
-                owner,
-            },
-        );
+        self.slots
+            .insert(id, Slot::new(size, Residency::Memory { on_disk: false }));
     }
 
-    fn admit_fallback(&mut self, id: ObjId, size: u64, owner: u32) {
+    fn admit_fallback(&mut self, id: ObjId, size: u64) {
         self.metrics.fallback_bytes += size;
         self.metrics.fallback_allocs += 1;
-        *self.owner_used.entry(owner).or_insert(0) += size;
+        *self.owner_used.entry(self.owner_of(id)).or_insert(0) += size;
         self.emit_obj(id, ObjectPhase::Fallback, size);
-        self.slots.insert(
-            id,
-            Slot {
-                size,
-                pins: 1,
-                sealed: false,
-                residency: Residency::Disk,
-                doomed: false,
-                ever_on_disk: true,
-                owner,
-            },
-        );
+        self.slots.insert(id, Slot::new(size, Residency::Disk));
     }
 
     /// Mark an object's payload complete. Sealed, unpinned objects become
@@ -339,7 +390,7 @@ impl<T> NodeStore<T> {
             if slot.pins == 0 {
                 self.spillable += 1;
             }
-            self.spill_order.push_back(id);
+            self.push_spill_candidate(id);
         }
     }
 
@@ -349,6 +400,7 @@ impl<T> NodeStore<T> {
         // audit:allow(P01): API contract — pinning an id this store
         // never granted is a runtime refcount bug; see `seal`.
         let slot = self.slots.get_mut(id).expect("pin of unknown object");
+        assert!(slot.pins < u32::MAX, "pin count overflow on object {id}");
         slot.pins += 1;
         if slot.pins == 1 && slot.sealed && matches!(slot.residency, Residency::Memory { .. }) {
             self.spillable -= 1;
@@ -376,7 +428,7 @@ impl<T> NodeStore<T> {
             } else if spillable {
                 // (Re-)register as spill candidate; duplicates are cleaned
                 // lazily when popped.
-                self.spill_order.push_back(id);
+                self.push_spill_candidate(id);
             }
         }
     }
@@ -401,7 +453,7 @@ impl<T> NodeStore<T> {
             // Pins are zero here (checked above / drained by `unpin`).
             self.spillable -= 1;
         }
-        if let Some(u) = self.owner_used.get_mut(&slot.owner) {
+        if let Some(u) = self.owner_used.get_mut(&self.owner_of(id)) {
             *u = u.saturating_sub(slot.size);
         }
         match slot.residency {
@@ -464,15 +516,13 @@ impl<T> NodeStore<T> {
                     self.slots.get_mut(id).expect("present").residency = Residency::Restoring;
                     RestoreDecision::Granted
                 } else {
-                    let owner = self.slots.get(id).map(|s| s.owner).unwrap_or(0);
-                    self.queued_bytes += size;
-                    self.queue_high.push_back(Pending {
+                    let p = Pending {
                         id,
                         size,
                         tag,
                         kind: PendingKind::Restore,
-                        owner,
-                    });
+                    };
+                    self.enqueue(Priority::High, p);
                     RestoreDecision::Queued
                 }
             }
@@ -499,7 +549,7 @@ impl<T> NodeStore<T> {
         self.emit_obj(id, ObjectPhase::Restored, size);
         if sealed && pins == 0 {
             self.spillable += 1;
-            self.spill_order.push_back(id);
+            self.push_spill_candidate(id);
         }
     }
 
@@ -586,7 +636,8 @@ impl<T> NodeStore<T> {
                 slot.residency = Residency::Disk;
                 self.used -= slot.size;
                 self.spilling_bytes = self.spilling_bytes.saturating_sub(slot.size);
-                let (size, owner) = (slot.size, slot.owner);
+                let size = slot.size;
+                let owner = self.owner_of(id);
                 *self.owner_spilled.entry(owner).or_insert(0) += size;
                 self.emit_obj(id, ObjectPhase::Spilled, size);
             }
@@ -639,10 +690,35 @@ impl<T> NodeStore<T> {
         self.slots.is_empty()
     }
 
-    /// The slot table's allocated cells and their bytes (footprint
-    /// accounting; [`NodeStore::len`] is its live count).
-    pub fn slot_capacity(&self) -> (usize, usize) {
-        (self.slots.capacity(), self.slots.cell_bytes())
+    /// The slot table's live slots, allocated cells and their bytes.
+    /// The cells are not tracked per write, so all count as written.
+    pub fn slot_footprint(&self) -> TableFootprint {
+        let bytes = self.slots.cell_bytes();
+        TableFootprint {
+            live: self.slots.len(),
+            capacity: self.slots.capacity(),
+            bytes,
+            written: bytes,
+        }
+    }
+
+    /// The allocation queues and the spill-candidate list: `live` is the
+    /// sum of each one's peak entries and `written` their bytes, while
+    /// `capacity` and `bytes` are the allocation, which never shrinks.
+    pub fn queue_footprint(&self) -> TableFootprint {
+        let pending = Self::PENDING_BYTES;
+        let id = std::mem::size_of::<ObjId>();
+        let [high, low, order] = self.queue_peaks;
+        let (cap_q, cap_o) = (
+            self.queue_high.capacity() + self.queue_low.capacity(),
+            self.spill_order.capacity(),
+        );
+        TableFootprint {
+            live: high + low + order,
+            capacity: cap_q + cap_o,
+            bytes: cap_q * pending + cap_o * id,
+            written: (high + low) * pending + order * id,
+        }
     }
 
     /// Drive the allocation queue: grant head-of-line requests that now
@@ -675,7 +751,7 @@ impl<T> NodeStore<T> {
                 self.queued_bytes -= p.size;
                 match p.kind {
                     PendingKind::Create => {
-                        self.admit_fallback(p.id, p.size, p.owner);
+                        self.admit_fallback(p.id, p.size);
                         self.granted.push((p.id, p.tag, GrantKind::CreateFallback));
                     }
                     PendingKind::Restore => {
@@ -714,13 +790,7 @@ impl<T> NodeStore<T> {
                         // Forgotten-and-recreated or stale entry; skip.
                         continue;
                     }
-                    self.admit(
-                        p.id,
-                        p.size,
-                        Residency::Memory { on_disk: false },
-                        false,
-                        p.owner,
-                    );
+                    self.admit(p.id, p.size);
                     self.granted.push((p.id, p.tag, GrantKind::Create));
                 }
                 PendingKind::Restore => {
@@ -1010,6 +1080,38 @@ mod tests {
         s.spill_complete(&batch);
         let granted = s.take_granted();
         assert_eq!(granted[0].0, 3, "high priority granted first");
+        // Peaks, not current lengths: one high and one low request, and
+        // object 1 listed twice as a spill candidate (at seal and unpin).
+        let q = s.queue_footprint();
+        assert_eq!(q.live, 1 + 1 + 2);
+        assert_eq!(q.written, 2 * NodeStore::<&str>::PENDING_BYTES + 2 * 8);
+    }
+
+    #[test]
+    fn a_job_bills_every_object_to_its_owner() {
+        let mut s = store(1000);
+        s.set_owner_quota(7, 500);
+        let job1 = 1 << JOB_SEQ_BITS;
+        assert!(matches!(
+            s.request_create(job1 | 1, 400, "a", Priority::High, 7),
+            AllocDecision::Granted
+        ));
+        assert!(matches!(
+            s.request_create(2, 300, "b", Priority::High, 0),
+            AllocDecision::Granted
+        ));
+        assert_eq!((s.owner_used(7), s.owner_used(0)), (400, 300));
+        // Over owner 7's quota: straight to the filesystem.
+        assert!(matches!(
+            s.request_create(job1 | 2, 200, "c", Priority::High, 7),
+            AllocDecision::Fallback
+        ));
+        assert_eq!(s.owner_used(7), 600);
+        // Removal credits the owner of the id's job.
+        s.seal(job1 | 1);
+        s.unpin(job1 | 1);
+        s.forget(job1 | 1);
+        assert_eq!((s.owner_used(7), s.owner_used(0)), (200, 300));
     }
 
     #[test]

@@ -77,6 +77,9 @@ echo "==> live-observability smoke (--live JSONL timeseries + live_check, commit
 smoke fig4c --quick --live "$observed/fig4c.live.jsonl"
 smoke live_check "$observed/fig4c.live.jsonl" "$observed/results/fig4c.json"
 same_as_committed fig4c.live.jsonl fig4c.live.jsonl
+smoke fig4a --quick --live "$observed/fig4a.live.jsonl"
+smoke live_check "$observed/fig4a.live.jsonl" "$observed/results/fig4a.json"
+same_as_committed fig4a.live.jsonl fig4a.live.jsonl
 
 echo "==> cloudsort_xl smoke (throughput floor, rerun bit-identity, 400 → 800 partition scaling)"
 smoke cloudsort_xl --quick
