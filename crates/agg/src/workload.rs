@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use exo_rt::{CpuCost, Payload};
-use exo_shuffle::ShuffleJob;
+use exo_shuffle::{Block, ShuffleJob};
 use exo_sim::SplitMix64;
 
 /// Languages in the log (the statistic aggregated per language).
@@ -159,11 +159,11 @@ pub fn pageview_job(spec: PageviewSpec) -> ShuffleJob {
             })
             .collect()
     });
-    let combine = Arc::new(|blocks: &[Payload]| {
+    let combine = Arc::new(|blocks: &[Block]| {
         let mut out = Vec::new();
         let mut logical = 0;
         for b in blocks {
-            out.extend_from_slice(&b.data);
+            out.extend_from_slice(b.data);
             logical += b.logical;
         }
         Payload::scaled(out, logical)

@@ -5,13 +5,14 @@
 
 use std::time::Duration;
 
-use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use exo_rt::RtConfig;
-use exo_shuffle::{frame_blocks, key_sum_job, run_shuffle, unframe_blocks, ShuffleVariant};
+use exo_rt::{Payload, RtConfig};
+use exo_shuffle::{
+    frame_blocks, key_sum_job, merge_frames, run_shuffle, unframe_blocks, ShuffleVariant,
+};
 use exo_sim::{ClusterSpec, EventQueue, NodeSpec, SimTime};
 use exo_sort::{
-    gen_records, kway_merge, sort_and_cut, sort_records, RangePartitioner, RECORD_SIZE,
+    gen_records, kway_merge, sort_job, sort_records, RangePartitioner, SortSpec, RECORD_SIZE,
 };
 use exo_store::{NodeStore, Priority, StoreConfig};
 
@@ -46,35 +47,35 @@ fn bench_kway_merge(c: &mut Criterion) {
     });
 }
 
-/// One map's work as the sort job does it: sort and cut, freeze the run,
-/// and slice one view per partition.
-fn map_views(records: &[u8], part: &RangePartitioner) -> Vec<Bytes> {
-    let (run, cuts) = sort_and_cut(records, part);
-    let run = Bytes::from(run);
-    cuts.windows(2).map(|c| run.slice(c[0]..c[1])).collect()
-}
-
-/// The kernel calls of one spill_pushstar map, merge and reduce: 2,500
-/// records per map cut into 1,600 partitions, 40-map rounds.
+/// The kernel calls of one spill_pushstar map, merge and reduce, through
+/// the sort job's own closures: 2,500 records per map cut into 1,600
+/// partitions, 40-map rounds, 20 workers owning 80 partitions each
+/// (worker `w` owns `w, w + 20, …`).
 fn bench_spill_pushstar_kernels(c: &mut Criterion) {
     const RECORDS: usize = 2_500;
     const PARTITIONS: usize = 1_600;
     const ROUND: usize = 40;
-    let part = RangePartitioner::new(PARTITIONS);
+    const WORKERS: usize = 20;
+    let job = sort_job(SortSpec {
+        data_bytes: 8_000_000_000_000,
+        num_maps: PARTITIONS,
+        num_reduces: PARTITIONS,
+        scale: 20_000,
+        seed: 5,
+    });
+    let map = |m: usize| (job.map)(m, PARTITIONS, &mut exo_sim::SplitMix64::new(0));
     let mut g = c.benchmark_group("spill_pushstar");
 
-    let recs = gen_records(5, 0, RECORDS);
+    // Generate, sort and cut one map's records into per-partition views.
     g.throughput(Throughput::Bytes((RECORDS * RECORD_SIZE) as u64));
-    g.bench_function("map_2500_into_1600", |b| b.iter(|| map_views(&recs, &part)));
+    g.bench_function("map_2500_into_1600", |b| b.iter(|| map(0)));
 
-    // One merge task's inputs for one partition: that partition's view
-    // of each of a round's map runs (~1.6 records each).
-    let maps: Vec<Vec<Bytes>> = (0..ROUND)
-        .map(|m| map_views(&gen_records(5, m, RECORDS), &part))
-        .collect();
+    // One combine's inputs: one partition's view of each of a round's
+    // map runs (~1.6 records each).
+    let maps: Vec<Vec<Payload>> = (0..ROUND).map(map).collect();
     let column: Vec<&[u8]> = maps
         .iter()
-        .map(|blocks| &blocks[PARTITIONS / 2][..])
+        .map(|blocks| &blocks[PARTITIONS / 2].data[..])
         .collect();
     let bytes: usize = column.iter().map(|b| b.len()).sum();
     g.throughput(Throughput::Bytes(bytes as u64));
@@ -92,6 +93,29 @@ fn bench_spill_pushstar_kernels(c: &mut Criterion) {
     g.throughput(Throughput::Bytes((RECORDS * RECORD_SIZE) as u64));
     g.bench_function("reduce_40_blocks_of_2500", |b| {
         b.iter(|| kway_merge(&views))
+    });
+
+    // Push*'s framing of one map's blocks, one frame per worker.
+    let owned: Vec<Vec<usize>> = (0..WORKERS)
+        .map(|w| (w..PARTITIONS).step_by(WORKERS).collect())
+        .collect();
+    let frame = |blocks: &[Payload], rs: &[usize]| frame_blocks(rs.iter().map(|&r| &blocks[r]));
+    g.throughput(Throughput::Bytes((RECORDS * RECORD_SIZE) as u64));
+    g.bench_function("frame_2500_for_20_workers", |b| {
+        b.iter(|| {
+            owned
+                .iter()
+                .map(|rs| frame(&maps[0], rs))
+                .collect::<Vec<_>>()
+        })
+    });
+
+    // Worker 0's merge task of one round: one frame from each of 40 maps.
+    let frames: Vec<Payload> = maps.iter().map(|blocks| frame(blocks, &owned[0])).collect();
+    let bytes: usize = frames.iter().map(|f| f.data.len()).sum();
+    g.throughput(Throughput::Bytes(bytes as u64));
+    g.bench_function("merge_task_40_frames_of_80", |b| {
+        b.iter(|| merge_frames(&frames, owned[0].len(), &job.combine))
     });
     g.finish();
 }
@@ -118,8 +142,8 @@ fn bench_gen_records(c: &mut Criterion) {
 }
 
 fn bench_framing(c: &mut Criterion) {
-    let blocks: Vec<exo_rt::Payload> = (0..64)
-        .map(|i| exo_rt::Payload::inline(vec![i as u8; 4096]))
+    let blocks: Vec<Payload> = (0..64)
+        .map(|i| Payload::inline(vec![i as u8; 4096]))
         .collect();
     c.bench_function("frame_unframe_64x4k", |b| {
         b.iter(|| {

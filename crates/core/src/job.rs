@@ -12,8 +12,29 @@ use exo_sim::SplitMix64;
 pub type MapFn = Arc<dyn Fn(usize, usize, &mut SplitMix64) -> Vec<Payload> + Send + Sync>;
 
 /// Combine several blocks *of the same partition* into one block (used by
-/// the merge stages of ES-merge, ES-push and ES-push*).
-pub type CombineFn = Arc<dyn Fn(&[Payload]) -> Payload + Send + Sync>;
+/// the merge stages of ES-merge, ES-push and ES-push*). The blocks are
+/// borrowed, so a merge hands over slices of its argument payloads or
+/// frames without building a payload per block.
+pub type CombineFn = Arc<dyn Fn(&[Block<'_>]) -> Payload + Send + Sync>;
+
+/// One block a combine reads: its bytes, borrowed from the payload or
+/// frame that holds them, and the logical size they stand for.
+#[derive(Clone, Copy, Debug)]
+pub struct Block<'a> {
+    /// The block's real bytes.
+    pub data: &'a [u8],
+    /// Size used for all performance accounting.
+    pub logical: u64,
+}
+
+impl<'a> From<&'a Payload> for Block<'a> {
+    fn from(p: &'a Payload) -> Block<'a> {
+        Block {
+            data: &p.data,
+            logical: p.logical,
+        }
+    }
+}
 
 /// Produce the final output of partition `r` from all of its blocks.
 pub type ReduceFn = Arc<dyn Fn(usize, &[Payload]) -> Payload + Send + Sync>;
@@ -141,7 +162,7 @@ pub fn key_sum_job(num_maps: usize, num_reduces: usize, keys_per_map: usize) -> 
     let combine: CombineFn = Arc::new(|blocks| {
         let mut out = Vec::new();
         for b in blocks {
-            out.extend_from_slice(&b.data);
+            out.extend_from_slice(b.data);
         }
         Payload::inline(out)
     });

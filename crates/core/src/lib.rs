@@ -29,10 +29,12 @@ pub mod simple;
 pub mod speculative;
 pub mod streaming;
 
-pub use job::{key_sum_job, key_sum_total, CombineFn, MapFn, ReduceFn, ShuffleJob};
+pub use job::{key_sum_job, key_sum_total, Block, CombineFn, MapFn, ReduceFn, ShuffleJob};
 pub use merge::{merge_shuffle, MergeConfig};
 pub use push::{push_shuffle, PushConfig};
-pub use push_star::{frame_blocks, push_star_shuffle, unframe_blocks, PushStarConfig};
+pub use push_star::{
+    frame_blocks, merge_frames, push_star_shuffle, unframe_blocks, PushStarConfig,
+};
 pub use simple::simple_shuffle;
 pub use speculative::{speculative_simple_shuffle, SpeculationConfig, SpeculationReport};
 pub use streaming::{streaming_shuffle, StreamReduceFn, StreamingConfig};

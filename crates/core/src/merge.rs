@@ -11,9 +11,9 @@
 //! the location of the group's first output block and pins the merge task
 //! to that node, so merging never crosses the network.
 
-use exo_rt::{ObjectRef, Payload, RtHandle, SchedulingStrategy, TaskCtx};
+use exo_rt::{ObjectRef, RtHandle, SchedulingStrategy, TaskCtx};
 
-use crate::job::ShuffleJob;
+use crate::job::{Block, ShuffleJob};
 
 /// Tuning for the pre-shuffle merge.
 #[derive(Clone, Copy, Debug)]
@@ -73,8 +73,9 @@ pub fn merge_shuffle(rt: &RtHandle, job: &ShuffleJob, cfg: MergeConfig) -> Vec<O
                     let r_total = ctx.args.len() / f;
                     (0..r_total)
                         .map(|r| {
-                            let blocks: Vec<Payload> =
-                                (0..f).map(|i| ctx.args[i * r_total + r].clone()).collect();
+                            let blocks: Vec<Block> = (0..f)
+                                .map(|i| Block::from(&ctx.args[i * r_total + r]))
+                                .collect();
                             combine(&blocks)
                         })
                         .collect()

@@ -10,7 +10,7 @@
 
 use exo_rt::{NodeId, ObjectRef, RtHandle, SchedulingStrategy, TaskCtx};
 
-use crate::job::ShuffleJob;
+use crate::job::{Block, ShuffleJob};
 
 /// Tuning for push-based shuffle.
 #[derive(Clone, Copy, Debug)]
@@ -71,7 +71,10 @@ pub fn push_shuffle(rt: &RtHandle, job: &ShuffleJob, cfg: PushConfig) -> Vec<Obj
                     let combine = job.combine.clone();
                     let column: Vec<&ObjectRef> = group.iter().map(|row| &row[r]).collect();
                     let mut b = rt
-                        .task(move |ctx: TaskCtx| vec![combine(&ctx.args)])
+                        .task(move |ctx: TaskCtx| {
+                            let blocks: Vec<Block> = ctx.args.iter().map(Block::from).collect();
+                            vec![combine(&blocks)]
+                        })
                         .args(column)
                         .cpu(job.merge_cpu)
                         .shape(job.merge_shape())

@@ -18,10 +18,11 @@
 //!    instead of spilled: ES-push* spills only merged output, the paper's
 //!    explanation for beating Spark-push by 1.8× at 100 TB.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use std::ops::Range;
+
 use exo_rt::{ObjectRef, Payload, RtHandle, SchedulingStrategy, TaskCtx};
 
-use crate::job::ShuffleJob;
+use crate::job::{Block, CombineFn, ShuffleJob};
 use crate::push::reducer_home;
 
 /// Tuning for the pipelined push shuffle.
@@ -58,7 +59,9 @@ impl PushStarConfig {
 /// Layout: `u32 n`, then per block `u64 logical, u32 data_len`, then the
 /// concatenated block data. The frame's logical size is the sum of the
 /// block logical sizes (the header is noise at shuffle scales). The
-/// blocks are borrowed and copied once, into one exact-size buffer.
+/// blocks are borrowed and copied once: one pass sizes the frame, and the
+/// buffer, allocated at exactly that size, is then written front to back,
+/// one 12-byte header entry per block and then each block's data.
 pub fn frame_blocks<'a, I>(blocks: I) -> Payload
 where
     I: IntoIterator<Item = &'a Payload>,
@@ -68,40 +71,70 @@ where
     let (n, data_len) = blocks
         .clone()
         .fold((0usize, 0usize), |(n, len), b| (n + 1, len + b.data.len()));
-    let mut buf = BytesMut::with_capacity(4 + n * 12 + data_len);
-    buf.put_u32_le(n as u32);
+    let mut buf = Vec::with_capacity(4 + n * 12 + data_len);
+    buf.extend_from_slice(&(n as u32).to_le_bytes());
     let mut logical = 0u64;
     for b in blocks.clone() {
-        buf.put_u64_le(b.logical);
-        buf.put_u32_le(b.data.len() as u32);
+        let mut meta = [0u8; 12];
+        meta[..8].copy_from_slice(&b.logical.to_le_bytes());
+        meta[8..].copy_from_slice(&(b.data.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&meta);
         logical += b.logical;
     }
     for b in blocks {
         buf.extend_from_slice(&b.data);
     }
-    Payload::scaled(buf.freeze(), logical)
+    Payload::scaled(buf, logical)
 }
 
 /// Inverse of [`frame_blocks`].
 // audit:allow(U01): the frame_blocks_roundtrips oracle decodes frames
 // through it.
 pub fn unframe_blocks(p: &Payload) -> Vec<Payload> {
-    unframe(p).collect()
+    unframe(&p.data)
+        .map(|(range, logical)| Payload::scaled(p.data.slice(range), logical))
+        .collect()
 }
 
-/// The blocks of a frame, in order, as zero-copy views of its data.
-fn unframe(p: &Payload) -> impl Iterator<Item = Payload> + '_ {
-    let d: &Bytes = &p.data;
+/// The blocks of a frame's bytes, in order: each one's byte range in
+/// `d` and its logical size.
+fn unframe(d: &[u8]) -> impl Iterator<Item = (Range<usize>, u64)> + '_ {
     let n = u32::from_le_bytes(d[0..4].try_into().expect("frame header")) as usize;
     let mut data_off = 4 + n * 12;
-    (0..n).map(move |i| {
-        let meta = &d[4 + i * 12..4 + (i + 1) * 12];
+    d[4..data_off].chunks_exact(12).map(move |meta| {
         let logical = u64::from_le_bytes(meta[..8].try_into().expect("logical"));
         let len = u32::from_le_bytes(meta[8..].try_into().expect("len")) as usize;
-        let block = Payload::scaled(d.slice(data_off..data_off + len), logical);
         data_off += len;
-        block
+        (data_off - len..data_off, logical)
     })
+}
+
+/// A push* merge task's body. `frames` holds one worker-block frame per
+/// map of the round, each framing the worker's `owned` partitions in
+/// order; the result is one combined block per owned partition.
+///
+/// The frames are read in place: partition `j`'s column is each frame's
+/// `j`-th block, borrowed, collected into one column buffer that every
+/// call to `combine` reuses.
+pub fn merge_frames(frames: &[Payload], owned: usize, combine: &CombineFn) -> Vec<Payload> {
+    let mut frames: Vec<_> = frames
+        .iter()
+        .map(|f| {
+            let d: &[u8] = &f.data;
+            unframe(d).map(move |(range, logical)| Block {
+                data: &d[range],
+                logical,
+            })
+        })
+        .collect();
+    let mut column = Vec::with_capacity(frames.len());
+    (0..owned)
+        .map(|_| {
+            column.clear();
+            column.extend(frames.iter_mut().map(|f| f.next().expect("owned block")));
+            combine(&column)
+        })
+        .collect()
 }
 
 /// Run the pipelined push shuffle; returns the `R` reduce-output futures
@@ -166,21 +199,7 @@ pub fn push_star_shuffle(rt: &RtHandle, job: &ShuffleJob, cfg: PushStarConfig) -
             }
             let column: Vec<&ObjectRef> = map_results.iter().map(|row| &row[w]).collect();
             let mut b = rt
-                .task(move |ctx: TaskCtx| {
-                    // Unframe each map's worker-block into per-partition
-                    // views, moved partition by partition into one
-                    // column-major table, then combine per partition:
-                    // column `j` holds partition `j`'s block of every map.
-                    let mut frames: Vec<_> = ctx.args.iter().map(unframe).collect();
-                    let maps = frames.len();
-                    let mut table = Vec::with_capacity(n_owned * maps);
-                    for _ in 0..n_owned {
-                        table.extend(frames.iter_mut().map(|f| f.next().expect("owned block")));
-                    }
-                    (0..n_owned)
-                        .map(|j| combine(&table[j * maps..(j + 1) * maps]))
-                        .collect()
-                })
+                .task(move |ctx: TaskCtx| merge_frames(&ctx.args, n_owned, &combine))
                 .args(column)
                 .num_returns(n_owned)
                 .on_node(exo_rt::NodeId(w))
@@ -238,6 +257,7 @@ pub fn push_star_shuffle(rt: &RtHandle, job: &ShuffleJob, cfg: PushStarConfig) -
 mod tests {
     use super::*;
     use crate::job::{key_sum_job, key_sum_total};
+    use bytes::Bytes;
     use exo_rt::RtConfig;
     use exo_sim::{ClusterSpec, NodeSpec};
 

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use exo_rt::{ObjectRef, Payload, RtHandle};
-use exo_shuffle::{run_shuffle, ShuffleJob, ShuffleVariant, ShuffleWindow};
+use exo_shuffle::{run_shuffle, Block, ShuffleJob, ShuffleVariant, ShuffleWindow};
 use exo_sim::{SimDuration, SplitMix64};
 
 use crate::dataset::{decode_block, gen_block, test_set, DatasetSpec, SAMPLE_BYTES};
@@ -63,11 +63,11 @@ fn reshuffle_job(spec: DatasetSpec, maps: usize, reduces: usize) -> ShuffleJob {
             })
             .collect()
     });
-    let combine = Arc::new(|blocks: &[Payload]| {
+    let combine = Arc::new(|blocks: &[Block]| {
         let mut out = Vec::new();
         let mut logical = 0;
         for b in blocks {
-            out.extend_from_slice(&b.data);
+            out.extend_from_slice(b.data);
             logical += b.logical;
         }
         Payload::scaled(out, logical)

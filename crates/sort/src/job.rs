@@ -72,9 +72,9 @@ pub fn sort_job(spec: SortSpec) -> ShuffleJob {
     });
 
     let combine: CombineFn = Arc::new(|blocks| {
-        let views: Vec<&[u8]> = blocks.iter().map(|p| &p.data[..]).collect();
+        let views: Vec<&[u8]> = blocks.iter().map(|b| b.data).collect();
         let merged = kway_merge(&views);
-        let logical = blocks.iter().map(|p| p.logical).sum();
+        let logical = blocks.iter().map(|b| b.logical).sum();
         Payload::scaled(merged, logical)
     });
 

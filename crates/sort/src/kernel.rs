@@ -1,59 +1,128 @@
 //! Sort kernels: block sort, map-side sort-and-cut, and k-way merge of
 //! sorted blocks.
 //!
-//! All three are one mechanism. Each record contributes one fixed-size
-//! sort key — its key's 8-byte prefix and 2-byte suffix, plus its
-//! position — to a single array that is sorted once; the output is then
-//! gathered from the sorted array in one pass, copying every record
-//! exactly once into an exact-capacity buffer. The position breaks ties,
-//! so every kernel orders equal keys by input position: each is a stable
-//! sort by key.
+//! All three are one mechanism: the records are laid out once in the
+//! buffer they leave in, and that buffer is sorted in place. Each record
+//! contributes one fixed-size sort key — its key's 8-byte prefix and
+//! 2-byte suffix, plus its position — to a single array. The keys are
+//! counting-sorted into buckets by a monotone function of the prefix, in
+//! input order, and each bucket is then sorted on its own, so the array
+//! ends up fully sorted while no sort call sees more than one bucket.
+//! [`sort_and_cut`] buckets by the range partitioner, so its buckets are
+//! its partitions; [`sort_records`] and [`kway_merge`] split the span of
+//! their prefixes into equal-width buckets of a few keys each. The
+//! buffer is then permuted into key order along the permutation's
+//! cycles, each record moved once. The position breaks ties, so every
+//! kernel orders equal keys by input position: each is a stable sort by
+//! key.
 
 use crate::partition::RangePartitioner;
 use crate::record::{KEY_SIZE, RECORD_SIZE};
 
-/// `(key prefix, key suffix, record position)`: the key's first 8 and
-/// last 2 bytes read big endian, so tuple order is key order, then input
-/// order.
+/// `(key prefix, key suffix, position)`: the key's first 8 and last 2
+/// bytes read big endian, so tuple order is key order, then input order.
 type SortKey = (u64, u16, u32);
 
-/// Sort keys of `records` (each `RECORD_SIZE` bytes), in sorted order.
-fn sorted_keys<'a>(records: impl Iterator<Item = &'a [u8]>) -> Vec<SortKey> {
-    let mut keys: Vec<SortKey> = records
-        .enumerate()
-        .map(|(i, rec)| {
+/// The keys of a buffer's records, tagged with their positions, read
+/// from the buffer on each pass.
+fn position_keys(records: &[u8]) -> impl Iterator<Item = SortKey> + Clone + '_ {
+    assert_eq!(records.len() % RECORD_SIZE, 0, "whole records only");
+    assert!(
+        records.len() / RECORD_SIZE <= u32::MAX as usize,
+        "fewer than 2^32 records per kernel call"
+    );
+    records
+        .chunks_exact(RECORD_SIZE)
+        .zip(0u32..)
+        .map(|(rec, pos)| {
             let prefix = u64::from_be_bytes(rec[..8].try_into().expect("8-byte prefix"));
             let suffix = u16::from_be_bytes(rec[8..KEY_SIZE].try_into().expect("2-byte suffix"));
-            let pos = u32::try_from(i).expect("fewer than 2^32 records per kernel call");
             (prefix, suffix, pos)
         })
-        .collect();
-    keys.sort_unstable();
-    keys
 }
 
-/// Copy the records named by `keys`, in order, into one exact-capacity
-/// buffer; `record(i)` returns the record at position `i`.
-fn gather<'a>(keys: &[SortKey], record: impl Fn(usize) -> &'a [u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(keys.len() * RECORD_SIZE);
-    for &(_, _, pos) in keys {
-        out.extend_from_slice(record(pos as usize));
+/// Counting-sort `keys` into `buckets` buckets by `bucket_of(prefix)`,
+/// which must be monotone and below `buckets`, then sort each bucket.
+/// Returns the keys in sorted order and `buckets + 1` starts: bucket `b`
+/// holds `sorted[starts[b]..starts[b + 1]]`.
+fn bucket_sort(
+    keys: impl Iterator<Item = SortKey> + Clone,
+    buckets: usize,
+    bucket_of: impl Fn(u64) -> usize,
+) -> (Vec<SortKey>, Vec<usize>) {
+    let mut starts = vec![0usize; buckets + 1];
+    for (prefix, _, _) in keys.clone() {
+        starts[bucket_of(prefix) + 1] += 1;
     }
-    out
+    for b in 1..=buckets {
+        starts[b] += starts[b - 1];
+    }
+    let mut sorted = vec![(0, 0, 0); starts[buckets]];
+    for key in keys {
+        let next = &mut starts[bucket_of(key.0)];
+        sorted[*next] = key;
+        *next += 1;
+    }
+    // Each bucket's cursor now sits where the next bucket starts.
+    starts.copy_within(..buckets, 1);
+    starts[0] = 0;
+    for w in starts.windows(2) {
+        if w[1] - w[0] > 1 {
+            sorted[w[0]..w[1]].sort_unstable();
+        }
+    }
+    (sorted, starts)
 }
 
-fn record_at(records: &[u8], i: usize) -> &[u8] {
-    &records[i * RECORD_SIZE..(i + 1) * RECORD_SIZE]
+/// Keys per bucket that [`range_sort`] aims for.
+const KEYS_PER_BUCKET: usize = 4;
+
+/// Sort `keys` through equal-width buckets over the span of their
+/// prefixes: a power of two of them, about one per `KEYS_PER_BUCKET`
+/// keys.
+fn range_sort(keys: impl Iterator<Item = SortKey> + Clone) -> Vec<SortKey> {
+    let (n, lo, hi) = keys.clone().fold((0, u64::MAX, 0), |(n, lo, hi), k| {
+        (n + 1, lo.min(k.0), hi.max(k.0))
+    });
+    let lo = lo.min(hi);
+    let bits = (n / KEYS_PER_BUCKET).max(1).ilog2();
+    let span_bits = u64::BITS - (hi - lo).leading_zeros();
+    let shift = span_bits.saturating_sub(bits).min(u64::BITS - 1);
+    let buckets = ((hi - lo) >> shift) as usize + 1;
+    bucket_sort(keys, buckets, |prefix| ((prefix - lo) >> shift) as usize).0
 }
 
-/// Sort a buffer of records by their 10-byte keys; equal keys keep their
-/// input order.
-// audit:allow(U01): the reference stable sort that the sort_and_cut,
-// kway_merge and validation oracles compare against.
-pub fn sort_records(records: &mut Vec<u8>) {
-    assert_eq!(records.len() % RECORD_SIZE, 0, "whole records only");
-    let keys = sorted_keys(records.chunks_exact(RECORD_SIZE));
-    *records = gather(&keys, |i| record_at(records, i));
+/// Reorder `records` in place into the order of `sorted`: slot `k`
+/// takes the record at position `sorted[k].2`. Each cycle of the
+/// permutation is followed once, moving every record once through a
+/// one-record buffer; the positions are overwritten to mark slots done.
+fn permute(records: &mut [u8], sorted: &mut [SortKey]) {
+    let mut held = [0u8; RECORD_SIZE];
+    for start in 0..sorted.len() {
+        if sorted[start].2 as usize == start {
+            continue;
+        }
+        held.copy_from_slice(&records[start * RECORD_SIZE..(start + 1) * RECORD_SIZE]);
+        let mut k = start;
+        loop {
+            let from = sorted[k].2 as usize;
+            sorted[k].2 = k as u32;
+            let slot = k * RECORD_SIZE..(k + 1) * RECORD_SIZE;
+            if from == start {
+                records[slot].copy_from_slice(&held);
+                break;
+            }
+            records.copy_within(from * RECORD_SIZE..(from + 1) * RECORD_SIZE, slot.start);
+            k = from;
+        }
+    }
+}
+
+/// Sort a buffer of records by their 10-byte keys, in place; equal keys
+/// keep their input order.
+pub fn sort_records(records: &mut [u8]) {
+    let mut sorted = range_sort(position_keys(records));
+    permute(records, &mut sorted);
 }
 
 /// Sort a map's records once and cut the sorted run at the range
@@ -63,38 +132,31 @@ pub fn sort_records(records: &mut Vec<u8>) {
 /// (empty when the two are equal), a stable sort by key of exactly the
 /// records [`RangePartitioner::partition_of`] sends to `p`.
 pub fn sort_and_cut(records: &[u8], partitioner: &RangePartitioner) -> (Vec<u8>, Vec<usize>) {
-    assert_eq!(records.len() % RECORD_SIZE, 0, "whole records only");
-    let keys = sorted_keys(records.chunks_exact(RECORD_SIZE));
-    // The partitioner is monotone in the prefix, so each partition is
-    // one contiguous run of the sorted keys: partition `q` starts at the
-    // first key it owns, and every partition skipped on the way to it
-    // is empty and starts there too.
-    let mut cuts = Vec::with_capacity(partitioner.partitions() + 1);
-    cuts.push(0);
-    for (i, &(prefix, _, _)) in keys.iter().enumerate() {
-        let q = partitioner.partition_of_prefix(prefix);
-        while cuts.len() <= q {
-            cuts.push(i * RECORD_SIZE);
-        }
+    // The partitioner is monotone in the prefix, so its partitions are
+    // the buckets, and the bucket starts are the cuts.
+    let (sorted, mut cuts) =
+        bucket_sort(position_keys(records), partitioner.partitions(), |prefix| {
+            partitioner.partition_of_prefix(prefix)
+        });
+    for c in &mut cuts {
+        *c *= RECORD_SIZE;
     }
-    cuts.resize(partitioner.partitions() + 1, records.len());
-    (gather(&keys, |i| record_at(records, i)), cuts)
+    let mut run = Vec::with_capacity(records.len());
+    for (_, _, pos) in sorted {
+        let at = pos as usize * RECORD_SIZE;
+        run.extend_from_slice(&records[at..at + RECORD_SIZE]);
+    }
+    (run, cuts)
 }
 
-/// Merge already-sorted record buffers into one sorted buffer. Equal
-/// keys come out in `(block, offset)` order.
+/// Merge record buffers into one sorted, exact-capacity buffer: the
+/// blocks are copied once, back to back, and the copy is sorted in
+/// place. Equal keys come out in `(block, offset)` order, the order of
+/// their positions in the copy.
 pub fn kway_merge(blocks: &[&[u8]]) -> Vec<u8> {
-    for b in blocks {
-        assert_eq!(b.len() % RECORD_SIZE, 0, "whole records only");
-    }
-    // A key's position indexes the blocks' concatenation, so ordering by
-    // position is ordering by (block, offset).
-    let records: Vec<&[u8]> = blocks
-        .iter()
-        .flat_map(|b| b.chunks_exact(RECORD_SIZE))
-        .collect();
-    let keys = sorted_keys(records.iter().copied());
-    gather(&keys, |i| records[i])
+    let mut run = blocks.concat();
+    sort_records(&mut run);
+    run
 }
 
 /// True if a record buffer is sorted by key.

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use exoshuffle::rt::{Payload, RtConfig};
-use exoshuffle::shuffle::{run_shuffle, ShuffleJob, ShuffleVariant};
+use exoshuffle::shuffle::{run_shuffle, Block, ShuffleJob, ShuffleVariant};
 use exoshuffle::sim::{ClusterSpec, NodeSpec, SplitMix64};
 
 /// Toy corpus: each map task holds one "document" of numbers standing in
@@ -27,10 +27,10 @@ fn word_count_job(num_docs: usize, words_per_doc: usize, reducers: usize) -> Shu
         }
         blocks.into_iter().map(Payload::inline).collect()
     });
-    let combine = Arc::new(|blocks: &[Payload]| {
+    let combine = Arc::new(|blocks: &[Block]| {
         let mut out = Vec::new();
         for b in blocks {
-            out.extend_from_slice(&b.data);
+            out.extend_from_slice(b.data);
         }
         Payload::inline(out)
     });

@@ -25,6 +25,17 @@ same_as_committed() {
         exit 1
     }
 }
+# A results JSON whose only host-dependent fields sit in its flat "perf"
+# block (run wall, events/s, peak RSS) must match the committed copy
+# once that block is removed from both.
+same_but_perf() {
+    local strip='s/,"perf":{[^}]*}//'
+    cmp <(sed "$strip" "$observed/results/$1") <(sed "$strip" "results/$1") || {
+        echo "FAIL: results/$1 differs from the committed copy outside its perf block;" \
+            "regenerate it with the bin's --quick run" >&2
+        exit 1
+    }
+}
 
 echo "==> exo-audit --deny (static determinism, safety and unused-surface audit; committed report)"
 cargo run -q -p exo-audit -- --deny --json "$observed/audit.json"
@@ -63,15 +74,18 @@ grep -q '"isolation_violations":0' "$observed/results/multitenant.json" || {
     exit 1
 }
 
-echo "==> heterogeneous smoke (mixed HDD+SSD sort + g4dn/r6i ML loader)"
+echo "==> heterogeneous smoke (mixed HDD+SSD sort + g4dn/r6i ML loader, committed copies)"
 smoke hetero --quick
+same_but_perf hetero_sort.json
+same_but_perf hetero_ml.json
 
-echo "==> placement-policy smoke (load_balance vs bound_aware vs hybrid)"
+echo "==> placement-policy smoke (load_balance vs bound_aware vs hybrid, committed copy)"
 smoke hetero --compare --quick
 grep -q '"bound_aware_not_worse":true' "$observed/results/hetero_policy.json" || {
     echo "FAIL: bound-aware placement regressed vs load_balance on mixed_hdd_ssd" >&2
     exit 1
 }
+same_but_perf hetero_policy.json
 
 echo "==> live-observability smoke (--live JSONL timeseries + live_check, committed copy)"
 smoke fig4c --quick --live "$observed/fig4c.live.jsonl"

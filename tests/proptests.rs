@@ -4,7 +4,10 @@ use bytes::Bytes;
 use exoshuffle::rt::Payload;
 use exoshuffle::shuffle::{frame_blocks, unframe_blocks};
 use exoshuffle::sim::{EventQueue, IoKind, Resource, SimDuration, SimTime};
-use exoshuffle::sort::{kway_merge, sort_and_cut, sort_records, RangePartitioner, RECORD_SIZE};
+use exoshuffle::sort::record::checksum;
+use exoshuffle::sort::{
+    gen_records, kway_merge, sort_and_cut, sort_records, RangePartitioner, RECORD_SIZE,
+};
 use exoshuffle::store::{NodeStore, Priority, StoreConfig};
 use proptest::prelude::*;
 
@@ -46,6 +49,118 @@ fn stable_sort_by_key(records: &[u8]) -> Vec<u8> {
     recs.concat()
 }
 
+/// Reference cuts of a sorted run: cut `p` is the byte offset of the
+/// first record in partition `p` or above.
+fn partition_cuts(run: &[u8], part: &RangePartitioner) -> Vec<usize> {
+    (0..=part.partitions())
+        .map(|p| {
+            run.chunks_exact(RECORD_SIZE)
+                .take_while(|rec| part.partition_of(&rec[..10]) < p)
+                .count()
+                * RECORD_SIZE
+        })
+        .collect()
+}
+
+/// Reference: the FNV-1a hash of one record.
+fn fnv1a(rec: &[u8]) -> u64 {
+    rec.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
+    })
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// `(seed, map, checksum, first record, last record)` of
+/// `gen_records(seed, map, 2_500)`, as the byte-at-a-time generator and
+/// the record-at-a-time checksum produced them.
+const GOLDEN_RECORDS: [(u64, usize, u64, &str, &str); 4] = [
+    (
+        2026,
+        0,
+        0x60f1d87d286cfa0c,
+        "238d949198559cdb5d4500000000000000000000000000000000238c96929c509adc2b849e9a945892d4339c86828c408acc3b948e8a844882c403acb6b2bc70bafc0ba4bebab478b2f413bca6a2ac60aaec1bb4aeaaa468a2e463ccd6d2dc10da9c6bc4",
+        "c4629c374b9cf3b0f9880000000000000000c309000000000000c4639e344f99f5b7cc6b963c4791fdbfd4738e245f89e5a7dc7b862c5781edafe443be146fb9d597ec4bb61c67b1dd9ff453ae047fa9c587fc5ba60c77a1cd8f8423de740fd9b5f78c2b",
+    ),
+    (
+        2026,
+        1599,
+        0x7ab25988ccd0db1d,
+        "4dcb4e442df886b8dda43f0600000000000000000000000000004dca4c4729fd80bf45c2444f21f588b75dda5c5739ed90af55d2545f31e598a76dea6c6709dda09f65e2646f01d5a8977dfa7c7719cdb08f75f2747f11c5b8870d8a0c0769bdc0ff0582",
+        "77c23006995ab7c42dbd3f06000000000000c30900000000000077c332059d5fb1c37fcb3a0d9557b9cb67d322158d4fa1d36fdb2a1d8547a9db57e31225bd7f91e35feb1a2db57799eb47f30235ad6f81f34ffb0a3da56789fb37837245dd1ff1833f8b",
+    ),
+    (
+        7,
+        3,
+        0xcb058e124b9ed2be,
+        "47e64436502f1ade4f2e0300000000000000000000000000000047e74635542a1cd94fef4e3d5c2214d157f75625443a0cc95fff5e2d4c3204c167c76615740a3cf96fcf6e1d7c0234f177d77605641a2ce97fdf7e0d6c1224e107a70675146a5c990faf",
+        "a05daaf63b043a700b850300000000000000c309000000000000a05ca8f53f013c77a854a0fd3709347fb04cb8e52f112c67b844b0ed2719246f807c88d51f211c57887480dd1729145f906c98c50f310c47986490cd0739044fe01ce8b57f417c37e814",
+    ),
+    (
+        0,
+        0,
+        0xb764f9269b2b8b50,
+        "afcd1d7b39a820e2f46500000000000000000000000000000000afcc1f783dad26e5a7c4177035a52eedbfdc0f682dbd36f5b7d4076025b53efd8fec3f581d8d06c587e4375015850ecd9ffc2f480d9d16d597f4274005951eddef8c5f387ded66a5e784",
+        "ec60b9198a039a91f5f60000000000000000c309000000000000ec61bb1a8e069c96e469b312860e949efc71ab0a9e168c86f479a302961e848ecc419b3aae26bcb6c4499332a62eb4bedc518b2abe36aca6d4598322b63ea4aeac21fb5ace46dcd6a429",
+    ),
+];
+
+#[test]
+fn generator_and_checksum_keep_their_golden_values() {
+    for (seed, m, sum, first, last) in GOLDEN_RECORDS {
+        let recs = gen_records(seed, m, 2_500);
+        assert_eq!(recs.len(), 2_500 * RECORD_SIZE);
+        assert_eq!(checksum(&recs), sum, "checksum of ({seed}, {m})");
+        assert_eq!(
+            hex(&recs[..RECORD_SIZE]),
+            first,
+            "first record of ({seed}, {m})"
+        );
+        assert_eq!(
+            hex(&recs[recs.len() - RECORD_SIZE..]),
+            last,
+            "last record of ({seed}, {m})"
+        );
+    }
+}
+
+#[test]
+fn frame_layout_keeps_its_golden_bytes() {
+    let blocks = [
+        Payload::scaled(Bytes::from_static(b"alpha"), 500),
+        Payload::scaled(Bytes::from_static(b""), 0),
+        Payload::scaled(Bytes::from_static(b"z"), 123),
+    ];
+    let framed = frame_blocks(&blocks);
+    assert_eq!(framed.logical, 623);
+    assert_eq!(
+        hex(&framed.data),
+        "03000000f401000000000000050000000000000000000000000000007b0000000000000001000000616c7068617a"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// More blocks than a `u16` block index, or a 32-bit position packing
+    /// `(block, offset)`, can name (the full CloudSort geometry merges
+    /// 3,200): a few tied records scattered over mostly empty blocks.
+    #[test]
+    fn kway_merge_of_more_blocks_than_a_u16_can_index(
+        placed in proptest::collection::vec((0usize..70_001, arb_tied_records(3)), 0..12),
+    ) {
+        let mut blocks: Vec<Vec<u8>> = vec![Vec::new(); 70_001];
+        for (at, recs) in placed {
+            blocks[at].extend_from_slice(&recs);
+        }
+        let sorted_blocks: Vec<Vec<u8>> = blocks.iter().map(|b| stable_sort_by_key(b)).collect();
+        let views: Vec<&[u8]> = sorted_blocks.iter().map(|b| &b[..]).collect();
+        prop_assert_eq!(kway_merge(&views), stable_sort_by_key(&sorted_blocks.concat()));
+    }
+}
+
 proptest! {
     #[test]
     fn sort_records_is_a_stable_sort_on_tied_keys(recs in arb_tied_records(40)) {
@@ -61,6 +176,81 @@ proptest! {
         let sorted_blocks: Vec<Vec<u8>> = blocks.iter().map(|b| stable_sort_by_key(b)).collect();
         let views: Vec<&[u8]> = sorted_blocks.iter().map(|b| &b[..]).collect();
         prop_assert_eq!(kway_merge(&views), stable_sort_by_key(&sorted_blocks.concat()));
+    }
+
+    #[test]
+    fn kway_merge_skips_empty_blocks(
+        blocks in proptest::collection::vec(arb_tied_records(3), 0..40),
+        empties in 0usize..4,
+    ) {
+        // Up to three extra empty blocks in front of, between and after
+        // the generated ones (a third of which are empty already).
+        let mut sorted_blocks: Vec<Vec<u8>> = vec![Vec::new(); empties];
+        for b in &blocks {
+            sorted_blocks.push(stable_sort_by_key(b));
+            sorted_blocks.extend(std::iter::repeat_n(Vec::new(), empties));
+        }
+        let views: Vec<&[u8]> = sorted_blocks.iter().map(|b| &b[..]).collect();
+        prop_assert_eq!(kway_merge(&views), stable_sort_by_key(&sorted_blocks.concat()));
+    }
+
+    #[test]
+    fn checksum_is_the_wrapping_sum_of_per_record_fnv1a(recs in arb_records(3000)) {
+        let want = recs
+            .chunks_exact(RECORD_SIZE)
+            .fold(0u64, |t, rec| t.wrapping_add(fnv1a(rec)));
+        prop_assert_eq!(checksum(&recs), want);
+    }
+
+    #[test]
+    fn sort_and_cut_with_every_key_in_one_partition(
+        recs in arb_tied_records(60),
+        parts in 1usize..2000,
+        pick in any::<u32>(),
+    ) {
+        // Move every prefix into partition `p`'s range, keeping the
+        // two-letter ties: the run is one bucket's stable sort.
+        let part = RangePartitioner::new(parts);
+        let p = pick as usize % parts;
+        let mut recs = recs;
+        for rec in recs.chunks_exact_mut(RECORD_SIZE) {
+            let prefix = part.lower_bound(p) + u64::from(rec[0]);
+            rec[..8].copy_from_slice(&prefix.to_be_bytes());
+        }
+        let (run, cuts) = sort_and_cut(&recs, &part);
+        prop_assert_eq!(&run, &stable_sort_by_key(&recs));
+        let want: Vec<usize> = (0..=parts)
+            .map(|q| if q <= p { 0 } else { recs.len() })
+            .collect();
+        prop_assert_eq!(cuts, want);
+    }
+
+    #[test]
+    fn sort_and_cut_with_more_partitions_than_records(
+        recs in arb_records(10 * RECORD_SIZE),
+        parts in 10usize..5000,
+    ) {
+        let part = RangePartitioner::new(parts);
+        let (run, cuts) = sort_and_cut(&recs, &part);
+        prop_assert_eq!(&run, &stable_sort_by_key(&recs));
+        prop_assert_eq!(cuts, partition_cuts(&run, &part));
+    }
+
+    #[test]
+    fn sort_and_cut_of_zero_or_one_record(
+        rec in proptest::collection::vec(any::<u8>(), RECORD_SIZE),
+        one in any::<bool>(),
+        parts in 1usize..3000,
+    ) {
+        let recs = if one { rec } else { Vec::new() };
+        let part = RangePartitioner::new(parts);
+        let (run, cuts) = sort_and_cut(&recs, &part);
+        prop_assert_eq!(&run, &recs);
+        let home = recs.first().map_or(0, |_| part.partition_of(&recs[..10]));
+        let want: Vec<usize> = (0..=parts)
+            .map(|p| if p <= home { 0 } else { recs.len() })
+            .collect();
+        prop_assert_eq!(cuts, want);
     }
 
     #[test]
@@ -102,18 +292,7 @@ proptest! {
         let mut reference = recs.clone();
         sort_records(&mut reference);
         prop_assert_eq!(&run, &reference);
-        // The cuts are exactly the partitioner's boundaries: cut `p` is
-        // the byte offset of the first sorted record in partition `p` or
-        // above.
-        let want: Vec<usize> = (0..=parts)
-            .map(|p| {
-                run.chunks_exact(RECORD_SIZE)
-                    .take_while(|rec| part.partition_of(&rec[..10]) < p)
-                    .count()
-                    * RECORD_SIZE
-            })
-            .collect();
-        prop_assert_eq!(cuts, want);
+        prop_assert_eq!(cuts, partition_cuts(&run, &part));
     }
 
     #[test]
