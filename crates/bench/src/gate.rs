@@ -1,14 +1,15 @@
 //! The perf-regression gate: a pinned suite of small, deterministic
 //! simulations whose headline metrics (JCT / spilled bytes / network
-//! bytes) are compared against a committed baseline with per-metric
-//! tolerances. CI runs this via `scripts/bench_gate.sh`; a violation is
-//! a hard failure.
+//! bytes) must equal the committed `bench/baseline.json` exactly, plus
+//! the watched incident suite pinned in `bench/incidents.json`. Both
+//! baselines go through the one [`compare`]; CI runs it from
+//! `tests/gate_pin.rs` and from `scripts/bench_gate.sh` under
+//! `taskset -c 0`.
 //!
-//! The simulator is deterministic, so the tolerances exist to absorb
-//! *intentional* performance changes, not noise: small improvements
-//! land by regenerating the baseline (`bench_gate --write-baseline`)
-//! in the same PR, and anything beyond tolerance forces that
-//! conversation to happen in review.
+//! The simulator is deterministic and its readings are whole
+//! microseconds and whole bytes, so there is no slack: any moved
+//! number, improvement or regression, fails until the baseline is
+//! re-pinned (`bench_gate --write`) in the same change that moved it.
 
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -20,26 +21,6 @@ use exo_shuffle::{ShuffleVariant, ShuffleWindow};
 use exo_sim::{ClusterSpec, NodeSpec, SimDuration, SimTime};
 
 use crate::runs::{run_es_sort, run_es_sort_watched, EsSortParams};
-
-/// Relative tolerance per metric name; `default` covers the rest.
-const TOLERANCES: &[(&str, f64)] = &[
-    ("jct_s", 0.10),
-    ("spilled_bytes", 0.15),
-    ("net_bytes", 0.15),
-    ("tasks_reexecuted", 0.15),
-    ("default", 0.15),
-];
-
-/// Absolute floor under which differences never violate, per metric
-/// family — keeps zero-valued baselines (e.g. in-memory spill) from
-/// turning any nonzero reading into an infinite relative error.
-fn metric_floor(metric: &str) -> f64 {
-    if metric.ends_with("_bytes") {
-        16e6 // 16 MB
-    } else {
-        0.5 // seconds
-    }
-}
 
 /// One gated scenario: a name and the metrics it produces.
 pub struct GateCase {
@@ -215,63 +196,37 @@ pub fn run_cases() -> Json {
     Json::obj().set("cases", cases)
 }
 
-/// The default tolerance table as JSON (committed into the baseline so
-/// the gate and the file stay self-describing).
-pub fn default_tolerances() -> Json {
-    let mut t = Json::obj();
-    for (name, tol) in TOLERANCES {
-        t = t.set(name, *tol);
-    }
-    t
-}
-
-fn tolerance_for(baseline: &Json, metric: &str) -> f64 {
-    let tols = baseline.get("tolerances");
-    tols.and_then(|t| t.get(metric))
-        .or_else(|| tols.and_then(|t| t.get("default")))
-        .and_then(Json::as_f64)
-        .unwrap_or(0.15)
-}
-
-/// Compares `current` against `baseline`; returns one human-readable
-/// violation per out-of-tolerance metric (empty = gate passes).
-/// Missing cases/metrics on either side are violations too: the suite
-/// is pinned, so a silently dropped case must fail loudly.
+/// Compares the `"cases"` of a run against a pinned baseline; returns
+/// one human-readable violation per unequal case (empty = gate passes).
+/// A case is equal when its rendered JSON is: `Json` renders numbers in
+/// shortest round-trip form, so this is exact equality of every reading.
+/// A case missing on either side, or a baseline case that pins nothing,
+/// is a violation too: the suite is pinned, so a dropped case must fail.
 pub fn compare(current: &Json, baseline: &Json) -> Vec<String> {
     let mut violations = Vec::new();
     let empty = Json::obj();
     let base_cases = baseline.get("cases").unwrap_or(&empty);
     let cur_cases = current.get("cases").unwrap_or(&empty);
 
-    for (case, base_metrics) in base_cases.entries() {
-        let Some(cur_metrics) = cur_cases.get(case) else {
-            violations.push(format!("case {case}: missing from current run"));
-            continue;
-        };
-        for (metric, base_v) in base_metrics.entries() {
-            let Some(base) = base_v.as_f64() else {
-                continue;
-            };
-            let Some(cur) = cur_metrics.get(metric).and_then(Json::as_f64) else {
-                violations.push(format!("{case}.{metric}: missing from current run"));
-                continue;
-            };
-            let tol = tolerance_for(baseline, metric);
-            let allowed = tol * base.abs().max(metric_floor(metric));
-            let diff = cur - base;
-            if diff.abs() > allowed {
-                violations.push(format!(
-                    "{case}.{metric}: {cur:.4} vs baseline {base:.4} \
-                     (diff {diff:+.4}, allowed ±{allowed:.4}, tol {:.0}%)",
-                    tol * 100.0
-                ));
+    for (case, base) in base_cases.entries() {
+        match cur_cases.get(case) {
+            _ if base.entries().is_empty() => {
+                violations.push(format!("case {case}: baseline pins no metric"));
             }
+            None => violations.push(format!("case {case}: missing from current run")),
+            Some(cur) if cur.render() != base.render() => violations.push(format!(
+                "case {case}: differs from baseline (re-pin with --write if intended)\n  \
+                 baseline: {}\n  current:  {}",
+                base.render(),
+                cur.render()
+            )),
+            Some(_) => {}
         }
     }
     for (case, _) in cur_cases.entries() {
         if base_cases.get(case).is_none() {
             violations.push(format!(
-                "case {case}: not in baseline — regenerate it with --write-baseline"
+                "case {case}: not in baseline — pin it with --write"
             ));
         }
     }
@@ -321,26 +276,19 @@ pub fn run_incident_cases() -> Json {
     Json::obj().set("cases", cases)
 }
 
-/// Compares the current incident sets against the committed baseline.
-/// Unlike the metric gate there are no tolerances: detection is
-/// deterministic, so the comparison is bit-for-bit — any drift in ids,
-/// timestamps, peaks, or counts is a behavior change to review (and to
-/// lock in via `--write-incidents` when intended). Also enforces the
-/// structural expectations independent of the baseline: fault cases
-/// must fire, healthy cases must stay silent.
+/// Compares the current incident sets against the committed baseline
+/// with [`compare`], and enforces the structural expectations that hold
+/// whatever the baseline says: fault cases must fire, healthy cases
+/// must stay silent.
 pub fn compare_incidents(current: &Json, baseline: &Json) -> Vec<String> {
     let mut violations = Vec::new();
-    let empty = Json::obj();
-    let base_cases = baseline.get("cases").unwrap_or(&empty);
-    let cur_cases = current.get("cases").unwrap_or(&empty);
-
     for case in INCIDENT_CASES {
-        let total = cur_cases
-            .get(case.name)
+        let total = current
+            .get("cases")
+            .and_then(|c| c.get(case.name))
             .and_then(|c| c.get("total"))
             .and_then(Json::as_f64);
         match total {
-            None => violations.push(format!("case {}: missing from current run", case.name)),
             Some(t) if case.expect_incidents && t == 0.0 => violations.push(format!(
                 "case {}: fault run detected no incidents; expected a nonempty set",
                 case.name
@@ -349,37 +297,11 @@ pub fn compare_incidents(current: &Json, baseline: &Json) -> Vec<String> {
                 "case {}: healthy run fired {t:.0} incident(s); expected none",
                 case.name
             )),
-            Some(_) => {}
+            // A missing case is `compare`'s to report.
+            _ => {}
         }
     }
-
-    for (case, base_doc) in base_cases.entries() {
-        match cur_cases.get(case) {
-            None => {
-                // Already reported above when the case is still pinned.
-                if !INCIDENT_CASES.iter().any(|c| c.name == case) {
-                    violations.push(format!("case {case}: missing from current run"));
-                }
-            }
-            Some(cur_doc) if cur_doc.render() != base_doc.render() => {
-                violations.push(format!(
-                    "case {case}: incident set differs from baseline \
-                     (regenerate with --write-incidents if intended)\n  \
-                     baseline: {}\n  current:  {}",
-                    base_doc.render(),
-                    cur_doc.render()
-                ));
-            }
-            Some(_) => {}
-        }
-    }
-    for (case, _) in cur_cases.entries() {
-        if base_cases.get(case).is_none() {
-            violations.push(format!(
-                "case {case}: not in incident baseline — regenerate with --write-incidents"
-            ));
-        }
-    }
+    violations.extend(compare(current, baseline));
     violations
 }
 
@@ -417,42 +339,60 @@ mod tests {
         )
     }
 
-    fn with_tols(doc: Json) -> Json {
-        doc.set("tolerances", default_tolerances())
-    }
-
     #[test]
     fn identical_runs_pass() {
-        let base = with_tols(doc(100.0, 5e9));
+        let base = doc(100.0, 5e9);
         assert!(compare(&doc(100.0, 5e9), &base).is_empty());
     }
 
-    #[test]
-    fn within_tolerance_passes_beyond_fails() {
-        let base = with_tols(doc(100.0, 5e9));
-        // jct tolerance is 10%: 109 s passes, 115 s fails.
-        assert!(compare(&doc(109.0, 5e9), &base).is_empty());
-        let v = compare(&doc(115.0, 5e9), &base);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("sort.jct_s"), "{v:?}");
-        // Improvements beyond tolerance also fail: they must be locked
-        // in by regenerating the baseline, not silently absorbed.
-        assert!(!compare(&doc(85.0, 5e9), &base).is_empty());
+    /// A doc pinning every gate case with the same readings: a JCT in
+    /// whole microseconds and byte counters, as the real cases record.
+    fn pinned(jct_us: u64, net: u64) -> Json {
+        let mut cases = Json::obj();
+        for case in CASES {
+            let jct = SimDuration(jct_us).as_secs_f64();
+            cases = cases.set(
+                case.name,
+                Json::obj().set("jct_s", jct).set("net_bytes", net as f64),
+            );
+        }
+        Json::obj().set("cases", cases)
     }
 
     #[test]
-    fn zero_baseline_uses_absolute_floor() {
-        let base = with_tols(doc(100.0, 0.0));
-        // 1 MB of stray spill against a 0 baseline: under the 16 MB
-        // floor × 15% tolerance, so it passes...
-        assert!(compare(&doc(100.0, 1e6), &base).is_empty());
-        // ...but 100 MB of new spilling fails.
-        assert!(!compare(&doc(100.0, 1e8), &base).is_empty());
+    fn comparison_is_exact() {
+        // The baseline as committed: rendered, then parsed back.
+        let base = Json::parse(&pinned(10_229_442, 3_005_344_000).render()).expect("parse");
+        assert!(compare(&pinned(10_229_442, 3_005_344_000), &base).is_empty());
+        let fails = |current: &Json, baseline: &Json| {
+            let v = compare(current, baseline);
+            assert_eq!(v.len(), CASES.len(), "{v:?}");
+        };
+        // The JCT's last recorded digit, a byte counter off by one, and
+        // an improvement all fail alike.
+        fails(&pinned(10_229_443, 3_005_344_000), &base);
+        fails(&pinned(10_229_442, 3_005_344_001), &base);
+        fails(&pinned(10_229_441, 3_005_344_000), &base);
+
+        let one = |case: Json| Json::obj().set("cases", Json::obj().set("sort", case));
+        let v = compare(&one(Json::obj().set("jct_s", 1.0)), &one(Json::obj()));
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("pins no metric"), "{v:?}");
+
+        // A gate case the baseline lacks.
+        let last = CASES[CASES.len() - 1].name;
+        let short = Json::obj().set("cases", base.get("cases").cloned().unwrap().remove(last));
+        let v = compare(&pinned(10_229_442, 3_005_344_000), &short);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(
+            v[0].contains(last) && v[0].contains("not in baseline"),
+            "{v:?}"
+        );
     }
 
     #[test]
     fn missing_and_extra_cases_are_violations() {
-        let base = with_tols(doc(100.0, 5e9));
+        let base = doc(100.0, 5e9);
         let empty = Json::obj().set("cases", Json::obj());
         let v = compare(&empty, &base);
         assert!(v.iter().any(|s| s.contains("missing")), "{v:?}");
@@ -471,7 +411,7 @@ mod tests {
 
     #[test]
     fn baseline_round_trips_through_parser() {
-        let base = with_tols(doc(12.5, 0.0)).set("date", "2026-08-05");
+        let base = doc(12.5, 0.0).set("date", "2026-08-05");
         let parsed = Json::parse(&base.render()).expect("parse");
         assert!(compare(&doc(12.5, 0.0), &parsed).is_empty());
         assert_eq!(
@@ -515,7 +455,7 @@ mod tests {
         let v = compare_incidents(&inc_full("cascade+straggler"), &base);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("sort_ft_small"), "{v:?}");
-        assert!(v[0].contains("--write-incidents"), "{v:?}");
+        assert!(v[0].contains("--write"), "{v:?}");
     }
 
     #[test]

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Perf-regression gate: run the pinned small benchmark suite and compare
-# against the committed baseline (bench/baseline.json). Exits non-zero on
-# any out-of-tolerance metric.
+# it exactly against the committed baseline (bench/baseline.json).
+# Exits non-zero when any case differs.
 #
-#   ./scripts/bench_gate.sh                 # run + compare
-#   ./scripts/bench_gate.sh --write-baseline  # regenerate the baseline
+#   ./scripts/bench_gate.sh          # run + compare
+#   ./scripts/bench_gate.sh --write  # re-pin the baseline
 #
-# Extra flags are forwarded to the bench_gate binary (--baseline, --out).
+# Extra flags are forwarded to the bench_gate binary (--baseline, --out,
+# --incidents-diff).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
