@@ -101,25 +101,29 @@ pub fn decode_entries(data: &[u8]) -> Vec<(u8, u32, u32)> {
 }
 
 /// Aggregated reducer state: `(lang, page) → views`, encoded as repeated
-/// `u8 lang, u32 page, u64 views` (13 bytes).
+/// `u8 lang, u32 page, u64 views` (13 bytes) in ascending key order.
+///
+/// Every `(key, views)` pair of `prev` and `blocks` is sorted by key and
+/// each run of one key summed. A valid `prev` holds each key once, so
+/// this is the same state as inserting `prev` into an ordered map and
+/// adding the entries to it.
 pub fn fold_state(prev: Option<&[u8]>, blocks: &[Payload]) -> Vec<u8> {
-    use std::collections::BTreeMap;
-    let mut acc: BTreeMap<(u8, u32), u64> = BTreeMap::new();
-    if let Some(prev) = prev {
-        for e in prev.chunks_exact(13) {
-            let lang = e[0];
-            let page = u32::from_le_bytes(e[1..5].try_into().expect("page"));
-            let views = u64::from_le_bytes(e[5..13].try_into().expect("views"));
-            acc.insert((lang, page), views);
-        }
-    }
+    let mut pairs = decode_state(prev.unwrap_or_default());
+    pairs.reserve_exact(blocks.iter().map(|b| b.data.len() / ENTRY_BYTES).sum());
     for b in blocks {
-        for (lang, page, views) in decode_entries(&b.data) {
-            *acc.entry((lang, page)).or_default() += views as u64;
-        }
+        let entries = decode_entries(&b.data).into_iter();
+        pairs.extend(entries.map(|(lang, page, views)| ((lang, page), u64::from(views))));
     }
-    let mut out = Vec::with_capacity(acc.len() * 13);
-    for ((lang, page), views) in acc {
+    pairs.sort_unstable_by_key(|&(key, _)| key);
+    pairs.dedup_by(|next, run| {
+        let same = next.0 == run.0;
+        if same {
+            run.1 += next.1;
+        }
+        same
+    });
+    let mut out = Vec::with_capacity(pairs.len() * 13);
+    for ((lang, page), views) in pairs {
         out.push(lang);
         out.extend_from_slice(&page.to_le_bytes());
         out.extend_from_slice(&views.to_le_bytes());
@@ -146,10 +150,19 @@ pub fn pageview_job(spec: PageviewSpec) -> ShuffleJob {
     let map = Arc::new(move |m: usize, r_total: usize, _rng: &mut SplitMix64| {
         let entries = gen_entries(&s, m);
         let scale = s.partition_bytes() / (entries.len().max(1) as u64);
-        let mut blocks: Vec<Vec<u8>> = vec![Vec::new(); r_total];
+        let dest =
+            |e: &[u8]| u32::from_le_bytes(e[1..5].try_into().expect("page")) as usize % r_total;
+        // A counting pass first, so each block is allocated at its final size.
+        let mut counts = vec![0; r_total];
         for e in entries.chunks_exact(ENTRY_BYTES) {
-            let page = u32::from_le_bytes(e[1..5].try_into().expect("page"));
-            blocks[(page as usize) % r_total].extend_from_slice(e);
+            counts[dest(e)] += 1;
+        }
+        let mut blocks: Vec<Vec<u8>> = counts
+            .into_iter()
+            .map(|c| Vec::with_capacity(c * ENTRY_BYTES))
+            .collect();
+        for e in entries.chunks_exact(ENTRY_BYTES) {
+            blocks[dest(e)].extend_from_slice(e);
         }
         blocks
             .into_iter()
@@ -185,6 +198,42 @@ pub fn pageview_job(spec: PageviewSpec) -> ShuffleJob {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The ordered-map fold the sort fold replaced: the oracle.
+    fn oracle_fold(prev: Option<&[u8]>, blocks: &[Payload]) -> Vec<u8> {
+        use std::collections::BTreeMap;
+        let mut acc: BTreeMap<(u8, u32), u64> =
+            decode_state(prev.unwrap_or_default()).into_iter().collect();
+        for b in blocks {
+            for (lang, page, views) in decode_entries(&b.data) {
+                *acc.entry((lang, page)).or_default() += u64::from(views);
+            }
+        }
+        let mut out = Vec::new();
+        for ((lang, page), views) in acc {
+            out.push(lang);
+            out.extend_from_slice(&page.to_le_bytes());
+            out.extend_from_slice(&views.to_le_bytes());
+        }
+        out
+    }
+
+    /// The map's partitioning before presizing.
+    fn oracle_partition(entries: &[u8], r_total: usize) -> Vec<Vec<u8>> {
+        let mut blocks = vec![Vec::new(); r_total];
+        for e in entries.chunks_exact(ENTRY_BYTES) {
+            let page = u32::from_le_bytes(e[1..5].try_into().expect("page"));
+            blocks[(page as usize) % r_total].extend_from_slice(e);
+        }
+        blocks
+    }
+
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
 
     fn spec() -> PageviewSpec {
         PageviewSpec {
@@ -242,5 +291,69 @@ mod tests {
             counts[0] > counts[NUM_LANGS - 1],
             "skew expected: {counts:?}"
         );
+    }
+
+    /// States and map blocks computed by the ordered-map fold and the
+    /// growing map blocks, before the sort fold and presizing.
+    #[test]
+    fn fold_and_map_match_golden_checksums() {
+        let blocks: Vec<Payload> = (0..3)
+            .map(|m| Payload::inline(gen_entries(&spec(), m)))
+            .collect();
+        let s1 = fold_state(None, &blocks[..2]);
+        assert_eq!((s1.len(), fnv(&s1)), (12_168, 0x15db_edb1_a7dc_16ee));
+        let s2 = fold_state(Some(&s1), &blocks[2..]);
+        assert_eq!((s2.len(), fnv(&s2)), (16_575, 0x5433_ed06_86ed_3189));
+        let job = pageview_job(spec());
+        let outs = (job.map)(1, 3, &mut SplitMix64::new(0));
+        let golden = [
+            (2871, 77_517, 0xe047_218b_2474_a17a),
+            (3339, 90_153, 0xd245_8e8e_b5b7_2788),
+            (2790, 75_330, 0x3e25_d501_e1f0_a7bd),
+        ];
+        for (o, (len, logical, sum)) in outs.iter().zip(golden) {
+            assert_eq!((o.data.len(), o.logical, fnv(&o.data)), (len, logical, sum));
+        }
+        let red = (job.reduce)(0, &outs);
+        assert_eq!(
+            (red.data.len(), fnv(&red.data)),
+            (6994, 0x004c_abf7_148c_356f)
+        );
+    }
+
+    /// Raw `(lang, page, views)` entries with few distinct keys, so runs
+    /// of one key are common.
+    fn entries() -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec((0u8..3, 0u32..40, any::<u32>()), 0..200).prop_map(|es| {
+            let mut out = Vec::new();
+            for (lang, page, views) in es {
+                out.push(lang);
+                out.extend_from_slice(&page.to_le_bytes());
+                out.extend_from_slice(&(views >> 8).to_le_bytes());
+            }
+            out
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn sort_fold_equals_ordered_map_fold(
+            prev in entries(),
+            blocks in proptest::collection::vec(entries(), 0..4),
+        ) {
+            let blocks: Vec<Payload> = blocks.into_iter().map(Payload::inline).collect();
+            let prev = oracle_fold(None, &[Payload::inline(prev)]);
+            prop_assert_eq!(fold_state(None, &blocks), oracle_fold(None, &blocks));
+            prop_assert_eq!(fold_state(Some(&prev), &blocks), oracle_fold(Some(&prev), &blocks));
+        }
+
+        #[test]
+        fn presized_blocks_equal_growing_blocks(m in 0usize..8, r_total in 1usize..9, seed in any::<u64>()) {
+            let s = PageviewSpec { seed, ..spec() };
+            let outs = (pageview_job(s).map)(m, r_total, &mut SplitMix64::new(0));
+            let want = oracle_partition(&gen_entries(&s, m), r_total);
+            let got: Vec<&[u8]> = outs.iter().map(|p| &p.data[..]).collect();
+            prop_assert_eq!(got, want.iter().map(|v| &v[..]).collect::<Vec<_>>());
+        }
     }
 }

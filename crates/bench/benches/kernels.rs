@@ -1,16 +1,22 @@
 //! Criterion microbenchmarks for the hot kernels: sort, merge, the
-//! spill_pushstar map/merge/reduce kernel calls, partitioning, record
-//! generation, framing, the event queue, the store allocation/spill
-//! path, and small end-to-end shuffles of every variant.
+//! spill_pushstar map/merge/reduce kernel calls, multitenant's ML and
+//! aggregation kernels, partitioning, record generation, framing, the
+//! event queue, the store allocation/spill path, and small end-to-end
+//! shuffles of every variant.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use exo_agg::workload::fold_state;
+use exo_agg::{pageview_job, PageviewSpec};
+use exo_ml::dataset::SAMPLE_BYTES;
+use exo_ml::trainer::reshuffle_job;
+use exo_ml::{gen_block, DatasetSpec};
 use exo_rt::{Payload, RtConfig};
 use exo_shuffle::{
     frame_blocks, key_sum_job, merge_frames, run_shuffle, unframe_blocks, ShuffleVariant,
 };
-use exo_sim::{ClusterSpec, EventQueue, NodeSpec, SimTime};
+use exo_sim::{ClusterSpec, EventQueue, NodeSpec, SimTime, SplitMix64};
 use exo_sort::{
     gen_records, kway_merge, sort_job, sort_records, RangePartitioner, SortSpec, RECORD_SIZE,
 };
@@ -63,7 +69,7 @@ fn bench_spill_pushstar_kernels(c: &mut Criterion) {
         scale: 20_000,
         seed: 5,
     });
-    let map = |m: usize| (job.map)(m, PARTITIONS, &mut exo_sim::SplitMix64::new(0));
+    let map = |m: usize| (job.map)(m, PARTITIONS, &mut SplitMix64::new(0));
     let mut g = c.benchmark_group("spill_pushstar");
 
     // Generate, sort and cut one map's records into per-partition views.
@@ -117,6 +123,45 @@ fn bench_spill_pushstar_kernels(c: &mut Criterion) {
     g.bench_function("merge_task_40_frames_of_80", |b| {
         b.iter(|| merge_frames(&frames, owned[0].len(), &job.combine))
     });
+    g.finish();
+}
+
+/// One multitenant ML job's partition (10,000 samples over 8
+/// partitions): its generation, and its reshuffle map, which generates
+/// it and scatters it across 8 reducers.
+fn bench_ml_kernels(c: &mut Criterion) {
+    let spec = DatasetSpec::new(10_000, 8, 2026);
+    let job = reshuffle_job(spec, 8, 8);
+    let mut g = c.benchmark_group("ml");
+    g.throughput(Throughput::Bytes(
+        (spec.samples_per_partition() * SAMPLE_BYTES) as u64,
+    ));
+    g.bench_function("gen_block_1250", |b| b.iter(|| gen_block(&spec, 3)));
+    g.bench_function("reshuffle_map_1250_into_8", |b| {
+        b.iter(|| (job.map)(3, 8, &mut SplitMix64::new(1)))
+    });
+    g.finish();
+}
+
+/// One reduce of a 4 GB multitenant aggregation job: the column of 16
+/// maps' blocks (1,000 entries each, 8 reducers) folded into one state.
+fn bench_agg_kernels(c: &mut Criterion) {
+    let job = pageview_job(PageviewSpec {
+        data_bytes: 4_000_000_000,
+        num_maps: 16,
+        num_reduces: 8,
+        entries_per_map: 1_000,
+        pages: 20_000,
+        seed: 2026,
+    });
+    let column: Vec<Payload> = (0..job.num_maps)
+        .map(|m| (job.map)(m, job.num_reduces, &mut SplitMix64::new(0)).swap_remove(0))
+        .collect();
+    let mut g = c.benchmark_group("agg");
+    g.throughput(Throughput::Bytes(
+        column.iter().map(|p| p.data.len() as u64).sum(),
+    ));
+    g.bench_function("fold_state", |b| b.iter(|| fold_state(None, &column)));
     g.finish();
 }
 
@@ -227,6 +272,8 @@ criterion_group! {
     bench_sort_kernel,
     bench_kway_merge,
     bench_spill_pushstar_kernels,
+    bench_ml_kernels,
+    bench_agg_kernels,
     bench_partitioner,
     bench_gen_records,
     bench_framing,

@@ -46,15 +46,27 @@ pub struct TrainReport {
 }
 
 /// Build the per-epoch random-reshuffle job. Each map reads its partition
-/// and scatters samples uniformly at random across reducers; reducers
-/// concatenate and locally permute. Task RNGs differ per epoch because the
-/// tasks are new submissions.
-fn reshuffle_job(spec: DatasetSpec, maps: usize, reduces: usize) -> ShuffleJob {
+/// and scatters samples uniformly at random across reducers; each reducer
+/// gathers its samples in a local permutation. Task RNGs differ per epoch
+/// because the tasks are new submissions.
+pub fn reshuffle_job(spec: DatasetSpec, maps: usize, reduces: usize) -> ShuffleJob {
     let map = Arc::new(move |m: usize, r_total: usize, rng: &mut SplitMix64| {
         let block = gen_block(&spec, m);
-        let mut outs: Vec<Vec<u8>> = vec![Vec::new(); r_total];
-        for s in block.chunks_exact(SAMPLE_BYTES) {
-            outs[rng.next_below(r_total as u64) as usize].extend_from_slice(s);
+        // Every destination first, in sample order, so each output is
+        // allocated at its final size.
+        let dests: Vec<usize> = (0..block.len() / SAMPLE_BYTES)
+            .map(|_| rng.next_below(r_total as u64) as usize)
+            .collect();
+        let mut counts = vec![0; r_total];
+        for &d in &dests {
+            counts[d] += 1;
+        }
+        let mut outs: Vec<Vec<u8>> = counts
+            .into_iter()
+            .map(|c| Vec::with_capacity(c * SAMPLE_BYTES))
+            .collect();
+        for (s, &d) in block.chunks_exact(SAMPLE_BYTES).zip(&dests) {
+            outs[d].extend_from_slice(s);
         }
         outs.into_iter()
             .map(|o| {
@@ -73,21 +85,17 @@ fn reshuffle_job(spec: DatasetSpec, maps: usize, reduces: usize) -> ShuffleJob {
         Payload::scaled(out, logical)
     });
     let reduce = Arc::new(|r: usize, blocks: &[Payload]| {
-        let mut out = Vec::new();
-        for b in blocks {
-            out.extend_from_slice(&b.data);
-        }
-        // Local permutation, deterministic in the partition contents.
-        let n = out.len() / SAMPLE_BYTES;
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut rng = SplitMix64::new(r as u64 ^ (out.len() as u64).rotate_left(17));
-        rng.shuffle(&mut order);
-        let mut shuffled = Vec::with_capacity(out.len());
-        for &i in &order {
-            shuffled.extend_from_slice(&out[i * SAMPLE_BYTES..(i + 1) * SAMPLE_BYTES]);
-        }
+        // Local permutation, deterministic in the partition contents,
+        // gathered straight from the input blocks.
+        let mut samples: Vec<&[u8]> = blocks
+            .iter()
+            .flat_map(|b| b.data.chunks_exact(SAMPLE_BYTES))
+            .collect();
+        let bytes: usize = blocks.iter().map(|b| b.data.len()).sum();
+        let mut rng = SplitMix64::new(r as u64 ^ (bytes as u64).rotate_left(17));
+        rng.shuffle(&mut samples);
         let logical = blocks.iter().map(|b| b.logical).sum();
-        Payload::scaled(shuffled, logical)
+        Payload::scaled(samples.concat(), logical)
     });
     ShuffleJob::new(maps, reduces, map, combine, reduce)
         .with_io(spec.partition_bytes(), 0)
@@ -226,8 +234,10 @@ pub fn unshuffled_training(cfg: &TrainConfig) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::tests::fnv;
     use exo_rt::RtConfig;
     use exo_sim::{ClusterSpec, NodeSpec};
+    use proptest::prelude::*;
 
     const _: () = assert!(crate::dataset::FEATURES == 28);
 
@@ -283,5 +293,96 @@ mod tests {
         let f = *full_rep.accuracy.last().expect("ran");
         let w = *win_rep.accuracy.last().expect("ran");
         assert!(f >= w - 0.02, "full {f} vs windowed {w}");
+    }
+
+    /// The map's scatter before presizing: each sample appended to a
+    /// growing output.
+    fn oracle_map(
+        spec: DatasetSpec,
+        m: usize,
+        r_total: usize,
+        rng: &mut SplitMix64,
+    ) -> Vec<Vec<u8>> {
+        let mut outs = vec![Vec::new(); r_total];
+        for s in gen_block(&spec, m).chunks_exact(SAMPLE_BYTES) {
+            outs[rng.next_below(r_total as u64) as usize].extend_from_slice(s);
+        }
+        outs
+    }
+
+    /// The reduce before gathering from the blocks: concatenate, then
+    /// permute sample indices.
+    fn oracle_reduce(r: usize, blocks: &[Payload]) -> Vec<u8> {
+        let out: Vec<u8> = blocks.iter().flat_map(|b| b.data.iter().copied()).collect();
+        let mut order: Vec<usize> = (0..out.len() / SAMPLE_BYTES).collect();
+        SplitMix64::new(r as u64 ^ (out.len() as u64).rotate_left(17)).shuffle(&mut order);
+        order
+            .iter()
+            .flat_map(|&i| {
+                out[i * SAMPLE_BYTES..(i + 1) * SAMPLE_BYTES]
+                    .iter()
+                    .copied()
+            })
+            .collect()
+    }
+
+    /// One partition's column of the map outputs, each map with its own
+    /// task RNG.
+    fn column(job: &ShuffleJob, r: usize) -> Vec<Payload> {
+        (0..job.num_maps)
+            .map(|m| (job.map)(m, job.num_reduces, &mut SplitMix64::new(m as u64)).swap_remove(r))
+            .collect()
+    }
+
+    /// Outputs computed by the scatter and reduce before presizing.
+    #[test]
+    fn reshuffle_matches_golden_checksums() {
+        let spec = DatasetSpec::new(4000, 8, 42).with_logical_sample_bytes(1000);
+        let job = reshuffle_job(spec, 8, 8);
+        let golden: [(usize, u64, u64); 8] = [
+            (7076, 61_000, 0xcb46_bf03_139a_26f4),
+            (6960, 60_000, 0xc666_286c_5178_8565),
+            (7076, 61_000, 0x01d3_dd46_62e8_9f4f),
+            (6264, 54_000, 0x804d_3ef0_9aa4_1022),
+            (6264, 54_000, 0xb418_a081_b220_3be7),
+            (7656, 66_000, 0x40d0_f5d8_d694_f9e8),
+            (8584, 74_000, 0xf8f6_cd9e_0ead_332f),
+            (8120, 70_000, 0x8564_ea03_3665_06d5),
+        ];
+        let outs = (job.map)(2, 8, &mut SplitMix64::new(99));
+        for (o, (len, logical, sum)) in outs.iter().zip(golden) {
+            assert_eq!((o.data.len(), o.logical, fnv(&o.data)), (len, logical, sum));
+        }
+        let red = (job.reduce)(3, &column(&job, 3));
+        assert_eq!(
+            (red.data.len(), red.logical, fnv(&red.data)),
+            (61_828, 533_000, 0xcd2b_7f97_e963_0048)
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn presized_scatter_equals_per_sample_extend(
+            samples in 0usize..400,
+            maps in 1usize..5,
+            r_total in 1usize..9,
+            seed in any::<u64>(),
+            task_seed in any::<u64>(),
+        ) {
+            let spec = DatasetSpec::new(samples, maps, seed);
+            let job = reshuffle_job(spec, maps, r_total);
+            for m in 0..maps {
+                let outs = (job.map)(m, r_total, &mut SplitMix64::new(task_seed));
+                let want = oracle_map(spec, m, r_total, &mut SplitMix64::new(task_seed));
+                let got: Vec<&[u8]> = outs.iter().map(|p| &p.data[..]).collect();
+                prop_assert_eq!(got, want.iter().map(|v| &v[..]).collect::<Vec<_>>());
+            }
+            for r in 0..r_total {
+                let blocks = column(&job, r);
+                prop_assert_eq!(&(job.reduce)(r, &blocks).data[..], &oracle_reduce(r, &blocks)[..]);
+            }
+        }
     }
 }

@@ -32,7 +32,7 @@ same_but_perf() {
     local strip='s/,"perf":{[^}]*}//'
     cmp <(sed "$strip" "$observed/results/$1") <(sed "$strip" "results/$1") || {
         echo "FAIL: results/$1 differs from the committed copy outside its perf block;" \
-            "regenerate it with the bin's --quick run" >&2
+            "regenerate it with this step's command, run from a scratch dir" >&2
         exit 1
     }
 }
@@ -72,6 +72,13 @@ grep -q '"isolation_violations":0' "$observed/results/multitenant.json" || {
     echo "FAIL: multi-tenant run reported isolation violations" >&2
     exit 1
 }
+echo "==> multi-tenant service, default config (committed copy)"
+smoke multitenant
+same_but_perf multitenant.json
+
+echo "==> ML loader comparison on a mixed cluster (committed copy)"
+smoke fig8 --quick --mixed > /dev/null
+same_but_perf fig8_mixed.json
 
 echo "==> heterogeneous smoke (mixed HDD+SSD sort + g4dn/r6i ML loader, committed copies)"
 smoke hetero --quick
@@ -90,9 +97,11 @@ echo "==> live-observability smoke (--live JSONL timeseries + live_check, commit
 smoke fig4c --quick --live "$observed/fig4c.live.jsonl"
 smoke live_check "$observed/fig4c.live.jsonl" "$observed/results/fig4c.json"
 same_as_committed fig4c.live.jsonl fig4c.live.jsonl
+same_but_perf fig4c.json
 smoke fig4a --quick --live "$observed/fig4a.live.jsonl"
 smoke live_check "$observed/fig4a.live.jsonl" "$observed/results/fig4a.json"
 same_as_committed fig4a.live.jsonl fig4a.live.jsonl
+same_but_perf fig4a.json
 
 echo "==> cloudsort_xl smoke (throughput floor, rerun bit-identity, 400 → 800 partition scaling)"
 smoke cloudsort_xl --quick
@@ -115,6 +124,7 @@ smoke live_check "$observed/fig4_ft.live.jsonl" "$observed/results/fig4_ft.json"
     --rerun "$observed/fig4_ft.live.rerun.jsonl"
 same_as_committed fig4_ft.live.jsonl fig4_ft.live.jsonl
 same_as_committed fig4_ft.live.rerun.jsonl fig4_ft.live.jsonl
+same_but_perf fig4_ft.json
 
 echo "==> committed results/*.txt (every default config rerun by scripts/run_experiments.sh)"
 ./scripts/run_experiments.sh "$observed/regen" > /dev/null
