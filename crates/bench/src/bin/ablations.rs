@@ -85,23 +85,22 @@ fn ablations(scale: Scale) -> Figure {
             push_star_shuffle(rt, job, cfg)
         }),
     ];
-    Figure {
-        header: vec![format!(
+    Figure::cases(
+        vec![format!(
             "# Ablations — {} GB sort, 10× d3.2xlarge, {parts} partitions",
             data / 1_000_000_000
         )],
-        fields: Json::obj()
+        Json::obj()
             .set("node", "d3_2xlarge")
             .set("nodes", nodes)
             .set("data_bytes", data)
             .set("partitions", parts),
-        columns: vec![
+        cases,
+        vec![
             Column::text("configuration", "configuration"),
             Column::num("JCT (s)", "jct_s", 1.0, 0),
             Column::num("net (GB)", "net_gb", 1.0, 1),
             Column::num("spilled (GB)", "spilled_gb", 1.0, 1),
         ],
-        cases,
-        footer: None,
-    }
+    )
 }

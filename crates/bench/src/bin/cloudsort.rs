@@ -54,24 +54,23 @@ fn cloudsort(scale: Scale) -> Figure {
                 .set("usd_per_tb", usd_per_tb(D3_2XLARGE, nodes, jct, data))
         }));
     }
-    Figure {
-        header: vec![format!(
+    Figure::cases(
+        vec![format!(
             "# CloudSort cost — {} GB sort, {nodes}× {} @ ${}/h",
             data / 1_000_000_000,
             D3_2XLARGE.name,
             D3_2XLARGE.usd_per_hour
         )],
-        fields: Json::obj()
+        Json::obj()
             .set("node", "d3_2xlarge")
             .set("nodes", nodes)
             .set("data_bytes", data)
             .set("partitions", parts),
-        columns: vec![
+        cases,
+        vec![
             Column::text("system", "variant"),
             Column::num("JCT (s)", "jct_s", 1.0, 0),
             Column::num("$ / TB", "usd_per_tb", 1.0, 3),
         ],
-        cases,
-        footer: None,
-    }
+    )
 }

@@ -5,7 +5,7 @@
 //! Expected shape (paper): recovering from a worker failure adds ~20–50 s
 //! to the job completion time for the push variants.
 
-use exo_bench::figure::{number, run, Case, Column, Figure, Scale};
+use exo_bench::figure::{number, run, Case, Column, Figure, Scale, View};
 use exo_bench::runs::variant_name;
 use exo_bench::{run_es_sort, sort_result_json, without_trace, EsSortParams};
 use exo_rt::trace::Json;
@@ -51,17 +51,18 @@ fn fig4_ft(scale: Scale) -> Figure {
                 .set("kill_at_s", kill_at.as_secs_f64())
         }));
     }
-    Figure {
-        header: vec![format!(
+    let mut figure = Figure::cases(
+        vec![format!(
             "# Fault tolerance — {} GB sort on 10 HDD nodes, kill+restart a worker at t=30 s",
             data / 1_000_000_000
         )],
-        fields: Json::obj()
+        Json::obj()
             .set("node", "d3_2xlarge")
             .set("nodes", nodes)
             .set("data_bytes", data)
             .set("partitions", parts),
-        columns: vec![
+        cases,
+        vec![
             Column::text("variant", "variant"),
             Column::num("JCT clean (s)", "clean.jct_s", 1.0, 0),
             Column::num("JCT w/ failure (s)", "failed.jct_s", 1.0, 0),
@@ -71,12 +72,14 @@ fn fig4_ft(scale: Scale) -> Figure {
             }),
             Column::text("re-exec tasks", "failed.tasks_reexecuted"),
         ],
-        cases,
-        footer: Some(|_| {
+    );
+    figure.views.push(View::text(|_| {
+        Some(
             "(the paper reports +20–50 s for ES-push/push*; ES-simple and -merge\n \
              could not recover in the paper due to a then-open Ray bug — our\n \
              runtime recovers all four variants)"
-                .into()
-        }),
-    }
+                .into(),
+        )
+    }));
+    figure
 }

@@ -45,24 +45,23 @@ fn fig4c(scale: Scale) -> Figure {
             }));
         }
     }
-    Figure {
-        header: vec![format!(
+    Figure::cases(
+        vec![format!(
             "# Figure 4c — in-memory sort ({} GB), 10× i3.2xlarge",
             data / 1_000_000_000
         )],
-        fields: Json::obj()
+        Json::obj()
             .set("node", "i3_2xlarge")
             .set("nodes", nodes)
             .set("data_bytes", data)
             .set("in_memory", true),
-        columns: vec![
+        cases,
+        vec![
             Column::text("partitions", "partitions"),
             Column::text("variant", "variant"),
             Column::num("JCT (s)", "jct_s", 1.0, 1),
             Column::num("spilled (GB)", "spilled_bytes", 1e9, 1),
             Column::num("net (GB)", "net_bytes", 1e9, 1),
         ],
-        cases,
-        footer: None,
-    }
+    )
 }

@@ -7,7 +7,7 @@
 //! spills only the *merged* map outputs — the eager-release trick — while
 //! Spark-push writes both the un-merged and the merged copies.
 
-use exo_bench::figure::{number, run, Column, Figure, Scale};
+use exo_bench::figure::{number, run, Column, Figure, Scale, View};
 use exo_bench::{run_es_sort, sort_result_json, EsSortParams};
 use exo_monolith::{spark_sort, SparkConfig};
 use exo_rt::trace::Json;
@@ -53,35 +53,36 @@ fn fig4d(scale: Scale) -> Figure {
                 .set("variant", variant)
         }
     };
-    Figure {
-        header: vec![
+    let mut figure = Figure::cases(
+        vec![
             format!("# Figure 4d — {size} sort, {nodes}× d3.2xlarge, {parts} partitions"),
             format!("theoretical baseline T=4D/B: {:.0} s", theory.as_secs_f64()),
         ],
-        fields: Json::obj()
+        Json::obj()
             .set("node", "d3_2xlarge")
             .set("nodes", nodes)
             .set("data_bytes", data)
             .set("partitions", parts)
             .set("theoretical_s", theory.as_secs_f64()),
-        columns: vec![
+        vec![
+            Box::new(move || sort_result_json(&run_es_sort(es)).set("variant", "ES-push*")),
+            Box::new(spark("Spark", SparkConfig::native(cluster.clone()))),
+            Box::new(spark("Spark-push", SparkConfig::push(cluster))),
+        ],
+        vec![
             Column::text("system", "variant"),
             Column::num("JCT (s)", "jct_s", 1.0, 0),
             Column::num("disk write (TB)", "disk_write_bytes", 1e12, 2),
             Column::num("spilled (TB)", "spilled_bytes", 1e12, 2),
         ],
-        cases: vec![
-            Box::new(move || sort_result_json(&run_es_sort(es)).set("variant", "ES-push*")),
-            Box::new(spark("Spark", SparkConfig::native(cluster.clone()))),
-            Box::new(spark("Spark-push", SparkConfig::push(cluster))),
-        ],
-        footer: Some(|rows| {
-            let jct = |i: usize| number(&rows[i], "jct_s").unwrap_or(f64::NAN);
-            format!(
-                "speedups: Spark/Spark-push = {:.2}x, Spark-push/ES-push* = {:.2}x",
-                jct(1) / jct(2),
-                jct(2) / jct(0),
-            )
-        }),
-    }
+    );
+    figure.views.push(View::text(|doc| {
+        let jct = |i: usize| number(doc, &format!("runs.{i}.jct_s")).unwrap_or(f64::NAN);
+        Some(format!(
+            "speedups: Spark/Spark-push = {:.2}x, Spark-push/ES-push* = {:.2}x",
+            jct(1) / jct(2),
+            jct(2) / jct(0),
+        ))
+    }));
+    figure
 }

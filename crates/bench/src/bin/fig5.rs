@@ -6,101 +6,100 @@
 //! order of magnitude sooner than the batch job completes.
 
 use exo_agg::{regular_aggregation, streaming_aggregation, AggConfig, PageviewSpec};
-use exo_bench::{instrument, write_results, Scale, Table};
+use exo_bench::figure::{items, number, run, Column, Figure, Scale, View};
+use exo_bench::observed_run;
 use exo_rt::trace::Json;
 use exo_rt::RtConfig;
 use exo_sim::{ClusterSpec, NodeSpec};
 
 fn main() {
-    let quick = Scale::from_args() == Scale::Quick;
-    let spec = if quick {
-        PageviewSpec {
-            data_bytes: 10_000_000_000,
-            num_maps: 40,
-            num_reduces: 16,
-            entries_per_map: 3000,
-            pages: 100_000,
-            seed: 3,
-        }
+    run("fig5", fig5);
+}
+
+fn fig5(scale: Scale) -> Figure {
+    let quick = scale == Scale::Quick;
+    // Default: a 1 TB log over 10 r6i nodes, as in §5.2.1 (fewer, larger
+    // map partitions keep the single-core harness fast; the time/error
+    // shape is unchanged).
+    let (data_bytes, num_maps, num_reduces, pages) = if quick {
+        (10_000_000_000, 40, 16, 100_000)
     } else {
-        // 1 TB log over 10 r6i nodes, as in §5.2.1 (fewer, larger map
-        // partitions keep the single-core harness fast; the time/error
-        // shape is unchanged).
-        PageviewSpec {
-            data_bytes: 1_000_000_000_000,
-            num_maps: 200,
-            num_reduces: 40,
-            entries_per_map: 3000,
-            pages: 1_000_000,
-            seed: 3,
-        }
+        (1_000_000_000_000, 200, 40, 1_000_000)
+    };
+    let spec = PageviewSpec {
+        data_bytes,
+        num_maps,
+        num_reduces,
+        entries_per_map: 3000,
+        pages,
+        seed: 3,
     };
     let cfg = AggConfig {
         spec,
         rounds: if quick { 5 } else { 20 },
     };
-    let cluster = ClusterSpec::homogeneous(NodeSpec::r6i_2xlarge(), 10);
-    let caps = cluster.device_caps();
-    let mut rt_cfg = RtConfig::new(cluster);
-    let obs = instrument(&mut rt_cfg);
-
-    println!("# Figure 5 — online aggregation, 10× r6i.2xlarge\n");
-    let (report, (t_batch, samples, t_stream)) = exo_bench::timed_run(rt_cfg, |rt| {
-        let (t_batch, truth) = regular_aggregation(rt, &cfg);
-        let (samples, t_stream) = streaming_aggregation(rt, &cfg, &truth);
-        (t_batch, samples, t_stream)
-    });
-    obs.finish(&report, &caps);
-
-    println!("regular shuffle total:   {:.1} s", t_batch.as_secs_f64());
-    println!("streaming shuffle total: {:.1} s", t_stream.as_secs_f64());
-    println!(
-        "streaming/batch slowdown: {:.2}x (paper: ~1.4x)\n",
-        t_stream.as_secs_f64() / t_batch.as_secs_f64()
-    );
-
-    let mut t = Table::new(&["round", "time (s)", "KL error", "speedup vs batch"]);
-    let mut first_good: Option<(f64, f64)> = None;
-    for s in &samples {
-        if s.kl < 0.08 && first_good.is_none() {
-            first_good = Some((s.at.as_secs_f64(), s.kl));
-        }
-        t.row(vec![
-            s.round.to_string(),
-            format!("{:.1}", s.at.as_secs_f64()),
-            format!("{:.4}", s.kl),
-            format!("{:.1}x", t_batch.as_secs_f64() / s.at.as_secs_f64()),
-        ]);
-    }
-    t.print();
-    if let Some((at, kl)) = first_good {
-        println!(
-            "\nfirst partial result under 8% error: {:.1} s (KL={kl:.4}), {:.0}x before batch completion",
-            at,
-            t_batch.as_secs_f64() / at
-        );
-    }
-    write_results(
-        "fig5",
+    let results = move || {
+        let cluster = ClusterSpec::homogeneous(NodeSpec::r6i_2xlarge(), 10);
+        let (_, (t_batch, samples, t_stream)) = observed_run(RtConfig::new(cluster), |rt| {
+            let (t_batch, truth) = regular_aggregation(rt, &cfg);
+            let (samples, t_stream) = streaming_aggregation(rt, &cfg, &truth);
+            (t_batch, samples, t_stream)
+        });
+        let t_batch = t_batch.as_secs_f64();
+        let samples: Vec<Json> = samples
+            .iter()
+            .map(|s| {
+                Json::obj()
+                    .set("round", s.round)
+                    .set("at_s", s.at.as_secs_f64())
+                    .set("kl", s.kl)
+                    .set("speedup", t_batch / s.at.as_secs_f64())
+            })
+            .collect();
         Json::obj()
-            .set("figure", "fig5")
             .set("node", "r6i_2xlarge")
             .set("nodes", 10usize)
             .set("data_bytes", cfg.spec.data_bytes)
             .set("rounds", cfg.rounds)
-            .set("t_batch_s", t_batch.as_secs_f64())
+            .set("t_batch_s", t_batch)
             .set("t_stream_s", t_stream.as_secs_f64())
-            .set(
+            .set("samples", samples)
+    };
+    Figure {
+        header: vec!["# Figure 5 — online aggregation, 10× r6i.2xlarge".into()],
+        results: Box::new(results),
+        views: vec![
+            View::text(|doc| {
+                let (batch, stream) = (number(doc, "t_batch_s")?, number(doc, "t_stream_s")?);
+                Some(format!(
+                    "regular shuffle total:   {batch:.1} s\n\
+                     streaming shuffle total: {stream:.1} s\n\
+                     streaming/batch slowdown: {:.2}x (paper: ~1.4x)",
+                    stream / batch
+                ))
+            }),
+            View::table(
                 "samples",
-                samples
-                    .iter()
-                    .map(|s| {
-                        Json::obj()
-                            .set("round", s.round)
-                            .set("at_s", s.at.as_secs_f64())
-                            .set("kl", s.kl)
-                    })
-                    .collect::<Vec<_>>(),
+                vec![
+                    Column::text("round", "round"),
+                    Column::num("time (s)", "at_s", 1.0, 1),
+                    Column::num("KL error", "kl", 1.0, 4),
+                    Column::new("speedup vs batch", |row| {
+                        Some(format!("{:.1}x", number(row, "speedup")?))
+                    }),
+                ],
             ),
-    );
+            View::text(|doc| {
+                let first = items(doc, "samples")
+                    .iter()
+                    .find(|s| number(s, "kl").is_some_and(|kl| kl < 0.08))?;
+                Some(format!(
+                    "first partial result under 8% error: {:.1} s (KL={:.4}), {:.0}x before batch completion",
+                    number(first, "at_s")?,
+                    number(first, "kl")?,
+                    number(first, "speedup")?
+                ))
+            }),
+        ],
+    }
 }

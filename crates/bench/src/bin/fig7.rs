@@ -10,22 +10,20 @@
 //! task arguments cuts the consume phase by 60–80%.
 
 use exo_bench::figure::{number, run, Case, Column, Figure, Scale};
-use exo_bench::instrument;
+use exo_bench::observed_run;
 use exo_rt::trace::Json;
 use exo_rt::{CpuCost, Payload, RtConfig, TaskCtx};
 use exo_sim::{ClusterSpec, NodeSpec, SimDuration};
 
 fn run_once(obj_bytes: u64, fuse: bool, prefetch: bool, total_bytes: u64) -> f64 {
     let cluster = ClusterSpec::homogeneous(NodeSpec::sc1_microbench_node(), 1);
-    let caps = cluster.device_caps();
     let mut cfg = RtConfig::new(cluster);
     cfg.fuse_spill_writes = fuse;
     cfg.prefetch_args = prefetch;
-    let obs = instrument(&mut cfg);
     let returns_per_task = 64usize;
     let n_objs = (total_bytes / obj_bytes) as usize;
     let n_tasks = n_objs.div_ceil(returns_per_task);
-    let (report, _) = exo_bench::timed_run(cfg, |rt| {
+    let (report, _) = observed_run(cfg, |rt| {
         // Produce: hold all refs so memory pressure must spill.
         let mut refs = Vec::with_capacity(n_objs);
         for _ in 0..n_tasks {
@@ -55,7 +53,6 @@ fn run_once(obj_bytes: u64, fuse: bool, prefetch: bool, total_bytes: u64) -> f64
             .collect();
         rt.wait_all(&consumers);
     });
-    obs.finish(&report, &caps);
     report.end_time.as_secs_f64()
 }
 
@@ -83,15 +80,16 @@ fn fig7(scale: Scale) -> Figure {
             }) as Case
         })
         .collect();
-    Figure {
-        header: vec![format!(
+    Figure::cases(
+        vec![format!(
             "# Figure 7 — spill/restore {} GB through a 1 GB store (sc1 HDD)",
             total / 1_000_000_000
         )],
-        fields: Json::obj()
+        Json::obj()
             .set("node", "sc1_microbench_node")
             .set("total_bytes", total),
-        columns: vec![
+        cases,
+        vec![
             Column::new("object size", |row| {
                 Some(format!("{:.0} KB", number(row, "object_bytes")? / 1e3))
             }),
@@ -99,7 +97,5 @@ fn fig7(scale: Scale) -> Figure {
             Column::num("no fusing (s)", "no_fuse_s", 1.0, 0),
             Column::num("no prefetch (s)", "no_prefetch_s", 1.0, 0),
         ],
-        cases,
-        footer: None,
-    }
+    )
 }

@@ -10,6 +10,7 @@
 //! Unlike the figure binaries this always traces and profiles: its whole
 //! point is the per-node capacity lines and bound profiles, so both land
 //! in `results/hetero_sort.json` / `results/hetero_ml.json` on every run.
+//! No run takes `--trace`/`--profile`/`--live`/`--watch`.
 //!
 //! `--compare` instead runs the mixed HDD+SSD sort once per placement
 //! policy (load_balance, bound_aware, hybrid — the hybrid fed with the
@@ -19,282 +20,216 @@
 
 use std::sync::Arc;
 
-use exo_bench::obs::capacity_lines;
-use exo_bench::{write_results, Scale, Table};
-use exo_ml::{exoshuffle_training, DatasetSpec, TrainConfig};
-use exo_prof::{profile, Bound};
+use exo_bench::figure::{full_shuffle_training, number, run, Column, Figure, Scale, View};
+use exo_bench::obs::{apply_policy, capacity_lines};
+use exo_bench::runs::default_scale;
+use exo_bench::timed_run;
+use exo_ml::exoshuffle_training;
+use exo_prof::{profile, ProfileReport};
 use exo_rt::trace::{summarize, Json};
-use exo_rt::{PlacementPolicy, RtConfig, TraceConfig};
-use exo_shuffle::{run_shuffle, ShuffleVariant, ShuffleWindow};
+use exo_rt::{PlacementPolicy, RtConfig, RtHandle, RunReport, TraceConfig};
+use exo_shuffle::{run_shuffle, ShuffleVariant};
 use exo_sim::ClusterSpec;
 use exo_sort::{sort_job, SortSpec};
 
+/// The sort cluster's d3.2xlarge (HDD) and i3.2xlarge (NVMe) node counts;
+/// the HDD nodes come first.
+const D3: usize = 2;
+const I3: usize = 2;
+
 fn main() {
-    let quick = Scale::from_args() == Scale::Quick;
     if std::env::args().any(|a| a == "--compare") {
-        hetero_compare(quick);
-        return;
+        run("hetero_policy", hetero_compare);
+    } else {
+        run("hetero_sort", hetero_sort);
+        run("hetero_ml", hetero_ml);
     }
-    hetero_sort(quick);
-    hetero_ml(quick);
 }
 
-/// One policy's metrics from a mixed-cluster sort run.
-struct PolicyRun {
-    policy: &'static str,
-    jct_s: f64,
-    spilled: u64,
-    net: u64,
-    /// Per-node dominant bounds (from the profiled run only).
-    dominants: Vec<Bound>,
-    /// Argument bytes a locality-optimal placement would have kept local.
-    avoidable: u64,
-}
-
-/// Run the mixed HDD+SSD sort under one placement policy. ES-simple, not
-/// push*: push-based variants pin merges by affinity, leaving the policy
-/// nothing to decide, while simple's reduce stage is all
-/// `Default`-strategy placements.
-fn run_policy_sort(
-    cluster: &ClusterSpec,
-    data: u64,
-    partitions: usize,
-    policy: Arc<dyn PlacementPolicy>,
-) -> PolicyRun {
-    let name = policy.name();
-    let mut cfg = RtConfig::new(cluster.clone()).with_placement(policy);
+/// A traced run of `driver` on `cfg`, with its profile; `print` prints
+/// the trace summary and the profile.
+fn traced_run<R: Send>(
+    mut cfg: RtConfig,
+    print: bool,
+    driver: impl FnOnce(&RtHandle) -> R + Send,
+) -> (RunReport, R, ProfileReport) {
     cfg.trace = TraceConfig::on();
+    let caps = cfg.device_caps();
+    let (report, out) = timed_run(cfg, driver);
+    let prof = profile(&report.trace, &caps);
+    if print {
+        let summary = summarize(&report.trace).with_capacities(capacity_lines(&caps));
+        println!("{summary}\n{prof}");
+    }
+    (report, out, prof)
+}
+
+/// A sort of `data` bytes over `partitions` with `variant`, returning
+/// its JCT in seconds.
+fn sort(data: u64, partitions: usize, variant: ShuffleVariant) -> impl FnOnce(&RtHandle) -> f64 {
     let spec = SortSpec {
         data_bytes: data,
         num_maps: partitions,
         num_reduces: partitions,
-        scale: exo_bench::runs::default_scale(data),
+        scale: default_scale(data),
         seed: 7,
     };
-    let (report, jct) = exo_bench::timed_run(cfg, |rt| {
+    move |rt| {
         let job = sort_job(spec);
         let t0 = rt.now();
-        let outs = run_shuffle(rt, &job, ShuffleVariant::Simple);
+        let outs = run_shuffle(rt, &job, variant);
         rt.wait_all(&outs);
-        rt.now() - t0
-    });
-    let caps = cluster.device_caps();
-    let prof = profile(&report.trace, &caps);
-    PolicyRun {
-        policy: name,
-        jct_s: jct.as_secs_f64(),
-        spilled: report.metrics.store.spilled_bytes,
-        net: report.metrics.net_bytes,
-        dominants: prof.per_node_bounds.iter().map(|p| p.dominant()).collect(),
-        avoidable: prof.placement.avoidable_bytes,
+        (rt.now() - t0).as_secs_f64()
     }
 }
 
-/// The mixed HDD+SSD sort under all three placement policies. Runs with
-/// the nodes' natural store capacities (no spill): the regime where
-/// placement, not spill scheduling, decides the reduce stage — the weak
-/// i3 transmitters must serve every map share fetched away from them, so
-/// bound-aware placement keeps more reduces on the SSD nodes.
-fn hetero_compare(quick: bool) {
-    let (d3, i3) = (2, 2);
-    let cluster = ClusterSpec::mixed_hdd_ssd(d3, i3);
+/// The mixed HDD+SSD sort under all three placement policies. ES-simple,
+/// not push*: push-based variants pin merges by affinity, leaving the
+/// policy nothing to decide, while simple's reduce stage is all
+/// `Default`-strategy placements. Runs with the nodes' natural store
+/// capacities (no spill): the regime where placement, not spill
+/// scheduling, decides the reduce stage — the weak i3 transmitters must
+/// serve every map share fetched away from them, so bound-aware placement
+/// keeps more reduces on the SSD nodes.
+fn hetero_compare(scale: Scale) -> Figure {
+    let quick = scale == Scale::Quick;
     let data: u64 = if quick { 2_000_000_000 } else { 8_000_000_000 };
     let partitions = if quick { 32 } else { 64 };
-
-    println!(
-        "# Placement-policy comparison — ES-simple sort, {} GB over {}x d3.2xlarge (HDD) + {}x i3.2xlarge (NVMe)\n",
-        data / 1_000_000_000,
-        d3,
-        i3
-    );
-
-    let lb = run_policy_sort(&cluster, data, partitions, Arc::new(exo_rt::LoadBalance));
-    let ba = run_policy_sort(&cluster, data, partitions, Arc::new(exo_rt::BoundAware));
-    // The hybrid gets its divergence signal from the load_balance run's
-    // per-node bound profile, exactly as an operator re-running a job
-    // after a profiled first attempt would.
-    let hy = run_policy_sort(
-        &cluster,
-        data,
-        partitions,
-        Arc::new(exo_rt::Hybrid::from_bounds(lb.dominants.clone())),
-    );
-
-    let mut t = Table::new(&[
-        "policy",
-        "JCT (s)",
-        "spilled (GB)",
-        "net (GB)",
-        "avoidable (MB)",
-    ]);
-    for r in [&lb, &ba, &hy] {
-        t.row(vec![
-            r.policy.into(),
-            format!("{:.3}", r.jct_s),
-            format!("{:.2}", r.spilled as f64 / 1e9),
-            format!("{:.2}", r.net as f64 / 1e9),
-            format!("{:.1}", r.avoidable as f64 / 1e6),
-        ]);
-    }
-    t.print();
-
-    let not_worse = ba.jct_s <= lb.jct_s;
-    println!(
-        "\nbound_aware vs load_balance: {:+.3} s ({})",
-        ba.jct_s - lb.jct_s,
-        if not_worse { "not worse" } else { "WORSE" }
-    );
-
-    let runs: Vec<Json> = [&lb, &ba, &hy]
-        .iter()
-        .map(|r| {
-            Json::obj()
-                .set("policy", r.policy)
-                .set("jct_s", r.jct_s)
-                .set("spilled_bytes", r.spilled)
-                .set("net_bytes", r.net)
-                .set("avoidable_bytes", r.avoidable)
-        })
-        .collect();
-    write_results(
-        "hetero_policy",
+    let results = move || {
+        let policy_run = |policy: Arc<dyn PlacementPolicy>| {
+            let name = policy.name();
+            let cfg = RtConfig::new(ClusterSpec::mixed_hdd_ssd(D3, I3)).with_placement(policy);
+            let simple = sort(data, partitions, ShuffleVariant::Simple);
+            let (report, jct, prof) = traced_run(cfg, false, simple);
+            let row = Json::obj()
+                .set("policy", name)
+                .set("jct_s", jct)
+                .set("spilled_bytes", report.metrics.store.spilled_bytes)
+                .set("net_bytes", report.metrics.net_bytes)
+                .set("avoidable_bytes", prof.placement.avoidable_bytes);
+            (
+                row,
+                prof.per_node_bounds
+                    .iter()
+                    .map(|p| p.dominant())
+                    .collect::<Vec<_>>(),
+            )
+        };
+        let (lb, dominants) = policy_run(Arc::new(exo_rt::LoadBalance));
+        let (ba, _) = policy_run(Arc::new(exo_rt::BoundAware));
+        // The hybrid gets its divergence signal from the load_balance
+        // run's per-node bound profile, exactly as an operator re-running
+        // a job after a profiled first attempt would.
+        let (hy, _) = policy_run(Arc::new(exo_rt::Hybrid::from_bounds(dominants.clone())));
+        let not_worse = number(&ba, "jct_s") <= number(&lb, "jct_s");
         Json::obj()
-            .set("figure", "hetero_policy")
-            .set("cluster", format!("mixed_hdd_ssd({d3}, {i3})"))
+            .set("cluster", format!("mixed_hdd_ssd({D3}, {I3})"))
             .set("variant", "ES-simple")
             .set("data_bytes", data)
             .set("partitions", partitions)
             .set(
                 "lb_dominant_bounds",
-                lb.dominants
+                dominants
                     .iter()
                     .map(|d| Json::from(d.name()))
                     .collect::<Vec<Json>>(),
             )
-            .set("policies", runs)
-            .set("bound_aware_not_worse", not_worse),
-    );
+            .set("policies", vec![lb, ba, hy])
+            .set("bound_aware_not_worse", not_worse)
+    };
+    Figure {
+        header: vec![format!(
+            "# Placement-policy comparison — ES-simple sort, {} GB over {D3}x d3.2xlarge (HDD) + {I3}x i3.2xlarge (NVMe)",
+            data / 1_000_000_000
+        )],
+        results: Box::new(results),
+        views: vec![
+            View::table(
+                "policies",
+                vec![
+                    Column::text("policy", "policy"),
+                    Column::num("JCT (s)", "jct_s", 1.0, 3),
+                    Column::num("spilled (GB)", "spilled_bytes", 1e9, 2),
+                    Column::num("net (GB)", "net_bytes", 1e9, 2),
+                    Column::num("avoidable (MB)", "avoidable_bytes", 1e6, 1),
+                ],
+            ),
+            View::text(|doc| {
+                let delta = number(doc, "policies.1.jct_s")? - number(doc, "policies.0.jct_s")?;
+                let not_worse = matches!(doc.get("bound_aware_not_worse")?, Json::Bool(true));
+                Some(format!(
+                    "bound_aware vs load_balance: {delta:+.3} s ({})",
+                    if not_worse { "not worse" } else { "WORSE" }
+                ))
+            }),
+        ],
+    }
 }
 
 /// Mixed HDD + SSD sort: same dataset as a homogeneous small sort, but
 /// half the nodes seek and half don't.
-fn hetero_sort(quick: bool) {
-    let (d3, i3) = (2, 2);
-    let cluster = ClusterSpec::mixed_hdd_ssd(d3, i3);
+fn hetero_sort(scale: Scale) -> Figure {
+    let quick = scale == Scale::Quick;
     let data: u64 = if quick { 2_000_000_000 } else { 8_000_000_000 };
     let partitions = if quick { 16 } else { 32 };
-    let store_capacity = data / 5 / cluster.num_nodes() as u64;
-
-    println!(
-        "# Heterogeneous sort — {} GB over {}x d3.2xlarge (HDD) + {}x i3.2xlarge (NVMe)\n",
-        data / 1_000_000_000,
-        d3,
-        i3
-    );
-
-    let mut cfg = RtConfig::new(cluster);
-    cfg.object_store_capacity = Some(store_capacity);
-    let caps = cfg.device_caps();
-    exo_bench::obs::apply_policy(&mut cfg);
-    cfg.trace = TraceConfig::on();
-    let spec = SortSpec {
-        data_bytes: data,
-        num_maps: partitions,
-        num_reduces: partitions,
-        scale: exo_bench::runs::default_scale(data),
-        seed: 7,
-    };
-    let (report, jct) = exo_bench::timed_run(cfg, |rt| {
-        let job = sort_job(spec);
-        let t0 = rt.now();
-        let outs = run_shuffle(rt, &job, ShuffleVariant::PushStar { map_parallelism: 2 });
-        rt.wait_all(&outs);
-        rt.now() - t0
-    });
-
-    println!(
-        "{}",
-        summarize(&report.trace).with_capacities(capacity_lines(&caps))
-    );
-    let prof = profile(&report.trace, &caps);
-    println!("{prof}");
-
-    let mut t = Table::new(&["node", "hardware", "dominant bound"]);
-    for (i, p) in prof.per_node_bounds.iter().enumerate() {
-        t.row(vec![
-            format!("node{i}"),
-            if i < d3 {
-                "d3.2xlarge (HDD)"
-            } else {
-                "i3.2xlarge (NVMe)"
-            }
-            .into(),
-            p.dominant().name().into(),
-        ]);
-    }
-    t.print();
-
-    write_results(
-        "hetero_sort",
+    let store_capacity = data / 5 / (D3 + I3) as u64;
+    let results = move || {
+        let mut cfg = RtConfig::new(ClusterSpec::mixed_hdd_ssd(D3, I3));
+        cfg.object_store_capacity = Some(store_capacity);
+        apply_policy(&mut cfg);
+        let push_star = sort(
+            data,
+            partitions,
+            ShuffleVariant::PushStar { map_parallelism: 2 },
+        );
+        let (report, jct, prof) = traced_run(cfg, true, push_star);
         Json::obj()
-            .set("figure", "hetero_sort")
-            .set("cluster", format!("mixed_hdd_ssd({d3}, {i3})"))
+            .set("cluster", format!("mixed_hdd_ssd({D3}, {I3})"))
             .set("data_bytes", data)
             .set("partitions", partitions)
             .set("store_capacity", store_capacity)
-            .set("jct_s", jct.as_secs_f64())
+            .set("jct_s", jct)
             .set("spilled_bytes", report.metrics.store.spilled_bytes)
             .set("net_bytes", report.metrics.net_bytes)
-            .set("profile", prof.to_json()),
-    );
+            .set("profile", prof.to_json())
+    };
+    Figure {
+        header: vec![format!(
+            "# Heterogeneous sort — {} GB over {D3}x d3.2xlarge (HDD) + {I3}x i3.2xlarge (NVMe)",
+            data / 1_000_000_000
+        )],
+        results: Box::new(results),
+        views: vec![View::table(
+            "profile.per_node_bounds",
+            vec![
+                Column::new("node", |row| {
+                    Some(format!("node{}", row.get("node")?.render()))
+                }),
+                Column::new("hardware", |row| {
+                    Some(if number(row, "node")? < D3 as f64 {
+                        "d3.2xlarge (HDD)".into()
+                    } else {
+                        "i3.2xlarge (NVMe)".into()
+                    })
+                }),
+                Column::text("dominant bound", "dominant_bound"),
+            ],
+        )],
+    }
 }
 
 /// Fig8-shaped pipelined-shuffle training, but on a mixed cluster: one
 /// g4dn.4xlarge trainer plus r6i.2xlarge feeder nodes.
-fn hetero_ml(quick: bool) {
+fn hetero_ml(scale: Scale) -> Figure {
+    let quick = scale == Scale::Quick;
     let feeders = 2;
-    let cluster = ClusterSpec::ml_loader(feeders);
-    let caps = cluster.device_caps();
     let epochs = if quick { 3 } else { 10 };
-    let dataset = DatasetSpec::new(if quick { 10_000 } else { 40_000 }, 16, 2023)
-        .with_logical_sample_bytes(2000);
-
-    println!(
-        "\n# Heterogeneous ML loader — {} epochs, g4dn.4xlarge trainer + {}x r6i.2xlarge feeders\n",
-        epochs, feeders
-    );
-
-    let mut cfg = RtConfig::new(cluster);
-    exo_bench::obs::apply_policy(&mut cfg);
-    cfg.trace = TraceConfig::on();
-    let train_cfg = TrainConfig {
-        dataset,
-        epochs,
-        batch_size: 128,
-        lr: 0.5,
-        variant: ShuffleVariant::Simple,
-        window: ShuffleWindow::Full,
-        gpu_ns_per_sample: 40_000.0,
-    };
-    let (report, out) = exo_bench::timed_run(cfg, |rt| exoshuffle_training(rt, &train_cfg));
-
-    println!(
-        "{}",
-        summarize(&report.trace).with_capacities(capacity_lines(&caps))
-    );
-    let prof = profile(&report.trace, &caps);
-    println!("{prof}");
-    println!(
-        "end-to-end: {:.1} s over {} epochs (final accuracy {:.3})",
-        out.total_time.as_secs_f64(),
-        epochs,
-        out.accuracy.last().copied().unwrap_or(0.0)
-    );
-
-    write_results(
-        "hetero_ml",
+    let train = full_shuffle_training(if quick { 10_000 } else { 40_000 }, epochs, 40_000.0);
+    let results = move || {
+        let mut cfg = RtConfig::new(ClusterSpec::ml_loader(feeders));
+        apply_policy(&mut cfg);
+        let (_, out, prof) = traced_run(cfg, true, |rt| exoshuffle_training(rt, &train));
         Json::obj()
-            .set("figure", "hetero_ml")
             .set("cluster", format!("ml_loader({feeders})"))
             .set("epochs", epochs)
             .set("total_s", out.total_time.as_secs_f64())
@@ -302,6 +237,23 @@ fn hetero_ml(quick: bool) {
                 "final_accuracy",
                 out.accuracy.last().copied().unwrap_or(0.0),
             )
-            .set("profile", prof.to_json()),
-    );
+            .set("profile", prof.to_json())
+    };
+    Figure {
+        header: vec![
+            String::new(),
+            format!(
+                "# Heterogeneous ML loader — {epochs} epochs, g4dn.4xlarge trainer + {feeders}x r6i.2xlarge feeders"
+            ),
+        ],
+        results: Box::new(results),
+        views: vec![View::text(|doc| {
+            Some(format!(
+                "end-to-end: {:.1} s over {} epochs (final accuracy {:.3})",
+                number(doc, "total_s")?,
+                doc.get("epochs")?.render(),
+                number(doc, "final_accuracy")?
+            ))
+        })],
+    }
 }

@@ -15,68 +15,79 @@
 //! in `results/multitenant.json` is an end-to-end audit of the
 //! fair-share guarantee — it must be zero.
 
-use exo_bench::{write_results, MtParams, Scale, Table};
+use exo_bench::figure::{number, run, Column, Figure, Scale, View};
+use exo_bench::MtParams;
+use exo_rt::trace::Json;
 
 fn main() {
-    let quick = Scale::from_args() == Scale::Quick;
-    let p = MtParams::standard(quick);
-    println!(
-        "# Multi-tenant service — {} jobs, 3 tenants, {}× r6i.2xlarge\n",
-        p.jobs, p.nodes
-    );
+    run("multitenant", multitenant);
+}
 
-    let report = exo_bench::run_multitenant(&p);
-
-    let mut jobs = Table::new(&[
-        "job",
-        "tenant",
-        "kind",
-        "prio",
-        "size (GB)",
-        "queued (s)",
-        "JCT (s)",
-    ]);
-    for o in &report.outcomes {
-        jobs.row(vec![
-            o.job.to_string(),
-            o.tenant.to_string(),
-            o.kind.name().into(),
-            if o.priority { "yes".into() } else { "".into() },
-            format!("{:.1}", o.data_bytes as f64 / 1e9),
-            format!("{:.2}", o.queued_us() as f64 / 1e6),
-            format!("{:.2}", o.jct_us() as f64 / 1e6),
-        ]);
-        assert!(o.check > 0, "job {} produced no output", o.job);
+fn multitenant(scale: Scale) -> Figure {
+    let p = MtParams::standard(scale == Scale::Quick);
+    let results = move || {
+        let report = exo_bench::run_multitenant(&p);
+        for o in &report.outcomes {
+            assert!(o.check > 0, "job {} produced no output", o.job);
+        }
+        assert_eq!(
+            report.isolation_violations, 0,
+            "scheduler exceeded a tenant's cpu quota"
+        );
+        report.to_json(&p)
+    };
+    // A job's admission-queue delay, from its whole-µs timestamps.
+    let queued = |row: &_| {
+        let us = |key| Some((number(row, key)? * 1e6).round());
+        Some(format!(
+            "{:.2}",
+            (us("admitted_s")? - us("submitted_s")?).max(0.0) / 1e6
+        ))
+    };
+    Figure {
+        header: vec![format!(
+            "# Multi-tenant service — {} jobs, 3 tenants, {}× r6i.2xlarge",
+            p.jobs, p.nodes
+        )],
+        results: Box::new(results),
+        views: vec![
+            View::table(
+                "runs",
+                vec![
+                    Column::text("job", "job"),
+                    Column::text("tenant", "tenant"),
+                    Column::text("kind", "kind"),
+                    Column::new("prio", |row| {
+                        let prio = matches!(row.get("priority")?, Json::Bool(true));
+                        Some(if prio { "yes" } else { "" }.into())
+                    }),
+                    Column::num("size (GB)", "data_bytes", 1e9, 1),
+                    Column::new("queued (s)", queued),
+                    Column::num("JCT (s)", "jct_s", 1.0, 2),
+                ],
+            ),
+            View::table(
+                "tenants",
+                vec![
+                    Column::text("tenant", "tenant"),
+                    Column::text("jobs", "jobs"),
+                    Column::num("JCT p50 (s)", "jct_p50_s", 1.0, 2),
+                    Column::num("JCT p99 (s)", "jct_p99_s", 1.0, 2),
+                    Column::num("queued (s)", "queued_s", 1.0, 2),
+                ],
+            ),
+            View::text(|doc| {
+                Some(format!(
+                    "makespan {:.1} s  net {:.1} GB  spilled {:.1} GB  queued admissions {}  \
+                     quota denials {}  isolation violations {}",
+                    number(doc, "makespan_s")?,
+                    number(doc, "net_bytes")? / 1e9,
+                    number(doc, "spilled_bytes")? / 1e9,
+                    number(doc, "queued_admissions")?,
+                    number(doc, "quota_denials")?,
+                    number(doc, "isolation_violations")?,
+                ))
+            }),
+        ],
     }
-    jobs.print();
-
-    let mut tenants = Table::new(&["tenant", "jobs", "JCT p50 (s)", "JCT p99 (s)", "queued (s)"]);
-    for t in report.tenant_summaries() {
-        tenants.row(vec![
-            t.tenant.to_string(),
-            t.jobs.to_string(),
-            format!("{:.2}", t.jct_p50_us as f64 / 1e6),
-            format!("{:.2}", t.jct_p99_us as f64 / 1e6),
-            format!("{:.2}", t.queued_us as f64 / 1e6),
-        ]);
-    }
-    println!();
-    tenants.print();
-
-    println!(
-        "\nmakespan {:.1} s  net {:.1} GB  spilled {:.1} GB  queued admissions {}  \
-         quota denials {}  isolation violations {}",
-        report.makespan_us as f64 / 1e6,
-        report.metrics.net_bytes as f64 / 1e9,
-        report.metrics.store.spilled_bytes as f64 / 1e9,
-        report.queued_admissions(),
-        report.metrics.store.quota_denials,
-        report.isolation_violations,
-    );
-    assert_eq!(
-        report.isolation_violations, 0,
-        "scheduler exceeded a tenant's cpu quota"
-    );
-
-    write_results("multitenant", report.to_json(&p));
 }

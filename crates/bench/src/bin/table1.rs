@@ -5,8 +5,7 @@
 //! (non-blank, non-comment lines, excluding tests); the monolithic
 //! numbers are the paper's.
 
-use exo_bench::obs::obs_not_applicable;
-use exo_bench::{write_results, Table};
+use exo_bench::figure::{run, Case, Column, Figure, Scale, View};
 use exo_rt::trace::Json;
 
 /// Count non-blank, non-comment lines, stopping at the test module.
@@ -28,51 +27,50 @@ fn count_loc(path: &std::path::Path) -> usize {
 }
 
 fn main() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/src");
-    let shared = count_loc(&root.join("job.rs"));
-    let simple = count_loc(&root.join("simple.rs"));
-    let merge = count_loc(&root.join("merge.rs"));
-    let push = count_loc(&root.join("push.rs"));
-    let push_star = count_loc(&root.join("push_star.rs"));
+    run("table1", table1);
+}
 
-    println!("# Table 1 — implementation complexity (lines of code)\n");
-    let mut t = Table::new(&[
-        "shuffle algorithm",
-        "monolithic system LoC",
-        "this library LoC",
-    ]);
-    t.row(vec![
-        "Simple (§3.1.1)".into(),
-        "2600 (Spark shuffle pkg)".into(),
-        format!("{simple}"),
-    ]);
-    t.row(vec![
-        "Pre-shuffle merge (§3.1.2)".into(),
-        "4000 (Riffle)".into(),
-        format!("{merge}"),
-    ]);
-    t.row(vec![
-        "Push-based (§3.1.3)".into(),
-        "6700 (Magnet)".into(),
-        format!("{push}"),
-    ]);
-    t.row(vec![
-        "  with pipelining (§4.1)".into(),
-        "6700 (Magnet)".into(),
-        format!("{push_star}"),
-    ]);
-    t.print();
-    println!("\nshared workload-description module (job.rs): {shared} LoC");
-    println!("(paper's Exoshuffle counts: 215 / 265 / 256 / 256)");
-    obs_not_applicable("table1");
-    write_results(
-        "table1",
-        Json::obj()
-            .set("figure", "table1")
-            .set("shared_loc", shared)
-            .set("simple_loc", simple)
-            .set("merge_loc", merge)
-            .set("push_loc", push)
-            .set("push_star_loc", push_star),
+fn table1(_: Scale) -> Figure {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/src");
+    let cases = [
+        ("Simple (§3.1.1)", "simple.rs", 2600u64, "Spark shuffle pkg"),
+        ("Pre-shuffle merge (§3.1.2)", "merge.rs", 4000, "Riffle"),
+        ("Push-based (§3.1.3)", "push.rs", 6700, "Magnet"),
+        ("  with pipelining (§4.1)", "push_star.rs", 6700, "Magnet"),
+    ]
+    .map(|(algorithm, file, monolithic_loc, system)| {
+        let path = root.join(file);
+        Box::new(move || {
+            Json::obj()
+                .set("algorithm", algorithm)
+                .set("file", file)
+                .set("loc", count_loc(&path))
+                .set("monolithic_loc", monolithic_loc)
+                .set("monolithic_system", system)
+        }) as Case
+    });
+    let mut figure = Figure::cases(
+        vec!["# Table 1 — implementation complexity (lines of code)".into()],
+        Json::obj().set("shared_loc", count_loc(&root.join("job.rs"))),
+        cases.into(),
+        vec![
+            Column::text("shuffle algorithm", "algorithm"),
+            Column::new("monolithic system LoC", |row| {
+                let system = row.get("monolithic_system")?.as_str()?;
+                Some(format!(
+                    "{} ({system})",
+                    row.get("monolithic_loc")?.render()
+                ))
+            }),
+            Column::text("this library LoC", "loc"),
+        ],
     );
+    figure.views.push(View::text(|doc| {
+        Some(format!(
+            "shared workload-description module (job.rs): {} LoC\n\
+             (paper's Exoshuffle counts: 215 / 265 / 256 / 256)",
+            doc.get("shared_loc")?.render()
+        ))
+    }));
+    figure
 }

@@ -21,11 +21,13 @@
 //! | `multitenant` | Shuffle-as-a-service: open-loop multi-tenant job stream |
 //! | `cloudsort` | CloudSort cost: $/TB per shuffle variant and the Spark baselines |
 //! | `cloudsort_xl` | Engine at CloudSort geometry: 100 nodes, rerun bit-identity, scaling |
+//! | `bench_gate` | Perf-regression gate: pinned cases against `bench/baseline.json` |
+//! | `live_check` | Validates a `--live` JSONL timeseries against its results JSON |
 //!
 //! All binaries accept `--quick` to shrink the sweep for smoke-testing
-//! (see [`Scale`]). The sort figures whose table has one row per case
-//! are case lists run by [`figure::run`], which renders each table from
-//! the JSON rows it writes to `results/<name>.json`. Criterion
+//! (see [`Scale`]). Every figure bin but `cloudsort_xl` is run by
+//! [`figure::run`], which renders each printed table and summary line
+//! from the results document it writes to `results/<name>.json`. Criterion
 //! microbenches for the hot kernels live under `benches/`.
 
 pub mod figure;
@@ -39,12 +41,12 @@ pub mod xl;
 
 pub use figure::Scale;
 pub use obs::{
-    export_trace_with_caps, instrument, live_flag, obs_not_applicable, sort_result_json,
-    without_trace, write_results, Obs,
+    export_trace_with_caps, instrument, live_flag, sort_result_json, without_trace, write_results,
+    Obs,
 };
 pub use runs::{
-    peak_rss_bytes, perf_json, run_es_sort, timed_run, timed_run_service, EsSortParams,
-    SortRunResult,
+    observed_run, peak_rss_bytes, perf_json, run_es_sort, timed_run, timed_run_service,
+    EsSortParams, SortRunResult,
 };
 pub use service::{run_multitenant, MtJobPlan, MtKind, MtParams, MtReport};
 pub use table::Table;

@@ -183,11 +183,6 @@ impl Obs {
         }
     }
 
-    /// Whether this run was instrumented at all.
-    pub fn active(&self) -> bool {
-        self.cfg.enabled || self.live_path.is_some() || self.watch
-    }
-
     /// The [`LiveConfig`] to put on `RtConfig::live` before running, if
     /// `--live` asked for a timeseries. Streaming observers need no
     /// event retention, so `--live` alone leaves `cfg.enabled` false.
@@ -471,15 +466,16 @@ pub fn capacity_lines(caps: &DeviceCaps) -> Vec<NodeCapacityLine> {
         .collect()
 }
 
-/// For binaries that run no `exo-rt` simulation (fig6, table1): explain
-/// why `--trace`/`--profile` produce nothing rather than silently
-/// ignoring them.
-pub fn obs_not_applicable(bin: &str) {
-    if trace_flag().is_some() || profile_flag().0 || live_flag().is_some() || watch_flag() {
-        eprintln!(
-            "note: {bin} runs no exo-rt simulation; --trace/--profile/--live/--watch are ignored"
-        );
-    }
+/// Whether any of `--trace`/`--profile`/`--live`/`--watch` was passed.
+pub(crate) fn obs_flags_given() -> bool {
+    trace_flag().is_some() || profile_flag().0 || live_flag().is_some() || watch_flag()
+}
+
+/// Claims the observability flags for no run and returns whether a run
+/// had claimed them. Called after a figure's runs, so later figures of
+/// the same process take no flag either.
+pub(crate) fn settle_obs_claim() -> bool {
+    OBS_CLAIMED.swap(true, Ordering::SeqCst)
 }
 
 /// The shared metric fields of a [`SortRunResult`] as a JSON object.

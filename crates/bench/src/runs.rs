@@ -29,6 +29,19 @@ pub fn timed_run<R: Send>(
     out
 }
 
+/// [`timed_run`] hooked up to the observability flags, which the first
+/// such run of a process takes (see [`crate::obs::instrument`]).
+pub fn observed_run<R: Send>(
+    mut cfg: RtConfig,
+    driver: impl FnOnce(&RtHandle) -> R + Send,
+) -> (RunReport, R) {
+    let caps = cfg.device_caps();
+    let obs = crate::obs::instrument(&mut cfg);
+    let out = timed_run(cfg, driver);
+    obs.finish(&out.0, &caps);
+    out
+}
+
 /// [`exo_rt::run_service`] under the same wall-clock accounting as
 /// [`timed_run`].
 pub fn timed_run_service<R: Send>(
@@ -204,9 +217,7 @@ fn run_es_sort_inner(
         rt.wait_all(&outs);
         rt.now() - t0
     });
-    if obs.active() {
-        obs.finish(&report, &caps);
-    }
+    obs.finish(&report, &caps);
     (
         SortRunResult {
             jct,

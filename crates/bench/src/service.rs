@@ -279,7 +279,6 @@ impl MtReport {
             })
             .collect();
         Json::obj()
-            .set("figure", "multitenant")
             .set("nodes", p.nodes)
             .set("jobs", p.jobs)
             .set("seed", p.seed)
@@ -403,9 +402,7 @@ pub fn run_multitenant(p: &MtParams) -> MtReport {
             })
             .collect::<Vec<_>>()
     });
-    if obs.active() {
-        obs.finish(&report, &caps);
-    }
+    obs.finish(&report, &caps);
     let incidents = report.incidents.as_ref().expect("watch was configured");
     let isolation_violations = incidents
         .incidents
